@@ -400,7 +400,10 @@ def _cmd_homology(args) -> int:
         report["coefficients"] = "z"
         lines.append(f"H^{args.degree}(Z) = {group}")
     elif coeff.startswith("z/"):
-        modulus = int(coeff[2:])
+        try:
+            modulus = int(coeff[2:])
+        except ValueError as exc:
+            raise InvalidParams(f"--coeff must be z or z/M, got {args.coeff!r}") from exc
         group = cohomology(R, args.degree, modulus)
         report["cohomology"] = str(group)
         report["coefficients"] = f"z/{modulus}"

@@ -224,6 +224,16 @@ class TestHomology:
         assert "H^1(Z/2) = Z/2" in out
         assert "chain condition" in out
 
+    @pytest.mark.parametrize(
+        "extra", [("--degree", "-1"), ("--degree", "1", "--coeff", "z/abc")]
+    )
+    def test_bad_degree_or_coefficients_exit_two(self, capsys, dihedral_path, extra):
+        code, out, err = run(capsys, "homology", dihedral_path, *extra)
+        assert code == 2
+        assert out == ""
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_json_reports_byte_identical(self, capsys, dihedral_path):

@@ -1,10 +1,18 @@
+import importlib
 import random
 from itertools import product
 
 import pytest
 
+from ybk.catalog import catalog_names, catalog_profile, catalog_solution
 from ybk.classify import classify, yb_isomorphic
-from ybk.errors import BadModulus, NotAYbeSolution, NotDerivedType
+from ybk.errors import (
+    BadModulus,
+    InvalidParams,
+    NotAYbeSolution,
+    NotDerivedType,
+    PreconditionFailed,
+)
 from ybk.homology import (
     AbelianGroup,
     IntegerMatrix,
@@ -46,6 +54,41 @@ def det_bareiss(matrix):
     return sign * a[-1][-1]
 
 
+def random_matrices():
+    """Seeded inputs for the Smith form and the invariant factors."""
+    rng = random.Random(2)
+    for _ in range(80):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        yield IntegerMatrix.from_rows(
+            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        )
+    # sparse, mostly units, like the boundaries: unit pivots and a residual block
+    rng = random.Random(3)
+    for _ in range(60):
+        rows = rng.randint(1, 12)
+        cols = rng.randint(1, 30)
+        entries = [
+            [
+                rng.choice((1, -1, 1, -1, 1, -1, 2, -2, 3, -3)) if rng.random() < 0.2 else 0
+                for _ in range(cols)
+            ]
+            for _ in range(rows)
+        ]
+        # zero rows and zero columns
+        for i in rng.sample(range(rows), rng.randint(0, rows // 3)):
+            entries[i] = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(0, cols // 3)):
+            for row in entries:
+                row[j] = 0
+        yield IntegerMatrix.from_rows(entries)
+    for rows, cols in ((1, 1), (3, 7), (12, 30)):
+        yield IntegerMatrix.zero(rows, cols)
+    for k in (1, 4):
+        yield IntegerMatrix(0, k, ())
+        yield IntegerMatrix.zero(k, 0)
+
+
 def dihedral_quandle(n):
     """x*y = 2y - x as a derived-type solution on [n]."""
     table = [
@@ -68,13 +111,7 @@ class TestSmithNormalForm:
         assert d.diagonal() == (1, 6)
 
     def test_random_properties(self):
-        rng = random.Random(2)
-        for _ in range(80):
-            rows = rng.randint(1, 5)
-            cols = rng.randint(1, 5)
-            m = IntegerMatrix.from_rows(
-                [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-            )
+        for m in random_matrices():
             u, d, v = smith_normal_form(m)
             assert u.mul(m).mul(v).entries == d.entries
             diag = d.diagonal()
@@ -90,6 +127,19 @@ class TestSmithNormalForm:
             )
             assert abs(det_bareiss(u)) == 1
             assert abs(det_bareiss(v)) == 1
+            assert invariant_factors(m) == tuple(x for x in diag if x)
+
+    def test_factors_of_boundaries_match_oracle(self, census2, census3):
+        cases = [(R, n) for R in census2 + census3 for n in (1, 2, 3)]
+        for name in catalog_names():
+            if "valid_kgraph" in catalog_profile(name):
+                continue
+            R = catalog_solution(name)
+            cases.extend((R, n) for n in range(1, 9) if R.size ** n <= 256)
+        for R, n in cases:
+            m = boundary_matrix(R, n)
+            _, d, _ = smith_normal_form(m)
+            assert invariant_factors(m) == tuple(x for x in d.diagonal() if x), (R, n)
 
 
 class TestBoundary:
@@ -145,6 +195,17 @@ class TestBoundary:
         with pytest.raises(NotDerivedType):
             derived_boundary(standard["shift2"], 2)
 
+    def test_negative_degrees_rejected(self, standard):
+        R = standard["dih3"]
+        with pytest.raises(InvalidParams):
+            boundary_matrix(R, 0)
+        with pytest.raises(InvalidParams):
+            homology(R, -1)
+        with pytest.raises(InvalidParams):
+            cohomology(R, -1)
+        with pytest.raises(InvalidParams):
+            cohomology(R, -2, 3)
+
     def test_boundary_needs_solution(self):
         tau = (2, 1)
         bad = make_solution(2, [(tau[x - 1], tau[y - 1]) for x in (1, 2) for y in (1, 2)])
@@ -163,6 +224,25 @@ class TestComplex:
     def test_sampled_three(self):
         for R in random_solutions(3, 6, seed=71, require_ybe=True):
             assert verify_complex(R, 3)
+
+    def test_changed_entry_breaks_chain_condition(self, monkeypatch, standard):
+        module = importlib.import_module("ybk.homology")
+        original = module.boundary_matrix
+
+        def changed(R, n):
+            m = original(R, n)
+            if n != 3:
+                return m
+            # column 1 of the degree-2 boundary is x1 - x1*x2 at (1, 2), nonzero
+            entries = [list(row) for row in m.entries]
+            entries[1][0] += 1
+            return IntegerMatrix.from_rows(entries)
+
+        monkeypatch.setattr(module, "boundary_matrix", changed)
+        R = standard["dih3"]
+        with pytest.raises(PreconditionFailed):
+            homology(R, 2)
+        assert verify_complex(R, 3) is False
 
 
 class TestHomology:
