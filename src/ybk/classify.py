@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
-from .errors import SizeMismatch, SizeTooLarge
+from .errors import InvalidParams, SizeMismatch, SizeTooLarge
 from .semigroup import growth
 from .solution import Solution, _table_is_ybe, properties
 
@@ -68,6 +68,8 @@ def random_bijection_table(n: int, rng: random.Random) -> tuple[tuple[int, int],
 
 def sample_ybe_solutions(n: int, attempts: int, seed: int) -> list[Solution]:
     """Braid-relation survivors among seeded random bijections (non-exhaustive)."""
+    if attempts < 0:
+        raise InvalidParams(f"the number of sampled bijections must be non-negative, got {attempts}")
     rng = random.Random(seed)
     found = {}
     for _ in range(attempts):

@@ -99,12 +99,19 @@ def _read_text(source: str) -> str:
     if source.startswith("catalog:"):
         name = source.split(":", 1)[1]
         return _serialize.canonical_json(_catalog.catalog_document(name))
-    if source == "-":
-        return sys.stdin.read()
-    path = Path(source)
-    if not path.exists():
-        raise ParseError(f"no such file: {source}")
-    return path.read_text()
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        path = Path(source)
+        if not path.exists():
+            raise ParseError(f"no such file: {source}")
+        if path.is_dir():
+            raise ParseError(f"{source} is a directory, not a document")
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source} is not UTF-8 text (byte {exc.start})") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read {source}: {exc.strerror}") from exc
 
 
 def _load_solution(source: str) -> Solution:

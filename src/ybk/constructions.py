@@ -201,18 +201,47 @@ class LevelMap:
         return self.table[idx]
 
 
-def _push_letter(R: Solution, block: tuple[int, ...], letter: int):
-    """Move one second-colour letter leftward through a first-colour block.
+def _push_rows(R: Solution, length: int) -> list[tuple[tuple[int, int], ...]]:
+    """Push table for one letter crossing a block of the given length.
 
-    Each adjacent swap rewrites (s, t) to R(s, t) = (t', s'); the moving
-    letter crosses the whole block, transforming it in place.
+    `rows[b][x]` is (moved, b'): the 0-based letter x, pushed leftward by
+    adjacent swaps (s, t) -> R(s, t) = (t', s') through the block with 0-based
+    code b, leaves as `moved` and turns the block into b'.  A block of length
+    j + 1 is its first letter s followed by a length-j rest, so its row is the
+    rest's row followed by one swap with s: O(N**(length + 1)) in all.
     """
-    moved = letter
-    new_block = []
-    for s in reversed(block):
-        moved, s2 = R(s, moved)
-        new_block.append(s2)
-    return moved, tuple(reversed(new_block))
+    n = R.size
+    first = [
+        tuple((tp - 1, sp - 1) for tp, sp in R.table[s * n : (s + 1) * n])
+        for s in range(n)
+    ]
+    rows = first
+    span = 1
+    for _ in range(length - 1):
+        span *= n
+        rows = [
+            tuple((s_row[m][0], s_row[m][1] * span + rest) for m, rest in rest_row)
+            for s_row in first
+            for rest_row in rows
+        ]
+    return rows
+
+
+def _level_codes(R: Solution, l: int, m: int) -> list[tuple[int, int]]:
+    """The level map on 0-based codes: entry u * N**m + v is (v', u').
+
+    Pushes the letters of every m-block in turn through every l-block; all
+    blocks sharing a prefix of v share its pushes.
+    """
+    if l < 1 or m < 1:
+        raise InvalidParams("block lengths must be positive")
+    n = R.size
+    check_count(n ** (l + m), f"level map table on [{n}]^{l} x [{n}]^{m}")
+    rows = _push_rows(R, l)
+    states = [(0, u) for u in range(n ** l)]
+    for _ in range(m):
+        states = [(out * n + moved, nb) for out, b in states for moved, nb in rows[b]]
+    return states
 
 
 def level_map(R: Solution, l: int, m: int) -> LevelMap:
@@ -221,21 +250,34 @@ def level_map(R: Solution, l: int, m: int) -> LevelMap:
     Works for any bijection: with two colours every applicable swap is forced,
     so the rewriting order cannot matter.
     """
-    if l < 1 or m < 1:
-        raise InvalidParams("block lengths must be positive")
+    codes = _level_codes(R, l, m)
+    letters = range(1, R.size + 1)
+    words_l = list(product(letters, repeat=l))
+    words_m = list(product(letters, repeat=m))
+    table = tuple((words_m[vp], words_l[up]) for vp, up in codes)
+    return LevelMap(R.size, l, m, table)
+
+
+def _level_is_identity(R: Solution, n_level: int) -> bool:
+    """Whether the level-n solution is the identity, without building it.
+
+    Raises Overflow where `level_solution` would.  Stops at the first block u
+    whose pushes leave a pair unfixed, as soon as a moved prefix differs from u.
+    """
     n = R.size
-    check_count(n ** (l + m), f"level map table on [{n}]^{l} x [{n}]^{m}")
-    rng = range(1, n + 1)
-    table = []
-    for u in product(rng, repeat=l):
-        for v in product(rng, repeat=m):
-            block = u
-            out = []
-            for letter in v:
-                moved, block = _push_letter(R, block, letter)
-                out.append(moved)
-            table.append((tuple(out), block))
-    return LevelMap(n, l, m, tuple(table))
+    check_count(n ** n_level, f"level-{n_level} ground set on [{n}]")
+    check_count(n ** (2 * n_level), f"level map table on [{n}]^{n_level} x [{n}]^{n_level}")
+    rows = _push_rows(R, n_level)
+    for u in range(n ** n_level):
+        states = [(0, u)]
+        for j in range(n_level - 1, -1, -1):
+            states = [(out * n + moved, nb) for out, b in states for moved, nb in rows[b]]
+            prefix = u // n ** j
+            if any(out != prefix for out, _ in states):
+                return False
+        if any(nb != v for v, (_, nb) in enumerate(states)):
+            return False
+    return True
 
 
 def level_map_via_legs(R: Solution, n_level: int) -> LevelMap:
@@ -261,12 +303,8 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     """The level solution on [N**n], words encoded big-endian."""
     n = R.size
     check_count(n ** n_level, f"level-{n_level} ground set on [{n}]")
-    lm = level_map(R, n_level, n_level)
-    size = n ** n_level
-    table = [
-        (encode_word(vp, n), encode_word(up, n)) for (vp, up) in lm.table
-    ]
-    return make_solution(size, table)
+    codes = _level_codes(R, n_level, n_level)
+    return make_solution(n ** n_level, [(vp + 1, up + 1) for vp, up in codes])
 
 
 def disjoint_union_solution(family) -> Solution:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .constructions import encode_word, level_map, level_solution
+from .constructions import _level_codes, _level_is_identity
 from .errors import (
     DegreeOutOfRange,
     DegreesOverlap,
@@ -154,7 +154,8 @@ def _hat(family: ThetaFamily, i: int, j: int, s: int, t: int) -> tuple[int, int]
     return sp, tp
 
 
-@lru_cache(maxsize=None)
+# bounded: the keys are families read from user documents
+@lru_cache(maxsize=64)
 def _validate(family: ThetaFamily):
     for i, j, kk in combinations(range(1, family.k + 1), 3):
         ni = range(1, family.sizes[i - 1] + 1)
@@ -241,6 +242,11 @@ def normalize(family: ThetaFamily, word) -> KWord:
                 i -= 1
         else:
             i += 1
+    return _kword(family, letters)
+
+
+def _kword(family: ThetaFamily, letters) -> KWord:
+    """Group colour-sorted (colour, letter) pairs into the blocks of a KWord."""
     blocks = [[] for _ in range(family.k)]
     for colour, letter in letters:
         blocks[colour - 1].append(letter)
@@ -337,12 +343,6 @@ def unique_pushout(family: ThetaFamily):
     return True, None
 
 
-def _single_letter(family: ThetaFamily, colour: int, letter: int) -> KWord:
-    blocks = [()] * family.k
-    blocks[colour - 1] = (letter,)
-    return KWord(family, tuple(blocks))
-
-
 def _pullback_edge(family: ThetaFamily, mu_letter, nu_letter):
     """Solve e^i_s e^j_{t'} = e^j_t e^i_{s'} for the unique (t', s')."""
     ci, s = mu_letter
@@ -381,42 +381,31 @@ def _pushout_edge(family: ThetaFamily, mu_letter, nu_letter):
     )
 
 
-def _first_letter_split(word: KWord) -> tuple[KWord, KWord]:
-    """Split off the first letter of the normal form."""
-    letters = word.letters()
-    head = _single_letter(word.family, *letters[0])
-    blocks = [list(block) for block in word.blocks]
-    blocks[letters[0][0] - 1] = blocks[letters[0][0] - 1][1:]
-    tail = KWord(word.family, tuple(tuple(block) for block in blocks))
-    return head, tail
+def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool) -> tuple[KWord, KWord]:
+    """Fill the |nu| x |mu| grid of commuting squares one edge solve at a time.
 
-
-def _complete(family: ThetaFamily, mu: KWord, nu: KWord, edge_solver) -> tuple[KWord, KWord]:
-    """Inductive peeling of the diamond: one letter of nu at a time."""
-    if nu.is_empty():
-        return mu, nu
-    if mu.is_empty():
-        return mu, nu
-    if sum(mu.degree) == 1 and sum(nu.degree) == 1:
-        new_nu_letter, new_mu_letter = edge_solver(
-            family, mu.letters()[0], nu.letters()[0]
-        )
-        return (
-            _single_letter(family, *new_mu_letter),
-            _single_letter(family, *new_nu_letter),
-        )
-    if sum(nu.degree) >= 2:
-        nu_head, nu_tail = _first_letter_split(nu)
-        if edge_solver is _pullback_edge:
-            mu_mid, nu_head_new = _complete(family, mu, nu_head, edge_solver)
-            mu_new, nu_tail_new = _complete(family, mu_mid, nu_tail, edge_solver)
-        else:
-            mu_mid, nu_tail_new = _complete(family, mu, nu_tail, edge_solver)
-            mu_new, nu_head_new = _complete(family, mu_mid, nu_head, edge_solver)
-        return mu_new, multiply(nu_head_new, nu_tail_new)
-    # |d(nu)| == 1 and |d(mu)| >= 2: the defining equation is symmetric
-    nu_new, mu_new = _complete(family, nu, mu, edge_solver)
-    return mu_new, nu_new
+    Row r has nu's r-th letter on one vertical side and mu's letters (or the
+    row before's outputs) along one horizontal side; each square's solve gives
+    the opposite two sides.  A pullback starts at the top-left corner with
+    mu on top and nu on the left; a pushout starts at the bottom-right corner
+    with mu at the bottom and nu on the right.  Every new letter keeps the
+    colour of its row or column, so both new sides are already normal forms.
+    """
+    across = list(mu.letters())
+    down = list(nu.letters())
+    _gate_three_colours(family, across + down)
+    solve = _pullback_edge if pullback else _pushout_edge
+    solved: dict = {}
+    columns = range(len(across)) if pullback else range(len(across) - 1, -1, -1)
+    for r in range(len(down)) if pullback else range(len(down) - 1, -1, -1):
+        edge = down[r]
+        for c in columns:
+            key = (across[c], edge)
+            if key not in solved:
+                solved[key] = solve(family, *key)
+            edge, across[c] = solved[key]
+        down[r] = edge
+    return _kword(family, across), _kword(family, down)
 
 
 def complete_diamond(
@@ -439,12 +428,12 @@ def complete_diamond(
         ok, witness = unique_pullback(family)
         if not ok:
             raise PropertyMissing(f"family lacks the unique pullback property at {witness}")
-        return _complete(family, mu, nu, _pullback_edge)
+        return _fill(family, mu, nu, pullback=True)
     if direction == "pushout":
         ok, witness = unique_pushout(family)
         if not ok:
             raise PropertyMissing(f"family lacks the unique pushout property at {witness}")
-        return _complete(family, mu, nu, _pushout_edge)
+        return _fill(family, mu, nu, pullback=False)
     raise InvalidParams(f"direction must be 'pullback' or 'pushout', got {direction!r}")
 
 
@@ -471,15 +460,8 @@ def periodicity(R: Solution, bound: int = 6) -> Periodicity:
         raise NotAYbeSolution("periodicity is defined for braid-relation solutions")
     if bound < 1:
         raise InvalidParams(f"bound must be positive, got {bound}")
-    n = R.size
     for level in range(1, bound + 1):
-        candidate = level_solution(R, level)
-        size = n ** level
-        if all(
-            candidate.table[(x - 1) * size + (y - 1)] == (x, y)
-            for x in range(1, size + 1)
-            for y in range(1, size + 1)
-        ):
+        if _level_is_identity(R, level):
             return Periodicity(True, level, bound)
     return Periodicity(False, None, bound)
 
@@ -506,9 +488,5 @@ def restrict(family: ThetaFamily, l: int, m: int, n: int) -> ThetaFamily:
     lengths = {(1, 2): (l, m), (1, 3): (l, n), (2, 3): (m, n)}
     maps = {}
     for pair, (a, b) in lengths.items():
-        lm = level_map(base, a, b)
-        table = [
-            (encode_word(vp, size), encode_word(up, size)) for (vp, up) in lm.table
-        ]
-        maps[pair] = table
+        maps[pair] = [(vp + 1, up + 1) for vp, up in _level_codes(base, a, b)]
     return make_theta_family(3, (size ** l, size ** m, size ** n), maps)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .constructions import decode_word, encode_word, level_map
+from .constructions import _level_codes, decode_word, level_map
 from .errors import NotAYbeSolution, PreconditionFailed
 from .limits import check_count
 from .solution import Solution, alpha_beta, is_ybe
@@ -38,21 +38,43 @@ class GradedClassSet:
         return self._index[tuple(word)]
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+def _class_roots(R: Solution, n: int) -> list[int]:
+    """The least member's code of every length-n word's class, by 0-based code.
 
-    def find(self, a: int) -> int:
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    The pair table P sends (a, b) at code q = (a-1)N + (b-1) to the code of
+    R(a, b); rewriting positions (p, p+1) of a word adds (P[q] - q) * N**(n-p-2)
+    to its code.  Each rewrite is one union; R is a bijection, so one direction
+    per pair covers both.
+    """
+    size = R.size
+    total = size ** n
+    check_count(total, f"length-{n} words over [{size}]")
+    moves = []
+    for q, (u, v) in enumerate(R.table):
+        image = (u - 1) * size + v - 1
+        if image != q:
+            moves.append((q, image - q))
+    # every entry points at a code no larger than itself, so roots are least members
+    parent = list(range(total))
+    for p in range(n - 1):
+        low = size ** (n - p - 2)
+        block = low * size * size
+        for q, delta in moves:
+            step = delta * low
+            for start in range(q * low, total, block):
+                for a in range(start, start + low):
+                    b = a + step
+                    while parent[a] != a:
+                        parent[a] = a = parent[parent[a]]
+                    while parent[b] != b:
+                        parent[b] = b = parent[parent[b]]
+                    if a < b:
+                        parent[b] = a
+                    elif b < a:
+                        parent[a] = b
+    for code in range(total):
+        parent[code] = parent[parent[code]]
+    return parent
 
 
 def graded_elements(R: Solution, n: int) -> GradedClassSet:
@@ -66,38 +88,35 @@ def graded_elements(R: Solution, n: int) -> GradedClassSet:
     if n == 0:
         empty = ((),)
         return GradedClassSet(size, 0, (empty,), ((),), {(): 0})
-    total = size ** n
-    check_count(total, f"length-{n} words over [{size}]")
-    uf = _UnionFind(total)
-    for code in range(total):
-        word = decode_word(code + 1, size, n)
-        for pos in range(n - 1):
-            u, v = R(word[pos], word[pos + 1])
-            if (u, v) != (word[pos], word[pos + 1]):
-                other = word[:pos] + (u, v) + word[pos + 2 :]
-                uf.union(code, encode_word(other, size) - 1)
-    groups: dict[int, list[int]] = {}
-    for code in range(total):
-        groups.setdefault(uf.find(code), []).append(code)
-    # encoded order is lexicographic order, so the root is the least member
-    classes = []
-    for root in sorted(groups):
-        members = tuple(decode_word(code + 1, size, n) for code in groups[root])
-        classes.append(members)
+    words = list(product(range(1, size + 1), repeat=n))
+    groups = _groups(_class_roots(R, n))
+    classes = tuple(tuple(words[code] for code in members) for members in groups)
     reps = tuple(members[0] for members in classes)
-    index = {
-        word: class_idx
-        for class_idx, members in enumerate(classes)
-        for word in members
-    }
-    return GradedClassSet(size, n, tuple(classes), reps, index)
+    index = {word: class_idx for class_idx, members in enumerate(classes) for word in members}
+    return GradedClassSet(size, n, classes, reps, index)
+
+
+def _groups(roots: list[int]) -> list[list[int]]:
+    """Member codes of every class, ascending, classes ordered by least member."""
+    # codes ascend and every root is its class's least code
+    groups: dict[int, list[int]] = {}
+    for code, root in enumerate(roots):
+        groups.setdefault(root, []).append(code)
+    return list(groups.values())
+
+
+def _decode(size: int, codes) -> tuple[tuple[int, ...], ...]:
+    """Words of (0-based code, length) pairs, for witnesses."""
+    return tuple(decode_word(code + 1, size, length) for code, length in codes)
+
+
+def _reps(roots: list[int]) -> list[int]:
+    return [code for code, root in enumerate(roots) if code == root]
 
 
 def growth(R: Solution, maxlen: int) -> tuple[int, ...]:
     """Class counts by length, starting with the empty word: growth[0] = 1."""
-    return tuple(
-        len(graded_elements(R, n).classes) if n else 1 for n in range(maxlen + 1)
-    )
+    return tuple(len(_reps(_class_roots(R, n))) if n else 1 for n in range(maxlen + 1))
 
 
 def check_cancellative(R: Solution, maxlen: int):
@@ -108,26 +127,29 @@ def check_cancellative(R: Solution, maxlen: int):
     Returns (True, None) or (False, witness) with the least witness
     (side, rep_a, rep_b, rep_c).
     """
-    graded = {n: graded_elements(R, n) for n in range(1, maxlen + 1)}
+    size = R.size
+    roots = {n: _class_roots(R, n) for n in range(1, maxlen + 1)}
+    reps = {n: _reps(roots[n]) for n in roots}
     for la in range(1, maxlen):
         for lb in range(1, maxlen - la + 1):
-            whole = graded[la + lb]
-            left_classes = graded[la].reps
-            right_classes = graded[lb].reps
-            for rep_a in left_classes:
-                seen: dict[int, tuple[int, ...]] = {}
-                for rep_b in right_classes:
-                    key = whole.index_of(rep_a + rep_b)
+            whole = roots[la + lb]
+            shift = size ** lb
+            for a in reps[la]:
+                seen: dict[int, int] = {}
+                for b in reps[lb]:
+                    key = whole[a * shift + b]
                     if key in seen:
-                        return False, ("left", rep_a, seen[key], rep_b)
-                    seen[key] = rep_b
-            for rep_b in right_classes:
+                        witness = (a, la), (seen[key], lb), (b, lb)
+                        return False, ("left", *_decode(size, witness))
+                    seen[key] = b
+            for b in reps[lb]:
                 seen = {}
-                for rep_a in left_classes:
-                    key = whole.index_of(rep_a + rep_b)
+                for a in reps[la]:
+                    key = whole[a * shift + b]
                     if key in seen:
-                        return False, ("right", rep_b, seen[key], rep_a)
-                    seen[key] = rep_a
+                        witness = (b, lb), (seen[key], la), (a, la)
+                        return False, ("right", *_decode(size, witness))
+                    seen[key] = a
     return True, None
 
 
@@ -167,81 +189,74 @@ def presentations(R: Solution) -> Presentation:
     return Presentation(generators, tuple(chains))
 
 
-def _ext_apply(lm_cache: dict, R: Solution, u: tuple, v: tuple):
-    """The braided extension on a pair of words; empty words swap through."""
-    if not u or not v:
-        return v, u
-    key = (len(u), len(v))
-    if key not in lm_cache:
-        lm_cache[key] = level_map(R, *key)
-    return lm_cache[key].apply(u, v)
-
-
 def semigroup_extension_check(R: Solution, maxlen: int):
     """Does R extend to a braided map on the graded semigroup?
 
-    Checks the unit rules, that the block map respects the congruence in both
-    arguments, and the braid relation on all graded triples of total length
-    at most maxlen.  Returns (True, None) or (False, witness).
+    The extension pushes blocks past each other by the level maps; empty
+    words swap through unchanged, so the unit rules hold by definition.
+    Checks that the block map respects the congruence in both arguments and
+    the braid relation on all graded triples of total length at most maxlen.
+    Returns (True, None) or (False, witness).
     """
     if not is_ybe(R):
         raise NotAYbeSolution("the extension is defined for braid-relation solutions")
     size = R.size
-    lm_cache: dict = {}
-    graded = {n: graded_elements(R, n) for n in range(1, maxlen + 1)}
+    roots = {n: _class_roots(R, n) for n in range(1, maxlen + 1)}
+    swaps: dict = {}
 
-    for n in range(1, maxlen + 1):
-        for word in product(range(1, size + 1), repeat=n):
-            if _ext_apply(lm_cache, R, word, ()) != ((), word):
-                return False, ("unit-right", word)
-            if _ext_apply(lm_cache, R, (), word) != (word, ()):
-                return False, ("unit-left", word)
+    def swap(l: int, m: int) -> list[tuple[int, int]]:
+        if (l, m) not in swaps:
+            swaps[(l, m)] = _level_codes(R, l, m)
+        return swaps[(l, m)]
 
     for p in range(1, maxlen):
         for q in range(1, maxlen - p + 1):
-            index_p = graded[p]
-            index_q = graded[q]
-            for members in index_p.classes:
+            table = swap(p, q)
+            roots_p, roots_q = roots[p], roots[q]
+            span = size ** q
+            for members in _groups(roots_p):
                 if len(members) == 1:
                     continue
                 base = members[0]
-                for v in product(range(1, size + 1), repeat=q):
-                    vp0, up0 = _ext_apply(lm_cache, R, base, v)
-                    ref = (index_q.index_of(vp0), index_p.index_of(up0))
+                for v in range(span):
+                    vp, up = table[base * span + v]
+                    ref = (roots_q[vp], roots_p[up])
                     for u in members[1:]:
-                        vp, up = _ext_apply(lm_cache, R, u, v)
-                        if (index_q.index_of(vp), index_p.index_of(up)) != ref:
-                            return False, ("respects-left", base, u, v)
-            for members in index_q.classes:
+                        vp, up = table[u * span + v]
+                        if (roots_q[vp], roots_p[up]) != ref:
+                            witness = (base, p), (u, p), (v, q)
+                            return False, ("respects-left", *_decode(size, witness))
+            for members in _groups(roots_q):
                 if len(members) == 1:
                     continue
                 base = members[0]
-                for u in product(range(1, size + 1), repeat=p):
-                    vp0, up0 = _ext_apply(lm_cache, R, u, base)
-                    ref = (index_q.index_of(vp0), index_p.index_of(up0))
+                for u in range(size ** p):
+                    vp, up = table[u * span + base]
+                    ref = (roots_q[vp], roots_p[up])
                     for v in members[1:]:
-                        vp, up = _ext_apply(lm_cache, R, u, v)
-                        if (index_q.index_of(vp), index_p.index_of(up)) != ref:
-                            return False, ("respects-right", u, base, v)
+                        vp, up = table[u * span + v]
+                        if (roots_q[vp], roots_p[up]) != ref:
+                            witness = (u, p), (base, q), (v, q)
+                            return False, ("respects-right", *_decode(size, witness))
 
     for l in range(1, maxlen - 1):
         for m in range(1, maxlen - l):
             for n in range(1, maxlen - l - m + 1):
-                rng = range(1, size + 1)
-                for u in product(rng, repeat=l):
-                    for v in product(rng, repeat=m):
-                        for w in product(rng, repeat=n):
-                            # left side: swap (u,v), then the two right slots, then again
-                            v1, u1 = _ext_apply(lm_cache, R, u, v)
-                            w1, u2 = _ext_apply(lm_cache, R, u1, w)
-                            w2, v2 = _ext_apply(lm_cache, R, v1, w1)
-                            lhs = (w2, v2, u2)
-                            wa, va = _ext_apply(lm_cache, R, v, w)
-                            wb, ub = _ext_apply(lm_cache, R, u, wa)
-                            vb, uc = _ext_apply(lm_cache, R, ub, va)
-                            rhs = (wb, vb, uc)
-                            if lhs != rhs:
-                                return False, ("braid", u, v, w)
+                uv, uw, vw = swap(l, m), swap(l, n), swap(m, n)
+                span_m, span_n = size ** m, size ** n
+                for u in range(size ** l):
+                    for v in range(span_m):
+                        # left side: swap (u,v), then the two right slots, then again
+                        v1, u1 = uv[u * span_m + v]
+                        for w in range(span_n):
+                            w1, u2 = uw[u1 * span_n + w]
+                            w2, v2 = vw[v1 * span_n + w1]
+                            wa, va = vw[v * span_n + w]
+                            wb, ub = uw[u * span_n + wa]
+                            vb, uc = uv[ub * span_m + va]
+                            if (w2, v2, u2) != (wb, vb, uc):
+                                witness = (u, l), (v, m), (w, n)
+                                return False, ("braid", *_decode(size, witness))
     return True, None
 
 

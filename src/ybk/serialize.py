@@ -39,6 +39,15 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_pair(entry) -> bool:
+    return isinstance(entry, list) and len(entry) == 2 and all(_is_int(v) for v in entry)
+
+
 def _load_object(text: str) -> dict:
     try:
         obj = json.loads(text)
@@ -66,14 +75,14 @@ def parse_solution_document(text: str) -> SolutionDocument:
         raise SchemaError("solution document needs 'size' and 'table'")
     size = obj["size"]
     table = obj["table"]
-    if not isinstance(size, int):
+    if not _is_int(size):
         raise SchemaError(f"size must be an integer, got {size!r}")
     if not isinstance(table, list):
         raise SchemaError("table must be an array of pairs")
     if len(table) != size * size:
         raise SchemaError(f"table must have {size * size} entries for size {size}, got {len(table)}")
     for entry in table:
-        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(v, int) for v in entry)):
+        if not _is_pair(entry):
             raise SchemaError(f"table entries must be two-element integer arrays, got {entry!r}")
     labels = obj.get("labels")
     if labels is not None:
@@ -123,9 +132,9 @@ def parse_theta_document(text: str) -> ThetaDocument:
     k = obj["k"]
     sizes = obj["sizes"]
     maps_obj = obj["maps"]
-    if not isinstance(k, int) or k < 2:
+    if not _is_int(k) or k < 2:
         raise SchemaError(f"k must be an integer >= 2, got {k!r}")
-    if not (isinstance(sizes, list) and len(sizes) == k and all(isinstance(n, int) for n in sizes)):
+    if not (isinstance(sizes, list) and len(sizes) == k and all(_is_int(n) for n in sizes)):
         raise SchemaError(f"sizes must be {k} integers")
     if not isinstance(maps_obj, dict):
         raise SchemaError("maps must be an object keyed 'i,j'")
@@ -138,7 +147,7 @@ def parse_theta_document(text: str) -> ThetaDocument:
         if not isinstance(entries, list):
             raise SchemaError(f"map {key!r} must be an array of pairs")
         for entry in entries:
-            if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(v, int) for v in entry)):
+            if not _is_pair(entry):
                 raise SchemaError(f"map {key!r} entries must be two-element integer arrays")
         maps[(i, j)] = [tuple(entry) for entry in entries]
     name = obj.get("name")

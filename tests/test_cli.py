@@ -228,11 +228,47 @@ class TestHomology:
         "extra", [("--degree", "-1"), ("--degree", "1", "--coeff", "z/abc")]
     )
     def test_bad_degree_or_coefficients_exit_two(self, capsys, dihedral_path, extra):
-        code, out, err = run(capsys, "homology", dihedral_path, *extra)
-        assert code == 2
-        assert out == ""
-        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
-        assert "Traceback" not in err
+        assert_usage_error(*run(capsys, "homology", dihedral_path, *extra))
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in err
+
+
+SOLUTION_1 = {"format_version": "1", "size": 1, "table": [[1, 1]]}
+THETA_1_1 = {"format_version": "1", "k": 2, "sizes": [1, 1], "maps": {"1,2": [[1, 1]]}}
+
+
+class TestBadInputsExitTwo:
+    def test_directory_path_exits_two(self, capsys, tmp_path):
+        assert_usage_error(*run(capsys, "verify", str(tmp_path), "--json"))
+
+    def test_non_utf8_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "not-utf8.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        assert_usage_error(*run(capsys, "verify", str(path), "--json"))
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("verify", dict(SOLUTION_1, size=True)),
+            ("verify", dict(SOLUTION_1, table=[[True, 1]])),
+            ("kgraph verify", dict(THETA_1_1, k=True)),
+            ("kgraph verify", dict(THETA_1_1, sizes=[True, 1])),
+            ("kgraph verify", dict(THETA_1_1, maps={"1,2": [[1, True]]})),
+        ],
+    )
+    def test_booleans_are_not_integers(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(canonical_json(doc))
+        assert_usage_error(*run(capsys, *command.split(), str(path), "--json"))
+
+    @pytest.mark.parametrize("command", ["enumerate", "classify"])
+    def test_negative_sample_exits_two(self, capsys, command):
+        assert_usage_error(*run(capsys, command, "--size", "2", "--sample", "-3", "--json"))
 
 
 class TestDeterminism:

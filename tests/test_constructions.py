@@ -17,7 +17,7 @@ from ybk.constructions import (
 )
 from ybk.errors import Degenerate, NotABijection, NotAYbeSolution, Overflow
 from ybk.kgraph import make_theta_family, validate_kgraph
-from ybk.solution import builtin, is_ybe, make_solution, properties, _mod1
+from ybk.solution import apply_leg, builtin, is_ybe, make_solution, properties, _mod1
 
 from conftest import random_solutions
 
@@ -175,10 +175,27 @@ class TestLevelMap:
                 u, v = R(x, y)
                 assert lm.apply((x,), (y,)) == ((u,), (v,))
 
-    def test_leg_composition_oracle(self, census2, standard):
+    def test_leg_composition_oracle(self, census2, census3, standard):
         for R in census2 + [standard["dih3"]]:
             for n in (1, 2, 3):
                 assert level_map(R, n, n).table == level_map_via_legs(R, n).table
+        for R in census3:
+            assert level_map(R, 2, 2).table == level_map_via_legs(R, 2).table
+
+    def test_rectangular_leg_oracle(self, census2, standard):
+        # push v_1, ..., v_m in turn to the front by legs p = l+i-1 down to i
+        for R in census2 + [standard["dih3"]]:
+            rng = range(1, R.size + 1)
+            for l, m in ((1, 2), (2, 1), (2, 3), (3, 2), (1, 4)):
+                expected = []
+                for u in product(rng, repeat=l):
+                    for v in product(rng, repeat=m):
+                        t = u + v
+                        for i in range(1, m + 1):
+                            for p in range(l + i - 1, i - 1, -1):
+                                t = apply_leg(R, p, t)
+                        expected.append((t[:m], t[m:]))
+                assert level_map(R, l, m).table == tuple(expected)
 
     def test_block_coherence(self, standard):
         # pushing through a split block factors through the pieces

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from ybk.constructions import level_map, level_map_via_legs
+from ybk.constructions import level_map, level_map_via_legs, level_solution
 from ybk.errors import (
     DegreeOutOfRange,
     DegreesOverlap,
@@ -12,11 +12,13 @@ from ybk.errors import (
     InvalidParams,
     NotABijection,
     NotAYbeSolution,
+    Overflow,
     PreconditionFailed,
     PropertyMissing,
 )
 from ybk.kgraph import (
     KWord,
+    Periodicity,
     complete_diamond,
     constant_family,
     empty_word,
@@ -356,6 +358,54 @@ class TestDiamond:
         assert multiply(mu, nu_t) == multiply(nu, mu_t)
         assert mu_t.degree == mu.degree and nu_t.degree == nu.degree
 
+    @pytest.mark.parametrize(
+        "k, mu_colours, nu_colours", [(2, (1,), (2,)), (3, (1, 3), (2,)), (3, (2,), (1, 3))]
+    )
+    def test_completions_satisfy_diamond_equation(self, census3, k, mu_colours, nu_colours):
+        rng = random.Random(41 + k + len(mu_colours))
+        nondegenerate = [R for R in census3 if properties(R).non_degenerate]
+
+        def word(fam, colours):
+            count = rng.randint(0, 9)
+            return normalize(fam, list(zip(rng.choices(colours, k=count), rng.choices((1, 2, 3), k=count))))
+
+        for _ in range(12):
+            fam = constant_family(rng.choice(nondegenerate), k)
+            mu, nu = word(fam, mu_colours), word(fam, nu_colours)
+            mu_t, nu_t = complete_diamond(fam, mu, nu, "pullback")
+            assert (mu_t.degree, nu_t.degree) == (mu.degree, nu.degree)
+            assert normalize(fam, mu.letters() + nu_t.letters()) == normalize(fam, nu.letters() + mu_t.letters())
+            mu_t, nu_t = complete_diamond(fam, mu, nu, "pushout")
+            assert (mu_t.degree, nu_t.degree) == (mu.degree, nu.degree)
+            assert normalize(fam, mu_t.letters() + nu.letters()) == normalize(fam, nu_t.letters() + mu.letters())
+
+    def test_long_sides_do_not_recurse(self, standard):
+        fam = constant_family(standard["dih3"], 2)
+
+        def side(colour, length):
+            letters = tuple(1 + i % 3 for i in range(length))
+            return KWord(fam, (letters, ()) if colour == 1 else ((), letters))
+
+        mu, nu = side(1, 1), side(2, 2000)
+        mu_t, nu_t = complete_diamond(fam, mu, nu, "pullback")
+        assert multiply(mu, nu_t) == multiply(nu, mu_t)
+        mu, nu = side(1, 600), side(2, 600)
+        for direction in ("pullback", "pushout"):
+            mu_t, nu_t = complete_diamond(fam, mu, nu, direction)
+            assert (mu_t.degree, nu_t.degree) == ((600, 0), (0, 600))
+
+    def test_three_colour_diamond_needs_valid_family(self):
+        # R(x, y) = (sigma(y), rho(x)) with non-commuting sigma, rho: both
+        # fiber properties hold, the braid relation does not
+        sigma, rho = (2, 1, 3), (1, 3, 2)
+        R = make_solution(3, [(sigma[y - 1], rho[x - 1]) for x in (1, 2, 3) for y in (1, 2, 3)])
+        assert not is_ybe(R)
+        fam = constant_family(R, 3)
+        mu = KWord(fam, ((1,), (2,), ()))
+        nu = KWord(fam, ((), (), (3,)))
+        with pytest.raises(PreconditionFailed):
+            complete_diamond(fam, mu, nu, "pullback")
+
     def test_property_missing(self, standard):
         fam = mixed_family()  # identity blocks are degenerate
         mu = normalize(fam, [(1, 1)])
@@ -390,6 +440,39 @@ class TestPeriodicity:
         bad = make_solution(2, [(tau[x - 1], tau[y - 1]) for x in (1, 2) for y in (1, 2)])
         with pytest.raises(NotAYbeSolution):
             periodicity(bad, 3)
+
+    def test_lazy_check_matches_level_scan(self, census2, census3):
+        # all 79 solutions with N <= 3
+        for R in [builtin("identity", 1)] + census2 + census3:
+            order = None
+            for level in (1, 2, 3):
+                size = R.size ** level
+                if level_solution(R, level).table == builtin("identity", size).table:
+                    order = level
+                    break
+            assert periodicity(R, 3) == Periodicity(order is not None, order, 3)
+
+    def test_lazy_check_compares_both_blocks(self):
+        # R(x, y) = (x, 2 if y == 1 else 1) fixes every first block but not the second
+        from ybk.constructions import _level_is_identity
+
+        swap_second = make_solution(2, [(x, 3 - y) for x in (1, 2) for y in (1, 2)])
+        assert not _level_is_identity(swap_second, 1)
+        assert _level_is_identity(builtin("identity", 2), 2)
+
+    @pytest.mark.parametrize(
+        "name, size, limit, message",
+        [
+            ("flip", 3, "2", r"level-1 ground set on \[3\] needs 3 "),
+            ("flip", 3, "100", r"level map table on \[3\]\^3 x \[3\]\^3 needs 729 "),
+            ("dihedral", 3, "6561", r"level map table on \[3\]\^5 x \[3\]\^5 needs 59049 "),
+            ("identity", 3, "5", r"level map table on \[3\]\^1 x \[3\]\^1 needs 9 "),
+        ],
+    )
+    def test_overflow_at_the_same_level(self, monkeypatch, name, size, limit, message):
+        monkeypatch.setenv("YBK_LIMIT", limit)
+        with pytest.raises(Overflow, match=message):
+            periodicity(builtin(name, size), 6)
 
     def test_consistent_across_level_paths(self, census2):
         # the verdict only depends on the level tables, which agree between

@@ -14,7 +14,7 @@ from ybk.semigroup import (
     presentations,
     semigroup_extension_check,
 )
-from ybk.solution import is_ybe, make_solution, _mod1
+from ybk.solution import builtin, is_ybe, make_solution, _mod1
 
 from conftest import random_solutions
 
@@ -45,6 +45,29 @@ def bfs_classes(R, n):
     return set(classes)
 
 
+def cancellative_oracle(R, maxlen):
+    """Least cancellation witness over the breadth-first classes."""
+    classes = {n: bfs_classes(R, n) for n in range(1, maxlen + 1)}
+    label = {n: {w: min(c) for c in classes[n] for w in c} for n in classes}
+    reps = {n: sorted(min(c) for c in classes[n]) for n in classes}
+    for la in range(1, maxlen):
+        for lb in range(1, maxlen - la + 1):
+            whole = label[la + lb]
+            for a in reps[la]:
+                seen = {}
+                for b in reps[lb]:
+                    if whole[a + b] in seen:
+                        return False, ("left", a, seen[whole[a + b]], b)
+                    seen[whole[a + b]] = b
+            for b in reps[lb]:
+                seen = {}
+                for a in reps[la]:
+                    if whole[a + b] in seen:
+                        return False, ("right", b, seen[whole[a + b]], a)
+                    seen[whole[a + b]] = a
+    return True, None
+
+
 class TestGradedElements:
     def test_identity_keeps_words_apart(self, standard):
         for n in (1, 2, 3):
@@ -65,6 +88,19 @@ class TestGradedElements:
         for R, n in ((standard["dih3"], 3), (standard["shift2"], 4)):
             ours = {frozenset(members) for members in graded_elements(R, n).classes}
             assert ours == bfs_classes(R, n)
+
+    def test_census_matches_bfs_oracle(self, census2, census3, standard):
+        cases = [(R, 5) for R in [builtin("identity", 1)] + census2 + census3]
+        for R, maxlen in cases + [(standard["dih3"], 7)]:
+            counts = [1]
+            for n in range(1, maxlen + 1):
+                oracle = bfs_classes(R, n)
+                graded = graded_elements(R, n)
+                assert {frozenset(members) for members in graded.classes} == oracle
+                assert [members[0] for members in graded.classes] == sorted(map(min, oracle))
+                assert all(list(members) == sorted(members) for members in graded.classes)
+                counts.append(len(oracle))
+            assert growth(R, maxlen) == tuple(counts)
 
     def test_reps_are_least_and_lengths_pure(self, standard):
         graded = graded_elements(standard["dih3"], 3)
@@ -120,6 +156,15 @@ class TestCancellative:
         graded2 = graded_elements(standard["dih3"], 2)
         assert graded3.index_of((1, 2, 2)) == graded3.index_of((1, 3, 3))
         assert graded2.index_of((2, 2)) != graded2.index_of((3, 3))
+
+    def test_census_matches_oracle(self, census2, census3):
+        # the random bijections, not all solutions, include a right-side witness
+        sides = set()
+        for R in census2 + census3 + random_solutions(2, 40, seed=7, require_ybe=False):
+            ok, witness = check_cancellative(R, 4)
+            assert (ok, witness) == cancellative_oracle(R, 4)
+            sides.add(witness and witness[0])
+        assert sides == {None, "left", "right"}
 
     def test_shift_collapses(self, standard):
         ok, witness = check_cancellative(standard["shift2"], 3)
@@ -180,6 +225,21 @@ class TestExtension:
                 if lhs != rhs:
                     matches = False
             assert matches == is_ybe(R)
+
+    def test_corrupted_block_map_is_caught(self, standard, monkeypatch):
+        import ybk.semigroup as semigroup
+
+        real = semigroup._level_codes
+
+        def corrupted(R, l, m):
+            table = real(R, l, m)
+            if (l, m) == (1, 2):
+                table[0], table[1] = table[1], table[0]
+            return table
+
+        monkeypatch.setattr(semigroup, "_level_codes", corrupted)
+        ok, witness = semigroup_extension_check(standard["dih3"], 4)
+        assert not ok and witness[0] in ("respects-left", "respects-right", "braid")
 
     def test_rejects_non_solution(self):
         tau = (2, 1)
