@@ -227,8 +227,11 @@ def _push_rows(R: Solution, length: int) -> list[tuple[tuple[int, int], ...]]:
     return rows
 
 
-def _level_codes(R: Solution, l: int, m: int) -> list[tuple[int, int]]:
-    """The level map on 0-based codes: entry u * N**m + v is (v', u').
+def level_codes(R: Solution, l: int, m: int) -> list[tuple[int, int]]:
+    """The level map on 0-based word codes: entry u * N**m + v is (v', u').
+
+    A code is `encode_word(word, N) - 1`.  `level_map` decodes this list into
+    words; callers that index by code use it directly.
 
     Pushes the letters of every m-block in turn through every l-block; all
     blocks sharing a prefix of v share its pushes.
@@ -250,7 +253,7 @@ def level_map(R: Solution, l: int, m: int) -> LevelMap:
     Works for any bijection: with two colours every applicable swap is forced,
     so the rewriting order cannot matter.
     """
-    codes = _level_codes(R, l, m)
+    codes = level_codes(R, l, m)
     letters = range(1, R.size + 1)
     words_l = list(product(letters, repeat=l))
     words_m = list(product(letters, repeat=m))
@@ -258,12 +261,14 @@ def level_map(R: Solution, l: int, m: int) -> LevelMap:
     return LevelMap(R.size, l, m, table)
 
 
-def _level_is_identity(R: Solution, n_level: int) -> bool:
+def level_is_identity(R: Solution, n_level: int) -> bool:
     """Whether the level-n solution is the identity, without building it.
 
     Raises Overflow where `level_solution` would.  Stops at the first block u
     whose pushes leave a pair unfixed, as soon as a moved prefix differs from u.
     """
+    if n_level < 1:
+        raise InvalidParams("block lengths must be positive")
     n = R.size
     check_count(n ** n_level, f"level-{n_level} ground set on [{n}]")
     check_count(n ** (2 * n_level), f"level map table on [{n}]^{n_level} x [{n}]^{n_level}")
@@ -303,7 +308,7 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     """The level solution on [N**n], words encoded big-endian."""
     n = R.size
     check_count(n ** n_level, f"level-{n_level} ground set on [{n}]")
-    codes = _level_codes(R, n_level, n_level)
+    codes = level_codes(R, n_level, n_level)
     return make_solution(n ** n_level, [(vp + 1, up + 1) for vp, up in codes])
 
 

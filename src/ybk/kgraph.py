@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .constructions import _level_codes, _level_is_identity
+from .constructions import level_codes, level_is_identity
 from .errors import (
     DegreeOutOfRange,
     DegreesOverlap,
@@ -395,6 +395,7 @@ def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool) -> tuple[KW
     down = list(nu.letters())
     _gate_three_colours(family, across + down)
     solve = _pullback_edge if pullback else _pushout_edge
+    # a family has few distinct letter pairs, so most cells repeat an earlier solve
     solved: dict = {}
     columns = range(len(across)) if pullback else range(len(across) - 1, -1, -1)
     for r in range(len(down)) if pullback else range(len(down) - 1, -1, -1):
@@ -461,7 +462,7 @@ def periodicity(R: Solution, bound: int = 6) -> Periodicity:
     if bound < 1:
         raise InvalidParams(f"bound must be positive, got {bound}")
     for level in range(1, bound + 1):
-        if _level_is_identity(R, level):
+        if level_is_identity(R, level):
             return Periodicity(True, level, bound)
     return Periodicity(False, None, bound)
 
@@ -488,5 +489,5 @@ def restrict(family: ThetaFamily, l: int, m: int, n: int) -> ThetaFamily:
     lengths = {(1, 2): (l, m), (1, 3): (l, n), (2, 3): (m, n)}
     maps = {}
     for pair, (a, b) in lengths.items():
-        maps[pair] = [(vp + 1, up + 1) for vp, up in _level_codes(base, a, b)]
+        maps[pair] = [(vp + 1, up + 1) for vp, up in level_codes(base, a, b)]
     return make_theta_family(3, (size ** l, size ** m, size ** n), maps)

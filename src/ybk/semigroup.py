@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .constructions import _level_codes, decode_word, level_map
+from .constructions import decode_word, level_codes, level_map
 from .errors import NotAYbeSolution, PreconditionFailed
 from .limits import check_count
 from .solution import Solution, alpha_beta, is_ybe
@@ -88,8 +88,9 @@ def graded_elements(R: Solution, n: int) -> GradedClassSet:
     if n == 0:
         empty = ((),)
         return GradedClassSet(size, 0, (empty,), ((),), {(): 0})
+    roots = _class_roots(R, n)  # checks the word count before any word is built
     words = list(product(range(1, size + 1), repeat=n))
-    groups = _groups(_class_roots(R, n))
+    groups = _groups(roots)
     classes = tuple(tuple(words[code] for code in members) for members in groups)
     reps = tuple(members[0] for members in classes)
     index = {word: class_idx for class_idx, members in enumerate(classes) for word in members}
@@ -206,7 +207,7 @@ def semigroup_extension_check(R: Solution, maxlen: int):
 
     def swap(l: int, m: int) -> list[tuple[int, int]]:
         if (l, m) not in swaps:
-            swaps[(l, m)] = _level_codes(R, l, m)
+            swaps[(l, m)] = level_codes(R, l, m)
         return swaps[(l, m)]
 
     for p in range(1, maxlen):

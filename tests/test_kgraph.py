@@ -454,11 +454,14 @@ class TestPeriodicity:
 
     def test_lazy_check_compares_both_blocks(self):
         # R(x, y) = (x, 2 if y == 1 else 1) fixes every first block but not the second
-        from ybk.constructions import _level_is_identity
+        from ybk.constructions import level_is_identity
 
         swap_second = make_solution(2, [(x, 3 - y) for x in (1, 2) for y in (1, 2)])
-        assert not _level_is_identity(swap_second, 1)
-        assert _level_is_identity(builtin("identity", 2), 2)
+        assert not level_is_identity(swap_second, 1)
+        assert level_is_identity(builtin("identity", 2), 2)
+        for level in (0, -1):
+            with pytest.raises(InvalidParams):
+                level_is_identity(builtin("identity", 2), level)
 
     @pytest.mark.parametrize(
         "name, size, limit, message",

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from ybk.constructions import disjoint_union_solution, level_map
-from ybk.errors import NotAYbeSolution, PreconditionFailed
+from ybk.errors import NotAYbeSolution, Overflow, PreconditionFailed
 from ybk.kgraph import make_theta_family
 from ybk.semigroup import (
     action_formula_check,
@@ -107,6 +107,27 @@ class TestGradedElements:
         for members, rep in zip(graded.classes, graded.reps):
             assert rep == min(members)
             assert all(len(word) == 3 for word in members)
+
+    @pytest.mark.parametrize(
+        "limit, n, message",
+        [
+            ("100", 5, r"length-5 words over \[3\] needs 243 entries, above the limit 100 "),
+            (None, 20, r"length-20 words over \[3\] needs 3486784401 entries, above the limit 1048576 "),
+        ],
+    )
+    def test_overflow_before_any_word_is_built(self, standard, monkeypatch, limit, n, message):
+        import ybk.semigroup as semigroup
+
+        def no_words(*args, **kwargs):
+            raise AssertionError("words built before the size check")
+
+        monkeypatch.setattr(semigroup, "product", no_words)
+        if limit is None:
+            monkeypatch.delenv("YBK_LIMIT", raising=False)
+        else:
+            monkeypatch.setenv("YBK_LIMIT", limit)
+        with pytest.raises(Overflow, match=message):
+            graded_elements(standard["dih3"], n)
 
 
 class TestGrowth:
@@ -229,7 +250,7 @@ class TestExtension:
     def test_corrupted_block_map_is_caught(self, standard, monkeypatch):
         import ybk.semigroup as semigroup
 
-        real = semigroup._level_codes
+        real = semigroup.level_codes
 
         def corrupted(R, l, m):
             table = real(R, l, m)
@@ -237,7 +258,7 @@ class TestExtension:
                 table[0], table[1] = table[1], table[0]
             return table
 
-        monkeypatch.setattr(semigroup, "_level_codes", corrupted)
+        monkeypatch.setattr(semigroup, "level_codes", corrupted)
         ok, witness = semigroup_extension_check(standard["dih3"], 4)
         assert not ok and witness[0] in ("respects-left", "respects-right", "braid")
 
