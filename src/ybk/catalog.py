@@ -7,6 +7,8 @@ can be replayed against `ybk props` / `ybk kgraph verify`.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .constructions import trivial_extension
 from .errors import UnknownName
 from .kgraph import ThetaFamily, make_theta_family
@@ -28,12 +30,10 @@ def _glue_id() -> list[tuple[int, int]]:
     return [(s, t) for s in (1, 2) for t in (1, 2)]
 
 
-def _degenerate_extension() -> Solution:
-    return trivial_extension(builtin("identity", 2), builtin("identity", 1))
-
-
-def _solution_entries() -> dict[str, tuple[Solution, dict]]:
-    entries: dict[str, tuple[Solution, dict]] = {}
+@cache
+def _entries() -> dict[str, tuple[Solution | ThetaFamily, dict]]:
+    """Every entry and its profile by name, built on the first lookup."""
+    entries: dict[str, tuple[Solution | ThetaFamily, dict]] = {}
     for n in range(2, 7):
         entries[f"identity-{n}"] = (
             builtin("identity", n),
@@ -63,63 +63,39 @@ def _solution_entries() -> dict[str, tuple[Solution, dict]]:
             },
         )
     entries["extension-degenerate-3"] = (
-        _degenerate_extension(),
+        trivial_extension(builtin("identity", 2), builtin("identity", 1)),
         {"is_ybe": True, "involutive": True, "square_free": True, "non_degenerate": False},
     )
+    for name, glue in (("theta-identity-3", _glue_id), ("theta-mixed-3", _glue_add)):
+        maps = {(1, 2): _glue_id(), (1, 3): glue(), (2, 3): glue()}
+        entries[name] = (make_theta_family(3, (2, 2, 2), maps), {"valid_kgraph": True})
     return entries
 
 
-def _theta_entries() -> dict[str, tuple[ThetaFamily, dict]]:
-    identity_family = make_theta_family(
-        3, (2, 2, 2), {(1, 2): _glue_id(), (1, 3): _glue_id(), (2, 3): _glue_id()}
-    )
-    mixed_family = make_theta_family(
-        3, (2, 2, 2), {(1, 2): _glue_id(), (1, 3): _glue_add(), (2, 3): _glue_add()}
-    )
-    return {
-        "theta-identity-3": (identity_family, {"valid_kgraph": True}),
-        "theta-mixed-3": (mixed_family, {"valid_kgraph": True}),
-    }
-
-
 def catalog_names() -> list[str]:
-    return sorted(list(_solution_entries()) + list(_theta_entries()))
+    return sorted(_entries())
 
 
 def catalog_document(name: str) -> dict:
     """The canonical document dict of a catalog entry."""
-    solutions = _solution_entries()
-    if name in solutions:
-        solution, profile = solutions[name]
-        doc = SolutionDocument(solution, name=name, metadata={"profile": profile})
-        return solution_document_dict(doc)
-    thetas = _theta_entries()
-    if name in thetas:
-        family, profile = thetas[name]
-        doc = ThetaDocument(family, name=name, metadata={"profile": profile})
-        return theta_document_dict(doc)
-    raise UnknownName(f"no catalog entry named {name!r}; see `ybk catalog`")
+    if name not in _entries():
+        raise UnknownName(f"no catalog entry named {name!r}; see `ybk catalog`")
+    obj, profile = _entries()[name]
+    metadata = {"profile": dict(profile)}
+    if isinstance(obj, Solution):
+        return solution_document_dict(SolutionDocument(obj, name=name, metadata=metadata))
+    return theta_document_dict(ThetaDocument(obj, name=name, metadata=metadata))
 
 
 def catalog_solution(name: str) -> Solution:
-    solutions = _solution_entries()
-    if name not in solutions:
+    obj = _entries().get(name, (None,))[0]
+    if not isinstance(obj, Solution):
         raise UnknownName(f"no solution catalog entry named {name!r}")
-    return solutions[name][0]
-
-
-def catalog_theta(name: str) -> ThetaFamily:
-    thetas = _theta_entries()
-    if name not in thetas:
-        raise UnknownName(f"no theta catalog entry named {name!r}")
-    return thetas[name][0]
+    return obj
 
 
 def catalog_profile(name: str) -> dict:
-    solutions = _solution_entries()
-    if name in solutions:
-        return solutions[name][1]
-    thetas = _theta_entries()
-    if name in thetas:
-        return thetas[name][1]
-    raise UnknownName(f"no catalog entry named {name!r}")
+    """A copy of the entry's expected property profile."""
+    if name not in _entries():
+        raise UnknownName(f"no catalog entry named {name!r}")
+    return dict(_entries()[name][1])

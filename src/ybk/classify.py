@@ -68,6 +68,8 @@ def random_bijection_table(n: int, rng: random.Random) -> tuple[tuple[int, int],
 
 def sample_ybe_solutions(n: int, attempts: int, seed: int) -> list[Solution]:
     """Braid-relation survivors among seeded random bijections (non-exhaustive)."""
+    if n < 1:
+        raise SizeTooLarge(f"size must be positive, got {n}")
     if attempts < 0:
         raise InvalidParams(f"the number of sampled bijections must be non-negative, got {attempts}")
     rng = random.Random(seed)

@@ -3,7 +3,8 @@
 Every subcommand reads JSON documents (a file path or `catalog:<name>`),
 prints a plain-text report or, with --json, a canonical JSON report that is
 byte-identical across runs.  Exit codes: 0 success or property holds, 1
-property fails or a witness was found, 2 usage or parse error.
+property fails or a witness was found, 2 usage or parse error; an error
+exits with its class's `exit_code`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .constructions import (
     cartesian_product,
     derived_solution,
     disjoint_union_solution,
-    glued_identity_extension,
     left_derived_solution,
     level_solution,
     trivial_extension,
@@ -45,54 +45,7 @@ from .solution import (
     properties,
     ybe_witness,
 )
-from .errors import (
-    BadModulus,
-    DegreeOutOfRange,
-    DegreesOverlap,
-    Degenerate,
-    FamilyMismatch,
-    InvalidLetter,
-    InvalidParams,
-    NotABijection,
-    NotAYbeSolution,
-    NotDerivedType,
-    OutOfRange,
-    Overflow,
-    ParseError,
-    PositionOutOfRange,
-    PreconditionFailed,
-    PropertyMissing,
-    SchemaError,
-    SizeMismatch,
-    SizeTooLarge,
-    UnknownName,
-    YbkError,
-)
-
-_USAGE_ERRORS = (
-    ParseError,
-    SchemaError,
-    UnknownName,
-    InvalidParams,
-    OutOfRange,
-    NotABijection,
-    SizeTooLarge,
-    SizeMismatch,
-    BadModulus,
-    Overflow,
-    PositionOutOfRange,
-    InvalidLetter,
-    DegreeOutOfRange,
-    FamilyMismatch,
-)
-_PROPERTY_ERRORS = (
-    NotAYbeSolution,
-    Degenerate,
-    PropertyMissing,
-    DegreesOverlap,
-    NotDerivedType,
-    PreconditionFailed,
-)
+from .errors import InvalidParams, ParseError, YbkError
 
 
 def _read_text(source: str) -> str:
@@ -228,11 +181,7 @@ def _cmd_extend_glued(args) -> int:
     family = _load_theta(args.theta)
     if family.k != 2:
         raise InvalidParams("extend-glued needs a 2-colour theta document")
-    return _print_solution(
-        glued_identity_extension(
-            family.sizes[0], family.sizes[1], family.maps[0]
-        )
-    )
+    return _print_solution(disjoint_union_solution(family))
 
 
 def _cmd_union(args) -> int:
@@ -540,15 +489,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _PROPERTY_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except YbkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

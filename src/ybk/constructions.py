@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import Degenerate, InvalidParams, NotABijection, NotAYbeSolution, OutOfRange
+from .errors import Degenerate, InvalidParams, NotAYbeSolution
 from .limits import check_count
 from .solution import Solution, alpha_beta, apply_leg, is_ybe, make_solution
 
@@ -85,52 +85,12 @@ def glued_identity_extension(size_x: int, size_y: int, theta) -> Solution:
 
     `theta` lists size_x*size_y output pairs (t', s') in [size_y] x [size_x],
     row-major by (s, t); it is applied on X x Y and its inverse on Y x X.
+    This is the disjoint-union solution of the two-colour family.
     """
-    pairs = [tuple(entry) for entry in theta]
-    glue = make_solution_like_bijection(size_x, size_y, pairs)
-    glue_inv = {}
-    for idx, (tp, sp) in enumerate(pairs):
-        s, t = divmod(idx, size_y)
-        glue_inv[(tp, sp)] = (s + 1, t + 1)
-    size = size_x + size_y
-    table = []
-    for x in range(1, size + 1):
-        for y in range(1, size + 1):
-            if (x <= size_x) == (y <= size_x):
-                table.append((x, y))
-            elif x <= size_x:
-                tp, sp = glue[(x, y - size_x)]
-                table.append((size_x + tp, sp))
-            else:
-                s, t = glue_inv[(x - size_x, y)]
-                table.append((s, size_x + t))
-    return make_solution(size, table)
+    # kgraph imports this module, so the import waits for the call
+    from .kgraph import make_theta_family
 
-
-def make_solution_like_bijection(size_a: int, size_b: int, pairs) -> dict:
-    """Validate a table for a bijection [A] x [B] -> [B] x [A]; return the lookup."""
-    if len(pairs) != size_a * size_b:
-        raise InvalidParams(
-            f"bijection table needs {size_a * size_b} entries, got {len(pairs)}"
-        )
-    lookup: dict = {}
-    seen: dict = {}
-    for idx, pair in enumerate(pairs):
-        s, t = divmod(idx, size_b)
-        if len(pair) != 2:
-            raise InvalidParams(f"entry {idx} is not a pair: {pair!r}")
-        tp, sp = pair
-        if not (1 <= tp <= size_b and 1 <= sp <= size_a):
-            raise OutOfRange(
-                f"entry for ({s + 1},{t + 1}) is {pair}, outside [1..{size_b}] x [1..{size_a}]"
-            )
-        if pair in seen:
-            raise NotABijection(
-                f"output pair {pair} produced by both {seen[pair]} and {(s + 1, t + 1)}"
-            )
-        seen[pair] = (s + 1, t + 1)
-        lookup[(s + 1, t + 1)] = (tp, sp)
-    return lookup
+    return disjoint_union_solution(make_theta_family(2, (size_x, size_y), {(1, 2): theta}))
 
 
 def derived_solution(R: Solution) -> Solution:
@@ -197,6 +157,13 @@ class LevelMap:
 
     def apply(self, u, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
         n = self.size
+        letters = range(1, n + 1)
+        for word, length in ((u, self.left_length), (v, self.right_length)):
+            if len(word) != length or not all(letter in letters for letter in word):
+                raise InvalidParams(
+                    f"level map on [{n}]^{self.left_length} x [{n}]^{self.right_length}"
+                    f" cannot apply to {tuple(u)!r}, {tuple(v)!r}"
+                )
         idx = (encode_word(u, n) - 1) * n ** self.right_length + encode_word(v, n) - 1
         return self.table[idx]
 

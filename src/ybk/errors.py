@@ -2,7 +2,13 @@
 
 
 class YbkError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    The CLI exits with `exit_code`: 2 for usage and input errors, 1 for the
+    property errors, which say that a property the operation needs fails.
+    """
+
+    exit_code = 2
 
 
 class NotABijection(YbkError):
@@ -28,9 +34,13 @@ class PositionOutOfRange(YbkError):
 class NotAYbeSolution(YbkError):
     """The operation needs a map satisfying the braid relation."""
 
+    exit_code = 1
+
 
 class Degenerate(YbkError):
     """The operation needs all coordinate maps to be invertible."""
+
+    exit_code = 1
 
 
 class Overflow(YbkError):
@@ -52,9 +62,13 @@ class DegreeOutOfRange(YbkError):
 class PropertyMissing(YbkError):
     """The family lacks the uniqueness property the operation relies on."""
 
+    exit_code = 1
+
 
 class DegreesOverlap(YbkError):
     """Diamond completion needs words with disjoint degree support."""
+
+    exit_code = 1
 
 
 class SizeTooLarge(YbkError):
@@ -67,6 +81,8 @@ class SizeMismatch(YbkError):
 
 class NotDerivedType(YbkError):
     """The operation is only defined for derived-type solutions."""
+
+    exit_code = 1
 
 
 class BadModulus(YbkError):
@@ -83,3 +99,5 @@ class SchemaError(YbkError):
 
 class PreconditionFailed(YbkError):
     """A stated precondition of the operation does not hold."""
+
+    exit_code = 1

@@ -96,13 +96,14 @@ def make_theta_family(k: int, sizes, maps) -> ThetaFamily:
     """Validate tables and freeze a family.
 
     `maps` is keyed by colour pairs (i, j) with i < j; each table lists
-    N_i*N_j output pairs (t', s') row-major by (s, t).  Tables that repeat an
+    N_i*N_j output pairs (t', s') row-major by (s, t).  Entries that are not
+    pairs of integers in range raise InvalidParams; tables that repeat an
     output raise NotABijection.
     """
     if not isinstance(k, int) or k < 2:
         raise InvalidParams(f"k must be an integer >= 2, got {k!r}")
     sizes = tuple(sizes)
-    if len(sizes) != k or any(not isinstance(n, int) or n < 1 for n in sizes):
+    if len(sizes) != k or any(type(n) is not int or n < 1 for n in sizes):
         raise InvalidParams(f"sizes must be {k} positive integers, got {sizes!r}")
     expected = list(combinations(range(1, k + 1), 2))
     if set(maps.keys()) != set(expected):
@@ -113,7 +114,10 @@ def make_theta_family(k: int, sizes, maps) -> ThetaFamily:
     inverses = []
     for i, j in expected:
         ni, nj = sizes[i - 1], sizes[j - 1]
-        pairs = [tuple(entry) for entry in maps[(i, j)]]
+        try:
+            pairs = [tuple(entry) for entry in maps[(i, j)]]
+        except TypeError as exc:
+            raise InvalidParams(f"theta_{i}{j} must list pairs") from exc
         if len(pairs) != ni * nj:
             raise InvalidParams(
                 f"theta_{i}{j} needs {ni * nj} entries, got {len(pairs)}"
@@ -122,7 +126,14 @@ def make_theta_family(k: int, sizes, maps) -> ThetaFamily:
         seen: dict = {}
         for idx, pair in enumerate(pairs):
             s, t = divmod(idx, nj)
+            if len(pair) != 2:
+                raise InvalidParams(f"theta_{i}{j} entry {idx} is not a pair: {pair!r}")
             tp, sp = pair
+            # `type` rather than isinstance: bool is a subclass of int
+            if not (type(tp) is int and type(sp) is int):
+                raise InvalidParams(
+                    f"theta_{i}{j} entry for ({s + 1},{t + 1}) has non-integer coordinates {pair!r}"
+                )
             if not (1 <= tp <= nj and 1 <= sp <= ni):
                 raise InvalidParams(
                     f"theta_{i}{j} entry for ({s + 1},{t + 1}) is {pair},"
@@ -262,10 +273,6 @@ def multiply(a: KWord, b: KWord) -> KWord:
     if a.family != b.family:
         raise FamilyMismatch("words come from different families")
     return normalize(a.family, a.letters() + b.letters())
-
-
-def degree(a: KWord) -> tuple[int, ...]:
-    return a.degree
 
 
 def _reshape(family: ThetaFamily, letters, target_colours):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .constructions import decode_word, level_codes, level_map
-from .errors import NotAYbeSolution, PreconditionFailed
+from .errors import InvalidParams, NotAYbeSolution, PreconditionFailed
 from .limits import check_count
 from .solution import Solution, alpha_beta, is_ybe
 
@@ -115,8 +115,14 @@ def _reps(roots: list[int]) -> list[int]:
     return [code for code, root in enumerate(roots) if code == root]
 
 
+def _check_maxlen(maxlen: int) -> None:
+    if maxlen < 0:
+        raise InvalidParams(f"maximum length must be non-negative, got {maxlen}")
+
+
 def growth(R: Solution, maxlen: int) -> tuple[int, ...]:
     """Class counts by length, starting with the empty word: growth[0] = 1."""
+    _check_maxlen(maxlen)
     return tuple(len(_reps(_class_roots(R, n))) if n else 1 for n in range(maxlen + 1))
 
 
@@ -128,6 +134,7 @@ def check_cancellative(R: Solution, maxlen: int):
     Returns (True, None) or (False, witness) with the least witness
     (side, rep_a, rep_b, rep_c).
     """
+    _check_maxlen(maxlen)
     size = R.size
     roots = {n: _class_roots(R, n) for n in range(1, maxlen + 1)}
     reps = {n: _reps(roots[n]) for n in roots}
@@ -199,6 +206,7 @@ def semigroup_extension_check(R: Solution, maxlen: int):
     the braid relation on all graded triples of total length at most maxlen.
     Returns (True, None) or (False, witness).
     """
+    _check_maxlen(maxlen)
     if not is_ybe(R):
         raise NotAYbeSolution("the extension is defined for braid-relation solutions")
     size = R.size

@@ -118,7 +118,7 @@ def make_solution(size: int, table) -> Solution:
     duplicates raise NotABijection with both preimages, out-of-range
     coordinates raise OutOfRange.
     """
-    if not isinstance(size, int) or size < 1:
+    if type(size) is not int or size < 1:
         raise InvalidParams(f"size must be a positive integer, got {size!r}")
     entries = [tuple(entry) for entry in table]
     if len(entries) != size * size:
@@ -131,7 +131,8 @@ def make_solution(size: int, table) -> Solution:
             raise InvalidParams(f"entry {idx} is not a pair: {pair!r}")
         u, v = pair
         x, y = divmod(idx, size)
-        if not (isinstance(u, int) and isinstance(v, int)):
+        # `type` rather than isinstance: bool is a subclass of int
+        if not (type(u) is int and type(v) is int):
             raise OutOfRange(f"entry for ({x + 1},{y + 1}) has non-integer coordinates {pair!r}")
         if not (1 <= u <= size and 1 <= v <= size):
             raise OutOfRange(
@@ -157,7 +158,7 @@ def builtin(name: str, size: int, f=None, g=None) -> Solution:
     dihedral R(i,j)=(j,2j-i) for size >= 3, and permutation R(x,y)=(f(y),g(x))
     for commuting bijections f, g given as 1-based image sequences.
     """
-    if not isinstance(size, int) or size < 1:
+    if type(size) is not int or size < 1:
         raise InvalidParams(f"size must be a positive integer, got {size!r}")
     n = size
     if name == "identity":

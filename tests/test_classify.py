@@ -39,6 +39,11 @@ class TestEnumerate:
         with pytest.raises(SizeTooLarge):
             enumerate_solutions(4)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_sampling_needs_a_positive_size(self, size):
+        with pytest.raises(SizeTooLarge, match="size must be positive"):
+            sample_ybe_solutions(size, 3, 0)
+
     def test_sampling_is_seeded(self):
         a = sample_ybe_solutions(3, 400, seed=5)
         b = sample_ybe_solutions(3, 400, seed=5)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ybk.catalog import catalog_names, catalog_profile
+from ybk import cli, errors
+from ybk.catalog import catalog_document, catalog_names, catalog_profile
 from ybk.cli import main
 from ybk.serialize import canonical_json, parse_solution_document
 
@@ -74,6 +75,16 @@ class TestCatalogProfiles:
     def test_unknown_catalog_entry(self, capsys):
         code, _, err = run(capsys, "catalog", "no-such-entry")
         assert code == 2
+
+    @pytest.mark.parametrize("name", ["dihedral-3", "theta-mixed-3"])
+    def test_lookups_hand_out_copies(self, name):
+        expected = dict(catalog_profile(name))
+        assert expected
+        catalog_document(name)["metadata"]["profile"]["planted"] = True
+        catalog_profile(name)["planted"] = True
+        catalog_profile(name).clear()
+        assert catalog_document(name)["metadata"]["profile"] == expected
+        assert catalog_profile(name) == expected
 
 
 class TestPeriodic:
@@ -269,6 +280,46 @@ class TestBadInputsExitTwo:
     @pytest.mark.parametrize("command", ["enumerate", "classify"])
     def test_negative_sample_exits_two(self, capsys, command):
         assert_usage_error(*run(capsys, command, "--size", "2", "--sample", "-3", "--json"))
+
+    @pytest.mark.parametrize("size", ["-1", "0"])
+    def test_non_positive_sample_size_exits_two(self, capsys, size):
+        assert_usage_error(*run(capsys, "enumerate", "--size", size, "--sample", "3", "--json"))
+
+    @pytest.mark.parametrize("flags", [("--cancel",), ("--extension-check",), ()])
+    def test_negative_max_length_exits_two(self, capsys, flags):
+        assert_usage_error(
+            *run(capsys, "semigroup", "catalog:dihedral-3", "--max-len", "-1", *flags, "--json")
+        )
+
+
+PROPERTY_ERRORS = {
+    "NotAYbeSolution",
+    "Degenerate",
+    "PropertyMissing",
+    "DegreesOverlap",
+    "NotDerivedType",
+    "PreconditionFailed",
+}
+ERROR_CLASSES = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.YbkError)
+]
+
+
+class TestExitCodes:
+    def test_property_errors_exist(self):
+        assert PROPERTY_ERRORS <= {cls.__name__ for cls in ERROR_CLASSES}
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_main_exits_with_the_class_code(self, capsys, monkeypatch, cls):
+        assert cls.exit_code == (1 if cls.__name__ in PROPERTY_ERRORS else 2)
+
+        def planted(_):
+            raise cls("planted")
+
+        monkeypatch.setattr(cli, "is_ybe", planted)
+        assert run(capsys, "verify", "catalog:flip-2") == (cls.exit_code, "", "error: planted\n")
 
 
 class TestDeterminism:

@@ -15,7 +15,7 @@ from ybk.constructions import (
     level_solution,
     trivial_extension,
 )
-from ybk.errors import Degenerate, NotABijection, NotAYbeSolution, Overflow
+from ybk.errors import Degenerate, InvalidParams, NotABijection, NotAYbeSolution, Overflow
 from ybk.kgraph import make_theta_family, validate_kgraph
 from ybk.solution import apply_leg, builtin, is_ybe, make_solution, properties, _mod1
 
@@ -118,6 +118,14 @@ class TestGluedExtension:
         with pytest.raises(NotABijection):
             glued_identity_extension(2, 2, [(1, 1), (1, 1), (2, 1), (2, 2)])
 
+    @pytest.mark.parametrize(
+        "theta", [[(True, True)], [(1, 1, 1)], [(2, 1)], [("a", 1)]]
+    )
+    def test_rejects_entries_outside_the_glue(self, theta):
+        # checked by make_theta_family: booleans, non-pairs, out of range
+        with pytest.raises(InvalidParams):
+            glued_identity_extension(1, 1, theta)
+
     def test_matches_two_colour_union(self):
         # the glued extension is the two-block disjoint-union solution
         fam = make_theta_family(2, (2, 3), {(1, 2): _random_glue_23()})
@@ -209,6 +217,14 @@ class TestLevelMap:
                 v1, tail = first.apply(u[l1:], v)
                 v2, head = second.apply(u[:l1], v1)
                 assert combined.apply(u, v) == (v2, head + tail)
+
+    @pytest.mark.parametrize(
+        "u, v", [((1,), (3, 3)), ((1, 2, 3), (1,)), ((1, 2), ()), ((1, 4), (1,)), ((1, 2), (0,))]
+    )
+    def test_apply_rejects_words_that_do_not_fit(self, standard, u, v):
+        lm = level_map(standard["dih3"], 2, 1)
+        with pytest.raises(InvalidParams):
+            lm.apply(u, v)
 
 
 class TestLevelSolution:

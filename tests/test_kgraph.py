@@ -73,6 +73,17 @@ class TestMakeFamily:
         with pytest.raises(InvalidParams):
             make_theta_family(2, (2, 0), {(1, 2): []})
 
+    def test_rejects_boolean_sizes(self):
+        with pytest.raises(InvalidParams):
+            make_theta_family(2, (True, True), {(1, 2): [(1, 1)]})
+
+    @pytest.mark.parametrize(
+        "entry", [(2, 2, 3), (1,), 5, ("a", 1), "ab", (True, True), (1, False), (1.0, 1)]
+    )
+    def test_rejects_entries_that_are_not_integer_pairs(self, entry):
+        with pytest.raises(InvalidParams):
+            make_theta_family(2, (1, 1), {(1, 2): [entry]})
+
 
 class TestValidate:
     def test_two_colours_always_valid(self):

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from ybk.constructions import disjoint_union_solution, level_map
-from ybk.errors import NotAYbeSolution, Overflow, PreconditionFailed
+from ybk.errors import InvalidParams, NotAYbeSolution, Overflow, PreconditionFailed
 from ybk.kgraph import make_theta_family
 from ybk.semigroup import (
     action_formula_check,
@@ -147,6 +147,21 @@ class TestGrowth:
             counts = growth(R, 4)
             for n, c in enumerate(counts):
                 assert 1 <= c <= 2 ** n
+
+
+class TestMaxLength:
+    @pytest.mark.parametrize(
+        "check", [growth, check_cancellative, semigroup_extension_check]
+    )
+    def test_negative_max_length_rejected(self, standard, check):
+        with pytest.raises(InvalidParams):
+            check(standard["dih3"], -1)
+
+    def test_zero_max_length(self, standard):
+        R = standard["dih3"]
+        assert growth(R, 0) == (1,)
+        assert check_cancellative(R, 0) == (True, None)
+        assert semigroup_extension_check(R, 0) == (True, None)
 
 
 class TestCancellative:

@@ -60,6 +60,16 @@ class TestMakeSolution:
         with pytest.raises(InvalidParams):
             make_solution(2, [(1, 1), (1, 2), (2, 1)])
 
+    def test_booleans_are_not_coordinates(self):
+        with pytest.raises(OutOfRange, match="non-integer coordinates"):
+            make_solution(1, [(True, True)])
+
+    def test_boolean_size_rejected(self):
+        with pytest.raises(InvalidParams):
+            make_solution(True, [(1, 1)])
+        with pytest.raises(InvalidParams):
+            builtin("identity", True)
+
     def test_inverse_round_trip(self, census2):
         for R in census2:
             inv = R.inverse()
