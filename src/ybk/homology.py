@@ -8,12 +8,13 @@ from invariant factors: with A the boundary out of degree n and B the
 boundary into it, H_n is free of rank dim - rank(A) - rank(B) plus one
 cyclic summand per invariant factor of B exceeding 1.
 
-Boundaries are sparse with small entries, so the factors come from sparse
-unit-pivot elimination followed by a diagonal-only Smith reduction of the
-block no unit pivot reaches.  `smith_normal_form`, which also carries the
-unimodular transforms, is kept as the oracle the factors are tested
-against.  The chain condition is checked by composing sparse boundary
-columns.
+Boundaries are sparse columns on word codes, both slides read from the
+level maps of `constructions.level_codes`; `boundary_matrix` is their dense
+public view.  The factors come from sparse unit-pivot elimination followed
+by a diagonal-only Smith reduction of the block no unit pivot reaches.
+`smith_normal_form`, which also carries the unimodular transforms, is kept
+as the oracle the factors are tested against.  The chain condition is
+checked by composing sparse boundary columns.
 
 Everything is exact integer arithmetic; no floating point anywhere.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .constructions import decode_word, encode_word
+from .constructions import decode_word, encode_word, level_codes
 from .errors import (
     BadModulus,
     InvalidParams,
@@ -45,7 +46,7 @@ class IntegerMatrix:
 
     def __post_init__(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry shape does not match declared dimensions")
+            raise InvalidParams("entry shape does not match declared dimensions")
 
     @classmethod
     def from_rows(cls, rows) -> "IntegerMatrix":
@@ -243,13 +244,20 @@ def smith_normal_form(matrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatr
     )
 
 
-def _columns(matrix: IntegerMatrix) -> list[dict[int, int]]:
-    """The nonzero entries of each column, keyed by row."""
-    return [{i: x for i, x in enumerate(col) if x} for col in zip(*matrix.entries)]
+def _dense(columns: list[dict[int, int]], rows: int) -> IntegerMatrix:
+    entries = tuple(tuple(col.get(r, 0) for col in columns) for r in range(rows))
+    return IntegerMatrix(rows, len(columns), entries)
 
 
 def invariant_factors(matrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, computed without U and V.
+    """Nonzero diagonal of the Smith form, computed without U and V."""
+    if not isinstance(matrix, IntegerMatrix):
+        matrix = IntegerMatrix.from_rows(matrix)
+    return _factors([{i: x for i, x in enumerate(col) if x} for col in zip(*matrix.entries)])
+
+
+def _factors(columns: list[dict[int, int]]) -> tuple[int, ...]:
+    """Invariant factors of the matrix with these sparse columns, left unchanged.
 
     Unit pivots go first, after Dumas-Saunders-Villard (J. Symbolic Comput.
     2001): a +-1 entry clears its column by exact row operations and then
@@ -261,9 +269,7 @@ def invariant_factors(matrix) -> tuple[int, ...]:
     degree-n boundary column has at most 2n nonzeros while a row has N
     times as many on average, and short pivot rows keep the fill-in small.
     """
-    if not isinstance(matrix, IntegerMatrix):
-        matrix = IntegerMatrix.from_rows(matrix)
-    rows = {i: row for i, row in enumerate(_columns(matrix)) if row}
+    rows = {i: dict(col) for i, col in enumerate(columns) if col}
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
@@ -360,53 +366,43 @@ def _diagonal_factors(a: list[list[int]]) -> tuple[int, ...]:
     return tuple(diagonal)
 
 
-def _move_right_drop(R: Solution, word, i: int):
-    letters = list(word)
-    n = len(letters)
-    for p in range(i - 1, n - 1):
-        letters[p], letters[p + 1] = R(letters[p], letters[p + 1])
-    return tuple(letters[:-1])
+def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
+    """The degree-n boundary as sparse columns, one per 0-based word code.
 
-
-def _move_left_drop(R: Solution, word, i: int):
-    letters = list(word)
-    for p in range(i - 1, 0, -1):
-        letters[p - 1], letters[p] = R(letters[p - 1], letters[p])
-    return tuple(letters[1:])
-
-
-def boundary_matrix(R: Solution, n: int) -> IntegerMatrix:
-    """The degree-n boundary as a matrix from Z[X^n] to Z[X^(n-1)].
-
-    Columns are indexed by tuples in lexicographic order; the column of a
-    tuple accumulates sum_i (-1)^i (move-right-and-drop minus
-    move-left-and-drop).  At n = 1 both operations leave the empty tuple, so
-    the matrix is zero.
+    The column of a word accumulates sum_i (-1)^i (right face minus left
+    face).  With the code pre * N**(n-i+1) + x * N**(n-i) + suf, the right
+    face pushes letter x past the suffix block and drops it, the left face
+    pushes the prefix block past x and drops it: both are level maps.
     """
     if not is_ybe(R):
         raise NotAYbeSolution("the chain complex is defined for braid-relation solutions")
-    if n < 1:
-        raise InvalidParams(f"degree must be at least 1, got {n}")
+    _check_degree(n, 1)
     size = R.size
     check_count(size ** n, f"degree-{n} chain basis")
-    n_cols = size ** n
-    n_rows = size ** (n - 1)
-    columns = []
-    for code in range(n_cols):
-        word = decode_word(code + 1, size, n)
-        coeffs: dict[int, int] = {}
-        sign = -1
-        for i in range(1, n + 1):
-            right = encode_word(_move_right_drop(R, word, i), size) - 1
-            left = encode_word(_move_left_drop(R, word, i), size) - 1
-            coeffs[right] = coeffs.get(right, 0) + sign
-            coeffs[left] = coeffs.get(left, 0) - sign
-            sign = -sign
-        columns.append(coeffs)
-    entries = tuple(
-        tuple(columns[c].get(r, 0) for c in range(n_cols)) for r in range(n_rows)
-    )
-    return IntegerMatrix(n_rows, n_cols, entries)
+    columns: list[dict[int, int]] = [{} for _ in range(size ** n)]
+    for i in range(1, n + 1):
+        sign = -1 if i % 2 else 1
+        tail = size ** (n - i)
+        # an empty block leaves the letter where it is
+        right = level_codes(R, 1, n - i) if i < n else [(0, x) for x in range(size)]
+        left = level_codes(R, i - 1, 1) if i > 1 else [(x, 0) for x in range(size)]
+        for code, column in enumerate(columns):
+            pre, rest = divmod(code, size * tail)
+            x, suf = divmod(rest, tail)
+            right_face = pre * tail + right[rest][0]
+            left_face = left[pre * size + x][1] * tail + suf
+            column[right_face] = column.get(right_face, 0) + sign
+            column[left_face] = column.get(left_face, 0) - sign
+    return [{r: v for r, v in column.items() if v} for column in columns]
+
+
+def boundary_matrix(R: Solution, n: int) -> IntegerMatrix:
+    """The degree-n boundary as a dense matrix from Z[X^n] to Z[X^(n-1)].
+
+    Columns are indexed by tuples in lexicographic order, as in
+    `_boundary_columns`; at n = 1 the matrix is zero.
+    """
+    return _dense(_boundary_columns(R, n), R.size ** (n - 1))
 
 
 def derived_boundary(R: Solution, n: int) -> IntegerMatrix:
@@ -416,19 +412,15 @@ def derived_boundary(R: Solution, n: int) -> IntegerMatrix:
                                      minus star the prefix by x_i and drop it];
     must agree entrywise with the generic boundary.
     """
-    ab = alpha_beta(R)
-    identity_row = tuple(range(1, R.size + 1))
-    if any(row != identity_row for row in ab.alpha):
-        raise NotDerivedType("the closed formula needs the first coordinate to be passive")
+    _require_passive_first(R, "the closed formula")
     if not is_ybe(R):
         raise NotAYbeSolution("the chain complex is defined for braid-relation solutions")
+    _check_degree(n, 1)
     size = R.size
     check_count(size ** n, f"degree-{n} chain basis")
-    star = ab.beta  # x*y = beta_y(x)
-    n_cols = size ** n
-    n_rows = size ** (n - 1)
+    star = alpha_beta(R).beta  # x*y = beta_y(x)
     columns = []
-    for code in range(n_cols):
+    for code in range(size ** n):
         word = decode_word(code + 1, size, n)
         coeffs: dict[int, int] = {}
         for i in range(2, n + 1):
@@ -440,58 +432,62 @@ def derived_boundary(R: Solution, n: int) -> IntegerMatrix:
             coeffs[pcode] = coeffs.get(pcode, 0) + sign
             coeffs[scode] = coeffs.get(scode, 0) - sign
         columns.append(coeffs)
-    entries = tuple(
-        tuple(columns[c].get(r, 0) for c in range(n_cols)) for r in range(n_rows)
-    )
-    return IntegerMatrix(n_rows, n_cols, entries)
+    return _dense(columns, size ** (n - 1))
 
 
 def verify_complex(R: Solution, nmax: int) -> bool:
     """Exact check that consecutive boundaries compose to zero, up to degree nmax."""
     if not is_ybe(R):
         raise NotAYbeSolution("the chain complex is defined for braid-relation solutions")
-    matrices = {n: boundary_matrix(R, n) for n in range(1, nmax + 1)}
-    return all(_composes_to_zero(matrices[n], matrices[n + 1]) for n in range(1, nmax))
+    _check_degree(nmax, None)
+    columns = [_boundary_columns(R, n) for n in range(1, nmax + 1)]
+    return all(_composes_to_zero(outer, inner) for outer, inner in zip(columns, columns[1:]))
 
 
-def _composes_to_zero(outer: IntegerMatrix, inner: IntegerMatrix) -> bool:
-    """Whether outer * inner is zero, composed column by column on nonzeros.
+def _composes_to_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]) -> bool:
+    """Whether outer * inner is zero, both given as sparse columns.
 
     Stops at the first column of the product with a nonzero entry.
     """
-    outer_cols = _columns(outer)
-    for column in _columns(inner):
+    for column in inner:
         image: dict[int, int] = {}
         for r, x in column.items():
-            for i, y in outer_cols[r].items():
+            for i, y in outer[r].items():
                 image[i] = image.get(i, 0) + x * y
         if any(image.values()):
             return False
     return True
 
 
-def _check_degree(n: int) -> None:
-    if n < 0:
-        raise InvalidParams(f"degree must be at least 0, got {n}")
+def _check_degree(n, least: int | None) -> None:
+    """Reject a degree that is not an int, or is below `least` when one is given."""
+    # `type` rather than isinstance: bool is a subclass of int
+    if type(n) is not int:
+        raise InvalidParams(f"degree must be an integer, got {n!r}")
+    if least is not None and n < least:
+        raise InvalidParams(f"degree must be at least {least}, got {n}")
+
+
+def _free_and_torsion(R: Solution, n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Free rank in degree n and the torsion factors of the boundaries out of and into it.
+
+    There is no boundary out of degree 0.  Raises PreconditionFailed when
+    the two boundaries do not compose to zero.
+    """
+    _check_degree(n, 0)
+    check_count(R.size ** (n + 1), f"degree-{n + 1} chain basis")
+    in_map = _boundary_columns(R, n + 1)
+    out_map = _boundary_columns(R, n) if n else []
+    if n and not _composes_to_zero(out_map, in_map):
+        raise PreconditionFailed("boundaries do not compose to zero; the chain condition failed")
+    out_factors, in_factors = _factors(out_map), _factors(in_map)
+    free = R.size ** n - len(out_factors) - len(in_factors)
+    return free, tuple(d for d in out_factors if d > 1), tuple(d for d in in_factors if d > 1)
 
 
 def homology(R: Solution, n: int) -> AbelianGroup:
     """Kernel of the degree-n boundary modulo the image from degree n + 1."""
-    _check_degree(n)
-    if n == 0:
-        return AbelianGroup(1, ())
-    size = R.size
-    check_count(size ** (n + 1), f"degree-{n + 1} chain basis")
-    out_map = boundary_matrix(R, n)
-    in_map = boundary_matrix(R, n + 1)
-    if not _composes_to_zero(out_map, in_map):
-        raise PreconditionFailed(
-            "boundaries do not compose to zero; the chain condition failed"
-        )
-    rank_out = len(invariant_factors(out_map))
-    in_factors = invariant_factors(in_map)
-    free = size ** n - rank_out - len(in_factors)
-    torsion = tuple(d for d in in_factors if d > 1)
+    free, _, torsion = _free_and_torsion(R, n)
     return AbelianGroup(free, torsion)
 
 
@@ -502,22 +498,12 @@ def cohomology(R: Solution, n: int, modulus: int | None = None) -> AbelianGroup:
     the integral Smith data, one cyclic summand of order gcd(d, m) per
     invariant factor d, plus m-torsion from the free ranks.
     """
-    _check_degree(n)
-    if modulus is not None and modulus < 2:
-        raise BadModulus(f"modulus must be at least 2, got {modulus}")
-    size = R.size
-    check_count(size ** (n + 1), f"degree-{n + 1} chain basis")
-    in_factors = invariant_factors(boundary_matrix(R, n + 1))
-    out_factors = invariant_factors(boundary_matrix(R, n)) if n >= 1 else ()
-    dim = size ** n if n >= 1 else 1
-    free = dim - len(in_factors) - len(out_factors)
-    torsion_here = tuple(d for d in out_factors if d > 1)
+    if modulus is not None and (type(modulus) is not int or modulus < 2):
+        raise BadModulus(f"modulus must be at least 2, got {modulus!r}")
+    free, torsion_here, torsion_above = _free_and_torsion(R, n)
     if modulus is None:
         return AbelianGroup(free, torsion_here)
-    torsion_above = tuple(d for d in in_factors if d > 1)
-    orders = [modulus] * free
-    orders.extend(gcd(d, modulus) for d in torsion_here)
-    orders.extend(gcd(d, modulus) for d in torsion_above)
+    orders = [modulus] * free + [gcd(d, modulus) for d in torsion_here + torsion_above]
     return AbelianGroup.from_cyclic_orders(orders)
 
 
@@ -546,9 +532,12 @@ def beta_orbits(R: Solution) -> OrbitPartition:
 
 def h1_orbit_check(R: Solution) -> bool:
     """First homology must be free on the right-action orbits, with no torsion."""
-    ab = alpha_beta(R)
-    identity_row = tuple(range(1, R.size + 1))
-    if any(row != identity_row for row in ab.alpha):
-        raise NotDerivedType("the orbit description needs the first coordinate passive")
+    _require_passive_first(R, "the orbit description")
     expected = AbelianGroup(len(beta_orbits(R).blocks), ())
     return homology(R, 1) == expected
+
+
+def _require_passive_first(R: Solution, what: str) -> None:
+    identity_row = tuple(range(1, R.size + 1))
+    if any(row != identity_row for row in alpha_beta(R).alpha):
+        raise NotDerivedType(f"{what} needs the first coordinate to be passive")

@@ -120,7 +120,10 @@ def make_solution(size: int, table) -> Solution:
     """
     if type(size) is not int or size < 1:
         raise InvalidParams(f"size must be a positive integer, got {size!r}")
-    entries = [tuple(entry) for entry in table]
+    try:
+        entries = [tuple(entry) for entry in table]
+    except TypeError as exc:
+        raise InvalidParams(f"table must be an iterable of pairs: {exc}") from None
     if len(entries) != size * size:
         raise InvalidParams(
             f"table must have {size * size} entries for size {size}, got {len(entries)}"

@@ -5,9 +5,11 @@ from itertools import product
 import pytest
 
 from ybk.catalog import catalog_names, catalog_profile, catalog_solution
-from ybk.classify import classify, yb_isomorphic
+from ybk.classify import classify, enumerate_solutions, yb_isomorphic
+from ybk.constructions import left_derived_solution
 from ybk.errors import (
     BadModulus,
+    Degenerate,
     InvalidParams,
     NotAYbeSolution,
     NotDerivedType,
@@ -89,6 +91,46 @@ def random_matrices():
         yield IntegerMatrix.zero(k, 0)
 
 
+def _move_right_drop(R, word, i):
+    letters = list(word)
+    n = len(letters)
+    for p in range(i - 1, n - 1):
+        letters[p], letters[p + 1] = R(letters[p], letters[p + 1])
+    return tuple(letters[:-1])
+
+
+def _move_left_drop(R, word, i):
+    letters = list(word)
+    for p in range(i - 1, 0, -1):
+        letters[p - 1], letters[p] = R(letters[p - 1], letters[p])
+    return tuple(letters[1:])
+
+
+def oracle_boundary(R, n):
+    """Dense degree-n boundary from walking each word as a tuple, swap by swap."""
+    letters = range(1, R.size + 1)
+    words = list(product(letters, repeat=n))
+    row_of = {word: r for r, word in enumerate(product(letters, repeat=n - 1))}
+    entries = [[0] * len(words) for _ in row_of]
+    for c, word in enumerate(words):
+        for i in range(1, n + 1):
+            sign = -1 if i % 2 else 1
+            entries[row_of[_move_right_drop(R, word, i)]][c] += sign
+            entries[row_of[_move_left_drop(R, word, i)]][c] -= sign
+    return tuple(tuple(row) for row in entries)
+
+
+def non_kgraph_catalog():
+    for name in catalog_names():
+        if "valid_kgraph" not in catalog_profile(name):
+            yield catalog_solution(name)
+
+
+def non_solution():
+    tau = (2, 1)
+    return make_solution(2, [(tau[x - 1], tau[y - 1]) for x in (1, 2) for y in (1, 2)])
+
+
 def dihedral_quandle(n):
     """x*y = 2y - x as a derived-type solution on [n]."""
     table = [
@@ -129,12 +171,22 @@ class TestSmithNormalForm:
             assert abs(det_bareiss(v)) == 1
             assert invariant_factors(m) == tuple(x for x in diag if x)
 
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(InvalidParams):
+            invariant_factors([[1, 2], [3]])
+        with pytest.raises(InvalidParams):
+            IntegerMatrix.from_rows([[1], [2, 3]])
+
+    def test_sparse_factors_leave_columns_unchanged(self, standard):
+        module = importlib.import_module("ybk.homology")
+        columns = module._boundary_columns(standard["dih3"], 3)
+        before = [dict(col) for col in columns]
+        assert module._factors(columns) == invariant_factors(boundary_matrix(standard["dih3"], 3))
+        assert columns == before
+
     def test_factors_of_boundaries_match_oracle(self, census2, census3):
         cases = [(R, n) for R in census2 + census3 for n in (1, 2, 3)]
-        for name in catalog_names():
-            if "valid_kgraph" in catalog_profile(name):
-                continue
-            R = catalog_solution(name)
+        for R in non_kgraph_catalog():
             cases.extend((R, n) for n in range(1, 9) if R.size ** n <= 256)
         for R, n in cases:
             m = boundary_matrix(R, n)
@@ -200,6 +252,8 @@ class TestBoundary:
         with pytest.raises(InvalidParams):
             boundary_matrix(R, 0)
         with pytest.raises(InvalidParams):
+            derived_boundary(R, 0)
+        with pytest.raises(InvalidParams):
             homology(R, -1)
         with pytest.raises(InvalidParams):
             cohomology(R, -1)
@@ -207,10 +261,35 @@ class TestBoundary:
             cohomology(R, -2, 3)
 
     def test_boundary_needs_solution(self):
-        tau = (2, 1)
-        bad = make_solution(2, [(tau[x - 1], tau[y - 1]) for x in (1, 2) for y in (1, 2)])
         with pytest.raises(NotAYbeSolution):
-            boundary_matrix(bad, 2)
+            boundary_matrix(non_solution(), 2)
+
+    def test_complex_needs_solution(self):
+        bad = non_solution()
+        for call in (
+            lambda: homology(bad, 2),
+            lambda: cohomology(bad, 2),
+            lambda: cohomology(bad, 2, 3),
+            lambda: verify_complex(bad, 3),
+        ):
+            with pytest.raises(NotAYbeSolution):
+                call()
+
+    def test_degree_must_be_an_int(self, standard):
+        R = standard["dih3"]
+        for degree in ("2", 2.0, True, False, None):
+            for call in (boundary_matrix, derived_boundary, homology, cohomology, verify_complex):
+                with pytest.raises(InvalidParams):
+                    call(R, degree)
+
+    def test_matches_word_level_oracle(self, census2, census3):
+        cases = [
+            (R, n) for R in enumerate_solutions(1) + census2 + census3 for n in (1, 2, 3, 4)
+        ]
+        for R in non_kgraph_catalog():
+            cases.extend((R, n) for n in range(1, 7) if R.size ** n <= 729)
+        for R, n in cases:
+            assert boundary_matrix(R, n).entries == oracle_boundary(R, n), (R, n)
 
 
 class TestComplex:
@@ -227,18 +306,18 @@ class TestComplex:
 
     def test_changed_entry_breaks_chain_condition(self, monkeypatch, standard):
         module = importlib.import_module("ybk.homology")
-        original = module.boundary_matrix
+        original = module._boundary_columns
 
         def changed(R, n):
-            m = original(R, n)
+            columns = original(R, n)
             if n != 3:
-                return m
-            # column 1 of the degree-2 boundary is x1 - x1*x2 at (1, 2), nonzero
-            entries = [list(row) for row in m.entries]
-            entries[1][0] += 1
-            return IntegerMatrix.from_rows(entries)
+                return columns
+            # column 1 of the degree-2 boundary is x1 - x1*x2 at (1, 2), nonzero;
+            # add 1 at row 1, column 0
+            columns[0] = {**columns[0], 1: columns[0].get(1, 0) + 1}
+            return columns
 
-        monkeypatch.setattr(module, "boundary_matrix", changed)
+        monkeypatch.setattr(module, "_boundary_columns", changed)
         R = standard["dih3"]
         with pytest.raises(PreconditionFailed):
             homology(R, 2)
@@ -259,6 +338,26 @@ class TestHomology:
     def test_h2_dihedral_regression(self, standard):
         assert homology(standard["dih3"], 2) == AbelianGroup(1, ())
 
+    def test_dihedral_three_torsion_grows(self, standard):
+        R = standard["dih3"]
+        for n, threes in ((3, 1), (4, 2), (5, 4), (6, 7)):
+            assert homology(R, n) == AbelianGroup(1, (3,) * threes), n
+
+    def test_orbit_law_for_derived_solutions(self, census2, census3):
+        # Etingof-Grana (J. Pure Appl. Algebra 2003): the free rank of H_n of
+        # a derived solution is the number of right-action orbits to the n
+        checked = 0
+        for R in enumerate_solutions(1) + census2 + census3:
+            try:
+                D = left_derived_solution(R)
+            except Degenerate:
+                continue
+            checked += 1
+            orbits = len(beta_orbits(D).blocks)
+            for n in (1, 2, 3):
+                assert homology(D, n).free_rank == orbits ** n, (R, n)
+        assert checked == 71
+
     def test_rank_nullity(self, census2):
         for R in census2:
             for n in (1, 2, 3):
@@ -274,8 +373,9 @@ class TestCohomology:
         assert cohomology(standard["dih3"], 0, 4) == AbelianGroup.from_cyclic_orders([4])
 
     def test_bad_modulus(self, standard):
-        with pytest.raises(BadModulus):
-            cohomology(standard["dih3"], 1, 1)
+        for modulus in (1, "3", 3.0, True):
+            with pytest.raises(BadModulus):
+                cohomology(standard["dih3"], 1, modulus)
 
     def test_one_cocycles_mod_two(self, standard):
         # kernel of the degree-1 coboundary equals the functions constant on

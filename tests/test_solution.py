@@ -64,6 +64,11 @@ class TestMakeSolution:
         with pytest.raises(OutOfRange, match="non-integer coordinates"):
             make_solution(1, [(True, True)])
 
+    def test_non_iterable_table_or_entry_rejected(self):
+        for size, table in ((1, [5]), (2, None), (2, [(1, 1), 3, (2, 1), (2, 2)])):
+            with pytest.raises(InvalidParams):
+                make_solution(size, table)
+
     def test_boolean_size_rejected(self):
         with pytest.raises(InvalidParams):
             make_solution(True, [(1, 1)])
