@@ -155,14 +155,18 @@ def _fingerprint(solution: Solution, relation: str):
     return prefix
 
 
+def _check_relation(relation) -> None:
+    if relation not in ("yb_iso", "conjugacy"):
+        raise InvalidParams(f"relation must be 'yb_iso' or 'conjugacy', got {relation!r}")
+
+
 def classify(solutions, relation: str, total_bijections: int | None = None) -> SolutionCensus:
     """Partition solutions of one size by the chosen relation.
 
     relation is 'yb_iso' or 'conjugacy'.  Pairwise witness searches are
     pruned by relation-invariant fingerprints (flags and a growth prefix).
     """
-    if relation not in ("yb_iso", "conjugacy"):
-        raise ValueError(f"relation must be 'yb_iso' or 'conjugacy', got {relation!r}")
+    _check_relation(relation)
     ordered = sorted(solutions, key=lambda s: s.table)
     if not ordered:
         return SolutionCensus(0, relation, total_bijections, (), ())
@@ -198,5 +202,6 @@ def classify(solutions, relation: str, total_bijections: int | None = None) -> S
 
 def census(n: int, relation: str) -> SolutionCensus:
     """Exhaustive census of size n classified by the chosen relation."""
+    _check_relation(relation)
     solutions = enumerate_solutions(n)
     return classify(solutions, relation, total_bijections=factorial(n * n))

@@ -10,6 +10,7 @@ exits with its class's `exit_code`.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -383,7 +384,13 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and shared by later ones.
+
+    `parse_args` leaves it unchanged, so repeated calls in one process see
+    the same parser a fresh process would build.
+    """
     parser = argparse.ArgumentParser(
         prog="ybk",
         description="Set-theoretic Yang-Baxter solutions and single-vertex k-graphs.",

@@ -50,7 +50,14 @@ class IntegerMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntegerMatrix":
-        entries = tuple(tuple(int(v) for v in row) for row in rows)
+        try:
+            entries = tuple(tuple(row) for row in rows)
+        except TypeError as exc:
+            raise InvalidParams(f"a matrix is an iterable of integer rows, got {rows!r}") from exc
+        for row in entries:
+            for v in row:
+                if type(v) is not int:
+                    raise InvalidParams(f"matrix entries must be integers, got {v!r}")
         return cls(len(entries), len(entries[0]) if entries else 0, entries)
 
     @classmethod

@@ -466,6 +466,8 @@ def periodicity(R: Solution, bound: int = 6) -> Periodicity:
     """
     if not is_ybe(R):
         raise NotAYbeSolution("periodicity is defined for braid-relation solutions")
+    if type(bound) is not int:
+        raise InvalidParams(f"bound must be an integer, got {bound!r}")
     if bound < 1:
         raise InvalidParams(f"bound must be positive, got {bound}")
     for level in range(1, bound + 1):

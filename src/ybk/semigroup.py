@@ -116,6 +116,9 @@ def _reps(roots: list[int]) -> list[int]:
 
 
 def _check_maxlen(maxlen: int) -> None:
+    # `type` rather than isinstance: bool is a subclass of int
+    if type(maxlen) is not int:
+        raise InvalidParams(f"maximum length must be an integer, got {maxlen!r}")
     if maxlen < 0:
         raise InvalidParams(f"maximum length must be non-negative, got {maxlen}")
 

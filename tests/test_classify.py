@@ -12,7 +12,7 @@ from ybk.classify import (
     sample_ybe_solutions,
     yb_isomorphic,
 )
-from ybk.errors import SizeMismatch, SizeTooLarge
+from ybk.errors import InvalidParams, SizeMismatch, SizeTooLarge
 from ybk.semigroup import growth
 from ybk.solution import builtin, properties
 
@@ -70,6 +70,17 @@ class TestProductConjugate:
     def test_size_mismatch(self, standard):
         with pytest.raises(SizeMismatch):
             product_conjugate(standard["flip2"], standard["flip3"])
+
+
+class TestRelationName:
+    def test_classify_rejects_cli_spelling(self, standard):
+        # the library spells it yb_iso; the CLI maps its yb-iso before calling
+        with pytest.raises(InvalidParams):
+            classify([standard["dih3"]], "yb-iso")
+
+    def test_census_rejects_unknown_relation(self):
+        with pytest.raises(InvalidParams):
+            census(2, "x")
 
 
 class TestYbIsomorphic:

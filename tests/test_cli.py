@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -335,3 +339,106 @@ class TestDeterminism:
             _, second, _ = run(capsys, *argv)
             assert first == second
             json.loads(first)
+
+
+def run_exiting(capsys, *argv):
+    """`run`, with an argparse exit (usage error or --help) read as its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_fresh(capsys, *argv):
+    """`run_exiting` on a parser built for this call alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        return run_exiting(capsys, *argv)
+
+
+NOT_A_SOLUTION = {"format_version": "1", "size": 2, "table": [[2, 2], [2, 1], [1, 2], [1, 1]]}
+
+# pairs of commands that share one cached parser; each runs in both orders
+STATELESS_PAIRS = {
+    "verify-props": (("verify", "catalog:dihedral-3", "--json"), ("props", "catalog:flip-2")),
+    # `_cmd_semigroup` writes the default into args.max_len: 6, then 5
+    "semigroup-defaults": (
+        ("semigroup", "catalog:flip-2", "--json"),
+        ("semigroup", "catalog:dihedral-3", "--json"),
+    ),
+    "usage-error": (("level", "catalog:flip-2"), ("level", "catalog:flip-2", "--n", "2")),
+    "help": (("--help",), ("verify", "catalog:flip-2")),
+    "subcommand-help": (("semigroup", "--help"), ("semigroup", "catalog:flip-2", "--cancel")),
+    "shared-handler": (
+        ("enumerate", "--size", "2", "--json"),
+        ("classify", "--size", "2", "--relation", "conjugacy", "--sample", "4", "--json"),
+    ),
+}
+
+
+class TestParserIsStateless:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("pair", sorted(STATELESS_PAIRS))
+    def test_back_to_back_matches_fresh_parser(self, capsys, pair, reverse):
+        commands = STATELESS_PAIRS[pair][::-1] if reverse else STATELESS_PAIRS[pair]
+        expected = [run_fresh(capsys, *argv) for argv in commands]
+        cli._build_parser()
+        assert [run_exiting(capsys, *argv) for argv in commands] == expected
+
+    def test_expected_outcomes(self, capsys):
+        # the pairs above cover what they claim to
+        assert run_exiting(capsys, "level", "catalog:flip-2")[0] == 2
+        assert run_exiting(capsys, "--help")[0] == 0
+        for name, max_len in (("flip-2", 6), ("dihedral-3", 5)):
+            code, out, _ = run(capsys, "semigroup", f"catalog:{name}", "--json")
+            assert code == 0 and json.loads(out)["max_len"] == max_len
+        code, out, _ = run(capsys, "enumerate", "--size", "2", "--json")
+        assert json.loads(out)["relation"] == "yb-iso"
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_process(*argv):
+    """The real entry point, `python -m ybk.cli`, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "ybk.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+class TestFreshProcess:
+    def test_verify_matches_in_process(self, capsys):
+        done = run_process("verify", "catalog:dihedral-3", "--json")
+        assert (done.returncode, done.stdout, done.stderr) == run(
+            capsys, "verify", "catalog:dihedral-3", "--json"
+        )
+        assert done.returncode == 0
+
+    def test_non_solution_exits_one(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(canonical_json(NOT_A_SOLUTION))
+        done = run_process("verify", str(path))
+        assert done.returncode == 1
+        assert "YBE: no" in done.stdout
+
+    def test_bad_degree_exits_two(self):
+        done = run_process("homology", "catalog:flip-2", "--degree", "-1")
+        assert_usage_error(done.returncode, done.stdout, done.stderr)
+
+    def test_import_builds_no_parser(self):
+        probe = "import ybk.cli; print(ybk.cli._build_parser.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.stdout == "0\n"

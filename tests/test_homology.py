@@ -177,6 +177,13 @@ class TestSmithNormalForm:
         with pytest.raises(InvalidParams):
             IntegerMatrix.from_rows([[1], [2, 3]])
 
+    @pytest.mark.parametrize("rows", [[[1.5]], [["a"]], [[True]], [[1, 2], [3, None]], 5, [5]])
+    @pytest.mark.parametrize("call", [invariant_factors, smith_normal_form, IntegerMatrix.from_rows])
+    def test_non_integer_entries_rejected(self, call, rows):
+        # int() used to truncate 1.5 to 1, so [[1.5]] had the factors (1,)
+        with pytest.raises(InvalidParams):
+            call(rows)
+
     def test_sparse_factors_leave_columns_unchanged(self, standard):
         module = importlib.import_module("ybk.homology")
         columns = module._boundary_columns(standard["dih3"], 3)

@@ -452,6 +452,11 @@ class TestPeriodicity:
         with pytest.raises(NotAYbeSolution):
             periodicity(bad, 3)
 
+    @pytest.mark.parametrize("bound", ["3", 2.0, True])
+    def test_non_integer_bound_rejected(self, standard, bound):
+        with pytest.raises(InvalidParams):
+            periodicity(standard["dih3"], bound)
+
     def test_lazy_check_matches_level_scan(self, census2, census3):
         # all 79 solutions with N <= 3
         for R in [builtin("identity", 1)] + census2 + census3:

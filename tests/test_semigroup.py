@@ -157,6 +157,14 @@ class TestMaxLength:
         with pytest.raises(InvalidParams):
             check(standard["dih3"], -1)
 
+    @pytest.mark.parametrize("maxlen", [2.5, "3", True])
+    @pytest.mark.parametrize(
+        "check", [growth, check_cancellative, semigroup_extension_check]
+    )
+    def test_non_integer_max_length_rejected(self, standard, check, maxlen):
+        with pytest.raises(InvalidParams):
+            check(standard["dih3"], maxlen)
+
     def test_zero_max_length(self, standard):
         R = standard["dih3"]
         assert growth(R, 0) == (1,)
