@@ -10,8 +10,8 @@ exits with its class's `exit_code`.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import catalog as _catalog
@@ -384,7 +384,7 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-@functools.cache
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first `main` call and shared by later ones.
 

@@ -387,7 +387,7 @@ class TestParserIsStateless:
     def test_back_to_back_matches_fresh_parser(self, capsys, pair, reverse):
         commands = STATELESS_PAIRS[pair][::-1] if reverse else STATELESS_PAIRS[pair]
         expected = [run_fresh(capsys, *argv) for argv in commands]
-        cli._build_parser()
+        # from here on both commands run on the one cached parser
         assert [run_exiting(capsys, *argv) for argv in commands] == expected
 
     def test_expected_outcomes(self, capsys):
@@ -404,21 +404,19 @@ class TestParserIsStateless:
 SRC = Path(cli.__file__).resolve().parents[1]
 
 
-def run_process(*argv):
-    """The real entry point, `python -m ybk.cli`, in a fresh process."""
+def run_python(*args):
+    """A fresh interpreter with this checkout's `src` on its path."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, "-m", "ybk.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
 
 
 class TestFreshProcess:
+    """The real entry point, `python -m ybk.cli`, which in-process tests never run."""
+
     def test_verify_matches_in_process(self, capsys):
-        done = run_process("verify", "catalog:dihedral-3", "--json")
+        done = run_python("-m", "ybk.cli", "verify", "catalog:dihedral-3", "--json")
         assert (done.returncode, done.stdout, done.stderr) == run(
             capsys, "verify", "catalog:dihedral-3", "--json"
         )
@@ -427,18 +425,15 @@ class TestFreshProcess:
     def test_non_solution_exits_one(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(canonical_json(NOT_A_SOLUTION))
-        done = run_process("verify", str(path))
+        done = run_python("-m", "ybk.cli", "verify", str(path))
         assert done.returncode == 1
         assert "YBE: no" in done.stdout
 
     def test_bad_degree_exits_two(self):
-        done = run_process("homology", "catalog:flip-2", "--degree", "-1")
+        done = run_python("-m", "ybk.cli", "homology", "catalog:flip-2", "--degree", "-1")
         assert_usage_error(done.returncode, done.stdout, done.stderr)
 
     def test_import_builds_no_parser(self):
-        probe = "import ybk.cli; print(ybk.cli._build_parser.cache_info().currsize)"
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        done = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
-        )
+        # the parser is built on the first call; at import it would add to start-up
+        done = run_python("-c", "import ybk.cli; print(ybk.cli._build_parser.cache_info().currsize)")
         assert done.stdout == "0\n"
