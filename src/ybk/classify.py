@@ -1,17 +1,20 @@
-"""Exhaustive census of small solutions and classification up to relabeling.
+"""Census of small solutions by pruned search, and classification up to relabeling.
 
 Two equivalences: product conjugacy (a pair of permutations conjugates the
 maps) and YB-isomorphism (one permutation relabels the ground set).  Both
-witnesses are found by exhaustive search over symmetric groups, least first.
-The exhaustive census is feasible through N = 3 (9! candidate bijections);
-larger sizes get a seeded, clearly non-exhaustive sampling mode.
+least witnesses come from one depth-first search that assigns a
+permutation's images in order, smallest first, and drops a prefix as soon
+as a table cell whose images are all assigned fails.  The census fills the
+table one cell at a time under a bijection mask; each braid triple waits on
+the first unset cell its check reads and is re-checked only when that cell
+is set.  The exhaustive census is feasible through N = 3; larger sizes get
+a seeded, clearly non-exhaustive sampling mode.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 from math import factorial
 
 from .errors import InvalidParams, SizeMismatch, SizeTooLarge
@@ -51,12 +54,77 @@ def enumerate_solutions(n: int) -> list[Solution]:
         )
     if n < 1:
         raise SizeTooLarge(f"size must be positive, got {n}")
-    pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+    cells = n * n
+    # table[x*n + y] is the 0-based code u*n + v of R(x+1, y+1), or -1 while unset
+    table = [-1] * cells
+    # waiting[c]: the braid triples whose check stops at unset cell c
+    waiting = [[(x, y, z) for z in range(n)] for x in range(n) for y in range(n)]
     found = []
-    for candidate in permutations(pairs):
-        if _table_is_ybe(n, candidate):
-            found.append(Solution(n, candidate))
-    return found
+
+    def first_gap(x: int, y: int, z: int) -> int:
+        """-1 if the triple holds, -2 if it fails, else the first unset cell it reads."""
+        cell = x * n + y
+        xy = table[cell]
+        if xy < 0:
+            return cell
+        cell = y * n + z
+        yz = table[cell]
+        if yz < 0:
+            return cell
+        u1, v1 = divmod(xy, n)
+        p, q = divmod(yz, n)
+        cell = v1 * n + z
+        vz = table[cell]
+        if vz < 0:
+            return cell
+        a, b = divmod(vz, n)
+        cell = x * n + p
+        xp = table[cell]
+        if xp < 0:
+            return cell
+        e, f = divmod(xp, n)
+        cell = u1 * n + a
+        ua = table[cell]
+        if ua < 0:
+            return cell
+        c, d = divmod(ua, n)
+        if c != e:
+            return -2
+        cell = f * n + q
+        fq = table[cell]
+        if fq < 0:
+            return cell
+        g, h = divmod(fq, n)
+        return -1 if d == g and b == h else -2
+
+    def search(unset: int, used: int) -> None:
+        if not unset:
+            found.append(tuple(table))
+            return
+        cell = max((c for c in range(cells) if table[c] < 0), key=lambda c: len(waiting[c]))
+        # nothing waits on a set cell, so this list stays as it is below
+        triples = waiting[cell]
+        for value in range(cells):
+            if used >> value & 1:
+                continue
+            table[cell] = value
+            moved = []
+            for triple in triples:
+                gap = first_gap(*triple)
+                if gap == -2:
+                    break
+                if gap >= 0:
+                    waiting[gap].append(triple)
+                    moved.append(gap)
+            else:
+                search(unset - 1, used | 1 << value)
+            for gap in reversed(moved):
+                waiting[gap].pop()
+        table[cell] = -1
+
+    search(cells, 0)
+    pair = [(u + 1, v + 1) for u in range(n) for v in range(n)]
+    return [Solution(n, tuple(pair[code] for code in codes)) for codes in sorted(found)]
 
 
 def random_bijection_table(n: int, rng: random.Random) -> tuple[tuple[int, int], ...]:
@@ -86,11 +154,13 @@ def product_conjugate(a: Solution, b: Solution):
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
     n = a.size
-    for tau in permutations(range(1, n + 1)):
-        for rho in permutations(range(1, n + 1)):
-            if _is_conjugacy_pair(a, b, tau, rho):
-                return tau, rho
-    return None
+    # tau fills positions 0..n-1 and rho positions n..2n-1, so the least
+    # labelling is the least (tau, rho); every cell check reads rho
+    cells = [(x, n + y, u, n + v) for x, y, u, v in _cells(b)]
+    labels = _least_labelling(n, 2, _codes(a), cells)
+    if labels is None:
+        return None
+    return labels[:n], labels[n:]
 
 
 def _is_conjugacy_pair(a: Solution, b: Solution, tau, rho) -> bool:
@@ -114,11 +184,7 @@ def yb_isomorphic(a: Solution, b: Solution):
     """Least phi with (phi x phi) o a = b o (phi x phi), or None."""
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
-    n = a.size
-    for phi in permutations(range(1, n + 1)):
-        if _is_iso(a, b, phi):
-            return phi
-    return None
+    return _least_labelling(a.size, 1, _codes(b), _cells(a))
 
 
 def _is_iso(a: Solution, b: Solution, phi) -> bool:
@@ -136,6 +202,60 @@ def is_yb_iso_witness(a: Solution, b: Solution, phi) -> bool:
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
     return _is_iso(a, b, tuple(phi))
+
+
+def _codes(solution: Solution) -> list[int]:
+    """The table as 0-based codes (u-1)*N + (v-1)."""
+    n = solution.size
+    return [(u - 1) * n + v - 1 for u, v in solution.table]
+
+
+def _cells(solution: Solution):
+    """(x, y, u, v), 0-based, for every cell R(x, y) = (u, v)."""
+    n = solution.size
+    for idx, (u, v) in enumerate(solution.table):
+        x, y = divmod(idx, n)
+        yield x, y, u - 1, v - 1
+
+
+def _least_labelling(n: int, blocks: int, target: list[int], cells):
+    """Least labels L, each block of n positions a permutation of [n], with
+    target[L[i]*n + L[j]] == L[k]*n + L[l] for every (i, j, k, l) in cells.
+
+    Positions are assigned in order, values smallest first, and a cell is
+    checked as soon as its four positions are assigned, so the first full
+    assignment found is the least.  Returns 1-based labels, or None.
+    """
+    size = blocks * n
+    due = [[] for _ in range(size)]
+    for cell in cells:
+        due[max(cell)].append(cell)
+    labels = [0] * size
+    used = [0] * blocks
+    depth, start = 0, 0
+    while depth < size:
+        block = depth // n
+        mask = used[block]
+        for value in range(start, n):
+            if mask >> value & 1:
+                continue
+            labels[depth] = value
+            for i, j, k, l in due[depth]:
+                if target[labels[i] * n + labels[j]] != labels[k] * n + labels[l]:
+                    break
+            else:
+                used[block] = mask | 1 << value
+                depth, start = depth + 1, 0
+                break
+        else:
+            # no value fits here: free the previous position and move it on
+            depth -= 1
+            if depth < 0:
+                return None
+            value = labels[depth]
+            used[depth // n] &= ~(1 << value)
+            start = value + 1
+    return tuple(value + 1 for value in labels)
 
 
 def _fingerprint(solution: Solution, relation: str):

@@ -110,7 +110,9 @@ class AbelianGroup:
         free = 0
         primes: dict[int, list[int]] = {}
         for order in orders:
-            order = abs(int(order))
+            if type(order) is not int:
+                raise InvalidParams(f"cyclic orders must be integers, got {order!r}")
+            order = abs(order)
             if order == 0:
                 free += 1
                 continue

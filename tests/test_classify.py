@@ -1,4 +1,6 @@
-from itertools import combinations
+import random
+from itertools import combinations, islice, permutations
+from math import comb, factorial
 
 import pytest
 
@@ -12,9 +14,95 @@ from ybk.classify import (
     sample_ybe_solutions,
     yb_isomorphic,
 )
+from ybk.constructions import trivial_extension
 from ybk.errors import InvalidParams, SizeMismatch, SizeTooLarge
-from ybk.semigroup import growth
-from ybk.solution import builtin, properties
+from ybk.semigroup import check_cancellative, growth
+from ybk.solution import Solution, _table_is_ybe, builtin, properties
+
+
+# Brute-force oracles: the exhaustive loops the pruned searches replaced.
+
+
+def brute_force_census(n):
+    pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+    return [Solution(n, table) for table in permutations(pairs) if _table_is_ybe(n, table)]
+
+
+def brute_force_conjugate(a, b):
+    for tau in permutations(range(1, a.size + 1)):
+        for rho in permutations(range(1, a.size + 1)):
+            if is_conjugacy_witness(a, b, tau, rho):
+                return tau, rho
+    return None
+
+
+def brute_force_isomorphic(a, b):
+    for phi in permutations(range(1, a.size + 1)):
+        if is_yb_iso_witness(a, b, phi):
+            return phi
+    return None
+
+
+def nth_permutation(n, rank):
+    return next(islice(permutations(range(1, n + 1)), rank, None))
+
+
+def relabel(a, phi):
+    """b with (phi x phi) o a = b o (phi x phi)."""
+    n = a.size
+    table = [None] * (n * n)
+    for idx, (u, v) in enumerate(a.table):
+        x, y = divmod(idx, n)
+        table[(phi[x] - 1) * n + phi[y] - 1] = (phi[u - 1], phi[v - 1])
+    return Solution(n, tuple(table))
+
+
+def conjugate(a, tau, rho):
+    """b with a o (tau x rho) = (tau x rho) o b."""
+    n = a.size
+    tau_inv = {t: x for x, t in enumerate(tau, start=1)}
+    rho_inv = {r: y for y, r in enumerate(rho, start=1)}
+    table = []
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            p, q = a(tau[x - 1], rho[y - 1])
+            table.append((tau_inv[p], rho_inv[q]))
+    return Solution(n, tuple(table))
+
+
+def planted_pairs(bases, seed):
+    """Seeded (a, b) pairs: relabelings and conjugates of one base with the
+    witness planted at evenly spaced ranks, and relabelings of two bases."""
+    rng = random.Random(seed)
+    n = bases[0].size
+    ranks = [k * factorial(n) // (len(bases) + 1) for k in range(1, len(bases) + 1)]
+    pairs = []
+    for idx, (base, rank) in enumerate(zip(bases, ranks)):
+        shuffled = list(range(1, n + 1))
+        rng.shuffle(shuffled)
+        a = relabel(base, shuffled)
+        witness = nth_permutation(n, rank)
+        pairs.append((a, relabel(a, witness)))
+        pairs.append((a, conjugate(a, witness, nth_permutation(n, factorial(n) - 1 - rank))))
+        other = bases[(idx + 1) % len(bases)]
+        rng.shuffle(shuffled)
+        pairs.append((a, relabel(other, shuffled)))
+    return pairs
+
+
+RELABEL_BASES = {
+    4: [
+        builtin("shift", 4),
+        builtin("dihedral", 4),
+        trivial_extension(builtin("identity", 1), builtin("dihedral", 3)),
+        trivial_extension(builtin("flip", 2), builtin("shift", 2)),
+    ],
+    5: [
+        builtin("dihedral", 5),
+        trivial_extension(builtin("shift", 2), builtin("flip", 3)),
+        trivial_extension(builtin("identity", 2), builtin("dihedral", 3)),
+    ],
+}
 
 
 class TestEnumerate:
@@ -34,6 +122,12 @@ class TestEnumerate:
     def test_three_element_census_size(self, census3):
         # frozen regression value from the 362880-candidate brute force
         assert len(census3) == 73
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_brute_force(self, n):
+        assert [R.table for R in enumerate_solutions(n)] == [
+            R.table for R in brute_force_census(n)
+        ]
 
     def test_guard(self):
         with pytest.raises(SizeTooLarge):
@@ -175,3 +269,61 @@ class TestClassify:
         iso = classify(census3, "yb_iso")
         for cls, rep in zip(iso.classes, iso.representatives):
             assert rep.table == min(iso.solutions[i].table for i in cls)
+
+
+class TestWitnessOracles:
+    def test_census_pairs_match_brute_force(self, census2, census3):
+        for pool in (enumerate_solutions(1), census2, census3):
+            for a in pool:
+                for b in pool:
+                    assert product_conjugate(a, b) == brute_force_conjugate(a, b)
+                    assert yb_isomorphic(a, b) == brute_force_isomorphic(a, b)
+
+    @pytest.mark.parametrize("n, seed", [(4, 11), (4, 12), (5, 13)])
+    def test_planted_pairs_match_brute_force(self, n, seed):
+        found = 0
+        for a, b in planted_pairs(RELABEL_BASES[n], seed):
+            conj = product_conjugate(a, b)
+            assert conj == brute_force_conjugate(a, b)
+            iso = yb_isomorphic(a, b)
+            assert iso == brute_force_isomorphic(a, b)
+            found += (conj is not None) + (iso is not None)
+        # per base: a relabeling (both witnesses), a conjugate (one), and a
+        # relabeling of a base with another cycle type (none)
+        assert found == 3 * len(RELABEL_BASES[n])
+
+
+class TestCensusAnchors:
+    """Counts of classes up to relabeling, from Etingof-Schedler-Soloviev
+    (involutive non-degenerate) and Akgun-Mereb-Vendramin (all non-degenerate)."""
+
+    @staticmethod
+    def class_flags(n):
+        iso = census(n, "yb_iso")
+        reports = [properties(rep) for rep in iso.representatives]
+        return [(r.non_degenerate, r.involutive) for r in reports]
+
+    def test_three_element_classes(self):
+        flags = self.class_flags(3)
+        assert len(flags) == 29
+        assert sum(nd for nd, _ in flags) == 26
+        assert sum(nd and inv for nd, inv in flags) == 5
+        assert sum(nd and not inv for nd, inv in flags) == 21
+
+    def test_two_element_classes(self):
+        flags = self.class_flags(2)
+        assert sum(nd and not inv for nd, inv in flags) == 2
+
+    def test_involutive_non_degenerate_are_i_type(self, census2, census3):
+        # Gateva-Ivanova-Van den Bergh: the semigroup of an involutive
+        # non-degenerate solution has the Hilbert series of N commuting variables
+        checked = 0
+        for size, pool in ((1, enumerate_solutions(1)), (2, census2), (3, census3)):
+            for R in pool:
+                report = properties(R)
+                if not (report.involutive and report.non_degenerate):
+                    continue
+                checked += 1
+                assert growth(R, 5) == tuple(comb(n + size - 1, size - 1) for n in range(6))
+                assert check_cancellative(R, 4) == (True, None)
+        assert checked == 15

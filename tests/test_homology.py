@@ -520,6 +520,12 @@ class TestAbelianGroup:
         assert AbelianGroup.from_cyclic_orders([2, 4, 3]) == AbelianGroup(0, (2, 12))
         assert AbelianGroup.from_cyclic_orders([0, 1, 2]) == AbelianGroup(1, (2,))
 
+    @pytest.mark.parametrize("order", [2.5, 2.0, "2", True, None])
+    def test_orders_must_be_ints(self, order):
+        # an order of 2.5 used to truncate to Z/2
+        with pytest.raises(InvalidParams, match="cyclic orders must be integers"):
+            AbelianGroup.from_cyclic_orders([order, 0])
+
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             AbelianGroup(0, (4, 6))
