@@ -48,6 +48,7 @@ class SolutionCensus:
 
 def enumerate_solutions(n: int) -> list[Solution]:
     """All braid-relation bijections on [n]^2, in lexicographic table order."""
+    _check_int(n, "size")
     if n > CENSUS_MAX_SIZE:
         raise SizeTooLarge(
             f"exhaustive search over ({n * n})! bijections is not feasible; the guard is N <= {CENSUS_MAX_SIZE}"
@@ -135,17 +136,36 @@ def random_bijection_table(n: int, rng: random.Random) -> tuple[tuple[int, int],
 
 
 def sample_ybe_solutions(n: int, attempts: int, seed: int) -> list[Solution]:
-    """Braid-relation survivors among seeded random bijections (non-exhaustive)."""
+    """Braid-relation survivors among seeded random bijections (non-exhaustive).
+
+    Each draw is the table `random_bijection_table(n, rng)` would give for
+    `rng = random.Random(seed)`, so the sampled list is a fixed function of
+    (n, attempts, seed).
+    """
+    _check_int(n, "size")
+    _check_int(attempts, "the number of sampled bijections")
     if n < 1:
         raise SizeTooLarge(f"size must be positive, got {n}")
     if attempts < 0:
         raise InvalidParams(f"the number of sampled bijections must be non-negative, got {attempts}")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+    # Fisher-Yates as Random.shuffle runs it on CPython 3.10 to 3.13: position
+    # i swaps with j drawn below i + 1 by Random._randbelow, i.e. from
+    # k = (i + 1).bit_length() random bits, drawn again while j > i; the
+    # tests hold every draw to random_bijection_table's
+    steps = [(i, (i + 1).bit_length()) for i in range(n * n - 1, 0, -1)]
     found = {}
     for _ in range(attempts):
-        table = random_bijection_table(n, rng)
+        table = pairs.copy()
+        for i, k in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            table[i], table[j] = table[j], table[i]
         if _table_is_ybe(n, table):
-            found[table] = Solution(n, table)
+            key = tuple(table)
+            found[key] = Solution(n, key)
     return [found[key] for key in sorted(found)]
 
 
@@ -273,6 +293,12 @@ def _fingerprint(solution: Solution, relation: str):
         )
     # product conjugacy preserves growth but not, e.g., square-freeness
     return prefix
+
+
+def _check_int(value, what: str) -> None:
+    # `type` rather than isinstance: bool is a subclass of int
+    if type(value) is not int:
+        raise InvalidParams(f"{what} must be an integer, got {value!r}")
 
 
 def _check_relation(relation) -> None:

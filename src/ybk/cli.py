@@ -25,7 +25,7 @@ from .constructions import (
     level_solution,
     trivial_extension,
 )
-from .homology import cohomology, homology, verify_complex
+from .homology import _groups, verify_complex
 from .kgraph import (
     ThetaFamily,
     complete_diamond,
@@ -347,12 +347,13 @@ def _cmd_homology(args) -> int:
         lines.append(f"chain condition through degree {args.degree + 1}: {'ok' if ok else 'VIOLATED'}")
         if not ok:
             code = 1
-    integral = homology(R, args.degree)
+    # one boundary factorization serves homology and cohomology
+    integral, cohomology_with = _groups(R, args.degree)
     report["homology"] = str(integral)
     lines.append(f"H_{args.degree} = {integral}")
     coeff = args.coeff.strip().lower()
     if coeff == "z":
-        group = cohomology(R, args.degree)
+        group = cohomology_with(None)
         report["cohomology"] = str(group)
         report["coefficients"] = "z"
         lines.append(f"H^{args.degree}(Z) = {group}")
@@ -361,7 +362,7 @@ def _cmd_homology(args) -> int:
             modulus = int(coeff[2:])
         except ValueError as exc:
             raise InvalidParams(f"--coeff must be z or z/M, got {args.coeff!r}") from exc
-        group = cohomology(R, args.degree, modulus)
+        group = cohomology_with(modulus)
         report["cohomology"] = str(group)
         report["coefficients"] = f"z/{modulus}"
         lines.append(f"H^{args.degree}(Z/{modulus}) = {group}")

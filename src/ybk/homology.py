@@ -494,10 +494,32 @@ def _free_and_torsion(R: Solution, n: int) -> tuple[int, tuple[int, ...], tuple[
     return free, tuple(d for d in out_factors if d > 1), tuple(d for d in in_factors if d > 1)
 
 
+def _check_modulus(modulus) -> None:
+    if modulus is not None and (type(modulus) is not int or modulus < 2):
+        raise BadModulus(f"modulus must be at least 2, got {modulus!r}")
+
+
+def _groups(R: Solution, n: int):
+    """H_n(R) and a map from modulus to H^n(R), both from one `_free_and_torsion`.
+
+    For callers that want homology and cohomology of one degree: the
+    boundaries are built and factored once.  The map checks its modulus.
+    """
+    free, torsion_here, torsion_above = _free_and_torsion(R, n)
+
+    def cohomology_with(modulus: int | None) -> AbelianGroup:
+        _check_modulus(modulus)
+        if modulus is None:
+            return AbelianGroup(free, torsion_here)
+        orders = [modulus] * free + [gcd(d, modulus) for d in torsion_here + torsion_above]
+        return AbelianGroup.from_cyclic_orders(orders)
+
+    return AbelianGroup(free, torsion_above), cohomology_with
+
+
 def homology(R: Solution, n: int) -> AbelianGroup:
     """Kernel of the degree-n boundary modulo the image from degree n + 1."""
-    free, _, torsion = _free_and_torsion(R, n)
-    return AbelianGroup(free, torsion)
+    return _groups(R, n)[0]
 
 
 def cohomology(R: Solution, n: int, modulus: int | None = None) -> AbelianGroup:
@@ -507,13 +529,8 @@ def cohomology(R: Solution, n: int, modulus: int | None = None) -> AbelianGroup:
     the integral Smith data, one cyclic summand of order gcd(d, m) per
     invariant factor d, plus m-torsion from the free ranks.
     """
-    if modulus is not None and (type(modulus) is not int or modulus < 2):
-        raise BadModulus(f"modulus must be at least 2, got {modulus!r}")
-    free, torsion_here, torsion_above = _free_and_torsion(R, n)
-    if modulus is None:
-        return AbelianGroup(free, torsion_here)
-    orders = [modulus] * free + [gcd(d, modulus) for d in torsion_here + torsion_above]
-    return AbelianGroup.from_cyclic_orders(orders)
+    _check_modulus(modulus)
+    return _groups(R, n)[1](modulus)
 
 
 def beta_orbits(R: Solution) -> OrbitPartition:

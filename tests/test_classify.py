@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import combinations, islice, permutations
 from math import comb, factorial
@@ -11,6 +12,7 @@ from ybk.classify import (
     is_conjugacy_witness,
     is_yb_iso_witness,
     product_conjugate,
+    random_bijection_table,
     sample_ybe_solutions,
     yb_isomorphic,
 )
@@ -18,6 +20,9 @@ from ybk.constructions import trivial_extension
 from ybk.errors import InvalidParams, SizeMismatch, SizeTooLarge
 from ybk.semigroup import check_cancellative, growth
 from ybk.solution import Solution, _table_is_ybe, builtin, properties
+
+# the module itself: `ybk.classify` is the function re-exported by the package
+CLASSIFY = importlib.import_module("ybk.classify")
 
 
 # Brute-force oracles: the exhaustive loops the pruned searches replaced.
@@ -41,6 +46,17 @@ def brute_force_isomorphic(a, b):
         if is_yb_iso_witness(a, b, phi):
             return phi
     return None
+
+
+def shuffled_sample(n, attempts, seed):
+    """The sampler as one `Random.shuffle` per draw: the stream oracle."""
+    rng = random.Random(seed)
+    found = {}
+    for _ in range(attempts):
+        table = random_bijection_table(n, rng)
+        if _table_is_ybe(n, table):
+            found[table] = Solution(n, table)
+    return [found[key] for key in sorted(found)]
 
 
 def nth_permutation(n, rank):
@@ -144,6 +160,71 @@ class TestEnumerate:
         assert [s.table for s in a] == [s.table for s in b]
         for s in a:
             assert properties(s).is_ybe
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_sampling_draws_match_shuffle(self, n, monkeypatch):
+        # every table handed to the braid check, in order, is the one the
+        # shuffle oracle draws; at N >= 4 no draw is a solution, so only the
+        # recorded draws can tell the two streams apart there
+        drawn = []
+
+        def recording_check(size, table):
+            drawn.append(tuple(table))
+            return _table_is_ybe(size, table)
+
+        monkeypatch.setattr(CLASSIFY, "_table_is_ybe", recording_check)
+        for seed in range(50):
+            for attempts in (0, 1, 40):
+                drawn.clear()
+                sampled = sample_ybe_solutions(n, attempts, seed)
+                rng = random.Random(seed)
+                assert drawn == [random_bijection_table(n, rng) for _ in range(attempts)]
+                assert [s.table for s in sampled] == [
+                    s.table for s in shuffled_sample(n, attempts, seed)
+                ]
+
+    def test_sampled_list_is_pinned(self):
+        # captured from the sampler of earlier versions; a change that moves
+        # the sampler and the shuffle oracle together still fails here
+        assert [s.table for s in sample_ybe_solutions(3, 20000, 7)] == [
+            ((1, 1), (1, 2), (3, 2), (2, 1), (2, 2), (3, 1), (2, 3), (1, 3), (3, 3)),
+            ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (2, 3), (1, 3), (3, 2), (3, 3)),
+            ((1, 2), (2, 2), (3, 1), (1, 1), (2, 1), (3, 2), (2, 3), (1, 3), (3, 3)),
+            ((1, 3), (2, 3), (3, 3), (3, 2), (2, 2), (1, 2), (1, 1), (2, 1), (3, 1)),
+            ((3, 1), (2, 1), (1, 1), (3, 2), (2, 2), (1, 2), (3, 3), (2, 3), (1, 3)),
+            ((3, 3), (2, 3), (1, 3), (1, 2), (2, 2), (3, 2), (3, 1), (2, 1), (1, 1)),
+        ]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: enumerate_solutions(2.5),
+            lambda: enumerate_solutions(True),
+            lambda: census(True, "yb_iso"),
+            lambda: census(2.0, "conjugacy"),
+            lambda: sample_ybe_solutions(3, True, 0),
+            lambda: sample_ybe_solutions(3, 2.5, 0),
+            lambda: sample_ybe_solutions(True, 3, 0),
+            lambda: sample_ybe_solutions("3", 3, 0),
+        ],
+        ids=[
+            "enumerate-float",
+            "enumerate-bool",
+            "census-bool",
+            "census-float",
+            "sample-bool-attempts",
+            "sample-float-attempts",
+            "sample-bool-size",
+            "sample-str-size",
+        ],
+    )
+    def test_sizes_and_attempts_must_be_ints(self, call, monkeypatch):
+        def no_draws(size, table):
+            raise AssertionError("a draw was checked before the arguments were")
+
+        monkeypatch.setattr(CLASSIFY, "_table_is_ybe", no_draws)
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            call()
 
 
 class TestProductConjugate:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -221,6 +222,35 @@ class TestEnumerate:
         assert first == second
         assert json.loads(first)["exhaustive"] is False
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # the README example; no draw of 500 at N = 4 is a solution
+            (
+                ("enumerate", "--size", "4", "--sample", "500", "--seed", "7"),
+                '{"class_sizes":[],"classes":0,"command":"enumerate","exhaustive":false,'
+                '"relation":"yb-iso","representatives":[],"size":4,"solutions":0,'
+                '"total_bijections":null}\n',
+            ),
+            (
+                ("classify", "--size", "3", "--relation", "conjugacy", "--sample", "20000", "--seed", "7"),
+                '{"class_sizes":[2,1,1,1,1],"classes":5,"command":"enumerate","exhaustive":false,'
+                '"relation":"conjugacy","representatives":['
+                "[[1,1],[1,2],[3,2],[2,1],[2,2],[3,1],[2,3],[1,3],[3,3]],"
+                "[[1,2],[2,2],[3,1],[1,1],[2,1],[3,2],[2,3],[1,3],[3,3]],"
+                "[[1,3],[2,3],[3,3],[3,2],[2,2],[1,2],[1,1],[2,1],[3,1]],"
+                "[[3,1],[2,1],[1,1],[3,2],[2,2],[1,2],[3,3],[2,3],[1,3]],"
+                "[[3,3],[2,3],[1,3],[1,2],[2,2],[3,2],[3,1],[2,1],[1,1]]"
+                '],"size":3,"solutions":6,"total_bijections":null}\n',
+            ),
+        ],
+        ids=["readme-size-4", "size-3-conjugacy"],
+    )
+    def test_sample_output_is_pinned(self, capsys, argv, expected):
+        # captured from earlier versions: the sampled list is a fixed
+        # function of size, attempts and seed
+        assert run(capsys, *argv, "--json") == (0, expected, "")
+
 
 class TestHomology:
     def test_report(self, capsys, dihedral_path):
@@ -238,6 +268,21 @@ class TestHomology:
         assert "H_1 = Z" in out
         assert "H^1(Z/2) = Z/2" in out
         assert "chain condition" in out
+
+    @pytest.mark.parametrize("extra", [(), ("--coeff", "z/3"), ("--verify-complex",)])
+    def test_one_factorization_per_call(self, capsys, monkeypatch, extra):
+        calls = []
+        homology_module = importlib.import_module("ybk.homology")
+        free_and_torsion = homology_module._free_and_torsion
+
+        def counting(R, n):
+            calls.append(n)
+            return free_and_torsion(R, n)
+
+        monkeypatch.setattr(homology_module, "_free_and_torsion", counting)
+        code, out, _ = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2", *extra)
+        assert code == 0 and out.startswith(("H_2 = ", "chain condition"))
+        assert calls == [2]
 
     @pytest.mark.parametrize(
         "extra", [("--degree", "-1"), ("--degree", "1", "--coeff", "z/abc")]

@@ -383,6 +383,9 @@ class TestCohomology:
         for modulus in (1, "3", 3.0, True):
             with pytest.raises(BadModulus):
                 cohomology(standard["dih3"], 1, modulus)
+        # the modulus is checked before the degree
+        with pytest.raises(BadModulus):
+            cohomology(standard["dih3"], -1, 1)
 
     def test_one_cocycles_mod_two(self, standard):
         # kernel of the degree-1 coboundary equals the functions constant on
