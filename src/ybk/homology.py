@@ -529,6 +529,7 @@ def cohomology(R: Solution, n: int, modulus: int | None = None) -> AbelianGroup:
     the integral Smith data, one cyclic summand of order gcd(d, m) per
     invariant factor d, plus m-torsion from the free ranks.
     """
+    # checked here too, so that a bad modulus is reported before a bad degree
     _check_modulus(modulus)
     return _groups(R, n)[1](modulus)
 
