@@ -25,7 +25,7 @@ from .constructions import (
     level_solution,
     trivial_extension,
 )
-from .homology import _groups, verify_complex
+from .homology import _chain_holds, _complex, _groups
 from .kgraph import (
     ThetaFamily,
     complete_diamond,
@@ -341,14 +341,17 @@ def _cmd_homology(args) -> int:
     code = 0
     report: dict = {"command": "homology", "degree": args.degree}
     lines = []
+    boundaries = None
     if args.verify_complex:
-        ok = verify_complex(R, args.degree + 1)
+        boundaries = _complex(R, args.degree + 1)
+        ok = _chain_holds(boundaries)
         report["chain_condition"] = ok
         lines.append(f"chain condition through degree {args.degree + 1}: {'ok' if ok else 'VIOLATED'}")
         if not ok:
             code = 1
-    # one boundary factorization serves homology and cohomology
-    integral, cohomology_with = _groups(R, args.degree)
+    # one boundary factorization serves homology and cohomology; the checked
+    # complex, when there is one, already holds both boundaries
+    integral, cohomology_with = _groups(R, args.degree, boundaries)
     report["homology"] = str(integral)
     lines.append(f"H_{args.degree} = {integral}")
     coeff = args.coeff.strip().lower()

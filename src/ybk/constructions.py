@@ -272,11 +272,25 @@ def level_map_via_legs(R: Solution, n_level: int) -> LevelMap:
 
 
 def level_solution(R: Solution, n_level: int) -> Solution:
-    """The level solution on [N**n], words encoded big-endian."""
+    """The level solution on [N**n], words encoded big-endian.
+
+    The table is read off the flat codes v' * N**n + u' of the level map.
+    When they are in range and none repeats, the map is a bijection and
+    each entry is taken from one prebuilt list of pairs; otherwise
+    `make_solution` rejects the table with its own error.
+    """
     n = R.size
-    check_count(n ** n_level, f"level-{n_level} ground set on [{n}]")
+    size = n ** n_level
+    check_count(size, f"level-{n_level} ground set on [{n}]")
     codes = level_codes(R, n_level, n_level)
-    return make_solution(n ** n_level, [(vp + 1, up + 1) for vp, up in codes])
+    square = size * size
+    # a code with u' out of range is dropped, which leaves the list short
+    flat = [vp * size + up for vp, up in codes if 0 <= up < size]
+    if not (len(codes) == len(set(flat)) == square and 0 <= min(flat) and max(flat) < square):
+        return make_solution(size, [(vp + 1, up + 1) for vp, up in codes])
+    del codes  # the pairs below take as much room
+    pairs = list(product(range(1, size + 1), repeat=2))
+    return Solution(size, tuple([pairs[code] for code in flat]))
 
 
 def disjoint_union_solution(family) -> Solution:

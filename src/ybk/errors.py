@@ -76,7 +76,7 @@ class SizeTooLarge(YbkError):
 
 
 class SizeMismatch(YbkError):
-    """The operation needs solutions on ground sets of equal size."""
+    """The operation needs operands of matching sizes: ground sets or matrix shapes."""
 
 
 class NotDerivedType(YbkError):

@@ -31,6 +31,7 @@ from .errors import (
     NotAYbeSolution,
     NotDerivedType,
     PreconditionFailed,
+    SizeMismatch,
 )
 from .limits import check_count
 from .solution import Solution, alpha_beta, is_ybe
@@ -70,7 +71,7 @@ class IntegerMatrix:
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
+            raise SizeMismatch(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
         cols = list(zip(*other.entries)) if other.entries else []
         out = tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
@@ -96,13 +97,23 @@ class AbelianGroup:
     torsion: tuple[int, ...]
 
     def __post_init__(self):
+        # `type` rather than isinstance: bool is a subclass of int
+        if (
+            type(self.free_rank) is not int
+            or type(self.torsion) is not tuple
+            or any(type(d) is not int for d in self.torsion)
+        ):
+            raise InvalidParams(
+                f"free rank must be an integer and torsion a tuple of integers, got {self!r}"
+            )
         if self.free_rank < 0:
-            raise ValueError("free rank cannot be negative")
+            raise InvalidParams("free rank cannot be negative")
+        # checked before the chain, which divides by each factor
+        if any(d < 2 for d in self.torsion):
+            raise InvalidParams("invariant factors must exceed 1")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
-                raise ValueError(f"torsion {self.torsion} violates the divisibility chain")
-        if any(d < 2 for d in self.torsion):
-            raise ValueError("invariant factors must exceed 1")
+                raise InvalidParams(f"torsion {self.torsion} violates the divisibility chain")
 
     @classmethod
     def from_cyclic_orders(cls, orders) -> "AbelianGroup":
@@ -446,11 +457,20 @@ def derived_boundary(R: Solution, n: int) -> IntegerMatrix:
 
 def verify_complex(R: Solution, nmax: int) -> bool:
     """Exact check that consecutive boundaries compose to zero, up to degree nmax."""
+    return _chain_holds(_complex(R, nmax))
+
+
+def _complex(R: Solution, nmax: int) -> list[list[dict[int, int]]]:
+    """The boundaries of degrees 1..nmax as sparse columns, lowest degree first."""
     if not is_ybe(R):
         raise NotAYbeSolution("the chain complex is defined for braid-relation solutions")
     _check_degree(nmax, None)
-    columns = [_boundary_columns(R, n) for n in range(1, nmax + 1)]
-    return all(_composes_to_zero(outer, inner) for outer, inner in zip(columns, columns[1:]))
+    return [_boundary_columns(R, n) for n in range(1, nmax + 1)]
+
+
+def _chain_holds(boundaries: list[list[dict[int, int]]]) -> bool:
+    """Whether each boundary of `_complex` composes to zero with the next."""
+    return all(_composes_to_zero(outer, inner) for outer, inner in zip(boundaries, boundaries[1:]))
 
 
 def _composes_to_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]) -> bool:
@@ -477,16 +497,24 @@ def _check_degree(n, least: int | None) -> None:
         raise InvalidParams(f"degree must be at least {least}, got {n}")
 
 
-def _free_and_torsion(R: Solution, n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def _free_and_torsion(
+    R: Solution, n: int, boundaries: list | None = None
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Free rank in degree n and the torsion factors of the boundaries out of and into it.
 
-    There is no boundary out of degree 0.  Raises PreconditionFailed when
-    the two boundaries do not compose to zero.
+    There is no boundary out of degree 0.  `boundaries`, when given, is a
+    `_complex` through degree n + 1 at least, read instead of building the
+    two boundaries again.  Raises PreconditionFailed when the two
+    boundaries do not compose to zero.
     """
     _check_degree(n, 0)
-    check_count(R.size ** (n + 1), f"degree-{n + 1} chain basis")
-    in_map = _boundary_columns(R, n + 1)
-    out_map = _boundary_columns(R, n) if n else []
+    if boundaries is None:
+        check_count(R.size ** (n + 1), f"degree-{n + 1} chain basis")
+        in_map = _boundary_columns(R, n + 1)
+        out_map = _boundary_columns(R, n) if n else []
+    else:
+        in_map = boundaries[n]
+        out_map = boundaries[n - 1] if n else []
     if n and not _composes_to_zero(out_map, in_map):
         raise PreconditionFailed("boundaries do not compose to zero; the chain condition failed")
     out_factors, in_factors = _factors(out_map), _factors(in_map)
@@ -499,13 +527,14 @@ def _check_modulus(modulus) -> None:
         raise BadModulus(f"modulus must be at least 2, got {modulus!r}")
 
 
-def _groups(R: Solution, n: int):
+def _groups(R: Solution, n: int, boundaries: list | None = None):
     """H_n(R) and a map from modulus to H^n(R), both from one `_free_and_torsion`.
 
     For callers that want homology and cohomology of one degree: the
-    boundaries are built and factored once.  The map checks its modulus.
+    boundaries are built and factored once, or read from `boundaries`, a
+    `_complex` through degree n + 1.  The map checks its modulus.
     """
-    free, torsion_here, torsion_above = _free_and_torsion(R, n)
+    free, torsion_here, torsion_above = _free_and_torsion(R, n, boundaries)
 
     def cohomology_with(modulus: int | None) -> AbelianGroup:
         _check_modulus(modulus)

@@ -1,17 +1,20 @@
 """The structure semigroup of a solution, length by length.
 
 Words over [N] of a fixed length are identified by the congruence generated
-by rewriting adjacent pairs through R; classes are computed by union-find
-over all single-position rewrites.  On top of that sit growth counts,
-cancellativity checks, the presentation text of the structure semigroup and
-group, and the two graded compatibility checks: the braided extension of R
-to graded pieces and the closed action formulas for square level maps.
+by rewriting adjacent pairs through R.  Classes are grown one length from
+the last: the class of a word's prefix, with the last letter appended, is
+already closed under every rewrite that leaves that letter alone, so a
+union-find started from the prefix classes joins only the rewrites at the
+last position.  On top of that sit growth counts, cancellativity checks,
+the presentation text of the structure semigroup and group, and the two
+graded compatibility checks: the braided extension of R to graded pieces
+and the closed action formulas for square level maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 
 from .constructions import decode_word, level_codes, level_map
 from .errors import InvalidParams, NotAYbeSolution, PreconditionFailed
@@ -38,43 +41,71 @@ class GradedClassSet:
         return self._index[tuple(word)]
 
 
-def _class_roots(R: Solution, n: int) -> list[int]:
-    """The least member's code of every length-n word's class, by 0-based code.
+def _roots_by_length(R: Solution):
+    """Yield the class roots of every length from 1 up, each from the one before.
 
-    The pair table P sends (a, b) at code q = (a-1)N + (b-1) to the code of
-    R(a, b); rewriting positions (p, p+1) of a word adds (P[q] - q) * N**(n-p-2)
-    to its code.  Each rewrite is one union; R is a bijection, so one direction
-    per pair covers both.
+    Entry w of a length's list is the 0-based code of the least word in the
+    class of the word with code w.  A length-n word is a length-(n-1) prefix
+    followed by one letter x, and the rewrites at every position but the
+    last act on the prefix alone.  So the classes under those rewrites are
+    the prefix classes with x appended: the union-find starts at
+    parent[w*N + x] = root(w)*N + x, and only the rewrites at the last
+    position are joined, one union per word whose last pair R moves.  The
+    pair table P sends (a, b) at code q = (a-1)N + (b-1) to the code of
+    R(a, b); R is a bijection, so one direction per pair covers both.
+
+    Each length's word count is checked against the limit before the length
+    is built.
     """
     size = R.size
-    total = size ** n
-    check_count(total, f"length-{n} words over [{size}]")
     moves = []
     for q, (u, v) in enumerate(R.table):
         image = (u - 1) * size + v - 1
         if image != q:
             moves.append((q, image - q))
-    # every entry points at a code no larger than itself, so roots are least members
-    parent = list(range(total))
-    for p in range(n - 1):
-        low = size ** (n - p - 2)
-        block = low * size * size
+    letters = range(size)
+    square = size * size
+    length = 1
+    check_count(size, f"length-1 words over [{size}]")
+    roots = list(letters)
+    while True:
+        yield roots
+        length += 1
+        total = size ** length
+        check_count(total, f"length-{length} words over [{size}]")
+        # every entry points at a code no larger than itself, so roots are least members
+        parent = [root * size + x for root in roots for x in letters]
         for q, delta in moves:
-            step = delta * low
-            for start in range(q * low, total, block):
-                for a in range(start, start + low):
-                    b = a + step
-                    while parent[a] != a:
-                        parent[a] = a = parent[parent[a]]
-                    while parent[b] != b:
-                        parent[b] = b = parent[parent[b]]
-                    if a < b:
-                        parent[b] = a
-                    elif b < a:
-                        parent[a] = b
-    for code in range(total):
-        parent[code] = parent[parent[code]]
-    return parent
+            for a in range(q, total, square):
+                b = a + delta
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+        # in ascending order every entry's parent is already a root
+        for code in range(total):
+            parent[code] = parent[parent[code]]
+        roots = parent
+
+
+def _class_roots(R: Solution, n: int) -> list[int]:
+    """The least member's code of every length-n word's class, by 0-based code.
+
+    Checks the length-n word count before any work, then takes the last of
+    the lengths `_roots_by_length` grows one from another.
+    """
+    check_count(R.size ** n, f"length-{n} words over [{R.size}]")
+    return next(islice(_roots_by_length(R), n - 1, None))
+
+
+def _lengths_up_to(R: Solution, maxlen: int):
+    """(length, class roots) for lengths 1..maxlen, from one pass of `_roots_by_length`."""
+    # zip draws from the range first, so no length past maxlen is checked or built
+    return zip(range(1, maxlen + 1), _roots_by_length(R))
 
 
 def graded_elements(R: Solution, n: int) -> GradedClassSet:
@@ -84,6 +115,7 @@ def graded_elements(R: Solution, n: int) -> GradedClassSet:
     position of every word covers both rewrite directions because R is a
     bijection.
     """
+    _check_length(n, "word length")
     size = R.size
     if n == 0:
         empty = ((),)
@@ -115,18 +147,18 @@ def _reps(roots: list[int]) -> list[int]:
     return [code for code, root in enumerate(roots) if code == root]
 
 
-def _check_maxlen(maxlen: int) -> None:
+def _check_length(n: int, what: str) -> None:
     # `type` rather than isinstance: bool is a subclass of int
-    if type(maxlen) is not int:
-        raise InvalidParams(f"maximum length must be an integer, got {maxlen!r}")
-    if maxlen < 0:
-        raise InvalidParams(f"maximum length must be non-negative, got {maxlen}")
+    if type(n) is not int:
+        raise InvalidParams(f"{what} must be an integer, got {n!r}")
+    if n < 0:
+        raise InvalidParams(f"{what} must be non-negative, got {n}")
 
 
 def growth(R: Solution, maxlen: int) -> tuple[int, ...]:
     """Class counts by length, starting with the empty word: growth[0] = 1."""
-    _check_maxlen(maxlen)
-    return tuple(len(_reps(_class_roots(R, n))) if n else 1 for n in range(maxlen + 1))
+    _check_length(maxlen, "maximum length")
+    return (1,) + tuple(len(_reps(roots)) for _, roots in _lengths_up_to(R, maxlen))
 
 
 def check_cancellative(R: Solution, maxlen: int):
@@ -137,9 +169,9 @@ def check_cancellative(R: Solution, maxlen: int):
     Returns (True, None) or (False, witness) with the least witness
     (side, rep_a, rep_b, rep_c).
     """
-    _check_maxlen(maxlen)
+    _check_length(maxlen, "maximum length")
     size = R.size
-    roots = {n: _class_roots(R, n) for n in range(1, maxlen + 1)}
+    roots = dict(_lengths_up_to(R, maxlen))
     reps = {n: _reps(roots[n]) for n in roots}
     for la in range(1, maxlen):
         for lb in range(1, maxlen - la + 1):
@@ -209,11 +241,11 @@ def semigroup_extension_check(R: Solution, maxlen: int):
     the braid relation on all graded triples of total length at most maxlen.
     Returns (True, None) or (False, witness).
     """
-    _check_maxlen(maxlen)
+    _check_length(maxlen, "maximum length")
     if not is_ybe(R):
         raise NotAYbeSolution("the extension is defined for braid-relation solutions")
     size = R.size
-    roots = {n: _class_roots(R, n) for n in range(1, maxlen + 1)}
+    roots = dict(_lengths_up_to(R, maxlen))
     swaps: dict = {}
 
     def swap(l: int, m: int) -> list[tuple[int, int]]:

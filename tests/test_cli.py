@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -275,14 +276,32 @@ class TestHomology:
         homology_module = importlib.import_module("ybk.homology")
         free_and_torsion = homology_module._free_and_torsion
 
-        def counting(R, n):
+        def counting(R, n, *boundaries):
             calls.append(n)
-            return free_and_torsion(R, n)
+            return free_and_torsion(R, n, *boundaries)
 
         monkeypatch.setattr(homology_module, "_free_and_torsion", counting)
         code, out, _ = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2", *extra)
         assert code == 0 and out.startswith(("H_2 = ", "chain condition"))
         assert calls == [2]
+
+    @pytest.mark.parametrize(
+        "extra, built",
+        [((), {2: 1, 3: 1}), (("--verify-complex",), {1: 1, 2: 1, 3: 1})],
+    )
+    def test_each_boundary_built_once(self, capsys, monkeypatch, extra, built):
+        calls = []
+        homology_module = importlib.import_module("ybk.homology")
+        boundary_columns = homology_module._boundary_columns
+
+        def counting(R, n):
+            calls.append(n)
+            return boundary_columns(R, n)
+
+        monkeypatch.setattr(homology_module, "_boundary_columns", counting)
+        code, out, _ = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2", *extra)
+        assert code == 0
+        assert Counter(calls) == built
 
     @pytest.mark.parametrize(
         "extra", [("--degree", "-1"), ("--degree", "1", "--coeff", "z/abc")]

@@ -10,12 +10,20 @@ from ybk.constructions import (
     encode_word,
     glued_identity_extension,
     left_derived_solution,
+    level_codes,
     level_map,
     level_map_via_legs,
     level_solution,
     trivial_extension,
 )
-from ybk.errors import Degenerate, InvalidParams, NotABijection, NotAYbeSolution, Overflow
+from ybk.errors import (
+    Degenerate,
+    InvalidParams,
+    NotABijection,
+    NotAYbeSolution,
+    OutOfRange,
+    Overflow,
+)
 from ybk.kgraph import make_theta_family, validate_kgraph
 from ybk.solution import apply_leg, builtin, is_ybe, make_solution, properties, _mod1
 
@@ -275,6 +283,48 @@ class TestLevelSolution:
         monkeypatch.setenv("YBK_LIMIT", "100")
         with pytest.raises(Overflow):
             level_solution(standard["dih3"], 4)
+
+    def test_table_matches_validated_codes(self, census2, census3):
+        # the table make_solution builds from the level codes, pair by pair
+        cases = [(R, n) for R in census2 for n in (1, 2, 3, 4)]
+        cases += [(R, n) for R in census3[::4] for n in (1, 2)]
+        cases += [(R, 2) for R in random_solutions(3, 6, seed=35, require_ybe=False)]
+        for R, n in cases:
+            size = R.size ** n
+            codes = level_codes(R, n, n)
+            expected = make_solution(size, [(vp + 1, up + 1) for vp, up in codes])
+            assert level_solution(R, n) == expected
+
+    @pytest.mark.parametrize(
+        "index, code, error, message",
+        [
+            (1, (0, 0), NotABijection, "output pair (1, 1) produced by both (1, 1) and (1, 2)"),
+            # (0, 17) and (1, -9) keep the flat codes 17 and 0 of the entries they replace
+            (1, (0, 17), OutOfRange, "entry for (1,2) is (1, 18), outside [1..9]^2"),
+            (0, (1, -9), OutOfRange, "entry for (1,1) is (2, -8), outside [1..9]^2"),
+            (0, (9, 0), OutOfRange, "entry for (1,1) is (10, 1), outside [1..9]^2"),
+            (0, (-1, 8), OutOfRange, "entry for (1,1) is (0, 9), outside [1..9]^2"),
+            (81, (0, 0), InvalidParams, "table must have 81 entries for size 9, got 82"),
+        ],
+        ids=["repeated", "u-too-large", "u-negative", "v-too-large", "v-negative", "too-long"],
+    )
+    def test_bad_codes_fall_back_to_make_solution(
+        self, standard, monkeypatch, index, code, error, message
+    ):
+        import ybk.constructions as constructions
+
+        real = constructions.level_codes
+        assert real(standard["dih3"], 2, 2)[:2] == [(0, 0), (1, 8)]
+
+        def changed(R, l, m):
+            codes = real(R, l, m)
+            codes[index:index + 1] = [code]
+            return codes
+
+        monkeypatch.setattr(constructions, "level_codes", changed)
+        with pytest.raises(error) as caught:
+            level_solution(standard["dih3"], 2)
+        assert str(caught.value) == message
 
 
 class TestDisjointUnion:

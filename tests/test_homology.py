@@ -14,6 +14,7 @@ from ybk.errors import (
     NotAYbeSolution,
     NotDerivedType,
     PreconditionFailed,
+    SizeMismatch,
 )
 from ybk.homology import (
     AbelianGroup,
@@ -176,6 +177,10 @@ class TestSmithNormalForm:
             invariant_factors([[1, 2], [3]])
         with pytest.raises(InvalidParams):
             IntegerMatrix.from_rows([[1], [2, 3]])
+
+    def test_mul_shape_mismatch(self):
+        with pytest.raises(SizeMismatch, match="2x3 times 2x3"):
+            IntegerMatrix.zero(2, 3).mul(IntegerMatrix.zero(2, 3))
 
     @pytest.mark.parametrize("rows", [[[1.5]], [["a"]], [[True]], [[1, 2], [3, None]], 5, [5]])
     @pytest.mark.parametrize("call", [invariant_factors, smith_normal_form, IntegerMatrix.from_rows])
@@ -530,8 +535,17 @@ class TestAbelianGroup:
             AbelianGroup.from_cyclic_orders([order, 0])
 
     def test_divisibility_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams, match="divisibility chain"):
             AbelianGroup(0, (4, 6))
+
+    @pytest.mark.parametrize(
+        "free, torsion",
+        [(-1, ()), (0, (0, 4)), (0, (1,)), (1.5, ()), (True, ()), (0, (2.5,)), (0, [2]), (0, 5)],
+    )
+    def test_bad_groups_rejected(self, free, torsion):
+        # (0, 4) used to divide by zero before the factors were checked
+        with pytest.raises(InvalidParams):
+            AbelianGroup(free, torsion)
 
     def test_rendering(self):
         assert str(AbelianGroup(0, ())) == "0"

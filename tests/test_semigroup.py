@@ -3,6 +3,8 @@ from math import comb
 
 import pytest
 
+import ybk.semigroup as semigroup
+from ybk.catalog import catalog_names, catalog_profile, catalog_solution
 from ybk.constructions import disjoint_union_solution, level_map
 from ybk.errors import InvalidParams, NotAYbeSolution, Overflow, PreconditionFailed
 from ybk.kgraph import make_theta_family
@@ -43,6 +45,47 @@ def bfs_classes(R, n):
                         stack.append(other)
         classes.append(frozenset(component))
     return set(classes)
+
+
+def all_positions_roots(R, n):
+    """Oracle for the class roots: one union-find over every rewrite position.
+
+    Entry w is the least word code in the class of the word with 0-based
+    code w.  Rewriting positions (p, p+1) of a word adds (P[q] - q) * N**(n-p-2)
+    to its code, where the pair table P sends the pair code q to the code of
+    its image under R.
+    """
+    size = R.size
+    total = size ** n
+    moves = []
+    for q, (u, v) in enumerate(R.table):
+        image = (u - 1) * size + v - 1
+        if image != q:
+            moves.append((q, image - q))
+    parent = list(range(total))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for p in range(n - 1):
+        low = size ** (n - p - 2)
+        block = low * size * size
+        for q, delta in moves:
+            for start in range(q * low, total, block):
+                for a in range(start, start + low):
+                    a, b = find(a), find(a + delta * low)
+                    parent[max(a, b)] = min(a, b)
+    return [find(code) for code in range(total)]
+
+
+def catalog_solutions(max_size):
+    for name in catalog_names():
+        if "valid_kgraph" not in catalog_profile(name):
+            R = catalog_solution(name)
+            if R.size <= max_size:
+                yield R
 
 
 def cancellative_oracle(R, maxlen):
@@ -130,6 +173,37 @@ class TestGradedElements:
             graded_elements(standard["dih3"], n)
 
 
+class TestClassRoots:
+    def test_match_all_positions_oracle(self, census2, census3):
+        braidless = [
+            R
+            for size, seed in ((2, 11), (3, 12), (4, 13))
+            for R in random_solutions(size, 12, seed=seed, require_ybe=False)
+            if not is_ybe(R)
+        ]
+        assert len({R.size for R in braidless}) == 3
+        inputs = [builtin("identity", 1)] + census2 + census3
+        inputs += list(catalog_solutions(5)) + braidless
+        for R in inputs:
+            expected = {n: all_positions_roots(R, n) for n in range(1, 7)}
+            assert dict(semigroup._lengths_up_to(R, 6)) == expected
+            for n in (1, 4, 6):
+                assert semigroup._class_roots(R, n) == expected[n]
+
+    @pytest.mark.parametrize(
+        "check", [growth, check_cancellative, semigroup_extension_check]
+    )
+    def test_first_overflowing_length_is_named(self, standard, monkeypatch, check):
+        # lengths 1..4 fit in 100 entries; every length is checked before it is
+        # built, and none past the maximum is checked at all
+        monkeypatch.setenv("YBK_LIMIT", "100")
+        check(standard["dih3"], 4)
+        message = r"^length-5 words over \[3\] needs 243 entries, above the limit 100 "
+        for maxlen in (5, 8):
+            with pytest.raises(Overflow, match=message):
+                check(standard["dih3"], maxlen)
+
+
 class TestGrowth:
     def test_identity_free(self, standard):
         assert growth(standard["id2"], 4) == (1, 2, 4, 8, 16)
@@ -150,16 +224,20 @@ class TestGrowth:
 
 
 class TestMaxLength:
+    # graded_elements takes one word length rather than a maximum, under the
+    # same rule; on [1] no word limit would stop a bad length either
     @pytest.mark.parametrize(
-        "check", [growth, check_cancellative, semigroup_extension_check]
+        "check", [growth, check_cancellative, semigroup_extension_check, graded_elements]
     )
     def test_negative_max_length_rejected(self, standard, check):
         with pytest.raises(InvalidParams):
             check(standard["dih3"], -1)
+        with pytest.raises(InvalidParams):
+            check(standard["id1"], -1)
 
     @pytest.mark.parametrize("maxlen", [2.5, "3", True])
     @pytest.mark.parametrize(
-        "check", [growth, check_cancellative, semigroup_extension_check]
+        "check", [growth, check_cancellative, semigroup_extension_check, graded_elements]
     )
     def test_non_integer_max_length_rejected(self, standard, check, maxlen):
         with pytest.raises(InvalidParams):
