@@ -168,6 +168,16 @@ class LevelMap:
         return self.table[idx]
 
 
+def _check_lengths(what: str, *lengths) -> None:
+    """Raise InvalidParams unless every length is an int (not a bool) >= 1."""
+    for length in lengths:
+        # `type` rather than isinstance: bool is a subclass of int
+        if type(length) is not int:
+            raise InvalidParams(f"{what} must be integers, got {length!r}")
+        if length < 1:
+            raise InvalidParams(f"{what} must be positive")
+
+
 def _push_rows(R: Solution, length: int) -> list[tuple[tuple[int, int], ...]]:
     """Push table for one letter crossing a block of the given length.
 
@@ -203,8 +213,7 @@ def level_codes(R: Solution, l: int, m: int) -> list[tuple[int, int]]:
     Pushes the letters of every m-block in turn through every l-block; all
     blocks sharing a prefix of v share its pushes.
     """
-    if l < 1 or m < 1:
-        raise InvalidParams("block lengths must be positive")
+    _check_lengths("block lengths", l, m)
     n = R.size
     check_count(n ** (l + m), f"level map table on [{n}]^{l} x [{n}]^{m}")
     rows = _push_rows(R, l)
@@ -234,8 +243,7 @@ def level_is_identity(R: Solution, n_level: int) -> bool:
     Raises Overflow where `level_solution` would.  Stops at the first block u
     whose pushes leave a pair unfixed, as soon as a moved prefix differs from u.
     """
-    if n_level < 1:
-        raise InvalidParams("block lengths must be positive")
+    _check_lengths("block lengths", n_level)
     n = R.size
     check_count(n ** n_level, f"level-{n_level} ground set on [{n}]")
     check_count(n ** (2 * n_level), f"level map table on [{n}]^{n_level} x [{n}]^{n_level}")
@@ -279,6 +287,7 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     each entry is taken from one prebuilt list of pairs; otherwise
     `make_solution` rejects the table with its own error.
     """
+    _check_lengths("block lengths", n_level)
     n = R.size
     size = n ** n_level
     check_count(size, f"level-{n_level} ground set on [{n}]")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .constructions import level_codes, level_is_identity
+from .constructions import _check_lengths, level_codes, level_is_identity
 from .errors import (
     DegreeOutOfRange,
     DegreesOverlap,
@@ -211,13 +211,32 @@ def _swap_adjacent(family: ThetaFamily, left, right):
     return (cr, sp), (cl, tp)
 
 
+class _Swaps(dict):
+    """The swaps of one call: maps an adjacent pair (left, right) to its swap.
+
+    Each distinct pair is solved once by `_swap_adjacent`, so a call does at
+    most sum_{i<j} N_i*N_j solves; every later swap is one dict lookup.
+    """
+
+    __slots__ = ("family",)
+
+    def __init__(self, family: ThetaFamily):
+        super().__init__()
+        self.family = family
+
+    def __missing__(self, pair):
+        swapped = self[pair] = _swap_adjacent(self.family, *pair)
+        return swapped
+
+
 def _check_letters(family: ThetaFamily, word):
     letters = []
     for item in word:
         colour, letter = item
-        if not (isinstance(colour, int) and 1 <= colour <= family.k):
+        # `type` rather than isinstance: bool is a subclass of int
+        if not (type(colour) is int and 1 <= colour <= family.k):
             raise InvalidLetter(f"colour {colour!r} outside 1..{family.k}")
-        if not (isinstance(letter, int) and 1 <= letter <= family.sizes[colour - 1]):
+        if not (type(letter) is int and 1 <= letter <= family.sizes[colour - 1]):
             raise InvalidLetter(
                 f"letter {letter!r} outside 1..{family.sizes[colour - 1]} for colour {colour}"
             )
@@ -240,19 +259,21 @@ def _gate_three_colours(family: ThetaFamily, letters) -> None:
 def normalize(family: ThetaFamily, word) -> KWord:
     """Sort a word of (colour, letter) pairs into the canonical normal form.
 
-    Repeatedly rewrites the leftmost colour-inverted adjacent pair; length and
-    colour multiset are preserved.
+    Insertion sort by colour: each letter in turn moves left past the letters
+    of greater colour, one adjacent swap each, which is the swap sequence of
+    rewriting the leftmost colour-inverted pair.  Length and colour multiset
+    are preserved; the number of swaps is the number of colour inversions.
     """
     letters = _check_letters(family, word)
     _gate_three_colours(family, letters)
-    i = 0
-    while i < len(letters) - 1:
-        if letters[i][0] > letters[i + 1][0]:
-            letters[i], letters[i + 1] = _swap_adjacent(family, letters[i], letters[i + 1])
-            if i:
-                i -= 1
-        else:
-            i += 1
+    swaps = _Swaps(family)
+    for pos in range(1, len(letters)):
+        moving = letters[pos]
+        colour = moving[0]
+        while pos and letters[pos - 1][0] > colour:
+            moving, letters[pos] = swaps[letters[pos - 1], moving]
+            pos -= 1
+        letters[pos] = moving
     return _kword(family, letters)
 
 
@@ -282,15 +303,16 @@ def _reshape(family: ThetaFamily, letters, target_colours):
     across the (necessarily different-coloured) letters before it.
     """
     letters = list(letters)
+    swaps = _Swaps(family)
     for pos, colour in enumerate(target_colours):
         src = next(
             idx for idx in range(pos, len(letters)) if letters[idx][0] == colour
         )
+        moving = letters[src]
         while src > pos:
-            letters[src - 1], letters[src] = _swap_adjacent(
-                family, letters[src - 1], letters[src]
-            )
+            moving, letters[src] = swaps[letters[src - 1], moving]
             src -= 1
+        letters[pos] = moving
     return letters
 
 
@@ -298,6 +320,9 @@ def factorize(a: KWord, m) -> tuple[KWord, KWord]:
     """The unique split a = head * tail with degree(head) = m."""
     family = a.family
     m = tuple(m)
+    # `type` rather than isinstance: bool is a subclass of int
+    if any(type(part) is not int for part in m):
+        raise InvalidParams(f"degree vector {m} must have integer parts")
     d = a.degree
     if len(m) != family.k or any(part < 0 for part in m):
         raise DegreeOutOfRange(f"degree vector {m} must have {family.k} non-negative parts")
@@ -488,10 +513,9 @@ def restrict(family: ThetaFamily, l: int, m: int, n: int) -> ThetaFamily:
     Sizes become (N**l, N**m, N**n) with the level maps as commutation
     bijections; validity is preserved in both directions.
     """
+    _check_lengths("level exponents", l, m, n)
     if not _is_constant(family):
         raise InvalidParams("restrict needs a constant family")
-    if min(l, m, n) < 1:
-        raise InvalidParams("level exponents must be positive")
     size = family.sizes[0]
     base = Solution(size, family.maps[0])
     check_count(size ** max(l + m, l + n, m + n), "restricted level tables")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice, product
 
-from .constructions import decode_word, level_codes, level_map
+from .constructions import _check_lengths, decode_word, level_codes, level_map
 from .errors import InvalidParams, NotAYbeSolution, PreconditionFailed
 from .limits import check_count
 from .solution import Solution, alpha_beta, is_ybe
@@ -329,6 +329,7 @@ def action_formula_check(R: Solution, n: int) -> bool:
     h_i = alpha_{beta_{y_1...y_{i-1}}(xbar)}(y_i) and the second block the
     iterated right action beta_{y_1...y_n}(xbar).
     """
+    _check_lengths("block lengths", n)
     if not is_ybe(R):
         raise PreconditionFailed("the action formulas presuppose the braid relation")
     size = R.size

@@ -9,8 +9,9 @@ decomposition R(x, y) = (alpha_x(y), beta_y(x)), and the structural flags
 >>> R = builtin("dihedral", 3)
 >>> is_ybe(R)
 True
->>> properties(R).symmetric
-True
+>>> report = properties(R)
+>>> report.non_degenerate, report.involutive, report.symmetric
+(True, False, False)
 """
 
 from __future__ import annotations

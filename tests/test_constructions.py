@@ -11,6 +11,7 @@ from ybk.constructions import (
     glued_identity_extension,
     left_derived_solution,
     level_codes,
+    level_is_identity,
     level_map,
     level_map_via_legs,
     level_solution,
@@ -24,6 +25,7 @@ from ybk.errors import (
     OutOfRange,
     Overflow,
 )
+import ybk.constructions as constructions
 from ybk.kgraph import make_theta_family, validate_kgraph
 from ybk.solution import apply_leg, builtin, is_ybe, make_solution, properties, _mod1
 
@@ -233,6 +235,28 @@ class TestLevelMap:
         lm = level_map(standard["dih3"], 2, 1)
         with pytest.raises(InvalidParams):
             lm.apply(u, v)
+
+
+LEVEL_CALLS = {
+    "level_codes-l": lambda R, x: level_codes(R, x, 1),
+    "level_codes-m": lambda R, x: level_codes(R, 1, x),
+    "level_map-l": lambda R, x: level_map(R, x, 1),
+    "level_map-m": lambda R, x: level_map(R, 2, x),
+    "level_solution": level_solution,
+    "level_is_identity": level_is_identity,
+}
+
+
+@pytest.mark.parametrize("length", [True, False, 1.0, 2.5, "2", None])
+@pytest.mark.parametrize("call", LEVEL_CALLS.values(), ids=LEVEL_CALLS.keys())
+def test_block_lengths_must_be_integers(standard, monkeypatch, call, length):
+    def no_work(*args):
+        raise AssertionError("the length is checked before any work")
+
+    monkeypatch.setattr(constructions, "check_count", no_work)
+    monkeypatch.setattr(constructions, "_push_rows", no_work)
+    with pytest.raises(InvalidParams):
+        call(standard["dih3"], length)
 
 
 class TestLevelSolution:

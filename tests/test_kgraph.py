@@ -60,6 +60,69 @@ def all_words(family, degree_vec):
         yield KWord(family, tuple(blocks))
 
 
+def oracle_swap(family, left, right):
+    """One adjacent swap read straight from the family's tables."""
+    (cl, sl), (cr, sr) = left, right
+    if cl < cr:
+        tp, sp = family.apply(cl, cr, sl, sr)
+        return (cr, tp), (cl, sp)
+    sp, tp = family.apply_inv(cr, cl, sl, sr)
+    return (cr, sp), (cl, tp)
+
+
+def oracle_normalize(family, word):
+    """The tuple engine: rewrite the leftmost colour inversion until none is left."""
+    letters = list(word)
+    i = 0
+    while i < len(letters) - 1:
+        if letters[i][0] > letters[i + 1][0]:
+            letters[i], letters[i + 1] = oracle_swap(family, letters[i], letters[i + 1])
+            if i:
+                i -= 1
+        else:
+            i += 1
+    blocks = tuple(
+        tuple(s for c, s in letters if c == colour) for colour in range(1, family.k + 1)
+    )
+    return KWord(family, blocks)
+
+
+def oracle_reshape(family, letters, target_colours):
+    """Pull the leftmost letter of each target colour into place, one swap at a time."""
+    letters = list(letters)
+    for pos, colour in enumerate(target_colours):
+        src = next(idx for idx in range(pos, len(letters)) if letters[idx][0] == colour)
+        while src > pos:
+            letters[src - 1], letters[src] = oracle_swap(family, letters[src - 1], letters[src])
+            src -= 1
+    return letters
+
+
+def oracle_factorize(a, m):
+    family = a.family
+    target = [c for c in range(1, family.k + 1) for _ in range(m[c - 1])]
+    split_at = len(target)
+    target += [c for c in range(1, family.k + 1) for _ in range(a.degree[c - 1] - m[c - 1])]
+    reshaped = oracle_reshape(family, a.letters(), target)
+    return oracle_normalize(family, reshaped[:split_at]), oracle_normalize(family, reshaped[split_at:])
+
+
+def random_word(family, rng, length):
+    word = []
+    for _ in range(length):
+        colour = rng.randint(1, family.k)
+        word.append((colour, rng.randint(1, family.sizes[colour - 1])))
+    return word
+
+
+def two_colour_family(sizes, rng):
+    """A seeded random bijection theta_12; any one presents a 2-graph."""
+    ni, nj = sizes
+    outs = [(t, s) for t in range(1, nj + 1) for s in range(1, ni + 1)]
+    rng.shuffle(outs)
+    return make_theta_family(2, sizes, {(1, 2): outs})
+
+
 class TestMakeFamily:
     def test_rejects_non_bijection(self):
         with pytest.raises(NotABijection):
@@ -153,6 +216,15 @@ class TestNormalize:
         with pytest.raises(InvalidLetter):
             normalize(mixed_family(), [(4, 1)])
 
+    @pytest.mark.parametrize(
+        "word", [[(True, 1), (2, True)], [(1, True)], [(True, 1)], [(1.0, 1)], [(1, 2.0)]]
+    )
+    def test_colours_and_letters_must_be_integers(self, standard, word):
+        with pytest.raises(InvalidLetter):
+            normalize(mixed_family(), word)
+        with pytest.raises(InvalidLetter):
+            normalize(constant_family(standard["dih3"], 2), word)
+
     def test_three_colours_need_valid_family(self):
         tau = (2, 1)
         bad = make_solution(2, [(tau[x - 1], tau[y - 1]) for x in (1, 2) for y in (1, 2)])
@@ -173,6 +245,70 @@ class TestNormalize:
             normal = normalize(fam, word)
             back = _reshape(fam, list(normal.letters()), [c for c, _ in word])
             assert back == word
+
+
+class TestSwapOracle:
+    """`normalize`, `multiply`, `factorize` and `_reshape` against the tuple engine."""
+
+    def check_family(self, family, rng, words=4, max_length=9):
+        from ybk.kgraph import _reshape
+
+        for _ in range(words):
+            word = random_word(family, rng, rng.randint(0, max_length))
+            normal = normalize(family, word)
+            assert normal == oracle_normalize(family, word)
+            colours = [c for c, _ in word]
+            assert _reshape(family, normal.letters(), colours) == word
+            assert oracle_reshape(family, normal.letters(), colours) == word
+            other = normalize(family, random_word(family, rng, rng.randint(0, 4)))
+            assert multiply(normal, other) == oracle_normalize(
+                family, normal.letters() + other.letters()
+            )
+            for m in product(*(range(part + 1) for part in normal.degree)):
+                assert factorize(normal, m) == oracle_factorize(normal, m)
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (2, 2), (3, 3), (2, 3), (3, 2), (4, 1), (1, 4)])
+    def test_two_colour_random_bijections(self, sizes):
+        rng = random.Random(sum(sizes) * 10 + sizes[0])
+        for _ in range(6):
+            self.check_family(two_colour_family(sizes, rng), rng)
+
+    def test_two_colour_families_of_non_solutions(self):
+        rng = random.Random(17)
+        for R in random_solutions(3, 20, seed=18, require_ybe=False):
+            self.check_family(constant_family(R, 2), rng, words=2)
+
+    def test_three_colour_constant_families_up_to_size_three(self, census2, census3):
+        from ybk.classify import enumerate_solutions
+
+        rng = random.Random(19)
+        for R in enumerate_solutions(1) + census2 + census3:
+            family = constant_family(R, 3)
+            assert validate_kgraph(family)[0]
+            self.check_family(family, rng, words=3, max_length=8)
+
+    def test_mixed_and_wider_families(self, standard):
+        rng = random.Random(20)
+        self.check_family(mixed_family(), rng, words=20)
+        self.check_family(constant_family(standard["dih3"], 5), rng, words=6)
+
+    @pytest.mark.parametrize(
+        "name, exponents", [("dih3", (2, 1, 1)), ("dih3", (1, 2, 1)), ("shift2", (2, 3, 1)), ("flip2", (1, 1, 3))]
+    )
+    def test_restrict_families(self, standard, name, exponents):
+        family = restrict(constant_family(standard[name], 3), *exponents)
+        assert validate_kgraph(family)[0]
+        self.check_family(family, random.Random(21), words=6, max_length=7)
+
+    def test_long_words(self, standard):
+        family = constant_family(standard["dih3"], 3)
+        rng = random.Random(22)
+        for _ in range(3):
+            word = random_word(family, rng, 150)
+            normal = normalize(family, word)
+            assert normal == oracle_normalize(family, word)
+            m = tuple(rng.randint(0, part) for part in normal.degree)
+            assert factorize(normal, m) == oracle_factorize(normal, m)
 
 
 class TestMultiply:
@@ -256,6 +392,12 @@ class TestFactorize:
         a = normalize(fam, [(1, 1)])
         with pytest.raises(DegreeOutOfRange):
             factorize(a, (2, 0, 0))
+
+    @pytest.mark.parametrize("m", [(True, 0, 0), (0.5, 0, 0), (1.0, 0, 0), (0, "0", 0), (None, 0, 0)])
+    def test_non_integer_degree_parts(self, m):
+        a = normalize(mixed_family(), [(1, 1), (2, 1)])
+        with pytest.raises(InvalidParams):
+            factorize(a, m)
 
     def test_unique_by_exhaustion(self):
         # every split is the only degree-matched pair multiplying back
@@ -534,3 +676,14 @@ class TestRestrict:
     def test_needs_constant_family(self):
         with pytest.raises(InvalidParams):
             restrict(mixed_family(), 1, 1, 1)
+
+    @pytest.mark.parametrize("exponents", [(True, 1, 1), (1, 1.5, 1), (1, 1, "2"), (None, 1, 1), (1, 0, 1)])
+    def test_exponents_must_be_positive_integers(self, standard, monkeypatch, exponents):
+        import ybk.kgraph as kgraph
+
+        def no_work(*args):
+            raise AssertionError("the exponents are checked before any work")
+
+        monkeypatch.setattr(kgraph, "check_count", no_work)
+        with pytest.raises(InvalidParams):
+            restrict(constant_family(standard["dih3"], 3), *exponents)

@@ -391,3 +391,12 @@ class TestActionFormulas:
         bad = make_solution(2, [(tau[x - 1], tau[y - 1]) for x in (1, 2) for y in (1, 2)])
         with pytest.raises(PreconditionFailed):
             action_formula_check(bad, 2)
+
+    @pytest.mark.parametrize("n", [True, 1.5, "2", None, 0])
+    def test_rejects_non_integer_length(self, standard, monkeypatch, n):
+        def no_work(*args):
+            raise AssertionError("the length is checked before any work")
+
+        monkeypatch.setattr(semigroup, "is_ybe", no_work)
+        with pytest.raises(InvalidParams):
+            action_formula_check(standard["dih3"], n)
