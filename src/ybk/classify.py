@@ -7,14 +7,18 @@ permutation's images in order, smallest first, and drops a prefix as soon
 as a table cell whose images are all assigned fails.  The census fills the
 table one cell at a time under a bijection mask; each braid triple waits on
 the first unset cell its check reads and is re-checked only when that cell
-is set.  The exhaustive census is feasible through N = 3; larger sizes get
-a seeded, clearly non-exhaustive sampling mode.
+is set.  Relabelings that fix 1 keep cell (1, 1) in place, so that cell
+only takes the least pair of each orbit under Sym{2..N}, and the tables
+found are closed under those relabelings afterwards.  The exhaustive
+census is feasible through N = 3; larger sizes get a seeded, clearly
+non-exhaustive sampling mode.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import permutations
 from math import factorial
 
 from .errors import InvalidParams, SizeMismatch, SizeTooLarge
@@ -56,6 +60,13 @@ def enumerate_solutions(n: int) -> list[Solution]:
     if n < 1:
         raise SizeTooLarge(f"size must be positive, got {n}")
     cells = n * n
+    # a relabeling phi with phi(1) = 1 maps each solution to one whose R(1, 1)
+    # is (phi x phi)(R(1, 1)), so cell 0 only takes the least code of each
+    # orbit of pairs under Sym{2..n}; the rest come back by closing under the
+    # moves, each such phi as a map on codes
+    fixing_first = [(0,) + phi for phi in permutations(range(1, n))]
+    moves = [[phi[u] * n + phi[v] for u in range(n) for v in range(n)] for phi in fixing_first]
+    root_values = [code for code in range(cells) if all(move[code] >= code for move in moves)]
     # table[x*n + y] is the 0-based code u*n + v of R(x+1, y+1), or -1 while unset
     table = [-1] * cells
     # waiting[c]: the braid triples whose check stops at unset cell c
@@ -105,7 +116,7 @@ def enumerate_solutions(n: int) -> list[Solution]:
         cell = max((c for c in range(cells) if table[c] < 0), key=lambda c: len(waiting[c]))
         # nothing waits on a set cell, so this list stays as it is below
         triples = waiting[cell]
-        for value in range(cells):
+        for value in root_values if cell == 0 else range(cells):
             if used >> value & 1:
                 continue
             table[cell] = value
@@ -124,8 +135,16 @@ def enumerate_solutions(n: int) -> list[Solution]:
         table[cell] = -1
 
     search(cells, 0)
+    # the relabeled table sends move[c] to move[R(c)]
+    closed = set()
+    for move in moves:
+        for codes in found:
+            relabeled = [0] * cells
+            for c, code in enumerate(codes):
+                relabeled[move[c]] = move[code]
+            closed.add(tuple(relabeled))
     pair = [(u + 1, v + 1) for u in range(n) for v in range(n)]
-    return [Solution(n, tuple(pair[code] for code in codes)) for codes in sorted(found)]
+    return [Solution(n, tuple(pair[code] for code in codes)) for codes in sorted(closed)]
 
 
 def random_bijection_table(n: int, rng: random.Random) -> tuple[tuple[int, int], ...]:

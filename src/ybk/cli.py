@@ -343,14 +343,18 @@ def _cmd_homology(args) -> int:
     lines = []
     boundaries = None
     if args.verify_complex:
-        boundaries = _complex(R, args.degree + 1)
-        ok = _chain_holds(boundaries)
+        checked = _complex(R, args.degree + 1)
+        ok = _chain_holds(checked)
         report["chain_condition"] = ok
         lines.append(f"chain condition through degree {args.degree + 1}: {'ok' if ok else 'VIOLATED'}")
-        if not ok:
+        if ok:
+            boundaries = checked
+        else:
             code = 1
-    # one boundary factorization serves homology and cohomology; the checked
-    # complex, when there is one, already holds both boundaries
+    # one boundary factorization serves homology and cohomology; a complex
+    # found to hold already has both boundaries, composed once.  A violated
+    # one is not handed on, so the boundaries are built and composed again
+    # and a failure raises the same error as without --verify-complex
     integral, cohomology_with = _groups(R, args.degree, boundaries)
     report["homology"] = str(integral)
     lines.append(f"H_{args.degree} = {integral}")

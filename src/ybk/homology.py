@@ -503,20 +503,21 @@ def _free_and_torsion(
     """Free rank in degree n and the torsion factors of the boundaries out of and into it.
 
     There is no boundary out of degree 0.  `boundaries`, when given, is a
-    `_complex` through degree n + 1 at least, read instead of building the
-    two boundaries again.  Raises PreconditionFailed when the two
-    boundaries do not compose to zero.
+    `_complex` through degree n + 1 at least whose chain condition the
+    caller has checked and found to hold; it is read instead of building
+    and composing the two boundaries again.  Otherwise raises
+    PreconditionFailed when the two boundaries do not compose to zero.
     """
     _check_degree(n, 0)
     if boundaries is None:
         check_count(R.size ** (n + 1), f"degree-{n + 1} chain basis")
         in_map = _boundary_columns(R, n + 1)
         out_map = _boundary_columns(R, n) if n else []
+        if n and not _composes_to_zero(out_map, in_map):
+            raise PreconditionFailed("boundaries do not compose to zero; the chain condition failed")
     else:
         in_map = boundaries[n]
         out_map = boundaries[n - 1] if n else []
-    if n and not _composes_to_zero(out_map, in_map):
-        raise PreconditionFailed("boundaries do not compose to zero; the chain condition failed")
     out_factors, in_factors = _factors(out_map), _factors(in_map)
     free = R.size ** n - len(out_factors) - len(in_factors)
     return free, tuple(d for d in out_factors if d > 1), tuple(d for d in in_factors if d > 1)
@@ -532,7 +533,8 @@ def _groups(R: Solution, n: int, boundaries: list | None = None):
 
     For callers that want homology and cohomology of one degree: the
     boundaries are built and factored once, or read from `boundaries`, a
-    `_complex` through degree n + 1.  The map checks its modulus.
+    `_complex` through degree n + 1 whose chain condition holds.  The map
+    checks its modulus.
     """
     free, torsion_here, torsion_above = _free_and_torsion(R, n, boundaries)
 

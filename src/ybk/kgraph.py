@@ -232,7 +232,10 @@ class _Swaps(dict):
 def _check_letters(family: ThetaFamily, word):
     letters = []
     for item in word:
-        colour, letter = item
+        try:
+            colour, letter = item
+        except (TypeError, ValueError):
+            raise InvalidLetter(f"letter {item!r} is not a (colour, letter) pair") from None
         # `type` rather than isinstance: bool is a subclass of int
         if not (type(colour) is int and 1 <= colour <= family.k):
             raise InvalidLetter(f"colour {colour!r} outside 1..{family.k}")

@@ -208,6 +208,13 @@ def _as_permutation(seq, n: int, label: str) -> tuple[int, ...]:
 
 def _table_is_ybe(n: int, table) -> bool:
     """Braid relation on a raw table, with early exit.  Hot path for censuses."""
+    if n >= 1:
+        # the first coordinate of triple (1, 1, 1) alone rejects most random
+        # tables, before any loop is set up
+        u1, v1 = table[0]
+        a = table[(v1 - 1) * n][0]
+        if table[(u1 - 1) * n + a - 1][0] != table[u1 - 1][0]:
+            return False
     for x in range(1, n + 1):
         base = (x - 1) * n
         for y in range(1, n + 1):

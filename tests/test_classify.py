@@ -145,6 +145,14 @@ class TestEnumerate:
             R.table for R in brute_force_census(n)
         ]
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_under_relabeling(self, n):
+        # the search only tries orbit representatives in cell (1, 1), so the
+        # list is whole only if the closure under relabeling is
+        tables = {R.table for R in enumerate_solutions(n)}
+        for phi in permutations(range(1, n + 1)):
+            assert {relabel(Solution(n, t), phi).table for t in tables} == tables
+
     def test_guard(self):
         with pytest.raises(SizeTooLarge):
             enumerate_solutions(4)

@@ -303,6 +303,54 @@ class TestHomology:
         assert code == 0
         assert Counter(calls) == built
 
+    @pytest.mark.parametrize("extra, pairs", [((), 1), (("--verify-complex",), 2)])
+    def test_each_boundary_pair_composed_once(self, capsys, monkeypatch, extra, pairs):
+        # --verify-complex at degree 2 composes the pairs (1, 2) and (2, 3);
+        # the groups do not compose (2, 3) again
+        calls = []
+        homology_module = importlib.import_module("ybk.homology")
+        composes_to_zero = homology_module._composes_to_zero
+
+        def counting(outer, inner):
+            calls.append(len(inner))
+            return composes_to_zero(outer, inner)
+
+        monkeypatch.setattr(homology_module, "_composes_to_zero", counting)
+        code, _, _ = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2", *extra)
+        assert code == 0
+        assert len(calls) == pairs
+
+    @staticmethod
+    def _break_boundary(monkeypatch, degree):
+        homology_module = importlib.import_module("ybk.homology")
+        boundary_columns = homology_module._boundary_columns
+
+        def changed(R, n):
+            columns = boundary_columns(R, n)
+            if n == degree:
+                # on dihedral-3, row 0 or 1 is nonzero in some column of the
+                # boundary below, so the composite with it is nonzero
+                columns[0] = {**columns[0], n - 2: columns[0].get(n - 2, 0) + 1}
+            return columns
+
+        monkeypatch.setattr(homology_module, "_boundary_columns", changed)
+
+    def test_violated_lower_pair_still_reports_the_groups(self, capsys, monkeypatch):
+        _, plain, _ = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2")
+        self._break_boundary(monkeypatch, 1)
+        code, out, err = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2", "--verify-complex")
+        assert code == 1
+        assert err == ""
+        assert out == "chain condition through degree 3: VIOLATED\n" + plain
+
+    def test_violated_top_pair_raises_the_precondition(self, capsys, monkeypatch):
+        # the same error with and without --verify-complex
+        self._break_boundary(monkeypatch, 3)
+        for extra in ((), ("--verify-complex",)):
+            code, out, err = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2", *extra)
+            assert (code, out) == (1, "")
+            assert err == "error: boundaries do not compose to zero; the chain condition failed\n"
+
     @pytest.mark.parametrize(
         "extra", [("--degree", "-1"), ("--degree", "1", "--coeff", "z/abc")]
     )

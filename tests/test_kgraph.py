@@ -225,6 +225,13 @@ class TestNormalize:
         with pytest.raises(InvalidLetter):
             normalize(constant_family(standard["dih3"], 2), word)
 
+    @pytest.mark.parametrize("word", [[(1, 2, 3)], [(1,)], [()], [(2, 1), 5]])
+    def test_letters_must_be_pairs(self, standard, word):
+        with pytest.raises(InvalidLetter, match="is not a \\(colour, letter\\) pair"):
+            normalize(mixed_family(), word)
+        with pytest.raises(InvalidLetter, match="is not a \\(colour, letter\\) pair"):
+            normalize(constant_family(standard["dih3"], 2), word)
+
     def test_three_colours_need_valid_family(self):
         tau = (2, 1)
         bad = make_solution(2, [(tau[x - 1], tau[y - 1]) for x in (1, 2) for y in (1, 2)])

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from ybk.classify import random_bijection_table
 from ybk.errors import (
     InvalidParams,
     NotABijection,
@@ -9,6 +12,9 @@ from ybk.errors import (
     UnknownName,
 )
 from ybk.solution import (
+    Solution,
+    _braid_sides,
+    _table_is_ybe,
     alpha_beta,
     apply_leg,
     builtin,
@@ -122,10 +128,43 @@ class TestYbe:
         assert not is_ybe(R)
         witness = ybe_witness(R)
         assert witness is not None
-        from ybk.solution import _braid_sides
-
         lhs, rhs = _braid_sides(R, *witness)
         assert lhs != rhs
+
+
+class TestRawBraidCheck:
+    """`_table_is_ybe`, which rejects early on triple (1, 1, 1), against `ybe_witness`."""
+
+    def test_census_solutions_pass(self, census3):
+        assert len(census3) == 73
+        for R in census3:
+            assert ybe_witness(R) is None
+            assert _table_is_ybe(3, R.table)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_seeded_bijections(self, n):
+        for R in random_solutions(n, 400, seed=50 + n, require_ybe=False):
+            assert _table_is_ybe(n, R.table) == (ybe_witness(R) is None)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_first_coordinate_agrees_but_a_later_triple_fails(self, n):
+        # the early test passes these tables on, so the full loop must reject them
+        rng = random.Random(60 + n)
+        seen = 0
+        for _ in range(20000):
+            R = Solution(n, random_bijection_table(n, rng))
+            lhs, rhs = _braid_sides(R, 1, 1, 1)
+            witness = ybe_witness(R)
+            if lhs[0] != rhs[0] or witness in (None, (1, 1, 1)):
+                continue
+            seen += 1
+            assert not _table_is_ybe(n, R.table)
+            if seen == 200:
+                break
+        assert seen == 200
+
+    def test_empty_table_holds(self):
+        assert _table_is_ybe(0, ())
 
 
 class TestProperties:
