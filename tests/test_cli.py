@@ -321,23 +321,23 @@ class TestHomology:
         assert len(calls) == pairs
 
     @staticmethod
-    def _break_boundary(monkeypatch, degree):
+    def _break_boundary(monkeypatch, degree, row):
+        # adds 1 at (row, 0) of the degree-`degree` boundary; on dihedral-3
+        # the rows used below make it compose to nonzero with the one above
         homology_module = importlib.import_module("ybk.homology")
         boundary_columns = homology_module._boundary_columns
 
         def changed(R, n):
             columns = boundary_columns(R, n)
             if n == degree:
-                # on dihedral-3, row 0 or 1 is nonzero in some column of the
-                # boundary below, so the composite with it is nonzero
-                columns[0] = {**columns[0], n - 2: columns[0].get(n - 2, 0) + 1}
+                columns[0] = {**columns[0], row: columns[0].get(row, 0) + 1}
             return columns
 
         monkeypatch.setattr(homology_module, "_boundary_columns", changed)
 
     def test_violated_lower_pair_still_reports_the_groups(self, capsys, monkeypatch):
         _, plain, _ = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2")
-        self._break_boundary(monkeypatch, 1)
+        self._break_boundary(monkeypatch, 1, 0)
         code, out, err = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2", "--verify-complex")
         assert code == 1
         assert err == ""
@@ -345,7 +345,7 @@ class TestHomology:
 
     def test_violated_top_pair_raises_the_precondition(self, capsys, monkeypatch):
         # the same error with and without --verify-complex
-        self._break_boundary(monkeypatch, 3)
+        self._break_boundary(monkeypatch, 3, 1)
         for extra in ((), ("--verify-complex",)):
             code, out, err = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2", *extra)
             assert (code, out) == (1, "")
