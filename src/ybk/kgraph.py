@@ -198,24 +198,11 @@ def validate_kgraph(family: ThetaFamily):
     return ok, witness
 
 
-def _swap_adjacent(family: ThetaFamily, left, right):
-    """Rewrite the adjacent pair of letters, exchanging their colours."""
-    cl, sl = left
-    cr, sr = right
-    if cl == cr:
-        raise InvalidParams("letters of equal colour do not commute")
-    if cl < cr:
-        tp, sp = family.apply(cl, cr, sl, sr)
-        return (cr, tp), (cl, sp)
-    sp, tp = family.apply_inv(cr, cl, sl, sr)
-    return (cr, sp), (cl, tp)
-
-
 class _Swaps(dict):
     """The swaps of one call: maps an adjacent pair (left, right) to its swap.
 
-    Each distinct pair is solved once by `_swap_adjacent`, so a call does at
-    most sum_{i<j} N_i*N_j solves; every later swap is one dict lookup.
+    Each distinct pair is read from the family's tables once, so a call does
+    at most sum_{i<j} N_i*N_j reads; every later swap is one dict lookup.
     """
 
     __slots__ = ("family",)
@@ -225,7 +212,14 @@ class _Swaps(dict):
         self.family = family
 
     def __missing__(self, pair):
-        swapped = self[pair] = _swap_adjacent(self.family, *pair)
+        (cl, sl), (cr, sr) = pair
+        if cl < cr:
+            tp, sp = self.family.apply(cl, cr, sl, sr)
+            swapped = (cr, tp), (cl, sp)
+        else:
+            sp, tp = self.family.apply_inv(cr, cl, sl, sr)
+            swapped = (cr, sp), (cl, tp)
+        self[pair] = swapped
         return swapped
 
 
@@ -259,6 +253,30 @@ def _gate_three_colours(family: ThetaFamily, letters) -> None:
             )
 
 
+def _check_word(family: ThetaFamily, word: KWord):
+    """The checked (colour, letter) pairs of a KWord built by a caller."""
+    if len(word.blocks) != family.k:
+        raise InvalidLetter(f"word has {len(word.blocks)} colour blocks, not {family.k}")
+    return _check_letters(family, word.letters())
+
+
+def _sort(family: ThetaFamily, letters, keys):
+    """Insertion sort of `letters` by the integer `keys`, both in place.
+
+    Each letter in turn moves left past the letters of greater key, one
+    adjacent swap each; letters of equal key keep their order.
+    """
+    swaps = _Swaps(family)
+    for pos in range(1, len(letters)):
+        moving, key = letters[pos], keys[pos]
+        while pos and keys[pos - 1] > key:
+            moving, letters[pos] = swaps[letters[pos - 1], moving]
+            keys[pos] = keys[pos - 1]
+            pos -= 1
+        letters[pos], keys[pos] = moving, key
+    return letters
+
+
 def normalize(family: ThetaFamily, word) -> KWord:
     """Sort a word of (colour, letter) pairs into the canonical normal form.
 
@@ -269,15 +287,7 @@ def normalize(family: ThetaFamily, word) -> KWord:
     """
     letters = _check_letters(family, word)
     _gate_three_colours(family, letters)
-    swaps = _Swaps(family)
-    for pos in range(1, len(letters)):
-        moving = letters[pos]
-        colour = moving[0]
-        while pos and letters[pos - 1][0] > colour:
-            moving, letters[pos] = swaps[letters[pos - 1], moving]
-            pos -= 1
-        letters[pos] = moving
-    return _kword(family, letters)
+    return _kword(family, _sort(family, letters, [colour for colour, _ in letters]))
 
 
 def _kword(family: ThetaFamily, letters) -> KWord:
@@ -302,26 +312,20 @@ def multiply(a: KWord, b: KWord) -> KWord:
 def _reshape(family: ThetaFamily, letters, target_colours):
     """The unique equivalent word whose colour sequence is `target_colours`.
 
-    Pulls, for each target position, the leftmost letter of the wanted colour
-    across the (necessarily different-coloured) letters before it.
+    Sorts by target place: the t-th letter of each colour goes to the t-th
+    place of that colour, so letters of one colour never pass each other.
     """
-    letters = list(letters)
-    swaps = _Swaps(family)
-    for pos, colour in enumerate(target_colours):
-        src = next(
-            idx for idx in range(pos, len(letters)) if letters[idx][0] == colour
-        )
-        moving = letters[src]
-        while src > pos:
-            moving, letters[src] = swaps[letters[src - 1], moving]
-            src -= 1
-        letters[pos] = moving
-    return letters
+    places: dict = {}
+    for pos in range(len(target_colours) - 1, -1, -1):
+        places.setdefault(target_colours[pos], []).append(pos)
+    keys = [places[colour].pop() for colour, _ in letters]
+    return _sort(family, list(letters), keys)
 
 
 def factorize(a: KWord, m) -> tuple[KWord, KWord]:
     """The unique split a = head * tail with degree(head) = m."""
     family = a.family
+    letters = _check_word(family, a)
     m = tuple(m)
     # `type` rather than isinstance: bool is a subclass of int
     if any(type(part) is not int for part in m):
@@ -331,17 +335,44 @@ def factorize(a: KWord, m) -> tuple[KWord, KWord]:
         raise DegreeOutOfRange(f"degree vector {m} must have {family.k} non-negative parts")
     if any(part > have for part, have in zip(m, d)):
         raise DegreeOutOfRange(f"degree vector {m} exceeds the word degree {d}")
-    _gate_three_colours(family, a.letters())
+    _gate_three_colours(family, letters)
     target = []
     for colour in range(1, family.k + 1):
         target.extend([colour] * m[colour - 1])
     split_at = len(target)
     for colour in range(1, family.k + 1):
         target.extend([colour] * (d[colour - 1] - m[colour - 1]))
-    reshaped = _reshape(family, a.letters(), target)
-    head = normalize(family, reshaped[:split_at])
-    tail = normalize(family, reshaped[split_at:])
-    return head, tail
+    # both halves of the target are colour-sorted, so both halves are normal forms
+    reshaped = _reshape(family, letters, target)
+    return _kword(family, reshaped[:split_at]), _kword(family, reshaped[split_at:])
+
+
+def _fibres(family: ThetaFamily, pullback: bool):
+    """Walk every row (pullback) or column (pushout) of each theta_ij once.
+
+    Returns (the least failing (i, j, s, t) or (i, j, s', t'), None), else
+    (None, fibres): `fibres[p]` lists, line by line for the p-th colour pair,
+    the 1-based position in the line that hits each value.
+    """
+    fibres = []
+    for p, (i, j) in enumerate(combinations(range(1, family.k + 1), 2)):
+        table = family.maps[p]
+        ni, nj = family.sizes[i - 1], family.sizes[j - 1]
+        if pullback:
+            lines, size, coord = [table[s * nj:(s + 1) * nj] for s in range(ni)], nj, 0
+        else:
+            lines, size, coord = [table[t::nj] for t in range(nj)], ni, 1
+        positions = [0] * (ni * nj)
+        for line, entries in enumerate(lines):
+            values = [entry[coord] for entry in entries]
+            if len(set(values)) < size:
+                value = next(v for v in range(1, size + 1) if values.count(v) != 1)
+                return ((i, j, line + 1, value) if pullback else (i, j, value, line + 1)), None
+            base = line * size - 1
+            for position, value in enumerate(values, start=1):
+                positions[base + value] = position
+        fibres.append(positions)
+    return None, fibres
 
 
 def unique_pullback(family: ThetaFamily):
@@ -350,73 +381,38 @@ def unique_pullback(family: ThetaFamily):
     Covers both colour orders: the inverted-order instances reduce to the same
     fibers of the stored sorted-pair tables.
     """
-    for i, j in combinations(range(1, family.k + 1), 2):
-        ni, nj = family.sizes[i - 1], family.sizes[j - 1]
-        for s in range(1, ni + 1):
-            hits = [0] * nj
-            for tp in range(1, nj + 1):
-                first = family.apply(i, j, s, tp)[0]
-                hits[first - 1] += 1
-            for t in range(1, nj + 1):
-                if hits[t - 1] != 1:
-                    return False, (i, j, s, t)
-    return True, None
+    witness, _ = _fibres(family, pullback=True)
+    return witness is None, witness
 
 
 def unique_pushout(family: ThetaFamily):
     """Dual fiber condition: exactly one s with theta_ij(s, t') = (_, s')."""
-    for i, j in combinations(range(1, family.k + 1), 2):
-        ni, nj = family.sizes[i - 1], family.sizes[j - 1]
-        for tp in range(1, nj + 1):
-            hits = [0] * ni
-            for s in range(1, ni + 1):
-                second = family.apply(i, j, s, tp)[1]
-                hits[second - 1] += 1
-            for sp in range(1, ni + 1):
-                if hits[sp - 1] != 1:
-                    return False, (i, j, sp, tp)
-    return True, None
+    witness, _ = _fibres(family, pullback=False)
+    return witness is None, witness
 
 
-def _pullback_edge(family: ThetaFamily, mu_letter, nu_letter):
-    """Solve e^i_s e^j_{t'} = e^j_t e^i_{s'} for the unique (t', s')."""
-    ci, s = mu_letter
-    cj, t = nu_letter
-    if ci < cj:
-        for tp in range(1, family.sizes[cj - 1] + 1):
-            t0, sp = family.apply(ci, cj, s, tp)
-            if t0 == t:
-                return (cj, tp), (ci, sp)
+def _square(family: ThetaFamily, fibres, pullback: bool, across, edge):
+    """Solve one commuting square by one fibre lookup.
+
+    Returns the new letters of `edge`'s colour and of `across`'s colour.
+    """
+    (i, lo), (j, hi) = sorted((across, edge))
+    p = family.pair_index(i, j)
+    ni, nj = family.sizes[i - 1], family.sizes[j - 1]
+    if pullback:
+        # theta_ij(lo, new_hi) = (hi, new_lo)
+        new_hi = fibres[p][(lo - 1) * nj + hi - 1]
+        new_lo = family.maps[p][(lo - 1) * nj + new_hi - 1][1]
     else:
-        for sp in range(1, family.sizes[ci - 1] + 1):
-            s0, tp = family.apply(cj, ci, t, sp)
-            if s0 == s:
-                return (cj, tp), (ci, sp)
-    raise PropertyMissing(
-        f"no pullback completion for e{ci}_{s} against e{cj}_{t}"
-    )
+        # theta_ij(new_lo, hi) = (new_hi, lo)
+        new_lo = fibres[p][(hi - 1) * ni + lo - 1]
+        new_hi = family.maps[p][(new_lo - 1) * nj + hi - 1][0]
+    if across[0] < edge[0]:
+        return (j, new_hi), (i, new_lo)
+    return (i, new_lo), (j, new_hi)
 
 
-def _pushout_edge(family: ThetaFamily, mu_letter, nu_letter):
-    """Solve e^i_s e^j_{t'} = e^j_t e^i_{s'} for the unique (t, s), given (s', t')."""
-    ci, sp = mu_letter
-    cj, tp = nu_letter
-    if ci < cj:
-        for s in range(1, family.sizes[ci - 1] + 1):
-            t, sp0 = family.apply(ci, cj, s, tp)
-            if sp0 == sp:
-                return (cj, t), (ci, s)
-    else:
-        for t in range(1, family.sizes[cj - 1] + 1):
-            s, tp0 = family.apply(cj, ci, t, sp)
-            if tp0 == tp:
-                return (cj, t), (ci, s)
-    raise PropertyMissing(
-        f"no pushout completion for e{ci}_{sp} against e{cj}_{tp}"
-    )
-
-
-def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool) -> tuple[KWord, KWord]:
+def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool, fibres) -> tuple[KWord, KWord]:
     """Fill the |nu| x |mu| grid of commuting squares one edge solve at a time.
 
     Row r has nu's r-th letter on one vertical side and mu's letters (or the
@@ -429,7 +425,6 @@ def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool) -> tuple[KW
     across = list(mu.letters())
     down = list(nu.letters())
     _gate_three_colours(family, across + down)
-    solve = _pullback_edge if pullback else _pushout_edge
     # a family has few distinct letter pairs, so most cells repeat an earlier solve
     solved: dict = {}
     columns = range(len(across)) if pullback else range(len(across) - 1, -1, -1)
@@ -438,7 +433,7 @@ def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool) -> tuple[KW
         for c in columns:
             key = (across[c], edge)
             if key not in solved:
-                solved[key] = solve(family, *key)
+                solved[key] = _square(family, fibres, pullback, *key)
             edge, across[c] = solved[key]
         down[r] = edge
     return _kword(family, across), _kword(family, down)
@@ -456,21 +451,19 @@ def complete_diamond(
     """
     if mu.family != family or nu.family != family:
         raise FamilyMismatch("words do not belong to the given family")
+    _check_word(family, mu)
+    _check_word(family, nu)
     if any(a and b for a, b in zip(mu.degree, nu.degree)):
         raise DegreesOverlap(
             f"degrees {mu.degree} and {nu.degree} share a colour"
         )
-    if direction == "pullback":
-        ok, witness = unique_pullback(family)
-        if not ok:
-            raise PropertyMissing(f"family lacks the unique pullback property at {witness}")
-        return _fill(family, mu, nu, pullback=True)
-    if direction == "pushout":
-        ok, witness = unique_pushout(family)
-        if not ok:
-            raise PropertyMissing(f"family lacks the unique pushout property at {witness}")
-        return _fill(family, mu, nu, pullback=False)
-    raise InvalidParams(f"direction must be 'pullback' or 'pushout', got {direction!r}")
+    if direction not in ("pullback", "pushout"):
+        raise InvalidParams(f"direction must be 'pullback' or 'pushout', got {direction!r}")
+    pullback = direction == "pullback"
+    witness, fibres = _fibres(family, pullback)
+    if witness:
+        raise PropertyMissing(f"family lacks the unique {direction} property at {witness}")
+    return _fill(family, mu, nu, pullback, fibres)
 
 
 @dataclass(frozen=True, slots=True)

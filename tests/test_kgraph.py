@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -107,6 +107,80 @@ def oracle_factorize(a, m):
     return oracle_normalize(family, reshaped[:split_at]), oracle_normalize(family, reshaped[split_at:])
 
 
+def oracle_unique_pullback(family):
+    """Count, row by row, how often each t is theta_ij's first output."""
+    for i, j in combinations(range(1, family.k + 1), 2):
+        ni, nj = family.sizes[i - 1], family.sizes[j - 1]
+        for s in range(1, ni + 1):
+            hits = [0] * nj
+            for tp in range(1, nj + 1):
+                hits[family.apply(i, j, s, tp)[0] - 1] += 1
+            for t in range(1, nj + 1):
+                if hits[t - 1] != 1:
+                    return False, (i, j, s, t)
+    return True, None
+
+
+def oracle_unique_pushout(family):
+    """Count, column by column, how often each s' is theta_ij's second output."""
+    for i, j in combinations(range(1, family.k + 1), 2):
+        ni, nj = family.sizes[i - 1], family.sizes[j - 1]
+        for tp in range(1, nj + 1):
+            hits = [0] * ni
+            for s in range(1, ni + 1):
+                hits[family.apply(i, j, s, tp)[1] - 1] += 1
+            for sp in range(1, ni + 1):
+                if hits[sp - 1] != 1:
+                    return False, (i, j, sp, tp)
+    return True, None
+
+
+def oracle_pullback_edge(family, mu_letter, nu_letter):
+    """Scan for the unique (t', s') with e^i_s e^j_{t'} = e^j_t e^i_{s'}."""
+    (ci, s), (cj, t) = mu_letter, nu_letter
+    if ci < cj:
+        for tp in range(1, family.sizes[cj - 1] + 1):
+            t0, sp = family.apply(ci, cj, s, tp)
+            if t0 == t:
+                return (cj, tp), (ci, sp)
+    else:
+        for sp in range(1, family.sizes[ci - 1] + 1):
+            s0, tp = family.apply(cj, ci, t, sp)
+            if s0 == s:
+                return (cj, tp), (ci, sp)
+
+
+def oracle_pushout_edge(family, mu_letter, nu_letter):
+    """Scan for the unique (t, s) with e^i_s e^j_{t'} = e^j_t e^i_{s'}, given (s', t')."""
+    (ci, sp), (cj, tp) = mu_letter, nu_letter
+    if ci < cj:
+        for s in range(1, family.sizes[ci - 1] + 1):
+            t, sp0 = family.apply(ci, cj, s, tp)
+            if sp0 == sp:
+                return (cj, t), (ci, s)
+    else:
+        for t in range(1, family.sizes[cj - 1] + 1):
+            s, tp0 = family.apply(cj, ci, t, sp)
+            if tp0 == tp:
+                return (cj, t), (ci, s)
+
+
+def oracle_complete_diamond(family, mu, nu, direction):
+    """The property scan, then the grid filled square by square with fibre scans."""
+    pullback = direction == "pullback"
+    ok, witness = (oracle_unique_pullback if pullback else oracle_unique_pushout)(family)
+    if not ok:
+        raise PropertyMissing(f"family lacks the unique {direction} property at {witness}")
+    solve = oracle_pullback_edge if pullback else oracle_pushout_edge
+    across, down = list(mu.letters()), list(nu.letters())
+    rows = range(len(down)) if pullback else range(len(down) - 1, -1, -1)
+    columns = range(len(across)) if pullback else range(len(across) - 1, -1, -1)
+    for r in rows:
+        for c in columns:
+            down[r], across[c] = solve(family, across[c], down[r])
+    return oracle_normalize(family, across), oracle_normalize(family, down)
+
+
 def random_word(family, rng, length):
     word = []
     for _ in range(length):
@@ -121,6 +195,25 @@ def two_colour_family(sizes, rng):
     outs = [(t, s) for t in range(1, nj + 1) for s in range(1, ni + 1)]
     rng.shuffle(outs)
     return make_theta_family(2, sizes, {(1, 2): outs})
+
+
+def random_family(k, rng):
+    """A seeded bijective family on sizes 1-4.
+
+    Half are shuffled tables, which mostly lack the fibre properties; half
+    are row-permutation tables theta_ij(s, t) = (pi_s(t), s), which have both.
+    """
+    sizes = tuple(rng.randint(1, 4) for _ in range(k))
+    rows = rng.random() < 0.5
+    maps = {}
+    for i, j in combinations(range(1, k + 1), 2):
+        ni, nj = sizes[i - 1], sizes[j - 1]
+        if rows:
+            maps[(i, j)] = [(t, s) for s in range(1, ni + 1) for t in rng.sample(range(1, nj + 1), nj)]
+        else:
+            maps[(i, j)] = [(t, s) for t in range(1, nj + 1) for s in range(1, ni + 1)]
+            rng.shuffle(maps[(i, j)])
+    return make_theta_family(k, sizes, maps)
 
 
 class TestMakeFamily:
@@ -406,6 +499,21 @@ class TestFactorize:
         with pytest.raises(InvalidParams):
             factorize(a, m)
 
+    @pytest.mark.parametrize(
+        "k, blocks, m",
+        [
+            (2, ((0,), (2,)), (0, 1)),
+            (2, ((True,), (2,)), (0, 1)),
+            (2, ((4,), (2,)), (0, 1)),
+            (2, ((1,), (2,), ()), (0, 1)),
+            (3, ((1,), (1,)), (0, 0, 0)),
+        ],
+    )
+    def test_word_letters_are_checked(self, k, blocks, m):
+        fam = constant_family(builtin("dihedral", 3), k)
+        with pytest.raises(InvalidLetter):
+            factorize(KWord(fam, blocks), m)
+
     def test_unique_by_exhaustion(self):
         # every split is the only degree-matched pair multiplying back
         fam = mixed_family()
@@ -441,6 +549,14 @@ class TestFiberProperties:
         assert not unique_pullback(fam)[0]
         assert not unique_pushout(fam)[0]
 
+    def test_failing_witnesses(self, standard):
+        from ybk.constructions import trivial_extension
+
+        degenerate = constant_family(trivial_extension(standard["id2"], standard["id1"]), 2)
+        for fam in (degenerate, mixed_family()):
+            assert unique_pullback(fam) == (False, (1, 2, 1, 1))
+            assert unique_pushout(fam) == (False, (1, 2, 1, 1))
+
     def test_singletons(self):
         fam = make_theta_family(2, (1, 1), {(1, 2): [(1, 1)]})
         assert unique_pullback(fam)[0] and unique_pushout(fam)[0]
@@ -467,6 +583,42 @@ class TestFiberProperties:
                 for vp in range(1, n + 1)
             )
             assert (forward and backward) == properties(R).non_degenerate
+
+
+class TestFibreOracle:
+    """`unique_pullback`, `unique_pushout` and `complete_diamond` against the fibre scans."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_random_bijective_families(self, k):
+        rng = random.Random(60 + k)
+        seen = {"completed": 0, "missing": 0}
+
+        def outcome(complete, family, mu, nu, direction):
+            try:
+                return complete(family, mu, nu, direction)
+            except PropertyMissing as exc:
+                return str(exc)
+
+        def side(family, colours):
+            count = rng.randint(0, 5)
+            letters = [(c, rng.randint(1, family.sizes[c - 1])) for c in rng.choices(colours, k=count)]
+            return normalize(family, letters)
+
+        for _ in range(150):
+            family = random_family(k, rng)
+            assert unique_pullback(family) == oracle_unique_pullback(family)
+            assert unique_pushout(family) == oracle_unique_pushout(family)
+            colours = rng.sample(range(1, k + 1), k)
+            if not validate_kgraph(family)[0]:
+                # three colours need a valid family, which the gate tests cover
+                colours = colours[:2]
+            cut = rng.randint(1, len(colours) - 1)
+            mu, nu = side(family, colours[:cut]), side(family, colours[cut:])
+            for direction in ("pullback", "pushout"):
+                got = outcome(complete_diamond, family, mu, nu, direction)
+                assert got == outcome(oracle_complete_diamond, family, mu, nu, direction)
+                seen["missing" if isinstance(got, str) else "completed"] += 1
+        assert min(seen.values()) >= 30, seen  # both outcomes are exercised
 
 
 class TestDiamond:
@@ -572,6 +724,22 @@ class TestDiamond:
         nu = normalize(fam, [(2, 1)])
         with pytest.raises(PropertyMissing):
             complete_diamond(fam, mu, nu, "pullback")
+
+    @pytest.mark.parametrize("bad", [((0,), ()), ((4,), ()), ((True,), ()), ((1, -1), ()), ((1,), (), ())])
+    @pytest.mark.parametrize("direction", ["pullback", "pushout"])
+    def test_word_letters_are_checked(self, bad, direction):
+        fam = constant_family(builtin("dihedral", 3), 2)
+        good = KWord(fam, ((), (1,)))
+        with pytest.raises(InvalidLetter):
+            complete_diamond(fam, KWord(fam, bad), good, direction)
+        with pytest.raises(InvalidLetter):
+            complete_diamond(fam, good, KWord(fam, bad), direction)
+
+    def test_family_mismatch_before_letters(self, standard):
+        fam = constant_family(builtin("dihedral", 3), 2)
+        other = constant_family(standard["flip2"], 2)
+        with pytest.raises(FamilyMismatch):
+            complete_diamond(other, KWord(fam, ((0,), ())), KWord(fam, ((), (1,))), "pullback")
 
     def test_degrees_overlap(self, standard):
         fam = constant_family(standard["flip2"], 2)

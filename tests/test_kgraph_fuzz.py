@@ -1,0 +1,88 @@
+"""Fuzzing the k-graph functions' error contract.
+
+Whatever family and words they get, the k-graph functions return or raise a
+`YbkError`: a bad letter must neither read another table entry nor escape as
+an `IndexError`.
+"""
+
+from itertools import combinations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from ybk.errors import YbkError
+from ybk.kgraph import (
+    KWord,
+    complete_diamond,
+    factorize,
+    make_theta_family,
+    multiply,
+    normalize,
+    unique_pullback,
+    unique_pushout,
+    validate_kgraph,
+)
+
+FUZZ = settings(derandomize=True, deadline=None)
+
+# in-range letters of a size-3 family, out-of-range ints and bools
+VALUE = st.integers(-1, 5) | st.booleans()
+
+
+@st.composite
+def families(draw):
+    """A bijective family with k in {2, 3} on sizes 1-3."""
+    k = draw(st.integers(2, 3))
+    sizes = tuple(draw(st.integers(1, 3)) for _ in range(k))
+    maps = {}
+    for i, j in combinations(range(1, k + 1), 2):
+        ni, nj = sizes[i - 1], sizes[j - 1]
+        outs = [(t, s) for t in range(1, nj + 1) for s in range(1, ni + 1)]
+        maps[(i, j)] = draw(st.permutations(outs))
+    return make_theta_family(k, sizes, maps)
+
+
+def words(draw, family, colours):
+    """A KWord built directly: blocks of drawn ints on `colours`, empty elsewhere.
+
+    Now and then it has one block too few or too many.
+    """
+    blocks = [
+        tuple(draw(st.lists(VALUE, max_size=3))) if colour in colours else ()
+        for colour in range(1, family.k + 1)
+    ]
+    extra = draw(st.sampled_from([0, 0, 0, -1, 1]))
+    blocks = blocks[:extra] if extra < 0 else blocks + [()] * extra
+    return KWord(family, tuple(blocks))
+
+
+def _contract(function, *args):
+    try:
+        function(*args)
+    except YbkError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_kgraph_functions_raise_only_library_errors(data):
+    family = data.draw(families())
+    word = words(data.draw, family, range(1, family.k + 1))
+    # often a degree vector that fits the word, so factorize reaches its swaps
+    fitting = st.tuples(*(st.integers(0, len(block)) for block in word.blocks))
+    degree = data.draw(fitting | st.lists(VALUE, max_size=4))
+    colours = data.draw(st.permutations(range(1, family.k + 1)))
+    cut = data.draw(st.integers(1, family.k - 1))
+    mu = words(data.draw, family, colours[:cut])
+    nu = words(data.draw, family, colours[cut:])
+    _contract(normalize, family, data.draw(st.lists(st.tuples(VALUE, VALUE), max_size=4)))
+    _contract(multiply, word, mu)
+    _contract(factorize, word, degree)
+    for direction in ("pullback", "pushout", "sideways"):
+        _contract(complete_diamond, family, mu, nu, direction)
+    _contract(unique_pullback, family)
+    _contract(unique_pushout, family)
+    _contract(validate_kgraph, family)
