@@ -9,7 +9,9 @@ table one cell at a time under a bijection mask; each braid triple waits on
 the first unset cell its check reads and is re-checked only when that cell
 is set.  Relabelings that fix 1 keep cell (1, 1) in place, so that cell
 only takes the least pair of each orbit under Sym{2..N}, and the tables
-found are closed under those relabelings afterwards.  The exhaustive
+found are closed under those relabelings afterwards.  Classification
+searches for witnesses only between solutions of one cycle type as
+permutations of [N]^2, which both relations preserve.  The exhaustive
 census is feasible through N = 3; larger sizes get a seeded, clearly
 non-exhaustive sampling mode.
 """
@@ -22,11 +24,9 @@ from itertools import permutations
 from math import factorial
 
 from .errors import InvalidParams, SizeMismatch, SizeTooLarge
-from .semigroup import growth
-from .solution import Solution, _table_is_ybe, properties
+from .solution import Solution, _as_permutation, _table_is_ybe
 
 CENSUS_MAX_SIZE = 3
-_PRUNE_PREFIX = 3
 
 
 @dataclass(frozen=True)
@@ -71,43 +71,9 @@ def enumerate_solutions(n: int) -> list[Solution]:
     table = [-1] * cells
     # waiting[c]: the braid triples whose check stops at unset cell c
     waiting = [[(x, y, z) for z in range(n)] for x in range(n) for y in range(n)]
+    # uv[code] is the 0-based pair (u, v) with code u*n + v
+    uv = [divmod(code, n) for code in range(cells)]
     found = []
-
-    def first_gap(x: int, y: int, z: int) -> int:
-        """-1 if the triple holds, -2 if it fails, else the first unset cell it reads."""
-        cell = x * n + y
-        xy = table[cell]
-        if xy < 0:
-            return cell
-        cell = y * n + z
-        yz = table[cell]
-        if yz < 0:
-            return cell
-        u1, v1 = divmod(xy, n)
-        p, q = divmod(yz, n)
-        cell = v1 * n + z
-        vz = table[cell]
-        if vz < 0:
-            return cell
-        a, b = divmod(vz, n)
-        cell = x * n + p
-        xp = table[cell]
-        if xp < 0:
-            return cell
-        e, f = divmod(xp, n)
-        cell = u1 * n + a
-        ua = table[cell]
-        if ua < 0:
-            return cell
-        c, d = divmod(ua, n)
-        if c != e:
-            return -2
-        cell = f * n + q
-        fq = table[cell]
-        if fq < 0:
-            return cell
-        g, h = divmod(fq, n)
-        return -1 if d == g and b == h else -2
 
     def search(unset: int, used: int) -> None:
         if not unset:
@@ -121,13 +87,42 @@ def enumerate_solutions(n: int) -> list[Solution]:
                 continue
             table[cell] = value
             moved = []
+            # each triple reads R(x, y), R(y, z), R(v1, z), R(x, p), R(u1, a),
+            # R(f, q) in turn, and waits on the first of them that is unset;
+            # a failing comparison breaks, a holding triple continues
             for triple in triples:
-                gap = first_gap(*triple)
-                if gap == -2:
-                    break
-                if gap >= 0:
-                    waiting[gap].append(triple)
-                    moved.append(gap)
+                x, y, z = triple
+                gap = x * n + y
+                xy = table[gap]
+                if xy >= 0:
+                    gap = y * n + z
+                    yz = table[gap]
+                    if yz >= 0:
+                        u1, v1 = uv[xy]
+                        p, q = uv[yz]
+                        gap = v1 * n + z
+                        vz = table[gap]
+                        if vz >= 0:
+                            a, b = uv[vz]
+                            gap = x * n + p
+                            xp = table[gap]
+                            if xp >= 0:
+                                e, f = uv[xp]
+                                gap = u1 * n + a
+                                ua = table[gap]
+                                if ua >= 0:
+                                    c, d = uv[ua]
+                                    if c != e:
+                                        break
+                                    gap = f * n + q
+                                    fq = table[gap]
+                                    if fq >= 0:
+                                        g, h = uv[fq]
+                                        if d != g or b != h:
+                                            break
+                                        continue
+                waiting[gap].append(triple)
+                moved.append(gap)
             else:
                 search(unset - 1, used | 1 << value)
             for gap in reversed(moved):
@@ -143,7 +138,7 @@ def enumerate_solutions(n: int) -> list[Solution]:
             for c, code in enumerate(codes):
                 relabeled[move[c]] = move[code]
             closed.add(tuple(relabeled))
-    pair = [(u + 1, v + 1) for u in range(n) for v in range(n)]
+    pair = [(u + 1, v + 1) for u, v in uv]
     return [Solution(n, tuple(pair[code] for code in codes)) for codes in sorted(closed)]
 
 
@@ -213,10 +208,12 @@ def _is_conjugacy_pair(a: Solution, b: Solution, tau, rho) -> bool:
 
 
 def is_conjugacy_witness(a: Solution, b: Solution, tau, rho) -> bool:
-    """Replay a claimed product-conjugacy witness."""
+    """Replay a claimed product-conjugacy witness; tau and rho must be permutations."""
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
-    return _is_conjugacy_pair(a, b, tuple(tau), tuple(rho))
+    tau = _as_permutation(tau, a.size, "tau")
+    rho = _as_permutation(rho, a.size, "rho")
+    return _is_conjugacy_pair(a, b, tau, rho)
 
 
 def yb_isomorphic(a: Solution, b: Solution):
@@ -237,10 +234,10 @@ def _is_iso(a: Solution, b: Solution, phi) -> bool:
 
 
 def is_yb_iso_witness(a: Solution, b: Solution, phi) -> bool:
-    """Replay a claimed YB-isomorphism witness."""
+    """Replay a claimed YB-isomorphism witness; phi must be a permutation."""
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
-    return _is_iso(a, b, tuple(phi))
+    return _is_iso(a, b, _as_permutation(phi, a.size, "phi"))
 
 
 def _codes(solution: Solution) -> list[int]:
@@ -297,21 +294,30 @@ def _least_labelling(n: int, blocks: int, target: list[int], cells):
     return tuple(value + 1 for value in labels)
 
 
-def _fingerprint(solution: Solution, relation: str):
-    prefix = growth(solution, _PRUNE_PREFIX)
-    if relation == "yb_iso":
-        # every structural flag is equivariant under relabeling
-        report = properties(solution)
-        return (
-            prefix,
-            report.is_ybe,
-            report.involutive,
-            report.square_free,
-            report.non_degenerate,
-            report.derived_type,
-        )
-    # product conjugacy preserves growth but not, e.g., square-freeness
-    return prefix
+def _fingerprint(solution: Solution):
+    """The cycle type of R as a permutation of [N]^2, or None if R is not one.
+
+    Both relations conjugate R by a bijection of [N]^2 (phi x phi for
+    YB-isomorphism, tau x rho for product conjugacy), so equivalent
+    solutions share it.  A map that is not a bijection is never equivalent
+    to one, and None leaves such maps to the witness search.
+    """
+    codes = _codes(solution)
+    seen = [False] * len(codes)
+    lengths = []
+    for start in range(len(codes)):
+        if seen[start]:
+            continue
+        code, length = start, 0
+        while not seen[code]:
+            seen[code] = True
+            code = codes[code]
+            length += 1
+        # a walk that ends anywhere but its start entered another walk
+        if code != start:
+            return None
+        lengths.append(length)
+    return tuple(sorted(lengths))
 
 
 def _check_int(value, what: str) -> None:
@@ -328,8 +334,9 @@ def _check_relation(relation) -> None:
 def classify(solutions, relation: str, total_bijections: int | None = None) -> SolutionCensus:
     """Partition solutions of one size by the chosen relation.
 
-    relation is 'yb_iso' or 'conjugacy'.  Pairwise witness searches are
-    pruned by relation-invariant fingerprints (flags and a growth prefix).
+    relation is 'yb_iso' or 'conjugacy'.  Pairwise witness searches run
+    only between solutions of one cycle type as permutations of [N]^2,
+    which both relations preserve.
     """
     _check_relation(relation)
     ordered = sorted(solutions, key=lambda s: s.table)
@@ -338,7 +345,7 @@ def classify(solutions, relation: str, total_bijections: int | None = None) -> S
     size = ordered[0].size
     if any(s.size != size for s in ordered):
         raise SizeMismatch("all solutions must share one size")
-    prints = [_fingerprint(s, relation) for s in ordered]
+    prints = [_fingerprint(s) for s in ordered]
     parent = list(range(len(ordered)))
 
     def find(i: int) -> int:

@@ -48,18 +48,30 @@ class ThetaFamily:
 
     def pair_index(self, i: int, j: int) -> int:
         # pairs (1,2), (1,3), ..., (1,k), (2,3), ... in lexicographic order
-        if not (1 <= i < j <= self.k):
+        if not (type(i) is int and type(j) is int and 1 <= i < j <= self.k):
             raise InvalidParams(f"colour pair ({i},{j}) needs 1 <= i < j <= {self.k}")
         before = (i - 1) * self.k - (i - 1) * i // 2
         return before + (j - i - 1)
 
     def apply(self, i: int, j: int, s: int, t: int) -> tuple[int, int]:
-        """theta_ij(s, t) = (t', s')."""
-        return self.maps[self.pair_index(i, j)][(s - 1) * self.sizes[j - 1] + (t - 1)]
+        """theta_ij(s, t) = (t', s'); a letter out of range raises InvalidLetter."""
+        pair = self.pair_index(i, j)
+        _check_letter(i, s, self.sizes[i - 1])
+        _check_letter(j, t, self.sizes[j - 1])
+        return self.maps[pair][(s - 1) * self.sizes[j - 1] + (t - 1)]
 
     def apply_inv(self, i: int, j: int, t: int, s: int) -> tuple[int, int]:
-        """theta_ij^{-1}(t, s) = (s', t')."""
-        return self.inv_maps[self.pair_index(i, j)][(t - 1) * self.sizes[i - 1] + (s - 1)]
+        """theta_ij^{-1}(t, s) = (s', t'); a letter out of range raises InvalidLetter."""
+        pair = self.pair_index(i, j)
+        _check_letter(j, t, self.sizes[j - 1])
+        _check_letter(i, s, self.sizes[i - 1])
+        return self.inv_maps[pair][(t - 1) * self.sizes[i - 1] + (s - 1)]
+
+
+def _check_letter(colour: int, letter, size: int) -> None:
+    # `type` rather than isinstance: bool is a subclass of int
+    if not (type(letter) is int and 1 <= letter <= size):
+        raise InvalidLetter(f"letter {letter!r} outside 1..{size} for colour {colour}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,12 +224,16 @@ class _Swaps(dict):
         self.family = family
 
     def __missing__(self, pair):
+        # the letters were checked on the way in, so the tables are read
+        # directly, at the entry `apply` or `apply_inv` would read
         (cl, sl), (cr, sr) = pair
+        family = self.family
+        entry = (sl - 1) * family.sizes[cr - 1] + sr - 1
         if cl < cr:
-            tp, sp = self.family.apply(cl, cr, sl, sr)
+            tp, sp = family.maps[family.pair_index(cl, cr)][entry]
             swapped = (cr, tp), (cl, sp)
         else:
-            sp, tp = self.family.apply_inv(cr, cl, sl, sr)
+            sp, tp = family.inv_maps[family.pair_index(cr, cl)][entry]
             swapped = (cr, sp), (cl, tp)
         self[pair] = swapped
         return swapped

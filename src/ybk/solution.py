@@ -201,7 +201,8 @@ def builtin(name: str, size: int, f=None, g=None) -> Solution:
 
 def _as_permutation(seq, n: int, label: str) -> tuple[int, ...]:
     images = tuple(seq)
-    if len(images) != n or sorted(images) != list(range(1, n + 1)):
+    # `type` rather than isinstance: bool is a subclass of int
+    if any(type(x) is not int for x in images) or sorted(images) != list(range(1, n + 1)):
         raise InvalidParams(f"{label} must be a permutation of 1..{n}, got {images!r}")
     return images
 
@@ -209,11 +210,16 @@ def _as_permutation(seq, n: int, label: str) -> tuple[int, ...]:
 def _table_is_ybe(n: int, table) -> bool:
     """Braid relation on a raw table, with early exit.  Hot path for censuses."""
     if n >= 1:
-        # the first coordinate of triple (1, 1, 1) alone rejects most random
-        # tables, before any loop is set up
+        # triple (1, 1, 1) alone rejects most random tables, before any loop
+        # is set up: the loops below run the same check with y = z = x = 1
         u1, v1 = table[0]
-        a = table[(v1 - 1) * n][0]
-        if table[(u1 - 1) * n + a - 1][0] != table[u1 - 1][0]:
+        a, b = table[(v1 - 1) * n]
+        c, d = table[(u1 - 1) * n + a - 1]
+        e, fo = table[u1 - 1]
+        if c != e:
+            return False
+        g, h = table[(fo - 1) * n + v1 - 1]
+        if d != g or b != h:
             return False
     for x in range(1, n + 1):
         base = (x - 1) * n

@@ -86,6 +86,46 @@ def conjugate(a, tau, rho):
     return Solution(n, tuple(table))
 
 
+def cycle_type(R):
+    """Cycle lengths of R on [N]^2, each orbit found by applying R until it returns."""
+    n = R.size
+    orbit = {}
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            point, steps = R(x, y), 1
+            while point != (x, y):
+                point, steps = R(*point), steps + 1
+            orbit[x, y] = steps
+    lengths = []
+    for length in sorted(set(orbit.values())):
+        points = sum(1 for value in orbit.values() if value == length)
+        lengths += [length] * (points // length)
+    return tuple(lengths)
+
+
+def random_perm(rng, n):
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return perm
+
+
+def brute_force_classes(solutions, relation):
+    """classify's classes from canonical forms: the least table over every
+    relabeling (yb_iso) or every (tau, rho) pair (conjugacy)."""
+    ordered = sorted(solutions, key=lambda s: s.table)
+    perms = list(permutations(range(1, ordered[0].size + 1)))
+
+    def canonical(a):
+        if relation == "yb_iso":
+            return min(relabel(a, phi).table for phi in perms)
+        return min(conjugate(a, tau, rho).table for tau in perms for rho in perms)
+
+    groups = {}
+    for idx, a in enumerate(ordered):
+        groups.setdefault(canonical(a), []).append(idx)
+    return tuple(sorted(tuple(members) for members in groups.values()))
+
+
 def planted_pairs(bases, seed):
     """Seeded (a, b) pairs: relabelings and conjugates of one base with the
     witness planted at evenly spaced ranks, and relabelings of two bases."""
@@ -277,6 +317,30 @@ class TestYbIsomorphic:
         assert yb_isomorphic(standard["flip2"], standard["dbl2"]) is None
 
 
+class TestWitnessReplays:
+    """A claimed witness that is not a permutation of [N] is a bad value."""
+
+    @pytest.mark.parametrize("phi", [(1, 1), (1,), (1, 2, 3), (0, 1), (2, 3), (True, 2), (1.0, 2)])
+    def test_iso_witness_must_be_a_permutation(self, standard, phi):
+        # (1, 1) used to replay as a witness of id2 with itself, and (1,) to
+        # escape as an IndexError
+        with pytest.raises(InvalidParams, match="phi must be a permutation of 1..2"):
+            is_yb_iso_witness(standard["id2"], standard["id2"], phi)
+
+    @pytest.mark.parametrize("bad", [(2, 2), (1,), (0, 1, 2), (False, 1)])
+    def test_conjugacy_witness_must_be_permutations(self, standard, bad):
+        a, b = standard["flip2"], standard["dbl2"]
+        with pytest.raises(InvalidParams, match="tau must be a permutation"):
+            is_conjugacy_witness(a, b, bad, (2, 1))
+        with pytest.raises(InvalidParams, match="rho must be a permutation"):
+            is_conjugacy_witness(a, b, (1, 2), bad)
+
+    def test_permutations_replay(self, standard):
+        assert is_conjugacy_witness(standard["flip2"], standard["dbl2"], [1, 2], [2, 1])
+        assert not is_conjugacy_witness(standard["flip2"], standard["dbl2"], (1, 2), (1, 2))
+        assert is_yb_iso_witness(standard["dih3"], standard["dih3"], [2, 3, 1])
+
+
 class TestRelationLaws:
     def test_witness_symmetry_and_transitivity(self, census3):
         pool = census3[:18]
@@ -358,6 +422,76 @@ class TestClassify:
         iso = classify(census3, "yb_iso")
         for cls, rep in zip(iso.classes, iso.representatives):
             assert rep.table == min(iso.solutions[i].table for i in cls)
+
+
+class TestFingerprint:
+    """`_fingerprint` is the cycle type of R on [N]^2, which both relations keep."""
+
+    def test_is_the_cycle_type(self, census2, census3):
+        for pool in (enumerate_solutions(1), census2, census3):
+            for R in pool:
+                assert CLASSIFY._fingerprint(R) == cycle_type(R)
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_equal_across_relabelings_and_conjugates(self, seed, census2, census3):
+        rng = random.Random(seed)
+        pools = [enumerate_solutions(1), census2, census3, RELABEL_BASES[4], RELABEL_BASES[5]]
+        checked = 0
+        for pool in pools:
+            for a in pool:
+                n = a.size
+                expected = CLASSIFY._fingerprint(a)
+                for _ in range(3):
+                    assert CLASSIFY._fingerprint(relabel(a, random_perm(rng, n))) == expected
+                    b = conjugate(a, random_perm(rng, n), random_perm(rng, n))
+                    assert CLASSIFY._fingerprint(b) == expected
+                checked += 1
+        assert checked == 1 + 5 + 73 + 4 + 3
+
+    def test_equal_cycle_types_are_left_to_the_witness_search(self, monkeypatch):
+        # the flip on [3] and an involutive solution that is not square-free:
+        # one cycle type, (1, 1, 1, 2, 2, 2), but not even product conjugate
+        flip = Solution(3, ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)))
+        other = Solution(3, ((1, 1), (2, 1), (3, 1), (1, 2), (3, 3), (2, 3), (1, 3), (3, 2), (2, 2)))
+        assert CLASSIFY._fingerprint(flip) == CLASSIFY._fingerprint(other) == (1, 1, 1, 2, 2, 2)
+        assert yb_isomorphic(flip, other) is None
+        assert product_conjugate(flip, other) is None
+        for relation, search in (("yb_iso", "yb_isomorphic"), ("conjugacy", "product_conjugate")):
+            calls = []
+            original = getattr(CLASSIFY, search)
+
+            def recording(a, b, original=original):
+                calls.append((a.table, b.table))
+                return original(a, b)
+
+            monkeypatch.setattr(CLASSIFY, search, recording)
+            result = classify([other, flip], relation)
+            assert result.classes == ((0,), (1,))
+            assert calls == [(flip.table, other.table)]
+
+    def test_non_bijection_has_none(self):
+        # a map that is not a bijection gets no fingerprint, so only the
+        # witness search compares it; its relabelings still form one class
+        lumped = Solution(2, ((1, 1), (1, 1), (2, 1), (2, 2)))
+        assert CLASSIFY._fingerprint(lumped) is None
+        swapped = relabel(lumped, (2, 1))
+        for relation in ("yb_iso", "conjugacy"):
+            assert classify([lumped, swapped], relation).classes == ((0, 1),)
+            assert classify([lumped, builtin("flip", 2)], relation).classes == ((0,), (1,))
+
+    @pytest.mark.parametrize("relation", ["yb_iso", "conjugacy"])
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_classify_matches_brute_force_partition(self, relation, seed):
+        rng = random.Random(seed)
+        pool = []
+        for base in RELABEL_BASES[4]:
+            for _ in range(2):
+                pool.append(relabel(base, random_perm(rng, 4)))
+                pool.append(conjugate(base, random_perm(rng, 4), random_perm(rng, 4)))
+        rng.shuffle(pool)
+        result = classify(pool, relation)
+        assert [s.table for s in result.solutions] == sorted(s.table for s in pool)
+        assert result.classes == brute_force_classes(pool, relation)
 
 
 class TestWitnessOracles:

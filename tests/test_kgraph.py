@@ -241,6 +241,48 @@ class TestMakeFamily:
             make_theta_family(2, (1, 1), {(1, 2): [entry]})
 
 
+class TestApply:
+    """`apply` and `apply_inv` check their letters against the colour sizes."""
+
+    @staticmethod
+    def family():
+        # theta_12 on [2] x [3]: (s, t) -> (t + 1 mod 3, s)
+        table = [(_mod1(t + 1, 3), s) for s in (1, 2) for t in (1, 2, 3)]
+        return make_theta_family(2, (2, 3), {(1, 2): table})
+
+    def test_in_range_letters_read_the_table_and_invert(self):
+        fam = self.family()
+        for s in (1, 2):
+            for t in (1, 2, 3):
+                tp, sp = fam.apply(1, 2, s, t)
+                assert (tp, sp) == (_mod1(t + 1, 3), s)
+                assert fam.apply_inv(1, 2, tp, sp) == (s, t)
+
+    @pytest.mark.parametrize("s, t", [(0, 1), (-1, 1), (3, 1), (1, 0), (1, 4), (True, 1), (1, True), (1.0, 1)])
+    def test_letter_out_of_range_raises(self, s, t):
+        # letter 0 used to read another entry through a negative index
+        with pytest.raises(InvalidLetter):
+            self.family().apply(1, 2, s, t)
+
+    @pytest.mark.parametrize("t, s", [(0, 1), (-2, 1), (4, 1), (1, 0), (1, 3), (True, 1), (1, False), (2, 1.0)])
+    def test_inverse_letter_out_of_range_raises(self, t, s):
+        with pytest.raises(InvalidLetter):
+            self.family().apply_inv(1, 2, t, s)
+
+    def test_constant_family_letter_zero(self, standard):
+        fam = constant_family(standard["dih3"], 2)
+        for call in (fam.apply, fam.apply_inv):
+            with pytest.raises(InvalidLetter, match="letter 0 outside 1..3"):
+                call(1, 2, 0, 1)
+            with pytest.raises(InvalidLetter, match="letter 0 outside 1..3"):
+                call(1, 2, 1, 0)
+
+    @pytest.mark.parametrize("i, j", [(True, 2), (1, True), (2, 1), (0, 2), (1, 3)])
+    def test_colour_pair_out_of_range_raises(self, i, j):
+        with pytest.raises(InvalidParams, match="colour pair"):
+            self.family().apply(i, j, 1, 1)
+
+
 class TestValidate:
     def test_two_colours_always_valid(self):
         rng = random.Random(1)

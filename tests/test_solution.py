@@ -103,6 +103,12 @@ class TestBuiltins:
         with pytest.raises(InvalidParams):
             builtin("permutation", 3, f=(2, 1, 3), g=(1, 3, 2))
 
+    @pytest.mark.parametrize("f", [(True, 2), (1, 2.0), (1, 1), (2,)])
+    def test_permutation_images_must_be_ints_forming_a_permutation(self, f):
+        # (True, 2) used to pass as the identity: bool is a subclass of int
+        with pytest.raises(InvalidParams, match="f must be a permutation of 1..2"):
+            builtin("permutation", 2, f=f, g=(1, 2))
+
     def test_dihedral_needs_three(self):
         with pytest.raises(InvalidParams):
             builtin("dihedral", 2)
@@ -162,6 +168,26 @@ class TestRawBraidCheck:
             if seen == 200:
                 break
         assert seen == 200
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_first_triple_fails_after_its_first_coordinate(self, n):
+        # lhs = (c, d, b) and rhs = (e, g, h) at (1, 1, 1) with c == e: the
+        # precheck must still reject on d != g or on b != h alone
+        rng = random.Random(70 + n)
+        seen = {"d != g": 0, "b != h": 0}
+        for _ in range(40000):
+            R = Solution(n, random_bijection_table(n, rng))
+            (c, d, b), (e, g, h) = _braid_sides(R, 1, 1, 1)
+            if c != e or (d, b) == (g, h):
+                continue
+            assert ybe_witness(R) == (1, 1, 1)
+            assert not _table_is_ybe(n, R.table)
+            for key, differs in (("d != g", d != g), ("b != h", b != h)):
+                if differs and seen[key] < 100:
+                    seen[key] += 1
+            if min(seen.values()) == 100:
+                break
+        assert seen == {"d != g": 100, "b != h": 100}
 
     def test_empty_table_holds(self):
         assert _table_is_ybe(0, ())
