@@ -18,21 +18,44 @@ from .solution import Solution, alpha_beta, apply_leg, is_ybe, make_solution
 
 
 def encode_word(word, n: int) -> int:
-    """Big-endian 1-based integer code of a word over [n]."""
+    """Big-endian 1-based integer code of a word over [n].
+
+    A letter outside 1..n, or a bool, raises InvalidParams.
+    """
+    _check_alphabet(n)
     code = 0
     for letter in word:
+        # `type` rather than isinstance: bool is a subclass of int
+        if not (type(letter) is int and 1 <= letter <= n):
+            raise InvalidParams(f"letter {letter!r} outside 1..{n}")
         code = code * n + (letter - 1)
     return code + 1
 
 
 def decode_word(code: int, n: int, length: int) -> tuple[int, ...]:
-    """Inverse of encode_word for words of the given length."""
-    code -= 1
+    """Inverse of encode_word for words of the given length.
+
+    A code outside 1..n**length, or a length that is negative or not an int,
+    raises InvalidParams.
+    """
+    _check_alphabet(n)
+    if type(length) is not int or length < 0:
+        raise InvalidParams(f"word length must be a non-negative integer, got {length!r}")
+    if type(code) is not int or code < 1:
+        raise InvalidParams(f"code {code!r} outside 1..{n ** length}")
+    rest = code - 1
     letters = []
     for _ in range(length):
-        code, digit = divmod(code, n)
+        rest, digit = divmod(rest, n)
         letters.append(digit + 1)
+    if rest:
+        raise InvalidParams(f"code {code!r} outside 1..{n ** length}")
     return tuple(reversed(letters))
+
+
+def _check_alphabet(n: int) -> None:
+    if type(n) is not int or n < 1:
+        raise InvalidParams(f"alphabet size must be a positive integer, got {n!r}")
 
 
 def cartesian_product(rx: Solution, ry: Solution) -> Solution:
@@ -265,6 +288,7 @@ def level_map_via_legs(R: Solution, n_level: int) -> LevelMap:
 
     Independent of the rewriting engine; used as a cross-check oracle.
     """
+    _check_lengths("block lengths", n_level)
     n = R.size
     check_count(n ** (2 * n_level), f"leg-composition table on [{n}]^{2 * n_level}")
     rng = range(1, n + 1)
@@ -279,6 +303,20 @@ def level_map_via_legs(R: Solution, n_level: int) -> LevelMap:
     return LevelMap(n, n_level, n_level, tuple(table))
 
 
+def _flat_level_codes(R: Solution, n_level: int) -> list[int]:
+    """The square level map on flat codes: entry u * N**n + v is v' * N**n + u'."""
+    n = R.size
+    size = n ** n_level
+    check_count(size * size, f"level map table on [{n}]^{n_level} x [{n}]^{n_level}")
+    # the pushes of `level_codes` on integer states s = out * N**n + b: a push
+    # makes (out * N + moved) * N**n + b', and the last states are the codes
+    steps = [tuple(moved * size + nb for moved, nb in row) for row in _push_rows(R, n_level)]
+    states = list(range(size))
+    for _ in range(n_level):
+        states = [(s - b) * n + step for s in states for b in (s % size,) for step in steps[b]]
+    return states
+
+
 def level_solution(R: Solution, n_level: int) -> Solution:
     """The level solution on [N**n], words encoded big-endian.
 
@@ -291,13 +329,10 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     n = R.size
     size = n ** n_level
     check_count(size, f"level-{n_level} ground set on [{n}]")
-    codes = level_codes(R, n_level, n_level)
+    flat = _flat_level_codes(R, n_level)
     square = size * size
-    # a code with u' out of range is dropped, which leaves the list short
-    flat = [vp * size + up for vp, up in codes if 0 <= up < size]
-    if not (len(codes) == len(set(flat)) == square and 0 <= min(flat) and max(flat) < square):
-        return make_solution(size, [(vp + 1, up + 1) for vp, up in codes])
-    del codes  # the pairs below take as much room
+    if not (len(flat) == len(set(flat)) == square and 0 <= min(flat) and max(flat) < square):
+        return make_solution(size, [(code // size + 1, code % size + 1) for code in flat])
     pairs = list(product(range(1, size + 1), repeat=2))
     return Solution(size, tuple([pairs[code] for code in flat]))
 

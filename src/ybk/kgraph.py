@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 from .constructions import _check_lengths, level_codes, level_is_identity
 from .errors import (
@@ -210,35 +210,6 @@ def validate_kgraph(family: ThetaFamily):
     return ok, witness
 
 
-class _Swaps(dict):
-    """The swaps of one call: maps an adjacent pair (left, right) to its swap.
-
-    Each distinct pair is read from the family's tables once, so a call does
-    at most sum_{i<j} N_i*N_j reads; every later swap is one dict lookup.
-    """
-
-    __slots__ = ("family",)
-
-    def __init__(self, family: ThetaFamily):
-        super().__init__()
-        self.family = family
-
-    def __missing__(self, pair):
-        # the letters were checked on the way in, so the tables are read
-        # directly, at the entry `apply` or `apply_inv` would read
-        (cl, sl), (cr, sr) = pair
-        family = self.family
-        entry = (sl - 1) * family.sizes[cr - 1] + sr - 1
-        if cl < cr:
-            tp, sp = family.maps[family.pair_index(cl, cr)][entry]
-            swapped = (cr, tp), (cl, sp)
-        else:
-            sp, tp = family.inv_maps[family.pair_index(cr, cl)][entry]
-            swapped = (cr, sp), (cl, tp)
-        self[pair] = swapped
-        return swapped
-
-
 def _check_letters(family: ThetaFamily, word):
     letters = []
     for item in word:
@@ -276,34 +247,49 @@ def _check_word(family: ThetaFamily, word: KWord):
     return _check_letters(family, word.letters())
 
 
-def _sort(family: ThetaFamily, letters, keys):
-    """Insertion sort of `letters` by the integer `keys`, both in place.
+def _sort(family: ThetaFamily, letters, segments, colours):
+    """Sort `letters` into target segments by pushing each letter through blocks.
 
-    Each letter in turn moves left past the letters of greater key, one
-    adjacent swap each; letters of equal key keep their order.
+    `colours[r]` is the colour of segment r, and the p-th letter (c, x) goes
+    to the end of segment `segments[p]`, of colour c.  On the way it is pushed
+    right to left through every later non-empty segment, one adjacent swap
+    per letter passed, each one table read: the swap sequence of an insertion
+    sort by segment.  The letters of one colour must come in the order of
+    their segments, so no letter meets its own colour.  Returns one letter
+    list per segment.
     """
-    swaps = _Swaps(family)
-    for pos in range(1, len(letters)):
-        moving, key = letters[pos], keys[pos]
-        while pos and keys[pos - 1] > key:
-            moving, letters[pos] = swaps[letters[pos - 1], moving]
-            keys[pos] = keys[pos - 1]
-            pos -= 1
-        letters[pos], keys[pos] = moving, key
-    return letters
+    k = family.k
+    # cross[c][j] moves a colour-c letter x left past a colour-j letter y: its
+    # entry (y - 1) * N_c + x - 1 holds the new colour-c and colour-j letters
+    cross = [[None] * (k + 1) for _ in range(k + 1)]
+    for (i, j), table, inverse in zip(combinations(range(1, k + 1), 2), family.maps, family.inv_maps):
+        cross[i][j] = inverse
+        cross[j][i] = table
+    blocks = [[] for _ in colours]
+    for (c, x), r in zip(letters, segments):
+        n_c = family.sizes[c - 1]
+        for q in range(len(blocks) - 1, r, -1):
+            blk = blocks[q]
+            if blk:
+                table = cross[c][colours[q]]
+                for t in range(len(blk) - 1, -1, -1):
+                    x, blk[t] = table[(blk[t] - 1) * n_c + x - 1]
+        blocks[r].append(x)
+    return blocks
 
 
 def normalize(family: ThetaFamily, word) -> KWord:
     """Sort a word of (colour, letter) pairs into the canonical normal form.
 
-    Insertion sort by colour: each letter in turn moves left past the letters
+    One segment per colour: each letter in turn moves left past the letters
     of greater colour, one adjacent swap each, which is the swap sequence of
     rewriting the leftmost colour-inverted pair.  Length and colour multiset
     are preserved; the number of swaps is the number of colour inversions.
     """
     letters = _check_letters(family, word)
     _gate_three_colours(family, letters)
-    return _kword(family, _sort(family, letters, [colour for colour, _ in letters]))
+    blocks = _sort(family, letters, [colour - 1 for colour, _ in letters], range(1, family.k + 1))
+    return KWord(family, tuple(tuple(block) for block in blocks))
 
 
 def _kword(family: ThetaFamily, letters) -> KWord:
@@ -328,14 +314,19 @@ def multiply(a: KWord, b: KWord) -> KWord:
 def _reshape(family: ThetaFamily, letters, target_colours):
     """The unique equivalent word whose colour sequence is `target_colours`.
 
-    Sorts by target place: the t-th letter of each colour goes to the t-th
-    place of that colour, so letters of one colour never pass each other.
+    One segment per run of one colour in the target: the t-th letter of each
+    colour goes to the run holding the t-th place of that colour, so letters
+    of one colour never pass each other.
     """
+    colours: list = []
     places: dict = {}
-    for pos in range(len(target_colours) - 1, -1, -1):
-        places.setdefault(target_colours[pos], []).append(pos)
-    keys = [places[colour].pop() for colour, _ in letters]
-    return _sort(family, list(letters), keys)
+    for colour, run in groupby(target_colours):
+        places.setdefault(colour, []).extend([len(colours)] * len(list(run)))
+        colours.append(colour)
+    places = {colour: iter(runs) for colour, runs in places.items()}
+    segments = [next(places[colour]) for colour, _ in letters]
+    blocks = _sort(family, letters, segments, colours)
+    return [(colour, letter) for colour, block in zip(colours, blocks) for letter in block]
 
 
 def factorize(a: KWord, m) -> tuple[KWord, KWord]:
@@ -352,15 +343,11 @@ def factorize(a: KWord, m) -> tuple[KWord, KWord]:
     if any(part > have for part, have in zip(m, d)):
         raise DegreeOutOfRange(f"degree vector {m} exceeds the word degree {d}")
     _gate_three_colours(family, letters)
-    target = []
-    for colour in range(1, family.k + 1):
-        target.extend([colour] * m[colour - 1])
-    split_at = len(target)
-    for colour in range(1, family.k + 1):
-        target.extend([colour] * (d[colour - 1] - m[colour - 1]))
+    head = [colour for colour, part in enumerate(m, start=1) for _ in range(part)]
+    tail = [colour for colour, part in enumerate(d, start=1) for _ in range(part - m[colour - 1])]
     # both halves of the target are colour-sorted, so both halves are normal forms
-    reshaped = _reshape(family, letters, target)
-    return _kword(family, reshaped[:split_at]), _kword(family, reshaped[split_at:])
+    reshaped = _reshape(family, letters, head + tail)
+    return _kword(family, reshaped[:len(head)]), _kword(family, reshaped[len(head):])
 
 
 def _fibres(family: ThetaFamily, pullback: bool):

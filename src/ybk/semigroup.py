@@ -38,7 +38,11 @@ class GradedClassSet:
     _index: dict = field(compare=False, repr=False)
 
     def index_of(self, word) -> int:
-        return self._index[tuple(word)]
+        """The index in `classes` of the class holding `word`."""
+        word = tuple(word)
+        if word not in self._index:
+            raise InvalidParams(f"{word!r} is not a word of length {self.length} over [{self.size}]")
+        return self._index[word]
 
 
 def _roots_by_length(R: Solution):

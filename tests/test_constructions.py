@@ -59,6 +59,45 @@ class TestEncoding:
         words = sorted(product((1, 2, 3), repeat=3))
         assert [encode_word(w, 3) for w in words] == list(range(1, 28))
 
+    @pytest.mark.parametrize(
+        "word, n, message",
+        [
+            ((1, 4), 3, "letter 4 outside 1..3"),
+            ((0,), 3, "letter 0 outside 1..3"),
+            ((True, 2), 3, "letter True outside 1..3"),
+            ((1.0,), 3, "letter 1.0 outside 1..3"),
+            ((1,), 0, "alphabet size must be a positive integer, got 0"),
+            ((1,), True, "alphabet size must be a positive integer, got True"),
+        ],
+    )
+    def test_encode_rejects_letters_outside_the_alphabet(self, word, n, message):
+        with pytest.raises(InvalidParams) as caught:
+            encode_word(word, n)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "code, n, length, message",
+        [
+            (10, 3, 2, "code 10 outside 1..9"),
+            (0, 3, 2, "code 0 outside 1..9"),
+            (-4, 3, 2, "code -4 outside 1..9"),
+            (True, 3, 2, "code True outside 1..9"),
+            (2, 3, 0, "code 2 outside 1..1"),
+            (1, 3, -1, "word length must be a non-negative integer, got -1"),
+            (1, 3, 2.0, "word length must be a non-negative integer, got 2.0"),
+            (1, 3, True, "word length must be a non-negative integer, got True"),
+            (1, 2.0, 1, "alphabet size must be a positive integer, got 2.0"),
+        ],
+    )
+    def test_decode_rejects_codes_and_lengths_out_of_range(self, code, n, length, message):
+        with pytest.raises(InvalidParams) as caught:
+            decode_word(code, n, length)
+        assert str(caught.value) == message
+
+    def test_empty_word(self):
+        assert encode_word((), 3) == 1
+        assert decode_word(1, 3, 0) == ()
+
 
 class TestCartesianProduct:
     def test_flip_times_flip_is_flip(self, standard):
@@ -244,6 +283,7 @@ LEVEL_CALLS = {
     "level_map-m": lambda R, x: level_map(R, 2, x),
     "level_solution": level_solution,
     "level_is_identity": level_is_identity,
+    "level_map_via_legs": level_map_via_legs,
 }
 
 
@@ -322,30 +362,25 @@ class TestLevelSolution:
     @pytest.mark.parametrize(
         "index, code, error, message",
         [
-            (1, (0, 0), NotABijection, "output pair (1, 1) produced by both (1, 1) and (1, 2)"),
-            # (0, 17) and (1, -9) keep the flat codes 17 and 0 of the entries they replace
-            (1, (0, 17), OutOfRange, "entry for (1,2) is (1, 18), outside [1..9]^2"),
-            (0, (1, -9), OutOfRange, "entry for (1,1) is (2, -8), outside [1..9]^2"),
-            (0, (9, 0), OutOfRange, "entry for (1,1) is (10, 1), outside [1..9]^2"),
-            (0, (-1, 8), OutOfRange, "entry for (1,1) is (0, 9), outside [1..9]^2"),
-            (81, (0, 0), InvalidParams, "table must have 81 entries for size 9, got 82"),
+            (1, 0, NotABijection, "output pair (1, 1) produced by both (1, 1) and (1, 2)"),
+            (0, 81, OutOfRange, "entry for (1,1) is (10, 1), outside [1..9]^2"),
+            (0, -1, OutOfRange, "entry for (1,1) is (0, 9), outside [1..9]^2"),
+            (81, 0, InvalidParams, "table must have 81 entries for size 9, got 82"),
         ],
-        ids=["repeated", "u-too-large", "u-negative", "v-too-large", "v-negative", "too-long"],
+        ids=["repeated", "v-too-large", "v-negative", "too-long"],
     )
     def test_bad_codes_fall_back_to_make_solution(
         self, standard, monkeypatch, index, code, error, message
     ):
-        import ybk.constructions as constructions
+        real = constructions._flat_level_codes
+        assert real(standard["dih3"], 2)[:2] == [0, 17]
 
-        real = constructions.level_codes
-        assert real(standard["dih3"], 2, 2)[:2] == [(0, 0), (1, 8)]
-
-        def changed(R, l, m):
-            codes = real(R, l, m)
+        def changed(R, n_level):
+            codes = real(R, n_level)
             codes[index:index + 1] = [code]
             return codes
 
-        monkeypatch.setattr(constructions, "level_codes", changed)
+        monkeypatch.setattr(constructions, "_flat_level_codes", changed)
         with pytest.raises(error) as caught:
             level_solution(standard["dih3"], 2)
         assert str(caught.value) == message

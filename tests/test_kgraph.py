@@ -452,6 +452,29 @@ class TestSwapOracle:
             m = tuple(rng.randint(0, part) for part in normal.degree)
             assert factorize(normal, m) == oracle_factorize(normal, m)
 
+    def test_distinct_sizes(self, standard):
+        # every colour pair has its own stride, so a swap read from the wrong
+        # table, or at the wrong stride, changes some letters
+        from ybk.kgraph import _reshape
+
+        family = restrict(constant_family(standard["shift2"], 3), 1, 2, 3)
+        assert family.sizes == (2, 4, 8) and validate_kgraph(family)[0]
+        rng = random.Random(23)
+        for length in (60, 100, 150):
+            word = random_word(family, rng, length)
+            normal = normalize(family, word)
+            assert normal == oracle_normalize(family, word)
+            colours = [c for c, _ in normal.letters()]
+            for _ in range(3):
+                rng.shuffle(colours)
+                reshaped = _reshape(family, normal.letters(), colours)
+                assert reshaped == oracle_reshape(family, normal.letters(), colours)
+                assert normalize(family, reshaped) == normal
+        for _ in range(3):
+            normal = normalize(family, random_word(family, rng, 10))
+            for m in product(*(range(part + 1) for part in normal.degree)):
+                assert factorize(normal, m) == oracle_factorize(normal, m)
+
 
 class TestMultiply:
     def test_unit(self):
