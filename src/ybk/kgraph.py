@@ -319,11 +319,11 @@ def _reshape(family: ThetaFamily, letters, target_colours):
     of one colour never pass each other.
     """
     colours: list = []
-    places: dict = {}
+    runs: dict = {}
     for colour, run in groupby(target_colours):
-        places.setdefault(colour, []).extend([len(colours)] * len(list(run)))
+        runs.setdefault(colour, []).extend([len(colours)] * len(list(run)))
         colours.append(colour)
-    places = {colour: iter(runs) for colour, runs in places.items()}
+    places = {colour: iter(indices) for colour, indices in runs.items()}
     segments = [next(places[colour]) for colour, _ in letters]
     blocks = _sort(family, letters, segments, colours)
     return [(colour, letter) for colour, block in zip(colours, blocks) for letter in block]
