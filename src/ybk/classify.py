@@ -10,10 +10,10 @@ the first unset cell its check reads and is re-checked only when that cell
 is set.  Relabelings that fix 1 keep cell (1, 1) in place, so that cell
 only takes the least pair of each orbit under Sym{2..N}, and the tables
 found are closed under those relabelings afterwards.  Classification
-searches for witnesses only between solutions of one cycle type as
-permutations of [N]^2, which both relations preserve.  The exhaustive
-census is feasible through N = 3; larger sizes get a seeded, clearly
-non-exhaustive sampling mode.
+compares each solution with one representative per class, and only with
+classes of its cycle type as a permutation of [N]^2, which both relations
+preserve.  The exhaustive census is feasible through N = 3; larger sizes
+get a seeded, clearly non-exhaustive sampling mode.
 """
 
 from __future__ import annotations
@@ -223,21 +223,13 @@ def yb_isomorphic(a: Solution, b: Solution):
     return _least_labelling(a.size, 1, _codes(b), _cells(a))
 
 
-def _is_iso(a: Solution, b: Solution, phi) -> bool:
-    n = a.size
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            u, v = a(x, y)
-            if b(phi[x - 1], phi[y - 1]) != (phi[u - 1], phi[v - 1]):
-                return False
-    return True
-
-
 def is_yb_iso_witness(a: Solution, b: Solution, phi) -> bool:
     """Replay a claimed YB-isomorphism witness; phi must be a permutation."""
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
-    return _is_iso(a, b, _as_permutation(phi, a.size, "phi"))
+    phi = _as_permutation(phi, a.size, "phi")
+    # a relabeling is the product conjugacy (phi, phi), with a and b swapped
+    return _is_conjugacy_pair(b, a, phi, phi)
 
 
 def _codes(solution: Solution) -> list[int]:
@@ -334,9 +326,11 @@ def _check_relation(relation) -> None:
 def classify(solutions, relation: str, total_bijections: int | None = None) -> SolutionCensus:
     """Partition solutions of one size by the chosen relation.
 
-    relation is 'yb_iso' or 'conjugacy'.  Pairwise witness searches run
-    only between solutions of one cycle type as permutations of [N]^2,
-    which both relations preserve.
+    relation is 'yb_iso' or 'conjugacy'.  Both are group actions, so each
+    solution, in table order, is compared with one representative per
+    class: the least member of each earlier class of its cycle type as a
+    permutation of [N]^2, which both relations preserve.  It joins the
+    first class with a witness, or opens a new one.
     """
     _check_relation(relation)
     ordered = sorted(solutions, key=lambda s: s.table)
@@ -345,31 +339,21 @@ def classify(solutions, relation: str, total_bijections: int | None = None) -> S
     size = ordered[0].size
     if any(s.size != size for s in ordered):
         raise SizeMismatch("all solutions must share one size")
-    prints = [_fingerprint(s) for s in ordered]
-    parent = list(range(len(ordered)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            if find(i) == find(j) or prints[i] != prints[j]:
-                continue
-            if relation == "yb_iso":
-                witness = yb_isomorphic(ordered[i], ordered[j])
-            else:
-                witness = product_conjugate(ordered[i], ordered[j])
+    classes: list[list[int]] = []
+    # the classes of each cycle type, in order of their least member
+    by_print: dict = {}
+    for i, s in enumerate(ordered):
+        candidates = by_print.setdefault(_fingerprint(s), [])
+        for members in candidates:
+            rep = ordered[members[0]]
+            witness = yb_isomorphic(rep, s) if relation == "yb_iso" else product_conjugate(rep, s)
             if witness is not None:
-                ri, rj = find(i), find(j)
-                parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(ordered)):
-        groups.setdefault(find(i), []).append(i)
-    classes = tuple(tuple(groups[root]) for root in sorted(groups))
-    return SolutionCensus(size, relation, total_bijections, tuple(ordered), classes)
+                members.append(i)
+                break
+        else:
+            candidates.append([i])
+            classes.append(candidates[-1])
+    return SolutionCensus(size, relation, total_bijections, tuple(ordered), tuple(map(tuple, classes)))
 
 
 def census(n: int, relation: str) -> SolutionCensus:

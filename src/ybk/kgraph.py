@@ -13,7 +13,7 @@ properties, unique completions of commuting diamonds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations, groupby, product
 
 from .constructions import _check_lengths, level_codes, level_is_identity
@@ -32,7 +32,7 @@ from .limits import check_count
 from .solution import Solution, is_ybe
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ThetaFamily:
     """Sizes N_1..N_k and one commutation bijection per colour pair i < j.
 
@@ -66,6 +66,12 @@ class ThetaFamily:
         _check_letter(j, t, self.sizes[j - 1])
         _check_letter(i, s, self.sizes[i - 1])
         return self.inv_maps[pair][(t - 1) * self.sizes[i - 1] + (s - 1)]
+
+    @cached_property
+    def _verdict(self):
+        # walked on first use and kept on the instance, so a later call
+        # costs an attribute read however large the tables are
+        return _validate(self)
 
 
 def _check_letter(colour: int, letter, size: int) -> None:
@@ -177,8 +183,6 @@ def _hat(family: ThetaFamily, i: int, j: int, s: int, t: int) -> tuple[int, int]
     return sp, tp
 
 
-# bounded: the keys are families read from user documents
-@lru_cache(maxsize=64)
 def _validate(family: ThetaFamily):
     for i, j, kk in combinations(range(1, family.k + 1), 3):
         ni = range(1, family.sizes[i - 1] + 1)
@@ -206,8 +210,7 @@ def validate_kgraph(family: ThetaFamily):
     Triple-wise validity is exactly k-graph validity; returns the
     lexicographically least failing triple and point on failure.
     """
-    ok, witness = _validate(family)
-    return ok, witness
+    return family._verdict
 
 
 def _check_letters(family: ThetaFamily, word):
@@ -232,7 +235,7 @@ def _gate_three_colours(family: ThetaFamily, letters) -> None:
     # with two colours every swap is forced, so normal forms exist for any
     # bijections; three or more colours need the validated triple identity
     if len({c for c, _ in letters}) >= 3:
-        ok, witness = _validate(family)
+        ok, witness = family._verdict
         if not ok:
             raise PreconditionFailed(
                 f"family is not a valid k-graph (failing triple {witness});"

@@ -423,6 +423,25 @@ class TestClassify:
         for cls, rep in zip(iso.classes, iso.representatives):
             assert rep.table == min(iso.solutions[i].table for i in cls)
 
+    @pytest.mark.parametrize("relation, search", [("yb_iso", "yb_isomorphic"), ("conjugacy", "product_conjugate")])
+    def test_searches_start_from_representatives(self, census3, relation, search, monkeypatch):
+        # both relations are group actions, so one member stands for its class
+        calls = []
+        original = getattr(CLASSIFY, search)
+
+        def recording(a, b):
+            calls.append((a.table, b.table))
+            return original(a, b)
+
+        monkeypatch.setattr(CLASSIFY, search, recording)
+        result = classify(census3, relation)
+        least = {rep.table for rep in result.representatives}
+        assert calls
+        for a, b in calls:
+            assert a in least
+            assert a < b
+        assert len(set(calls)) == len(calls)
+
 
 class TestFingerprint:
     """`_fingerprint` is the cycle type of R on [N]^2, which both relations keep."""

@@ -312,6 +312,31 @@ class TestValidate:
         for k in (3, 5):
             assert validate_kgraph(constant_family(standard["dih3"], k))[0]
 
+    def test_each_family_is_walked_once(self, standard, monkeypatch):
+        import ybk.kgraph as kgraph
+
+        walked = []
+        original = kgraph._validate
+
+        def counting(family):
+            walked.append(family)
+            return original(family)
+
+        monkeypatch.setattr(kgraph, "_validate", counting)
+        family = constant_family(standard["dih3"], 3)
+        word = [(3, 1), (2, 2), (1, 3), (3, 2), (2, 1), (1, 1)]
+        first = normalize(family, word)
+        for _ in range(3):
+            assert normalize(family, word) == first
+        assert validate_kgraph(family) == (True, None)
+        assert len(walked) == 1
+        # an equal family built apart keeps its own verdict
+        twin = constant_family(standard["dih3"], 3)
+        assert twin == family and twin is not family
+        assert normalize(twin, word) == first
+        assert normalize(twin, word) == first
+        assert walked == [family, twin]
+
 
 class TestNormalize:
     def test_sorted_word_unchanged(self):
