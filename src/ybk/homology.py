@@ -10,11 +10,15 @@ cyclic summand per invariant factor of B exceeding 1.
 
 Boundaries are sparse columns on word codes, both slides read from the
 level maps of `constructions.level_codes`; `boundary_matrix` is their dense
-public view.  The factors come from sparse unit-pivot elimination followed
-by a diagonal-only Smith reduction of the block no unit pivot reaches.
-`smith_normal_form`, which also carries the unimodular transforms, is kept
-as the oracle the factors are tested against.  The chain condition is
-checked by composing sparse boundary columns.
+public view.  Each public entry point checks the braid relation once.  The
+factors come from sparse unit-pivot elimination followed by a
+diagonal-only Smith reduction of the block no unit pivot reaches.  The
+boundary into degree n is factored without the rows of the words that are
+unit-pivot columns of the boundary out of it, which leaves its factors
+unchanged once the chain condition holds.  `smith_normal_form`, which also carries the
+unimodular transforms, is kept as the oracle the factors are tested
+against.  The chain condition is checked by composing sparse boundary
+columns, before anything is factored.
 
 Everything is exact integer arithmetic; no floating point anywhere.
 """
@@ -277,7 +281,14 @@ def invariant_factors(matrix) -> tuple[int, ...]:
 
 
 def _factors(columns: list[dict[int, int]]) -> tuple[int, ...]:
-    """Invariant factors of the matrix with these sparse columns, left unchanged.
+    """Invariant factors of the matrix with these sparse columns, left unchanged."""
+    return _factors_and_pivots(columns)[0]
+
+
+def _factors_and_pivots(
+    columns: list[dict[int, int]], without: set[int] | frozenset[int] = frozenset()
+) -> tuple[tuple[int, ...], set[int]]:
+    """Invariant factors of these sparse columns with rows `without` left out, and the unit pivots.
 
     Unit pivots go first, after Dumas-Saunders-Villard (J. Symbolic Comput.
     2001): a +-1 entry clears its column by exact row operations and then
@@ -288,25 +299,33 @@ def _factors(columns: list[dict[int, int]]) -> tuple[int, ...]:
     The elimination runs on the transpose, which has the same factors: a
     degree-n boundary column has at most 2n nonzeros while a row has N
     times as many on average, and short pivot rows keep the fill-in small.
+    So the pivots returned are column indices of the matrix, and the
+    columns are left unchanged.
     """
     rows = {i: dict(col) for i, col in enumerate(columns) if col}
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    units = _eliminate_unit_pivots(rows, cols)
+    for j in without:
+        for i in cols.pop(j, ()):
+            row = rows[i]
+            del row[j]
+            if not row:
+                del rows[i]
+    pivots = _eliminate_unit_pivots(rows, cols)
     residual = sorted({j for row in rows.values() for j in row})
     block = [[row.get(j, 0) for j in residual] for row in rows.values()]
-    return (1,) * units + _diagonal_factors(block)
+    return (1,) * len(pivots) + _diagonal_factors(block), pivots
 
 
-def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> int:
-    """Eliminate +-1 pivots in place, short rows and columns first; return how many.
+def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> set[int]:
+    """Eliminate +-1 pivots in place, short rows and columns first; return the pivot rows.
 
     `cols[j]` holds the rows with a nonzero in column j.  Rows left empty
-    are dropped.
+    are dropped; they are not pivot rows.
     """
-    units = 0
+    pivots = set()
     found = True
     while found:
         found = False
@@ -339,9 +358,9 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[
                         cols[j].discard(k)
                 if not target:
                     del rows[k]
-            units += 1
+            pivots.add(i)
             found = True
-    return units
+    return pivots
 
 
 def _diagonal_factors(a: list[list[int]]) -> tuple[int, ...]:
@@ -392,10 +411,11 @@ def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
     The column of a word accumulates sum_i (-1)^i (right face minus left
     face).  With the code pre * N**(n-i+1) + x * N**(n-i) + suf, the right
     face pushes letter x past the suffix block and drops it, the left face
-    pushes the prefix block past x and drops it: both are level maps.
+    pushes the prefix block past x and drops it: both are level maps.  For
+    each i both faces of every code are built as one list, in code order.
+
+    The caller checks that R is a braid-relation solution.
     """
-    if not is_ybe(R):
-        raise NotAYbeSolution("the chain complex is defined for braid-relation solutions")
     _check_degree(n, 1)
     size = R.size
     check_count(size ** n, f"degree-{n} chain basis")
@@ -403,16 +423,17 @@ def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
     for i in range(1, n + 1):
         sign = -1 if i % 2 else 1
         tail = size ** (n - i)
-        # an empty block leaves the letter where it is
-        right = level_codes(R, 1, n - i) if i < n else [(0, x) for x in range(size)]
-        left = level_codes(R, i - 1, 1) if i > 1 else [(x, 0) for x in range(size)]
-        for code, column in enumerate(columns):
-            pre, rest = divmod(code, size * tail)
-            x, suf = divmod(rest, tail)
-            right_face = pre * tail + right[rest][0]
-            left_face = left[pre * size + x][1] * tail + suf
-            column[right_face] = column.get(right_face, 0) + sign
-            column[left_face] = column.get(left_face, 0) - sign
+        # a face that drops the letter at an end keeps the empty word, code 0, there
+        right = [v for v, _ in level_codes(R, 1, n - i)] if i < n else [0] * size
+        left = [u for _, u in level_codes(R, i - 1, 1)] if i > 1 else [0] * size
+        # code = pre * size * tail + rest: the right face is pre * tail + right[rest]
+        faces = [block + v for block in range(0, size ** (i - 1) * tail, tail) for v in right]
+        for column, r in zip(columns, faces):
+            column[r] = column.get(r, 0) + sign
+        # code = p * tail + suf with p = pre * size + x: the left face is left[p] * tail + suf
+        faces = [p * tail + s for p in left for s in range(tail)]
+        for column, r in zip(columns, faces):
+            column[r] = column.get(r, 0) - sign
     return [{r: v for r, v in column.items() if v} for column in columns]
 
 
@@ -422,6 +443,7 @@ def boundary_matrix(R: Solution, n: int) -> IntegerMatrix:
     Columns are indexed by tuples in lexicographic order, as in
     `_boundary_columns`; at n = 1 the matrix is zero.
     """
+    _require_solution(R)
     return _dense(_boundary_columns(R, n), R.size ** (n - 1))
 
 
@@ -433,8 +455,7 @@ def derived_boundary(R: Solution, n: int) -> IntegerMatrix:
     must agree entrywise with the generic boundary.
     """
     _require_passive_first(R, "the closed formula")
-    if not is_ybe(R):
-        raise NotAYbeSolution("the chain complex is defined for braid-relation solutions")
+    _require_solution(R)
     _check_degree(n, 1)
     size = R.size
     check_count(size ** n, f"degree-{n} chain basis")
@@ -462,8 +483,7 @@ def verify_complex(R: Solution, nmax: int) -> bool:
 
 def _complex(R: Solution, nmax: int) -> list[list[dict[int, int]]]:
     """The boundaries of degrees 1..nmax as sparse columns, lowest degree first."""
-    if not is_ybe(R):
-        raise NotAYbeSolution("the chain complex is defined for braid-relation solutions")
+    _require_solution(R)
     _check_degree(nmax, None)
     return [_boundary_columns(R, n) for n in range(1, nmax + 1)]
 
@@ -506,11 +526,22 @@ def _free_and_torsion(
     `_complex` through degree n + 1 at least whose chain condition the
     caller has checked and found to hold; it is read instead of building
     and composing the two boundaries again.  Otherwise raises
+    NotAYbeSolution for a table that is not a solution, and
     PreconditionFailed when the two boundaries do not compose to zero.
+
+    The boundary into degree n is factored without the rows of the words
+    that are unit-pivot columns of the boundary out of it, after the
+    clearing of persistent homology (Chen-Kerber, EuroCG 2011).  Those
+    columns are unitriangular on their pivot entries, so the kernel out of
+    degree n lies in a direct summand on which dropping their coordinates is
+    an isomorphism.  The image from degree n + 1 lies in that kernel only
+    when the chain condition holds, which is why it is checked, or given as
+    checked, before anything is factored.
     """
     _check_degree(n, 0)
     if boundaries is None:
         check_count(R.size ** (n + 1), f"degree-{n + 1} chain basis")
+        _require_solution(R)
         in_map = _boundary_columns(R, n + 1)
         out_map = _boundary_columns(R, n) if n else []
         if n and not _composes_to_zero(out_map, in_map):
@@ -518,7 +549,8 @@ def _free_and_torsion(
     else:
         in_map = boundaries[n]
         out_map = boundaries[n - 1] if n else []
-    out_factors, in_factors = _factors(out_map), _factors(in_map)
+    out_factors, pivots = _factors_and_pivots(out_map)
+    in_factors = _factors_and_pivots(in_map, pivots)[0]
     free = R.size ** n - len(out_factors) - len(in_factors)
     return free, tuple(d for d in out_factors if d > 1), tuple(d for d in in_factors if d > 1)
 
@@ -593,6 +625,11 @@ def h1_orbit_check(R: Solution) -> bool:
     _require_passive_first(R, "the orbit description")
     expected = AbelianGroup(len(beta_orbits(R).blocks), ())
     return homology(R, 1) == expected
+
+
+def _require_solution(R: Solution) -> None:
+    if not is_ybe(R):
+        raise NotAYbeSolution("the chain complex is defined for braid-relation solutions")
 
 
 def _require_passive_first(R: Solution, what: str) -> None:

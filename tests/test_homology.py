@@ -92,6 +92,32 @@ def random_matrices():
         yield IntegerMatrix.zero(k, 0)
 
 
+def rank_mod(columns, p):
+    """Rank over GF(p) of sparse integer columns, by leading-index elimination.
+
+    Independent of the library's unit-pivot elimination: each column is
+    reduced against the basis vectors kept so far, by its largest row.
+    """
+    leads = {}
+    for column in columns:
+        v = {r: x % p for r, x in column.items() if x % p}
+        while v:
+            lead = max(v)
+            basis = leads.get(lead)
+            if basis is None:
+                inverse = pow(v[lead], -1, p)
+                leads[lead] = {r: x * inverse % p for r, x in v.items()}
+                break
+            f = v[lead]
+            for r, x in basis.items():
+                y = (v.get(r, 0) - f * x) % p
+                if y:
+                    v[r] = y
+                else:
+                    del v[r]
+    return len(leads)
+
+
 def _move_right_drop(R, word, i):
     letters = list(word)
     n = len(letters)
@@ -287,6 +313,28 @@ class TestBoundary:
             with pytest.raises(NotAYbeSolution):
                 call()
 
+    def test_one_braid_check_per_call(self, monkeypatch, standard):
+        module = importlib.import_module("ybk.homology")
+        calls = []
+
+        def counting(R):
+            calls.append(R)
+            return is_ybe(R)
+
+        monkeypatch.setattr(module, "is_ybe", counting)
+        R = standard["dih3"]
+        for call in (
+            lambda: homology(R, 0),
+            lambda: homology(R, 3),
+            lambda: cohomology(R, 3),
+            lambda: cohomology(R, 3, 3),
+            lambda: verify_complex(R, 3),
+            lambda: boundary_matrix(R, 3),
+        ):
+            calls.clear()
+            call()
+            assert calls == [R]
+
     def test_degree_must_be_an_int(self, standard):
         R = standard["dih3"]
         for degree in ("2", 2.0, True, False, None):
@@ -336,6 +384,39 @@ class TestComplex:
         assert verify_complex(R, 3) is False
 
 
+class TestCompression:
+    """The boundary into degree n is factored without the out-map's unit-pivot rows."""
+
+    @staticmethod
+    def uncompressed(R, n):
+        module = importlib.import_module("ybk.homology")
+        out_factors = module._factors(module._boundary_columns(R, n)) if n else ()
+        in_factors = module._factors(module._boundary_columns(R, n + 1))
+        free = R.size ** n - len(out_factors) - len(in_factors)
+        return free, tuple(d for d in out_factors if d > 1), tuple(d for d in in_factors if d > 1)
+
+    def test_matches_uncompressed_factors(self, census2, census3, standard):
+        module = importlib.import_module("ybk.homology")
+        cases = [(R, n) for R in census2 + census3 for n in (0, 1, 2, 3)]
+        cases += [(standard["dih3"], n) for n in range(6)]
+        cases += [(builtin("dihedral", k), n) for k in (4, 5) for n in range(4)]
+        for R, n in cases:
+            assert module._free_and_torsion(R, n) == self.uncompressed(R, n), (R, n)
+
+    def test_rank_identity_on_dihedral_three(self, standard):
+        # Dumas-Saunders-Villard: rank over Q minus rank over F_3 counts the
+        # invariant factors divisible by 3
+        module = importlib.import_module("ybk.homology")
+        R = standard["dih3"]
+        for n in range(7):
+            columns = module._boundary_columns(R, n + 1)
+            free, _, torsion = module._free_and_torsion(R, n)
+            rank_q = rank_mod(columns, 1_000_003)
+            assert rank_q - rank_mod(columns, 3) == sum(1 for d in torsion if d % 3 == 0), n
+            out_rank = rank_mod(module._boundary_columns(R, n), 1_000_003) if n else 0
+            assert free == 3 ** n - out_rank - rank_q, n
+
+
 class TestHomology:
     def test_h0(self, standard):
         assert homology(standard["dih3"], 0) == AbelianGroup(1, ())
@@ -352,7 +433,7 @@ class TestHomology:
 
     def test_dihedral_three_torsion_grows(self, standard):
         R = standard["dih3"]
-        for n, threes in ((3, 1), (4, 2), (5, 4), (6, 7)):
+        for n, threes in ((3, 1), (4, 2), (5, 4), (6, 7), (7, 13)):
             assert homology(R, n) == AbelianGroup(1, (3,) * threes), n
 
     def test_orbit_law_for_derived_solutions(self, census2, census3):
