@@ -10,7 +10,7 @@ lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .errors import Degenerate, InvalidParams, NotAYbeSolution
 from .limits import check_count
@@ -201,14 +201,12 @@ def _check_lengths(what: str, *lengths) -> None:
             raise InvalidParams(f"{what} must be positive")
 
 
-def _push_rows(R: Solution, length: int) -> list[tuple[tuple[int, int], ...]]:
-    """Push table for one letter crossing a block of the given length.
+def _push_levels(R: Solution):
+    """The push tables of `_push_rows` for block lengths 1, 2, 3, ... in turn.
 
-    `rows[b][x]` is (moved, b'): the 0-based letter x, pushed leftward by
-    adjacent swaps (s, t) -> R(s, t) = (t', s') through the block with 0-based
-    code b, leaves as `moved` and turns the block into b'.  A block of length
-    j + 1 is its first letter s followed by a length-j rest, so its row is the
-    rest's row followed by one swap with s: O(N**(length + 1)) in all.
+    A block of length j + 1 is its first letter s followed by a length-j
+    rest, so its row is the rest's row followed by one swap with s: each
+    table costs O(N**(length + 1)) from the one before.
     """
     n = R.size
     first = [
@@ -217,14 +215,36 @@ def _push_rows(R: Solution, length: int) -> list[tuple[tuple[int, int], ...]]:
     ]
     rows = first
     span = 1
-    for _ in range(length - 1):
+    while True:
+        yield rows
         span *= n
         rows = [
             tuple((s_row[m][0], s_row[m][1] * span + rest) for m, rest in rest_row)
             for s_row in first
             for rest_row in rows
         ]
-    return rows
+
+
+def _push_rows(R: Solution, length: int) -> list[tuple[tuple[int, int], ...]]:
+    """Push table for one letter crossing a block of the given length.
+
+    `rows[b][x]` is (moved, b'): the 0-based letter x, pushed leftward by
+    adjacent swaps (s, t) -> R(s, t) = (t', s') through the block with 0-based
+    code b, leaves as `moved` and turns the block into b'.
+    """
+    return next(islice(_push_levels(R), length - 1, None))
+
+
+def _push_walk(rows: list[tuple[tuple[int, int], ...]], n: int):
+    """The states of `level_codes` after pushing 0, 1, 2, ... letters through every block.
+
+    Entry u * N**m + v of the m-th list is (v', u') for the block u of the
+    push table `rows` and the word v of length m.
+    """
+    states = [(0, u) for u in range(len(rows))]
+    while True:
+        yield states
+        states = [(out * n + moved, nb) for out, b in states for moved, nb in rows[b]]
 
 
 def level_codes(R: Solution, l: int, m: int) -> list[tuple[int, int]]:
@@ -238,12 +258,8 @@ def level_codes(R: Solution, l: int, m: int) -> list[tuple[int, int]]:
     """
     _check_lengths("block lengths", l, m)
     n = R.size
-    check_count(n ** (l + m), f"level map table on [{n}]^{l} x [{n}]^{m}")
-    rows = _push_rows(R, l)
-    states = [(0, u) for u in range(n ** l)]
-    for _ in range(m):
-        states = [(out * n + moved, nb) for out, b in states for moved, nb in rows[b]]
-    return states
+    check_count(n, f"level map table on [{n}]^{l} x [{n}]^{m}", l + m)
+    return next(islice(_push_walk(_push_rows(R, l), n), m, None))
 
 
 def level_map(R: Solution, l: int, m: int) -> LevelMap:
@@ -268,8 +284,8 @@ def level_is_identity(R: Solution, n_level: int) -> bool:
     """
     _check_lengths("block lengths", n_level)
     n = R.size
-    check_count(n ** n_level, f"level-{n_level} ground set on [{n}]")
-    check_count(n ** (2 * n_level), f"level map table on [{n}]^{n_level} x [{n}]^{n_level}")
+    check_count(n, f"level-{n_level} ground set on [{n}]", n_level)
+    check_count(n, f"level map table on [{n}]^{n_level} x [{n}]^{n_level}", 2 * n_level)
     rows = _push_rows(R, n_level)
     for u in range(n ** n_level):
         states = [(0, u)]
@@ -290,7 +306,7 @@ def level_map_via_legs(R: Solution, n_level: int) -> LevelMap:
     """
     _check_lengths("block lengths", n_level)
     n = R.size
-    check_count(n ** (2 * n_level), f"leg-composition table on [{n}]^{2 * n_level}")
+    check_count(n, f"leg-composition table on [{n}]^{2 * n_level}", 2 * n_level)
     rng = range(1, n + 1)
     table = []
     for u in product(rng, repeat=n_level):
@@ -306,8 +322,8 @@ def level_map_via_legs(R: Solution, n_level: int) -> LevelMap:
 def _flat_level_codes(R: Solution, n_level: int) -> list[int]:
     """The square level map on flat codes: entry u * N**n + v is v' * N**n + u'."""
     n = R.size
+    check_count(n, f"level map table on [{n}]^{n_level} x [{n}]^{n_level}", 2 * n_level)
     size = n ** n_level
-    check_count(size * size, f"level map table on [{n}]^{n_level} x [{n}]^{n_level}")
     # the pushes of `level_codes` on integer states s = out * N**n + b: a push
     # makes (out * N + moved) * N**n + b', and the last states are the codes
     steps = [tuple(moved * size + nb for moved, nb in row) for row in _push_rows(R, n_level)]
@@ -327,8 +343,8 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     """
     _check_lengths("block lengths", n_level)
     n = R.size
+    check_count(n, f"level-{n_level} ground set on [{n}]", n_level)
     size = n ** n_level
-    check_count(size, f"level-{n_level} ground set on [{n}]")
     flat = _flat_level_codes(R, n_level)
     square = size * size
     if not (len(flat) == len(set(flat)) == square and 0 <= min(flat) and max(flat) < square):

@@ -8,17 +8,20 @@ from invariant factors: with A the boundary out of degree n and B the
 boundary into it, H_n is free of rank dim - rank(A) - rank(B) plus one
 cyclic summand per invariant factor of B exceeding 1.
 
-Boundaries are sparse columns on word codes, both slides read from the
-level maps of `constructions.level_codes`; `boundary_matrix` is their dense
-public view.  Each public entry point checks the braid relation once.  The
-factors come from sparse unit-pivot elimination followed by a
+Boundaries are sparse columns on word codes.  Both slides are level maps,
+read from one push walk of `constructions`: the right slides of every
+suffix length are the successive states of the walk, the left slides the
+push tables grown one prefix length at a time.  A position or word whose
+two slides are equal cancels and is skipped.  `boundary_matrix` is their
+dense public view.  Each public entry point checks the braid relation
+once.  The factors come from sparse unit-pivot elimination followed by a
 diagonal-only Smith reduction of the block no unit pivot reaches.  The
 boundary into degree n is factored without the rows of the words that are
 unit-pivot columns of the boundary out of it, which leaves its factors
-unchanged once the chain condition holds.  `smith_normal_form`, which also carries the
-unimodular transforms, is kept as the oracle the factors are tested
-against.  The chain condition is checked by composing sparse boundary
-columns, before anything is factored.
+unchanged once the chain condition holds.  `smith_normal_form`, which also
+carries the unimodular transforms, is kept as the oracle the factors are
+tested against.  The chain condition is checked by composing sparse
+boundary columns, before anything is factored.
 
 Everything is exact integer arithmetic; no floating point anywhere.
 """
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .constructions import decode_word, encode_word, level_codes
+from .constructions import _push_levels, _push_rows, _push_walk, decode_word, encode_word
 from .errors import (
     BadModulus,
     InvalidParams,
@@ -121,28 +124,41 @@ class AbelianGroup:
 
     @classmethod
     def from_cyclic_orders(cls, orders) -> "AbelianGroup":
-        """Canonicalize a direct sum of cyclic groups (order 0 means infinite)."""
+        """Canonicalize a direct sum of cyclic groups (order 0 means infinite).
+
+        The orders are split over a coprime base instead of into primes:
+        with pairwise coprime b, Z/m is the sum of the Z/b**e_b with
+        m = prod b**e_b, and every prime power of m is some b**e_b to a
+        fixed power, so the factors come out as from a prime factorization.
+        """
         free = 0
-        primes: dict[int, list[int]] = {}
+        finite = []
         for order in orders:
             if type(order) is not int:
                 raise InvalidParams(f"cyclic orders must be integers, got {order!r}")
             order = abs(order)
             if order == 0:
                 free += 1
-                continue
-            if order == 1:
-                continue
-            for p, e in _factorint(order).items():
-                primes.setdefault(p, []).append(e)
-        width = max((len(es) for es in primes.values()), default=0)
+            elif order > 1:
+                finite.append(order)
+        powers: dict[int, list[int]] = {b: [] for b in _coprime_base(set(finite))}
+        for order in finite:
+            for b, es in powers.items():
+                e = 0
+                while order % b == 0:
+                    order //= b
+                    e += 1
+                if e:
+                    es.append(e)
+        for es in powers.values():
+            es.sort(reverse=True)
+        width = max((len(es) for es in powers.values()), default=0)
         factors = []
         for slot in range(width):
             d = 1
-            for p, es in primes.items():
-                es_sorted = sorted(es, reverse=True)
-                if slot < len(es_sorted):
-                    d *= p ** es_sorted[slot]
+            for b, es in powers.items():
+                if slot < len(es):
+                    d *= b ** es[slot]
             factors.append(d)
         return cls(free, tuple(sorted(factors)))
 
@@ -156,17 +172,26 @@ class AbelianGroup:
         return " x ".join(parts) if parts else "0"
 
 
-def _factorint(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1, each of `numbers` (all > 1) a product of their powers.
+
+    Factor refinement: a number that shares a factor g with a base element
+    b replaces b by g and b / g and goes on as its own cofactor; the product
+    of everything pending falls by g each time, so the loop ends.
+    """
+    base: list[int] = []
+    pending = list(numbers)
+    while pending:
+        m = pending.pop()
+        for k, b in enumerate(base):
+            g = gcd(m, b)
+            if g > 1:
+                del base[k]
+                pending.extend(x for x in (g, b // g, m // g) if x > 1)
+                break
+        else:
+            base.append(m)
+    return base
 
 
 @dataclass(frozen=True, slots=True)
@@ -333,11 +358,11 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[
             row = rows.get(i)
             if row is None:
                 continue
-            pivot = min(
-                (j for j, x in row.items() if x == 1 or x == -1),
-                key=lambda j: len(cols[j]),
-                default=None,
-            )
+            # the first +-1 entry whose column is shortest
+            pivot = None
+            for j, x in row.items():
+                if (x == 1 or x == -1) and (pivot is None or len(cols[j]) < shortest):
+                    pivot, shortest = j, len(cols[j])
             if pivot is None:
                 continue
             del rows[i]
@@ -411,30 +436,48 @@ def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
     The column of a word accumulates sum_i (-1)^i (right face minus left
     face).  With the code pre * N**(n-i+1) + x * N**(n-i) + suf, the right
     face pushes letter x past the suffix block and drops it, the left face
-    pushes the prefix block past x and drops it: both are level maps.  For
+    pushes the prefix block past x and drops it: both are level maps.  The
+    right faces of every suffix length are the successive states of one push
+    walk from the one-letter push table; the left faces of every prefix
+    length are the push tables themselves, grown one length at a time.  For
     each i both faces of every code are built as one list, in code order.
+    A position whose two lists are equal adds nothing and is skipped, as is
+    a word whose two faces are equal.
 
     The caller checks that R is a braid-relation solution.
     """
     _check_degree(n, 1)
     size = R.size
-    check_count(size ** n, f"degree-{n} chain basis")
+    check_count(size, f"degree-{n} chain basis", n)
     columns: list[dict[int, int]] = [{} for _ in range(size ** n)]
+    # suffixes[m][x * N**m + v] is v', the block v after x crossed it; at m = 0
+    # the face keeps the empty word, code 0
+    walk = _push_walk(_push_rows(R, 1), size)
+    suffixes = [[v for v, _ in next(walk)] for _ in range(n)]
+    # prefix[p * N + x] is u', the block p of length i - 1 after x crossed it
+    tables = _push_levels(R)
+    prefix = [0] * size
     for i in range(1, n + 1):
         sign = -1 if i % 2 else 1
         tail = size ** (n - i)
-        # a face that drops the letter at an end keeps the empty word, code 0, there
-        right = [v for v, _ in level_codes(R, 1, n - i)] if i < n else [0] * size
-        left = [u for _, u in level_codes(R, i - 1, 1)] if i > 1 else [0] * size
-        # code = pre * size * tail + rest: the right face is pre * tail + right[rest]
-        faces = [block + v for block in range(0, size ** (i - 1) * tail, tail) for v in right]
-        for column, r in zip(columns, faces):
-            column[r] = column.get(r, 0) + sign
-        # code = p * tail + suf with p = pre * size + x: the left face is left[p] * tail + suf
-        faces = [p * tail + s for p in left for s in range(tail)]
-        for column, r in zip(columns, faces):
-            column[r] = column.get(r, 0) - sign
-    return [{r: v for r, v in column.items() if v} for column in columns]
+        # code = pre * size * tail + rest: the right face is pre * tail + suffixes[n - i][rest]
+        blocks = range(0, size ** (i - 1) * tail, tail)
+        right = [block + v for block in blocks for v in suffixes[n - i]]
+        # code = p * tail + suf with p = pre * size + x: the left face is prefix[p] * tail + suf
+        suffix = range(tail)
+        left = [p * tail + s for p in prefix for s in suffix]
+        if right != left:
+            for column, r, q in zip(columns, right, left):
+                if r != q:
+                    column[r] = column.get(r, 0) + sign
+                    column[q] = column.get(q, 0) - sign
+        if i < n:
+            prefix = [nb for row in next(tables) for _, nb in row]
+    # entries of different positions can still cancel
+    return [
+        column if all(column.values()) else {r: v for r, v in column.items() if v}
+        for column in columns
+    ]
 
 
 def boundary_matrix(R: Solution, n: int) -> IntegerMatrix:
@@ -458,7 +501,7 @@ def derived_boundary(R: Solution, n: int) -> IntegerMatrix:
     _require_solution(R)
     _check_degree(n, 1)
     size = R.size
-    check_count(size ** n, f"degree-{n} chain basis")
+    check_count(size, f"degree-{n} chain basis", n)
     star = alpha_beta(R).beta  # x*y = beta_y(x)
     columns = []
     for code in range(size ** n):
@@ -482,9 +525,15 @@ def verify_complex(R: Solution, nmax: int) -> bool:
 
 
 def _complex(R: Solution, nmax: int) -> list[list[dict[int, int]]]:
-    """The boundaries of degrees 1..nmax as sparse columns, lowest degree first."""
+    """The boundaries of degrees 1..nmax as sparse columns, lowest degree first.
+
+    The top degree's basis is checked against the limit before any boundary
+    is built.
+    """
     _require_solution(R)
     _check_degree(nmax, None)
+    if nmax > 0:
+        check_count(R.size, f"degree-{nmax} chain basis", nmax)
     return [_boundary_columns(R, n) for n in range(1, nmax + 1)]
 
 
@@ -540,7 +589,7 @@ def _free_and_torsion(
     """
     _check_degree(n, 0)
     if boundaries is None:
-        check_count(R.size ** (n + 1), f"degree-{n + 1} chain basis")
+        check_count(R.size, f"degree-{n + 1} chain basis", n + 1)
         _require_solution(R)
         in_map = _boundary_columns(R, n + 1)
         out_map = _boundary_columns(R, n) if n else []

@@ -520,7 +520,7 @@ def restrict(family: ThetaFamily, l: int, m: int, n: int) -> ThetaFamily:
         raise InvalidParams("restrict needs a constant family")
     size = family.sizes[0]
     base = Solution(size, family.maps[0])
-    check_count(size ** max(l + m, l + n, m + n), "restricted level tables")
+    check_count(size, "restricted level tables", max(l + m, l + n, m + n))
     lengths = {(1, 2): (l, m), (1, 3): (l, n), (2, 3): (m, n)}
     maps = {}
     for pair, (a, b) in lengths.items():

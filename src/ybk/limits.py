@@ -25,11 +25,21 @@ def encoding_limit() -> int:
     return value
 
 
-def check_count(count: int, what: str) -> None:
-    """Raise Overflow when an enumeration of `count` items exceeds the cap."""
+def check_count(count: int, what: str, exponent: int = 1) -> None:
+    """Raise Overflow when an enumeration of count ** exponent items exceeds the cap.
+
+    The power is raised only when its exponent could fit: any count of 2 or
+    more to an exponent at least the cap's bit length is over the cap.  A
+    count too long to read in the message is named as count^exponent.
+    """
     limit = encoding_limit()
-    if count > limit:
-        raise Overflow(
-            f"{what} needs {count} entries, above the limit {limit}"
-            f" (override with {ENV_VAR})"
-        )
+    total = None
+    if count < 2 or exponent < limit.bit_length():
+        total = count ** exponent
+        if total <= limit:
+            return
+    shown = total if total is not None and total.bit_length() <= 64 else f"{count}^{exponent}"
+    raise Overflow(
+        f"{what} needs {shown} entries, above the limit {limit}"
+        f" (override with {ENV_VAR})"
+    )

@@ -75,8 +75,8 @@ def _roots_by_length(R: Solution):
     while True:
         yield roots
         length += 1
+        check_count(size, f"length-{length} words over [{size}]", length)
         total = size ** length
-        check_count(total, f"length-{length} words over [{size}]")
         # every entry points at a code no larger than itself, so roots are least members
         parent = [root * size + x for root in roots for x in letters]
         for q, delta in moves:
@@ -102,7 +102,7 @@ def _class_roots(R: Solution, n: int) -> list[int]:
     Checks the length-n word count before any work, then takes the last of
     the lengths `_roots_by_length` grows one from another.
     """
-    check_count(R.size ** n, f"length-{n} words over [{R.size}]")
+    check_count(R.size, f"length-{n} words over [{R.size}]", n)
     return next(islice(_roots_by_length(R), n - 1, None))
 
 
@@ -337,7 +337,7 @@ def action_formula_check(R: Solution, n: int) -> bool:
     if not is_ybe(R):
         raise PreconditionFailed("the action formulas presuppose the braid relation")
     size = R.size
-    check_count(size ** (2 * n), "action formula comparison")
+    check_count(size, "action formula comparison", 2 * n)
     ab = alpha_beta(R)
     alpha, beta = ab.alpha, ab.beta
     lm = level_map(R, n, n)

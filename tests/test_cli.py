@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -357,6 +358,14 @@ class TestHomology:
     def test_bad_degree_or_coefficients_exit_two(self, capsys, dihedral_path, extra):
         assert_usage_error(*run(capsys, "homology", dihedral_path, *extra))
 
+    @pytest.mark.parametrize("modulus", ["10000000000000061", "1000000000000000003"])
+    def test_large_prime_coefficients_at_once(self, capsys, modulus):
+        # the orders used to be factored by trial division, O(sqrt(m))
+        start = time.perf_counter()
+        result = run(capsys, "homology", "catalog:dihedral-3", "--degree", "1", "--coeff", f"z/{modulus}")
+        assert time.perf_counter() - start < 1
+        assert result == (0, f"H_1 = Z\nH^1(Z/{modulus}) = Z/{modulus}\n", "")
+
 
 def assert_usage_error(code, out, err):
     assert code == 2
@@ -406,6 +415,27 @@ class TestBadInputsExitTwo:
         assert_usage_error(
             *run(capsys, "semigroup", "catalog:dihedral-3", "--max-len", "-1", *flags, "--json")
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("homology", "catalog:dihedral-3", "--degree", "10000"),
+            ("level", "catalog:dihedral-3", "--n", "10000"),
+            ("homology", "catalog:dihedral-3", "--degree", "99999999999999999999"),
+            ("level", "catalog:dihedral-3", "--n", "99999999999999999999"),
+            ("homology", "catalog:dihedral-3", "--degree", "9000", "--verify-complex"),
+        ],
+        ids=["degree-10000", "level-10000", "degree-20-digits", "level-20-digits", "verify-complex-9000"],
+    )
+    def test_huge_sizes_exit_two_at_once(self, capsys, argv):
+        # 3**10001 has more digits than an int may print, 3**(10**20) would
+        # never be computed, and --verify-complex used to build degrees 1..12
+        # before degree 13 failed: the guards reject by exponent first
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert_usage_error(code, out, err)
+        assert "^" in err
 
 
 PROPERTY_ERRORS = {

@@ -6,13 +6,14 @@ import pytest
 
 from ybk.catalog import catalog_names, catalog_profile, catalog_solution
 from ybk.classify import classify, enumerate_solutions, yb_isomorphic
-from ybk.constructions import left_derived_solution
+from ybk.constructions import left_derived_solution, level_codes
 from ybk.errors import (
     BadModulus,
     Degenerate,
     InvalidParams,
     NotAYbeSolution,
     NotDerivedType,
+    Overflow,
     PreconditionFailed,
     SizeMismatch,
 )
@@ -145,6 +146,60 @@ def oracle_boundary(R, n):
             entries[row_of[_move_right_drop(R, word, i)]][c] += sign
             entries[row_of[_move_left_drop(R, word, i)]][c] -= sign
     return tuple(tuple(row) for row in entries)
+
+
+def level_code_faces(R, n):
+    """Sparse degree-n boundary columns with each position's faces read from `level_codes`.
+
+    Two level maps per position, each from its own push table, against the
+    library's one walk; no position or word is skipped.
+    """
+    size = R.size
+    columns = [{} for _ in range(size ** n)]
+    for i in range(1, n + 1):
+        sign = -1 if i % 2 else 1
+        tail = size ** (n - i)
+        right = [v for v, _ in level_codes(R, 1, n - i)] if i < n else [0] * size
+        left = [u for _, u in level_codes(R, i - 1, 1)] if i > 1 else [0] * size
+        for code, column in enumerate(columns):
+            pre, rest = divmod(code, size * tail)
+            p, suf = divmod(code, tail)
+            r = pre * tail + right[rest]
+            q = left[p] * tail + suf
+            column[r] = column.get(r, 0) + sign
+            column[q] = column.get(q, 0) - sign
+    return [{r: v for r, v in column.items() if v} for column in columns]
+
+
+def cyclic_orders_by_primes(orders):
+    """`AbelianGroup.from_cyclic_orders` with each order factored into primes by trial division."""
+    free = 0
+    primes = {}
+    for order in map(abs, orders):
+        if order == 0:
+            free += 1
+            continue
+        exponents = {}
+        p = 2
+        while p * p <= order:
+            while order % p == 0:
+                exponents[p] = exponents.get(p, 0) + 1
+                order //= p
+            p += 1
+        if order > 1:
+            exponents[order] = exponents.get(order, 0) + 1
+        for p, e in exponents.items():
+            primes.setdefault(p, []).append(e)
+    width = max((len(es) for es in primes.values()), default=0)
+    factors = []
+    for slot in range(width):
+        d = 1
+        for p, es in primes.items():
+            es_sorted = sorted(es, reverse=True)
+            if slot < len(es_sorted):
+                d *= p ** es_sorted[slot]
+        factors.append(d)
+    return AbelianGroup(free, tuple(sorted(factors)))
 
 
 def non_kgraph_catalog():
@@ -342,6 +397,17 @@ class TestBoundary:
                 with pytest.raises(InvalidParams):
                     call(R, degree)
 
+    def test_matches_level_code_faces(self, census2, census3):
+        module = importlib.import_module("ybk.homology")
+        cases = [
+            (R, n) for R in enumerate_solutions(1) + census2 + census3 for n in range(1, 6)
+        ]
+        cases += [
+            (builtin("dihedral", k), n) for k in (3, 4, 5, 6) for n in range(1, 7) if k ** n <= 729
+        ]
+        for R, n in cases:
+            assert module._boundary_columns(R, n) == level_code_faces(R, n), (R, n)
+
     def test_matches_word_level_oracle(self, census2, census3):
         cases = [
             (R, n) for R in enumerate_solutions(1) + census2 + census3 for n in (1, 2, 3, 4)
@@ -363,6 +429,21 @@ class TestComplex:
     def test_sampled_three(self):
         for R in random_solutions(3, 6, seed=71, require_ybe=True):
             assert verify_complex(R, 3)
+
+    @pytest.mark.parametrize("nmax, count", [(13, "1594323"), (9001, "3\\^9001")])
+    def test_over_limit_top_degree_builds_nothing(self, monkeypatch, standard, nmax, count):
+        module = importlib.import_module("ybk.homology")
+        original = module._boundary_columns
+        calls = []
+
+        def counting(R, n):
+            calls.append(n)
+            return original(R, n)
+
+        monkeypatch.setattr(module, "_boundary_columns", counting)
+        with pytest.raises(Overflow, match=f"^degree-{nmax} chain basis needs {count} entries"):
+            verify_complex(standard["dih3"], nmax)
+        assert calls == []
 
     def test_changed_entry_breaks_chain_condition(self, monkeypatch, standard):
         module = importlib.import_module("ybk.homology")
@@ -611,6 +692,24 @@ class TestAbelianGroup:
         assert AbelianGroup.from_cyclic_orders([2, 3]) == AbelianGroup(0, (6,))
         assert AbelianGroup.from_cyclic_orders([2, 4, 3]) == AbelianGroup(0, (2, 12))
         assert AbelianGroup.from_cyclic_orders([0, 1, 2]) == AbelianGroup(1, (2,))
+
+    def test_matches_prime_factorization(self):
+        rng = random.Random(41)
+        draws = [
+            lambda: rng.randint(-3, 40),
+            lambda: rng.randint(1, 10 ** 6),
+            lambda: 2 ** rng.randint(0, 9) * 3 ** rng.randint(0, 6) * 5 ** rng.randint(0, 3),
+            lambda: rng.choice((6, 10, 12, 15, 30, 36, 210, 1001, 9973)) * rng.randint(1, 50),
+        ]
+        for _ in range(3000):
+            orders = [rng.choice(draws)() for _ in range(rng.randint(0, 8))]
+            assert AbelianGroup.from_cyclic_orders(orders) == cyclic_orders_by_primes(orders), orders
+
+    def test_large_prime_orders(self):
+        # trial division up to sqrt(p) would take minutes
+        p = 10 ** 18 + 3
+        assert AbelianGroup.from_cyclic_orders([p] * 3 + [2, 6]) == AbelianGroup(0, (p, 2 * p, 6 * p))
+        assert AbelianGroup.from_cyclic_orders([3] * 27 + [3, 9]) == cyclic_orders_by_primes([3] * 27 + [3, 9])
 
     @pytest.mark.parametrize("order", [2.5, 2.0, "2", True, None])
     def test_orders_must_be_ints(self, order):
