@@ -25,7 +25,7 @@ from .constructions import (
     level_solution,
     trivial_extension,
 )
-from .homology import _chain_holds, _complex, _groups
+from .homology import _chain_holds, _check_degree, _complex, _groups
 from .kgraph import (
     ThetaFamily,
     complete_diamond,
@@ -343,6 +343,8 @@ def _cmd_homology(args) -> int:
     lines = []
     boundaries = None
     if args.verify_complex:
+        # checked first, so that an error names the degree given, not degree + 1
+        _check_degree(args.degree, 0)
         checked = _complex(R, args.degree + 1)
         ok = _chain_holds(checked)
         report["chain_condition"] = ok

@@ -14,7 +14,7 @@ from itertools import islice, product
 
 from .errors import Degenerate, InvalidParams, NotAYbeSolution
 from .limits import check_count
-from .solution import Solution, alpha_beta, apply_leg, is_ybe, make_solution
+from .solution import Solution, _degenerate_row, alpha_beta, apply_leg, is_ybe, make_solution
 
 
 def encode_word(word, n: int) -> int:
@@ -147,15 +147,9 @@ def left_derived_solution(R: Solution) -> Solution:
 def _require_nondegenerate_ybe(R: Solution) -> None:
     if not is_ybe(R):
         raise NotAYbeSolution("the input does not satisfy the braid relation")
-    ab = alpha_beta(R)
-    n = R.size
-    full = set(range(1, n + 1))
-    for x in range(1, n + 1):
-        if set(ab.alpha[x - 1]) != full:
-            raise Degenerate(f"alpha_{x} is not invertible")
-    for y in range(1, n + 1):
-        if set(ab.beta[y - 1]) != full:
-            raise Degenerate(f"beta_{y} is not invertible")
+    row = _degenerate_row(alpha_beta(R))
+    if row is not None:
+        raise Degenerate(f"{row[0]}_{row[1]} is not invertible")
 
 
 def _invert_row(row: tuple[int, ...]) -> tuple[int, ...]:

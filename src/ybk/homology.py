@@ -41,7 +41,7 @@ from .errors import (
     SizeMismatch,
 )
 from .limits import check_count
-from .solution import Solution, alpha_beta, is_ybe
+from .solution import Solution, _all_identity, alpha_beta, is_ybe
 
 
 @dataclass(frozen=True, slots=True)
@@ -531,7 +531,7 @@ def _complex(R: Solution, nmax: int) -> list[list[dict[int, int]]]:
     is built.
     """
     _require_solution(R)
-    _check_degree(nmax, None)
+    _check_degree(nmax, 0)
     if nmax > 0:
         check_count(R.size, f"degree-{nmax} chain basis", nmax)
     return [_boundary_columns(R, n) for n in range(1, nmax + 1)]
@@ -557,12 +557,12 @@ def _composes_to_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]) 
     return True
 
 
-def _check_degree(n, least: int | None) -> None:
-    """Reject a degree that is not an int, or is below `least` when one is given."""
+def _check_degree(n, least: int) -> None:
+    """Reject a degree that is not an int, or is below `least`."""
     # `type` rather than isinstance: bool is a subclass of int
     if type(n) is not int:
         raise InvalidParams(f"degree must be an integer, got {n!r}")
-    if least is not None and n < least:
+    if n < least:
         raise InvalidParams(f"degree must be at least {least}, got {n}")
 
 
@@ -682,6 +682,5 @@ def _require_solution(R: Solution) -> None:
 
 
 def _require_passive_first(R: Solution, what: str) -> None:
-    identity_row = tuple(range(1, R.size + 1))
-    if any(row != identity_row for row in alpha_beta(R).alpha):
+    if not _all_identity(alpha_beta(R).alpha):
         raise NotDerivedType(f"{what} needs the first coordinate to be passive")

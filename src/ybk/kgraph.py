@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby
 
 from .constructions import _check_lengths, level_codes, level_is_identity
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     PropertyMissing,
 )
 from .limits import check_count
-from .solution import Solution, is_ybe
+from .solution import Solution, _least, is_ybe
 
 
 @dataclass(frozen=True)
@@ -177,30 +177,28 @@ def constant_family(R: Solution, k: int) -> ThetaFamily:
     return make_theta_family(k, (R.size,) * k, maps)
 
 
-def _hat(family: ThetaFamily, i: int, j: int, s: int, t: int) -> tuple[int, int]:
-    """The conjugated map on [N_i] x [N_j]: flip after theta_ij."""
-    tp, sp = family.apply(i, j, s, t)
-    return sp, tp
-
-
 def _validate(family: ThetaFamily):
     for i, j, kk in combinations(range(1, family.k + 1), 3):
-        ni = range(1, family.sizes[i - 1] + 1)
-        nj = range(1, family.sizes[j - 1] + 1)
-        nk = range(1, family.sizes[kk - 1] + 1)
-        for s, t, u in product(ni, nj, nk):
+        ij, ik, jk = (family.maps[family.pair_index(*pair)] for pair in ((i, j), (i, kk), (j, kk)))
+        nj, nk = family.sizes[j - 1], family.sizes[kk - 1]
+
+        # each table read is the conjugated map: theta_ij(s, t) = (t', s'),
+        # read back as (s', t'); the two sides apply jk, ik, ij and ij, ik, jk
+        def fails(s, t, u):
             a, b, c = s, t, u
-            b, c = _hat(family, j, kk, b, c)
-            a, c = _hat(family, i, kk, a, c)
-            a, b = _hat(family, i, j, a, b)
+            c, b = jk[(b - 1) * nk + c - 1]
+            c, a = ik[(a - 1) * nk + c - 1]
+            b, a = ij[(a - 1) * nj + b - 1]
             lhs = (a, b, c)
             a, b, c = s, t, u
-            a, b = _hat(family, i, j, a, b)
-            a, c = _hat(family, i, kk, a, c)
-            b, c = _hat(family, j, kk, b, c)
-            rhs = (a, b, c)
-            if lhs != rhs:
-                return False, (i, j, kk, (s, t, u))
+            b, a = ij[(a - 1) * nj + b - 1]
+            c, a = ik[(a - 1) * nk + c - 1]
+            c, b = jk[(b - 1) * nk + c - 1]
+            return lhs != (a, b, c)
+
+        point = _least(fails, *(range(1, family.sizes[c - 1] + 1) for c in (i, j, kk)))
+        if point is not None:
+            return False, (i, j, kk, point)
     return True, None
 
 

@@ -17,6 +17,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (
     InvalidParams,
@@ -200,7 +201,10 @@ def builtin(name: str, size: int, f=None, g=None) -> Solution:
 
 
 def _as_permutation(seq, n: int, label: str) -> tuple[int, ...]:
-    images = tuple(seq)
+    try:
+        images = tuple(seq)
+    except TypeError:
+        raise InvalidParams(f"{label} must be a permutation of 1..{n}, got {seq!r}") from None
     # `type` rather than isinstance: bool is a subclass of int
     if any(type(x) is not int for x in images) or sorted(images) != list(range(1, n + 1)):
         raise InvalidParams(f"{label} must be a permutation of 1..{n}, got {images!r}")
@@ -245,14 +249,18 @@ def is_ybe(R: Solution) -> bool:
 
 def ybe_witness(R: Solution):
     """Least triple (x, y, z) where the braid relation fails, or None."""
-    n = R.size
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            for z in range(1, n + 1):
-                lhs, rhs = _braid_sides(R, x, y, z)
-                if lhs != rhs:
-                    return (x, y, z)
-    return None
+
+    def fails(x, y, z):
+        lhs, rhs = _braid_sides(R, x, y, z)
+        return lhs != rhs
+
+    span = range(1, R.size + 1)
+    return _least(fails, span, span, span)
+
+
+def _least(fails, *ranges):
+    """The lexicographically least point of product(*ranges) where `fails` holds, or None."""
+    return next((point for point in product(*ranges) if fails(*point)), None)
 
 
 def _braid_sides(R: Solution, x: int, y: int, z: int):
@@ -281,74 +289,54 @@ def alpha_beta(R: Solution) -> AlphaBeta:
 
 def properties(R: Solution) -> PropertyReport:
     """All structural flags, each by direct exhaustive test."""
-    n = R.size
-    witnesses: dict = {}
-
-    involutive = True
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            u, v = R(x, y)
-            if R(u, v) != (x, y):
-                involutive = False
-                witnesses["involutive"] = (x, y)
-                break
-        if not involutive:
-            break
-
-    square_free = True
-    for x in range(1, n + 1):
-        if R(x, x) != (x, x):
-            square_free = False
-            witnesses["square_free"] = (x,)
-            break
-
+    span = range(1, R.size + 1)
     ab = alpha_beta(R)
-    non_degenerate = True
-    for x in range(1, n + 1):
-        row = ab.alpha[x - 1]
-        collision = _first_collision(row)
-        if collision is not None:
-            non_degenerate = False
-            witnesses["non_degenerate"] = ("alpha", x) + collision
-            break
-    if non_degenerate:
-        for y in range(1, n + 1):
-            row = ab.beta[y - 1]
-            collision = _first_collision(row)
-            if collision is not None:
-                non_degenerate = False
-                witnesses["non_degenerate"] = ("beta", y) + collision
-                break
-
-    identity_row = tuple(range(1, n + 1))
-    alpha_is_id = all(row == identity_row for row in ab.alpha)
-    beta_is_id = all(row == identity_row for row in ab.beta)
-    derived_type = alpha_is_id or beta_is_id
-
     ybe = is_ybe(R)
-    if not ybe:
-        witnesses["is_ybe"] = ybe_witness(R)
-
+    found = {
+        "involutive": _least(lambda x, y: R(*R(x, y)) != (x, y), span, span),
+        "square_free": _least(lambda x: R(x, x) != (x, x), span),
+        "non_degenerate": _degenerate_row(ab),
+        "is_ybe": None if ybe else ybe_witness(R),
+    }
+    involutive = found["involutive"] is None
+    non_degenerate = found["non_degenerate"] is None
     return PropertyReport(
         is_bijection=True,
         is_ybe=ybe,
         involutive=involutive,
-        square_free=square_free,
+        square_free=found["square_free"] is None,
         non_degenerate=non_degenerate,
         symmetric=involutive and non_degenerate and ybe,
-        derived_type=derived_type,
-        witnesses=witnesses,
+        derived_type=_all_identity(ab.alpha) or _all_identity(ab.beta),
+        witnesses={key: point for key, point in found.items() if point is not None},
     )
 
 
+def _degenerate_row(ab: AlphaBeta):
+    """("alpha", x) + the `_first_collision` of the first non-injective alpha_x, else
+    the same for beta, or None when every row is injective."""
+    for side, rows in (("alpha", ab.alpha), ("beta", ab.beta)):
+        for x, row in enumerate(rows, start=1):
+            collision = _first_collision(row)
+            if collision is not None:
+                return (side, x) + collision
+    return None
+
+
 def _first_collision(row: tuple[int, ...]):
-    """Least (a, b), a < b, with row[a-1] == row[b-1], or None if injective."""
+    """The (a, b), a < b, with row[a-1] == row[b-1] and the least b, or None if injective."""
     seen: dict[int, int] = {}
     for pos, value in enumerate(row, start=1):
         if value in seen:
             return (seen[value], pos)
         seen[value] = pos
     return None
+
+
+def _all_identity(rows) -> bool:
+    """Whether every one of the N rows is the identity map of [N]."""
+    identity_row = tuple(range(1, len(rows) + 1))
+    return all(row == identity_row for row in rows)
 
 
 def check_structure_equations(R: Solution) -> StructureReport:
@@ -358,55 +346,32 @@ def check_structure_equations(R: Solution) -> StructureReport:
     R(x, y) = (u, v), plus the mixed compatibility equation, each checked on
     every triple.
     """
-    n = R.size
     ab = alpha_beta(R)
     alpha, beta = ab.alpha, ab.beta
-    witnesses: dict = {}
 
-    alpha_hom = True
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            u, v = R(x, y)
-            for z in range(1, n + 1):
-                if alpha[x - 1][alpha[y - 1][z - 1] - 1] != alpha[u - 1][alpha[v - 1][z - 1] - 1]:
-                    alpha_hom = False
-                    witnesses["alpha_homomorphic"] = (x, y, z)
-                    break
-            if not alpha_hom:
-                break
-        if not alpha_hom:
-            break
+    def alpha_fails(x, y, z):
+        u, v = R(x, y)
+        return alpha[x - 1][alpha[y - 1][z - 1] - 1] != alpha[u - 1][alpha[v - 1][z - 1] - 1]
 
-    beta_antihom = True
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            u, v = R(x, y)
-            for z in range(1, n + 1):
-                if beta[y - 1][beta[x - 1][z - 1] - 1] != beta[v - 1][beta[u - 1][z - 1] - 1]:
-                    beta_antihom = False
-                    witnesses["beta_antihomomorphic"] = (x, y, z)
-                    break
-            if not beta_antihom:
-                break
-        if not beta_antihom:
-            break
+    def beta_fails(x, y, z):
+        u, v = R(x, y)
+        return beta[y - 1][beta[x - 1][z - 1] - 1] != beta[v - 1][beta[u - 1][z - 1] - 1]
 
-    compatible = True
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            for z in range(1, n + 1):
-                left = beta[alpha[beta[y - 1][x - 1] - 1][z - 1] - 1][alpha[x - 1][y - 1] - 1]
-                right = alpha[beta[alpha[y - 1][z - 1] - 1][x - 1] - 1][beta[z - 1][y - 1] - 1]
-                if left != right:
-                    compatible = False
-                    witnesses["compatible"] = (x, y, z)
-                    break
-            if not compatible:
-                break
-        if not compatible:
-            break
+    def compatible_fails(x, y, z):
+        left = beta[alpha[beta[y - 1][x - 1] - 1][z - 1] - 1][alpha[x - 1][y - 1] - 1]
+        right = alpha[beta[alpha[y - 1][z - 1] - 1][x - 1] - 1][beta[z - 1][y - 1] - 1]
+        return left != right
 
-    return StructureReport(alpha_hom, beta_antihom, compatible, witnesses)
+    span = range(1, R.size + 1)
+    found = {
+        "alpha_homomorphic": _least(alpha_fails, span, span, span),
+        "beta_antihomomorphic": _least(beta_fails, span, span, span),
+        "compatible": _least(compatible_fails, span, span, span),
+    }
+    return StructureReport(
+        *(point is None for point in found.values()),
+        {key: point for key, point in found.items() if point is not None},
+    )
 
 
 def apply_leg(R: Solution, i: int, values) -> tuple[int, ...]:
@@ -430,12 +395,11 @@ def mirror_derived(R: Solution) -> Solution:
     """
     n = R.size
     ab = alpha_beta(R)
-    identity_row = tuple(range(1, n + 1))
-    if all(row == identity_row for row in ab.beta):
+    if _all_identity(ab.beta):
         table = [
             (y, ab.alpha[y - 1][x - 1]) for x in range(1, n + 1) for y in range(1, n + 1)
         ]
-    elif all(row == identity_row for row in ab.alpha):
+    elif _all_identity(ab.alpha):
         table = [
             (ab.beta[x - 1][y - 1], x) for x in range(1, n + 1) for y in range(1, n + 1)
         ]

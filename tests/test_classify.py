@@ -320,14 +320,14 @@ class TestYbIsomorphic:
 class TestWitnessReplays:
     """A claimed witness that is not a permutation of [N] is a bad value."""
 
-    @pytest.mark.parametrize("phi", [(1, 1), (1,), (1, 2, 3), (0, 1), (2, 3), (True, 2), (1.0, 2)])
+    @pytest.mark.parametrize("phi", [(1, 1), (1,), (1, 2, 3), (0, 1), (2, 3), (True, 2), (1.0, 2), 5])
     def test_iso_witness_must_be_a_permutation(self, standard, phi):
         # (1, 1) used to replay as a witness of id2 with itself, and (1,) to
         # escape as an IndexError
         with pytest.raises(InvalidParams, match="phi must be a permutation of 1..2"):
             is_yb_iso_witness(standard["id2"], standard["id2"], phi)
 
-    @pytest.mark.parametrize("bad", [(2, 2), (1,), (0, 1, 2), (False, 1)])
+    @pytest.mark.parametrize("bad", [(2, 2), (1,), (0, 1, 2), (False, 1), 5])
     def test_conjugacy_witness_must_be_permutations(self, standard, bad):
         a, b = standard["flip2"], standard["dbl2"]
         with pytest.raises(InvalidParams, match="tau must be a permutation"):

@@ -352,6 +352,13 @@ class TestHomology:
             assert (code, out) == (1, "")
             assert err == "error: boundaries do not compose to zero; the chain condition failed\n"
 
+    def test_negative_degree_names_the_degree_given(self, capsys):
+        # --verify-complex builds the complex through degree + 1, which must
+        # not be the degree that the error reports
+        for extra in ((), ("--verify-complex",)):
+            code, out, err = run(capsys, "homology", "catalog:dihedral-3", "--degree", "-5", *extra)
+            assert (code, out, err) == (2, "", "error: degree must be at least 0, got -5\n")
+
     @pytest.mark.parametrize(
         "extra", [("--degree", "-1"), ("--degree", "1", "--coeff", "z/abc")]
     )

@@ -445,6 +445,12 @@ class TestComplex:
             verify_complex(standard["dih3"], nmax)
         assert calls == []
 
+    @pytest.mark.parametrize("nmax", [-1, -3])
+    def test_negative_top_degree_rejected(self, standard, nmax):
+        # an empty complex used to report the chain condition as holding
+        with pytest.raises(InvalidParams, match=f"^degree must be at least 0, got {nmax}$"):
+            verify_complex(standard["dih3"], nmax)
+
     def test_changed_entry_breaks_chain_condition(self, monkeypatch, standard):
         module = importlib.import_module("ybk.homology")
         original = module._boundary_columns

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -11,6 +12,7 @@ from ybk.errors import (
     PositionOutOfRange,
     UnknownName,
 )
+from ybk.kgraph import constant_family, validate_kgraph
 from ybk.solution import (
     Solution,
     _braid_sides,
@@ -103,7 +105,7 @@ class TestBuiltins:
         with pytest.raises(InvalidParams):
             builtin("permutation", 3, f=(2, 1, 3), g=(1, 3, 2))
 
-    @pytest.mark.parametrize("f", [(True, 2), (1, 2.0), (1, 1), (2,)])
+    @pytest.mark.parametrize("f", [(True, 2), (1, 2.0), (1, 1), (2,), 5])
     def test_permutation_images_must_be_ints_forming_a_permutation(self, f):
         # (True, 2) used to pass as the identity: bool is a subclass of int
         with pytest.raises(InvalidParams, match="f must be a permutation of 1..2"):
@@ -246,6 +248,101 @@ class TestProperties:
 
                 lhs, rhs = _braid_sides(R, *report.witnesses["is_ybe"])
                 assert lhs != rhs
+
+
+class TestLeastWitnesses:
+    """Each witness is the least failing point, found here by brute force."""
+
+    @staticmethod
+    def tables():
+        pairs = [(x, y) for x in (1, 2) for y in (1, 2)]
+        tables = [make_solution(2, order) for order in permutations(pairs)]
+        rng = random.Random(19)
+        return tables + [make_solution(3, random_bijection_table(3, rng)) for _ in range(200)]
+
+    @staticmethod
+    def least_failures(R):
+        """Every check's least failing point, straight from the definitions."""
+        span = range(1, R.size + 1)
+        pairs = list(product(span, repeat=2))
+        triples = list(product(span, repeat=3))
+
+        def alpha(x, y):
+            return R(x, y)[0]
+
+        def beta(y, x):
+            return R(x, y)[1]
+
+        def braid(x, y, z):
+            u, v = R(x, y)
+            a, b = R(v, z)
+            c, d = R(u, a)
+            p, q = R(y, z)
+            e, f = R(x, p)
+            g, h = R(f, q)
+            return (c, d, b) != (e, g, h)
+
+        def hat(s, t):
+            t2, s2 = R(s, t)
+            return s2, t2
+
+        def triple(s, t, u):
+            b, c = hat(t, u)
+            a, c = hat(s, c)
+            a, b = hat(a, b)
+            d, e = hat(s, t)
+            d, f = hat(d, u)
+            e, f = hat(e, f)
+            return (a, b, c) != (d, e, f)
+
+        failures = {
+            "involutive": [(x, y) for x, y in pairs if R(*R(x, y)) != (x, y)],
+            "square_free": [(x,) for x in span if R(x, x) != (x, x)],
+            "is_ybe": [t for t in triples if braid(*t)],
+            "alpha_homomorphic": [
+                (x, y, z)
+                for x, y, z in triples
+                if alpha(x, alpha(y, z)) != alpha(R(x, y)[0], alpha(R(x, y)[1], z))
+            ],
+            "beta_antihomomorphic": [
+                (x, y, z)
+                for x, y, z in triples
+                if beta(y, beta(x, z)) != beta(R(x, y)[1], beta(R(x, y)[0], z))
+            ],
+            "compatible": [
+                (x, y, z)
+                for x, y, z in triples
+                if beta(alpha(beta(y, x), z), alpha(x, y))
+                != alpha(beta(alpha(y, z), x), beta(z, y))
+            ],
+            "kgraph": [t for t in triples if triple(*t)],
+        }
+        least = {key: min(points) for key, points in failures.items() if points}
+        # a non-injective row's collision (a, b) is the one with the least b
+        collisions = [
+            (side, x, b, a)
+            for side, coordinate in (("alpha", alpha), ("beta", beta))
+            for x, a, b in triples
+            if a < b and coordinate(x, a) == coordinate(x, b)
+        ]
+        if collisions:
+            side, x, b, a = min(collisions)
+            least["non_degenerate"] = (side, x, a, b)
+        return least
+
+    def test_witnesses_are_least(self):
+        tables = self.tables()
+        assert len(tables) == 224
+        for R in tables:
+            least = self.least_failures(R)
+            flags = ("involutive", "square_free", "non_degenerate", "is_ybe")
+            assert properties(R).witnesses == {k: least[k] for k in flags if k in least}, R
+            equations = ("alpha_homomorphic", "beta_antihomomorphic", "compatible")
+            report = check_structure_equations(R)
+            assert report.witnesses == {k: least[k] for k in equations if k in least}, R
+            assert ybe_witness(R) == least.get("is_ybe"), R
+            verdict = (False, (1, 2, 3, least["kgraph"])) if "kgraph" in least else (True, None)
+            assert validate_kgraph(constant_family(R, 3)) == verdict, R
 
 
 class TestAlphaBeta:
