@@ -148,9 +148,8 @@ def _cmd_equations(args) -> int:
     return 0 if report["all_hold"] else 1
 
 
-def _print_solution(solution: Solution, name: str | None = None) -> int:
-    doc = _serialize.SolutionDocument(solution, name=name)
-    sys.stdout.write(_serialize.emit_solution_document(doc))
+def _print_solution(solution: Solution) -> int:
+    sys.stdout.write(_serialize.emit_solution_document(solution))
     return 0
 
 
@@ -273,32 +272,24 @@ def _cmd_semigroup(args) -> int:
         }
         lines.append(pres.semigroup_text)
         lines.append(pres.group_text)
-    if args.cancel:
-        ok, witness = check_cancellative(R, args.max_len)
-        report["cancellative"] = ok
-        report["cancellation_witness"] = _witness_json(witness)
-        lines.append(f"cancellative up to {args.max_len}: {'yes' if ok else 'no'}")
-        if witness:
-            lines.append(f"witness: {witness}")
-        if not ok:
-            code = 1
-    if args.extension_check:
-        ok, witness = semigroup_extension_check(R, args.max_len)
-        report["extension_ok"] = ok
-        report["extension_witness"] = _witness_json(witness)
-        lines.append(f"braided extension up to {args.max_len}: {'yes' if ok else 'no'}")
+    for wanted, check, ok_key, witness_key, label in (
+        (args.cancel, check_cancellative, "cancellative", "cancellation_witness", "cancellative"),
+        (args.extension_check, semigroup_extension_check, "extension_ok", "extension_witness", "braided extension"),
+    ):
+        if not wanted:
+            continue
+        ok, witness = check(R, args.max_len)
+        report[ok_key] = ok
+        report[witness_key] = None if witness is None else [
+            list(w) if isinstance(w, tuple) else w for w in witness
+        ]
+        lines.append(f"{label} up to {args.max_len}: {'yes' if ok else 'no'}")
         if witness:
             lines.append(f"witness: {witness}")
         if not ok:
             code = 1
     _emit(args, report, lines)
     return code
-
-
-def _witness_json(witness):
-    if witness is None:
-        return None
-    return [list(w) if isinstance(w, tuple) else w for w in witness]
 
 
 def _cmd_enumerate(args) -> int:
@@ -336,6 +327,19 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _modulus(coeff: str) -> int | None:
+    """The modulus M of a --coeff value z/M, or None for z."""
+    text = coeff.strip().lower()
+    if text == "z":
+        return None
+    if text.startswith("z/"):
+        try:
+            return int(text[2:])
+        except ValueError:
+            pass
+    raise InvalidParams(f"--coeff must be z or z/M, got {coeff!r}")
+
+
 def _cmd_homology(args) -> int:
     R = _load_solution(args.input)
     code = 0
@@ -360,23 +364,12 @@ def _cmd_homology(args) -> int:
     integral, cohomology_with = _groups(R, args.degree, boundaries)
     report["homology"] = str(integral)
     lines.append(f"H_{args.degree} = {integral}")
-    coeff = args.coeff.strip().lower()
-    if coeff == "z":
-        group = cohomology_with(None)
-        report["cohomology"] = str(group)
-        report["coefficients"] = "z"
-        lines.append(f"H^{args.degree}(Z) = {group}")
-    elif coeff.startswith("z/"):
-        try:
-            modulus = int(coeff[2:])
-        except ValueError as exc:
-            raise InvalidParams(f"--coeff must be z or z/M, got {args.coeff!r}") from exc
-        group = cohomology_with(modulus)
-        report["cohomology"] = str(group)
-        report["coefficients"] = f"z/{modulus}"
-        lines.append(f"H^{args.degree}(Z/{modulus}) = {group}")
-    else:
-        raise InvalidParams(f"--coeff must be z or z/M, got {args.coeff!r}")
+    modulus = _modulus(args.coeff)
+    coefficients = "z" if modulus is None else f"z/{modulus}"
+    group = cohomology_with(modulus)
+    report["cohomology"] = str(group)
+    report["coefficients"] = coefficients
+    lines.append(f"H^{args.degree}({coefficients.upper()}) = {group}")
     _emit(args, report, lines)
     return code
 
@@ -384,11 +377,7 @@ def _cmd_homology(args) -> int:
 def _cmd_catalog(args) -> int:
     if args.name is None:
         names = _catalog.catalog_names()
-        if getattr(args, "json", False):
-            sys.stdout.write(_serialize.canonical_json({"command": "catalog", "names": names}))
-        else:
-            for name in names:
-                print(name)
+        _emit(args, {"command": "catalog", "names": names}, names)
         return 0
     sys.stdout.write(_serialize.canonical_json(_catalog.catalog_document(args.name)))
     return 0
@@ -407,70 +396,64 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(subparsers, name, handler, **kwargs):
+        p = subparsers.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="machine-readable canonical JSON")
         return p
 
-    p = add("verify", _cmd_verify, help="decide the braid relation")
+    p = add(sub, "verify", _cmd_verify, help="decide the braid relation")
     p.add_argument("input")
 
-    p = add("props", _cmd_props, help="structural property report")
+    p = add(sub, "props", _cmd_props, help="structural property report")
     p.add_argument("input")
 
-    p = add("equations", _cmd_equations, help="the three coordinate-map equations")
+    p = add(sub, "equations", _cmd_equations, help="the three coordinate-map equations")
     p.add_argument("input")
 
-    p = add("level", _cmd_level, help="emit the level-n solution document")
+    p = add(sub, "level", _cmd_level, help="emit the level-n solution document")
     p.add_argument("input")
     p.add_argument("--n", type=int, required=True)
 
-    p = add("derive", _cmd_derive, help="emit the derived solution document")
+    p = add(sub, "derive", _cmd_derive, help="emit the derived solution document")
     p.add_argument("input")
     p.add_argument("--left", action="store_true", help="the mirror-shape variant")
 
-    p = add("product", _cmd_product, help="cartesian product of two solutions")
+    p = add(sub, "product", _cmd_product, help="cartesian product of two solutions")
     p.add_argument("left")
     p.add_argument("right")
 
-    p = add("extend-trivial", _cmd_extend_trivial, help="trivial extension of two solutions")
+    p = add(sub, "extend-trivial", _cmd_extend_trivial, help="trivial extension of two solutions")
     p.add_argument("left")
     p.add_argument("right")
 
-    p = add("extend-glued", _cmd_extend_glued, help="glued identity extension from a 2-colour theta document")
+    p = add(sub, "extend-glued", _cmd_extend_glued, help="glued identity extension from a 2-colour theta document")
     p.add_argument("theta")
 
-    p = add("union", _cmd_union, help="disjoint-union solution of a theta document")
+    p = add(sub, "union", _cmd_union, help="disjoint-union solution of a theta document")
     p.add_argument("theta")
 
     kgraph = sub.add_parser("kgraph", help="k-graph operations")
     ksub = kgraph.add_subparsers(dest="kgraph_command", required=True)
 
-    def kadd(name, handler, **kwargs):
-        p = ksub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        p.add_argument("--json", action="store_true")
-        return p
-
-    p = kadd("verify", _cmd_kgraph_verify, help="validate the triple identity")
+    p = add(ksub, "verify", _cmd_kgraph_verify, help="validate the triple identity")
     p.add_argument("theta")
 
-    p = kadd("normalize", _cmd_kgraph_normalize, help="normal form of a word")
+    p = add(ksub, "normalize", _cmd_kgraph_normalize, help="normal form of a word")
     p.add_argument("theta")
     p.add_argument("--word", required=True, help="comma-separated colour:letter pairs")
 
-    p = kadd("diamond", _cmd_kgraph_diamond, help="complete a factorization diamond")
+    p = add(ksub, "diamond", _cmd_kgraph_diamond, help="complete a factorization diamond")
     p.add_argument("theta")
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--direction", choices=("pullback", "pushout"), required=True)
 
-    p = add("periodic", _cmd_periodic, help="search for a level with identity solution")
+    p = add(sub, "periodic", _cmd_periodic, help="search for a level with identity solution")
     p.add_argument("input")
     p.add_argument("--bound", type=int, default=6)
 
-    p = add("semigroup", _cmd_semigroup, help="structure semigroup reports")
+    p = add(sub, "semigroup", _cmd_semigroup, help="structure semigroup reports")
     p.add_argument("input")
     p.add_argument(
         "--max-len",
@@ -483,19 +466,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extension-check", action="store_true")
 
     for name in ("enumerate", "classify"):
-        p = add(name, _cmd_enumerate, help="census and classification of small solutions")
+        p = add(sub, name, _cmd_enumerate, help="census and classification of small solutions")
         p.add_argument("--size", type=int, required=True)
         p.add_argument("--relation", choices=("yb-iso", "conjugacy"), default="yb-iso")
         p.add_argument("--sample", type=int, default=None, help="non-exhaustive seeded sampling")
         p.add_argument("--seed", type=int, default=0)
 
-    p = add("homology", _cmd_homology, help="integral homology and cohomology")
+    p = add(sub, "homology", _cmd_homology, help="integral homology and cohomology")
     p.add_argument("input")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--coeff", default="z", help="z or z/M")
     p.add_argument("--verify-complex", action="store_true")
 
-    p = add("catalog", _cmd_catalog, help="list or emit bundled inputs")
+    p = add(sub, "catalog", _cmd_catalog, help="list or emit bundled inputs")
     p.add_argument("name", nargs="?", default=None)
 
     return parser

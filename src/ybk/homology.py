@@ -44,6 +44,13 @@ from .limits import check_count
 from .solution import Solution, _all_identity, alpha_beta, is_ybe
 
 
+def _check_dimensions(*dimensions) -> None:
+    for dimension in dimensions:
+        # `type` rather than isinstance: bool is a subclass of int
+        if type(dimension) is not int or dimension < 0:
+            raise InvalidParams(f"matrix dimensions must be non-negative integers, got {dimension!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class IntegerMatrix:
     """A dense matrix of exact integers."""
@@ -53,6 +60,7 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_dimensions(self.rows, self.cols)
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise InvalidParams("entry shape does not match declared dimensions")
 
@@ -70,10 +78,13 @@ class IntegerMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
+        # checked before `range` sees them, which raises TypeError on a float
+        _check_dimensions(rows, cols)
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
+        _check_dimensions(n)
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
@@ -131,6 +142,10 @@ class AbelianGroup:
         m = prod b**e_b, and every prime power of m is some b**e_b to a
         fixed power, so the factors come out as from a prime factorization.
         """
+        try:
+            orders = tuple(orders)
+        except TypeError as exc:
+            raise InvalidParams(f"cyclic orders come as an iterable, got {orders!r}") from exc
         free = 0
         finite = []
         for order in orders:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby
 
+from . import limits
 from .constructions import _check_lengths, level_codes, level_is_identity
 from .errors import (
     DegreeOutOfRange,
@@ -110,6 +111,21 @@ class KWord:
         return " ".join(tokens) if tokens else "1"
 
 
+def _pair_key_mismatch(keys, k: int, key=lambda i, j: (i, j)) -> str | None:
+    """None when `keys` are exactly key(i, j) for the colour pairs i < j of k
+    colours, else a message naming one missing or unexpected key.  The pairs
+    are walked no further than the keys given: linear in len(keys), not in k**2.
+    """
+    pairs = (key(i, j) for i, j in combinations(range(1, k + 1), 2))
+    count = k * (k - 1) // 2
+    if len(keys) < count:
+        odd, why = next(pair for pair in pairs if pair not in keys), "missing"
+    else:
+        expected = set(pairs)
+        odd, why = next((given for given in keys if given not in expected), None), "unexpected"
+    return None if odd is None else f"expected {count} keys, got {len(keys)}; {odd!r} {why}"
+
+
 def make_theta_family(k: int, sizes, maps) -> ThetaFamily:
     """Validate tables and freeze a family.
 
@@ -123,14 +139,12 @@ def make_theta_family(k: int, sizes, maps) -> ThetaFamily:
     sizes = tuple(sizes)
     if len(sizes) != k or any(type(n) is not int or n < 1 for n in sizes):
         raise InvalidParams(f"sizes must be {k} positive integers, got {sizes!r}")
-    expected = list(combinations(range(1, k + 1), 2))
-    if set(maps.keys()) != set(expected):
-        raise InvalidParams(
-            f"maps must be keyed by exactly the colour pairs {expected}, got {sorted(maps.keys())}"
-        )
+    mismatch = _pair_key_mismatch(maps.keys(), k)
+    if mismatch:
+        raise InvalidParams(f"maps must be keyed by the colour pairs (i, j), i < j, of {k} colours: {mismatch}")
     tables = []
     inverses = []
-    for i, j in expected:
+    for i, j in combinations(range(1, k + 1), 2):
         ni, nj = sizes[i - 1], sizes[j - 1]
         try:
             pairs = [tuple(entry) for entry in maps[(i, j)]]
@@ -173,6 +187,7 @@ def constant_family(R: Solution, k: int) -> ThetaFamily:
     """All colours share the size N and the table of R."""
     if not isinstance(k, int) or k < 2:
         raise InvalidParams(f"k must be an integer >= 2, got {k!r}")
+    limits.check_count(k * (k - 1) // 2 * R.size ** 2, "constant family tables")
     maps = {pair: R.table for pair in combinations(range(1, k + 1), 2)}
     return make_theta_family(k, (R.size,) * k, maps)
 

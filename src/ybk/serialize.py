@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ParseError, SchemaError
-from .kgraph import ThetaFamily, make_theta_family
+from .kgraph import ThetaFamily, _pair_key_mismatch, make_theta_family
 from .solution import Solution, make_solution
 
 FORMAT_VERSION = "1"
@@ -58,19 +58,37 @@ def _load_object(text: str) -> dict:
     return obj
 
 
-def _check_version(obj: dict) -> None:
+def _envelope(text: str, keys: set) -> tuple[dict, str | None, dict | None]:
+    """The object of a document of either kind, with its `name` and `metadata`;
+    checks the format version, the key set and the two optional fields."""
+    obj = _load_object(text)
     if obj.get("format_version") != FORMAT_VERSION:
         raise SchemaError(
             f"format_version must be {FORMAT_VERSION!r}, got {obj.get('format_version')!r}"
         )
+    unknown = set(obj) - keys
+    if unknown:
+        raise SchemaError(f"unknown keys: {sorted(unknown)}")
+    name = obj.get("name")
+    if name is not None and not isinstance(name, str):
+        raise SchemaError("name must be a string")
+    metadata = obj.get("metadata")
+    if metadata is not None and not isinstance(metadata, dict):
+        raise SchemaError("metadata must be an object")
+    return obj, name, metadata
+
+
+def _with_envelope(doc, body: dict) -> dict:
+    out = {"format_version": FORMAT_VERSION, **body}
+    if doc.name is not None:
+        out["name"] = doc.name
+    if doc.metadata is not None:
+        out["metadata"] = doc.metadata
+    return out
 
 
 def parse_solution_document(text: str) -> SolutionDocument:
-    obj = _load_object(text)
-    _check_version(obj)
-    unknown = set(obj) - _SOLUTION_KEYS
-    if unknown:
-        raise SchemaError(f"unknown keys: {sorted(unknown)}")
+    obj, name, metadata = _envelope(text, _SOLUTION_KEYS)
     if "size" not in obj or "table" not in obj:
         raise SchemaError("solution document needs 'size' and 'table'")
     size = obj["size"]
@@ -89,12 +107,6 @@ def parse_solution_document(text: str) -> SolutionDocument:
         if not (isinstance(labels, list) and len(labels) == size and all(isinstance(s, str) for s in labels)):
             raise SchemaError(f"labels must be {size} strings")
         labels = tuple(labels)
-    name = obj.get("name")
-    if name is not None and not isinstance(name, str):
-        raise SchemaError("name must be a string")
-    metadata = obj.get("metadata")
-    if metadata is not None and not isinstance(metadata, dict):
-        raise SchemaError("metadata must be an object")
     solution = make_solution(size, [tuple(entry) for entry in table])
     return SolutionDocument(solution, name=name, labels=labels, metadata=metadata)
 
@@ -102,18 +114,10 @@ def parse_solution_document(text: str) -> SolutionDocument:
 def solution_document_dict(doc) -> dict:
     if isinstance(doc, Solution):
         doc = SolutionDocument(doc)
-    out = {
-        "format_version": FORMAT_VERSION,
-        "size": doc.solution.size,
-        "table": [list(pair) for pair in doc.solution.table],
-    }
-    if doc.name is not None:
-        out["name"] = doc.name
+    body = {"size": doc.solution.size, "table": [list(pair) for pair in doc.solution.table]}
     if doc.labels is not None:
-        out["labels"] = list(doc.labels)
-    if doc.metadata is not None:
-        out["metadata"] = doc.metadata
-    return out
+        body["labels"] = list(doc.labels)
+    return _with_envelope(doc, body)
 
 
 def emit_solution_document(doc) -> str:
@@ -121,11 +125,7 @@ def emit_solution_document(doc) -> str:
 
 
 def parse_theta_document(text: str) -> ThetaDocument:
-    obj = _load_object(text)
-    _check_version(obj)
-    unknown = set(obj) - _THETA_KEYS
-    if unknown:
-        raise SchemaError(f"unknown keys: {sorted(unknown)}")
+    obj, name, metadata = _envelope(text, _THETA_KEYS)
     for key in ("k", "sizes", "maps"):
         if key not in obj:
             raise SchemaError(f"theta document needs {key!r}")
@@ -138,9 +138,9 @@ def parse_theta_document(text: str) -> ThetaDocument:
         raise SchemaError(f"sizes must be {k} integers")
     if not isinstance(maps_obj, dict):
         raise SchemaError("maps must be an object keyed 'i,j'")
-    expected = {f"{i},{j}" for i, j in combinations(range(1, k + 1), 2)}
-    if set(maps_obj) != expected:
-        raise SchemaError(f"maps must have exactly the keys {sorted(expected)}, got {sorted(maps_obj)}")
+    mismatch = _pair_key_mismatch(maps_obj, k, "{},{}".format)
+    if mismatch:
+        raise SchemaError(f"maps must be keyed 'i,j' by the colour pairs i < j of {k} colours: {mismatch}")
     maps = {}
     for key, entries in maps_obj.items():
         i, j = (int(part) for part in key.split(","))
@@ -150,12 +150,6 @@ def parse_theta_document(text: str) -> ThetaDocument:
             if not _is_pair(entry):
                 raise SchemaError(f"map {key!r} entries must be two-element integer arrays")
         maps[(i, j)] = [tuple(entry) for entry in entries]
-    name = obj.get("name")
-    if name is not None and not isinstance(name, str):
-        raise SchemaError("name must be a string")
-    metadata = obj.get("metadata")
-    if metadata is not None and not isinstance(metadata, dict):
-        raise SchemaError("metadata must be an object")
     family = make_theta_family(k, sizes, maps)
     return ThetaDocument(family, name=name, metadata=metadata)
 
@@ -164,21 +158,9 @@ def theta_document_dict(doc) -> dict:
     if isinstance(doc, ThetaFamily):
         doc = ThetaDocument(doc)
     family = doc.family
-    maps = {}
-    for i, j in combinations(range(1, family.k + 1), 2):
-        table = family.maps[family.pair_index(i, j)]
-        maps[f"{i},{j}"] = [list(pair) for pair in table]
-    out = {
-        "format_version": FORMAT_VERSION,
-        "k": family.k,
-        "sizes": list(family.sizes),
-        "maps": maps,
-    }
-    if doc.name is not None:
-        out["name"] = doc.name
-    if doc.metadata is not None:
-        out["metadata"] = doc.metadata
-    return out
+    pairs = combinations(range(1, family.k + 1), 2)
+    maps = {f"{i},{j}": [list(pair) for pair in table] for (i, j), table in zip(pairs, family.maps)}
+    return _with_envelope(doc, {"k": family.k, "sizes": list(family.sizes), "maps": maps})
 
 
 def emit_theta_document(doc) -> str:

@@ -44,7 +44,11 @@ class Solution:
     table: tuple[tuple[int, int], ...]
 
     def __call__(self, x: int, y: int) -> tuple[int, int]:
-        return self.table[(x - 1) * self.size + (y - 1)]
+        n = self.size
+        # `type` rather than isinstance: bool is a subclass of int
+        if not (type(x) is int and type(y) is int and 1 <= x <= n and 1 <= y <= n):
+            raise OutOfRange(f"({x!r}, {y!r}) outside [1..{n}] x [1..{n}]")
+        return self.table[(x - 1) * n + (y - 1)]
 
     def inverse(self) -> "Solution":
         """The inverse bijection (R is invertible by construction)."""

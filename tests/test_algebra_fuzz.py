@@ -4,8 +4,9 @@ Whatever small arguments they get, the public functions of `ybk.solution`
 and `ybk.homology` return or raise a `YbkError`: a bad size, table,
 permutation, leg, degree, modulus, matrix or cyclic order must not escape as
 a `TypeError`, an `IndexError` or any other built-in exception.  Arguments of
-a kind the README leaves unchecked (a leg position or tuple entry, a matrix
-shape, the container of cyclic orders) are drawn of the right type only.
+a kind the README leaves unchecked (a leg position or tuple entry) are drawn
+of the right type only, and so are matrix shapes and the container of cyclic
+orders, whose wrong types `tests/test_homology.py` checks.
 """
 
 import pytest
@@ -30,6 +31,7 @@ from ybk.homology import (
 )
 from ybk.solution import (
     BUILTIN_NAMES,
+    Solution,
     alpha_beta,
     apply_leg,
     builtin,
@@ -107,6 +109,17 @@ def test_table_checks_raise_only_library_errors(R, i, values):
     if mirrored is not None:
         assert flags.derived_type and is_ybe(mirrored) == flags.is_ybe
     _contract(apply_leg, R, i, values)
+
+
+@FUZZ
+@given(R=bijections(), x=LETTER, y=LETTER)
+def test_lookups_raise_only_library_errors(R, x, y):
+    for lookup in (R, R.inverse()):
+        found = _contract(Solution.__call__, lookup, x, y)
+        if found is not None:
+            assert type(x) is int and type(y) is int
+            assert found == lookup.table[(x - 1) * R.size + (y - 1)]
+            assert _contract(lookup, 0, y) is _contract(lookup, x, R.size + 1) is None
 
 
 @FUZZ

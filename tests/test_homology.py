@@ -727,6 +727,21 @@ class TestAbelianGroup:
         with pytest.raises(InvalidParams, match="divisibility chain"):
             AbelianGroup(0, (4, 6))
 
+    @pytest.mark.parametrize("orders", [5, None, 2.5])
+    def test_orders_must_come_in_an_iterable(self, orders):
+        with pytest.raises(InvalidParams):
+            AbelianGroup.from_cyclic_orders(orders)
+
+    @pytest.mark.parametrize("rows, cols", [(2.0, 1), (True, 1), (1, "1"), (-1, 0), (1, False)])
+    def test_matrix_shapes_must_be_non_negative_ints(self, rows, cols):
+        with pytest.raises(InvalidParams, match="matrix dimensions"):
+            IntegerMatrix.zero(rows, cols)
+        with pytest.raises(InvalidParams, match="matrix dimensions"):
+            IntegerMatrix(rows, cols, ())
+        if rows != 1:
+            with pytest.raises(InvalidParams, match="matrix dimensions"):
+                IntegerMatrix.identity(rows)
+
     @pytest.mark.parametrize(
         "free, torsion",
         [(-1, ()), (0, (0, 4)), (0, (1,)), (1.5, ()), (True, ()), (0, (2.5,)), (0, [2]), (0, 5)],

@@ -240,6 +240,21 @@ class TestMakeFamily:
         with pytest.raises(InvalidParams):
             make_theta_family(2, (1, 1), {(1, 2): [entry]})
 
+    def test_rejects_keys_of_mixed_types(self):
+        # sorting the keys for the message used to raise TypeError
+        with pytest.raises(InvalidParams, match="'x' unexpected"):
+            make_theta_family(2, (1, 1), {(1, 2): [(1, 1)], "x": []})
+
+    def test_many_colours_with_no_maps_fail_briefly(self):
+        with pytest.raises(InvalidParams) as exc:
+            make_theta_family(500, [1] * 500, {})
+        assert len(str(exc.value)) < 300 and "(1, 2) missing" in str(exc.value)
+
+    def test_constant_family_is_guarded(self):
+        # 124,750 colour pairs of 9 entries each are over the default limit
+        with pytest.raises(Overflow):
+            constant_family(builtin("dihedral", 3), 500)
+
 
 class TestApply:
     """`apply` and `apply_inv` check their letters against the colour sizes."""

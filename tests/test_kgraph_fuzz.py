@@ -16,20 +16,27 @@ from hypothesis import given, settings, strategies as st
 from ybk.errors import YbkError
 from ybk.kgraph import (
     KWord,
+    ThetaFamily,
     complete_diamond,
+    constant_family,
     factorize,
     make_theta_family,
     multiply,
     normalize,
+    periodicity,
+    restrict,
     unique_pullback,
     unique_pushout,
     validate_kgraph,
 )
+from ybk.solution import builtin, make_solution
 
 FUZZ = settings(derandomize=True, deadline=None)
 
 # in-range letters of a size-3 family, out-of-range ints and bools
 VALUE = st.integers(-1, 5) | st.booleans()
+# counts, bounds and exponents around the valid ranges, bools, a float and None
+NUMBER = st.integers(-1, 4) | st.booleans() | st.just(2.0) | st.none()
 
 
 @st.composite
@@ -86,3 +93,25 @@ def test_kgraph_functions_raise_only_library_errors(data):
     _contract(unique_pullback, family)
     _contract(unique_pushout, family)
     _contract(validate_kgraph, family)
+
+
+@FUZZ
+@given(data=st.data())
+def test_constant_families_and_periodicity_raise_only_library_errors(data):
+    n = data.draw(st.integers(1, 3))
+    pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+    R = data.draw(
+        st.sampled_from([builtin("identity", 2), builtin("flip", 2), builtin("dihedral", 3)])
+        | st.permutations(pairs).map(lambda table: make_solution(n, table))
+    )
+    found = _contract(periodicity, R, data.draw(NUMBER))
+    if found is not None:
+        assert found.periodic == (found.order is not None)
+    family = _contract(constant_family, R, data.draw(NUMBER))
+    if family is None:
+        family = data.draw(families())
+    _contract(restrict, family, *data.draw(st.tuples(NUMBER, NUMBER, NUMBER)))
+    i, j, s, t = (data.draw(VALUE) for _ in range(4))
+    _contract(ThetaFamily.pair_index, family, i, j)
+    for method in (ThetaFamily.apply, ThetaFamily.apply_inv):
+        _contract(method, family, i, j, s, t)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -96,6 +97,19 @@ class TestThetaDocuments:
             "maps": {"1,2": [[1, 1]], "1,3": [[1, 1]]},
         }
         with pytest.raises(SchemaError):
+            parse_theta_document(canonical_json(doc))
+
+    def test_many_colours_with_no_maps_fail_fast_and_briefly(self):
+        # the key set used to be built and listed in full: quadratic in k
+        doc = {"format_version": "1", "k": 3000, "sizes": [1] * 3000, "maps": {}}
+        with pytest.raises(SchemaError) as exc:
+            parse_theta_document(canonical_json(doc))
+        assert len(str(exc.value)) < 300 and "'1,2' missing" in str(exc.value)
+
+    @pytest.mark.parametrize("key", ["2,1", "1,1", "01,2", "1, 2", "x"])
+    def test_unexpected_key_is_named(self, key):
+        doc = {"format_version": "1", "k": 2, "sizes": [1, 1], "maps": {key: [[1, 1]]}}
+        with pytest.raises(SchemaError, match=re.escape(repr(key))):
             parse_theta_document(canonical_json(doc))
 
     def test_sniff(self):

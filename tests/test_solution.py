@@ -47,6 +47,12 @@ def direct_flags(R):
 
 
 class TestMakeSolution:
+    @pytest.mark.parametrize("x, y", [(0, 1), (1, 4), (-1, 2), (True, 1), (1, 2.0), ("1", 1)])
+    def test_lookup_outside_the_ground_set_raises(self, x, y):
+        # (0, 1) and (1, 4) used to read the entries of (3, 1) and (2, 1)
+        with pytest.raises(OutOfRange):
+            builtin("dihedral", 3)(x, y)
+
     def test_singleton(self):
         R = make_solution(1, [(1, 1)])
         assert R.size == 1 and R(1, 1) == (1, 1)
