@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
-from .errors import InvalidParams, SizeMismatch, SizeTooLarge
+from .errors import InvalidParams, SizeMismatch, SizeTooLarge, check_int
 from .solution import Solution, _as_permutation, _table_is_ybe
 
 CENSUS_MAX_SIZE = 3
@@ -52,7 +52,7 @@ class SolutionCensus:
 
 def enumerate_solutions(n: int) -> list[Solution]:
     """All braid-relation bijections on [n]^2, in lexicographic table order."""
-    _check_int(n, "size")
+    check_int(n, "size")
     if n > CENSUS_MAX_SIZE:
         raise SizeTooLarge(
             f"exhaustive search over ({n * n})! bijections is not feasible; the guard is N <= {CENSUS_MAX_SIZE}"
@@ -156,12 +156,10 @@ def sample_ybe_solutions(n: int, attempts: int, seed: int) -> list[Solution]:
     `rng = random.Random(seed)`, so the sampled list is a fixed function of
     (n, attempts, seed).
     """
-    _check_int(n, "size")
-    _check_int(attempts, "the number of sampled bijections")
+    check_int(n, "size")
     if n < 1:
         raise SizeTooLarge(f"size must be positive, got {n}")
-    if attempts < 0:
-        raise InvalidParams(f"the number of sampled bijections must be non-negative, got {attempts}")
+    check_int(attempts, "the number of sampled bijections", 0)
     getrandbits = random.Random(seed).getrandbits
     pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
     # Fisher-Yates as Random.shuffle runs it on CPython 3.10 to 3.13: position
@@ -310,12 +308,6 @@ def _fingerprint(solution: Solution):
             return None
         lengths.append(length)
     return tuple(sorted(lengths))
-
-
-def _check_int(value, what: str) -> None:
-    # `type` rather than isinstance: bool is a subclass of int
-    if type(value) is not int:
-        raise InvalidParams(f"{what} must be an integer, got {value!r}")
 
 
 def _check_relation(relation) -> None:

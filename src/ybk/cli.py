@@ -25,7 +25,7 @@ from .constructions import (
     level_solution,
     trivial_extension,
 )
-from .homology import _chain_holds, _check_degree, _complex, _groups
+from .homology import _chain_holds, _check_modulus, _complex, _groups
 from .kgraph import (
     ThetaFamily,
     complete_diamond,
@@ -46,7 +46,7 @@ from .solution import (
     properties,
     ybe_witness,
 )
-from .errors import InvalidParams, ParseError, YbkError
+from .errors import InvalidParams, ParseError, YbkError, check_int
 
 
 def _read_text(source: str) -> str:
@@ -328,27 +328,32 @@ def _cmd_enumerate(args) -> int:
 
 
 def _modulus(coeff: str) -> int | None:
-    """The modulus M of a --coeff value z/M, or None for z."""
+    """The modulus M of a --coeff value z/M, or None for z; M must be at least 2."""
     text = coeff.strip().lower()
     if text == "z":
         return None
     if text.startswith("z/"):
         try:
-            return int(text[2:])
+            modulus = int(text[2:])
         except ValueError:
             pass
+        else:
+            _check_modulus(modulus)
+            return modulus
     raise InvalidParams(f"--coeff must be z or z/M, got {coeff!r}")
 
 
 def _cmd_homology(args) -> int:
     R = _load_solution(args.input)
+    # read before anything is built, so that a bad --coeff costs no boundary
+    modulus = _modulus(args.coeff)
     code = 0
     report: dict = {"command": "homology", "degree": args.degree}
     lines = []
     boundaries = None
     if args.verify_complex:
         # checked first, so that an error names the degree given, not degree + 1
-        _check_degree(args.degree, 0)
+        check_int(args.degree, "degree", 0)
         checked = _complex(R, args.degree + 1)
         ok = _chain_holds(checked)
         report["chain_condition"] = ok
@@ -361,12 +366,10 @@ def _cmd_homology(args) -> int:
     # found to hold already has both boundaries, composed once.  A violated
     # one is not handed on, so the boundaries are built and composed again
     # and a failure raises the same error as without --verify-complex
-    integral, cohomology_with = _groups(R, args.degree, boundaries)
+    integral, group = _groups(R, args.degree, modulus, boundaries)
     report["homology"] = str(integral)
     lines.append(f"H_{args.degree} = {integral}")
-    modulus = _modulus(args.coeff)
     coefficients = "z" if modulus is None else f"z/{modulus}"
-    group = cohomology_with(modulus)
     report["cohomology"] = str(group)
     report["coefficients"] = coefficients
     lines.append(f"H^{args.degree}({coefficients.upper()}) = {group}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice, product
 
-from .errors import Degenerate, InvalidParams, NotAYbeSolution
+from .errors import Degenerate, InvalidParams, NotAYbeSolution, check_int
 from .limits import check_count
 from .solution import Solution, _degenerate_row, alpha_beta, apply_leg, is_ybe, make_solution
 
@@ -22,7 +22,7 @@ def encode_word(word, n: int) -> int:
 
     A letter outside 1..n, or a bool, raises InvalidParams.
     """
-    _check_alphabet(n)
+    check_int(n, "alphabet size", 1)
     code = 0
     for letter in word:
         # `type` rather than isinstance: bool is a subclass of int
@@ -38,9 +38,8 @@ def decode_word(code: int, n: int, length: int) -> tuple[int, ...]:
     A code outside 1..n**length, or a length that is negative or not an int,
     raises InvalidParams.
     """
-    _check_alphabet(n)
-    if type(length) is not int or length < 0:
-        raise InvalidParams(f"word length must be a non-negative integer, got {length!r}")
+    check_int(n, "alphabet size", 1)
+    check_int(length, "word length", 0)
     if type(code) is not int or code < 1:
         raise InvalidParams(f"code {code!r} outside 1..{n ** length}")
     rest = code - 1
@@ -51,11 +50,6 @@ def decode_word(code: int, n: int, length: int) -> tuple[int, ...]:
     if rest:
         raise InvalidParams(f"code {code!r} outside 1..{n ** length}")
     return tuple(reversed(letters))
-
-
-def _check_alphabet(n: int) -> None:
-    if type(n) is not int or n < 1:
-        raise InvalidParams(f"alphabet size must be a positive integer, got {n!r}")
 
 
 def cartesian_product(rx: Solution, ry: Solution) -> Solution:
@@ -185,16 +179,6 @@ class LevelMap:
         return self.table[idx]
 
 
-def _check_lengths(what: str, *lengths) -> None:
-    """Raise InvalidParams unless every length is an int (not a bool) >= 1."""
-    for length in lengths:
-        # `type` rather than isinstance: bool is a subclass of int
-        if type(length) is not int:
-            raise InvalidParams(f"{what} must be integers, got {length!r}")
-        if length < 1:
-            raise InvalidParams(f"{what} must be positive")
-
-
 def _push_levels(R: Solution):
     """The push tables of `_push_rows` for block lengths 1, 2, 3, ... in turn.
 
@@ -250,7 +234,8 @@ def level_codes(R: Solution, l: int, m: int) -> list[tuple[int, int]]:
     Pushes the letters of every m-block in turn through every l-block; all
     blocks sharing a prefix of v share its pushes.
     """
-    _check_lengths("block lengths", l, m)
+    check_int(l, "block length", 1)
+    check_int(m, "block length", 1)
     n = R.size
     check_count(n, f"level map table on [{n}]^{l} x [{n}]^{m}", l + m)
     return next(islice(_push_walk(_push_rows(R, l), n), m, None))
@@ -276,7 +261,7 @@ def level_is_identity(R: Solution, n_level: int) -> bool:
     Raises Overflow where `level_solution` would.  Stops at the first block u
     whose pushes leave a pair unfixed, as soon as a moved prefix differs from u.
     """
-    _check_lengths("block lengths", n_level)
+    check_int(n_level, "block length", 1)
     n = R.size
     check_count(n, f"level-{n_level} ground set on [{n}]", n_level)
     check_count(n, f"level map table on [{n}]^{n_level} x [{n}]^{n_level}", 2 * n_level)
@@ -298,7 +283,7 @@ def level_map_via_legs(R: Solution, n_level: int) -> LevelMap:
 
     Independent of the rewriting engine; used as a cross-check oracle.
     """
-    _check_lengths("block lengths", n_level)
+    check_int(n_level, "block length", 1)
     n = R.size
     check_count(n, f"leg-composition table on [{n}]^{2 * n_level}", 2 * n_level)
     rng = range(1, n + 1)
@@ -335,7 +320,7 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     each entry is taken from one prebuilt list of pairs; otherwise
     `make_solution` rejects the table with its own error.
     """
-    _check_lengths("block lengths", n_level)
+    check_int(n_level, "block length", 1)
     n = R.size
     check_count(n, f"level-{n_level} ground set on [{n}]", n_level)
     size = n ** n_level

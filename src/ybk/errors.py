@@ -27,6 +27,15 @@ class InvalidParams(YbkError):
     """Parameters violate a documented precondition."""
 
 
+def check_int(value, what: str, least: int | None = None) -> None:
+    """Raise InvalidParams unless `value` is an int, not a bool, and at least `least`."""
+    # `type` rather than isinstance: bool is a subclass of int
+    if type(value) is not int:
+        raise InvalidParams(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidParams(f"{what} must be at least {least}, got {value}")
+
+
 class PositionOutOfRange(YbkError):
     """A leg position does not fit the tuple it should act on."""
 

@@ -39,16 +39,10 @@ from .errors import (
     NotDerivedType,
     PreconditionFailed,
     SizeMismatch,
+    check_int,
 )
 from .limits import check_count
 from .solution import Solution, _all_identity, alpha_beta, is_ybe
-
-
-def _check_dimensions(*dimensions) -> None:
-    for dimension in dimensions:
-        # `type` rather than isinstance: bool is a subclass of int
-        if type(dimension) is not int or dimension < 0:
-            raise InvalidParams(f"matrix dimensions must be non-negative integers, got {dimension!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,7 +54,8 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _check_dimensions(self.rows, self.cols)
+        check_int(self.rows, "matrix dimensions", 0)
+        check_int(self.cols, "matrix dimensions", 0)
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise InvalidParams("entry shape does not match declared dimensions")
 
@@ -79,12 +74,13 @@ class IntegerMatrix:
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
         # checked before `range` sees them, which raises TypeError on a float
-        _check_dimensions(rows, cols)
+        check_int(rows, "matrix dimensions", 0)
+        check_int(cols, "matrix dimensions", 0)
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        _check_dimensions(n)
+        check_int(n, "matrix dimensions", 0)
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
@@ -461,7 +457,7 @@ def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
 
     The caller checks that R is a braid-relation solution.
     """
-    _check_degree(n, 1)
+    check_int(n, "degree", 1)
     size = R.size
     check_count(size, f"degree-{n} chain basis", n)
     columns: list[dict[int, int]] = [{} for _ in range(size ** n)]
@@ -514,7 +510,7 @@ def derived_boundary(R: Solution, n: int) -> IntegerMatrix:
     """
     _require_passive_first(R, "the closed formula")
     _require_solution(R)
-    _check_degree(n, 1)
+    check_int(n, "degree", 1)
     size = R.size
     check_count(size, f"degree-{n} chain basis", n)
     star = alpha_beta(R).beta  # x*y = beta_y(x)
@@ -546,7 +542,7 @@ def _complex(R: Solution, nmax: int) -> list[list[dict[int, int]]]:
     is built.
     """
     _require_solution(R)
-    _check_degree(nmax, 0)
+    check_int(nmax, "degree", 0)
     if nmax > 0:
         check_count(R.size, f"degree-{nmax} chain basis", nmax)
     return [_boundary_columns(R, n) for n in range(1, nmax + 1)]
@@ -572,15 +568,6 @@ def _composes_to_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]) 
     return True
 
 
-def _check_degree(n, least: int) -> None:
-    """Reject a degree that is not an int, or is below `least`."""
-    # `type` rather than isinstance: bool is a subclass of int
-    if type(n) is not int:
-        raise InvalidParams(f"degree must be an integer, got {n!r}")
-    if n < least:
-        raise InvalidParams(f"degree must be at least {least}, got {n}")
-
-
 def _free_and_torsion(
     R: Solution, n: int, boundaries: list | None = None
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -602,7 +589,7 @@ def _free_and_torsion(
     when the chain condition holds, which is why it is checked, or given as
     checked, before anything is factored.
     """
-    _check_degree(n, 0)
+    check_int(n, "degree", 0)
     if boundaries is None:
         check_count(R.size, f"degree-{n + 1} chain basis", n + 1)
         _require_solution(R)
@@ -624,24 +611,23 @@ def _check_modulus(modulus) -> None:
         raise BadModulus(f"modulus must be at least 2, got {modulus!r}")
 
 
-def _groups(R: Solution, n: int, boundaries: list | None = None):
-    """H_n(R) and a map from modulus to H^n(R), both from one `_free_and_torsion`.
+def _groups(
+    R: Solution, n: int, modulus: int | None = None, boundaries: list | None = None
+) -> tuple[AbelianGroup, AbelianGroup]:
+    """H_n(R) and H^n(R) with coefficients in Z or Z/modulus, from one `_free_and_torsion`.
 
-    For callers that want homology and cohomology of one degree: the
-    boundaries are built and factored once, or read from `boundaries`, a
-    `_complex` through degree n + 1 whose chain condition holds.  The map
-    checks its modulus.
+    The modulus is checked before anything else.  The boundaries are built
+    and factored once, or read from `boundaries`, a `_complex` through
+    degree n + 1 whose chain condition holds.
     """
+    _check_modulus(modulus)
     free, torsion_here, torsion_above = _free_and_torsion(R, n, boundaries)
-
-    def cohomology_with(modulus: int | None) -> AbelianGroup:
-        _check_modulus(modulus)
-        if modulus is None:
-            return AbelianGroup(free, torsion_here)
+    if modulus is None:
+        group = AbelianGroup(free, torsion_here)
+    else:
         orders = [modulus] * free + [gcd(d, modulus) for d in torsion_here + torsion_above]
-        return AbelianGroup.from_cyclic_orders(orders)
-
-    return AbelianGroup(free, torsion_above), cohomology_with
+        group = AbelianGroup.from_cyclic_orders(orders)
+    return AbelianGroup(free, torsion_above), group
 
 
 def homology(R: Solution, n: int) -> AbelianGroup:
@@ -656,9 +642,7 @@ def cohomology(R: Solution, n: int, modulus: int | None = None) -> AbelianGroup:
     the integral Smith data, one cyclic summand of order gcd(d, m) per
     invariant factor d, plus m-torsion from the free ranks.
     """
-    # checked here too, so that a bad modulus is reported before a bad degree
-    _check_modulus(modulus)
-    return _groups(R, n)[1](modulus)
+    return _groups(R, n, modulus)[1]
 
 
 def beta_orbits(R: Solution) -> OrbitPartition:

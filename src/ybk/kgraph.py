@@ -12,12 +12,13 @@ properties, unique completions of commuting diamonds.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby
 
 from . import limits
-from .constructions import _check_lengths, level_codes, level_is_identity
+from .constructions import level_codes, level_is_identity
 from .errors import (
     DegreeOutOfRange,
     DegreesOverlap,
@@ -28,6 +29,7 @@ from .errors import (
     NotAYbeSolution,
     PreconditionFailed,
     PropertyMissing,
+    check_int,
 )
 from .limits import check_count
 from .solution import Solution, _least, is_ybe
@@ -134,11 +136,17 @@ def make_theta_family(k: int, sizes, maps) -> ThetaFamily:
     pairs of integers in range raise InvalidParams; tables that repeat an
     output raise NotABijection.
     """
-    if not isinstance(k, int) or k < 2:
-        raise InvalidParams(f"k must be an integer >= 2, got {k!r}")
-    sizes = tuple(sizes)
-    if len(sizes) != k or any(type(n) is not int or n < 1 for n in sizes):
-        raise InvalidParams(f"sizes must be {k} positive integers, got {sizes!r}")
+    check_int(k, "k", 2)
+    try:
+        sizes = tuple(sizes)
+    except TypeError:
+        raise InvalidParams(f"sizes must be an iterable of {k} integers, got {sizes!r}") from None
+    if len(sizes) != k:
+        raise InvalidParams(f"sizes must list {k} colour sizes, got {len(sizes)}")
+    for size in sizes:
+        check_int(size, "colour size", 1)
+    if not isinstance(maps, Mapping):
+        raise InvalidParams(f"maps must be a mapping from colour pairs to tables, got {type(maps).__name__}")
     mismatch = _pair_key_mismatch(maps.keys(), k)
     if mismatch:
         raise InvalidParams(f"maps must be keyed by the colour pairs (i, j), i < j, of {k} colours: {mismatch}")
@@ -185,8 +193,7 @@ def make_theta_family(k: int, sizes, maps) -> ThetaFamily:
 
 def constant_family(R: Solution, k: int) -> ThetaFamily:
     """All colours share the size N and the table of R."""
-    if not isinstance(k, int) or k < 2:
-        raise InvalidParams(f"k must be an integer >= 2, got {k!r}")
+    check_int(k, "k", 2)
     limits.check_count(k * (k - 1) // 2 * R.size ** 2, "constant family tables")
     maps = {pair: R.table for pair in combinations(range(1, k + 1), 2)}
     return make_theta_family(k, (R.size,) * k, maps)
@@ -506,10 +513,7 @@ def periodicity(R: Solution, bound: int = 6) -> Periodicity:
     """
     if not is_ybe(R):
         raise NotAYbeSolution("periodicity is defined for braid-relation solutions")
-    if type(bound) is not int:
-        raise InvalidParams(f"bound must be an integer, got {bound!r}")
-    if bound < 1:
-        raise InvalidParams(f"bound must be positive, got {bound}")
+    check_int(bound, "bound", 1)
     for level in range(1, bound + 1):
         if level_is_identity(R, level):
             return Periodicity(True, level, bound)
@@ -528,7 +532,8 @@ def restrict(family: ThetaFamily, l: int, m: int, n: int) -> ThetaFamily:
     Sizes become (N**l, N**m, N**n) with the level maps as commutation
     bijections; validity is preserved in both directions.
     """
-    _check_lengths("level exponents", l, m, n)
+    for exponent in (l, m, n):
+        check_int(exponent, "level exponent", 1)
     if not _is_constant(family):
         raise InvalidParams("restrict needs a constant family")
     size = family.sizes[0]

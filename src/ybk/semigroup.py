@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice, product
 
-from .constructions import _check_lengths, decode_word, level_codes, level_map
-from .errors import InvalidParams, NotAYbeSolution, PreconditionFailed
+from .constructions import decode_word, level_codes, level_map
+from .errors import InvalidParams, NotAYbeSolution, PreconditionFailed, check_int
 from .limits import check_count
 from .solution import Solution, alpha_beta, is_ybe
 
@@ -119,7 +119,7 @@ def graded_elements(R: Solution, n: int) -> GradedClassSet:
     position of every word covers both rewrite directions because R is a
     bijection.
     """
-    _check_length(n, "word length")
+    check_int(n, "word length", 0)
     size = R.size
     if n == 0:
         empty = ((),)
@@ -151,17 +151,9 @@ def _reps(roots: list[int]) -> list[int]:
     return [code for code, root in enumerate(roots) if code == root]
 
 
-def _check_length(n: int, what: str) -> None:
-    # `type` rather than isinstance: bool is a subclass of int
-    if type(n) is not int:
-        raise InvalidParams(f"{what} must be an integer, got {n!r}")
-    if n < 0:
-        raise InvalidParams(f"{what} must be non-negative, got {n}")
-
-
 def growth(R: Solution, maxlen: int) -> tuple[int, ...]:
     """Class counts by length, starting with the empty word: growth[0] = 1."""
-    _check_length(maxlen, "maximum length")
+    check_int(maxlen, "maximum length", 0)
     return (1,) + tuple(len(_reps(roots)) for _, roots in _lengths_up_to(R, maxlen))
 
 
@@ -173,7 +165,7 @@ def check_cancellative(R: Solution, maxlen: int):
     Returns (True, None) or (False, witness) with the least witness
     (side, rep_a, rep_b, rep_c).
     """
-    _check_length(maxlen, "maximum length")
+    check_int(maxlen, "maximum length", 0)
     size = R.size
     roots = dict(_lengths_up_to(R, maxlen))
     reps = {n: _reps(roots[n]) for n in roots}
@@ -245,7 +237,7 @@ def semigroup_extension_check(R: Solution, maxlen: int):
     the braid relation on all graded triples of total length at most maxlen.
     Returns (True, None) or (False, witness).
     """
-    _check_length(maxlen, "maximum length")
+    check_int(maxlen, "maximum length", 0)
     if not is_ybe(R):
         raise NotAYbeSolution("the extension is defined for braid-relation solutions")
     size = R.size
@@ -333,7 +325,7 @@ def action_formula_check(R: Solution, n: int) -> bool:
     h_i = alpha_{beta_{y_1...y_{i-1}}(xbar)}(y_i) and the second block the
     iterated right action beta_{y_1...y_n}(xbar).
     """
-    _check_lengths("block lengths", n)
+    check_int(n, "block length", 1)
     if not is_ybe(R):
         raise PreconditionFailed("the action formulas presuppose the braid relation")
     size = R.size

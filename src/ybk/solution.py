@@ -26,6 +26,7 @@ from .errors import (
     OutOfRange,
     PositionOutOfRange,
     UnknownName,
+    check_int,
 )
 
 BUILTIN_NAMES = ("identity", "flip", "double_shift", "shift", "dihedral", "permutation")
@@ -124,8 +125,7 @@ def make_solution(size: int, table) -> Solution:
     duplicates raise NotABijection with both preimages, out-of-range
     coordinates raise OutOfRange.
     """
-    if type(size) is not int or size < 1:
-        raise InvalidParams(f"size must be a positive integer, got {size!r}")
+    check_int(size, "size", 1)
     try:
         entries = [tuple(entry) for entry in table]
     except TypeError as exc:
@@ -167,8 +167,7 @@ def builtin(name: str, size: int, f=None, g=None) -> Solution:
     dihedral R(i,j)=(j,2j-i) for size >= 3, and permutation R(x,y)=(f(y),g(x))
     for commuting bijections f, g given as 1-based image sequences.
     """
-    if type(size) is not int or size < 1:
-        raise InvalidParams(f"size must be a positive integer, got {size!r}")
+    check_int(size, "size", 1)
     n = size
     if name == "identity":
         table = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
@@ -380,6 +379,7 @@ def check_structure_equations(R: Solution) -> StructureReport:
 
 def apply_leg(R: Solution, i: int, values) -> tuple[int, ...]:
     """Apply R to coordinates (i, i+1) of a tuple, identity elsewhere."""
+    check_int(i, "leg position")
     t = tuple(values)
     if not 1 <= i < len(t):
         raise PositionOutOfRange(f"leg position {i} does not fit a tuple of length {len(t)}")

@@ -365,6 +365,22 @@ class TestHomology:
     def test_bad_degree_or_coefficients_exit_two(self, capsys, dihedral_path, extra):
         assert_usage_error(*run(capsys, "homology", dihedral_path, *extra))
 
+    @pytest.mark.parametrize("coeff", ["q", "z/1"])
+    @pytest.mark.parametrize("extra", [(), ("--verify-complex",)])
+    def test_bad_coefficients_build_no_boundary(self, capsys, monkeypatch, coeff, extra):
+        # the degree is deep enough that building its boundaries takes minutes
+        def no_boundaries(R, n):
+            raise AssertionError("a boundary was built before --coeff was read")
+
+        monkeypatch.setattr(importlib.import_module("ybk.homology"), "_boundary_columns", no_boundaries)
+        result = run(capsys, "homology", "catalog:dihedral-3", "--degree", "9", "--coeff", coeff, *extra)
+        assert_usage_error(*result)
+
+    def test_bad_coefficients_are_reported_before_a_bad_degree(self, capsys):
+        for extra in ((), ("--verify-complex",)):
+            code, out, err = run(capsys, "homology", "catalog:dihedral-3", "--degree", "-1", "--coeff", "q", *extra)
+            assert (code, out, err) == (2, "", "error: --coeff must be z or z/M, got 'q'\n")
+
     @pytest.mark.parametrize("modulus", ["10000000000000061", "1000000000000000003"])
     def test_large_prime_coefficients_at_once(self, capsys, modulus):
         # the orders used to be factored by trial division, O(sqrt(m))

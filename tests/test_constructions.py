@@ -66,8 +66,8 @@ class TestEncoding:
             ((0,), 3, "letter 0 outside 1..3"),
             ((True, 2), 3, "letter True outside 1..3"),
             ((1.0,), 3, "letter 1.0 outside 1..3"),
-            ((1,), 0, "alphabet size must be a positive integer, got 0"),
-            ((1,), True, "alphabet size must be a positive integer, got True"),
+            ((1,), 0, "alphabet size must be at least 1, got 0"),
+            ((1,), True, "alphabet size must be an integer, got True"),
         ],
     )
     def test_encode_rejects_letters_outside_the_alphabet(self, word, n, message):
@@ -83,10 +83,10 @@ class TestEncoding:
             (-4, 3, 2, "code -4 outside 1..9"),
             (True, 3, 2, "code True outside 1..9"),
             (2, 3, 0, "code 2 outside 1..1"),
-            (1, 3, -1, "word length must be a non-negative integer, got -1"),
-            (1, 3, 2.0, "word length must be a non-negative integer, got 2.0"),
-            (1, 3, True, "word length must be a non-negative integer, got True"),
-            (1, 2.0, 1, "alphabet size must be a positive integer, got 2.0"),
+            (1, 3, -1, "word length must be at least 0, got -1"),
+            (1, 3, 2.0, "word length must be an integer, got 2.0"),
+            (1, 3, True, "word length must be an integer, got True"),
+            (1, 2.0, 1, "alphabet size must be an integer, got 2.0"),
         ],
     )
     def test_decode_rejects_codes_and_lengths_out_of_range(self, code, n, length, message):

@@ -240,6 +240,14 @@ class TestMakeFamily:
         with pytest.raises(InvalidParams):
             make_theta_family(2, (1, 1), {(1, 2): [entry]})
 
+    @pytest.mark.parametrize(
+        "sizes, maps", [(5, {}), (None, {}), ((1, 1), []), ((1, 1), None), ((1, 1), [((1, 2), [(1, 1)])])]
+    )
+    def test_rejects_containers_of_the_wrong_kind(self, sizes, maps):
+        # these used to escape as TypeError and AttributeError
+        with pytest.raises(InvalidParams):
+            make_theta_family(2, sizes, maps)
+
     def test_rejects_keys_of_mixed_types(self):
         # sorting the keys for the message used to raise TypeError
         with pytest.raises(InvalidParams, match="'x' unexpected"):
@@ -249,6 +257,11 @@ class TestMakeFamily:
         with pytest.raises(InvalidParams) as exc:
             make_theta_family(500, [1] * 500, {})
         assert len(str(exc.value)) < 300 and "(1, 2) missing" in str(exc.value)
+
+    def test_wrong_number_of_sizes_fails_briefly(self):
+        # the message used to list all 2,999 sizes
+        with pytest.raises(InvalidParams, match="^sizes must list 3000 colour sizes, got 2999$"):
+            make_theta_family(3000, [1] * 2999, {})
 
     def test_constant_family_is_guarded(self):
         # 124,750 colour pairs of 9 entries each are over the default limit

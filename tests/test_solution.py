@@ -416,6 +416,12 @@ class TestApplyLeg:
         with pytest.raises(PositionOutOfRange):
             apply_leg(standard["flip2"], 2, (1, 2))
 
+    @pytest.mark.parametrize("position", [True, 1.5, 1.0, "1"])
+    def test_position_must_be_an_int(self, standard, position):
+        # True used to act as position 1
+        with pytest.raises(InvalidParams, match=f"^leg position must be an integer, got {position!r}$"):
+            apply_leg(standard["dih3"], position, (1, 2))
+
 
 class TestCoordinateMapIdentities:
     def test_involutive_inversion_identities(self, census2, census3):
