@@ -169,12 +169,16 @@ class LevelMap:
     def apply(self, u, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
         n = self.size
         letters = range(1, n + 1)
-        for word, length in ((u, self.left_length), (v, self.right_length)):
-            if len(word) != length or not all(letter in letters for letter in word):
-                raise InvalidParams(
-                    f"level map on [{n}]^{self.left_length} x [{n}]^{self.right_length}"
-                    f" cannot apply to {tuple(u)!r}, {tuple(v)!r}"
-                )
+        try:
+            u, v = tuple(u), tuple(v)
+            fits = len(u) == self.left_length and len(v) == self.right_length
+        except TypeError:
+            fits = False
+        if not (fits and all(letter in letters for letter in u + v)):
+            raise InvalidParams(
+                f"level map on [{n}]^{self.left_length} x [{n}]^{self.right_length}"
+                f" cannot apply to {u!r}, {v!r}"
+            )
         idx = (encode_word(u, n) - 1) * n ** self.right_length + encode_word(v, n) - 1
         return self.table[idx]
 

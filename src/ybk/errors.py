@@ -15,16 +15,16 @@ class NotABijection(YbkError):
     """A table that should describe a bijection repeats an output."""
 
 
-class OutOfRange(YbkError):
-    """A coordinate lies outside the declared ground set."""
-
-
 class UnknownName(YbkError):
     """An unrecognized catalog key."""
 
 
 class InvalidParams(YbkError):
     """Parameters violate a documented precondition."""
+
+
+class OutOfRange(InvalidParams):
+    """A coordinate lies outside the declared ground set."""
 
 
 def check_int(value, what: str, least: int | None = None) -> None:

@@ -111,20 +111,12 @@ class AbelianGroup:
     torsion: tuple[int, ...]
 
     def __post_init__(self):
-        # `type` rather than isinstance: bool is a subclass of int
-        if (
-            type(self.free_rank) is not int
-            or type(self.torsion) is not tuple
-            or any(type(d) is not int for d in self.torsion)
-        ):
-            raise InvalidParams(
-                f"free rank must be an integer and torsion a tuple of integers, got {self!r}"
-            )
-        if self.free_rank < 0:
-            raise InvalidParams("free rank cannot be negative")
+        check_int(self.free_rank, "free rank", 0)
+        if type(self.torsion) is not tuple:
+            raise InvalidParams(f"torsion must be a tuple of invariant factors, got {self.torsion!r}")
         # checked before the chain, which divides by each factor
-        if any(d < 2 for d in self.torsion):
-            raise InvalidParams("invariant factors must exceed 1")
+        for d in self.torsion:
+            check_int(d, "invariant factor", 2)
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise InvalidParams(f"torsion {self.torsion} violates the divisibility chain")
@@ -145,8 +137,7 @@ class AbelianGroup:
         free = 0
         finite = []
         for order in orders:
-            if type(order) is not int:
-                raise InvalidParams(f"cyclic orders must be integers, got {order!r}")
+            check_int(order, "cyclic order")
             order = abs(order)
             if order == 0:
                 free += 1

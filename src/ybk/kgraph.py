@@ -25,14 +25,13 @@ from .errors import (
     FamilyMismatch,
     InvalidLetter,
     InvalidParams,
-    NotABijection,
     NotAYbeSolution,
     PreconditionFailed,
     PropertyMissing,
     check_int,
 )
 from .limits import check_count
-from .solution import Solution, _least, is_ybe
+from .solution import Solution, _check_pairs, _least, is_ybe
 
 
 @dataclass(frozen=True)
@@ -132,9 +131,10 @@ def make_theta_family(k: int, sizes, maps) -> ThetaFamily:
     """Validate tables and freeze a family.
 
     `maps` is keyed by colour pairs (i, j) with i < j; each table lists
-    N_i*N_j output pairs (t', s') row-major by (s, t).  Entries that are not
-    pairs of integers in range raise InvalidParams; tables that repeat an
-    output raise NotABijection.
+    N_i*N_j output pairs (t', s') row-major by (s, t), checked as
+    `make_solution` checks its table: an entry that is not a pair raises
+    InvalidParams, one that is not a pair of integers in range OutOfRange,
+    and a repeated output NotABijection.
     """
     check_int(k, "k", 2)
     try:
@@ -154,39 +154,12 @@ def make_theta_family(k: int, sizes, maps) -> ThetaFamily:
     inverses = []
     for i, j in combinations(range(1, k + 1), 2):
         ni, nj = sizes[i - 1], sizes[j - 1]
-        try:
-            pairs = [tuple(entry) for entry in maps[(i, j)]]
-        except TypeError as exc:
-            raise InvalidParams(f"theta_{i}{j} must list pairs") from exc
-        if len(pairs) != ni * nj:
-            raise InvalidParams(
-                f"theta_{i}{j} needs {ni * nj} entries, got {len(pairs)}"
-            )
+        pairs = _check_pairs(maps[(i, j)], ni, nj, f"theta_{i}{j} ")
         inverse = [None] * (ni * nj)
-        seen: dict = {}
-        for idx, pair in enumerate(pairs):
+        for idx, (tp, sp) in enumerate(pairs):
             s, t = divmod(idx, nj)
-            if len(pair) != 2:
-                raise InvalidParams(f"theta_{i}{j} entry {idx} is not a pair: {pair!r}")
-            tp, sp = pair
-            # `type` rather than isinstance: bool is a subclass of int
-            if not (type(tp) is int and type(sp) is int):
-                raise InvalidParams(
-                    f"theta_{i}{j} entry for ({s + 1},{t + 1}) has non-integer coordinates {pair!r}"
-                )
-            if not (1 <= tp <= nj and 1 <= sp <= ni):
-                raise InvalidParams(
-                    f"theta_{i}{j} entry for ({s + 1},{t + 1}) is {pair},"
-                    f" outside [1..{nj}] x [1..{ni}]"
-                )
-            if pair in seen:
-                raise NotABijection(
-                    f"theta_{i}{j} output {pair} produced by both"
-                    f" {seen[pair]} and {(s + 1, t + 1)}"
-                )
-            seen[pair] = (s + 1, t + 1)
             inverse[(tp - 1) * ni + (sp - 1)] = (s + 1, t + 1)
-        tables.append(tuple(pairs))
+        tables.append(pairs)
         inverses.append(tuple(inverse))
     return ThetaFamily(k, sizes, tuple(tables), tuple(inverses))
 
@@ -357,9 +330,8 @@ def factorize(a: KWord, m) -> tuple[KWord, KWord]:
     family = a.family
     letters = _check_word(family, a)
     m = tuple(m)
-    # `type` rather than isinstance: bool is a subclass of int
-    if any(type(part) is not int for part in m):
-        raise InvalidParams(f"degree vector {m} must have integer parts")
+    for part in m:
+        check_int(part, "degree vector part")
     d = a.degree
     if len(m) != family.k or any(part < 0 for part in m):
         raise DegreeOutOfRange(f"degree vector {m} must have {family.k} non-negative parts")

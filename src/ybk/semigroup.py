@@ -39,10 +39,12 @@ class GradedClassSet:
 
     def index_of(self, word) -> int:
         """The index in `classes` of the class holding `word`."""
-        word = tuple(word)
-        if word not in self._index:
-            raise InvalidParams(f"{word!r} is not a word of length {self.length} over [{self.size}]")
-        return self._index[word]
+        try:
+            word = tuple(word)
+            return self._index[word]
+        except (TypeError, KeyError):
+            # a non-iterable, or a word with an unhashable letter, is no word either
+            raise InvalidParams(f"{word!r} is not a word of length {self.length} over [{self.size}]") from None
 
 
 def _roots_by_length(R: Solution):

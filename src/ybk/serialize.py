@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, check_int
 from .kgraph import ThetaFamily, _pair_key_mismatch, make_theta_family
 from .solution import Solution, make_solution
 
@@ -37,15 +37,6 @@ class ThetaDocument:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _is_int(value) -> bool:
-    # JSON true and false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_pair(entry) -> bool:
-    return isinstance(entry, list) and len(entry) == 2 and all(_is_int(v) for v in entry)
 
 
 def _load_object(text: str) -> dict:
@@ -91,23 +82,12 @@ def parse_solution_document(text: str) -> SolutionDocument:
     obj, name, metadata = _envelope(text, _SOLUTION_KEYS)
     if "size" not in obj or "table" not in obj:
         raise SchemaError("solution document needs 'size' and 'table'")
-    size = obj["size"]
-    table = obj["table"]
-    if not _is_int(size):
-        raise SchemaError(f"size must be an integer, got {size!r}")
-    if not isinstance(table, list):
-        raise SchemaError("table must be an array of pairs")
-    if len(table) != size * size:
-        raise SchemaError(f"table must have {size * size} entries for size {size}, got {len(table)}")
-    for entry in table:
-        if not _is_pair(entry):
-            raise SchemaError(f"table entries must be two-element integer arrays, got {entry!r}")
+    solution = make_solution(obj["size"], obj["table"])
     labels = obj.get("labels")
     if labels is not None:
-        if not (isinstance(labels, list) and len(labels) == size and all(isinstance(s, str) for s in labels)):
-            raise SchemaError(f"labels must be {size} strings")
+        if not (isinstance(labels, list) and len(labels) == solution.size and all(isinstance(s, str) for s in labels)):
+            raise SchemaError(f"labels must be {solution.size} strings")
         labels = tuple(labels)
-    solution = make_solution(size, [tuple(entry) for entry in table])
     return SolutionDocument(solution, name=name, labels=labels, metadata=metadata)
 
 
@@ -130,27 +110,16 @@ def parse_theta_document(text: str) -> ThetaDocument:
         if key not in obj:
             raise SchemaError(f"theta document needs {key!r}")
     k = obj["k"]
-    sizes = obj["sizes"]
     maps_obj = obj["maps"]
-    if not _is_int(k) or k < 2:
-        raise SchemaError(f"k must be an integer >= 2, got {k!r}")
-    if not (isinstance(sizes, list) and len(sizes) == k and all(_is_int(n) for n in sizes)):
-        raise SchemaError(f"sizes must be {k} integers")
+    # the key check counts the colour pairs of k colours
+    check_int(k, "k", 2)
     if not isinstance(maps_obj, dict):
         raise SchemaError("maps must be an object keyed 'i,j'")
     mismatch = _pair_key_mismatch(maps_obj, k, "{},{}".format)
     if mismatch:
         raise SchemaError(f"maps must be keyed 'i,j' by the colour pairs i < j of {k} colours: {mismatch}")
-    maps = {}
-    for key, entries in maps_obj.items():
-        i, j = (int(part) for part in key.split(","))
-        if not isinstance(entries, list):
-            raise SchemaError(f"map {key!r} must be an array of pairs")
-        for entry in entries:
-            if not _is_pair(entry):
-                raise SchemaError(f"map {key!r} entries must be two-element integer arrays")
-        maps[(i, j)] = [tuple(entry) for entry in entries]
-    family = make_theta_family(k, sizes, maps)
+    maps = {tuple(int(part) for part in key.split(",")): entries for key, entries in maps_obj.items()}
+    family = make_theta_family(k, obj["sizes"], maps)
     return ThetaDocument(family, name=name, metadata=metadata)
 
 

@@ -118,6 +118,43 @@ class StructureReport:
         }
 
 
+def _check_pairs(table, rows: int, cols: int, label: str = "") -> tuple:
+    """The entries of `table` as tuples, checked as a bijection listed row-major.
+
+    Entry (a-1)*cols + (b-1) is the output for (a, b): a pair of ints in
+    [1..cols] x [1..rows], repeating no other.  Every fault starts with
+    `label`.  Solutions are the square case; `kgraph.make_theta_family`
+    checks each theta_ij with rows = N_i and cols = N_j.
+    """
+    try:
+        entries = [tuple(entry) for entry in table]
+    except TypeError as exc:
+        raise InvalidParams(f"{label}table must be an iterable of pairs: {exc}") from None
+    if len(entries) != rows * cols:
+        size = cols if rows == cols else f"{rows} x {cols}"
+        raise InvalidParams(
+            f"{label}table must have {rows * cols} entries for size {size}, got {len(entries)}"
+        )
+    seen: dict[tuple[int, int], tuple[int, int]] = {}
+    for idx, pair in enumerate(entries):
+        if len(pair) != 2:
+            raise InvalidParams(f"{label}entry {idx} is not a pair: {pair!r}")
+        u, v = pair
+        a, b = divmod(idx, cols)
+        # `type` rather than isinstance: bool is a subclass of int
+        if not (type(u) is int and type(v) is int):
+            raise OutOfRange(f"{label}entry for ({a + 1},{b + 1}) has non-integer coordinates {pair!r}")
+        if not (1 <= u <= cols and 1 <= v <= rows):
+            span = f"[1..{cols}]^2" if rows == cols else f"[1..{cols}] x [1..{rows}]"
+            raise OutOfRange(f"{label}entry for ({a + 1},{b + 1}) is {pair}, outside {span}")
+        if pair in seen:
+            raise NotABijection(
+                f"{label}output pair {pair} produced by both {seen[pair]} and {(a + 1, b + 1)}"
+            )
+        seen[pair] = (a + 1, b + 1)
+    return tuple(entries)
+
+
 def make_solution(size: int, table) -> Solution:
     """Validate and freeze a candidate table.
 
@@ -126,33 +163,7 @@ def make_solution(size: int, table) -> Solution:
     coordinates raise OutOfRange.
     """
     check_int(size, "size", 1)
-    try:
-        entries = [tuple(entry) for entry in table]
-    except TypeError as exc:
-        raise InvalidParams(f"table must be an iterable of pairs: {exc}") from None
-    if len(entries) != size * size:
-        raise InvalidParams(
-            f"table must have {size * size} entries for size {size}, got {len(entries)}"
-        )
-    seen: dict[tuple[int, int], tuple[int, int]] = {}
-    for idx, pair in enumerate(entries):
-        if len(pair) != 2:
-            raise InvalidParams(f"entry {idx} is not a pair: {pair!r}")
-        u, v = pair
-        x, y = divmod(idx, size)
-        # `type` rather than isinstance: bool is a subclass of int
-        if not (type(u) is int and type(v) is int):
-            raise OutOfRange(f"entry for ({x + 1},{y + 1}) has non-integer coordinates {pair!r}")
-        if not (1 <= u <= size and 1 <= v <= size):
-            raise OutOfRange(
-                f"entry for ({x + 1},{y + 1}) is {pair}, outside [1..{size}]^2"
-            )
-        if pair in seen:
-            raise NotABijection(
-                f"output pair {pair} produced by both {seen[pair]} and {(x + 1, y + 1)}"
-            )
-        seen[pair] = (x + 1, y + 1)
-    return Solution(size, tuple(entries))
+    return Solution(size, _check_pairs(table, size, size))
 
 
 def _mod1(value: int, n: int) -> int:
@@ -380,13 +391,17 @@ def check_structure_equations(R: Solution) -> StructureReport:
 def apply_leg(R: Solution, i: int, values) -> tuple[int, ...]:
     """Apply R to coordinates (i, i+1) of a tuple, identity elsewhere."""
     check_int(i, "leg position")
-    t = tuple(values)
+    try:
+        t = tuple(values)
+    except TypeError:
+        raise InvalidParams(f"values must be an iterable of letters, got {values!r}") from None
     if not 1 <= i < len(t):
         raise PositionOutOfRange(f"leg position {i} does not fit a tuple of length {len(t)}")
     n = R.size
     for value in t:
-        if not 1 <= value <= n:
-            raise OutOfRange(f"tuple entry {value} outside [1..{n}]")
+        # `type` rather than isinstance: bool is a subclass of int
+        if not (type(value) is int and 1 <= value <= n):
+            raise OutOfRange(f"tuple entry {value!r} outside [1..{n}]")
     u, v = R(t[i - 1], t[i])
     return t[: i - 1] + (u, v) + t[i + 1 :]
 

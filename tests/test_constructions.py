@@ -268,9 +268,12 @@ class TestLevelMap:
                 assert combined.apply(u, v) == (v2, head + tail)
 
     @pytest.mark.parametrize(
-        "u, v", [((1,), (3, 3)), ((1, 2, 3), (1,)), ((1, 2), ()), ((1, 4), (1,)), ((1, 2), (0,))]
+        "u, v",
+        [((1,), (3, 3)), ((1, 2, 3), (1,)), ((1, 2), ()), ((1, 4), (1,)), ((1, 2), (0,)),
+         (5, (1,)), (None, (1,)), ((1, 2), 5)],
     )
     def test_apply_rejects_words_that_do_not_fit(self, standard, u, v):
+        # a word that is not a sequence used to escape as TypeError
         lm = level_map(standard["dih3"], 2, 1)
         with pytest.raises(InvalidParams):
             lm.apply(u, v)

@@ -22,6 +22,7 @@ import ybk
 import ybk.catalog
 import ybk.serialize
 from ybk import (
+    AbelianGroup,
     IntegerMatrix,
     action_formula_check,
     apply_leg,
@@ -33,6 +34,7 @@ from ybk import (
     constant_family,
     derived_boundary,
     enumerate_solutions,
+    factorize,
     graded_elements,
     growth,
     homology,
@@ -40,6 +42,7 @@ from ybk import (
     level_solution,
     make_solution,
     make_theta_family,
+    normalize,
     periodicity,
     restrict,
     sample_ybe_solutions,
@@ -48,6 +51,7 @@ from ybk import (
 )
 from ybk.constructions import decode_word, encode_word, level_codes, level_is_identity, level_map_via_legs
 from ybk.errors import InvalidParams
+from ybk.serialize import canonical_json, parse_theta_document
 
 # result types: the library builds them and returns them from functions that
 # the fuzz files drive, and their fields and methods are read there
@@ -101,7 +105,13 @@ def test_exemptions_are_public_and_not_fuzzed():
 DIH3 = builtin("dihedral", 3)
 FLIP3 = builtin("flip", 3)  # its first coordinate is passive, as derived_boundary needs
 FAMILY = constant_family(DIH3, 3)
+WORD = normalize(FAMILY, [(1, 1)])
 ONE_PAIR = {(1, 2): [(1, 1)]}
+
+
+def _theta_document(k) -> str:
+    return canonical_json({"format_version": "1", "k": k, "sizes": [1, 1], "maps": {"1,2": [[1, 1]]}})
+
 
 # each call puts the argument under test in one place: (call, its name in
 # the message, the least value allowed or None where a range error has its
@@ -127,6 +137,9 @@ INTEGER_ARGUMENTS = {
     "IntegerMatrix.zero-rows": (lambda v: IntegerMatrix.zero(v, 0), "matrix dimensions", 0),
     "IntegerMatrix.zero-cols": (lambda v: IntegerMatrix.zero(0, v), "matrix dimensions", 0),
     "IntegerMatrix.identity-n": (lambda v: IntegerMatrix.identity(v), "matrix dimensions", 0),
+    "AbelianGroup-free_rank": (lambda v: AbelianGroup(v, ()), "free rank", 0),
+    "AbelianGroup-torsion": (lambda v: AbelianGroup(0, (v,)), "invariant factor", 2),
+    "from_cyclic_orders-orders": (lambda v: AbelianGroup.from_cyclic_orders([v, 0]), "cyclic order", None),
     "boundary_matrix-n": (lambda v: boundary_matrix(DIH3, v), "degree", 1),
     "derived_boundary-n": (lambda v: derived_boundary(FLIP3, v), "degree", 1),
     "verify_complex-nmax": (lambda v: verify_complex(DIH3, v), "degree", 0),
@@ -140,11 +153,13 @@ INTEGER_ARGUMENTS = {
     "builtin-size": (lambda v: builtin("identity", v), "size", 1),
     "make_theta_family-k": (lambda v: make_theta_family(v, (1, 1), ONE_PAIR), "k", 2),
     "make_theta_family-sizes": (lambda v: make_theta_family(2, (1, v), ONE_PAIR), "colour size", 1),
+    "parse_theta_document-k": (lambda v: parse_theta_document(_theta_document(v)), "k", 2),
     "constant_family-k": (lambda v: constant_family(DIH3, v), "k", 2),
     "periodicity-bound": (lambda v: periodicity(DIH3, v), "bound", 1),
     "restrict-l": (lambda v: restrict(FAMILY, v, 1, 1), "level exponent", 1),
     "restrict-m": (lambda v: restrict(FAMILY, 1, v, 1), "level exponent", 1),
     "restrict-n": (lambda v: restrict(FAMILY, 1, 1, v), "level exponent", 1),
+    "factorize-m": (lambda v: factorize(WORD, (v, 0, 0)), "degree vector part", None),
     "apply_leg-i": (lambda v: apply_leg(DIH3, v, (1, 2)), "leg position", None),
 }
 

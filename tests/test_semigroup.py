@@ -151,8 +151,9 @@ class TestGradedElements:
             assert rep == min(members)
             assert all(len(word) == 3 for word in members)
 
-    @pytest.mark.parametrize("word", [(1, 2), (1, 2, 4), (0, 1, 1), [1, 2, 3, 1]])
+    @pytest.mark.parametrize("word", [(1, 2), (1, 2, 4), (0, 1, 1), [1, 2, 3, 1], 5, None])
     def test_index_of_rejects_words_outside_the_set(self, standard, word):
+        # 5 and None used to escape as TypeError
         graded = graded_elements(standard["dih3"], 3)
         with pytest.raises(InvalidParams, match="is not a word of length 3 over \\[3\\]"):
             graded.index_of(word)

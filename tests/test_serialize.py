@@ -4,8 +4,9 @@ import re
 import pytest
 
 from ybk.catalog import catalog_document, catalog_names
-from ybk.errors import NotABijection, ParseError, SchemaError
-from ybk.kgraph import constant_family
+from ybk.errors import InvalidParams, NotABijection, OutOfRange, ParseError, SchemaError, YbkError
+from ybk.kgraph import constant_family, make_theta_family
+from ybk.solution import make_solution
 from ybk.serialize import (
     SolutionDocument,
     canonical_json,
@@ -49,8 +50,9 @@ class TestSolutionDocuments:
 
     def test_wrong_entry_count(self):
         doc = {"format_version": "1", "size": 2, "table": [[1, 1], [2, 1], [1, 2]]}
-        with pytest.raises(SchemaError):
+        with pytest.raises(InvalidParams) as caught:
             parse_solution_document(canonical_json(doc))
+        assert str(caught.value) == "table must have 4 entries for size 2, got 3"
 
     def test_duplicate_pair_propagates(self):
         doc = {
@@ -121,6 +123,48 @@ class TestThetaDocuments:
         )
         assert sniff_kind(sol) == "solution"
         assert sniff_kind(theta) == "theta"
+
+
+MALFORMED_TABLES = {
+    "non-pair": [[1, 1], [1, 2, 1], [2, 1], [2, 2]],
+    "float": [[1, 1], [1.5, 2], [2, 1], [2, 2]],
+    "bool": [[1, 1], [1, 2], [True, 1], [2, 2]],
+    "out-of-range": [[1, 1], [1, 3], [2, 1], [2, 2]],
+    "repeated": [[1, 1], [1, 2], [1, 1], [2, 2]],
+    "wrong count": [[1, 1], [1, 2], [2, 1]],
+}
+
+
+class TestOnePairRule:
+    """A solution table and a theta_ij are checked by one rule: the same
+    class and words from both constructors and both document parsers."""
+
+    def _caught(self, call) -> tuple[type, str]:
+        with pytest.raises(YbkError) as caught:
+            call()
+        return type(caught.value), str(caught.value)
+
+    @pytest.mark.parametrize("table", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES.keys())
+    def test_solutions_and_theta_maps_fail_alike(self, table):
+        solution_doc = canonical_json({"format_version": "1", "size": 2, "table": table})
+        theta_doc = canonical_json({"format_version": "1", "k": 2, "sizes": [2, 2], "maps": {"1,2": table}})
+        caught = [
+            self._caught(lambda: make_solution(2, table)),
+            self._caught(lambda: parse_solution_document(solution_doc)),
+            self._caught(lambda: make_theta_family(2, (2, 2), {(1, 2): table})),
+            self._caught(lambda: parse_theta_document(theta_doc)),
+        ]
+        for cls, message in caught[2:]:
+            assert message.startswith("theta_12 ")
+        # for equal colour sizes the range span reads as the solution's
+        assert {(cls, message.removeprefix("theta_12 ")) for cls, message in caught} == {caught[0]}
+        assert caught[0][0] is not SchemaError
+
+    def test_unequal_colour_sizes_name_both_ranges(self):
+        with pytest.raises(OutOfRange, match=re.escape("theta_12 entry for (1,2) is (3, 1), outside [1..2] x [1..3]")):
+            make_theta_family(2, (3, 2), {(1, 2): [(1, 1), (3, 1), (1, 2), (2, 1), (1, 3), (2, 3)]})
+        with pytest.raises(InvalidParams, match=re.escape("theta_12 table must have 6 entries for size 3 x 2, got 1")):
+            make_theta_family(2, (3, 2), {(1, 2): [(1, 1)]})
 
 
 class TestCanonicalForm:

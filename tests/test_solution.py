@@ -422,6 +422,17 @@ class TestApplyLeg:
         with pytest.raises(InvalidParams, match=f"^leg position must be an integer, got {position!r}$"):
             apply_leg(standard["dih3"], position, (1, 2))
 
+    @pytest.mark.parametrize("values", [(1, 2, 1.5), (1, "a"), (True, 2), (2, 1.0), (1, 2, 3), (0, 1)])
+    def test_entries_follow_the_lookup_rule(self, standard, values):
+        # (1, 2, 1.5) used to return (2, 1, 1.5) and (1, "a") to escape as TypeError
+        with pytest.raises(OutOfRange, match=r"^tuple entry .* outside \[1\.\.2\]$"):
+            apply_leg(standard["flip2"], 1, values)
+
+    @pytest.mark.parametrize("values", [5, None])
+    def test_values_must_be_iterable(self, standard, values):
+        with pytest.raises(InvalidParams, match="values must be an iterable"):
+            apply_leg(standard["flip2"], 1, values)
+
 
 class TestCoordinateMapIdentities:
     def test_involutive_inversion_identities(self, census2, census3):
