@@ -153,23 +153,33 @@ def make_theta_family(k: int, sizes, maps) -> ThetaFamily:
     tables = []
     inverses = []
     for i, j in combinations(range(1, k + 1), 2):
-        ni, nj = sizes[i - 1], sizes[j - 1]
-        pairs = _check_pairs(maps[(i, j)], ni, nj, f"theta_{i}{j} ")
-        inverse = [None] * (ni * nj)
-        for idx, (tp, sp) in enumerate(pairs):
-            s, t = divmod(idx, nj)
-            inverse[(tp - 1) * ni + (sp - 1)] = (s + 1, t + 1)
+        pairs, inverse = _checked_table(maps[(i, j)], sizes[i - 1], sizes[j - 1], f"theta_{i}{j} ")
         tables.append(pairs)
-        inverses.append(tuple(inverse))
+        inverses.append(inverse)
     return ThetaFamily(k, sizes, tuple(tables), tuple(inverses))
 
 
+def _checked_table(table, ni: int, nj: int, label: str):
+    """One theta table checked by `_check_pairs`, with its inverse table."""
+    pairs = _check_pairs(table, ni, nj, label)
+    inverse = [None] * (ni * nj)
+    for idx, (tp, sp) in enumerate(pairs):
+        s, t = divmod(idx, nj)
+        inverse[(tp - 1) * ni + (sp - 1)] = (s + 1, t + 1)
+    return pairs, tuple(inverse)
+
+
 def constant_family(R: Solution, k: int) -> ThetaFamily:
-    """All colours share the size N and the table of R."""
+    """All colours share the size N and the table of R.
+
+    R's table is checked and inverted once, as theta_12, and every colour
+    pair shares that table and that inverse: time and memory are O(N^2 + k^2).
+    """
     check_int(k, "k", 2)
-    limits.check_count(k * (k - 1) // 2 * R.size ** 2, "constant family tables")
-    maps = {pair: R.table for pair in combinations(range(1, k + 1), 2)}
-    return make_theta_family(k, (R.size,) * k, maps)
+    count = k * (k - 1) // 2
+    limits.check_count(count * R.size ** 2, "constant family tables")
+    pairs, inverse = _checked_table(R.table, R.size, R.size, "theta_12 ")
+    return ThetaFamily(k, (R.size,) * k, (pairs,) * count, (inverse,) * count)
 
 
 def _validate(family: ThetaFamily):

@@ -38,13 +38,21 @@ class GradedClassSet:
     _index: dict = field(compare=False, repr=False)
 
     def index_of(self, word) -> int:
-        """The index in `classes` of the class holding `word`."""
+        """The index in `classes` of the class holding `word`.
+
+        Letters are ints, as in `encode_word`: `True` or `1.0` hashes like
+        the integer 1 but is no letter.
+        """
         try:
             word = tuple(word)
-            return self._index[word]
+            index = self._index[word]
         except (TypeError, KeyError):
             # a non-iterable, or a word with an unhashable letter, is no word either
-            raise InvalidParams(f"{word!r} is not a word of length {self.length} over [{self.size}]") from None
+            index = None
+        # `type` rather than isinstance: bool is a subclass of int
+        if index is None or any(type(letter) is not int for letter in word):
+            raise InvalidParams(f"{word!r} is not a word of length {self.length} over [{self.size}]")
+        return index
 
 
 def _roots_by_length(R: Solution):

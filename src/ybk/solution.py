@@ -16,6 +16,7 @@ True
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
 
@@ -122,10 +123,13 @@ def _check_pairs(table, rows: int, cols: int, label: str = "") -> tuple:
     """The entries of `table` as tuples, checked as a bijection listed row-major.
 
     Entry (a-1)*cols + (b-1) is the output for (a, b): a pair of ints in
-    [1..cols] x [1..rows], repeating no other.  Every fault starts with
-    `label`.  Solutions are the square case; `kgraph.make_theta_family`
-    checks each theta_ij with rows = N_i and cols = N_j.
+    [1..cols] x [1..rows], repeating no other.  A mapping, string or bytes
+    is not read as a table.  Every fault starts with `label`.  Solutions are
+    the square case; `kgraph.make_theta_family` checks each theta_ij with
+    rows = N_i and cols = N_j.
     """
+    if isinstance(table, (Mapping, str, bytes)):
+        raise InvalidParams(f"{label}table must be a sequence of pairs, not {type(table).__name__}")
     try:
         entries = [tuple(entry) for entry in table]
     except TypeError as exc:
@@ -135,23 +139,28 @@ def _check_pairs(table, rows: int, cols: int, label: str = "") -> tuple:
         raise InvalidParams(
             f"{label}table must have {rows * cols} entries for size {size}, got {len(entries)}"
         )
-    seen: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def cell(idx):
+        a, b = divmod(idx, cols)
+        return a + 1, b + 1
+
+    # the first index of each output; its cell is computed only for a message
+    seen: dict[tuple[int, int], int] = {}
     for idx, pair in enumerate(entries):
         if len(pair) != 2:
             raise InvalidParams(f"{label}entry {idx} is not a pair: {pair!r}")
         u, v = pair
-        a, b = divmod(idx, cols)
         # `type` rather than isinstance: bool is a subclass of int
         if not (type(u) is int and type(v) is int):
-            raise OutOfRange(f"{label}entry for ({a + 1},{b + 1}) has non-integer coordinates {pair!r}")
+            a, b = cell(idx)
+            raise OutOfRange(f"{label}entry for ({a},{b}) has non-integer coordinates {pair!r}")
         if not (1 <= u <= cols and 1 <= v <= rows):
+            a, b = cell(idx)
             span = f"[1..{cols}]^2" if rows == cols else f"[1..{cols}] x [1..{rows}]"
-            raise OutOfRange(f"{label}entry for ({a + 1},{b + 1}) is {pair}, outside {span}")
-        if pair in seen:
-            raise NotABijection(
-                f"{label}output pair {pair} produced by both {seen[pair]} and {(a + 1, b + 1)}"
-            )
-        seen[pair] = (a + 1, b + 1)
+            raise OutOfRange(f"{label}entry for ({a},{b}) is {pair}, outside {span}")
+        first = seen.setdefault(pair, idx)
+        if first != idx:
+            raise NotABijection(f"{label}output pair {pair} produced by both {cell(first)} and {cell(idx)}")
     return tuple(entries)
 
 

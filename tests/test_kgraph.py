@@ -3,6 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
+from ybk.catalog import catalog_names, catalog_profile, catalog_solution
+from ybk.classify import enumerate_solutions
 from ybk.constructions import level_map, level_map_via_legs, level_solution
 from ybk.errors import (
     DegreeOutOfRange,
@@ -32,7 +34,7 @@ from ybk.kgraph import (
     unique_pushout,
     validate_kgraph,
 )
-from ybk.solution import builtin, is_ybe, make_solution, properties, _mod1
+from ybk.solution import Solution, builtin, is_ybe, make_solution, properties, _mod1
 
 from conftest import random_solutions
 
@@ -267,6 +269,49 @@ class TestMakeFamily:
         # 124,750 colour pairs of 9 entries each are over the default limit
         with pytest.raises(Overflow):
             constant_family(builtin("dihedral", 3), 500)
+
+
+def constant_family_oracle(R, k):
+    """The constant family through the per-pair path, one separate table copy per pair."""
+    maps = {pair: [list(p) for p in R.table] for pair in combinations(range(1, k + 1), 2)}
+    return make_theta_family(k, (R.size,) * k, maps)
+
+
+class TestConstantFamily:
+    """`constant_family` checks and inverts R's table once and shares it."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_equals_the_per_pair_family(self, census3, k):
+        solutions = [R for n in (1, 2) for R in enumerate_solutions(n)] + list(census3)
+        solutions += [
+            catalog_solution(name) for name in catalog_names() if "valid_kgraph" not in catalog_profile(name)
+        ]
+        for R in solutions:
+            family = constant_family(R, k)
+            oracle = constant_family_oracle(R, k)
+            assert family == oracle and hash(family) == hash(oracle)
+            assert validate_kgraph(family) == validate_kgraph(oracle)
+
+    @pytest.mark.parametrize("k", [2, 5, 40])
+    def test_table_is_checked_once(self, standard, monkeypatch, k):
+        import ybk.kgraph as kgraph
+
+        calls = []
+        check = kgraph._check_pairs
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(kgraph, "_check_pairs", counted)
+        family = constant_family(standard["dih3"], k)
+        assert len(calls) == 1 and len(family.maps) == k * (k - 1) // 2
+
+    def test_non_bijection_built_directly_names_theta_12(self):
+        R = Solution(2, ((1, 1), (1, 1), (2, 1), (2, 2)))
+        with pytest.raises(NotABijection) as caught:
+            constant_family(R, 4)
+        assert str(caught.value) == "theta_12 output pair (1, 1) produced by both (1, 1) and (1, 2)"
 
 
 class TestApply:

@@ -159,6 +159,14 @@ class TestGradedElements:
             graded.index_of(word)
         assert graded.index_of([1, 2, 2]) == graded.index_of((1, 3, 3))
 
+    @pytest.mark.parametrize("word", [(True, 1), (1.0, 1), (1, 1.0), [1, True]])
+    def test_index_of_rejects_letters_that_are_not_ints(self, standard, word):
+        # these used to find the class of (1, 1) by hash equality
+        graded = graded_elements(standard["dih3"], 2)
+        with pytest.raises(InvalidParams, match="is not a word of length 2 over \\[3\\]"):
+            graded.index_of(word)
+        assert graded.index_of((1, 1)) == 0
+
     @pytest.mark.parametrize(
         "limit, n, message",
         [

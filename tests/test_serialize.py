@@ -54,6 +54,17 @@ class TestSolutionDocuments:
             parse_solution_document(canonical_json(doc))
         assert str(caught.value) == "table must have 4 entries for size 2, got 3"
 
+    @pytest.mark.parametrize("table", [{"a": 1}, "ab"])
+    def test_table_that_is_an_object_or_string_is_named(self, table):
+        # these used to be read by keys or characters: "must have 4 entries ..., got 1"
+        solution_doc = {"format_version": "1", "size": 2, "table": table}
+        theta_doc = {"format_version": "1", "k": 2, "sizes": [2, 2], "maps": {"1,2": table}}
+        kind = type(table).__name__
+        with pytest.raises(InvalidParams, match=f"^table must be a sequence of pairs, not {kind}$"):
+            parse_solution_document(canonical_json(solution_doc))
+        with pytest.raises(InvalidParams, match=f"^theta_12 table must be a sequence of pairs, not {kind}$"):
+            parse_theta_document(canonical_json(theta_doc))
+
     def test_duplicate_pair_propagates(self):
         doc = {
             "format_version": "1",

@@ -83,6 +83,14 @@ class TestMakeSolution:
             with pytest.raises(InvalidParams):
                 make_solution(size, table)
 
+    @pytest.mark.parametrize(
+        "table, kind", [({(1, 1): 0}, "dict"), ("((1, 1),)", "str"), (b"\x01\x01", "bytes")]
+    )
+    def test_mapping_or_text_table_rejected(self, table, kind):
+        # a dict used to be read by its keys, so this one built a solution
+        with pytest.raises(InvalidParams, match=f"^table must be a sequence of pairs, not {kind}$"):
+            make_solution(1, table)
+
     def test_boolean_size_rejected(self):
         with pytest.raises(InvalidParams):
             make_solution(True, [(1, 1)])
