@@ -31,7 +31,6 @@ from .homology import (
     derived_boundary,
     h1_orbit_check,
     homology,
-    smith_normal_form,
     verify_complex,
 )
 from .kgraph import (

@@ -142,17 +142,11 @@ def enumerate_solutions(n: int) -> list[Solution]:
     return [Solution(n, tuple(pair[code] for code in codes)) for codes in sorted(closed)]
 
 
-def random_bijection_table(n: int, rng: random.Random) -> tuple[tuple[int, int], ...]:
-    """A uniformly random bijection table on [n]^2."""
-    pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
-    rng.shuffle(pairs)
-    return tuple(pairs)
-
-
 def sample_ybe_solutions(n: int, attempts: int, seed: int) -> list[Solution]:
     """Braid-relation survivors among seeded random bijections (non-exhaustive).
 
-    Each draw is the table `random_bijection_table(n, rng)` would give for
+    Each draw is the table that `rng.shuffle` makes of the row-major pair
+    list of [n]^2, one shuffle of a fresh copy per draw, for
     `rng = random.Random(seed)`, so the sampled list is a fixed function of
     (n, attempts, seed).
     """
@@ -165,7 +159,7 @@ def sample_ybe_solutions(n: int, attempts: int, seed: int) -> list[Solution]:
     # Fisher-Yates as Random.shuffle runs it on CPython 3.10 to 3.13: position
     # i swaps with j drawn below i + 1 by Random._randbelow, i.e. from
     # k = (i + 1).bit_length() random bits, drawn again while j > i; the
-    # tests hold every draw to random_bijection_table's
+    # tests hold every draw to Random.shuffle's
     steps = [(i, (i + 1).bit_length()) for i in range(n * n - 1, 0, -1)]
     found = {}
     for _ in range(attempts):

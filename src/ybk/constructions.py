@@ -14,7 +14,7 @@ from itertools import islice, product
 
 from .errors import Degenerate, InvalidParams, NotAYbeSolution, check_int
 from .limits import check_count
-from .solution import Solution, _degenerate_row, alpha_beta, apply_leg, is_ybe, make_solution
+from .solution import Solution, _degenerate_row, alpha_beta, is_ybe, make_solution
 
 
 def encode_word(word, n: int) -> int:
@@ -168,18 +168,21 @@ class LevelMap:
 
     def apply(self, u, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
         n = self.size
-        letters = range(1, n + 1)
         try:
             u, v = tuple(u), tuple(v)
             fits = len(u) == self.left_length and len(v) == self.right_length
         except TypeError:
             fits = False
-        if not (fits and all(letter in letters for letter in u + v)):
+        # `type` rather than isinstance or `in range`: True and 1.0 are not letters
+        if not (fits and all(type(letter) is int and 1 <= letter <= n for letter in u + v)):
             raise InvalidParams(
                 f"level map on [{n}]^{self.left_length} x [{n}]^{self.right_length}"
                 f" cannot apply to {u!r}, {v!r}"
             )
-        idx = (encode_word(u, n) - 1) * n ** self.right_length + encode_word(v, n) - 1
+        # the entry of (u, v) is the 0-based big-endian code of the word u + v
+        idx = 0
+        for letter in u + v:
+            idx = idx * n + letter - 1
         return self.table[idx]
 
 
@@ -280,26 +283,6 @@ def level_is_identity(R: Solution, n_level: int) -> bool:
         if any(nb != v for v, (_, nb) in enumerate(states)):
             return False
     return True
-
-
-def level_map_via_legs(R: Solution, n_level: int) -> LevelMap:
-    """Square-level map computed as the explicit product of adjacent legs.
-
-    Independent of the rewriting engine; used as a cross-check oracle.
-    """
-    check_int(n_level, "block length", 1)
-    n = R.size
-    check_count(n, f"leg-composition table on [{n}]^{2 * n_level}", 2 * n_level)
-    rng = range(1, n + 1)
-    table = []
-    for u in product(rng, repeat=n_level):
-        for v in product(rng, repeat=n_level):
-            t = u + v
-            for i in range(n_level, 0, -1):
-                for p in range(i, i + n_level):
-                    t = apply_leg(R, p, t)
-            table.append((t[:n_level], t[n_level:]))
-    return LevelMap(n, n_level, n_level, tuple(table))
 
 
 def _flat_level_codes(R: Solution, n_level: int) -> list[int]:

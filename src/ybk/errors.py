@@ -85,7 +85,7 @@ class SizeTooLarge(YbkError):
 
 
 class SizeMismatch(YbkError):
-    """The operation needs operands of matching sizes: ground sets or matrix shapes."""
+    """The operation needs operands whose ground sets have matching sizes."""
 
 
 class NotDerivedType(YbkError):

@@ -18,10 +18,8 @@ once.  The factors come from sparse unit-pivot elimination followed by a
 diagonal-only Smith reduction of the block no unit pivot reaches.  The
 boundary into degree n is factored without the rows of the words that are
 unit-pivot columns of the boundary out of it, which leaves its factors
-unchanged once the chain condition holds.  `smith_normal_form`, which also
-carries the unimodular transforms, is kept as the oracle the factors are
-tested against.  The chain condition is checked by composing sparse
-boundary columns, before anything is factored.
+unchanged once the chain condition holds.  The chain condition is checked
+by composing sparse boundary columns, before anything is factored.
 
 Everything is exact integer arithmetic; no floating point anywhere.
 """
@@ -38,7 +36,6 @@ from .errors import (
     NotAYbeSolution,
     NotDerivedType,
     PreconditionFailed,
-    SizeMismatch,
     check_int,
 )
 from .limits import check_count
@@ -77,21 +74,6 @@ class IntegerMatrix:
         check_int(rows, "matrix dimensions", 0)
         check_int(cols, "matrix dimensions", 0)
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        check_int(n, "matrix dimensions", 0)
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise SizeMismatch(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        cols = list(zip(*other.entries)) if other.entries else []
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries
-        )
-        return IntegerMatrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
@@ -201,98 +183,6 @@ class OrbitPartition:
     """Blocks of [N] under the group generated by all right-action maps."""
 
     blocks: tuple[tuple[int, ...], ...]
-
-
-def smith_normal_form(matrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """U, D, V with U*M*V = D, U and V unimodular, D diagonal with d_1 | d_2 | ...
-
-    Pivoting on the smallest nonzero entry keeps coefficients small; exact
-    integer arithmetic throughout.
-    """
-    if not isinstance(matrix, IntegerMatrix):
-        matrix = IntegerMatrix.from_rows(matrix)
-    rows, cols = matrix.rows, matrix.cols
-    a = [list(row) for row in matrix.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                value = abs(a[i][j])
-                if value and (best is None or value < best):
-                    best = value
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if a[t][t] < 0:
-            negate_row(t)
-        while True:
-            clean = True
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        clean = False
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        clean = False
-            if a[t][t] < 0:
-                negate_row(t)
-            if not clean:
-                continue
-            # pivot must divide the remaining block for the invariant chain
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        t += 1
-    return (
-        IntegerMatrix.from_rows(u),
-        IntegerMatrix.from_rows(a) if a else IntegerMatrix.zero(rows, cols),
-        IntegerMatrix.from_rows(v),
-    )
 
 
 def _dense(columns: list[dict[int, int]], rows: int) -> IntegerMatrix:

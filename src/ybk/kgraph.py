@@ -173,11 +173,12 @@ def constant_family(R: Solution, k: int) -> ThetaFamily:
     """All colours share the size N and the table of R.
 
     R's table is checked and inverted once, as theta_12, and every colour
-    pair shares that table and that inverse: time and memory are O(N^2 + k^2).
+    pair shares that table and that inverse: time and memory are O(N^2 + k^2),
+    and the N^2 table entries plus one slot per pair are held to the limit.
     """
     check_int(k, "k", 2)
     count = k * (k - 1) // 2
-    limits.check_count(count * R.size ** 2, "constant family tables")
+    limits.check_count(R.size ** 2 + count, "constant family table and pair slots")
     pairs, inverse = _checked_table(R.table, R.size, R.size, "theta_12 ")
     return ThetaFamily(k, (R.size,) * k, (pairs,) * count, (inverse,) * count)
 

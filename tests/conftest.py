@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from ybk.classify import enumerate_solutions, random_bijection_table
+from ybk.classify import enumerate_solutions
 from ybk.solution import Solution, builtin
+
+from oracles import random_bijection_table
 
 
 @pytest.fixture(scope="session")

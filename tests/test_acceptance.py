@@ -17,7 +17,6 @@ from ybk.classify import (
     is_conjugacy_witness,
     is_yb_iso_witness,
     product_conjugate,
-    random_bijection_table,
     yb_isomorphic,
 )
 from ybk.constructions import disjoint_union_solution, level_map, level_solution
@@ -45,6 +44,8 @@ from ybk.semigroup import (
     semigroup_extension_check,
 )
 from ybk.solution import Solution, builtin, is_ybe, properties, _mod1
+
+from oracles import random_bijection_table
 
 
 def _report(number: int, label: str, elapsed: float, limit: float, note: str = ""):

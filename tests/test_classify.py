@@ -12,7 +12,6 @@ from ybk.classify import (
     is_conjugacy_witness,
     is_yb_iso_witness,
     product_conjugate,
-    random_bijection_table,
     sample_ybe_solutions,
     yb_isomorphic,
 )
@@ -20,6 +19,8 @@ from ybk.constructions import trivial_extension
 from ybk.errors import InvalidParams, SizeMismatch, SizeTooLarge
 from ybk.semigroup import check_cancellative, growth
 from ybk.solution import Solution, _table_is_ybe, builtin, properties
+
+from oracles import random_bijection_table
 
 # the module itself: `ybk.classify` is the function re-exported by the package
 CLASSIFY = importlib.import_module("ybk.classify")

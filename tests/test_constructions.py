@@ -13,7 +13,6 @@ from ybk.constructions import (
     level_codes,
     level_is_identity,
     level_map,
-    level_map_via_legs,
     level_solution,
     trivial_extension,
 )
@@ -27,9 +26,10 @@ from ybk.errors import (
 )
 import ybk.constructions as constructions
 from ybk.kgraph import make_theta_family, validate_kgraph
-from ybk.solution import apply_leg, builtin, is_ybe, make_solution, properties, _mod1
+from ybk.solution import builtin, is_ybe, make_solution, properties, _mod1
 
 from conftest import random_solutions
+from oracles import legs_level_map
 
 
 def glue_add():
@@ -235,24 +235,14 @@ class TestLevelMap:
     def test_leg_composition_oracle(self, census2, census3, standard):
         for R in census2 + [standard["dih3"]]:
             for n in (1, 2, 3):
-                assert level_map(R, n, n).table == level_map_via_legs(R, n).table
+                assert level_map(R, n, n).table == legs_level_map(R, n, n)
         for R in census3:
-            assert level_map(R, 2, 2).table == level_map_via_legs(R, 2).table
+            assert level_map(R, 2, 2).table == legs_level_map(R, 2, 2)
 
     def test_rectangular_leg_oracle(self, census2, standard):
-        # push v_1, ..., v_m in turn to the front by legs p = l+i-1 down to i
         for R in census2 + [standard["dih3"]]:
-            rng = range(1, R.size + 1)
             for l, m in ((1, 2), (2, 1), (2, 3), (3, 2), (1, 4)):
-                expected = []
-                for u in product(rng, repeat=l):
-                    for v in product(rng, repeat=m):
-                        t = u + v
-                        for i in range(1, m + 1):
-                            for p in range(l + i - 1, i - 1, -1):
-                                t = apply_leg(R, p, t)
-                        expected.append((t[:m], t[m:]))
-                assert level_map(R, l, m).table == tuple(expected)
+                assert level_map(R, l, m).table == legs_level_map(R, l, m)
 
     def test_block_coherence(self, standard):
         # pushing through a split block factors through the pieces
@@ -270,12 +260,13 @@ class TestLevelMap:
     @pytest.mark.parametrize(
         "u, v",
         [((1,), (3, 3)), ((1, 2, 3), (1,)), ((1, 2), ()), ((1, 4), (1,)), ((1, 2), (0,)),
-         (5, (1,)), (None, (1,)), ((1, 2), 5)],
+         (5, (1,)), (None, (1,)), ((1, 2), 5), ((True, 1), (1,)), ((1.0, 1), (1,))],
     )
     def test_apply_rejects_words_that_do_not_fit(self, standard, u, v):
-        # a word that is not a sequence used to escape as TypeError
+        # a word that is not a sequence used to escape as TypeError, and a
+        # bool or float letter used to pass one check and fail another
         lm = level_map(standard["dih3"], 2, 1)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="cannot apply"):
             lm.apply(u, v)
 
 
@@ -286,7 +277,6 @@ LEVEL_CALLS = {
     "level_map-m": lambda R, x: level_map(R, 2, x),
     "level_solution": level_solution,
     "level_is_identity": level_is_identity,
-    "level_map_via_legs": level_map_via_legs,
 }
 
 

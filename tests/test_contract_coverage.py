@@ -49,7 +49,7 @@ from ybk import (
     semigroup_extension_check,
     verify_complex,
 )
-from ybk.constructions import decode_word, encode_word, level_codes, level_is_identity, level_map_via_legs
+from ybk.constructions import decode_word, encode_word, level_codes, level_is_identity
 from ybk.errors import InvalidParams
 from ybk.serialize import canonical_json, parse_theta_document
 
@@ -129,14 +129,12 @@ INTEGER_ARGUMENTS = {
     "level_map-l": (lambda v: level_map(DIH3, v, 1), "block length", 1),
     "level_map-m": (lambda v: level_map(DIH3, 1, v), "block length", 1),
     "level_is_identity-n": (lambda v: level_is_identity(DIH3, v), "block length", 1),
-    "level_map_via_legs-n": (lambda v: level_map_via_legs(DIH3, v), "block length", 1),
     "level_solution-n": (lambda v: level_solution(DIH3, v), "block length", 1),
     "action_formula_check-n": (lambda v: action_formula_check(DIH3, v), "block length", 1),
     "IntegerMatrix-rows": (lambda v: IntegerMatrix(v, 0, ()), "matrix dimensions", 0),
     "IntegerMatrix-cols": (lambda v: IntegerMatrix(0, v, ()), "matrix dimensions", 0),
     "IntegerMatrix.zero-rows": (lambda v: IntegerMatrix.zero(v, 0), "matrix dimensions", 0),
     "IntegerMatrix.zero-cols": (lambda v: IntegerMatrix.zero(0, v), "matrix dimensions", 0),
-    "IntegerMatrix.identity-n": (lambda v: IntegerMatrix.identity(v), "matrix dimensions", 0),
     "AbelianGroup-free_rank": (lambda v: AbelianGroup(v, ()), "free rank", 0),
     "AbelianGroup-torsion": (lambda v: AbelianGroup(0, (v,)), "invariant factor", 2),
     "from_cyclic_orders-orders": (lambda v: AbelianGroup.from_cyclic_orders([v, 0]), "cyclic order", None),

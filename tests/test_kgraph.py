@@ -5,7 +5,7 @@ import pytest
 
 from ybk.catalog import catalog_names, catalog_profile, catalog_solution
 from ybk.classify import enumerate_solutions
-from ybk.constructions import level_map, level_map_via_legs, level_solution
+from ybk.constructions import level_map, level_solution
 from ybk.errors import (
     DegreeOutOfRange,
     DegreesOverlap,
@@ -37,6 +37,7 @@ from ybk.kgraph import (
 from ybk.solution import Solution, builtin, is_ybe, make_solution, properties, _mod1
 
 from conftest import random_solutions
+from oracles import legs_level_map
 
 
 def glue_add():
@@ -266,9 +267,11 @@ class TestMakeFamily:
             make_theta_family(3000, [1] * 2999, {})
 
     def test_constant_family_is_guarded(self):
-        # 124,750 colour pairs of 9 entries each are over the default limit
-        with pytest.raises(Overflow):
-            constant_family(builtin("dihedral", 3), 500)
+        # one table of 9 entries and 1,049,076 colour-pair slots are over the
+        # default limit, and 1,047,628 slots are not
+        with pytest.raises(Overflow, match="needs 1049085 entries"):
+            constant_family(builtin("dihedral", 3), 1449)
+        assert len(constant_family(builtin("dihedral", 3), 1448).maps) == 1047628
 
 
 def constant_family_oracle(R, k):
@@ -306,6 +309,28 @@ class TestConstantFamily:
         monkeypatch.setattr(kgraph, "_check_pairs", counted)
         family = constant_family(standard["dih3"], k)
         assert len(calls) == 1 and len(family.maps) == k * (k - 1) // 2
+
+    def test_five_hundred_colours_fit_the_default_limit(self, standard):
+        # 124,750 pairs used to be counted as 124,750 tables of 9 entries
+        R = standard["dih3"]
+        family = constant_family(R, 500)
+        per_pair = make_theta_family(500, (3,) * 500, dict.fromkeys(combinations(range(1, 501), 2), R.table))
+        assert family == per_pair and hash(family) == hash(per_pair)
+
+    def test_guard_counts_one_table_and_the_pair_slots(self, standard, monkeypatch):
+        import ybk.kgraph as kgraph
+
+        monkeypatch.setenv("YBK_LIMIT", "20")
+        # 9 table entries and 10 pair slots fit
+        assert len(constant_family(standard["dih3"], 5).maps) == 10
+
+        def no_work(*args):
+            raise AssertionError("the count is checked before any table is built")
+
+        monkeypatch.setattr(kgraph, "_checked_table", no_work)
+        # 9 table entries and 15 pair slots do not
+        with pytest.raises(Overflow, match="needs 24 entries, above the limit 20"):
+            constant_family(standard["dih3"], 6)
 
     def test_non_bijection_built_directly_names_theta_12(self):
         R = Solution(2, ((1, 1), (1, 1), (2, 1), (2, 2)))
@@ -978,7 +1003,7 @@ class TestPeriodicity:
         # the rewriting engine and the leg-composition oracle
         for R in census2:
             for n in (1, 2, 3):
-                assert level_map(R, n, n).table == level_map_via_legs(R, n).table
+                assert level_map(R, n, n).table == legs_level_map(R, n, n)
 
 
 class TestRestrict:

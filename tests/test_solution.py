@@ -3,7 +3,6 @@ from itertools import permutations, product
 
 import pytest
 
-from ybk.classify import random_bijection_table
 from ybk.errors import (
     InvalidParams,
     NotABijection,
@@ -30,6 +29,7 @@ from ybk.solution import (
 )
 
 from conftest import random_solutions
+from oracles import random_bijection_table
 
 
 def direct_flags(R):

@@ -23,7 +23,6 @@ from ybk.constructions import (
     level_codes,
     level_is_identity,
     level_map,
-    level_map_via_legs,
     level_solution,
     trivial_extension,
 )
@@ -97,7 +96,6 @@ def test_level_maps_raise_only_library_errors(R, l, m, u, v):
         _contract(level.apply, u, v)
     _contract(level_solution, R, l)
     _contract(level_is_identity, R, l)
-    _contract(level_map_via_legs, R, l)
     _contract(action_formula_check, R, l)
 
 
