@@ -24,7 +24,7 @@ from itertools import permutations
 from math import factorial
 
 from .errors import InvalidParams, SizeMismatch, SizeTooLarge, check_int
-from .solution import Solution, _as_permutation, _table_is_ybe
+from .solution import Solution, _as_permutation, _braid_failure
 
 CENSUS_MAX_SIZE = 3
 
@@ -169,7 +169,7 @@ def sample_ybe_solutions(n: int, attempts: int, seed: int) -> list[Solution]:
             while j > i:
                 j = getrandbits(k)
             table[i], table[j] = table[j], table[i]
-        if _table_is_ybe(n, table):
+        if _braid_failure(n, table) is None:
             key = tuple(table)
             found[key] = Solution(n, key)
     return [found[key] for key in sorted(found)]

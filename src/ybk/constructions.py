@@ -14,7 +14,7 @@ from itertools import islice, product
 
 from .errors import Degenerate, InvalidParams, NotAYbeSolution, check_int
 from .limits import check_count
-from .solution import Solution, _degenerate_row, alpha_beta, is_ybe, make_solution
+from .solution import Solution, _degenerate_row, _flip_conjugate, alpha_beta, is_ybe, make_solution
 
 
 def encode_word(word, n: int) -> int:
@@ -113,6 +113,10 @@ def glued_identity_extension(size_x: int, size_y: int, theta) -> Solution:
 def derived_solution(R: Solution) -> Solution:
     """The derived solution: (x, y) -> (beta_x(alpha_{beta_y^{-1}(x)}(y)), x)."""
     _require_nondegenerate_ybe(R)
+    return _derived(R)
+
+
+def _derived(R: Solution) -> Solution:
     n = R.size
     ab = alpha_beta(R)
     beta_inv = tuple(_invert_row(row) for row in ab.beta)
@@ -125,17 +129,13 @@ def derived_solution(R: Solution) -> Solution:
 
 
 def left_derived_solution(R: Solution) -> Solution:
-    """The mirror-shape variant: (x, y) -> (y, alpha_y(beta_{alpha_x^{-1}(y)}(x)))."""
+    """The mirror-shape variant: (x, y) -> (y, alpha_y(beta_{alpha_x^{-1}(y)}(x))).
+
+    It is the flip-conjugate of the derived solution of R's flip-conjugate,
+    which swaps the roles of alpha and beta.
+    """
     _require_nondegenerate_ybe(R)
-    n = R.size
-    ab = alpha_beta(R)
-    alpha_inv = tuple(_invert_row(row) for row in ab.alpha)
-    table = []
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            w = alpha_inv[x - 1][y - 1]
-            table.append((y, ab.alpha[y - 1][ab.beta[w - 1][x - 1] - 1]))
-    return make_solution(n, table)
+    return _flip_conjugate(_derived(_flip_conjugate(R)))
 
 
 def _require_nondegenerate_ybe(R: Solution) -> None:

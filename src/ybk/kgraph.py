@@ -31,7 +31,7 @@ from .errors import (
     check_int,
 )
 from .limits import check_count
-from .solution import Solution, _check_pairs, _least, is_ybe
+from .solution import Solution, _check_pairs, _inverse_pairs, _least, is_ybe
 
 
 @dataclass(frozen=True)
@@ -162,11 +162,7 @@ def make_theta_family(k: int, sizes, maps) -> ThetaFamily:
 def _checked_table(table, ni: int, nj: int, label: str):
     """One theta table checked by `_check_pairs`, with its inverse table."""
     pairs = _check_pairs(table, ni, nj, label)
-    inverse = [None] * (ni * nj)
-    for idx, (tp, sp) in enumerate(pairs):
-        s, t = divmod(idx, nj)
-        inverse[(tp - 1) * ni + (sp - 1)] = (s + 1, t + 1)
-    return pairs, tuple(inverse)
+    return pairs, _inverse_pairs(pairs, ni, nj)
 
 
 def constant_family(R: Solution, k: int) -> ThetaFamily:
@@ -265,13 +261,15 @@ def _sort(family: ThetaFamily, letters, segments, colours):
     their segments, so no letter meets its own colour.  Returns one letter
     list per segment.
     """
-    k = family.k
     # cross[c][j] moves a colour-c letter x left past a colour-j letter y: its
-    # entry (y - 1) * N_c + x - 1 holds the new colour-c and colour-j letters
-    cross = [[None] * (k + 1) for _ in range(k + 1)]
-    for (i, j), table, inverse in zip(combinations(range(1, k + 1), 2), family.maps, family.inv_maps):
-        cross[i][j] = inverse
-        cross[j][i] = table
+    # entry (y - 1) * N_c + x - 1 holds the new colour-c and colour-j letters.
+    # Only the word's own colours meet, so only their pairs are looked up
+    present = sorted({c for c, _ in letters})
+    cross = {c: {} for c in present}
+    for i, j in combinations(present, 2):
+        p = family.pair_index(i, j)
+        cross[i][j] = family.inv_maps[p]
+        cross[j][i] = family.maps[p]
     blocks = [[] for _ in colours]
     for (c, x), r in zip(letters, segments):
         n_c = family.sizes[c - 1]

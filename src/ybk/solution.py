@@ -54,12 +54,7 @@ class Solution:
 
     def inverse(self) -> "Solution":
         """The inverse bijection (R is invertible by construction)."""
-        n = self.size
-        inv = [(0, 0)] * (n * n)
-        for idx, (u, v) in enumerate(self.table):
-            x, y = divmod(idx, n)
-            inv[(u - 1) * n + (v - 1)] = (x + 1, y + 1)
-        return Solution(n, tuple(inv))
+        return Solution(self.size, _inverse_pairs(self.table, self.size, self.size))
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,6 +170,20 @@ def make_solution(size: int, table) -> Solution:
     return Solution(size, _check_pairs(table, size, size))
 
 
+def _inverse_pairs(pairs, rows: int, cols: int) -> tuple:
+    """The inverse of a table that `_check_pairs(pairs, rows, cols)` accepts.
+
+    Entry (u-1)*rows + (v-1) is the (a, b) whose entry is (u, v): a square
+    table inverts to a square table, and theta_ij's table, row-major by
+    (s, t), to its inverse, row-major by (t', s').
+    """
+    inverse = [None] * (rows * cols)
+    for idx, (u, v) in enumerate(pairs):
+        a, b = divmod(idx, cols)
+        inverse[(u - 1) * rows + (v - 1)] = (a + 1, b + 1)
+    return tuple(inverse)
+
+
 def _mod1(value: int, n: int) -> int:
     """Reduce into the 1-based window [1..n]."""
     return (value - 1) % n + 1
@@ -234,8 +243,12 @@ def _as_permutation(seq, n: int, label: str) -> tuple[int, ...]:
     return images
 
 
-def _table_is_ybe(n: int, table) -> bool:
-    """Braid relation on a raw table, with early exit.  Hot path for censuses."""
+def _braid_failure(n: int, table):
+    """The least triple (x, y, z) where the braid relation fails on a raw table, or None.
+
+    Hot path for censuses: triples are visited in lexicographic order and the
+    first failure is returned, so it is the least.
+    """
     if n >= 1:
         # triple (1, 1, 1) alone rejects most random tables, before any loop
         # is set up: the loops below run the same check with y = z = x = 1
@@ -244,16 +257,17 @@ def _table_is_ybe(n: int, table) -> bool:
         c, d = table[(u1 - 1) * n + a - 1]
         e, fo = table[u1 - 1]
         if c != e:
-            return False
+            return (1, 1, 1)
         g, h = table[(fo - 1) * n + v1 - 1]
         if d != g or b != h:
-            return False
+            return (1, 1, 1)
     for x in range(1, n + 1):
         base = (x - 1) * n
         for y in range(1, n + 1):
             u1, v1 = table[base + y - 1]
             row_u1 = (u1 - 1) * n
             row_x = base
+            # R12 R23 R12 (x, y, z) = (c, d, b) and R23 R12 R23 (x, y, z) = (e, g, h)
             for z in range(1, n + 1):
                 a, b = table[(v1 - 1) * n + z - 1]
                 c, d = table[row_u1 + a - 1]
@@ -261,41 +275,23 @@ def _table_is_ybe(n: int, table) -> bool:
                 e, fo = table[row_x + p - 1]
                 g, h = table[(fo - 1) * n + q - 1]
                 if c != e or d != g or b != h:
-                    return False
-    return True
+                    return (x, y, z)
+    return None
 
 
 def is_ybe(R: Solution) -> bool:
     """True iff both sides of the braid relation agree on every triple."""
-    return _table_is_ybe(R.size, R.table)
+    return _braid_failure(R.size, R.table) is None
 
 
 def ybe_witness(R: Solution):
     """Least triple (x, y, z) where the braid relation fails, or None."""
-
-    def fails(x, y, z):
-        lhs, rhs = _braid_sides(R, x, y, z)
-        return lhs != rhs
-
-    span = range(1, R.size + 1)
-    return _least(fails, span, span, span)
+    return _braid_failure(R.size, R.table)
 
 
 def _least(fails, *ranges):
     """The lexicographically least point of product(*ranges) where `fails` holds, or None."""
     return next((point for point in product(*ranges) if fails(*point)), None)
-
-
-def _braid_sides(R: Solution, x: int, y: int, z: int):
-    u1, v1 = R(x, y)
-    a, b = R(v1, z)
-    c, d = R(u1, a)
-    lhs = (c, d, b)
-    p, q = R(y, z)
-    e, f = R(x, p)
-    g, h = R(f, q)
-    rhs = (e, g, h)
-    return lhs, rhs
 
 
 def alpha_beta(R: Solution) -> AlphaBeta:
@@ -314,13 +310,13 @@ def properties(R: Solution) -> PropertyReport:
     """All structural flags, each by direct exhaustive test."""
     span = range(1, R.size + 1)
     ab = alpha_beta(R)
-    ybe = is_ybe(R)
     found = {
         "involutive": _least(lambda x, y: R(*R(x, y)) != (x, y), span, span),
         "square_free": _least(lambda x: R(x, x) != (x, x), span),
         "non_degenerate": _degenerate_row(ab),
-        "is_ybe": None if ybe else ybe_witness(R),
+        "is_ybe": _braid_failure(R.size, R.table),
     }
+    ybe = found["is_ybe"] is None
     involutive = found["involutive"] is None
     non_degenerate = found["non_degenerate"] is None
     return PropertyReport(
@@ -418,22 +414,24 @@ def apply_leg(R: Solution, i: int, values) -> tuple[int, ...]:
 def mirror_derived(R: Solution) -> Solution:
     """Swap the two derived-type shapes: (f_x(y), x) <-> (y, f_y(x)).
 
+    Both directions are the flip-conjugate, which trades alpha for beta.
     The two shapes satisfy the braid relation together or not at all, which
     the test suite uses as an invariant.
     """
-    n = R.size
     ab = alpha_beta(R)
-    if _all_identity(ab.beta):
-        table = [
-            (y, ab.alpha[y - 1][x - 1]) for x in range(1, n + 1) for y in range(1, n + 1)
-        ]
-    elif _all_identity(ab.alpha):
-        table = [
-            (ab.beta[x - 1][y - 1], x) for x in range(1, n + 1) for y in range(1, n + 1)
-        ]
-    else:
+    if not (_all_identity(ab.beta) or _all_identity(ab.alpha)):
         raise NotDerivedType("neither coordinate family is the identity")
-    return make_solution(n, table)
+    return _flip_conjugate(R)
+
+
+def _flip_conjugate(R: Solution) -> Solution:
+    """(x, y) -> swap(R(y, x)): alpha_x and beta_x trade places.
+
+    Conjugating by the flip keeps the braid relation and non-degeneracy.
+    """
+    n = R.size
+    # table[x::n] is column x + 1 of the row-major table: R(1, x + 1), R(2, x + 1), ...
+    return Solution(n, tuple((v, u) for x in range(n) for u, v in R.table[x::n]))
 
 
 def qybe_form(R: Solution) -> Solution:

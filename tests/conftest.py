@@ -36,7 +36,7 @@ def standard():
 
 def random_solutions(size, count, seed, require_ybe=True):
     """Seeded random bijections, optionally filtered to braid-relation solutions."""
-    from ybk.solution import _table_is_ybe
+    from ybk.solution import _braid_failure
 
     rng = random.Random(seed)
     out = []
@@ -44,7 +44,7 @@ def random_solutions(size, count, seed, require_ybe=True):
     while len(out) < count and attempts < 100000:
         attempts += 1
         table = random_bijection_table(size, rng)
-        if require_ybe and not _table_is_ybe(size, table):
+        if require_ybe and _braid_failure(size, table) is not None:
             continue
         out.append(Solution(size, table))
     return out

@@ -9,7 +9,7 @@ collected; test modules import it as `oracles`.
 from itertools import product
 
 from ybk.homology import IntegerMatrix
-from ybk.solution import apply_leg
+from ybk.solution import alpha_beta, apply_leg
 
 
 def random_bijection_table(n, rng):
@@ -17,6 +17,59 @@ def random_bijection_table(n, rng):
     pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
     rng.shuffle(pairs)
     return tuple(pairs)
+
+
+def braid_sides(R, x, y, z):
+    """Both sides of the braid relation at (x, y, z): R12 R23 R12 and R23 R12 R23."""
+    u1, v1 = R(x, y)
+    a, b = R(v1, z)
+    c, d = R(u1, a)
+    p, q = R(y, z)
+    e, f = R(x, p)
+    g, h = R(f, q)
+    return (c, d, b), (e, g, h)
+
+
+def least_braid_failure(R):
+    """The least triple whose two braid sides differ, or None."""
+    span = range(1, R.size + 1)
+    for triple in product(span, repeat=3):
+        lhs, rhs = braid_sides(R, *triple)
+        if lhs != rhs:
+            return triple
+    return None
+
+
+def left_derived_formula(R):
+    """The table of `left_derived_solution(R)`, from its closed formula.
+
+    (x, y) -> (y, alpha_y(beta_w(x))) with w = alpha_x^{-1}(y), for a
+    non-degenerate R.
+    """
+    ab = alpha_beta(R)
+    span = range(1, R.size + 1)
+    table = []
+    for x in span:
+        for y in span:
+            w = ab.alpha[x - 1].index(y) + 1
+            table.append((y, ab.alpha[y - 1][ab.beta[w - 1][x - 1] - 1]))
+    return tuple(table)
+
+
+def mirror_derived_formula(R):
+    """The table of `mirror_derived(R)`, or None when R is not of derived type.
+
+    (alpha_x(y), x) goes to (y, alpha_y(x)), and (y, beta_y(x)) to
+    (beta_x(y), x); the flip, of both shapes, takes the first.
+    """
+    ab = alpha_beta(R)
+    span = range(1, R.size + 1)
+    identity = tuple(span)
+    if all(row == identity for row in ab.beta):
+        return tuple((y, ab.alpha[y - 1][x - 1]) for x in span for y in span)
+    if all(row == identity for row in ab.alpha):
+        return tuple((ab.beta[x - 1][y - 1], x) for x in span for y in span)
+    return None
 
 
 def legs_level_map(R, l, m):

@@ -18,7 +18,7 @@ from ybk.classify import (
 from ybk.constructions import trivial_extension
 from ybk.errors import InvalidParams, SizeMismatch, SizeTooLarge
 from ybk.semigroup import check_cancellative, growth
-from ybk.solution import Solution, _table_is_ybe, builtin, properties
+from ybk.solution import Solution, _braid_failure, builtin, properties
 
 from oracles import random_bijection_table
 
@@ -31,7 +31,7 @@ CLASSIFY = importlib.import_module("ybk.classify")
 
 def brute_force_census(n):
     pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
-    return [Solution(n, table) for table in permutations(pairs) if _table_is_ybe(n, table)]
+    return [Solution(n, table) for table in permutations(pairs) if _braid_failure(n, table) is None]
 
 
 def brute_force_conjugate(a, b):
@@ -55,7 +55,7 @@ def shuffled_sample(n, attempts, seed):
     found = {}
     for _ in range(attempts):
         table = random_bijection_table(n, rng)
-        if _table_is_ybe(n, table):
+        if _braid_failure(n, table) is None:
             found[table] = Solution(n, table)
     return [found[key] for key in sorted(found)]
 
@@ -219,9 +219,9 @@ class TestEnumerate:
 
         def recording_check(size, table):
             drawn.append(tuple(table))
-            return _table_is_ybe(size, table)
+            return _braid_failure(size, table)
 
-        monkeypatch.setattr(CLASSIFY, "_table_is_ybe", recording_check)
+        monkeypatch.setattr(CLASSIFY, "_braid_failure", recording_check)
         for seed in range(50):
             for attempts in (0, 1, 40):
                 drawn.clear()
@@ -271,7 +271,7 @@ class TestEnumerate:
         def no_draws(size, table):
             raise AssertionError("a draw was checked before the arguments were")
 
-        monkeypatch.setattr(CLASSIFY, "_table_is_ybe", no_draws)
+        monkeypatch.setattr(CLASSIFY, "_braid_failure", no_draws)
         with pytest.raises(InvalidParams, match="must be an integer"):
             call()
 

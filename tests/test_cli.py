@@ -487,7 +487,7 @@ class TestExitCodes:
         def planted(_):
             raise cls("planted")
 
-        monkeypatch.setattr(cli, "is_ybe", planted)
+        monkeypatch.setattr(cli, "ybe_witness", planted)
         assert run(capsys, "verify", "catalog:flip-2") == (cls.exit_code, "", "error: planted\n")
 
 

@@ -1,6 +1,10 @@
+import random
 from itertools import product
 
 import pytest
+
+from ybk.catalog import catalog_names, catalog_profile, catalog_solution
+from ybk.classify import enumerate_solutions
 
 from ybk.constructions import (
     cartesian_product,
@@ -21,15 +25,16 @@ from ybk.errors import (
     InvalidParams,
     NotABijection,
     NotAYbeSolution,
+    NotDerivedType,
     OutOfRange,
     Overflow,
 )
 import ybk.constructions as constructions
 from ybk.kgraph import make_theta_family, validate_kgraph
-from ybk.solution import builtin, is_ybe, make_solution, properties, _mod1
+from ybk.solution import builtin, is_ybe, make_solution, mirror_derived, properties, _mod1
 
 from conftest import random_solutions
-from oracles import legs_level_map
+from oracles import left_derived_formula, legs_level_map, mirror_derived_formula
 
 
 def glue_add():
@@ -208,6 +213,67 @@ class TestDerived:
             assert report.is_ybe and report.derived_type
             L = left_derived_solution(R)
             assert properties(L).is_ybe and properties(L).derived_type
+
+
+class TestFlipOracles:
+    """`left_derived_solution` and `mirror_derived` are built as flip-conjugates;
+    here their closed formulas are read off `alpha_beta` instead."""
+
+    @staticmethod
+    def derived_type_solutions():
+        rng = random.Random(29)
+        out = []
+        for n in (1, 2, 3, 4):
+            span = range(1, n + 1)
+            for _ in range(200):
+                # one permutation in every row always gives a solution
+                if rng.random() < 0.5:
+                    rows = [rng.sample(span, n)] * n
+                else:
+                    rows = [rng.sample(span, n) for _ in span]
+                if rng.random() < 0.5:
+                    table = [(rows[x - 1][y - 1], x) for x in span for y in span]
+                else:
+                    table = [(y, rows[y - 1][x - 1]) for x in span for y in span]
+                out.append(make_solution(n, table))
+        return out
+
+    @staticmethod
+    def compare(R):
+        """Which of the two constructions R reaches; a refusal must name its reason."""
+        mirror = mirror_derived_formula(R)
+        if mirror is None:
+            with pytest.raises(NotDerivedType):
+                mirror_derived(R)
+        else:
+            assert mirror_derived(R).table == mirror, R
+        report = properties(R)
+        if not report.is_ybe:
+            with pytest.raises(NotAYbeSolution):
+                left_derived_solution(R)
+        elif not report.non_degenerate:
+            with pytest.raises(Degenerate):
+                left_derived_solution(R)
+        else:
+            assert left_derived_solution(R).table == left_derived_formula(R), R
+        return mirror is not None, report.is_ybe and report.non_degenerate
+
+    def test_census_solutions(self, census3):
+        solutions = [R for n in (1, 2) for R in enumerate_solutions(n)] + list(census3)
+        reached = [self.compare(R) for R in solutions]
+        assert len(reached) == 79 and all(map(any, zip(*reached)))
+
+    def test_catalog_solutions(self):
+        names = [name for name in catalog_names() if "valid_kgraph" not in catalog_profile(name)]
+        reached = [self.compare(catalog_solution(name)) for name in names]
+        assert all(map(any, zip(*reached)))
+
+    def test_seeded_derived_type_bijections(self):
+        solutions = self.derived_type_solutions()
+        reached = [self.compare(R) for R in solutions]
+        assert len(reached) == 800 and all(mirror for mirror, _ in reached)
+        for n in (1, 2, 3, 4):
+            assert sum(left for R, (_, left) in zip(solutions, reached) if R.size == n) >= 100
 
 
 class TestLevelMap:

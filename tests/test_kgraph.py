@@ -332,6 +332,25 @@ class TestConstantFamily:
         with pytest.raises(Overflow, match="needs 24 entries, above the limit 20"):
             constant_family(standard["dih3"], 6)
 
+    def test_short_words_do_not_pay_for_every_colour_pair(self, standard):
+        # sorting reads the tables of the word's own colour pairs only: at
+        # k = 1,448 (just under the default limit) a call building the
+        # k x k cross table took about 0.14 s
+        import time
+
+        k = 1448
+        family = constant_family(standard["dih3"], k)
+        word = [(k, 2), (1, 3)]
+        start = time.perf_counter()
+        for _ in range(100):
+            normal = normalize(family, word)
+        for _ in range(100):
+            head, tail = factorize(normal, (0,) * (k - 1) + (1,))
+        assert time.perf_counter() - start < 1
+        (c1, a), (ck, b) = normal.letters()
+        assert (c1, ck) == (1, k) and family.apply(1, k, a, b) == (2, 3)
+        assert head.letters() == ((k, 2),) and tail.letters() == ((1, 3),)
+
     def test_non_bijection_built_directly_names_theta_12(self):
         R = Solution(2, ((1, 1), (1, 1), (2, 1), (2, 2)))
         with pytest.raises(NotABijection) as caught:

@@ -14,8 +14,7 @@ from ybk.errors import (
 from ybk.kgraph import constant_family, validate_kgraph
 from ybk.solution import (
     Solution,
-    _braid_sides,
-    _table_is_ybe,
+    _braid_failure,
     alpha_beta,
     apply_leg,
     builtin,
@@ -29,7 +28,7 @@ from ybk.solution import (
 )
 
 from conftest import random_solutions
-from oracles import random_bijection_table
+from oracles import braid_sides, least_braid_failure, random_bijection_table
 
 
 def direct_flags(R):
@@ -150,23 +149,24 @@ class TestYbe:
         assert not is_ybe(R)
         witness = ybe_witness(R)
         assert witness is not None
-        lhs, rhs = _braid_sides(R, *witness)
+        lhs, rhs = braid_sides(R, *witness)
         assert lhs != rhs
 
 
 class TestRawBraidCheck:
-    """`_table_is_ybe`, which rejects early on triple (1, 1, 1), against `ybe_witness`."""
+    """`_braid_failure`, which rejects early on triple (1, 1, 1), against the
+    least triple whose `braid_sides` differ."""
 
     def test_census_solutions_pass(self, census3):
         assert len(census3) == 73
         for R in census3:
-            assert ybe_witness(R) is None
-            assert _table_is_ybe(3, R.table)
+            assert least_braid_failure(R) is None
+            assert _braid_failure(3, R.table) is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_seeded_bijections(self, n):
         for R in random_solutions(n, 400, seed=50 + n, require_ybe=False):
-            assert _table_is_ybe(n, R.table) == (ybe_witness(R) is None)
+            assert _braid_failure(n, R.table) == least_braid_failure(R)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_first_coordinate_agrees_but_a_later_triple_fails(self, n):
@@ -175,12 +175,12 @@ class TestRawBraidCheck:
         seen = 0
         for _ in range(20000):
             R = Solution(n, random_bijection_table(n, rng))
-            lhs, rhs = _braid_sides(R, 1, 1, 1)
-            witness = ybe_witness(R)
+            lhs, rhs = braid_sides(R, 1, 1, 1)
+            witness = least_braid_failure(R)
             if lhs[0] != rhs[0] or witness in (None, (1, 1, 1)):
                 continue
             seen += 1
-            assert not _table_is_ybe(n, R.table)
+            assert _braid_failure(n, R.table) == witness
             if seen == 200:
                 break
         assert seen == 200
@@ -193,11 +193,11 @@ class TestRawBraidCheck:
         seen = {"d != g": 0, "b != h": 0}
         for _ in range(40000):
             R = Solution(n, random_bijection_table(n, rng))
-            (c, d, b), (e, g, h) = _braid_sides(R, 1, 1, 1)
+            (c, d, b), (e, g, h) = braid_sides(R, 1, 1, 1)
             if c != e or (d, b) == (g, h):
                 continue
             assert ybe_witness(R) == (1, 1, 1)
-            assert not _table_is_ybe(n, R.table)
+            assert _braid_failure(n, R.table) == (1, 1, 1)
             for key, differs in (("d != g", d != g), ("b != h", b != h)):
                 if differs and seen[key] < 100:
                     seen[key] += 1
@@ -206,7 +206,7 @@ class TestRawBraidCheck:
         assert seen == {"d != g": 100, "b != h": 100}
 
     def test_empty_table_holds(self):
-        assert _table_is_ybe(0, ())
+        assert _braid_failure(0, ()) is None
 
 
 class TestProperties:
@@ -258,9 +258,7 @@ class TestProperties:
                 else:
                     assert R(a, idx)[1] == R(b, idx)[1]
             if not report.is_ybe:
-                from ybk.solution import _braid_sides
-
-                lhs, rhs = _braid_sides(R, *report.witnesses["is_ybe"])
+                lhs, rhs = braid_sides(R, *report.witnesses["is_ybe"])
                 assert lhs != rhs
 
 
@@ -288,13 +286,8 @@ class TestLeastWitnesses:
             return R(x, y)[1]
 
         def braid(x, y, z):
-            u, v = R(x, y)
-            a, b = R(v, z)
-            c, d = R(u, a)
-            p, q = R(y, z)
-            e, f = R(x, p)
-            g, h = R(f, q)
-            return (c, d, b) != (e, g, h)
+            lhs, rhs = braid_sides(R, x, y, z)
+            return lhs != rhs
 
         def hat(s, t):
             t2, s2 = R(s, t)
