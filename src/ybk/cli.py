@@ -494,6 +494,10 @@ def main(argv=None) -> int:
     except YbkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        # a resource failure, not a failed property; any other exception is a bug and keeps its traceback
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

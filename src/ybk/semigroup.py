@@ -2,19 +2,22 @@
 
 Words over [N] of a fixed length are identified by the congruence generated
 by rewriting adjacent pairs through R.  Classes are grown one length from
-the last: the class of a word's prefix, with the last letter appended, is
-already closed under every rewrite that leaves that letter alone, so a
-union-find started from the prefix classes joins only the rewrites at the
-last position.  On top of that sit growth counts, cancellativity checks,
-the presentation text of the structure semigroup and group, and the two
-graded compatibility checks: the braided extension of R to graded pieces
-and the closed action formulas for square level maps.
+the last on nodes, not on words: node (C, y) holds the words of a class C
+of the last length followed by the letter y.  A node is already closed
+under every rewrite but the one at the last position, so a union-find on
+the nodes joins only those, once per class of the length before and per
+pair that R moves.  The cost of a length follows the class counts, not the
+N^n words.  Per-word class lists are expanded from the nodes only where a
+caller reads words one by one.  On top of that sit growth counts,
+cancellativity checks, the presentation text of the structure semigroup and
+group, and the two graded compatibility checks: the braided extension of R
+to graded pieces and the closed action formulas for square level maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
 
 from .constructions import decode_word, level_codes, level_map
 from .errors import InvalidParams, NotAYbeSolution, PreconditionFailed, check_int
@@ -56,42 +59,46 @@ class GradedClassSet:
 
 
 def _roots_by_length(R: Solution):
-    """Yield the class roots of every length from 1 up, each from the one before.
+    """Yield (heads, node) for every length from 1 up, each from the one before.
 
-    Entry w of a length's list is the 0-based code of the least word in the
-    class of the word with code w.  A length-n word is a length-(n-1) prefix
-    followed by one letter x, and the rewrites at every position but the
-    last act on the prefix alone.  So the classes under those rewrites are
-    the prefix classes with x appended: the union-find starts at
-    parent[w*N + x] = root(w)*N + x, and only the rewrites at the last
-    position are joined, one union per word whose last pair R moves.  The
-    pair table P sends (a, b) at code q = (a-1)N + (b-1) to the code of
-    R(a, b); R is a bijection, so one direction per pair covers both.
+    Classes of a length are numbered in the order of their least words.
+    Node (C, y), at index C*N + y, holds the words of class C of the length
+    before followed by the letter y; `node` sends each node to its class and
+    `heads` lists each class's least node.  Node (C, y) has least word
+    least(C)*N + y, so nodes in index order are in least-word order, and the
+    rule "the smaller node wins" keeps every class named by its least member.
+
+    A node is closed under the rewrites at every position but the last.  A
+    rewrite there sends u x y to u x' y' where R(x, y) = (x', y'); with u in
+    class D of length n-2, it joins node (ext(D, x), y) with (ext(D, x'), y'),
+    where ext(D, x), the class of D's words followed by x, is read from the
+    node map of length n-1.  So length n takes one union per class D and per
+    pair that R moves; R is a bijection, so one direction per pair covers
+    both.  The empty word is the one class of length 0.
 
     Each length's word count is checked against the limit before the length
-    is built.
+    is built, though no list of that many entries is made.
     """
     size = R.size
-    moves = []
-    for q, (u, v) in enumerate(R.table):
-        image = (u - 1) * size + v - 1
-        if image != q:
-            moves.append((q, image - q))
-    letters = range(size)
-    square = size * size
+    moves = [
+        (q // size, q % size, u - 1, v - 1)
+        for q, (u, v) in enumerate(R.table)
+        if (u - 1) * size + v - 1 != q
+    ]
     length = 1
     check_count(size, f"length-1 words over [{size}]")
-    roots = list(letters)
+    heads, node = list(range(size)), list(range(size))
     while True:
-        yield roots
+        yield heads, node
         length += 1
         check_count(size, f"length-{length} words over [{size}]", length)
-        total = size ** length
-        # every entry points at a code no larger than itself, so roots are least members
-        parent = [root * size + x for root in roots for x in letters]
-        for q, delta in moves:
-            for a in range(q, total, square):
-                b = a + delta
+        # node still maps length n-1: ext[D*N + x] is ext(D, x)
+        ext = node
+        parent = list(range(len(heads) * size))
+        for base in range(0, len(ext), size):
+            for x, y, x2, y2 in moves:
+                a = ext[base + x] * size + y
+                b = ext[base + x2] * size + y2
                 while parent[a] != a:
                     parent[a] = a = parent[parent[a]]
                 while parent[b] != b:
@@ -100,26 +107,54 @@ def _roots_by_length(R: Solution):
                     parent[b] = a
                 elif b < a:
                     parent[a] = b
-        # in ascending order every entry's parent is already a root
-        for code in range(total):
-            parent[code] = parent[parent[code]]
-        roots = parent
+        # every node's parent is no larger than itself and in its class
+        node, heads = [], []
+        for i, up in enumerate(parent):
+            if up == i:
+                node.append(len(heads))
+                heads.append(i)
+            else:
+                node.append(node[up])
 
 
-def _class_roots(R: Solution, n: int) -> list[int]:
-    """The least member's code of every length-n word's class, by 0-based code.
-
-    Checks the length-n word count before any work, then takes the last of
-    the lengths `_roots_by_length` grows one from another.
-    """
-    check_count(R.size, f"length-{n} words over [{R.size}]", n)
-    return next(islice(_roots_by_length(R), n - 1, None))
-
-
-def _lengths_up_to(R: Solution, maxlen: int):
-    """(length, class roots) for lengths 1..maxlen, from one pass of `_roots_by_length`."""
+def _lengths_up_to(R: Solution, maxlen: int) -> list:
+    """The (heads, node) pairs of lengths 1..maxlen, from one pass of `_roots_by_length`."""
     # zip draws from the range first, so no length past maxlen is checked or built
-    return zip(range(1, maxlen + 1), _roots_by_length(R))
+    return [level for _, level in zip(range(maxlen), _roots_by_length(R))]
+
+
+def _least_word(size: int, levels, n: int, c: int) -> tuple[int, ...]:
+    """The least word of class c of length n, by the (heads, node) pairs of lengths 1..n.
+
+    A least word's prefix is least in its class, so class c's head node
+    (P, y) gives its last letter y and the class P of the rest.
+    """
+    word = []
+    for heads, _ in reversed(levels[:n]):
+        c, y = divmod(heads[c], size)
+        word.append(y + 1)
+    return tuple(reversed(word))
+
+
+def _word_classes(size: int, levels):
+    """Yield the class of every word, by 0-based code, for each length of `levels`.
+
+    The word with code w*N + y lies in node (class of w, y), and the nodes
+    (C, 0..N-1) are one slice of the node map.
+    """
+    classes = [0]
+    for _, node in levels:
+        rows = [node[i : i + size] for i in range(0, len(node), size)]
+        classes = [c for prefix in classes for c in rows[prefix]]
+        yield classes
+
+
+def _members(items, classes: list[int], count: int) -> list[list]:
+    """`items` grouped by their entries of `classes`, in class order."""
+    groups: list[list] = [[] for _ in range(count)]
+    for item, c in zip(items, classes):
+        groups[c].append(item)
+    return groups
 
 
 def graded_elements(R: Solution, n: int) -> GradedClassSet:
@@ -134,22 +169,13 @@ def graded_elements(R: Solution, n: int) -> GradedClassSet:
     if n == 0:
         empty = ((),)
         return GradedClassSet(size, 0, (empty,), ((),), {(): 0})
-    roots = _class_roots(R, n)  # checks the word count before any word is built
+    check_count(size, f"length-{n} words over [{size}]", n)
+    levels = _lengths_up_to(R, n)
+    *_, classes = _word_classes(size, levels)
     words = list(product(range(1, size + 1), repeat=n))
-    groups = _groups(roots)
-    classes = tuple(tuple(words[code] for code in members) for members in groups)
-    reps = tuple(members[0] for members in classes)
-    index = {word: class_idx for class_idx, members in enumerate(classes) for word in members}
-    return GradedClassSet(size, n, classes, reps, index)
-
-
-def _groups(roots: list[int]) -> list[list[int]]:
-    """Member codes of every class, ascending, classes ordered by least member."""
-    # codes ascend and every root is its class's least code
-    groups: dict[int, list[int]] = {}
-    for code, root in enumerate(roots):
-        groups.setdefault(root, []).append(code)
-    return list(groups.values())
+    groups = tuple(map(tuple, _members(words, classes, len(levels[-1][0]))))
+    reps = tuple(members[0] for members in groups)
+    return GradedClassSet(size, n, groups, reps, dict(zip(words, classes)))
 
 
 def _decode(size: int, codes) -> tuple[tuple[int, ...], ...]:
@@ -157,14 +183,10 @@ def _decode(size: int, codes) -> tuple[tuple[int, ...], ...]:
     return tuple(decode_word(code + 1, size, length) for code, length in codes)
 
 
-def _reps(roots: list[int]) -> list[int]:
-    return [code for code, root in enumerate(roots) if code == root]
-
-
 def growth(R: Solution, maxlen: int) -> tuple[int, ...]:
     """Class counts by length, starting with the empty word: growth[0] = 1."""
     check_int(maxlen, "maximum length", 0)
-    return (1,) + tuple(len(_reps(roots)) for _, roots in _lengths_up_to(R, maxlen))
+    return (1,) + tuple(len(heads) for heads, _ in _lengths_up_to(R, maxlen))
 
 
 def check_cancellative(R: Solution, maxlen: int):
@@ -177,29 +199,38 @@ def check_cancellative(R: Solution, maxlen: int):
     """
     check_int(maxlen, "maximum length", 0)
     size = R.size
-    roots = dict(_lengths_up_to(R, maxlen))
-    reps = {n: _reps(roots[n]) for n in roots}
+    levels = _lengths_up_to(R, maxlen)
+    # class b's head node (p, y): least(b) is least(p) followed by y
+    splits = [[divmod(h, size) for h in heads] for heads, _ in levels[: maxlen - 1]]
     for la in range(1, maxlen):
+        # row a holds the classes of least(a) least(b), b over the classes of length lb
+        products = [[a] for a in range(len(levels[la - 1][0]))]
         for lb in range(1, maxlen - la + 1):
-            whole = roots[la + lb]
-            shift = size ** lb
-            for a in reps[la]:
-                seen: dict[int, int] = {}
-                for b in reps[lb]:
-                    key = whole[a * shift + b]
-                    if key in seen:
-                        witness = (a, la), (seen[key], lb), (b, lb)
-                        return False, ("left", *_decode(size, witness))
-                    seen[key] = b
-            for b in reps[lb]:
-                seen = {}
-                for a in reps[la]:
-                    key = whole[a * shift + b]
-                    if key in seen:
-                        witness = (b, lb), (seen[key], la), (a, la)
-                        return False, ("right", *_decode(size, witness))
-                    seen[key] = a
+            node = levels[la + lb - 1][1]
+            products = [[node[row[p] * size + y] for p, y in splits[lb - 1]] for row in products]
+            for a, row in enumerate(products):
+                repeat = _first_repeat(row)
+                if repeat:
+                    words = [_least_word(size, levels, lb, b) for b in repeat]
+                    return False, ("left", _least_word(size, levels, la, a), *words)
+            for b, column in enumerate(zip(*products)):
+                repeat = _first_repeat(column)
+                if repeat:
+                    words = [_least_word(size, levels, la, a) for a in repeat]
+                    return False, ("right", _least_word(size, levels, lb, b), *words)
     return True, None
+
+
+def _first_repeat(keys):
+    """(i, j) for the first entry j equal to an earlier entry i, or None."""
+    # the set settles most rows at C speed; only a row with a repeat is scanned
+    if len(set(keys)) < len(keys):
+        seen: dict[int, int] = {}
+        for j, key in enumerate(keys):
+            if key in seen:
+                return seen[key], j
+            seen[key] = j
+    return None
 
 
 @dataclass(frozen=True)
@@ -251,7 +282,14 @@ def semigroup_extension_check(R: Solution, maxlen: int):
     if not is_ybe(R):
         raise NotAYbeSolution("the extension is defined for braid-relation solutions")
     size = R.size
-    roots = dict(_lengths_up_to(R, maxlen))
+    levels = _lengths_up_to(R, maxlen)
+    # the respect checks read lengths up to maxlen - 1, word by word; one
+    # member list per length serves every partner length
+    classes = dict(enumerate(_word_classes(size, levels[: maxlen - 1]), 1))
+    members = {
+        n: [group for group in _members(range(len(cls)), cls, len(levels[n - 1][0])) if len(group) > 1]
+        for n, cls in classes.items()
+    }
     swaps: dict = {}
 
     def swap(l: int, m: int) -> list[tuple[int, int]]:
@@ -262,30 +300,26 @@ def semigroup_extension_check(R: Solution, maxlen: int):
     for p in range(1, maxlen):
         for q in range(1, maxlen - p + 1):
             table = swap(p, q)
-            roots_p, roots_q = roots[p], roots[q]
+            cls_p, cls_q = classes[p], classes[q]
             span = size ** q
-            for members in _groups(roots_p):
-                if len(members) == 1:
-                    continue
-                base = members[0]
+            for group in members[p]:
+                base = group[0]
                 for v in range(span):
                     vp, up = table[base * span + v]
-                    ref = (roots_q[vp], roots_p[up])
-                    for u in members[1:]:
+                    ref = (cls_q[vp], cls_p[up])
+                    for u in group[1:]:
                         vp, up = table[u * span + v]
-                        if (roots_q[vp], roots_p[up]) != ref:
+                        if (cls_q[vp], cls_p[up]) != ref:
                             witness = (base, p), (u, p), (v, q)
                             return False, ("respects-left", *_decode(size, witness))
-            for members in _groups(roots_q):
-                if len(members) == 1:
-                    continue
-                base = members[0]
+            for group in members[q]:
+                base = group[0]
                 for u in range(size ** p):
                     vp, up = table[u * span + base]
-                    ref = (roots_q[vp], roots_p[up])
-                    for v in members[1:]:
+                    ref = (cls_q[vp], cls_p[up])
+                    for v in group[1:]:
                         vp, up = table[u * span + v]
-                        if (roots_q[vp], roots_p[up]) != ref:
+                        if (cls_q[vp], cls_p[up]) != ref:
                             witness = (u, p), (base, q), (v, q)
                             return False, ("respects-right", *_decode(size, witness))
 

@@ -490,6 +490,24 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "ybe_witness", planted)
         assert run(capsys, "verify", "catalog:flip-2") == (cls.exit_code, "", "error: planted\n")
 
+    def test_memory_error_exits_2_with_one_line(self, capsys, monkeypatch):
+        # a resource failure must not read as "property fails" (exit 1)
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_groups", exhausted)
+        code, out, err = run(capsys, "homology", "catalog:dihedral-3", "--degree", "9")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
+    def test_other_exceptions_are_not_caught(self, capsys, monkeypatch):
+        # a bug keeps its traceback, so the fuzz tests' exit-code checks still see it
+        def broken(*args):
+            raise ValueError("planted bug")
+
+        monkeypatch.setattr(cli, "ybe_witness", broken)
+        with pytest.raises(ValueError, match="planted bug"):
+            main(["verify", "catalog:flip-2"])
+
 
 class TestDeterminism:
     def test_json_reports_byte_identical(self, capsys, dihedral_path):

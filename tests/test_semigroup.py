@@ -5,7 +5,7 @@ import pytest
 
 import ybk.semigroup as semigroup
 from ybk.catalog import catalog_names, catalog_profile, catalog_solution
-from ybk.constructions import disjoint_union_solution, level_map
+from ybk.constructions import disjoint_union_solution, encode_word, level_map
 from ybk.errors import InvalidParams, NotAYbeSolution, Overflow, PreconditionFailed
 from ybk.kgraph import make_theta_family
 from ybk.semigroup import (
@@ -202,9 +202,23 @@ class TestClassRoots:
         inputs += list(catalog_solutions(5)) + braidless
         for R in inputs:
             expected = {n: all_positions_roots(R, n) for n in range(1, 7)}
-            assert dict(semigroup._lengths_up_to(R, 6)) == expected
-            for n in (1, 4, 6):
-                assert semigroup._class_roots(R, n) == expected[n]
+            levels = semigroup._lengths_up_to(R, 6)
+            classes = semigroup._word_classes(R.size, levels)
+            for n, ((heads, _), cls) in enumerate(zip(levels, classes), 1):
+                words = [semigroup._least_word(R.size, levels, n, c) for c in range(len(heads))]
+                least = [encode_word(word, R.size) - 1 for word in words]
+                assert [least[c] for c in cls] == expected[n]
+
+    def test_graded_classes_match_all_positions_oracle(self, census2, census3):
+        # the per-word expansion of the nodes, not only the roots
+        for R in [builtin("identity", 1)] + census2 + census3:
+            for n in range(1, 6):
+                roots = all_positions_roots(R, n)
+                groups = {}
+                for word, root in zip(product(range(1, R.size + 1), repeat=n), roots):
+                    groups.setdefault(root, []).append(word)
+                expected = tuple(tuple(members) for members in groups.values())
+                assert graded_elements(R, n).classes == expected
 
     @pytest.mark.parametrize(
         "check", [growth, check_cancellative, semigroup_extension_check]
@@ -231,6 +245,11 @@ class TestGrowth:
     def test_dihedral_sequence(self, standard):
         # frozen from the closure oracle
         assert growth(standard["dih3"], 5) == (1, 3, 5, 6, 6, 6)
+
+    def test_long_words(self, standard):
+        # dihedral-3 stays at 6 classes; flip-3 counts multisets, C(n + 2, 2)
+        assert growth(standard["dih3"], 12) == (1, 3, 5) + (6,) * 10
+        assert growth(standard["flip3"], 10) == tuple(comb(n + 2, 2) for n in range(11))
 
     def test_bounds(self):
         for R in random_solutions(2, 10, seed=51, require_ybe=False):
