@@ -19,17 +19,17 @@ get a seeded, clearly non-exhaustive sampling mode.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
+from ._record import record
 from .errors import InvalidParams, SizeMismatch, SizeTooLarge, check_int
 from .solution import Solution, _as_permutation, _braid_failure
 
 CENSUS_MAX_SIZE = 3
 
 
-@dataclass(frozen=True)
+@record
 class SolutionCensus:
     """Solutions of one size partitioned by the tagged relation.
 

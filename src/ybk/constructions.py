@@ -9,9 +9,9 @@ lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 
+from ._record import record
 from .errors import Degenerate, InvalidParams, NotAYbeSolution, check_int
 from .limits import check_count
 from .solution import Solution, _degenerate_row, _flip_conjugate, alpha_beta, is_ybe, make_solution
@@ -153,7 +153,7 @@ def _invert_row(row: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class LevelMap:
     """The bijection [N]^l x [N]^m -> [N]^m x [N]^l induced by pushing blocks.
 

@@ -26,9 +26,9 @@ Everything is exact integer arithmetic; no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import record
 from .constructions import _push_levels, _push_rows, _push_walk, decode_word, encode_word
 from .errors import (
     BadModulus,
@@ -42,7 +42,7 @@ from .limits import check_count
 from .solution import Solution, _all_identity, alpha_beta, is_ybe
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class IntegerMatrix:
     """A dense matrix of exact integers."""
 
@@ -82,7 +82,7 @@ class IntegerMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class AbelianGroup:
     """Finitely generated abelian group in invariant-factor form.
 
@@ -178,7 +178,7 @@ def _coprime_base(numbers) -> list[int]:
     return base
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class OrbitPartition:
     """Blocks of [N] under the group generated by all right-action maps."""
 

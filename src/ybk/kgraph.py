@@ -13,11 +13,11 @@ properties, unique completions of commuting diamonds.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby
 
 from . import limits
+from ._record import record
 from .constructions import level_codes, level_is_identity
 from .errors import (
     DegreeOutOfRange,
@@ -34,7 +34,7 @@ from .limits import check_count
 from .solution import Solution, _check_pairs, _inverse_pairs, _least, is_ybe
 
 
-@dataclass(frozen=True)
+@record
 class ThetaFamily:
     """Sizes N_1..N_k and one commutation bijection per colour pair i < j.
 
@@ -82,7 +82,7 @@ def _check_letter(colour: int, letter, size: int) -> None:
         raise InvalidLetter(f"letter {letter!r} outside 1..{size} for colour {colour}")
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class KWord:
     """An element of the family's semigroup in colour-sorted normal form.
 
@@ -473,7 +473,7 @@ def complete_diamond(
     return _fill(family, mu, nu, pullback, fibres)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Periodicity:
     """Either Periodic(order) or AperiodicUpTo(bound)."""
 

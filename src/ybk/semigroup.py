@@ -16,16 +16,17 @@ to graded pieces and the closed action formulas for square level maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import product
 
+from ._record import record
 from .constructions import decode_word, level_codes, level_map
 from .errors import InvalidParams, NotAYbeSolution, PreconditionFailed, check_int
 from .limits import check_count
 from .solution import Solution, alpha_beta, is_ybe
 
 
-@dataclass(frozen=True)
+@record
 class GradedClassSet:
     """Partition of all length-n words over [N] into congruence classes.
 
@@ -233,7 +234,7 @@ def _first_repeat(keys):
     return None
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     """Generators and deduplicated relation chains of the structure semigroup/group."""
 

@@ -8,9 +8,9 @@ sorted keys, compact separators, one trailing newline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import record
 from .errors import ParseError, SchemaError, check_int
 from .kgraph import ThetaFamily, _pair_key_mismatch, make_theta_family
 from .solution import Solution, make_solution
@@ -20,16 +20,20 @@ _SOLUTION_KEYS = {"format_version", "size", "table", "labels", "name", "metadata
 _THETA_KEYS = {"format_version", "k", "sizes", "maps", "name", "metadata"}
 
 
-@dataclass(frozen=True)
+@record
 class SolutionDocument:
+    """A solution as a document holds it: with an optional name, a label per point and metadata."""
+
     solution: Solution
     name: str | None = None
     labels: tuple[str, ...] | None = None
     metadata: dict | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ThetaDocument:
+    """A commutation family as a document holds it: with an optional name and metadata."""
+
     family: ThetaFamily
     name: str | None = None
     metadata: dict | None = None

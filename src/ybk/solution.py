@@ -17,9 +17,9 @@ True
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import record
 from .errors import (
     InvalidParams,
     NotABijection,
@@ -33,7 +33,7 @@ from .errors import (
 BUILTIN_NAMES = ("identity", "flip", "double_shift", "shift", "dihedral", "permutation")
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Solution:
     """A bijection of [N]^2, stored row-major with x outer.
 
@@ -57,7 +57,7 @@ class Solution:
         return Solution(self.size, _inverse_pairs(self.table, self.size, self.size))
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class AlphaBeta:
     """Coordinate maps of a solution: alpha[x-1][y-1] = alpha_x(y), beta[y-1][x-1] = beta_y(x)."""
 
@@ -65,7 +65,7 @@ class AlphaBeta:
     beta: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class PropertyReport:
     """Flags of one solution plus least counterexamples for the failed ones."""
 
@@ -91,7 +91,7 @@ class PropertyReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class StructureReport:
     """Outcome of the three coordinate-map equations equivalent to the braid relation."""
 
