@@ -79,7 +79,11 @@ def enumerate_solutions(n: int) -> list[Solution]:
         if not unset:
             found.append(tuple(table))
             return
-        cell = max((c for c in range(cells) if table[c] < 0), key=lambda c: len(waiting[c]))
+        # the first unset cell with the most waiting triples
+        cell, most = -1, -1
+        for c in range(cells):
+            if table[c] < 0 and len(waiting[c]) > most:
+                cell, most = c, len(waiting[c])
         # nothing waits on a set cell, so this list stays as it is below
         triples = waiting[cell]
         for value in root_values if cell == 0 else range(cells):

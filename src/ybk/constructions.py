@@ -204,7 +204,7 @@ def _push_levels(R: Solution):
         yield rows
         span *= n
         rows = [
-            tuple((s_row[m][0], s_row[m][1] * span + rest) for m, rest in rest_row)
+            tuple([(s_row[m][0], s_row[m][1] * span + rest) for m, rest in rest_row])
             for s_row in first
             for rest_row in rows
         ]
@@ -265,14 +265,25 @@ def level_map(R: Solution, l: int, m: int) -> LevelMap:
 def level_is_identity(R: Solution, n_level: int) -> bool:
     """Whether the level-n solution is the identity, without building it.
 
-    Raises Overflow where `level_solution` would.  Stops at the first block u
-    whose pushes leave a pair unfixed, as soon as a moved prefix differs from u.
+    Raises Overflow where `level_solution` would.
     """
     check_int(n_level, "block length", 1)
-    n = R.size
-    check_count(n, f"level-{n_level} ground set on [{n}]", n_level)
-    check_count(n, f"level map table on [{n}]^{n_level} x [{n}]^{n_level}", 2 * n_level)
-    rows = _push_rows(R, n_level)
+    _check_level(R.size, n_level)
+    return _fixes_every_pair(_push_rows(R, n_level), R.size, n_level)
+
+
+def _check_level(n: int, n_level: int, limit: int | None = None) -> int:
+    """Check the level-n ground set and square level map table against the limit; return it."""
+    limit = check_count(n, f"level-{n_level} ground set on [{n}]", n_level, limit)
+    return check_count(n, f"level map table on [{n}]^{n_level} x [{n}]^{n_level}", 2 * n_level, limit)
+
+
+def _fixes_every_pair(rows: list[tuple[tuple[int, int], ...]], n: int, n_level: int) -> bool:
+    """Whether the push table `rows` of block length n_level gives the identity level map.
+
+    Stops at the first block u whose pushes leave a pair unfixed, as soon as
+    a moved prefix differs from u.
+    """
     for u in range(n ** n_level):
         states = [(0, u)]
         for j in range(n_level - 1, -1, -1):
@@ -286,13 +297,15 @@ def level_is_identity(R: Solution, n_level: int) -> bool:
 
 
 def _flat_level_codes(R: Solution, n_level: int) -> list[int]:
-    """The square level map on flat codes: entry u * N**n + v is v' * N**n + u'."""
+    """The square level map on flat codes: entry u * N**n + v is v' * N**n + u'.
+
+    The caller checks the table's size against the limit.
+    """
     n = R.size
-    check_count(n, f"level map table on [{n}]^{n_level} x [{n}]^{n_level}", 2 * n_level)
     size = n ** n_level
     # the pushes of `level_codes` on integer states s = out * N**n + b: a push
     # makes (out * N + moved) * N**n + b', and the last states are the codes
-    steps = [tuple(moved * size + nb for moved, nb in row) for row in _push_rows(R, n_level)]
+    steps = [tuple([moved * size + nb for moved, nb in row]) for row in _push_rows(R, n_level)]
     states = list(range(size))
     for _ in range(n_level):
         states = [(s - b) * n + step for s in states for b in (s % size,) for step in steps[b]]
@@ -309,7 +322,7 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     """
     check_int(n_level, "block length", 1)
     n = R.size
-    check_count(n, f"level-{n_level} ground set on [{n}]", n_level)
+    _check_level(n, n_level)
     size = n ** n_level
     flat = _flat_level_codes(R, n_level)
     square = size * size

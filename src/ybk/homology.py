@@ -336,11 +336,10 @@ def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
     A position whose two lists are equal adds nothing and is skipped, as is
     a word whose two faces are equal.
 
-    The caller checks that R is a braid-relation solution.
+    The caller checks that R is a braid-relation solution, that n is at
+    least 1 and the degree-n basis against the limit.
     """
-    check_int(n, "degree", 1)
     size = R.size
-    check_count(size, f"degree-{n} chain basis", n)
     columns: list[dict[int, int]] = [{} for _ in range(size ** n)]
     # suffixes[m][x * N**m + v] is v', the block v after x crossed it; at m = 0
     # the face keeps the empty word, code 0
@@ -379,6 +378,8 @@ def boundary_matrix(R: Solution, n: int) -> IntegerMatrix:
     `_boundary_columns`; at n = 1 the matrix is zero.
     """
     _require_solution(R)
+    check_int(n, "degree", 1)
+    check_count(R.size, f"degree-{n} chain basis", n)
     return _dense(_boundary_columns(R, n), R.size ** (n - 1))
 
 
@@ -420,7 +421,7 @@ def _complex(R: Solution, nmax: int) -> list[list[dict[int, int]]]:
     """The boundaries of degrees 1..nmax as sparse columns, lowest degree first.
 
     The top degree's basis is checked against the limit before any boundary
-    is built.
+    is built; no lower degree's basis is larger.
     """
     _require_solution(R)
     check_int(nmax, "degree", 0)
@@ -472,6 +473,7 @@ def _free_and_torsion(
     """
     check_int(n, "degree", 0)
     if boundaries is None:
+        # the larger basis of the two boundaries' degrees
         check_count(R.size, f"degree-{n + 1} chain basis", n + 1)
         _require_solution(R)
         in_map = _boundary_columns(R, n + 1)

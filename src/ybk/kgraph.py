@@ -18,7 +18,7 @@ from itertools import combinations, groupby
 
 from . import limits
 from ._record import record
-from .constructions import level_codes, level_is_identity
+from .constructions import _check_level, _fixes_every_pair, _push_levels, level_codes
 from .errors import (
     DegreeOutOfRange,
     DegreesOverlap,
@@ -495,8 +495,13 @@ def periodicity(R: Solution, bound: int = 6) -> Periodicity:
     if not is_ybe(R):
         raise NotAYbeSolution("periodicity is defined for braid-relation solutions")
     check_int(bound, "bound", 1)
+    # one walk builds each level's push table from the one before; both
+    # counts of a level are checked before it is built
+    levels = _push_levels(R)
+    limit = None
     for level in range(1, bound + 1):
-        if level_is_identity(R, level):
+        limit = _check_level(R.size, level, limit)
+        if _fixes_every_pair(next(levels), R.size, level):
             return Periodicity(True, level, bound)
     return Periodicity(False, None, bound)
 

@@ -25,19 +25,24 @@ def encoding_limit() -> int:
     return value
 
 
-def check_count(count: int, what: str, exponent: int = 1) -> None:
+def check_count(count: int, what: str, exponent: int = 1, limit: int | None = None) -> int:
     """Raise Overflow when an enumeration of count ** exponent items exceeds the cap.
+
+    Returns the cap.  A call with several checks reads the cap at its first
+    and passes the returned value as `limit` to the rest, so YBK_LIMIT is
+    read once per call and never kept past it.
 
     The power is raised only when its exponent could fit: any count of 2 or
     more to an exponent at least the cap's bit length is over the cap.  A
     count too long to read in the message is named as count^exponent.
     """
-    limit = encoding_limit()
+    if limit is None:
+        limit = encoding_limit()
     total = None
     if count < 2 or exponent < limit.bit_length():
         total = count ** exponent
         if total <= limit:
-            return
+            return limit
     shown = total if total is not None and total.bit_length() <= 64 else f"{count}^{exponent}"
     raise Overflow(
         f"{what} needs {shown} entries, above the limit {limit}"

@@ -59,7 +59,7 @@ class GradedClassSet:
         return index
 
 
-def _roots_by_length(R: Solution):
+def _roots_by_length(R: Solution, limit: int | None = None):
     """Yield (heads, node) for every length from 1 up, each from the one before.
 
     Classes of a length are numbered in the order of their least words.
@@ -78,7 +78,8 @@ def _roots_by_length(R: Solution):
     both.  The empty word is the one class of length 0.
 
     Each length's word count is checked against the limit before the length
-    is built, though no list of that many entries is made.
+    is built, though no list of that many entries is made.  The limit is
+    `limit` when given, otherwise read at the first check.
     """
     size = R.size
     moves = [
@@ -87,12 +88,12 @@ def _roots_by_length(R: Solution):
         if (u - 1) * size + v - 1 != q
     ]
     length = 1
-    check_count(size, f"length-1 words over [{size}]")
+    limit = check_count(size, f"length-1 words over [{size}]", 1, limit)
     heads, node = list(range(size)), list(range(size))
     while True:
         yield heads, node
         length += 1
-        check_count(size, f"length-{length} words over [{size}]", length)
+        check_count(size, f"length-{length} words over [{size}]", length, limit)
         # node still maps length n-1: ext[D*N + x] is ext(D, x)
         ext = node
         parent = list(range(len(heads) * size))
@@ -118,10 +119,10 @@ def _roots_by_length(R: Solution):
                 node.append(node[up])
 
 
-def _lengths_up_to(R: Solution, maxlen: int) -> list:
+def _lengths_up_to(R: Solution, maxlen: int, limit: int | None = None) -> list:
     """The (heads, node) pairs of lengths 1..maxlen, from one pass of `_roots_by_length`."""
     # zip draws from the range first, so no length past maxlen is checked or built
-    return [level for _, level in zip(range(maxlen), _roots_by_length(R))]
+    return [level for _, level in zip(range(maxlen), _roots_by_length(R, limit))]
 
 
 def _least_word(size: int, levels, n: int, c: int) -> tuple[int, ...]:
@@ -170,8 +171,8 @@ def graded_elements(R: Solution, n: int) -> GradedClassSet:
     if n == 0:
         empty = ((),)
         return GradedClassSet(size, 0, (empty,), ((),), {(): 0})
-    check_count(size, f"length-{n} words over [{size}]", n)
-    levels = _lengths_up_to(R, n)
+    limit = check_count(size, f"length-{n} words over [{size}]", n)
+    levels = _lengths_up_to(R, n, limit)
     *_, classes = _word_classes(size, levels)
     words = list(product(range(1, size + 1), repeat=n))
     groups = tuple(map(tuple, _members(words, classes, len(levels[-1][0]))))

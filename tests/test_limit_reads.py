@@ -1,0 +1,148 @@
+"""YBK_LIMIT is read once by each public call, and never kept past it.
+
+A call with several enumeration checks reads the limit at its first check
+and hands the value to the rest, so a change to the environment between two
+calls takes effect on the second one.  `periodicity` walks one push table
+per level instead of calling `level_is_identity` level by level; the
+per-level loop stays its oracle.
+"""
+
+import pytest
+
+import ybk.limits as limits
+from ybk.catalog import catalog_names, catalog_solution
+from ybk.classify import enumerate_solutions
+from ybk.constructions import level_is_identity, level_solution
+from ybk.errors import InvalidParams, NotAYbeSolution, Overflow, YbkError
+from ybk.homology import cohomology, homology
+from ybk.kgraph import Periodicity, periodicity
+from ybk.semigroup import check_cancellative, graded_elements, growth, semigroup_extension_check
+from ybk.solution import builtin, make_solution
+
+DIH3 = builtin("dihedral", 3)
+
+# each call runs at least two enumeration checks at the default limit and
+# fails at the limit 2
+CALLS = {
+    "growth": lambda: growth(DIH3, 5),
+    "check_cancellative": lambda: check_cancellative(DIH3, 4),
+    "graded_elements": lambda: graded_elements(DIH3, 4),
+    "semigroup_extension_check": lambda: semigroup_extension_check(DIH3, 3),
+    "level_is_identity": lambda: level_is_identity(DIH3, 2),
+    "level_solution": lambda: level_solution(DIH3, 2),
+    "periodicity": lambda: periodicity(DIH3, 4),
+    "homology": lambda: homology(DIH3, 2),
+    "cohomology": lambda: cohomology(DIH3, 2, 3),
+}
+
+# semigroup_extension_check takes each block table from the public
+# level_codes, one call of its own per pair of block lengths l + m <= 3:
+# (1, 1), (1, 2) and (2, 1)
+READS = {"semigroup_extension_check": 1 + 3}
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The number of times YBK_LIMIT has been read since the fixture was set up."""
+    count = [0]
+    read = limits.encoding_limit
+
+    def counting():
+        count[0] += 1
+        return read()
+
+    monkeypatch.setattr(limits, "encoding_limit", counting)
+    monkeypatch.delenv("YBK_LIMIT", raising=False)
+    return count
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_each_call_reads_the_limit_once(reads, name):
+    for calls in (1, 2):
+        CALLS[name]()
+        assert reads[0] == calls * READS.get(name, 1)
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_a_changed_limit_takes_effect_on_the_next_call(monkeypatch, name):
+    call = CALLS[name]
+    monkeypatch.delenv("YBK_LIMIT", raising=False)
+    first = call()
+    monkeypatch.setenv("YBK_LIMIT", "2")
+    with pytest.raises(Overflow, match="above the limit 2 "):
+        call()
+    monkeypatch.setenv("YBK_LIMIT", "abc")
+    with pytest.raises(Overflow, match="^YBK_LIMIT must be an integer, got 'abc'$"):
+        call()
+    monkeypatch.setenv("YBK_LIMIT", str(2 ** 20))
+    assert call() == first
+
+
+def _outcome(call):
+    """The value of call(), or the type and message of the YbkError it raises."""
+    try:
+        return call()
+    except YbkError as exc:
+        return type(exc), str(exc)
+
+
+def _per_level(R, bound):
+    """The periodicity of R by the public level_is_identity, one level at a time."""
+    for level in range(1, bound + 1):
+        if level_is_identity(R, level):
+            return Periodicity(True, level, bound)
+    return Periodicity(False, None, bound)
+
+
+@pytest.fixture(scope="module")
+def solutions():
+    census = [R for n in (1, 2, 3) for R in enumerate_solutions(n)]
+    catalog = []
+    for name in catalog_names():
+        try:
+            catalog.append(catalog_solution(name))
+        except YbkError:
+            continue  # a theta family
+    assert len(census) == 79 and len(catalog) >= 25
+    return census + catalog
+
+
+# at the limit 2 the ground set of level 1 overflows before its table
+@pytest.mark.parametrize("limit", [None, "2", "30", "500", "abc"])
+def test_periodicity_agrees_with_the_per_level_loop(monkeypatch, solutions, limit):
+    if limit is None:
+        monkeypatch.delenv("YBK_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("YBK_LIMIT", limit)
+    outcomes = set()
+    for R in solutions:
+        for bound in (1, 2, 3, 4):
+            got = _outcome(lambda: periodicity(R, bound))
+            assert got == _outcome(lambda: _per_level(R, bound)), (R, bound)
+            outcomes.add(type(got) if isinstance(got, Periodicity) else got[0])
+    # each limit reaches the outcomes it is meant to compare
+    assert outcomes == ({Overflow} if limit == "abc" else {Periodicity, Overflow})
+
+
+def test_periodicity_answers_both_ways_at_the_default_limit(monkeypatch):
+    monkeypatch.delenv("YBK_LIMIT", raising=False)
+    assert periodicity(builtin("identity", 3), 4) == Periodicity(True, 1, 4)
+    assert periodicity(DIH3, 4) == Periodicity(False, None, 4)
+
+
+@pytest.mark.parametrize("limit", [None, "abc", "0"])
+def test_a_bad_bound_is_reported_before_the_limit_is_read(monkeypatch, limit):
+    if limit is None:
+        monkeypatch.delenv("YBK_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("YBK_LIMIT", limit)
+    with pytest.raises(InvalidParams, match="^bound must be at least 1, got 0$"):
+        periodicity(DIH3, 0)
+
+
+def test_a_table_off_the_braid_relation_is_reported_before_the_limit_is_read(monkeypatch):
+    monkeypatch.setenv("YBK_LIMIT", "abc")
+    # R(x, y) = (tau x, tau y) for the transposition tau of [2]
+    bad = make_solution(2, [(3 - x, 3 - y) for x in (1, 2) for y in (1, 2)])
+    with pytest.raises(NotAYbeSolution):
+        periodicity(bad, 3)
