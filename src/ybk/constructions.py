@@ -245,7 +245,27 @@ def level_codes(R: Solution, l: int, m: int) -> list[tuple[int, int]]:
     check_int(m, "block length", 1)
     n = R.size
     check_count(n, f"level map table on [{n}]^{l} x [{n}]^{m}", l + m)
-    return next(islice(_push_walk(_push_rows(R, l), n), m, None))
+    return _level_tables(R, [(l, m)])[l, m]
+
+
+def _level_tables(R: Solution, pairs) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """The `level_codes` table of every pair of block lengths (l, m) in `pairs`.
+
+    One `_push_levels` walk reaches the largest l, and one `_push_walk` per
+    distinct l reaches its largest m, so tables that share l share their
+    pushes.  The caller checks every table's size against the limit.
+    """
+    rights: dict[int, set[int]] = {}
+    for l, m in pairs:
+        rights.setdefault(l, set()).add(m)
+    tables = {}
+    # zip draws from the range first, so nothing past the last wanted table is built
+    for l, rows in zip(range(1, max(rights, default=0) + 1), _push_levels(R)):
+        if l in rights:
+            for m, states in zip(range(max(rights[l]) + 1), _push_walk(rows, R.size)):
+                if m in rights[l]:
+                    tables[l, m] = states
+    return tables
 
 
 def level_map(R: Solution, l: int, m: int) -> LevelMap:

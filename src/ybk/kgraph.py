@@ -18,7 +18,7 @@ from itertools import combinations, groupby
 
 from . import limits
 from ._record import record
-from .constructions import _check_level, _fixes_every_pair, _push_levels, level_codes
+from .constructions import _check_level, _fixes_every_pair, _level_tables, _push_levels
 from .errors import (
     DegreeOutOfRange,
     DegreesOverlap,
@@ -526,7 +526,6 @@ def restrict(family: ThetaFamily, l: int, m: int, n: int) -> ThetaFamily:
     base = Solution(size, family.maps[0])
     check_count(size, "restricted level tables", max(l + m, l + n, m + n))
     lengths = {(1, 2): (l, m), (1, 3): (l, n), (2, 3): (m, n)}
-    maps = {}
-    for pair, (a, b) in lengths.items():
-        maps[pair] = [(vp + 1, up + 1) for vp, up in level_codes(base, a, b)]
+    tables = _level_tables(base, lengths.values())
+    maps = {pair: [(vp + 1, up + 1) for vp, up in tables[ab]] for pair, ab in lengths.items()}
     return make_theta_family(3, (size ** l, size ** m, size ** n), maps)

@@ -20,7 +20,7 @@ from dataclasses import field
 from itertools import product
 
 from ._record import record
-from .constructions import decode_word, level_codes, level_map
+from .constructions import _level_tables, decode_word
 from .errors import InvalidParams, NotAYbeSolution, PreconditionFailed, check_int
 from .limits import check_count
 from .solution import Solution, alpha_beta, is_ybe
@@ -283,25 +283,26 @@ def semigroup_extension_check(R: Solution, maxlen: int):
     check_int(maxlen, "maximum length", 0)
     if not is_ybe(R):
         raise NotAYbeSolution("the extension is defined for braid-relation solutions")
+    if maxlen == 0:
+        return True, None
     size = R.size
-    levels = _lengths_up_to(R, maxlen)
+    # the limit is read once, at length 1; a block table has N**(l + m)
+    # entries with l + m <= maxlen, so the check of length maxlen covers them all
+    limit = check_count(size, f"length-1 words over [{size}]")
     # the respect checks read lengths up to maxlen - 1, word by word; one
     # member list per length serves every partner length
-    classes = dict(enumerate(_word_classes(size, levels[: maxlen - 1]), 1))
+    levels = _lengths_up_to(R, maxlen - 1, limit)
+    check_count(size, f"length-{maxlen} words over [{size}]", maxlen, limit)
+    classes = dict(enumerate(_word_classes(size, levels), 1))
     members = {
         n: [group for group in _members(range(len(cls)), cls, len(levels[n - 1][0])) if len(group) > 1]
         for n, cls in classes.items()
     }
-    swaps: dict = {}
-
-    def swap(l: int, m: int) -> list[tuple[int, int]]:
-        if (l, m) not in swaps:
-            swaps[(l, m)] = level_codes(R, l, m)
-        return swaps[(l, m)]
+    swaps = _level_tables(R, [(l, m) for l in range(1, maxlen) for m in range(1, maxlen - l + 1)])
 
     for p in range(1, maxlen):
         for q in range(1, maxlen - p + 1):
-            table = swap(p, q)
+            table = swaps[p, q]
             cls_p, cls_q = classes[p], classes[q]
             span = size ** q
             for group in members[p]:
@@ -328,7 +329,7 @@ def semigroup_extension_check(R: Solution, maxlen: int):
     for l in range(1, maxlen - 1):
         for m in range(1, maxlen - l):
             for n in range(1, maxlen - l - m + 1):
-                uv, uw, vw = swap(l, m), swap(l, n), swap(m, n)
+                uv, uw, vw = swaps[l, m], swaps[l, n], swaps[m, n]
                 span_m, span_n = size ** m, size ** n
                 for u in range(size ** l):
                     for v in range(span_m):
@@ -378,15 +379,16 @@ def action_formula_check(R: Solution, n: int) -> bool:
     check_count(size, "action formula comparison", 2 * n)
     ab = alpha_beta(R)
     alpha, beta = ab.alpha, ab.beta
-    lm = level_map(R, n, n)
-    rng = range(1, size + 1)
-    for xbar in product(rng, repeat=n):
-        for ybar in product(rng, repeat=n):
-            hs = []
-            current = xbar
-            for y in ybar:
-                hs.append(_alpha_word(alpha, current, y))
-                current = _beta_letter_on_word(alpha, beta, current, y)
-            if lm.apply(xbar, ybar) != (tuple(hs), current):
-                return False
+    words = list(product(range(1, size + 1), repeat=n))
+    # entry u * N**n + v of the level map codes is (v', u'), and the pairs
+    # (xbar, ybar) below run in that order
+    codes = _level_tables(R, [(n, n)])[n, n]
+    for (xbar, ybar), (vp, up) in zip(product(words, repeat=2), codes):
+        hs = []
+        current = xbar
+        for y in ybar:
+            hs.append(_alpha_word(alpha, current, y))
+            current = _beta_letter_on_word(alpha, beta, current, y)
+        if (words[vp], words[up]) != (tuple(hs), current):
+            return False
     return True

@@ -8,8 +8,11 @@ collected; test modules import it as `oracles`.
 
 from itertools import product
 
+from ybk.constructions import decode_word, level_codes
+from ybk.errors import NotAYbeSolution, check_int
 from ybk.homology import IntegerMatrix
-from ybk.solution import alpha_beta, apply_leg
+from ybk.semigroup import graded_elements
+from ybk.solution import alpha_beta, apply_leg, is_ybe
 
 
 def random_bijection_table(n, rng):
@@ -90,6 +93,80 @@ def legs_level_map(R, l, m):
                     t = apply_leg(R, p, t)
             table.append((t[:m], t[m:]))
     return tuple(table)
+
+
+def extension_check_per_pair(R, maxlen, codes=level_codes):
+    """`semigroup_extension_check(R, maxlen)` with one block table per pair of block lengths.
+
+    Classes come from the public `graded_elements`, one call per length
+    1..maxlen, and each table from `codes(R, l, m)`, the public
+    `level_codes` unless a test plants a fault in it.  The errors and their
+    order are the library's.
+    """
+    check_int(maxlen, "maximum length", 0)
+    if not is_ybe(R):
+        raise NotAYbeSolution("the extension is defined for braid-relation solutions")
+    size = R.size
+    graded = [graded_elements(R, n) for n in range(1, maxlen + 1)]
+    classes, members = {}, {}
+    for n, elements in enumerate(graded[: maxlen - 1], 1):
+        words = list(product(range(1, size + 1), repeat=n))
+        classes[n] = [elements.index_of(word) for word in words]
+        # members sort lexicographically, which is code order
+        code = {word: c for c, word in enumerate(words)}
+        members[n] = [[code[word] for word in group] for group in elements.classes if len(group) > 1]
+    swaps = {}
+
+    def swap(l, m):
+        if (l, m) not in swaps:
+            swaps[(l, m)] = codes(R, l, m)
+        return swaps[(l, m)]
+
+    def decode(*pairs):
+        return tuple(decode_word(c + 1, size, length) for c, length in pairs)
+
+    for p in range(1, maxlen):
+        for q in range(1, maxlen - p + 1):
+            table = swap(p, q)
+            cls_p, cls_q = classes[p], classes[q]
+            span = size ** q
+            for group in members[p]:
+                base = group[0]
+                for v in range(span):
+                    vp, up = table[base * span + v]
+                    ref = (cls_q[vp], cls_p[up])
+                    for u in group[1:]:
+                        vp, up = table[u * span + v]
+                        if (cls_q[vp], cls_p[up]) != ref:
+                            return False, ("respects-left", *decode((base, p), (u, p), (v, q)))
+            for group in members[q]:
+                base = group[0]
+                for u in range(size ** p):
+                    vp, up = table[u * span + base]
+                    ref = (cls_q[vp], cls_p[up])
+                    for v in group[1:]:
+                        vp, up = table[u * span + v]
+                        if (cls_q[vp], cls_p[up]) != ref:
+                            return False, ("respects-right", *decode((u, p), (base, q), (v, q)))
+
+    for l in range(1, maxlen - 1):
+        for m in range(1, maxlen - l):
+            for n in range(1, maxlen - l - m + 1):
+                uv, uw, vw = swap(l, m), swap(l, n), swap(m, n)
+                span_m, span_n = size ** m, size ** n
+                for u in range(size ** l):
+                    for v in range(span_m):
+                        # left side: swap (u,v), then the two right slots, then again
+                        v1, u1 = uv[u * span_m + v]
+                        for w in range(span_n):
+                            w1, u2 = uw[u1 * span_n + w]
+                            w2, v2 = vw[v1 * span_n + w1]
+                            wa, va = vw[v * span_n + w]
+                            wb, ub = uw[u * span_n + wa]
+                            vb, uc = uv[ub * span_m + va]
+                            if (w2, v2, u2) != (wb, vb, uc):
+                                return False, ("braid", *decode((u, l), (v, m), (w, n)))
+    return True, None
 
 
 def identity(n):

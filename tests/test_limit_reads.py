@@ -3,26 +3,33 @@
 A call with several enumeration checks reads the limit at its first check
 and hands the value to the rest, so a change to the environment between two
 calls takes effect on the second one.  `periodicity` walks one push table
-per level instead of calling `level_is_identity` level by level; the
-per-level loop stays its oracle.
+per level instead of calling `level_is_identity` level by level, and
+`semigroup_extension_check` takes all its block tables from one push walk
+instead of one `level_codes` call per pair of block lengths; the per-level
+loop and the per-pair check stay their oracles.
 """
 
 import pytest
 
 import ybk.limits as limits
+import ybk.semigroup as semigroup
 from ybk.catalog import catalog_names, catalog_solution
 from ybk.classify import enumerate_solutions
-from ybk.constructions import level_is_identity, level_solution
+from ybk.constructions import _level_tables, level_codes, level_is_identity, level_solution
 from ybk.errors import InvalidParams, NotAYbeSolution, Overflow, YbkError
 from ybk.homology import cohomology, homology
-from ybk.kgraph import Periodicity, periodicity
-from ybk.semigroup import check_cancellative, graded_elements, growth, semigroup_extension_check
+from ybk.kgraph import Periodicity, constant_family, periodicity, restrict
+from ybk.semigroup import action_formula_check, check_cancellative, graded_elements, growth, semigroup_extension_check
 from ybk.solution import builtin, make_solution
 
-DIH3 = builtin("dihedral", 3)
+from oracles import extension_check_per_pair
 
-# each call runs at least two enumeration checks at the default limit and
-# fails at the limit 2
+DIH3 = builtin("dihedral", 3)
+# built here, so that a call of restrict reads only its own limit
+DIH3_FAMILY = constant_family(DIH3, 3)
+
+# each call builds tables that fit the default limit and overflow the limit 2;
+# all but restrict and action_formula_check run two enumeration checks or more
 CALLS = {
     "growth": lambda: growth(DIH3, 5),
     "check_cancellative": lambda: check_cancellative(DIH3, 4),
@@ -33,12 +40,9 @@ CALLS = {
     "periodicity": lambda: periodicity(DIH3, 4),
     "homology": lambda: homology(DIH3, 2),
     "cohomology": lambda: cohomology(DIH3, 2, 3),
+    "restrict": lambda: restrict(DIH3_FAMILY, 1, 1, 2),
+    "action_formula_check": lambda: action_formula_check(DIH3, 2),
 }
-
-# semigroup_extension_check takes each block table from the public
-# level_codes, one call of its own per pair of block lengths l + m <= 3:
-# (1, 1), (1, 2) and (2, 1)
-READS = {"semigroup_extension_check": 1 + 3}
 
 
 @pytest.fixture
@@ -60,7 +64,13 @@ def reads(monkeypatch):
 def test_each_call_reads_the_limit_once(reads, name):
     for calls in (1, 2):
         CALLS[name]()
-        assert reads[0] == calls * READS.get(name, 1)
+        assert reads[0] == calls
+
+
+def test_the_extension_check_at_length_0_reads_no_limit(reads, monkeypatch):
+    monkeypatch.setenv("YBK_LIMIT", "abc")
+    assert semigroup_extension_check(DIH3, 0) == (True, None)
+    assert reads[0] == 0
 
 
 @pytest.mark.parametrize("name", CALLS)
@@ -140,9 +150,67 @@ def test_a_bad_bound_is_reported_before_the_limit_is_read(monkeypatch, limit):
         periodicity(DIH3, 0)
 
 
+# R(x, y) = (tau x, tau y) for the transposition tau of [2]
+OFF_BRAID = make_solution(2, [(3 - x, 3 - y) for x in (1, 2) for y in (1, 2)])
+
+
 def test_a_table_off_the_braid_relation_is_reported_before_the_limit_is_read(monkeypatch):
     monkeypatch.setenv("YBK_LIMIT", "abc")
-    # R(x, y) = (tau x, tau y) for the transposition tau of [2]
-    bad = make_solution(2, [(3 - x, 3 - y) for x in (1, 2) for y in (1, 2)])
     with pytest.raises(NotAYbeSolution):
-        periodicity(bad, 3)
+        periodicity(OFF_BRAID, 3)
+
+
+@pytest.mark.parametrize("limit", [None, "2", "30", "500", "abc"])
+def test_the_extension_check_agrees_with_the_per_pair_check(monkeypatch, solutions, limit):
+    if limit is None:
+        monkeypatch.delenv("YBK_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("YBK_LIMIT", limit)
+    outcomes = set()
+    for R in solutions + [OFF_BRAID]:
+        for maxlen in (0, 1, 2, 3, 4):
+            got = _outcome(lambda: semigroup_extension_check(R, maxlen))
+            assert got == _outcome(lambda: extension_check_per_pair(R, maxlen)), (R, maxlen)
+            outcomes.add(got[0])
+    # every braid-relation solution extends; maxlen 0 reads no limit
+    assert outcomes == {True, NotAYbeSolution} | ({Overflow} if limit else set())
+
+
+def _planted(tables, pair):
+    """`tables` with entries 0 and 1 of the table `pair` swapped, when it is there."""
+    if pair in tables:
+        table = tables[pair]
+        table[0], table[1] = table[1], table[0]
+    return tables
+
+
+def test_a_planted_swap_gets_the_per_pair_check_verdict(monkeypatch, solutions):
+    monkeypatch.delenv("YBK_LIMIT", raising=False)
+    kinds = set()
+    for R in solutions:
+        if R.size == 1:
+            continue  # a table of one entry has no swap
+        for maxlen in (2, 3, 4):
+            for pair in [(l, m) for l in range(1, maxlen) for m in range(1, maxlen - l + 1)]:
+
+                def tables(R, pairs):
+                    return _planted(_level_tables(R, pairs), pair)
+
+                def codes(R, l, m):
+                    return _planted({(l, m): level_codes(R, l, m)}, pair)[l, m]
+
+                monkeypatch.setattr(semigroup, "_level_tables", tables)
+                got = semigroup_extension_check(R, maxlen)
+                assert got == extension_check_per_pair(R, maxlen, codes), (R, maxlen, pair)
+                kinds.add(got[1] and got[1][0])
+    assert kinds == {None, "respects-left", "respects-right", "braid"}
+
+
+def test_the_level_tables_are_the_level_codes(solutions):
+    for R in solutions:
+        pairs = [(l, m) for l in range(1, 5) for m in range(1, 6 - l)]
+        tables = _level_tables(R, pairs)
+        assert list(tables) == sorted(pairs) and tables == {(l, m): level_codes(R, l, m) for l, m in pairs}
+        # a lone pair, and a pair asked for twice
+        assert _level_tables(R, [(2, 3), (2, 3)]) == {(2, 3): level_codes(R, 2, 3)}
+    assert _level_tables(DIH3, []) == {}

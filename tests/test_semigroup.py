@@ -386,15 +386,15 @@ class TestExtension:
     def test_corrupted_block_map_is_caught(self, standard, monkeypatch):
         import ybk.semigroup as semigroup
 
-        real = semigroup.level_codes
+        real = semigroup._level_tables
 
-        def corrupted(R, l, m):
-            table = real(R, l, m)
-            if (l, m) == (1, 2):
-                table[0], table[1] = table[1], table[0]
-            return table
+        def corrupted(R, pairs):
+            tables = real(R, pairs)
+            table = tables[1, 2]
+            table[0], table[1] = table[1], table[0]
+            return tables
 
-        monkeypatch.setattr(semigroup, "level_codes", corrupted)
+        monkeypatch.setattr(semigroup, "_level_tables", corrupted)
         ok, witness = semigroup_extension_check(standard["dih3"], 4)
         assert not ok and witness[0] in ("respects-left", "respects-right", "braid")
 
