@@ -9,7 +9,7 @@ lexicographic order.
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import chain, islice, product
 
 from ._record import record
 from .errors import Degenerate, InvalidParams, NotAYbeSolution, check_int
@@ -194,10 +194,7 @@ def _push_levels(R: Solution):
     table costs O(N**(length + 1)) from the one before.
     """
     n = R.size
-    first = [
-        tuple((tp - 1, sp - 1) for tp, sp in R.table[s * n : (s + 1) * n])
-        for s in range(n)
-    ]
+    first = [tuple([(tp - 1, sp - 1) for tp, sp in R.table[s * n : (s + 1) * n]]) for s in range(n)]
     rows = first
     span = 1
     while True:
@@ -316,40 +313,64 @@ def _fixes_every_pair(rows: list[tuple[tuple[int, int], ...]], n: int, n_level: 
     return True
 
 
-def _flat_level_codes(R: Solution, n_level: int) -> list[int]:
-    """The square level map on flat codes: entry u * N**n + v is v' * N**n + u'.
+def _flat_level_codes(R: Solution, n_level: int):
+    """The pushes of `level_codes` through n-blocks, on flat integer codes.
 
-    The caller checks the table's size against the limit.
+    Yields T_0, T_1, T_2, ...: entry u * N**m + v of T_m is v' * N**n + u'
+    for the n-block u and the word v of length m, so T_n is the square level
+    map.  The caller checks the sizes against the limit.
     """
     n = R.size
     size = n ** n_level
-    # the pushes of `level_codes` on integer states s = out * N**n + b: a push
-    # makes (out * N + moved) * N**n + b', and the last states are the codes
-    steps = [tuple([moved * size + nb for moved, nb in row]) for row in _push_rows(R, n_level)]
+    # a state s = out * N**n + b, with b = s % N**n, becomes
+    # (out * N + moved) * N**n + b' = s * N + (moved * N**n + b' - b * N)
+    steps = [[moved * size + nb - b * n for moved, nb in row] for b, row in enumerate(_push_rows(R, n_level))]
     states = list(range(size))
-    for _ in range(n_level):
-        states = [(s - b) * n + step for s in states for b in (s % size,) for step in steps[b]]
-    return states
+    while True:
+        yield states
+        states = [s * n + step for s in states for step in steps[s % size]]
+
+
+def _is_permutation(codes: list[int], count: int) -> bool:
+    """Whether `codes` lists each of 0 .. count - 1 exactly once."""
+    return len(codes) == len(set(codes)) == count and 0 <= min(codes) and max(codes) < count
 
 
 def level_solution(R: Solution, n_level: int) -> Solution:
     """The level solution on [N**n], words encoded big-endian.
 
-    The table is read off the flat codes v' * N**n + u' of the level map.
-    When they are in range and none repeats, the map is a bijection and
-    each entry is taken from one prebuilt list of pairs; otherwise
-    `make_solution` rejects the table with its own error.
+    Split the right block as v = v1 v2, with v1 of length a = n // 2 and v2
+    of length b = n - a.  v1 crosses u first, by the walk's T_a, into
+    (v1', u1); then v2 crosses u1 by T_b.  So the level map is
+    (id x T_b) o (T_a x id), a bijection exactly when T_a and T_b are
+    permutations of their ranges, and its table is two block gathers: the
+    pairs under each v1' by T_b, then those blocks by T_a.  When a half is
+    not a permutation, the walk goes on to T_n and `make_solution` rejects
+    its codes with its own error.
     """
     check_int(n_level, "block length", 1)
     n = R.size
     _check_level(n, n_level)
     size = n ** n_level
-    flat = _flat_level_codes(R, n_level)
-    square = size * size
-    if not (len(flat) == len(set(flat)) == square and 0 <= min(flat) and max(flat) < square):
+    a = n_level // 2
+    b = n_level - a
+    walk = _flat_level_codes(R, n_level)
+    tables = list(islice(walk, b + 1))
+    left, right = tables[a], tables[b]
+    # an even n has one half, checked once
+    if not (_is_permutation(right, size * n ** b) and (left is right or _is_permutation(left, size * n ** a))):
+        # the next a tables run from T_(b+1) to T_n
+        flat = [*tables, *islice(walk, a)][n_level]
         return make_solution(size, [(code // size + 1, code % size + 1) for code in flat])
-    pairs = list(product(range(1, size + 1), repeat=2))
-    return Solution(size, tuple([pairs[code] for code in flat]))
+    span = n ** b
+    letters = range(1, size + 1)
+    # block c * N**n + u1 lists the pairs of the codes c * N**(b + n) + T_b[u1 * N**b + v2],
+    # v2 in order: the pairs with v1' = c, gathered by T_b and cut by zip into its rows
+    blocks = []
+    for c in range(n ** a):
+        pairs = list(product(range(c * span + 1, c * span + span + 1), letters))
+        blocks += zip(*[map(pairs.__getitem__, right)] * span)
+    return Solution(size, tuple(chain.from_iterable(map(blocks.__getitem__, left))))
 
 
 def disjoint_union_solution(family) -> Solution:

@@ -28,10 +28,11 @@ from ybk.errors import (
     NotDerivedType,
     OutOfRange,
     Overflow,
+    YbkError,
 )
 import ybk.constructions as constructions
 from ybk.kgraph import make_theta_family, validate_kgraph
-from ybk.solution import builtin, is_ybe, make_solution, mirror_derived, properties, _mod1
+from ybk.solution import Solution, builtin, is_ybe, make_solution, mirror_derived, properties, _mod1
 
 from conftest import random_solutions
 from oracles import left_derived_formula, legs_level_map, mirror_derived_formula
@@ -407,42 +408,72 @@ class TestLevelSolution:
         with pytest.raises(Overflow):
             level_solution(standard["dih3"], 4)
 
-    def test_table_matches_validated_codes(self, census2, census3):
-        # the table make_solution builds from the level codes, pair by pair
-        cases = [(R, n) for R in census2 for n in (1, 2, 3, 4)]
+    def test_table_matches_validated_codes(self, census2, census3, standard):
+        # the table make_solution builds from the level codes, pair by pair;
+        # the shapes include halves that differ (odd n), share a table (even
+        # n), are trivial (n = 1) and have one-letter blocks (N = 1)
+        cases = [(R, n) for R in census2 for n in (1, 2, 3, 4, 5)]
         cases += [(R, n) for R in census3[::4] for n in (1, 2)]
+        cases += [(R, 3) for R in census3[1::9]]
+        cases += [(standard["dih3"], 4)]
+        cases += [(standard["id1"], n) for n in (1, 2, 3)]
         cases += [(R, 2) for R in random_solutions(3, 6, seed=35, require_ybe=False)]
         for R, n in cases:
-            size = R.size ** n
-            codes = level_codes(R, n, n)
-            expected = make_solution(size, [(vp + 1, up + 1) for vp, up in codes])
-            assert level_solution(R, n) == expected
+            assert level_solution(R, n) == _validated_level_codes(R, n)
+
+    @pytest.mark.parametrize("seed", [36, 37])
+    def test_tables_that_are_not_bijections_get_the_validated_error(self, seed):
+        # raw tables built without make_solution: a half check fails, and the
+        # error is the one make_solution gives for the level codes
+        rng = random.Random(seed)
+        tables = [Solution(2, ((1, 1), (1, 1), (2, 1), (2, 2)))]
+        for size in (2, 3, 3):
+            pairs = [(x, y) for x in range(1, size + 1) for y in range(1, size + 1)]
+            # a shuffled bijection and a random table, each with one output repeated
+            for cells in (rng.sample(pairs, len(pairs)), [rng.choice(pairs) for _ in pairs]):
+                i, j = rng.sample(range(len(cells)), 2)
+                cells[i] = cells[j]
+                tables.append(Solution(size, tuple(cells)))
+        for R in tables:
+            for n in (1, 2, 3):
+                with pytest.raises(YbkError) as expected:
+                    _validated_level_codes(R, n)
+                with pytest.raises(type(expected.value)) as caught:
+                    level_solution(R, n)
+                assert str(caught.value) == str(expected.value)
 
     @pytest.mark.parametrize(
-        "index, code, error, message",
+        "index, entry, error, message",
         [
-            (1, 0, NotABijection, "output pair (1, 1) produced by both (1, 1) and (1, 2)"),
-            (0, 81, OutOfRange, "entry for (1,1) is (10, 1), outside [1..9]^2"),
-            (0, -1, OutOfRange, "entry for (1,1) is (0, 9), outside [1..9]^2"),
-            (81, 0, InvalidParams, "table must have 81 entries for size 9, got 82"),
+            (1, (0, 0), NotABijection, "output pair (1, 1) produced by both (1, 1) and (1, 2)"),
+            (0, (3, 0), OutOfRange, "entry for (1,1) is (13, 1), outside [1..9]^2"),
+            (0, (-1, 0), OutOfRange, "entry for (1,1) is (-3, 1), outside [1..9]^2"),
+            (3, (0, 0), InvalidParams, "table must have 81 entries for size 9, got 88"),
         ],
         ids=["repeated", "v-too-large", "v-negative", "too-long"],
     )
     def test_bad_codes_fall_back_to_make_solution(
-        self, standard, monkeypatch, index, code, error, message
+        self, standard, monkeypatch, index, entry, error, message
     ):
-        real = constructions._flat_level_codes
-        assert real(standard["dih3"], 2)[:2] == [0, 17]
+        # one bad push through the block (1, 1) reaches both halves and the
+        # full codes: the half checks fail and make_solution names the fault
+        real = constructions._push_rows
+        assert real(standard["dih3"], 2)[0] == ((0, 0), (1, 8), (2, 4))
 
-        def changed(R, n_level):
-            codes = real(R, n_level)
-            codes[index:index + 1] = [code]
-            return codes
+        def changed(R, length):
+            rows = real(R, length)
+            rows[0] = rows[0][:index] + (entry,) + rows[0][index + 1:]
+            return rows
 
-        monkeypatch.setattr(constructions, "_flat_level_codes", changed)
+        monkeypatch.setattr(constructions, "_push_rows", changed)
         with pytest.raises(error) as caught:
             level_solution(standard["dih3"], 2)
         assert str(caught.value) == message
+
+
+def _validated_level_codes(R, n):
+    """The level-n solution as make_solution builds it from `level_codes`, the tuple walk."""
+    return make_solution(R.size ** n, [(vp + 1, up + 1) for vp, up in level_codes(R, n, n)])
 
 
 class TestDisjointUnion:
