@@ -9,8 +9,9 @@ collected; test modules import it as `oracles`.
 from itertools import product
 
 from ybk.constructions import decode_word, level_codes
-from ybk.errors import NotAYbeSolution, check_int
+from ybk.errors import NotAYbeSolution, PreconditionFailed, check_int
 from ybk.homology import IntegerMatrix
+from ybk.limits import check_count
 from ybk.semigroup import graded_elements
 from ybk.solution import alpha_beta, apply_leg, is_ybe
 
@@ -167,6 +168,54 @@ def extension_check_per_pair(R, maxlen, codes=level_codes):
                             if (w2, v2, u2) != (wb, vb, uc):
                                 return False, ("braid", *decode((u, l), (v, m), (w, n)))
     return True, None
+
+
+def _alpha_word(alpha, word, letter):
+    """Left action of a word: alpha_{x_1...x_n} = alpha_{x_1} o ... o alpha_{x_n}."""
+    for x in reversed(word):
+        letter = alpha[x - 1][letter - 1]
+    return letter
+
+
+def _beta_letter_on_word(alpha, beta, word, letter):
+    """Right action of one letter on a word, by the closed product formula."""
+    n = len(word)
+    out = []
+    for i in range(2, n + 1):
+        moved = _alpha_word(alpha, word[i - 1 :], letter)
+        out.append(beta[moved - 1][word[i - 2] - 1])
+    out.append(beta[letter - 1][word[-1] - 1])
+    return tuple(out)
+
+
+def action_formula_oracle(R, n, codes=level_codes):
+    """`action_formula_check(R, n)` by comparing every entry of the (n, n) table.
+
+    The table comes from `codes(R, n, n)`, the public `level_codes` unless a
+    test plants a fault in it.  The first output block of each entry must be
+    h_i = alpha_{beta_{y_1...y_{i-1}}(xbar)}(y_i) and the second the iterated
+    right action beta_{y_1...y_n}(xbar).  The errors and their order are the
+    library's.
+    """
+    check_int(n, "block length", 1)
+    if not is_ybe(R):
+        raise PreconditionFailed("the action formulas presuppose the braid relation")
+    size = R.size
+    check_count(size, "action formula comparison", 2 * n)
+    ab = alpha_beta(R)
+    alpha, beta = ab.alpha, ab.beta
+    words = list(product(range(1, size + 1), repeat=n))
+    # entry u * N**n + v of the table is (v', u'), and the pairs (xbar, ybar)
+    # below run in that order
+    for (xbar, ybar), (vp, up) in zip(product(words, repeat=2), codes(R, n, n)):
+        hs = []
+        current = xbar
+        for y in ybar:
+            hs.append(_alpha_word(alpha, current, y))
+            current = _beta_letter_on_word(alpha, beta, current, y)
+        if (words[vp], words[up]) != (tuple(hs), current):
+            return False
+    return True
 
 
 def identity(n):

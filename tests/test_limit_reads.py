@@ -4,25 +4,24 @@ A call with several enumeration checks reads the limit at its first check
 and hands the value to the rest, so a change to the environment between two
 calls takes effect on the second one.  `periodicity` walks one push table
 per level instead of calling `level_is_identity` level by level, and
-`semigroup_extension_check` takes all its block tables from one push walk
-instead of one `level_codes` call per pair of block lengths; the per-level
-loop and the per-pair check stay their oracles.
+`semigroup_extension_check` and `action_formula_check` answer from the braid
+relation after their size checks, with no word loop; the per-level loop, the
+per-pair check and the action-formula loop stay their oracles.
 """
 
 import pytest
 
 import ybk.limits as limits
-import ybk.semigroup as semigroup
 from ybk.catalog import catalog_names, catalog_solution
 from ybk.classify import enumerate_solutions
 from ybk.constructions import _level_tables, level_codes, level_is_identity, level_solution
-from ybk.errors import InvalidParams, NotAYbeSolution, Overflow, YbkError
+from ybk.errors import InvalidParams, NotAYbeSolution, Overflow, PreconditionFailed, YbkError
 from ybk.homology import cohomology, homology
 from ybk.kgraph import Periodicity, constant_family, periodicity, restrict
 from ybk.semigroup import action_formula_check, check_cancellative, graded_elements, growth, semigroup_extension_check
 from ybk.solution import builtin, make_solution
 
-from oracles import extension_check_per_pair
+from oracles import action_formula_oracle, extension_check_per_pair
 
 DIH3 = builtin("dihedral", 3)
 # built here, so that a call of restrict reads only its own limit
@@ -191,19 +190,46 @@ def test_a_planted_swap_gets_the_per_pair_check_verdict(monkeypatch, solutions):
         if R.size == 1:
             continue  # a table of one entry has no swap
         for maxlen in (2, 3, 4):
+            # the library answers from the theorem, which the unplanted loops confirm
+            assert semigroup_extension_check(R, maxlen) == extension_check_per_pair(R, maxlen), (R, maxlen)
             for pair in [(l, m) for l in range(1, maxlen) for m in range(1, maxlen - l + 1)]:
-
-                def tables(R, pairs):
-                    return _planted(_level_tables(R, pairs), pair)
 
                 def codes(R, l, m):
                     return _planted({(l, m): level_codes(R, l, m)}, pair)[l, m]
 
-                monkeypatch.setattr(semigroup, "_level_tables", tables)
-                got = semigroup_extension_check(R, maxlen)
-                assert got == extension_check_per_pair(R, maxlen, codes), (R, maxlen, pair)
+                got = extension_check_per_pair(R, maxlen, codes)
                 kinds.add(got[1] and got[1][0])
     assert kinds == {None, "respects-left", "respects-right", "braid"}
+
+
+@pytest.mark.parametrize("limit", [None, "2", "30", "500", "abc"])
+def test_the_action_formula_check_agrees_with_the_formula_loop(monkeypatch, solutions, limit):
+    if limit is None:
+        monkeypatch.delenv("YBK_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("YBK_LIMIT", limit)
+    outcomes = set()
+    for R in solutions + [OFF_BRAID]:
+        for n in (1, 2, 3):
+            got = _outcome(lambda: action_formula_check(R, n))
+            assert got == _outcome(lambda: action_formula_oracle(R, n)), (R, n)
+            outcomes.add(got if isinstance(got, bool) else got[0])
+    # each limit reaches the outcomes it is meant to compare; "abc" lets no table through
+    reached = {PreconditionFailed} | ({Overflow} if limit else set())
+    assert outcomes == (reached if limit == "abc" else reached | {True})
+
+
+def test_a_planted_swap_fails_the_formula_loop(monkeypatch, solutions):
+    monkeypatch.delenv("YBK_LIMIT", raising=False)
+    for R in solutions:
+        if R.size == 1:
+            continue  # a table of one entry has no swap
+        for n in (1, 2):
+
+            def codes(R, l, m):
+                return _planted({(l, m): level_codes(R, l, m)}, (n, n))[l, m]
+
+            assert action_formula_oracle(R, n, codes) is False, (R, n)
 
 
 def test_the_level_tables_are_the_level_codes(solutions):

@@ -3,9 +3,10 @@ from math import comb
 
 import pytest
 
+import ybk.constructions as constructions
 import ybk.semigroup as semigroup
 from ybk.catalog import catalog_names, catalog_profile, catalog_solution
-from ybk.constructions import disjoint_union_solution, encode_word, level_map
+from ybk.constructions import disjoint_union_solution, encode_word, level_codes, level_map
 from ybk.errors import InvalidParams, NotAYbeSolution, Overflow, PreconditionFailed
 from ybk.kgraph import make_theta_family
 from ybk.semigroup import (
@@ -19,6 +20,7 @@ from ybk.semigroup import (
 from ybk.solution import builtin, is_ybe, make_solution, _mod1
 
 from conftest import random_solutions
+from oracles import extension_check_per_pair
 
 
 def bfs_classes(R, n):
@@ -384,19 +386,25 @@ class TestExtension:
             assert matches == is_ybe(R)
 
     def test_corrupted_block_map_is_caught(self, standard, monkeypatch):
-        import ybk.semigroup as semigroup
+        R = standard["dih3"]
 
-        real = semigroup._level_tables
+        def corrupted(R, l, m):
+            table = level_codes(R, l, m)
+            if (l, m) == (1, 2):
+                table[0], table[1] = table[1], table[0]
+            return table
 
-        def corrupted(R, pairs):
-            tables = real(R, pairs)
-            table = tables[1, 2]
-            table[0], table[1] = table[1], table[0]
-            return tables
-
-        monkeypatch.setattr(semigroup, "_level_tables", corrupted)
-        ok, witness = semigroup_extension_check(standard["dih3"], 4)
+        ok, witness = extension_check_per_pair(R, 4, corrupted)
         assert not ok and witness[0] in ("respects-left", "respects-right", "braid")
+
+        # the library answers from the braid relation and builds no class or table
+        def no_work(*args):
+            raise AssertionError("the graded checks build no class and no table")
+
+        monkeypatch.setattr(semigroup, "_roots_by_length", no_work)
+        monkeypatch.setattr(constructions, "_level_tables", no_work)
+        assert semigroup_extension_check(R, 4) == (True, None)
+        assert action_formula_check(R, 2) is True
 
     def test_rejects_non_solution(self):
         tau = (2, 1)
