@@ -23,12 +23,9 @@ from .constructions import (
 from .errors import YbkError
 from .homology import (
     AbelianGroup,
-    IntegerMatrix,
     OrbitPartition,
     beta_orbits,
-    boundary_matrix,
     cohomology,
-    derived_boundary,
     h1_orbit_check,
     homology,
     verify_complex,

@@ -12,14 +12,14 @@ Boundaries are sparse columns on word codes.  Both slides are level maps,
 read from one push walk of `constructions`: the right slides of every
 suffix length are the successive states of the walk, the left slides the
 push tables grown one prefix length at a time.  A position or word whose
-two slides are equal cancels and is skipped.  `boundary_matrix` is their
-dense public view.  Each public entry point checks the braid relation
-once.  The factors come from sparse unit-pivot elimination followed by a
-diagonal-only Smith reduction of the block no unit pivot reaches.  The
-boundary into degree n is factored without the rows of the words that are
-unit-pivot columns of the boundary out of it, which leaves its factors
-unchanged once the chain condition holds.  The chain condition is checked
-by composing sparse boundary columns, before anything is factored.
+two slides are equal cancels and is skipped.  Each public entry point
+checks the braid relation once.  The factors come from sparse unit-pivot
+elimination followed by a diagonal-only Smith reduction of the block no
+unit pivot reaches.  The boundary into degree n is factored without the
+rows of the words that are unit-pivot columns of the boundary out of it,
+which leaves its factors unchanged once the chain condition holds.  The
+chain condition is checked by composing sparse boundary columns, before
+anything is factored.
 
 Everything is exact integer arithmetic; no floating point anywhere.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import gcd
 
 from ._record import record
-from .constructions import _push_levels, _push_rows, _push_walk, decode_word, encode_word
+from .constructions import _push_levels, _push_rows, _push_walk
 from .errors import (
     BadModulus,
     InvalidParams,
@@ -40,46 +40,6 @@ from .errors import (
 )
 from .limits import check_count
 from .solution import Solution, _all_identity, alpha_beta, is_ybe
-
-
-@record(slots=True)
-class IntegerMatrix:
-    """A dense matrix of exact integers."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        check_int(self.rows, "matrix dimensions", 0)
-        check_int(self.cols, "matrix dimensions", 0)
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise InvalidParams("entry shape does not match declared dimensions")
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntegerMatrix":
-        try:
-            entries = tuple(tuple(row) for row in rows)
-        except TypeError as exc:
-            raise InvalidParams(f"a matrix is an iterable of integer rows, got {rows!r}") from exc
-        for row in entries:
-            for v in row:
-                if type(v) is not int:
-                    raise InvalidParams(f"matrix entries must be integers, got {v!r}")
-        return cls(len(entries), len(entries[0]) if entries else 0, entries)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        # checked before `range` sees them, which raises TypeError on a float
-        check_int(rows, "matrix dimensions", 0)
-        check_int(cols, "matrix dimensions", 0)
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
 @record(slots=True)
@@ -183,23 +143,6 @@ class OrbitPartition:
     """Blocks of [N] under the group generated by all right-action maps."""
 
     blocks: tuple[tuple[int, ...], ...]
-
-
-def _dense(columns: list[dict[int, int]], rows: int) -> IntegerMatrix:
-    entries = tuple(tuple(col.get(r, 0) for col in columns) for r in range(rows))
-    return IntegerMatrix(rows, len(columns), entries)
-
-
-def invariant_factors(matrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, computed without U and V."""
-    if not isinstance(matrix, IntegerMatrix):
-        matrix = IntegerMatrix.from_rows(matrix)
-    return _factors([{i: x for i, x in enumerate(col) if x} for col in zip(*matrix.entries)])
-
-
-def _factors(columns: list[dict[int, int]]) -> tuple[int, ...]:
-    """Invariant factors of the matrix with these sparse columns, left unchanged."""
-    return _factors_and_pivots(columns)[0]
 
 
 def _factors_and_pivots(
@@ -369,47 +312,6 @@ def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
         column if all(column.values()) else {r: v for r, v in column.items() if v}
         for column in columns
     ]
-
-
-def boundary_matrix(R: Solution, n: int) -> IntegerMatrix:
-    """The degree-n boundary as a dense matrix from Z[X^n] to Z[X^(n-1)].
-
-    Columns are indexed by tuples in lexicographic order, as in
-    `_boundary_columns`; at n = 1 the matrix is zero.
-    """
-    _require_solution(R)
-    check_int(n, "degree", 1)
-    check_count(R.size, f"degree-{n} chain basis", n)
-    return _dense(_boundary_columns(R, n), R.size ** (n - 1))
-
-
-def derived_boundary(R: Solution, n: int) -> IntegerMatrix:
-    """Boundary from the closed formula available when R(x, y) = (y, x*y).
-
-    d(x_1..x_n) = sum_{i>=2} (-1)^i [drop position i
-                                     minus star the prefix by x_i and drop it];
-    must agree entrywise with the generic boundary.
-    """
-    _require_passive_first(R, "the closed formula")
-    _require_solution(R)
-    check_int(n, "degree", 1)
-    size = R.size
-    check_count(size, f"degree-{n} chain basis", n)
-    star = alpha_beta(R).beta  # x*y = beta_y(x)
-    columns = []
-    for code in range(size ** n):
-        word = decode_word(code + 1, size, n)
-        coeffs: dict[int, int] = {}
-        for i in range(2, n + 1):
-            sign = 1 if i % 2 == 0 else -1
-            plain = word[: i - 1] + word[i:]
-            starred = tuple(star[word[i - 1] - 1][x - 1] for x in word[: i - 1]) + word[i:]
-            pcode = encode_word(plain, size) - 1
-            scode = encode_word(starred, size) - 1
-            coeffs[pcode] = coeffs.get(pcode, 0) + sign
-            coeffs[scode] = coeffs.get(scode, 0) - sign
-        columns.append(coeffs)
-    return _dense(columns, size ** (n - 1))
 
 
 def verify_complex(R: Solution, nmax: int) -> bool:

@@ -7,10 +7,10 @@ collected; test modules import it as `oracles`.
 """
 
 from itertools import product
+from typing import NamedTuple
 
-from ybk.constructions import decode_word, level_codes
+from ybk.constructions import decode_word, encode_word, level_codes
 from ybk.errors import NotAYbeSolution, PreconditionFailed, check_int
-from ybk.homology import IntegerMatrix
 from ybk.limits import check_count
 from ybk.semigroup import graded_elements
 from ybk.solution import alpha_beta, apply_leg, is_ybe
@@ -218,9 +218,45 @@ def action_formula_oracle(R, n, codes=level_codes):
     return True
 
 
+class Dense(NamedTuple):
+    """A dense integer matrix: its shape and its rows, so a 0 x k matrix keeps its k columns."""
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
+
+
+def from_rows(rows):
+    """The matrix with these rows."""
+    entries = tuple(tuple(row) for row in rows)
+    return Dense(len(entries), len(entries[0]) if entries else 0, entries)
+
+
+def zero(rows, cols):
+    """The rows x cols zero matrix."""
+    return Dense(rows, cols, ((0,) * cols,) * rows)
+
+
+def dense(columns, rows):
+    """The matrix with these sparse columns and `rows` rows, for reading entries by (row, column)."""
+    return Dense(rows, len(columns), tuple(tuple(col.get(r, 0) for col in columns) for r in range(rows)))
+
+
+def sparse_columns(matrix):
+    """The columns of a matrix as sparse dicts, one per column, zero entries left out."""
+    return [
+        {i: row[j] for i, row in enumerate(matrix.entries) if row[j]} for j in range(matrix.cols)
+    ]
+
+
+def diagonal(matrix):
+    """The entries (i, i) of a matrix."""
+    return tuple(matrix.entries[i][i] for i in range(min(matrix.rows, matrix.cols)))
+
+
 def identity(n):
     """The n x n identity matrix."""
-    return IntegerMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    return Dense(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
 def mul(a, b):
@@ -228,17 +264,18 @@ def mul(a, b):
     assert a.cols == b.rows, (a.rows, a.cols, b.rows, b.cols)
     cols = list(zip(*b.entries)) if b.entries else []
     out = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.entries)
-    return IntegerMatrix(a.rows, b.cols, out)
+    return Dense(a.rows, b.cols, out)
 
 
-def smith_normal_form(matrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
+def smith_normal_form(matrix) -> tuple[Dense, Dense, Dense]:
     """U, D, V with U*M*V = D, U and V unimodular, D diagonal with d_1 | d_2 | ...
 
-    Pivoting on the smallest nonzero entry keeps coefficients small; exact
-    integer arithmetic throughout.
+    `matrix` is a `Dense` or a list of rows.  Pivoting on the smallest
+    nonzero entry keeps coefficients small; exact integer arithmetic
+    throughout.
     """
-    if not isinstance(matrix, IntegerMatrix):
-        matrix = IntegerMatrix.from_rows(matrix)
+    if not isinstance(matrix, Dense):
+        matrix = from_rows(matrix)
     rows, cols = matrix.rows, matrix.cols
     a = [list(row) for row in matrix.entries]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
@@ -317,7 +354,35 @@ def smith_normal_form(matrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatr
             add_row(offender, t, 1)
         t += 1
     return (
-        IntegerMatrix.from_rows(u),
-        IntegerMatrix.from_rows(a) if a else IntegerMatrix.zero(rows, cols),
-        IntegerMatrix.from_rows(v),
+        from_rows(u),
+        from_rows(a) if a else zero(rows, cols),
+        from_rows(v),
     )
+
+
+def derived_boundary(R, n):
+    """The degree-n boundary as sparse columns, from the closed formula when R(x, y) = (y, x*y).
+
+    d(x_1..x_n) = sum_{i>=2} (-1)^i [drop position i
+                                     minus star the prefix by x_i and drop it];
+    must equal the generic boundary, `homology._boundary_columns(R, n)`.
+    """
+    ab = alpha_beta(R)
+    assert all(row == tuple(range(1, R.size + 1)) for row in ab.alpha), "the first coordinate must be passive"
+    assert n >= 1, n
+    size = R.size
+    star = ab.beta  # x*y = beta_y(x)
+    columns = []
+    for code in range(size ** n):
+        word = decode_word(code + 1, size, n)
+        coeffs = {}
+        for i in range(2, n + 1):
+            sign = 1 if i % 2 == 0 else -1
+            plain = word[: i - 1] + word[i:]
+            starred = tuple(star[word[i - 1] - 1][x - 1] for x in word[: i - 1]) + word[i:]
+            pcode = encode_word(plain, size) - 1
+            scode = encode_word(starred, size) - 1
+            coeffs[pcode] = coeffs.get(pcode, 0) + sign
+            coeffs[scode] = coeffs.get(scode, 0) - sign
+        columns.append({r: v for r, v in coeffs.items() if v})
+    return columns

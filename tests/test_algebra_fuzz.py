@@ -2,11 +2,11 @@
 
 Whatever small arguments they get, the public functions of `ybk.solution`
 and `ybk.homology` return or raise a `YbkError`: a bad size, table,
-permutation, leg, degree, modulus, matrix or cyclic order must not escape as
+permutation, leg, degree, modulus, group or cyclic order must not escape as
 a `TypeError`, an `IndexError` or any other built-in exception.  Arguments of
 a kind the README leaves unchecked (a leg position or tuple entry) are drawn
-of the right type only, and so are matrix shapes and the container of cyclic
-orders, whose wrong types `tests/test_homology.py` checks.
+of the right type only, and so is the container of cyclic orders, whose
+wrong types `tests/test_homology.py` checks.
 """
 
 import pytest
@@ -18,14 +18,10 @@ from hypothesis import given, settings, strategies as st
 from ybk.errors import YbkError
 from ybk.homology import (
     AbelianGroup,
-    IntegerMatrix,
     beta_orbits,
-    boundary_matrix,
     cohomology,
-    derived_boundary,
     h1_orbit_check,
     homology,
-    invariant_factors,
     verify_complex,
 )
 from ybk.solution import (
@@ -131,31 +127,18 @@ def test_homology_raises_only_library_errors(R, n, modulus):
     if verified is not None:
         assert verified is True
     _contract(cohomology, R, n, modulus)
-    _contract(boundary_matrix, R, n)
-    _contract(derived_boundary, R, n)
     _contract(h1_orbit_check, R)
     beta_orbits(R)
 
 
 @FUZZ
 @given(
-    rows=st.lists(st.lists(st.integers(-3, 3) | st.booleans() | st.just(1.0), max_size=3), max_size=3)
-    | st.lists(LETTER, max_size=2)
-    | LETTER,
-    shape=st.tuples(st.integers(-1, 3), st.integers(-1, 3)),
     free=NUMBER,
     torsion=st.lists(st.integers(-1, 12) | st.booleans(), max_size=3).map(tuple)
     | st.lists(st.integers(0, 3), max_size=2)
     | LETTER,
     orders=st.lists(st.integers(-12, 12) | st.booleans() | st.just(2.0), max_size=4),
 )
-def test_groups_and_matrices_raise_only_library_errors(rows, shape, free, torsion, orders):
-    matrix = _contract(IntegerMatrix.from_rows, rows)
-    if matrix is not None:
-        _contract(invariant_factors, matrix)
-        matrix.is_zero()
-        matrix.diagonal()
-    _contract(invariant_factors, rows)
-    _contract(IntegerMatrix.zero, *shape)
+def test_groups_raise_only_library_errors(free, torsion, orders):
     _contract(AbelianGroup, free, torsion)
     _contract(AbelianGroup.from_cyclic_orders, orders)

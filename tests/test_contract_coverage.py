@@ -23,16 +23,13 @@ import ybk.catalog
 import ybk.serialize
 from ybk import (
     AbelianGroup,
-    IntegerMatrix,
     action_formula_check,
     apply_leg,
-    boundary_matrix,
     builtin,
     census,
     check_cancellative,
     cohomology,
     constant_family,
-    derived_boundary,
     enumerate_solutions,
     factorize,
     graded_elements,
@@ -103,7 +100,6 @@ def test_exemptions_are_public_and_not_fuzzed():
 
 
 DIH3 = builtin("dihedral", 3)
-FLIP3 = builtin("flip", 3)  # its first coordinate is passive, as derived_boundary needs
 FAMILY = constant_family(DIH3, 3)
 WORD = normalize(FAMILY, [(1, 1)])
 ONE_PAIR = {(1, 2): [(1, 1)]}
@@ -131,15 +127,9 @@ INTEGER_ARGUMENTS = {
     "level_is_identity-n": (lambda v: level_is_identity(DIH3, v), "block length", 1),
     "level_solution-n": (lambda v: level_solution(DIH3, v), "block length", 1),
     "action_formula_check-n": (lambda v: action_formula_check(DIH3, v), "block length", 1),
-    "IntegerMatrix-rows": (lambda v: IntegerMatrix(v, 0, ()), "matrix dimensions", 0),
-    "IntegerMatrix-cols": (lambda v: IntegerMatrix(0, v, ()), "matrix dimensions", 0),
-    "IntegerMatrix.zero-rows": (lambda v: IntegerMatrix.zero(v, 0), "matrix dimensions", 0),
-    "IntegerMatrix.zero-cols": (lambda v: IntegerMatrix.zero(0, v), "matrix dimensions", 0),
     "AbelianGroup-free_rank": (lambda v: AbelianGroup(v, ()), "free rank", 0),
     "AbelianGroup-torsion": (lambda v: AbelianGroup(0, (v,)), "invariant factor", 2),
     "from_cyclic_orders-orders": (lambda v: AbelianGroup.from_cyclic_orders([v, 0]), "cyclic order", None),
-    "boundary_matrix-n": (lambda v: boundary_matrix(DIH3, v), "degree", 1),
-    "derived_boundary-n": (lambda v: derived_boundary(FLIP3, v), "degree", 1),
     "verify_complex-nmax": (lambda v: verify_complex(DIH3, v), "degree", 0),
     "homology-n": (lambda v: homology(DIH3, v), "degree", 0),
     "cohomology-n": (lambda v: cohomology(DIH3, v, 2), "degree", 0),
@@ -174,7 +164,7 @@ def test_integer_arguments_follow_one_rule(call, what, least):
 
 
 def test_every_public_check_int_caller_is_in_the_table():
-    # private callers (`_free_and_torsion`, `IntegerMatrix.__post_init__`, the
+    # private callers (`_free_and_torsion`, `AbelianGroup.__post_init__`, the
     # CLI's handlers) are reached through the public rows above
     called = set()
     for call, _, _ in INTEGER_ARGUMENTS.values():

@@ -18,20 +18,28 @@ from ybk.errors import (
 )
 from ybk.homology import (
     AbelianGroup,
-    IntegerMatrix,
+    _boundary_columns,
+    _factors_and_pivots,
     beta_orbits,
-    boundary_matrix,
     cohomology,
-    derived_boundary,
     h1_orbit_check,
     homology,
-    invariant_factors,
     verify_complex,
 )
 from ybk.solution import builtin, is_ybe, make_solution, properties, _mod1
 
 from conftest import random_solutions
-from oracles import identity, mul, smith_normal_form
+from oracles import (
+    dense,
+    derived_boundary,
+    diagonal,
+    from_rows,
+    identity,
+    mul,
+    smith_normal_form,
+    sparse_columns,
+    zero,
+)
 
 
 def det_bareiss(matrix):
@@ -63,9 +71,7 @@ def random_matrices():
     for _ in range(80):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        yield IntegerMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        )
+        yield from_rows([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
     # sparse, mostly units, like the boundaries: unit pivots and a residual block
     rng = random.Random(3)
     for _ in range(60):
@@ -84,12 +90,12 @@ def random_matrices():
         for j in rng.sample(range(cols), rng.randint(0, cols // 3)):
             for row in entries:
                 row[j] = 0
-        yield IntegerMatrix.from_rows(entries)
+        yield from_rows(entries)
     for rows, cols in ((1, 1), (3, 7), (12, 30)):
-        yield IntegerMatrix.zero(rows, cols)
+        yield zero(rows, cols)
     for k in (1, 4):
-        yield IntegerMatrix(0, k, ())
-        yield IntegerMatrix.zero(k, 0)
+        yield zero(0, k)
+        yield zero(k, 0)
 
 
 def rank_mod(columns, p):
@@ -231,13 +237,13 @@ class TestSmithNormalForm:
 
     def test_two_three(self):
         _, d, _ = smith_normal_form([[2, 0], [0, 3]])
-        assert d.diagonal() == (1, 6)
+        assert diagonal(d) == (1, 6)
 
     def test_random_properties(self):
         for m in random_matrices():
             u, d, v = smith_normal_form(m)
             assert mul(mul(u, m), v).entries == d.entries
-            diag = d.diagonal()
+            diag = diagonal(d)
             for a, b in zip(diag, diag[1:]):
                 assert not (a == 0 and b != 0)
                 if a and b:
@@ -250,26 +256,13 @@ class TestSmithNormalForm:
             )
             assert abs(det_bareiss(u)) == 1
             assert abs(det_bareiss(v)) == 1
-            assert invariant_factors(m) == tuple(x for x in diag if x)
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(InvalidParams):
-            invariant_factors([[1, 2], [3]])
-        with pytest.raises(InvalidParams):
-            IntegerMatrix.from_rows([[1], [2, 3]])
-
-    @pytest.mark.parametrize("rows", [[[1.5]], [["a"]], [[True]], [[1, 2], [3, None]], 5, [5]])
-    @pytest.mark.parametrize("call", [invariant_factors, IntegerMatrix.from_rows])
-    def test_non_integer_entries_rejected(self, call, rows):
-        # int() used to truncate 1.5 to 1, so [[1.5]] had the factors (1,)
-        with pytest.raises(InvalidParams):
-            call(rows)
+            assert _factors_and_pivots(sparse_columns(m))[0] == tuple(x for x in diag if x)
 
     def test_sparse_factors_leave_columns_unchanged(self, standard):
-        module = importlib.import_module("ybk.homology")
-        columns = module._boundary_columns(standard["dih3"], 3)
+        columns = _boundary_columns(standard["dih3"], 3)
         before = [dict(col) for col in columns]
-        assert module._factors(columns) == invariant_factors(boundary_matrix(standard["dih3"], 3))
+        _, d, _ = smith_normal_form(dense(columns, 9))
+        assert _factors_and_pivots(columns)[0] == tuple(x for x in diagonal(d) if x)
         assert columns == before
 
     def test_factors_of_boundaries_match_oracle(self, census2, census3):
@@ -277,20 +270,19 @@ class TestSmithNormalForm:
         for R in non_kgraph_catalog():
             cases.extend((R, n) for n in range(1, 9) if R.size ** n <= 256)
         for R, n in cases:
-            m = boundary_matrix(R, n)
-            _, d, _ = smith_normal_form(m)
-            assert invariant_factors(m) == tuple(x for x in d.diagonal() if x), (R, n)
+            columns = _boundary_columns(R, n)
+            _, d, _ = smith_normal_form(dense(columns, R.size ** (n - 1)))
+            assert _factors_and_pivots(columns)[0] == tuple(x for x in diagonal(d) if x), (R, n)
 
 
 class TestBoundary:
     def test_degree_one_vanishes(self, standard):
-        m = boundary_matrix(standard["dih3"], 1)
-        assert m.is_zero() and (m.rows, m.cols) == (1, 3)
+        assert _boundary_columns(standard["dih3"], 1) == [{}, {}, {}]
 
     def test_degree_two_derived_formula(self, standard):
         # for a passive first coordinate the boundary is x1 - x1*x2
         R = standard["dih3"]
-        m = boundary_matrix(R, 2)
+        m = dense(_boundary_columns(R, 2), 3)
         for x1 in (1, 2, 3):
             for x2 in (1, 2, 3):
                 col = (x1 - 1) * 3 + (x2 - 1)
@@ -303,7 +295,7 @@ class TestBoundary:
     def test_degree_three_displayed_terms(self, standard):
         # (x1,x3) - (x1*x2,x3) - (x1,x2) + (x1*x3,x2*x3)
         R = standard["dih3"]
-        m = boundary_matrix(R, 3)
+        m = dense(_boundary_columns(R, 3), 9)
         star = lambda a, b: _mod1(2 * b - a, 3)
         for x1, x2, x3 in product((1, 2, 3), repeat=3):
             col = (x1 - 1) * 9 + (x2 - 1) * 3 + (x3 - 1)
@@ -321,36 +313,18 @@ class TestBoundary:
 
     def test_derived_matches_generic(self, standard):
         for n in (1, 2, 3):
-            assert (
-                derived_boundary(standard["dih3"], n).entries
-                == boundary_matrix(standard["dih3"], n).entries
-            )
+            assert derived_boundary(standard["dih3"], n) == _boundary_columns(standard["dih3"], n)
         for n in (1, 2, 3, 4):
-            assert (
-                derived_boundary(standard["flip2"], n).entries
-                == boundary_matrix(standard["flip2"], n).entries
-            )
-
-    def test_derived_needs_passive_first_coordinate(self, standard):
-        with pytest.raises(NotDerivedType):
-            derived_boundary(standard["shift2"], 2)
+            assert derived_boundary(standard["flip2"], n) == _boundary_columns(standard["flip2"], n)
 
     def test_negative_degrees_rejected(self, standard):
         R = standard["dih3"]
-        with pytest.raises(InvalidParams):
-            boundary_matrix(R, 0)
-        with pytest.raises(InvalidParams):
-            derived_boundary(R, 0)
         with pytest.raises(InvalidParams):
             homology(R, -1)
         with pytest.raises(InvalidParams):
             cohomology(R, -1)
         with pytest.raises(InvalidParams):
             cohomology(R, -2, 3)
-
-    def test_boundary_needs_solution(self):
-        with pytest.raises(NotAYbeSolution):
-            boundary_matrix(non_solution(), 2)
 
     def test_complex_needs_solution(self):
         bad = non_solution()
@@ -379,7 +353,6 @@ class TestBoundary:
             lambda: cohomology(R, 3),
             lambda: cohomology(R, 3, 3),
             lambda: verify_complex(R, 3),
-            lambda: boundary_matrix(R, 3),
         ):
             calls.clear()
             call()
@@ -388,12 +361,11 @@ class TestBoundary:
     def test_degree_must_be_an_int(self, standard):
         R = standard["dih3"]
         for degree in ("2", 2.0, True, False, None):
-            for call in (boundary_matrix, derived_boundary, homology, cohomology, verify_complex):
+            for call in (homology, cohomology, verify_complex):
                 with pytest.raises(InvalidParams):
                     call(R, degree)
 
     def test_matches_level_code_faces(self, census2, census3):
-        module = importlib.import_module("ybk.homology")
         cases = [
             (R, n) for R in enumerate_solutions(1) + census2 + census3 for n in range(1, 6)
         ]
@@ -401,7 +373,7 @@ class TestBoundary:
             (builtin("dihedral", k), n) for k in (3, 4, 5, 6) for n in range(1, 7) if k ** n <= 729
         ]
         for R, n in cases:
-            assert module._boundary_columns(R, n) == level_code_faces(R, n), (R, n)
+            assert _boundary_columns(R, n) == level_code_faces(R, n), (R, n)
 
     def test_matches_word_level_oracle(self, census2, census3):
         cases = [
@@ -410,7 +382,7 @@ class TestBoundary:
         for R in non_kgraph_catalog():
             cases.extend((R, n) for n in range(1, 7) if R.size ** n <= 729)
         for R, n in cases:
-            assert boundary_matrix(R, n).entries == oracle_boundary(R, n), (R, n)
+            assert dense(_boundary_columns(R, n), R.size ** (n - 1)).entries == oracle_boundary(R, n), (R, n)
 
 
 class TestComplex:
@@ -471,9 +443,8 @@ class TestCompression:
 
     @staticmethod
     def uncompressed(R, n):
-        module = importlib.import_module("ybk.homology")
-        out_factors = module._factors(module._boundary_columns(R, n)) if n else ()
-        in_factors = module._factors(module._boundary_columns(R, n + 1))
+        out_factors = _factors_and_pivots(_boundary_columns(R, n))[0] if n else ()
+        in_factors = _factors_and_pivots(_boundary_columns(R, n + 1))[0]
         free = R.size ** n - len(out_factors) - len(in_factors)
         return free, tuple(d for d in out_factors if d > 1), tuple(d for d in in_factors if d > 1)
 
@@ -539,8 +510,9 @@ class TestHomology:
     def test_rank_nullity(self, census2):
         for R in census2:
             for n in (1, 2, 3):
-                m = boundary_matrix(R, n)
-                rank = len(invariant_factors(m))
+                columns = _boundary_columns(R, n)
+                m = dense(columns, 2 ** (n - 1))
+                rank = len(_factors_and_pivots(columns)[0])
                 assert rank <= min(m.rows, m.cols)
                 assert 2 ** n - rank >= 0
 
@@ -563,7 +535,7 @@ class TestCohomology:
         # star-moves: f(x1) = f(x1*x2)
         for R in (standard["dih3"], standard["flip2"]):
             n = R.size
-            d2 = boundary_matrix(R, 2)
+            d2 = dense(_boundary_columns(R, 2), n)
             kernel = {
                 f
                 for f in product((0, 1), repeat=n)
@@ -588,8 +560,8 @@ class TestCohomology:
         # f(x1,x2) + f(x1*x2,x3) = f(x1,x3) + f(x1*x3,x2*x3)
         for R in (standard["dih3"], standard["flip2"]):
             n = R.size
-            d3 = boundary_matrix(R, 3)
             dim = n * n
+            d3 = dense(_boundary_columns(R, 3), dim)
             kernel = {
                 f
                 for f in product((0, 1), repeat=dim)
@@ -727,13 +699,6 @@ class TestAbelianGroup:
     def test_orders_must_come_in_an_iterable(self, orders):
         with pytest.raises(InvalidParams):
             AbelianGroup.from_cyclic_orders(orders)
-
-    @pytest.mark.parametrize("rows, cols", [(2.0, 1), (True, 1), (1, "1"), (-1, 0), (1, False)])
-    def test_matrix_shapes_must_be_non_negative_ints(self, rows, cols):
-        with pytest.raises(InvalidParams, match="matrix dimensions"):
-            IntegerMatrix.zero(rows, cols)
-        with pytest.raises(InvalidParams, match="matrix dimensions"):
-            IntegerMatrix(rows, cols, ())
 
     @pytest.mark.parametrize(
         "free, torsion",

@@ -18,7 +18,7 @@ import pytest
 
 import ybk
 from ybk.errors import InvalidParams
-from ybk.homology import AbelianGroup, IntegerMatrix
+from ybk.homology import AbelianGroup
 from ybk.kgraph import ThetaFamily
 from ybk.semigroup import GradedClassSet
 from ybk.solution import PropertyReport, Solution, StructureReport
@@ -49,7 +49,6 @@ SAMPLES = {
         (2, 1, (((1,),), ((2,),)), ((1,), (2,)), {(1,): 0, (2,): 1}),
         (2, 1, (((1,), (2,)),), ((1,),), {(1,): 0, (2,): 0}),
     ],
-    "IntegerMatrix": [(1, 2, ((1, -2),)), (1, 2, ((1, 2),))],
     "KWord": [(_THETA, ((1,), (2,))), (_THETA, ((1,), (1,)))],
     "LevelMap": [(1, 1, 1, (((1,), (1,)),)), (1, 1, 2, (((1, 1), (1,)),))],
     "OrbitPartition": [(((1, 2), (3,)),), (((1,), (2,), (3,)),)],
@@ -96,7 +95,7 @@ def _plain(value):
 
 
 def test_every_record_has_a_sample():
-    assert len(RECORDS) >= 16
+    assert len(RECORDS) >= 15
     assert sorted(cls.__qualname__ for cls in RECORDS) == sorted(SAMPLES)
 
 
@@ -229,8 +228,6 @@ def test_solution_repr_and_hash_are_those_of_its_fields():
     [
         (AbelianGroup, (1, (2, 4)), {"torsion": (4, 2)}, "divisibility chain"),
         (AbelianGroup, (1, (2, 4)), {"free_rank": -1}, "free rank"),
-        (IntegerMatrix, (1, 2, ((1, -2),)), {"rows": 2}, "entry shape"),
-        (IntegerMatrix, (1, 2, ((1, -2),)), {"cols": True}, "matrix dimensions"),
     ],
 )
 def test_post_init_checks_run_on_construction_and_replace(cls, good, change, message):
