@@ -12,9 +12,9 @@ from __future__ import annotations
 from itertools import chain, islice, product
 
 from ._record import record
-from .errors import Degenerate, InvalidParams, NotAYbeSolution, check_int
+from .errors import Degenerate, InvalidParams, NotABijection, NotAYbeSolution, check_int
 from .limits import check_count
-from .solution import Solution, _degenerate_row, _flip_conjugate, alpha_beta, is_ybe, make_solution
+from .solution import Solution, _check_pairs, _degenerate_row, _flip_conjugate, alpha_beta, is_ybe, make_solution
 
 
 def encode_word(word, n: int) -> int:
@@ -336,6 +336,14 @@ def _is_permutation(codes: list[int], count: int) -> bool:
     return len(codes) == len(set(codes)) == count and 0 <= min(codes) and max(codes) < count
 
 
+def _letter_pairs(table, n: int) -> bool:
+    """Whether every entry of `table` is a pair of int letters of [n]."""
+    # `type` rather than isinstance: bool is a subclass of int
+    return all(
+        len(pair) == 2 and all(type(x) is int and 0 < x <= n for x in pair) for pair in map(tuple, table)
+    )
+
+
 def level_solution(R: Solution, n_level: int) -> Solution:
     """The level solution on [N**n], words encoded big-endian.
 
@@ -346,10 +354,21 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     permutations of their ranges, and its table is two block gathers: the
     pairs under each v1' by T_b, then those blocks by T_a.  When a half is
     not a permutation, the walk goes on to T_n and `make_solution` rejects
-    its codes with its own error.
+    its codes with its own error.  A Solution built without `make_solution`
+    is checked as `make_solution` checks a table first, so a fault the walks
+    cannot read raises `make_solution`'s error for R itself.
     """
     check_int(n_level, "block length", 1)
     n = R.size
+    # a Solution built directly gets make_solution's checks before the walks read it
+    check_int(n, "size", 1)
+    try:
+        _check_pairs(R.table, n, n)
+    except NotABijection:
+        # repeats alone leave a table the walks can read, and make_solution
+        # then names a repeat of the level codes, as for any level table
+        if not _letter_pairs(R.table, n):
+            raise
     _check_level(n, n_level)
     size = n ** n_level
     a = n_level // 2

@@ -33,31 +33,42 @@ class GradedClassSet:
 
     `classes` are tuples of words (each word a tuple of letters), members
     lexicographically sorted, classes sorted by their least member; `reps`
-    repeats those least members.
+    repeats those least members.  `_nodes` holds the node maps of lengths
+    1..n from `_roots_by_length`, classes(m-1) * N entries for length m:
+    all `index_of` reads, with no entry per word.
     """
 
     size: int
     length: int
     classes: tuple[tuple[tuple[int, ...], ...], ...]
     reps: tuple[tuple[int, ...], ...]
-    _index: dict = field(compare=False, repr=False)
+    _nodes: tuple = field(compare=False, repr=False)
 
     def index_of(self, word) -> int:
         """The index in `classes` of the class holding `word`.
 
-        Letters are ints, as in `encode_word`: `True` or `1.0` hashes like
-        the integer 1 but is no letter.
+        The walk starts at class 0, the empty word's, and each letter y sends
+        class c to the class of node (c, y).  Letters are ints, as in
+        `encode_word`: `True` or `1.0` equals the integer 1 but is no letter.
         """
+        size = self.size
         try:
             word = tuple(word)
-            index = self._index[word]
-        except (TypeError, KeyError):
-            # a non-iterable, or a word with an unhashable letter, is no word either
-            index = None
-        # `type` rather than isinstance: bool is a subclass of int
-        if index is None or any(type(letter) is not int for letter in word):
-            raise InvalidParams(f"{word!r} is not a word of length {self.length} over [{self.size}]")
-        return index
+        except TypeError:
+            # a non-iterable is no word; the message shows it as it came
+            pass
+        else:
+            if len(word) == self.length:
+                c = 0
+                nodes = self._nodes
+                for i, letter in enumerate(word):
+                    # `type` rather than isinstance: bool is a subclass of int
+                    if type(letter) is not int or not 0 < letter <= size:
+                        break
+                    c = nodes[i][c * size + letter - 1]
+                else:
+                    return c
+        raise InvalidParams(f"{word!r} is not a word of length {self.length} over [{size}]")
 
 
 def _roots_by_length(R: Solution, limit: int | None = None):
@@ -170,15 +181,14 @@ def graded_elements(R: Solution, n: int) -> GradedClassSet:
     check_int(n, "word length", 0)
     size = R.size
     if n == 0:
-        empty = ((),)
-        return GradedClassSet(size, 0, (empty,), ((),), {(): 0})
+        return GradedClassSet(size, 0, (((),),), ((),), ())
     limit = check_count(size, f"length-{n} words over [{size}]", n)
     levels = _lengths_up_to(R, n, limit)
     *_, classes = _word_classes(size, levels)
-    words = list(product(range(1, size + 1), repeat=n))
+    words = product(range(1, size + 1), repeat=n)
     groups = tuple(map(tuple, _members(words, classes, len(levels[-1][0]))))
     reps = tuple(members[0] for members in groups)
-    return GradedClassSet(size, n, groups, reps, dict(zip(words, classes)))
+    return GradedClassSet(size, n, groups, reps, tuple(node for _, node in levels))
 
 
 def growth(R: Solution, maxlen: int) -> tuple[int, ...]:

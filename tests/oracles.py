@@ -10,7 +10,7 @@ from itertools import product
 from typing import NamedTuple
 
 from ybk.constructions import decode_word, encode_word, level_codes
-from ybk.errors import NotAYbeSolution, PreconditionFailed, check_int
+from ybk.errors import InvalidParams, NotAYbeSolution, PreconditionFailed, check_int
 from ybk.limits import check_count
 from ybk.semigroup import graded_elements
 from ybk.solution import alpha_beta, apply_leg, is_ybe
@@ -96,6 +96,29 @@ def legs_level_map(R, l, m):
     return tuple(table)
 
 
+def word_index(elements):
+    """The class of every word of a `GradedClassSet`, one dict entry per word, read off `classes`."""
+    return {word: c for c, members in enumerate(elements.classes) for word in members}
+
+
+def index_of_by_dict(elements, word):
+    """`elements.index_of(word)` by a lookup in the `word_index` of `elements`.
+
+    A word is any iterable of ints found in `index`: `True` or `1.0` finds
+    the class of the integer 1 and is rejected after the lookup.  The
+    message shows the word as a tuple, or the input itself when it is not
+    iterable.
+    """
+    try:
+        word = tuple(word)
+        c = word_index(elements)[word]
+    except (TypeError, KeyError):
+        c = None
+    if c is None or any(type(letter) is not int for letter in word):
+        raise InvalidParams(f"{word!r} is not a word of length {elements.length} over [{elements.size}]")
+    return c
+
+
 def extension_check_per_pair(R, maxlen, codes=level_codes):
     """`semigroup_extension_check(R, maxlen)` with one block table per pair of block lengths.
 
@@ -112,7 +135,7 @@ def extension_check_per_pair(R, maxlen, codes=level_codes):
     classes, members = {}, {}
     for n, elements in enumerate(graded[: maxlen - 1], 1):
         words = list(product(range(1, size + 1), repeat=n))
-        classes[n] = [elements.index_of(word) for word in words]
+        classes[n] = list(map(word_index(elements).__getitem__, words))
         # members sort lexicographically, which is code order
         code = {word: c for c, word in enumerate(words)}
         members[n] = [[code[word] for word in group] for group in elements.classes if len(group) > 1]

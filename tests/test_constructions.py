@@ -442,6 +442,32 @@ class TestLevelSolution:
                     level_solution(R, n)
                 assert str(caught.value) == str(expected.value)
 
+    @pytest.mark.parametrize("seed", [38, 39])
+    def test_raw_tables_get_the_error_of_make_solution(self, seed):
+        # raw tables built without make_solution, with a fault the push walks
+        # cannot read: an entry out of range, a float, bool or non-pair entry,
+        # a short or long table, size 0, or a repeat before such an entry
+        rng = random.Random(seed)
+        tables = [Solution(0, ()), Solution(0, ((1, 1),))]
+        for size in (1, 2, 3):
+            pairs = [(x, y) for x in range(1, size + 1) for y in range(1, size + 1)]
+            for bad in ((0, 1), (1, size + 1), (-1, 1), (1.0, 1), (1, 2.5), (True, 1), (1,), (1, 1, 1)):
+                cells = rng.sample(pairs, len(pairs))
+                cells[rng.randrange(len(cells))] = bad
+                tables.append(Solution(size, tuple(cells)))
+            cells = rng.sample(pairs, len(pairs))
+            tables += [Solution(size, tuple(cells[1:])), Solution(size, tuple(cells + cells[:1]))]
+        # the repeat at entry 1 comes first and names the error
+        tables.append(Solution(2, ((1, 1), (1, 1), (2, 1), (3, 3))))
+        for R in tables:
+            with pytest.raises(YbkError) as expected:
+                make_solution(R.size, R.table)
+            for n in (1, 2, 3):
+                with pytest.raises(YbkError) as caught:
+                    level_solution(R, n)
+                assert type(caught.value) is type(expected.value)
+                assert str(caught.value) == str(expected.value)
+
     @pytest.mark.parametrize(
         "index, entry, error, message",
         [

@@ -46,8 +46,8 @@ SAMPLES = {
     "AbelianGroup": [(1, (2, 4)), (1, (2, 8))],
     "AlphaBeta": [(((1, 2), (2, 1)), ((2, 1), (1, 2))), (((1, 2), (2, 1)), ((1, 2), (2, 1)))],
     "GradedClassSet": [
-        (2, 1, (((1,),), ((2,),)), ((1,), (2,)), {(1,): 0, (2,): 1}),
-        (2, 1, (((1,), (2,)),), ((1,),), {(1,): 0, (2,): 0}),
+        (2, 1, (((1,),), ((2,),)), ((1,), (2,)), ([0, 1],)),
+        (2, 1, (((1,), (2,)),), ((1,),), ([0, 0],)),
     ],
     "KWord": [(_THETA, ((1,), (2,))), (_THETA, ((1,), (1,)))],
     "LevelMap": [(1, 1, 1, (((1,), (1,)),)), (1, 1, 2, (((1, 1), (1,)),))],
@@ -203,8 +203,8 @@ class TestRecord:
 
 
 def test_compare_false_field_is_left_out_of_equality_and_hash():
-    one = GradedClassSet(2, 1, (((1,),), ((2,),)), ((1,), (2,)), {(1,): 0, (2,): 1})
-    same = GradedClassSet(2, 1, (((1,),), ((2,),)), ((1,), (2,)), {})
+    one = GradedClassSet(2, 1, (((1,),), ((2,),)), ((1,), (2,)), ([0, 1],))
+    same = GradedClassSet(2, 1, (((1,),), ((2,),)), ((1,), (2,)), ([1, 0],))
     assert one == same and hash(one) == hash(same)
     assert repr(one) == "GradedClassSet(size=2, length=1, classes=(((1,),), ((2,),)), reps=((1,), (2,)))"
 

@@ -1,3 +1,4 @@
+from collections.abc import Mapping
 from itertools import product
 from math import comb
 
@@ -20,7 +21,7 @@ from ybk.semigroup import (
 from ybk.solution import builtin, is_ybe, make_solution, _mod1
 
 from conftest import random_solutions
-from oracles import extension_check_per_pair
+from oracles import extension_check_per_pair, index_of_by_dict, word_index
 
 
 def bfs_classes(R, n):
@@ -189,6 +190,60 @@ class TestGradedElements:
             monkeypatch.setenv("YBK_LIMIT", limit)
         with pytest.raises(Overflow, match=message):
             graded_elements(standard["dih3"], n)
+
+
+def _outcome(call, *args):
+    """What `call(*args)` gives: ("index", value) or (error type, message)."""
+    try:
+        return "index", call(*args)
+    except InvalidParams as exc:
+        return type(exc), str(exc)
+
+
+class TestIndexOf:
+    def test_matches_the_per_word_dict(self, census2, census3):
+        solutions = [builtin("identity", 1), *census2, *census3, *catalog_solutions(6)]
+        assert len(solutions) == 79 + 25
+        for R in solutions:
+            for n in range(5):
+                elements = graded_elements(R, n)
+                index = word_index(elements)
+                assert len(index) == R.size**n
+                for word in product(range(1, R.size + 1), repeat=n):
+                    assert elements.index_of(word) == index[word]
+
+    # each entry makes a fresh input, so a generator is consumed once per call
+    INPUTS = {
+        "non-iterable": lambda n: 5,
+        "none": lambda n: None,
+        "generator": lambda n: (y for y in (1, 2, 2, 3)[:n]),
+        "short-generator": lambda n: (y for y in (2,) * (n - 1)),
+        "list": lambda n: [3] * n,
+        "short": lambda n: (1,) * (n - 1),
+        "long": lambda n: (1,) * (n + 1),
+        "bool": lambda n: (True,) + (1,) * (n - 1),
+        "float": lambda n: (1,) * (n - 1) + (1.0,),
+        "zero": lambda n: (0,) + (1,) * (n - 1),
+        "past-n": lambda n: (1,) * (n - 1) + (4,),
+        "unhashable": lambda n: ([2],) + (1,) * (n - 1),
+        "string": lambda n: "1" * n,
+    }
+
+    # at n = 0 both generators, the string and the short word are the empty word
+    @pytest.mark.parametrize("n", [0, 1, 2, 4])
+    @pytest.mark.parametrize("make", INPUTS.values(), ids=list(INPUTS))
+    def test_answers_and_messages_match_the_per_word_dict(self, standard, make, n):
+        elements = graded_elements(standard["dih3"], n)
+        expected = _outcome(index_of_by_dict, elements, make(n))
+        assert _outcome(elements.index_of, make(n)) == expected
+
+    def test_no_per_word_table_is_kept(self, standard):
+        R, n = standard["dih3"], 10
+        elements = graded_elements(R, n)
+        counts = growth(R, n)
+        assert sum(map(len, elements._nodes)) <= sum(counts[m - 1] * R.size for m in range(1, n + 1))
+        for value in vars(elements).values():
+            assert not (isinstance(value, Mapping) and len(value) == R.size**n)
 
 
 class TestClassRoots:
