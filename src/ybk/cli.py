@@ -25,7 +25,7 @@ from .constructions import (
     level_solution,
     trivial_extension,
 )
-from .homology import _chain_holds, _check_modulus, _complex, _groups
+from .homology import _check_modulus, _groups, verify_complex
 from .kgraph import (
     ThetaFamily,
     complete_diamond,
@@ -346,26 +346,15 @@ def _cmd_homology(args) -> int:
     R = _load_solution(args.input)
     # read before anything is built, so that a bad --coeff costs no boundary
     modulus = _modulus(args.coeff)
-    code = 0
     report: dict = {"command": "homology", "degree": args.degree}
     lines = []
-    boundaries = None
     if args.verify_complex:
         # checked first, so that an error names the degree given, not degree + 1
         check_int(args.degree, "degree", 0)
-        checked = _complex(R, args.degree + 1)
-        ok = _chain_holds(checked)
-        report["chain_condition"] = ok
-        lines.append(f"chain condition through degree {args.degree + 1}: {'ok' if ok else 'VIOLATED'}")
-        if ok:
-            boundaries = checked
-        else:
-            code = 1
-    # one boundary factorization serves homology and cohomology; a complex
-    # found to hold already has both boundaries, composed once.  A violated
-    # one is not handed on, so the boundaries are built and composed again
-    # and a failure raises the same error as without --verify-complex
-    integral, group = _groups(R, args.degree, modulus, boundaries)
+        report["chain_condition"] = verify_complex(R, args.degree + 1)
+        lines.append(f"chain condition through degree {args.degree + 1}: ok")
+    # one boundary factorization serves homology and cohomology
+    integral, group = _groups(R, args.degree, modulus)
     report["homology"] = str(integral)
     lines.append(f"H_{args.degree} = {integral}")
     coefficients = "z" if modulus is None else f"z/{modulus}"
@@ -373,7 +362,7 @@ def _cmd_homology(args) -> int:
     report["coefficients"] = coefficients
     lines.append(f"H^{args.degree}({coefficients.upper()}) = {group}")
     _emit(args, report, lines)
-    return code
+    return 0
 
 
 def _cmd_catalog(args) -> int:

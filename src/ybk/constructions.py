@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import chain, islice, product
 
 from ._record import record
-from .errors import Degenerate, InvalidParams, NotABijection, NotAYbeSolution, check_int
+from .errors import Degenerate, InvalidParams, NotAYbeSolution, check_int
 from .limits import check_count
 from .solution import Solution, _check_pairs, _degenerate_row, _flip_conjugate, alpha_beta, is_ybe, make_solution
 
@@ -331,56 +331,30 @@ def _flat_level_codes(R: Solution, n_level: int):
         states = [s * n + step for s in states for step in steps[s % size]]
 
 
-def _is_permutation(codes: list[int], count: int) -> bool:
-    """Whether `codes` lists each of 0 .. count - 1 exactly once."""
-    return len(codes) == len(set(codes)) == count and 0 <= min(codes) and max(codes) < count
-
-
-def _letter_pairs(table, n: int) -> bool:
-    """Whether every entry of `table` is a pair of int letters of [n]."""
-    # `type` rather than isinstance: bool is a subclass of int
-    return all(
-        len(pair) == 2 and all(type(x) is int and 0 < x <= n for x in pair) for pair in map(tuple, table)
-    )
-
-
 def level_solution(R: Solution, n_level: int) -> Solution:
     """The level solution on [N**n], words encoded big-endian.
 
     Split the right block as v = v1 v2, with v1 of length a = n // 2 and v2
     of length b = n - a.  v1 crosses u first, by the walk's T_a, into
     (v1', u1); then v2 crosses u1 by T_b.  So the level map is
-    (id x T_b) o (T_a x id), a bijection exactly when T_a and T_b are
-    permutations of their ranges, and its table is two block gathers: the
-    pairs under each v1' by T_b, then those blocks by T_a.  When a half is
-    not a permutation, the walk goes on to T_n and `make_solution` rejects
-    its codes with its own error.  A Solution built without `make_solution`
-    is checked as `make_solution` checks a table first, so a fault the walks
-    cannot read raises `make_solution`'s error for R itself.
+    (id x T_b) o (T_a x id), and its table is two block gathers: the pairs
+    under each v1' by T_b, then those blocks by T_a.  T_a and T_b are
+    composites of R crossings, so they are permutations of their ranges
+    once R is a bijection.  A Solution built without `make_solution` is
+    checked first as `make_solution` checks a table, so any fault in it,
+    a repeated output included, raises `make_solution`'s error for R itself.
     """
     check_int(n_level, "block length", 1)
     n = R.size
     # a Solution built directly gets make_solution's checks before the walks read it
     check_int(n, "size", 1)
-    try:
-        _check_pairs(R.table, n, n)
-    except NotABijection:
-        # repeats alone leave a table the walks can read, and make_solution
-        # then names a repeat of the level codes, as for any level table
-        if not _letter_pairs(R.table, n):
-            raise
+    _check_pairs(R.table, n, n)
     _check_level(n, n_level)
     size = n ** n_level
     a = n_level // 2
     b = n_level - a
-    walk = _flat_level_codes(R, n_level)
-    tables = list(islice(walk, b + 1))
+    tables = list(islice(_flat_level_codes(R, n_level), b + 1))
     left, right = tables[a], tables[b]
-    # an even n has one half, checked once
-    if not (_is_permutation(right, size * n ** b) and (left is right or _is_permutation(left, size * n ** a))):
-        # the next a tables run from T_(b+1) to T_n
-        flat = [*tables, *islice(walk, a)][n_level]
-        return make_solution(size, [(code // size + 1, code % size + 1) for code in flat])
     span = n ** b
     letters = range(1, size + 1)
     # block c * N**n + u1 lists the pairs of the codes c * N**(b + n) + T_b[u1 * N**b + v2],

@@ -17,9 +17,9 @@ checks the braid relation once.  The factors come from sparse unit-pivot
 elimination followed by a diagonal-only Smith reduction of the block no
 unit pivot reaches.  The boundary into degree n is factored without the
 rows of the words that are unit-pivot columns of the boundary out of it,
-which leaves its factors unchanged once the chain condition holds.  The
-chain condition is checked by composing sparse boundary columns, before
-anything is factored.
+which leaves its factors unchanged because the chain condition holds.  It
+holds for every braid-relation solution, so `verify_complex` answers from
+the theorem and builds nothing.
 
 Everything is exact integer arithmetic; no floating point anywhere.
 """
@@ -35,7 +35,6 @@ from .errors import (
     InvalidParams,
     NotAYbeSolution,
     NotDerivedType,
-    PreconditionFailed,
     check_int,
 )
 from .limits import check_count
@@ -315,78 +314,51 @@ def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
 
 
 def verify_complex(R: Solution, nmax: int) -> bool:
-    """Exact check that consecutive boundaries compose to zero, up to degree nmax."""
-    return _chain_holds(_complex(R, nmax))
+    """Whether each boundary up to degree nmax composes to zero with the next.
 
-
-def _complex(R: Solution, nmax: int) -> list[list[dict[int, int]]]:
-    """The boundaries of degrees 1..nmax as sparse columns, lowest degree first.
-
-    The top degree's basis is checked against the limit before any boundary
-    is built; no lower degree's basis is larger.
+    For a braid-relation R they always do (Carter-Elhamdadi-Saito, Fund.
+    Math. 2004; Lebed-Vendramin, Adv. Math. 2017).  The boundary is
+    sum_i (-1)^i (d^r_i - d^l_i), where d^r_i slides the i-th letter to the
+    right end and drops it and d^l_i slides it to the left, so it squares to
+    zero once d^e_i d^w_j = d^w_(j-1) d^e_i for i < j and either ends e, w.
+    Both sides pull the strands i and j to their ends.  Drawn on all n
+    strands before the drops, each side crosses a pair of strands at most
+    once, so both are reduced words, and they cross the same pairs, except
+    when i and j go to the same end: then one side also crosses i with j,
+    which only swaps the two end letters by R before both are dropped.  By
+    Matsumoto's theorem (Matsumoto 1964, Tits 1969) two reduced words for
+    one permutation are joined by braid moves alone, so R crossings composed
+    along them give the same map.  So only the braid relation, the degree
+    and the degree-nmax basis are checked, in that order, and True is
+    returned.
     """
     _require_solution(R)
     check_int(nmax, "degree", 0)
     if nmax > 0:
         check_count(R.size, f"degree-{nmax} chain basis", nmax)
-    return [_boundary_columns(R, n) for n in range(1, nmax + 1)]
-
-
-def _chain_holds(boundaries: list[list[dict[int, int]]]) -> bool:
-    """Whether each boundary of `_complex` composes to zero with the next."""
-    return all(_composes_to_zero(outer, inner) for outer, inner in zip(boundaries, boundaries[1:]))
-
-
-def _composes_to_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]) -> bool:
-    """Whether outer * inner is zero, both given as sparse columns.
-
-    Stops at the first column of the product with a nonzero entry.
-    """
-    for column in inner:
-        image: dict[int, int] = {}
-        for r, x in column.items():
-            for i, y in outer[r].items():
-                image[i] = image.get(i, 0) + x * y
-        if any(image.values()):
-            return False
     return True
 
 
-def _free_and_torsion(
-    R: Solution, n: int, boundaries: list | None = None
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Free rank in degree n and the torsion factors of the boundaries out of and into it.
+def _free_and_torsion(R: Solution, n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Free rank in degree n and the torsion factors of the boundary maps out of and into it.
 
-    There is no boundary out of degree 0.  `boundaries`, when given, is a
-    `_complex` through degree n + 1 at least whose chain condition the
-    caller has checked and found to hold; it is read instead of building
-    and composing the two boundaries again.  Otherwise raises
-    NotAYbeSolution for a table that is not a solution, and
-    PreconditionFailed when the two boundaries do not compose to zero.
+    There is no boundary out of degree 0.  Raises NotAYbeSolution for a
+    table that is not a solution.
 
     The boundary into degree n is factored without the rows of the words
     that are unit-pivot columns of the boundary out of it, after the
     clearing of persistent homology (Chen-Kerber, EuroCG 2011).  Those
     columns are unitriangular on their pivot entries, so the kernel out of
     degree n lies in a direct summand on which dropping their coordinates is
-    an isomorphism.  The image from degree n + 1 lies in that kernel only
-    when the chain condition holds, which is why it is checked, or given as
-    checked, before anything is factored.
+    an isomorphism.  The image from degree n + 1 lies in that kernel because
+    the chain condition holds for every solution (see `verify_complex`).
     """
     check_int(n, "degree", 0)
-    if boundaries is None:
-        # the larger basis of the two boundaries' degrees
-        check_count(R.size, f"degree-{n + 1} chain basis", n + 1)
-        _require_solution(R)
-        in_map = _boundary_columns(R, n + 1)
-        out_map = _boundary_columns(R, n) if n else []
-        if n and not _composes_to_zero(out_map, in_map):
-            raise PreconditionFailed("boundaries do not compose to zero; the chain condition failed")
-    else:
-        in_map = boundaries[n]
-        out_map = boundaries[n - 1] if n else []
-    out_factors, pivots = _factors_and_pivots(out_map)
-    in_factors = _factors_and_pivots(in_map, pivots)[0]
+    # the larger basis of the two boundary maps' degrees
+    check_count(R.size, f"degree-{n + 1} chain basis", n + 1)
+    _require_solution(R)
+    out_factors, pivots = _factors_and_pivots(_boundary_columns(R, n) if n else [])
+    in_factors = _factors_and_pivots(_boundary_columns(R, n + 1), pivots)[0]
     free = R.size ** n - len(out_factors) - len(in_factors)
     return free, tuple(d for d in out_factors if d > 1), tuple(d for d in in_factors if d > 1)
 
@@ -396,17 +368,13 @@ def _check_modulus(modulus) -> None:
         raise BadModulus(f"modulus must be at least 2, got {modulus!r}")
 
 
-def _groups(
-    R: Solution, n: int, modulus: int | None = None, boundaries: list | None = None
-) -> tuple[AbelianGroup, AbelianGroup]:
+def _groups(R: Solution, n: int, modulus: int | None = None) -> tuple[AbelianGroup, AbelianGroup]:
     """H_n(R) and H^n(R) with coefficients in Z or Z/modulus, from one `_free_and_torsion`.
 
-    The modulus is checked before anything else.  The boundaries are built
-    and factored once, or read from `boundaries`, a `_complex` through
-    degree n + 1 whose chain condition holds.
+    The modulus is checked before anything else.
     """
     _check_modulus(modulus)
-    free, torsion_here, torsion_above = _free_and_torsion(R, n, boundaries)
+    free, torsion_here, torsion_above = _free_and_torsion(R, n)
     if modulus is None:
         group = AbelianGroup(free, torsion_here)
     else:
@@ -423,7 +391,7 @@ def homology(R: Solution, n: int) -> AbelianGroup:
 def cohomology(R: Solution, n: int, modulus: int | None = None) -> AbelianGroup:
     """Cochain cohomology with coefficients in Z (modulus None) or Z/m.
 
-    Cochain maps are transposes of the boundaries; the modular case reduces
+    Cochain maps are transposes of the boundary maps; the modular case reduces
     the integral Smith data, one cyclic summand of order gcd(d, m) per
     invariant factor d, plus m-torsion from the free ranks.
     """

@@ -6,6 +6,7 @@ shares none of its shortcuts.  This module is not a test file and is not
 collected; test modules import it as `oracles`.
 """
 
+from importlib import import_module
 from itertools import product
 from typing import NamedTuple
 
@@ -409,3 +410,23 @@ def derived_boundary(R, n):
             coeffs[scode] = coeffs.get(scode, 0) - sign
         columns.append({r: v for r, v in coeffs.items() if v})
     return columns
+
+
+def chain_holds(R, nmax):
+    """Whether each boundary of degrees 1..nmax composes to zero with the next, by sparse products.
+
+    The boundaries are read through the module, so that a fault planted in
+    `homology._boundary_columns` reaches this check.
+    """
+    # the package's `homology` attribute is the function, not the module
+    boundary_columns = import_module("ybk.homology")._boundary_columns
+    boundaries = [boundary_columns(R, n) for n in range(1, nmax + 1)]
+    for outer, inner in zip(boundaries, boundaries[1:]):
+        for column in inner:
+            image = {}
+            for r, x in column.items():
+                for i, y in outer[r].items():
+                    image[i] = image.get(i, 0) + x * y
+            if any(image.values()):
+                return False
+    return True

@@ -26,7 +26,6 @@ from ybk.errors import (
     NotABijection,
     NotAYbeSolution,
     NotDerivedType,
-    OutOfRange,
     Overflow,
     YbkError,
 )
@@ -421,34 +420,13 @@ class TestLevelSolution:
         for R, n in cases:
             assert level_solution(R, n) == _validated_level_codes(R, n)
 
-    @pytest.mark.parametrize("seed", [36, 37])
-    def test_tables_that_are_not_bijections_get_the_validated_error(self, seed):
-        # raw tables built without make_solution: a half check fails, and the
-        # error is the one make_solution gives for the level codes
-        rng = random.Random(seed)
-        tables = [Solution(2, ((1, 1), (1, 1), (2, 1), (2, 2)))]
-        for size in (2, 3, 3):
-            pairs = [(x, y) for x in range(1, size + 1) for y in range(1, size + 1)]
-            # a shuffled bijection and a random table, each with one output repeated
-            for cells in (rng.sample(pairs, len(pairs)), [rng.choice(pairs) for _ in pairs]):
-                i, j = rng.sample(range(len(cells)), 2)
-                cells[i] = cells[j]
-                tables.append(Solution(size, tuple(cells)))
-        for R in tables:
-            for n in (1, 2, 3):
-                with pytest.raises(YbkError) as expected:
-                    _validated_level_codes(R, n)
-                with pytest.raises(type(expected.value)) as caught:
-                    level_solution(R, n)
-                assert str(caught.value) == str(expected.value)
-
     @pytest.mark.parametrize("seed", [38, 39])
     def test_raw_tables_get_the_error_of_make_solution(self, seed):
-        # raw tables built without make_solution, with a fault the push walks
-        # cannot read: an entry out of range, a float, bool or non-pair entry,
-        # a short or long table, size 0, or a repeat before such an entry
+        # raw tables built without make_solution: an entry out of range, a
+        # float, bool or non-pair entry, a short or long table, size 0, or a
+        # repeated output, alone or before such an entry
         rng = random.Random(seed)
-        tables = [Solution(0, ()), Solution(0, ((1, 1),))]
+        tables = [Solution(0, ()), Solution(0, ((1, 1),)), Solution(2, ((1, 1), (1, 1), (2, 1), (2, 2)))]
         for size in (1, 2, 3):
             pairs = [(x, y) for x in range(1, size + 1) for y in range(1, size + 1)]
             for bad in ((0, 1), (1, size + 1), (-1, 1), (1.0, 1), (1, 2.5), (True, 1), (1,), (1, 1, 1)):
@@ -457,6 +435,13 @@ class TestLevelSolution:
                 tables.append(Solution(size, tuple(cells)))
             cells = rng.sample(pairs, len(pairs))
             tables += [Solution(size, tuple(cells[1:])), Solution(size, tuple(cells + cells[:1]))]
+            # a shuffled bijection and a random table, each with one output
+            # repeated: once at size 2, twice at size 3
+            for _ in range(size - 1):
+                for cells in (rng.sample(pairs, len(pairs)), [rng.choice(pairs) for _ in pairs]):
+                    i, j = rng.sample(range(len(cells)), 2)
+                    cells[i] = cells[j]
+                    tables.append(Solution(size, tuple(cells)))
         # the repeat at entry 1 comes first and names the error
         tables.append(Solution(2, ((1, 1), (1, 1), (2, 1), (3, 3))))
         for R in tables:
@@ -469,22 +454,18 @@ class TestLevelSolution:
                 assert str(caught.value) == str(expected.value)
 
     @pytest.mark.parametrize(
-        "index, entry, error, message",
-        [
-            (1, (0, 0), NotABijection, "output pair (1, 1) produced by both (1, 1) and (1, 2)"),
-            (0, (3, 0), OutOfRange, "entry for (1,1) is (13, 1), outside [1..9]^2"),
-            (0, (-1, 0), OutOfRange, "entry for (1,1) is (-3, 1), outside [1..9]^2"),
-            (3, (0, 0), InvalidParams, "table must have 81 entries for size 9, got 88"),
-        ],
+        "index, entry",
+        [(1, (0, 0)), (0, (3, 0)), (0, (-1, 0)), (3, (0, 0))],
         ids=["repeated", "v-too-large", "v-negative", "too-long"],
     )
-    def test_bad_codes_fall_back_to_make_solution(
-        self, standard, monkeypatch, index, entry, error, message
-    ):
-        # one bad push through the block (1, 1) reaches both halves and the
-        # full codes: the half checks fail and make_solution names the fault
+    def test_bad_codes_fall_back_to_make_solution(self, standard, monkeypatch, index, entry):
+        # level_solution trusts the walk of a bijection; a bad push through the
+        # block (1, 1) reaches both halves, and make_solution on the tuple walk,
+        # which does not read _push_rows, must then disagree with its table
+        R = standard["dih3"]
+        expected = _validated_level_codes(R, 2)
         real = constructions._push_rows
-        assert real(standard["dih3"], 2)[0] == ((0, 0), (1, 8), (2, 4))
+        assert real(R, 2)[0] == ((0, 0), (1, 8), (2, 4))
 
         def changed(R, length):
             rows = real(R, length)
@@ -492,9 +473,11 @@ class TestLevelSolution:
             return rows
 
         monkeypatch.setattr(constructions, "_push_rows", changed)
-        with pytest.raises(error) as caught:
-            level_solution(standard["dih3"], 2)
-        assert str(caught.value) == message
+        try:
+            got = level_solution(R, 2)
+        except IndexError:
+            got = None  # a letter past [N] indexes past the block gathers
+        assert got != expected
 
 
 def _validated_level_codes(R, n):

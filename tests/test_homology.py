@@ -14,7 +14,6 @@ from ybk.errors import (
     NotAYbeSolution,
     NotDerivedType,
     Overflow,
-    PreconditionFailed,
 )
 from ybk.homology import (
     AbelianGroup,
@@ -30,6 +29,7 @@ from ybk.solution import builtin, is_ybe, make_solution, properties, _mod1
 
 from conftest import random_solutions
 from oracles import (
+    chain_holds,
     dense,
     derived_boundary,
     diagonal,
@@ -386,16 +386,30 @@ class TestBoundary:
 
 
 class TestComplex:
+    """verify_complex answers from the theorem; the composition `chain_holds` is its oracle."""
+
     def test_census_two(self, census2):
         for R in census2:
-            assert verify_complex(R, 5)
+            assert verify_complex(R, 5) is True
+            assert chain_holds(R, 5)
 
     def test_dihedral(self, standard):
-        assert verify_complex(standard["dih3"], 4)
+        assert verify_complex(standard["dih3"], 4) is True
+        assert chain_holds(standard["dih3"], 4)
 
     def test_sampled_three(self):
         for R in random_solutions(3, 6, seed=71, require_ybe=True):
-            assert verify_complex(R, 3)
+            assert verify_complex(R, 3) is True
+            assert chain_holds(R, 3)
+
+    def test_census_and_catalog_sweep(self, census2, census3):
+        # every pair of boundaries with a top basis of at most 3^6 words
+        solutions = enumerate_solutions(1) + census2 + census3 + list(non_kgraph_catalog())
+        assert len(solutions) == 79 + 25
+        for R in solutions:
+            nmax = max(n for n in range(1, 10) if R.size ** n <= 3 ** 6)
+            assert verify_complex(R, nmax) is True
+            assert chain_holds(R, nmax), (R, nmax)
 
     @pytest.mark.parametrize("nmax, count", [(13, "1594323"), (9001, "3\\^9001")])
     def test_over_limit_top_degree_builds_nothing(self, monkeypatch, standard, nmax, count):
@@ -431,11 +445,12 @@ class TestComplex:
             columns[0] = {**columns[0], 1: columns[0].get(1, 0) + 1}
             return columns
 
-        monkeypatch.setattr(module, "_boundary_columns", changed)
         R = standard["dih3"]
-        with pytest.raises(PreconditionFailed):
-            homology(R, 2)
-        assert verify_complex(R, 3) is False
+        assert chain_holds(R, 3)
+        monkeypatch.setattr(module, "_boundary_columns", changed)
+        # the oracle sees the planted fault; the theorem's answer reads no boundary
+        assert chain_holds(R, 3) is False
+        assert verify_complex(R, 3) is True
 
 
 class TestCompression:

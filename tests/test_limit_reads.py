@@ -4,9 +4,10 @@ A call with several enumeration checks reads the limit at its first check
 and hands the value to the rest, so a change to the environment between two
 calls takes effect on the second one.  `periodicity` walks one push table
 per level instead of calling `level_is_identity` level by level, and
-`semigroup_extension_check` and `action_formula_check` answer from the braid
-relation after their size checks, with no word loop; the per-level loop, the
-per-pair check and the action-formula loop stay their oracles.
+`semigroup_extension_check`, `action_formula_check` and `verify_complex`
+answer from the braid relation after their size checks, with no word loop;
+the per-level loop, the per-pair check and the action-formula loop stay
+their oracles, and `oracles.chain_holds` composes the boundaries.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from ybk.catalog import catalog_names, catalog_solution
 from ybk.classify import enumerate_solutions
 from ybk.constructions import _level_tables, level_codes, level_is_identity, level_solution
 from ybk.errors import InvalidParams, NotAYbeSolution, Overflow, PreconditionFailed, YbkError
-from ybk.homology import cohomology, homology
+from ybk.homology import cohomology, homology, verify_complex
 from ybk.kgraph import Periodicity, constant_family, periodicity, restrict
 from ybk.semigroup import action_formula_check, check_cancellative, graded_elements, growth, semigroup_extension_check
 from ybk.solution import builtin, make_solution
@@ -27,8 +28,9 @@ DIH3 = builtin("dihedral", 3)
 # built here, so that a call of restrict reads only its own limit
 DIH3_FAMILY = constant_family(DIH3, 3)
 
-# each call builds tables that fit the default limit and overflow the limit 2;
-# all but restrict and action_formula_check run two enumeration checks or more
+# each call checks tables that fit the default limit and overflow the limit 2;
+# all but restrict, action_formula_check and verify_complex run two
+# enumeration checks or more
 CALLS = {
     "growth": lambda: growth(DIH3, 5),
     "check_cancellative": lambda: check_cancellative(DIH3, 4),
@@ -39,6 +41,7 @@ CALLS = {
     "periodicity": lambda: periodicity(DIH3, 4),
     "homology": lambda: homology(DIH3, 2),
     "cohomology": lambda: cohomology(DIH3, 2, 3),
+    "verify_complex": lambda: verify_complex(DIH3, 3),
     "restrict": lambda: restrict(DIH3_FAMILY, 1, 1, 2),
     "action_formula_check": lambda: action_formula_check(DIH3, 2),
 }
