@@ -24,7 +24,7 @@ from math import factorial
 
 from ._record import record
 from .errors import InvalidParams, SizeMismatch, SizeTooLarge, check_int
-from .solution import Solution, _as_permutation, _braid_failure
+from .solution import Solution, _as_permutation, _braid_failure, _codes
 
 CENSUS_MAX_SIZE = 3
 
@@ -226,12 +226,6 @@ def is_yb_iso_witness(a: Solution, b: Solution, phi) -> bool:
     phi = _as_permutation(phi, a.size, "phi")
     # a relabeling is the product conjugacy (phi, phi), with a and b swapped
     return _is_conjugacy_pair(b, a, phi, phi)
-
-
-def _codes(solution: Solution) -> list[int]:
-    """The table as 0-based codes (u-1)*N + (v-1)."""
-    n = solution.size
-    return [(u - 1) * n + v - 1 for u, v in solution.table]
 
 
 def _cells(solution: Solution):

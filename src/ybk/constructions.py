@@ -14,7 +14,7 @@ from itertools import chain, islice, product
 from ._record import record
 from .errors import Degenerate, InvalidParams, NotAYbeSolution, check_int
 from .limits import check_count
-from .solution import Solution, _check_pairs, _degenerate_row, _flip_conjugate, alpha_beta, is_ybe, make_solution
+from .solution import Solution, _check_pairs, _codes, _degenerate_row, _flip_conjugate, alpha_beta, is_ybe, make_solution
 
 
 def encode_word(word, n: int) -> int:
@@ -189,44 +189,54 @@ class LevelMap:
 def _push_levels(R: Solution):
     """The push tables of `_push_rows` for block lengths 1, 2, 3, ... in turn.
 
-    A block of length j + 1 is its first letter s followed by a length-j
-    rest, so its row is the rest's row followed by one swap with s: each
-    table costs O(N**(length + 1)) from the one before.
+    The length-1 table is R's code table cut into rows.  A block of length
+    j + 1 is its first letter s followed by a length-j rest, so its row is
+    the rest's row followed by one swap with s: each table costs
+    O(N**(length + 1)) from the one before.
     """
     n = R.size
-    first = [tuple([(tp - 1, sp - 1) for tp, sp in R.table[s * n : (s + 1) * n]]) for s in range(n)]
+    codes = _codes(R)
+    first = [codes[s * n : (s + 1) * n] for s in range(n)]
     rows = first
     span = 1
     while True:
         yield rows
         span *= n
-        rows = [
-            tuple([(s_row[m][0], s_row[m][1] * span + rest) for m, rest in rest_row])
-            for s_row in first
-            for rest_row in rows
-        ]
+        # the rest's entry m * N**j + rest' meets s as s_row[m] = moved * N + s'
+        rows = [[s_row[e // span] * span + e % span for e in rest_row] for s_row in first for rest_row in rows]
 
 
-def _push_rows(R: Solution, length: int) -> list[tuple[tuple[int, int], ...]]:
+def _push_rows(R: Solution, length: int) -> list[list[int]]:
     """Push table for one letter crossing a block of the given length.
 
-    `rows[b][x]` is (moved, b'): the 0-based letter x, pushed leftward by
-    adjacent swaps (s, t) -> R(s, t) = (t', s') through the block with 0-based
-    code b, leaves as `moved` and turns the block into b'.
+    `rows[b][x]` is moved * N**length + b': the 0-based letter x, pushed
+    leftward by adjacent swaps (s, t) -> R(s, t) = (t', s') through the block
+    with 0-based code b, leaves as the letter `moved` and turns the block
+    into b'.
     """
     return next(islice(_push_levels(R), length - 1, None))
 
 
-def _push_walk(rows: list[tuple[tuple[int, int], ...]], n: int):
-    """The states of `level_codes` after pushing 0, 1, 2, ... letters through every block.
+def _push_walk(rows: list[list[int]], n: int):
+    """The states after pushing 0, 1, 2, ... letters through every block of the push table `rows`.
 
-    Entry u * N**m + v of the m-th list is (v', u') for the block u of the
-    push table `rows` and the word v of length m.
+    Entry u * N**m + v of the m-th list is v' * N**l + u' for the l-block u
+    and the word v of length m: the pushed word v' and the block u' after it.
     """
-    states = [(0, u) for u in range(len(rows))]
+    span = len(rows)
+    # a state s = out * N**l + b, with b = s % N**l, becomes
+    # (out * N + moved) * N**l + b' = s * N + (moved * N**l + b' - b * N)
+    steps = [[e - b * n for e in row] for b, row in enumerate(rows)]
+    states = list(range(span))
     while True:
         yield states
-        states = [(out * n + moved, nb) for out, b in states for moved, nb in rows[b]]
+        states = [s * n + step for s in states for step in steps[s % span]]
+
+
+def _check_table(R: Solution) -> None:
+    """`make_solution`'s checks of R, so a Solution built directly gets its errors before a walk reads it."""
+    check_int(R.size, "size", 1)
+    _check_pairs(R.table, R.size, R.size)
 
 
 def level_codes(R: Solution, l: int, m: int) -> list[tuple[int, int]]:
@@ -240,17 +250,21 @@ def level_codes(R: Solution, l: int, m: int) -> list[tuple[int, int]]:
     """
     check_int(l, "block length", 1)
     check_int(m, "block length", 1)
+    _check_table(R)
     n = R.size
     check_count(n, f"level map table on [{n}]^{l} x [{n}]^{m}", l + m)
-    return _level_tables(R, [(l, m)])[l, m]
+    span = n ** l
+    return [divmod(s, span) for s in _level_tables(R, [(l, m)])[l, m]]
 
 
-def _level_tables(R: Solution, pairs) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """The `level_codes` table of every pair of block lengths (l, m) in `pairs`.
+def _level_tables(R: Solution, pairs) -> dict[tuple[int, int], list[int]]:
+    """The level map of every pair of block lengths (l, m) in `pairs`, on flat codes.
 
-    One `_push_levels` walk reaches the largest l, and one `_push_walk` per
-    distinct l reaches its largest m, so tables that share l share their
-    pushes.  The caller checks every table's size against the limit.
+    Entry u * N**m + v of table (l, m) is v' * N**l + u', the `level_codes`
+    pair as one code.  One `_push_levels` walk reaches the largest l, and one
+    `_push_walk` per distinct l reaches its largest m, so tables that share l
+    share their pushes.  The caller checks every table's size against the
+    limit.
     """
     rights: dict[int, set[int]] = {}
     for l, m in pairs:
@@ -285,6 +299,7 @@ def level_is_identity(R: Solution, n_level: int) -> bool:
     Raises Overflow where `level_solution` would.
     """
     check_int(n_level, "block length", 1)
+    _check_table(R)
     _check_level(R.size, n_level)
     return _fixes_every_pair(_push_rows(R, n_level), R.size, n_level)
 
@@ -295,48 +310,32 @@ def _check_level(n: int, n_level: int, limit: int | None = None) -> int:
     return check_count(n, f"level map table on [{n}]^{n_level} x [{n}]^{n_level}", 2 * n_level, limit)
 
 
-def _fixes_every_pair(rows: list[tuple[tuple[int, int], ...]], n: int, n_level: int) -> bool:
+def _fixes_every_pair(rows: list[list[int]], n: int, n_level: int) -> bool:
     """Whether the push table `rows` of block length n_level gives the identity level map.
 
-    Stops at the first block u whose pushes leave a pair unfixed, as soon as
-    a moved prefix differs from u.
+    Pushes each state directly, and stops at the first block u whose pushes
+    leave a pair unfixed, as soon as a moved prefix differs from u.
     """
-    for u in range(n ** n_level):
-        states = [(0, u)]
+    size = n ** n_level
+    for u in range(size):
+        states = [u]
         for j in range(n_level - 1, -1, -1):
-            states = [(out * n + moved, nb) for out, b in states for moved, nb in rows[b]]
+            # the state out * N**n + b takes the entry moved * N**n + b' to (out * N + moved) * N**n + b'
+            states = [(s - s % size) * n + e for s in states for e in rows[s % size]]
             prefix = u // n ** j
-            if any(out != prefix for out, _ in states):
+            if any(s // size != prefix for s in states):
                 return False
-        if any(nb != v for v, (_, nb) in enumerate(states)):
+        if states != list(range(u * size, u * size + size)):
             return False
     return True
-
-
-def _flat_level_codes(R: Solution, n_level: int):
-    """The pushes of `level_codes` through n-blocks, on flat integer codes.
-
-    Yields T_0, T_1, T_2, ...: entry u * N**m + v of T_m is v' * N**n + u'
-    for the n-block u and the word v of length m, so T_n is the square level
-    map.  The caller checks the sizes against the limit.
-    """
-    n = R.size
-    size = n ** n_level
-    # a state s = out * N**n + b, with b = s % N**n, becomes
-    # (out * N + moved) * N**n + b' = s * N + (moved * N**n + b' - b * N)
-    steps = [[moved * size + nb - b * n for moved, nb in row] for b, row in enumerate(_push_rows(R, n_level))]
-    states = list(range(size))
-    while True:
-        yield states
-        states = [s * n + step for s in states for step in steps[s % size]]
 
 
 def level_solution(R: Solution, n_level: int) -> Solution:
     """The level solution on [N**n], words encoded big-endian.
 
     Split the right block as v = v1 v2, with v1 of length a = n // 2 and v2
-    of length b = n - a.  v1 crosses u first, by the walk's T_a, into
-    (v1', u1); then v2 crosses u1 by T_b.  So the level map is
+    of length b = n - a.  v1 crosses u first, by the level table T_a of
+    n-blocks, into (v1', u1); then v2 crosses u1 by T_b.  So the level map is
     (id x T_b) o (T_a x id), and its table is two block gathers: the pairs
     under each v1' by T_b, then those blocks by T_a.  T_a and T_b are
     composites of R crossings, so they are permutations of their ranges
@@ -345,16 +344,14 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     a repeated output included, raises `make_solution`'s error for R itself.
     """
     check_int(n_level, "block length", 1)
+    _check_table(R)
     n = R.size
-    # a Solution built directly gets make_solution's checks before the walks read it
-    check_int(n, "size", 1)
-    _check_pairs(R.table, n, n)
     _check_level(n, n_level)
     size = n ** n_level
     a = n_level // 2
     b = n_level - a
-    tables = list(islice(_flat_level_codes(R, n_level), b + 1))
-    left, right = tables[a], tables[b]
+    tables = _level_tables(R, [(n_level, a), (n_level, b)])
+    left, right = tables[n_level, a], tables[n_level, b]
     span = n ** b
     letters = range(1, size + 1)
     # block c * N**n + u1 lists the pairs of the codes c * N**(b + n) + T_b[u1 * N**b + v2],

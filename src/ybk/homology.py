@@ -9,17 +9,18 @@ boundary into it, H_n is free of rank dim - rank(A) - rank(B) plus one
 cyclic summand per invariant factor of B exceeding 1.
 
 Boundaries are sparse columns on word codes.  Both slides are level maps,
-read from one push walk of `constructions`: the right slides of every
-suffix length are the successive states of the walk, the left slides the
-push tables grown one prefix length at a time.  A position or word whose
-two slides are equal cancels and is skipped.  Each public entry point
-checks the braid relation once.  The factors come from sparse unit-pivot
-elimination followed by a diagonal-only Smith reduction of the block no
-unit pivot reaches.  The boundary into degree n is factored without the
-rows of the words that are unit-pivot columns of the boundary out of it,
-which leaves its factors unchanged because the chain condition holds.  It
-holds for every braid-relation solution, so `verify_complex` answers from
-the theorem and builds nothing.
+read from the integer push tables and walk of `constructions`: the right
+slides of every suffix length are the successive states of the walk from
+R's code table, the left slides the push tables grown one prefix length at
+a time.  A position or word whose two slides are equal cancels and is
+skipped.  Each public entry point checks the braid relation once.  The
+factors come from sparse unit-pivot elimination followed by a
+diagonal-only Smith reduction of the block no unit pivot reaches.  The
+boundary into degree n is factored without the rows of the words that are
+unit-pivot columns of the boundary out of it, which leaves its factors
+unchanged because the chain condition holds.  It holds for every
+braid-relation solution, so `verify_complex` answers from the theorem and
+builds nothing.
 
 Everything is exact integer arithmetic; no floating point anywhere.
 """
@@ -271,12 +272,13 @@ def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
     face).  With the code pre * N**(n-i+1) + x * N**(n-i) + suf, the right
     face pushes letter x past the suffix block and drops it, the left face
     pushes the prefix block past x and drops it: both are level maps.  The
-    right faces of every suffix length are the successive states of one push
-    walk from the one-letter push table; the left faces of every prefix
-    length are the push tables themselves, grown one length at a time.  For
-    each i both faces of every code are built as one list, in code order.
-    A position whose two lists are equal adds nothing and is skipped, as is
-    a word whose two faces are equal.
+    right faces of every suffix length are read as s // N from the states
+    s = v' * N + x' of one push walk from R's code table; the left faces of
+    every prefix length as c % N**(i-1) from the entries
+    c = moved * N**(i-1) + u' of the push tables, grown one length at a
+    time.  For each i both faces of every code are built as one list, in
+    code order.  A position whose two lists are equal adds nothing and is
+    skipped, as is a word whose two faces are equal.
 
     The caller checks that R is a braid-relation solution, that n is at
     least 1 and the degree-n basis against the limit.
@@ -286,7 +288,7 @@ def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
     # suffixes[m][x * N**m + v] is v', the block v after x crossed it; at m = 0
     # the face keeps the empty word, code 0
     walk = _push_walk(_push_rows(R, 1), size)
-    suffixes = [[v for v, _ in next(walk)] for _ in range(n)]
+    suffixes = [[s // size for s in next(walk)] for _ in range(n)]
     # prefix[p * N + x] is u', the block p of length i - 1 after x crossed it
     tables = _push_levels(R)
     prefix = [0] * size
@@ -305,7 +307,8 @@ def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
                     column[r] = column.get(r, 0) + sign
                     column[q] = column.get(q, 0) - sign
         if i < n:
-            prefix = [nb for row in next(tables) for _, nb in row]
+            span = size ** i
+            prefix = [c % span for row in next(tables) for c in row]
     # entries of different positions can still cancel
     return [
         column if all(column.values()) else {r: v for r, v in column.items() if v}

@@ -527,5 +527,6 @@ def restrict(family: ThetaFamily, l: int, m: int, n: int) -> ThetaFamily:
     check_count(size, "restricted level tables", max(l + m, l + n, m + n))
     lengths = {(1, 2): (l, m), (1, 3): (l, n), (2, 3): (m, n)}
     tables = _level_tables(base, lengths.values())
-    maps = {pair: [(vp + 1, up + 1) for vp, up in tables[ab]] for pair, ab in lengths.items()}
+    # entry v' * N**a + u' of table (a, b) is the output pair (v', u')
+    maps = {pair: [(c // size ** a + 1, c % size ** a + 1) for c in tables[a, b]] for pair, (a, b) in lengths.items()}
     return make_theta_family(3, (size ** l, size ** m, size ** n), maps)

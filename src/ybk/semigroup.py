@@ -24,7 +24,7 @@ from itertools import product
 from ._record import record
 from .errors import InvalidParams, NotAYbeSolution, PreconditionFailed, check_int
 from .limits import check_count
-from .solution import Solution, is_ybe
+from .solution import Solution, _codes, is_ybe
 
 
 @record
@@ -94,11 +94,7 @@ def _roots_by_length(R: Solution, limit: int | None = None):
     `limit` when given, otherwise read at the first check.
     """
     size = R.size
-    moves = [
-        (q // size, q % size, u - 1, v - 1)
-        for q, (u, v) in enumerate(R.table)
-        if (u - 1) * size + v - 1 != q
-    ]
+    moves = [(q // size, q % size, c // size, c % size) for q, c in enumerate(_codes(R)) if c != q]
     length = 1
     limit = check_count(size, f"length-1 words over [{size}]", 1, limit)
     heads, node = list(range(size)), list(range(size))

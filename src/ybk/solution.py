@@ -184,6 +184,12 @@ def _inverse_pairs(pairs, rows: int, cols: int) -> tuple:
     return tuple(inverse)
 
 
+def _codes(R: Solution) -> list[int]:
+    """R's code table: entry (x-1)*N + (y-1) is (u-1)*N + (v-1) for R(x, y) = (u, v)."""
+    n = R.size
+    return [(u - 1) * n + v - 1 for u, v in R.table]
+
+
 def _mod1(value: int, n: int) -> int:
     """Reduce into the 1-based window [1..n]."""
     return (value - 1) % n + 1

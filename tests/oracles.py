@@ -1,9 +1,20 @@
 """Independent oracles that the tests compare the library against.
 
-None of these is part of `ybk`: each recomputes a library result by the
-plainest route, so a fast path in the library is checked against code that
-shares none of its shortcuts.  This module is not a test file and is not
-collected; test modules import it as `oracles`.
+None of these is part of `ybk`: each recomputes a library result by a
+plainer route.  Most share none of the library's shortcuts.  Three compose
+library paths that are themselves checked against a plain oracle, so the
+chain of checks is transitive:
+
+- `extension_check_per_pair` and `action_formula_oracle` read their block
+  tables from `level_codes` by default, and `level_codes` is checked against
+  `legs_level_map` through `level_map`;
+- `extension_check_per_pair` also reads `graded_elements`, whose classes
+  `test_semigroup` checks against breadth-first classes;
+- `chain_holds` composes `homology._boundary_columns`, which is checked
+  against `oracle_boundary` in `test_homology`.
+
+This module is not a test file and is not collected; test modules import
+it as `oracles`.
 """
 
 from importlib import import_module

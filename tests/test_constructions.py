@@ -353,7 +353,7 @@ def test_block_lengths_must_be_integers(standard, monkeypatch, call, length):
         raise AssertionError("the length is checked before any work")
 
     monkeypatch.setattr(constructions, "check_count", no_work)
-    monkeypatch.setattr(constructions, "_push_rows", no_work)
+    monkeypatch.setattr(constructions, "_push_levels", no_work)
     with pytest.raises(InvalidParams):
         call(standard["dih3"], length)
 
@@ -408,7 +408,7 @@ class TestLevelSolution:
             level_solution(standard["dih3"], 4)
 
     def test_table_matches_validated_codes(self, census2, census3, standard):
-        # the table make_solution builds from the level codes, pair by pair;
+        # the table make_solution builds from the product of adjacent legs;
         # the shapes include halves that differ (odd n), share a table (even
         # n), are trivial (n = 1) and have one-letter blocks (N = 1)
         cases = [(R, n) for R in census2 for n in (1, 2, 3, 4, 5)]
@@ -418,10 +418,11 @@ class TestLevelSolution:
         cases += [(standard["id1"], n) for n in (1, 2, 3)]
         cases += [(R, 2) for R in random_solutions(3, 6, seed=35, require_ybe=False)]
         for R, n in cases:
-            assert level_solution(R, n) == _validated_level_codes(R, n)
+            assert level_solution(R, n) == _legs_level_solution(R, n)
 
     @pytest.mark.parametrize("seed", [38, 39])
-    def test_raw_tables_get_the_error_of_make_solution(self, seed):
+    @pytest.mark.parametrize("call", LEVEL_CALLS.values(), ids=LEVEL_CALLS.keys())
+    def test_raw_tables_get_the_error_of_make_solution(self, call, seed):
         # raw tables built without make_solution: an entry out of range, a
         # float, bool or non-pair entry, a short or long table, size 0, or a
         # repeated output, alone or before such an entry
@@ -449,30 +450,32 @@ class TestLevelSolution:
                 make_solution(R.size, R.table)
             for n in (1, 2, 3):
                 with pytest.raises(YbkError) as caught:
-                    level_solution(R, n)
+                    call(R, n)
                 assert type(caught.value) is type(expected.value)
                 assert str(caught.value) == str(expected.value)
 
     @pytest.mark.parametrize(
         "index, entry",
-        [(1, (0, 0)), (0, (3, 0)), (0, (-1, 0)), (3, (0, 0))],
+        [(1, 0), (0, 27), (0, -9), (3, 0)],
         ids=["repeated", "v-too-large", "v-negative", "too-long"],
     )
     def test_bad_codes_fall_back_to_make_solution(self, standard, monkeypatch, index, entry):
         # level_solution trusts the walk of a bijection; a bad push through the
-        # block (1, 1) reaches both halves, and make_solution on the tuple walk,
-        # which does not read _push_rows, must then disagree with its table
+        # block (1, 1) reaches both halves, and make_solution on the product of
+        # adjacent legs, which reads no push table, must then disagree with its table
         R = standard["dih3"]
-        expected = _validated_level_codes(R, 2)
-        real = constructions._push_rows
-        assert real(R, 2)[0] == ((0, 0), (1, 8), (2, 4))
+        expected = _legs_level_solution(R, 2)
+        real = constructions._push_levels
+        # the entry moved * N**2 + b' of each letter 0, 1, 2 through the block (1, 1)
+        assert constructions._push_rows(R, 2)[0] == [0, 17, 22]
 
-        def changed(R, length):
-            rows = real(R, length)
-            rows[0] = rows[0][:index] + (entry,) + rows[0][index + 1:]
-            return rows
+        def changed(R):
+            for length, rows in enumerate(real(R), start=1):
+                if length == 2:
+                    rows = [rows[0][:index] + [entry] + rows[0][index + 1:]] + rows[1:]
+                yield rows
 
-        monkeypatch.setattr(constructions, "_push_rows", changed)
+        monkeypatch.setattr(constructions, "_push_levels", changed)
         try:
             got = level_solution(R, 2)
         except IndexError:
@@ -480,9 +483,10 @@ class TestLevelSolution:
         assert got != expected
 
 
-def _validated_level_codes(R, n):
-    """The level-n solution as make_solution builds it from `level_codes`, the tuple walk."""
-    return make_solution(R.size ** n, [(vp + 1, up + 1) for vp, up in level_codes(R, n, n)])
+def _legs_level_solution(R, n):
+    """The level-n solution as make_solution builds it from `legs_level_map`, the product of adjacent legs."""
+    table = [(encode_word(v, R.size), encode_word(u, R.size)) for v, u in legs_level_map(R, n, n)]
+    return make_solution(R.size ** n, table)
 
 
 class TestDisjointUnion:

@@ -6,7 +6,7 @@ import pytest
 
 from ybk.catalog import catalog_names, catalog_profile, catalog_solution
 from ybk.classify import classify, enumerate_solutions, yb_isomorphic
-from ybk.constructions import left_derived_solution, level_codes
+from ybk.constructions import encode_word, left_derived_solution, level_codes, level_is_identity, level_solution
 from ybk.errors import (
     BadModulus,
     Degenerate,
@@ -35,6 +35,7 @@ from oracles import (
     diagonal,
     from_rows,
     identity,
+    legs_level_map,
     mul,
     smith_normal_form,
     sparse_columns,
@@ -383,6 +384,41 @@ class TestBoundary:
             cases.extend((R, n) for n in range(1, 7) if R.size ** n <= 729)
         for R, n in cases:
             assert dense(_boundary_columns(R, n), R.size ** (n - 1)).entries == oracle_boundary(R, n), (R, n)
+
+    def test_a_planted_push_entry_reaches_every_reader(self, monkeypatch, standard):
+        # every push table grows from R's code table, so two entries swapped
+        # there reach each reader of the walk, and each then disagrees with its
+        # oracle, which reads R through its calls and no push table
+        constructions = importlib.import_module("ybk.constructions")
+        R = standard["id3"]
+        words = list(product((1, 2, 3), repeat=2))
+        legs = legs_level_map(R, 2, 2)
+        oracles = [
+            make_solution(9, [(encode_word(v, 3), encode_word(u, 3)) for v, u in legs]),
+            [(encode_word(v, 3) - 1, encode_word(u, 3) - 1) for v, u in legs_level_map(R, 2, 1)],
+            oracle_boundary(R, 3),
+            all(out == (u, v) for (u, v), out in zip(product(words, repeat=2), legs)),
+        ]
+
+        def readers():
+            return [
+                level_solution(R, 2),
+                level_codes(R, 2, 1),
+                dense(_boundary_columns(R, 3), 9).entries,
+                level_is_identity(R, 2),
+            ]
+
+        assert readers() == oracles
+        real = constructions._codes
+
+        def planted(R):
+            codes = real(R)
+            codes[0], codes[1] = codes[1], codes[0]
+            return codes
+
+        monkeypatch.setattr(constructions, "_codes", planted)
+        for got, expected in zip(readers(), oracles):
+            assert got != expected
 
 
 class TestComplex:
