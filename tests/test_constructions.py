@@ -421,38 +421,17 @@ class TestLevelSolution:
             assert level_solution(R, n) == _legs_level_solution(R, n)
 
     @pytest.mark.parametrize("seed", [38, 39])
-    @pytest.mark.parametrize("call", LEVEL_CALLS.values(), ids=LEVEL_CALLS.keys())
-    def test_raw_tables_get_the_error_of_make_solution(self, call, seed):
-        # raw tables built without make_solution: an entry out of range, a
-        # float, bool or non-pair entry, a short or long table, size 0, or a
-        # repeated output, alone or before such an entry
-        rng = random.Random(seed)
-        tables = [Solution(0, ()), Solution(0, ((1, 1),)), Solution(2, ((1, 1), (1, 1), (2, 1), (2, 2)))]
-        for size in (1, 2, 3):
-            pairs = [(x, y) for x in range(1, size + 1) for y in range(1, size + 1)]
-            for bad in ((0, 1), (1, size + 1), (-1, 1), (1.0, 1), (1, 2.5), (True, 1), (1,), (1, 1, 1)):
-                cells = rng.sample(pairs, len(pairs))
-                cells[rng.randrange(len(cells))] = bad
-                tables.append(Solution(size, tuple(cells)))
-            cells = rng.sample(pairs, len(pairs))
-            tables += [Solution(size, tuple(cells[1:])), Solution(size, tuple(cells + cells[:1]))]
-            # a shuffled bijection and a random table, each with one output
-            # repeated: once at size 2, twice at size 3
-            for _ in range(size - 1):
-                for cells in (rng.sample(pairs, len(pairs)), [rng.choice(pairs) for _ in pairs]):
-                    i, j = rng.sample(range(len(cells)), 2)
-                    cells[i] = cells[j]
-                    tables.append(Solution(size, tuple(cells)))
-        # the repeat at entry 1 comes first and names the error
-        tables.append(Solution(2, ((1, 1), (1, 1), (2, 1), (3, 3))))
-        for R in tables:
-            with pytest.raises(YbkError) as expected:
-                make_solution(R.size, R.table)
-            for n in (1, 2, 3):
-                with pytest.raises(YbkError) as caught:
-                    call(R, n)
-                assert type(caught.value) is type(expected.value)
-                assert str(caught.value) == str(expected.value)
+    def test_raw_tables_get_the_error_of_make_solution(self, seed):
+        _check_raw_tables_get_the_error_of_make_solution(level_solution, seed)
+
+    @pytest.mark.parametrize("seed", [38, 39])
+    @pytest.mark.parametrize(
+        "call",
+        [call for name, call in LEVEL_CALLS.items() if name != "level_solution"],
+        ids=[name for name in LEVEL_CALLS if name != "level_solution"],
+    )
+    def test_raw_tables_get_the_error_of_make_solution_in_other_readers(self, call, seed):
+        _check_raw_tables_get_the_error_of_make_solution(call, seed)
 
     @pytest.mark.parametrize(
         "index, entry",
@@ -481,6 +460,40 @@ class TestLevelSolution:
         except IndexError:
             got = None  # a letter past [N] indexes past the block gathers
         assert got != expected
+
+
+def _check_raw_tables_get_the_error_of_make_solution(call, seed):
+    """Check that `call(R, n)` raises, for raw tables, the error make_solution raises."""
+    # raw tables built without make_solution: an entry out of range, a
+    # float, bool or non-pair entry, a short or long table, size 0, or a
+    # repeated output, alone or before such an entry
+    rng = random.Random(seed)
+    tables = [Solution(0, ()), Solution(0, ((1, 1),)), Solution(2, ((1, 1), (1, 1), (2, 1), (2, 2)))]
+    for size in (1, 2, 3):
+        pairs = [(x, y) for x in range(1, size + 1) for y in range(1, size + 1)]
+        for bad in ((0, 1), (1, size + 1), (-1, 1), (1.0, 1), (1, 2.5), (True, 1), (1,), (1, 1, 1)):
+            cells = rng.sample(pairs, len(pairs))
+            cells[rng.randrange(len(cells))] = bad
+            tables.append(Solution(size, tuple(cells)))
+        cells = rng.sample(pairs, len(pairs))
+        tables += [Solution(size, tuple(cells[1:])), Solution(size, tuple(cells + cells[:1]))]
+        # a shuffled bijection and a random table, each with one output
+        # repeated: once at size 2, twice at size 3
+        for _ in range(size - 1):
+            for cells in (rng.sample(pairs, len(pairs)), [rng.choice(pairs) for _ in pairs]):
+                i, j = rng.sample(range(len(cells)), 2)
+                cells[i] = cells[j]
+                tables.append(Solution(size, tuple(cells)))
+    # the repeat at entry 1 comes first and names the error
+    tables.append(Solution(2, ((1, 1), (1, 1), (2, 1), (3, 3))))
+    for R in tables:
+        with pytest.raises(YbkError) as expected:
+            make_solution(R.size, R.table)
+        for n in (1, 2, 3):
+            with pytest.raises(YbkError) as caught:
+                call(R, n)
+            assert type(caught.value) is type(expected.value)
+            assert str(caught.value) == str(expected.value)
 
 
 def _legs_level_solution(R, n):
