@@ -14,7 +14,7 @@ from itertools import chain, islice, product
 from ._record import record
 from .errors import Degenerate, InvalidParams, NotAYbeSolution, check_int
 from .limits import check_count
-from .solution import Solution, _check_pairs, _codes, _degenerate_row, _flip_conjugate, alpha_beta, is_ybe, make_solution
+from .solution import Solution, _codes, _degenerate_row, _flip_conjugate, alpha_beta, is_ybe, make_solution
 
 
 def encode_word(word, n: int) -> int:
@@ -187,7 +187,12 @@ class LevelMap:
 
 
 def _push_levels(R: Solution):
-    """The push tables of `_push_rows` for block lengths 1, 2, 3, ... in turn.
+    """The push tables of one letter crossing a block, for block lengths 1, 2, 3, ... in turn.
+
+    `rows[b][x]` of the table for block length l is moved * N**l + b': the
+    0-based letter x, pushed leftward by adjacent swaps (s, t) -> R(s, t) =
+    (t', s') through the block with 0-based code b, leaves as the letter
+    `moved` and turns the block into b'.
 
     The length-1 table is R's code table cut into rows.  A block of length
     j + 1 is its first letter s followed by a length-j rest, so its row is
@@ -206,17 +211,6 @@ def _push_levels(R: Solution):
         rows = [[s_row[e // span] * span + e % span for e in rest_row] for s_row in first for rest_row in rows]
 
 
-def _push_rows(R: Solution, length: int) -> list[list[int]]:
-    """Push table for one letter crossing a block of the given length.
-
-    `rows[b][x]` is moved * N**length + b': the 0-based letter x, pushed
-    leftward by adjacent swaps (s, t) -> R(s, t) = (t', s') through the block
-    with 0-based code b, leaves as the letter `moved` and turns the block
-    into b'.
-    """
-    return next(islice(_push_levels(R), length - 1, None))
-
-
 def _push_walk(rows: list[list[int]], n: int):
     """The states after pushing 0, 1, 2, ... letters through every block of the push table `rows`.
 
@@ -233,12 +227,6 @@ def _push_walk(rows: list[list[int]], n: int):
         states = [s * n + step for s in states for step in steps[s % span]]
 
 
-def _check_table(R: Solution) -> None:
-    """`make_solution`'s checks of R, so a Solution built directly gets its errors before a walk reads it."""
-    check_int(R.size, "size", 1)
-    _check_pairs(R.table, R.size, R.size)
-
-
 def level_codes(R: Solution, l: int, m: int) -> list[tuple[int, int]]:
     """The level map on 0-based word codes: entry u * N**m + v is (v', u').
 
@@ -250,7 +238,7 @@ def level_codes(R: Solution, l: int, m: int) -> list[tuple[int, int]]:
     """
     check_int(l, "block length", 1)
     check_int(m, "block length", 1)
-    _check_table(R)
+    make_solution(R.size, R.table)
     n = R.size
     check_count(n, f"level map table on [{n}]^{l} x [{n}]^{m}", l + m)
     span = n ** l
@@ -299,9 +287,9 @@ def level_is_identity(R: Solution, n_level: int) -> bool:
     Raises Overflow where `level_solution` would.
     """
     check_int(n_level, "block length", 1)
-    _check_table(R)
+    make_solution(R.size, R.table)
     _check_level(R.size, n_level)
-    return _fixes_every_pair(_push_rows(R, n_level), R.size, n_level)
+    return _fixes_every_pair(next(islice(_push_levels(R), n_level - 1, None)), R.size, n_level)
 
 
 def _check_level(n: int, n_level: int, limit: int | None = None) -> int:
@@ -344,7 +332,7 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     a repeated output included, raises `make_solution`'s error for R itself.
     """
     check_int(n_level, "block length", 1)
-    _check_table(R)
+    make_solution(R.size, R.table)
     n = R.size
     _check_level(n, n_level)
     size = n ** n_level

@@ -30,7 +30,7 @@ from __future__ import annotations
 from math import gcd
 
 from ._record import record
-from .constructions import _push_levels, _push_rows, _push_walk
+from .constructions import _push_levels, _push_walk
 from .errors import (
     BadModulus,
     InvalidParams,
@@ -287,7 +287,7 @@ def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
     columns: list[dict[int, int]] = [{} for _ in range(size ** n)]
     # suffixes[m][x * N**m + v] is v', the block v after x crossed it; at m = 0
     # the face keeps the empty word, code 0
-    walk = _push_walk(_push_rows(R, 1), size)
+    walk = _push_walk(next(_push_levels(R)), size)
     suffixes = [[s // size for s in next(walk)] for _ in range(n)]
     # prefix[p * N + x] is u', the block p of length i - 1 after x crossed it
     tables = _push_levels(R)

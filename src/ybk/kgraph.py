@@ -31,7 +31,7 @@ from .errors import (
     check_int,
 )
 from .limits import check_count
-from .solution import Solution, _check_pairs, _inverse_pairs, _least, is_ybe
+from .solution import Solution, _check_pairs, _inverse_pairs, _triple_failure, is_ybe
 
 
 @record
@@ -182,23 +182,7 @@ def constant_family(R: Solution, k: int) -> ThetaFamily:
 def _validate(family: ThetaFamily):
     for i, j, kk in combinations(range(1, family.k + 1), 3):
         ij, ik, jk = (family.maps[family.pair_index(*pair)] for pair in ((i, j), (i, kk), (j, kk)))
-        nj, nk = family.sizes[j - 1], family.sizes[kk - 1]
-
-        # each table read is the conjugated map: theta_ij(s, t) = (t', s'),
-        # read back as (s', t'); the two sides apply jk, ik, ij and ij, ik, jk
-        def fails(s, t, u):
-            a, b, c = s, t, u
-            c, b = jk[(b - 1) * nk + c - 1]
-            c, a = ik[(a - 1) * nk + c - 1]
-            b, a = ij[(a - 1) * nj + b - 1]
-            lhs = (a, b, c)
-            a, b, c = s, t, u
-            b, a = ij[(a - 1) * nj + b - 1]
-            c, a = ik[(a - 1) * nk + c - 1]
-            c, b = jk[(b - 1) * nk + c - 1]
-            return lhs != (a, b, c)
-
-        point = _least(fails, *(range(1, family.sizes[c - 1] + 1) for c in (i, j, kk)))
+        point = _triple_failure(ij, ik, jk, *(family.sizes[c - 1] for c in (i, j, kk)))
         if point is not None:
             return False, (i, j, kk, point)
     return True, None
@@ -208,7 +192,10 @@ def validate_kgraph(family: ThetaFamily):
     """Decide the generalized braid identity on every colour triple.
 
     Triple-wise validity is exactly k-graph validity; returns the
-    lexicographically least failing triple and point on failure.
+    lexicographically least failing triple and point on failure.  Each
+    colour triple (i, j, l) is one call of the kernel that decides the
+    braid relation, `solution._triple_failure`, on theta_ij, theta_il and
+    theta_jl, so a constant family of R fails where `ybe_witness(R)` does.
     """
     return family._verdict
 

@@ -252,12 +252,13 @@ def _as_permutation(seq, n: int, label: str) -> tuple[int, ...]:
 def _braid_failure(n: int, table):
     """The least triple (x, y, z) where the braid relation fails on a raw table, or None.
 
-    Hot path for censuses: triples are visited in lexicographic order and the
-    first failure is returned, so it is the least.
+    Hot path for censuses.  The braid relation is the triple identity of
+    `_triple_failure` with R's table in all three places: a solution is the
+    single-vertex k-graph whose commutation maps are all R.
     """
     if n >= 1:
         # triple (1, 1, 1) alone rejects most random tables, before any loop
-        # is set up: the loops below run the same check with y = z = x = 1
+        # is set up: the kernel runs the same check with y = z = x = 1
         u1, v1 = table[0]
         a, b = table[(v1 - 1) * n]
         c, d = table[(u1 - 1) * n + a - 1]
@@ -267,19 +268,32 @@ def _braid_failure(n: int, table):
         g, h = table[(fo - 1) * n + v1 - 1]
         if d != g or b != h:
             return (1, 1, 1)
-    for x in range(1, n + 1):
-        base = (x - 1) * n
-        for y in range(1, n + 1):
-            u1, v1 = table[base + y - 1]
-            row_u1 = (u1 - 1) * n
-            row_x = base
+    return _triple_failure(table, table, table, n, n, n)
+
+
+def _triple_failure(ij, ik, jk, ni: int, nj: int, nk: int):
+    """The least point (x, y, z) of [ni] x [nj] x [nk] where the triple identity fails, or None.
+
+    `ij` is the table of a bijection [ni] x [nj] -> [nj] x [ni], row-major
+    by (x, y): entry (x-1)*nj + (y-1) is (y', x'), as theta_ij holds it;
+    `ik` and `jk` likewise.  The identity is R12 R23 R12 = R23 R12 R23,
+    where each crossing of two letters reads the table of their colours.
+    Points are visited in lexicographic order, so the first failure is the
+    least.
+    """
+    for x in range(1, ni + 1):
+        row_ij = (x - 1) * nj
+        row_ik = (x - 1) * nk
+        for y in range(1, nj + 1):
+            u1, v1 = ij[row_ij + y - 1]
+            row_u1 = (u1 - 1) * nk
             # R12 R23 R12 (x, y, z) = (c, d, b) and R23 R12 R23 (x, y, z) = (e, g, h)
-            for z in range(1, n + 1):
-                a, b = table[(v1 - 1) * n + z - 1]
-                c, d = table[row_u1 + a - 1]
-                p, q = table[(y - 1) * n + z - 1]
-                e, fo = table[row_x + p - 1]
-                g, h = table[(fo - 1) * n + q - 1]
+            for z in range(1, nk + 1):
+                a, b = ik[(v1 - 1) * nk + z - 1]
+                c, d = jk[row_u1 + a - 1]
+                p, q = jk[(y - 1) * nk + z - 1]
+                e, fo = ik[row_ik + p - 1]
+                g, h = ij[(fo - 1) * nj + q - 1]
                 if c != e or d != g or b != h:
                     return (x, y, z)
     return None

@@ -18,7 +18,7 @@ it as `oracles`.
 """
 
 from importlib import import_module
-from itertools import product
+from itertools import combinations, product
 from typing import NamedTuple
 
 from ybk.constructions import decode_word, encode_word, level_codes
@@ -54,6 +54,36 @@ def least_braid_failure(R):
         if lhs != rhs:
             return triple
     return None
+
+
+def triple_sides(family, i, j, l, s, t, u):
+    """Both sides of the triple identity of colours i < j < l at the letters (s, t, u).
+
+    Each step applies a conjugated map: theta_ij(s, t) = (t', s') is read
+    back as (s', t').  The two sides apply theta_jl, theta_il, theta_ij and
+    theta_ij, theta_il, theta_jl.
+    """
+    a, b, c = s, t, u
+    c, b = family.apply(j, l, b, c)
+    c, a = family.apply(i, l, a, c)
+    b, a = family.apply(i, j, a, b)
+    lhs = (a, b, c)
+    a, b, c = s, t, u
+    b, a = family.apply(i, j, a, b)
+    c, a = family.apply(i, l, a, c)
+    c, b = family.apply(j, l, b, c)
+    return lhs, (a, b, c)
+
+
+def least_kgraph_failure(family):
+    """`validate_kgraph`'s answer: (True, None), or False with the least (i, j, l, point) whose sides differ."""
+    for i, j, l in combinations(range(1, family.k + 1), 3):
+        span = (range(1, family.sizes[c - 1] + 1) for c in (i, j, l))
+        for point in product(*span):
+            lhs, rhs = triple_sides(family, i, j, l, *point)
+            if lhs != rhs:
+                return False, (i, j, l, point)
+    return True, None
 
 
 def left_derived_formula(R):

@@ -155,18 +155,19 @@ def oracle_boundary(R, n):
 
 
 def level_code_faces(R, n):
-    """Sparse degree-n boundary columns with each position's faces read from `level_codes`.
+    """Sparse degree-n boundary columns with each position's faces read from `legs_level_map`.
 
-    Two level maps per position, each from its own push table, against the
-    library's one walk; no position or word is skipped.
+    Two level maps per position, each the product of adjacent legs and
+    read as 0-based word codes, against the library's one walk; no
+    position or word is skipped.
     """
     size = R.size
     columns = [{} for _ in range(size ** n)]
     for i in range(1, n + 1):
         sign = -1 if i % 2 else 1
         tail = size ** (n - i)
-        right = [v for v, _ in level_codes(R, 1, n - i)] if i < n else [0] * size
-        left = [u for _, u in level_codes(R, i - 1, 1)] if i > 1 else [0] * size
+        right = [encode_word(v, size) - 1 for v, _ in legs_level_map(R, 1, n - i)] if i < n else [0] * size
+        left = [encode_word(u, size) - 1 for _, u in legs_level_map(R, i - 1, 1)] if i > 1 else [0] * size
         for code, column in enumerate(columns):
             pre, rest = divmod(code, size * tail)
             p, suf = divmod(code, tail)

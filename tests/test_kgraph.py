@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from ybk.catalog import catalog_names, catalog_profile, catalog_solution
+from ybk.catalog import catalog_document, catalog_names, catalog_profile, catalog_solution
 from ybk.classify import enumerate_solutions
 from ybk.constructions import level_map, level_solution
 from ybk.errors import (
@@ -34,10 +34,11 @@ from ybk.kgraph import (
     unique_pushout,
     validate_kgraph,
 )
+from ybk.serialize import canonical_json, parse_theta_document
 from ybk.solution import Solution, builtin, is_ybe, make_solution, properties, _mod1
 
 from conftest import random_solutions
-from oracles import legs_level_map
+from oracles import least_kgraph_failure, legs_level_map, random_bijection_table
 
 
 def glue_add():
@@ -428,6 +429,35 @@ class TestValidate:
     def test_dihedral_family_various_k(self, standard):
         for k in (3, 5):
             assert validate_kgraph(constant_family(standard["dih3"], k))[0]
+
+    def test_verdict_and_witness_match_the_point_scan(self, standard):
+        # restricted and random families give the three tables of a triple
+        # three strides; a table planted at (k-1, k) fails only in late triples
+        rng = random.Random(37)
+        families = [
+            parse_theta_document(canonical_json(catalog_document(name))).family
+            for name in catalog_names()
+            if "valid_kgraph" in catalog_profile(name)
+        ]
+        for name, exponents in (("dih3", (1, 2, 3)), ("shift2", (1, 2, 3)), ("flip2", (3, 1, 2)), ("dih3", (2, 1, 1))):
+            families.append(restrict(constant_family(standard[name], 3), *exponents))
+        for _ in range(4):
+            R = make_solution(2, random_bijection_table(2, rng))
+            families.append(restrict(constant_family(R, 3), 1, 2, 3))
+        families += [random_family(k, rng) for k in (3, 4, 5) for _ in range(20)]
+        valid = [restrict(constant_family(standard["dih3"], 3), 1, 2, 3)]
+        valid += [constant_family(standard[name], k) for name, k in (("dih3", 4), ("shift2", 5))]
+        for family in valid:
+            k = family.k
+            maps = dict(zip(combinations(range(1, k + 1), 2), family.maps))
+            ni, nj = family.sizes[k - 2], family.sizes[k - 1]
+            for _ in range(3):
+                outs = [(t, s) for t in range(1, nj + 1) for s in range(1, ni + 1)]
+                rng.shuffle(outs)
+                families.append(make_theta_family(k, family.sizes, {**maps, (k - 1, k): outs}))
+        verdicts = [validate_kgraph(family) for family in families]
+        assert verdicts == [least_kgraph_failure(family) for family in families]
+        assert {ok for ok, _ in verdicts} == {True, False}
 
     def test_each_family_is_walked_once(self, standard, monkeypatch):
         import ybk.kgraph as kgraph

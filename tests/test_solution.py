@@ -348,8 +348,11 @@ class TestLeastWitnesses:
             report = check_structure_equations(R)
             assert report.witnesses == {k: least[k] for k in equations if k in least}, R
             assert ybe_witness(R) == least.get("is_ybe"), R
+            # a solution is the single-vertex k-graph of its constant family, witness included
+            assert least.get("kgraph") == least.get("is_ybe"), R
             verdict = (False, (1, 2, 3, least["kgraph"])) if "kgraph" in least else (True, None)
             assert validate_kgraph(constant_family(R, 3)) == verdict, R
+            assert validate_kgraph(constant_family(R, 5)) == verdict, R
 
 
 class TestAlphaBeta:
