@@ -13,14 +13,35 @@ read from the integer push tables and walk of `constructions`: the right
 slides of every suffix length are the successive states of the walk from
 R's code table, the left slides the push tables grown one prefix length at
 a time.  A position or word whose two slides are equal cancels and is
-skipped.  Each public entry point checks the braid relation once.  The
-factors come from sparse unit-pivot elimination followed by a
-diagonal-only Smith reduction of the block no unit pivot reaches.  The
-boundary into degree n is factored without the rows of the words that are
-unit-pivot columns of the boundary out of it, which leaves its factors
-unchanged because the chain condition holds.  It holds for every
-braid-relation solution, so `verify_complex` answers from the theorem and
-builds nothing.
+skipped.  `homology`, `cohomology`, `verify_complex` and `h1_orbit_check`
+check R's table as `make_solution` does before they read it, and the
+braid relation once.  The factors come from sparse unit-pivot elimination
+followed by a diagonal-only Smith reduction of the block no unit pivot
+reaches.  A boundary is factored without the rows of the words that are
+unit-pivot columns of the boundary out of its target degree, which leaves
+its factors unchanged because the chain condition holds.  It holds for
+every braid-relation solution, so `verify_complex` answers from the
+theorem and builds nothing.
+
+There are two paths, chosen by the table alone:
+
+- A quandle-type R, whose first coordinate is passive, R(x, y) = (y, x*y),
+  with R(x, x) = (x, x), is the derived solution of the quandle x*y.  Its
+  words with two equal adjacent letters span a subcomplex that splits off
+  (Litherland-Nelson, J. Pure Appl. Algebra 2003).  The normalized
+  quotient has the N(N-1)^(n-1) words with no two equal adjacent letters
+  as its degree-n basis, and its groups H^N_p fix the whole homology
+  through a Kunneth-type formula (Przytycki-Putyra, Eur. J. Math. 2016, as
+  recalled), with H_0 = Z:
+
+      H_n = H^N_n + sum_(p+q=n-1, p>=1) H^N_p (x) H_q + sum_(p+q=n-2, p>=1) Tor(H^N_p, H_q)
+
+  Its boundaries d_2 .. d_(n+1) (d_1 is zero) are built from one set of
+  face tables and factored in increasing degree, each without the
+  unit-pivot rows of the one below; the quotient is a complex, so the
+  clearing holds there too.
+- Any other R is read from the full complex: the boundaries out of and
+  into degree n, the second without the unit-pivot rows of the first.
 
 Everything is exact integer arithmetic; no floating point anywhere.
 """
@@ -39,7 +60,7 @@ from .errors import (
     check_int,
 )
 from .limits import check_count
-from .solution import Solution, _all_identity, alpha_beta, is_ybe
+from .solution import Solution, alpha_beta, is_ybe, make_solution
 
 
 @record(slots=True)
@@ -265,55 +286,81 @@ def _diagonal_factors(a: list[list[int]]) -> tuple[int, ...]:
     return tuple(diagonal)
 
 
-def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
-    """The degree-n boundary as sparse columns, one per 0-based word code.
+# the face code of a word outside the basis
+_DROPPED = -1
+
+
+def _face_tables(R: Solution, top: int) -> tuple[int, list[list[int]], list[list[int]]]:
+    """N and the suffix and prefix tables that the faces of every degree up to `top` read.
+
+    `suffixes[m][x * N**m + v]` is v', the block v after x crossed it: the
+    states of one push walk from R's code table divided by N (at m = 0 the
+    face keeps the empty word, code 0).  `prefixes[i - 1][p * N + x]` is u',
+    the block p of length i - 1 after x crossed it: the push-table entries
+    c = moved * N**(i-1) + u' modulo N**(i-1).
+    """
+    size = R.size
+    walk = _push_walk(next(_push_levels(R)), size)
+    suffixes = [[s // size for s in next(walk)] for _ in range(top)]
+    prefixes = [[0] * size]
+    for i, rows in zip(range(1, top), _push_levels(R)):
+        span = size ** i
+        prefixes.append([c % span for row in rows for c in row])
+    return size, suffixes, prefixes
+
+
+def _columns(tables, n: int, codes=None, faces=None) -> list[dict[int, int]]:
+    """The degree-n boundary as sparse columns, on every word code or on the basis `codes`.
 
     The column of a word accumulates sum_i (-1)^i (right face minus left
     face).  With the code pre * N**(n-i+1) + x * N**(n-i) + suf, the right
     face pushes letter x past the suffix block and drops it, the left face
-    pushes the prefix block past x and drops it: both are level maps.  The
-    right faces of every suffix length are read as s // N from the states
-    s = v' * N + x' of one push walk from R's code table; the left faces of
-    every prefix length as c % N**(i-1) from the entries
-    c = moved * N**(i-1) + u' of the push tables, grown one length at a
-    time.  For each i both faces of every code are built as one list, in
-    code order.  A position whose two lists are equal adds nothing and is
-    skipped, as is a word whose two faces are equal.
+    pushes the prefix block past x and drops it: both are level maps, read
+    from the `_face_tables`.  For each i both faces of every code are built
+    as one list, in code order.  A position whose two lists are equal adds
+    nothing and is skipped, as is a word whose two faces are equal.
 
-    The caller checks that R is a braid-relation solution, that n is at
-    least 1 and the degree-n basis against the limit.
+    Without a basis, column c is the word with code c.  On a basis, column
+    k is the word codes[k], and a face f is read as faces[f]: f itself, or
+    `_DROPPED` for a face outside the basis one degree down, whose entries
+    are dropped.
     """
-    size = R.size
-    columns: list[dict[int, int]] = [{} for _ in range(size ** n)]
-    # suffixes[m][x * N**m + v] is v', the block v after x crossed it; at m = 0
-    # the face keeps the empty word, code 0
-    walk = _push_walk(next(_push_levels(R)), size)
-    suffixes = [[s // size for s in next(walk)] for _ in range(n)]
-    # prefix[p * N + x] is u', the block p of length i - 1 after x crossed it
-    tables = _push_levels(R)
-    prefix = [0] * size
+    size, suffixes, prefixes = tables
+    columns: list[dict[int, int]] = [{} for _ in (range(size ** n) if codes is None else codes)]
     for i in range(1, n + 1):
         sign = -1 if i % 2 else 1
         tail = size ** (n - i)
         # code = pre * size * tail + rest: the right face is pre * tail + suffixes[n - i][rest]
         blocks = range(0, size ** (i - 1) * tail, tail)
         right = [block + v for block in blocks for v in suffixes[n - i]]
-        # code = p * tail + suf with p = pre * size + x: the left face is prefix[p] * tail + suf
+        # code = p * tail + suf with p = pre * size + x: the left face is prefixes[i - 1][p] * tail + suf
         suffix = range(tail)
-        left = [p * tail + s for p in prefix for s in suffix]
+        left = [p * tail + s for p in prefixes[i - 1] for s in suffix]
+        if codes is not None:
+            right = [faces[right[c]] for c in codes]
+            left = [faces[left[c]] for c in codes]
         if right != left:
             for column, r, q in zip(columns, right, left):
                 if r != q:
                     column[r] = column.get(r, 0) + sign
                     column[q] = column.get(q, 0) - sign
-        if i < n:
-            span = size ** i
-            prefix = [c % span for row in next(tables) for c in row]
+    if codes is not None:
+        for column in columns:
+            column.pop(_DROPPED, None)
     # entries of different positions can still cancel
     return [
         column if all(column.values()) else {r: v for r, v in column.items() if v}
         for column in columns
     ]
+
+
+def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
+    """The degree-n boundary as sparse columns, one per 0-based word code.
+
+    The caller checks that R is a braid-relation solution, that n is at
+    least 1 and the degree-n basis against the limit.
+    """
+    return _columns(_face_tables(R, n), n)
 
 
 def verify_complex(R: Solution, nmax: int) -> bool:
@@ -331,22 +378,32 @@ def verify_complex(R: Solution, nmax: int) -> bool:
     which only swaps the two end letters by R before both are dropped.  By
     Matsumoto's theorem (Matsumoto 1964, Tits 1969) two reduced words for
     one permutation are joined by braid moves alone, so R crossings composed
-    along them give the same map.  So only the braid relation, the degree
-    and the degree-nmax basis are checked, in that order, and True is
-    returned.
+    along them give the same map.  So only the arguments are checked, as
+    `_check_complex` does with the degree-nmax basis, and True is returned.
     """
-    _require_solution(R)
-    check_int(nmax, "degree", 0)
-    if nmax > 0:
-        check_count(R.size, f"degree-{nmax} chain basis", nmax)
+    _check_complex(R, nmax, 0)
     return True
+
+
+def _check_complex(R: Solution, n: int, above: int) -> None:
+    """Check the degree n, the degree-(n + above) basis against the limit, R's table and the braid relation.
+
+    They are checked in that order.  R's table gets `make_solution`'s checks
+    and error, so a `Solution` built without it is not read out of range.
+    """
+    check_int(n, "degree", 0)
+    top = n + above
+    if top:
+        check_count(R.size, f"degree-{top} chain basis", top)
+    make_solution(R.size, R.table)
+    _require_solution(R)
 
 
 def _free_and_torsion(R: Solution, n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Free rank in degree n and the torsion factors of the boundary maps out of and into it.
 
-    There is no boundary out of degree 0.  Raises NotAYbeSolution for a
-    table that is not a solution.
+    There is no boundary out of degree 0.  The caller checks the complex
+    (`_check_complex`).
 
     The boundary into degree n is factored without the rows of the words
     that are unit-pivot columns of the boundary out of it, after the
@@ -356,14 +413,53 @@ def _free_and_torsion(R: Solution, n: int) -> tuple[int, tuple[int, ...], tuple[
     an isomorphism.  The image from degree n + 1 lies in that kernel because
     the chain condition holds for every solution (see `verify_complex`).
     """
-    check_int(n, "degree", 0)
-    # the larger basis of the two boundary maps' degrees
-    check_count(R.size, f"degree-{n + 1} chain basis", n + 1)
-    _require_solution(R)
     out_factors, pivots = _factors_and_pivots(_boundary_columns(R, n) if n else [])
     in_factors = _factors_and_pivots(_boundary_columns(R, n + 1), pivots)[0]
     free = R.size ** n - len(out_factors) - len(in_factors)
     return free, tuple(d for d in out_factors if d > 1), tuple(d for d in in_factors if d > 1)
+
+
+def _normalized_free_and_torsion(R: Solution, n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """`_free_and_torsion` of a quandle-type R, read from its normalized complex.
+
+    The basis in degree p is the words with no two equal adjacent letters,
+    in code order.  The boundaries d_2 .. d_(n+1) share one set of face
+    tables and are factored in increasing degree, each without the rows of
+    the unit pivots of the one below, so H^N_p comes out for p <= n.  The
+    groups H_0 .. H_n follow from the formula in the module docstring.
+    The caller checks the complex (`_check_complex`).
+    """
+    size = R.size
+    tables = _face_tables(R, n + 1)
+    # d_1 is zero: both faces of a letter are the empty word
+    codes, faces, pivots = range(size), [0], frozenset()
+    dims, ranks, torsions = [1, size], [0, 0], [(), ()]
+    for p in range(2, n + 2):
+        faces = [_DROPPED] * size ** (p - 1)
+        for c in codes:
+            faces[c] = c
+        codes = [c * size + x for c in codes for x in range(size) if x != c % size]
+        factors, found = _factors_and_pivots(_columns(tables, p, codes, faces), pivots)
+        pivots = {codes[k] for k in found}
+        dims.append(len(codes))
+        ranks.append(len(factors))
+        torsions.append(tuple(d for d in factors if d > 1))
+    # (free rank, torsion) of H^N_p and of H_p
+    normalized = [(dims[p] - ranks[p] - ranks[p + 1], torsions[p + 1]) for p in range(n + 1)]
+    groups = [(1, ())]
+    for q in range(1, n + 1):
+        free, orders = normalized[q][0], list(normalized[q][1])
+        for p in range(1, q):
+            # H^N_p (x) H_(q-1-p), with Z/s (x) Z/t = Z/gcd(s, t)
+            (a, torsion_a), (b, torsion_b) = normalized[p], groups[q - 1 - p]
+            free += a * b
+            orders += torsion_a * b + torsion_b * a
+            orders += [gcd(s, t) for s in torsion_a for t in torsion_b]
+            if p < q - 1:
+                # Tor(H^N_p, H_(q-2-p)), with Tor(Z/s, Z/t) = Z/gcd(s, t) and no part from Z
+                orders += [gcd(s, t) for s in torsion_a for t in groups[q - 2 - p][1]]
+        groups.append((free, AbelianGroup.from_cyclic_orders(orders).torsion if orders else ()))
+    return groups[n][0], groups[n - 1][1] if n else (), groups[n][1]
 
 
 def _check_modulus(modulus) -> None:
@@ -372,12 +468,17 @@ def _check_modulus(modulus) -> None:
 
 
 def _groups(R: Solution, n: int, modulus: int | None = None) -> tuple[AbelianGroup, AbelianGroup]:
-    """H_n(R) and H^n(R) with coefficients in Z or Z/modulus, from one `_free_and_torsion`.
+    """H_n(R) and H^n(R) with coefficients in Z or Z/modulus, from one call of either path.
 
-    The modulus is checked before anything else.
+    The modulus is checked before anything else, then the complex.  A
+    quandle-type R is read from its normalized complex, any other from the
+    full one.
     """
     _check_modulus(modulus)
-    free, torsion_here, torsion_above = _free_and_torsion(R, n)
+    # the larger basis of the two boundary maps' degrees
+    _check_complex(R, n, 1)
+    path = _normalized_free_and_torsion if _quandle_type(R) else _free_and_torsion
+    free, torsion_here, torsion_above = path(R, n)
     if modulus is None:
         group = AbelianGroup(free, torsion_here)
     else:
@@ -426,6 +527,8 @@ def beta_orbits(R: Solution) -> OrbitPartition:
 
 def h1_orbit_check(R: Solution) -> bool:
     """First homology must be free on the right-action orbits, with no torsion."""
+    # the passive-first check reads the table
+    make_solution(R.size, R.table)
     _require_passive_first(R, "the orbit description")
     expected = AbelianGroup(len(beta_orbits(R).blocks), ())
     return homology(R, 1) == expected
@@ -436,6 +539,18 @@ def _require_solution(R: Solution) -> None:
         raise NotAYbeSolution("the chain complex is defined for braid-relation solutions")
 
 
+def _passive_first(R: Solution) -> bool:
+    """Whether R(x, y) = (y, .) for every x and y, read from the table."""
+    n = R.size
+    return [pair[0] for pair in R.table] == list(range(1, n + 1)) * n
+
+
+def _quandle_type(R: Solution) -> bool:
+    """Whether R is passive first with R(x, x) = (x, x): the derived solution of a quandle."""
+    n = R.size
+    return _passive_first(R) and all(R.table[x * (n + 1)][1] == x + 1 for x in range(n))
+
+
 def _require_passive_first(R: Solution, what: str) -> None:
-    if not _all_identity(alpha_beta(R).alpha):
+    if not _passive_first(R):
         raise NotDerivedType(f"{what} needs the first coordinate to be passive")

@@ -273,6 +273,7 @@ class TestHomology:
         assert "H^1(Z/2) = Z/2" in out
         assert "chain condition" in out
 
+    # shift-3 is read from the full complex, dihedral-3 from the normalized one
     @pytest.mark.parametrize("extra", [(), ("--coeff", "z/3"), ("--verify-complex",)])
     def test_one_factorization_per_call(self, capsys, monkeypatch, extra):
         calls = []
@@ -284,7 +285,7 @@ class TestHomology:
             return free_and_torsion(R, n)
 
         monkeypatch.setattr(homology_module, "_free_and_torsion", counting)
-        code, out, _ = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2", *extra)
+        code, out, _ = run(capsys, "homology", "catalog:shift-3", "--degree", "2", *extra)
         assert code == 0 and out.startswith(("H_2 = ", "chain condition"))
         assert calls == [2]
 
@@ -302,9 +303,47 @@ class TestHomology:
             return boundary_columns(R, n)
 
         monkeypatch.setattr(homology_module, "_boundary_columns", counting)
-        code, out, _ = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2", *extra)
+        code, out, _ = run(capsys, "homology", "catalog:shift-3", "--degree", "2", *extra)
         assert code == 0
         assert Counter(calls) == built
+
+    @pytest.mark.parametrize("extra", [(), ("--coeff", "z/3"), ("--verify-complex",)])
+    def test_one_normalized_computation_per_call(self, capsys, monkeypatch, extra):
+        calls = []
+        homology_module = importlib.import_module("ybk.homology")
+        normalized = homology_module._normalized_free_and_torsion
+
+        def counting(R, n):
+            calls.append(n)
+            return normalized(R, n)
+
+        monkeypatch.setattr(homology_module, "_normalized_free_and_torsion", counting)
+        monkeypatch.setattr(homology_module, "_free_and_torsion", None)
+        code, out, _ = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2", *extra)
+        assert code == 0 and out.startswith(("H_2 = ", "chain condition"))
+        assert calls == [2]
+
+    @pytest.mark.parametrize("extra", [(), ("--verify-complex",)])
+    def test_each_normalized_boundary_built_once(self, capsys, monkeypatch, extra):
+        # the normalized path builds d_2 .. d_(n+1) from one set of face tables; d_1 is zero
+        calls = []
+        homology_module = importlib.import_module("ybk.homology")
+        columns = homology_module._columns
+        face_tables = homology_module._face_tables
+
+        def counting(tables, n, codes=None, faces=None):
+            calls.append((n, codes is None))
+            return columns(tables, n, codes, faces)
+
+        def counting_tables(R, top):
+            calls.append(("tables", top))
+            return face_tables(R, top)
+
+        monkeypatch.setattr(homology_module, "_columns", counting)
+        monkeypatch.setattr(homology_module, "_face_tables", counting_tables)
+        code, out, _ = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2", *extra)
+        assert code == 0
+        assert Counter(calls) == {("tables", 3): 1, (2, False): 1, (3, False): 1}
 
     @staticmethod
     def _break_boundary(monkeypatch, degree, row):

@@ -164,7 +164,7 @@ def test_integer_arguments_follow_one_rule(call, what, least):
 
 
 def test_every_public_check_int_caller_is_in_the_table():
-    # private callers (`_free_and_torsion`, `AbelianGroup.__post_init__`, the
+    # private callers (`_check_complex`, `AbelianGroup.__post_init__`, the
     # CLI's handlers) are reached through the public rows above
     called = set()
     for call, _, _ in INTEGER_ARGUMENTS.values():

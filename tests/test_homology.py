@@ -1,6 +1,7 @@
 import importlib
 import random
-from itertools import product
+from itertools import permutations, product
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,7 @@ from ybk.errors import (
     NotAYbeSolution,
     NotDerivedType,
     Overflow,
+    YbkError,
 )
 from ybk.homology import (
     AbelianGroup,
@@ -25,7 +27,7 @@ from ybk.homology import (
     homology,
     verify_complex,
 )
-from ybk.solution import builtin, is_ybe, make_solution, properties, _mod1
+from ybk.solution import Solution, builtin, is_ybe, make_solution, properties, _mod1
 
 from conftest import random_solutions
 from oracles import (
@@ -525,6 +527,69 @@ class TestCompression:
             out_rank = rank_q
 
 
+class TestNormalized:
+    """Quandle-type solutions are read from the normalized complex; the full one is its oracle."""
+
+    def test_quandle_type_tables(self, census2, census3):
+        module = importlib.import_module("ybk.homology")
+        counts = [sum(map(module._quandle_type, census)) for census in (enumerate_solutions(1), census2, census3)]
+        assert counts == [1, 1, 5]
+        names = [name for name in catalog_names() if "valid_kgraph" not in catalog_profile(name)]
+        routed = {name for name in names if module._quandle_type(catalog_solution(name))}
+        assert routed == {name for name in names if name.startswith(("dihedral-", "flip-"))}
+        # a relabeling phi x phi keeps the property and its absence
+        for R in census3:
+            for phi in permutations(range(1, 4)):
+                table = [None] * 9
+                for idx, (u, v) in enumerate(R.table):
+                    x, y = divmod(idx, 3)
+                    table[(phi[x] - 1) * 3 + phi[y] - 1] = (phi[u - 1], phi[v - 1])
+                relabeled = make_solution(3, table)
+                assert module._quandle_type(relabeled) == module._quandle_type(R)
+
+    def test_routed_groups_match_the_full_complex(self, census2, census3):
+        module = importlib.import_module("ybk.homology")
+        quandles = [R for R in enumerate_solutions(1) + census2 + census3 if module._quandle_type(R)]
+        cases = [(R, 5) for R in quandles + [catalog_solution(name) for name in ("dihedral-3", "flip-2", "flip-3")]]
+        cases += [(catalog_solution(name), 4) for name in ("dihedral-4", "flip-4", "dihedral-5")]
+        for R, top in cases:
+            assert module._quandle_type(R)
+            for n in range(top + 1):
+                # the groups `_groups` builds, by universal coefficients, from the full complex
+                free, here, above = module._free_and_torsion(R, n)
+                for modulus in (None, 2, 3, 4, 6):
+                    if modulus is None:
+                        expected = AbelianGroup(free, here)
+                    else:
+                        orders = [modulus] * free + [gcd(d, modulus) for d in here + above]
+                        expected = AbelianGroup.from_cyclic_orders(orders)
+                    got = module._groups(R, n, modulus)
+                    assert got == (AbelianGroup(free, above), expected), (R, n, modulus)
+
+    def test_raw_tables_get_the_error_of_make_solution(self):
+        # Solutions built without make_solution: a 2-element table with 3
+        # entries, an out-of-range entry, size 0, a short table and a float
+        # entry; each used to escape as IndexError, TypeError or ValueError,
+        # or to fail the passive-first check of h1_orbit_check
+        tables = [
+            Solution(2, ((1, 1), (2, 2), (2, 1))),
+            Solution(2, ((1, 1), (1, 3), (2, 1), (2, 2))),
+            Solution(0, ()),
+            Solution(3, ((1, 1), (2, 2))),
+            Solution(2, ((1, 1), (1.0, 2), (2, 1), (2, 2))),
+        ]
+        calls = (homology, cohomology, lambda R, n: cohomology(R, n, 3), verify_complex, lambda R, n: h1_orbit_check(R))
+        for R in tables:
+            with pytest.raises(YbkError) as expected:
+                make_solution(R.size, R.table)
+            for call in calls:
+                for n in (0, 1, 2, 3):
+                    with pytest.raises(YbkError) as caught:
+                        call(R, n)
+                    assert type(caught.value) is type(expected.value)
+                    assert str(caught.value) == str(expected.value)
+
+
 class TestHomology:
     def test_h0(self, standard):
         assert homology(standard["dih3"], 0) == AbelianGroup(1, ())
@@ -541,7 +606,7 @@ class TestHomology:
 
     def test_dihedral_three_torsion_grows(self, standard):
         R = standard["dih3"]
-        for n, threes in ((3, 1), (4, 2), (5, 4), (6, 7), (7, 13)):
+        for n, threes in ((3, 1), (4, 2), (5, 4), (6, 7), (7, 13), (8, 23)):
             assert homology(R, n) == AbelianGroup(1, (3,) * threes), n
 
     def test_orbit_law_for_derived_solutions(self, census2, census3):
