@@ -225,7 +225,9 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[
             sign = row.pop(pivot)
             for j in row:
                 cols[j].discard(i)
-            for k in cols.pop(pivot) - {i}:
+            targets = cols.pop(pivot)
+            targets.discard(i)
+            for k in targets:
                 target = rows[k]
                 factor = target.pop(pivot) * sign
                 for j, x in row.items():
@@ -248,14 +250,11 @@ def _diagonal_factors(a: list[list[int]]) -> tuple[int, ...]:
     """Invariant factors of a dense block, which is reduced in place."""
     diagonal = []
     while True:
-        pivot = min(
-            ((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x),
-            key=lambda ij: abs(a[ij[0]][ij[1]]),
-            default=None,
-        )
-        if pivot is None:
+        # the first entry of least absolute value, in row-major order
+        least = min((abs(x) for row in a for x in row if x), default=0)
+        if not least:
             break
-        i, j = pivot
+        i, j = next((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if abs(x) == least)
         p = a[i][j]
         # remainders smaller than p become the next pivot; none left means
         # p stands alone in its row and column
@@ -316,29 +315,33 @@ def _columns(tables, n: int, codes=None, faces=None) -> list[dict[int, int]]:
     face).  With the code pre * N**(n-i+1) + x * N**(n-i) + suf, the right
     face pushes letter x past the suffix block and drops it, the left face
     pushes the prefix block past x and drops it: both are level maps, read
-    from the `_face_tables`.  For each i both faces of every code are built
-    as one list, in code order.  A position whose two lists are equal adds
-    nothing and is skipped, as is a word whose two faces are equal.
+    from the `_face_tables`.  For each i the right and the left faces of
+    the columns are built as two lists, in column order.  A position whose
+    two lists are equal adds nothing and is skipped, as is a word whose two
+    faces are equal.
 
-    Without a basis, column c is the word with code c.  On a basis, column
-    k is the word codes[k], and a face f is read as faces[f]: f itself, or
-    `_DROPPED` for a face outside the basis one degree down, whose entries
-    are dropped.
+    Without a basis, column c is the word with code c, and the faces of all
+    N**n codes come block by block from the tables.  On a basis, column k
+    is the word codes[k], and each face is computed from that code alone,
+    so no word outside the basis is visited; a face f is read as faces[f]:
+    f itself, or `_DROPPED` for a face outside the basis one degree down,
+    whose entries are dropped.
     """
     size, suffixes, prefixes = tables
     columns: list[dict[int, int]] = [{} for _ in (range(size ** n) if codes is None else codes)]
     for i in range(1, n + 1):
         sign = -1 if i % 2 else 1
-        tail = size ** (n - i)
-        # code = pre * size * tail + rest: the right face is pre * tail + suffixes[n - i][rest]
-        blocks = range(0, size ** (i - 1) * tail, tail)
-        right = [block + v for block in blocks for v in suffixes[n - i]]
-        # code = p * tail + suf with p = pre * size + x: the left face is prefixes[i - 1][p] * tail + suf
-        suffix = range(tail)
-        left = [p * tail + s for p in prefixes[i - 1] for s in suffix]
-        if codes is not None:
-            right = [faces[right[c]] for c in codes]
-            left = [faces[left[c]] for c in codes]
+        tail, span = size ** (n - i), size ** (n - i + 1)
+        suf, pre = suffixes[n - i], prefixes[i - 1]
+        # code = u * span + rest with u the prefix block: the right face is u * tail + suf[rest];
+        # code = p * tail + s with p = u * size + x: the left face is pre[p] * tail + s
+        if codes is None:
+            right = [block + v for block in range(0, size ** (i - 1) * tail, tail) for v in suf]
+            suffix = range(tail)
+            left = [p * tail + s for p in pre for s in suffix]
+        else:
+            right = [faces[c // span * tail + suf[c % span]] for c in codes]
+            left = [faces[pre[c // tail] * tail + c % tail] for c in codes]
         if right != left:
             for column, r, q in zip(columns, right, left):
                 if r != q:
@@ -402,7 +405,8 @@ def _check_complex(R: Solution, n: int, above: int) -> None:
 def _free_and_torsion(R: Solution, n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Free rank in degree n and the torsion factors of the boundary maps out of and into it.
 
-    There is no boundary out of degree 0.  The caller checks the complex
+    There is no boundary out of degree 0.  Both boundaries read one set of
+    face tables, built once per call.  The caller checks the complex
     (`_check_complex`).
 
     The boundary into degree n is factored without the rows of the words
@@ -413,8 +417,9 @@ def _free_and_torsion(R: Solution, n: int) -> tuple[int, tuple[int, ...], tuple[
     an isomorphism.  The image from degree n + 1 lies in that kernel because
     the chain condition holds for every solution (see `verify_complex`).
     """
-    out_factors, pivots = _factors_and_pivots(_boundary_columns(R, n) if n else [])
-    in_factors = _factors_and_pivots(_boundary_columns(R, n + 1), pivots)[0]
+    tables = _face_tables(R, n + 1)
+    out_factors, pivots = _factors_and_pivots(_columns(tables, n) if n else [])
+    in_factors = _factors_and_pivots(_columns(tables, n + 1), pivots)[0]
     free = R.size ** n - len(out_factors) - len(in_factors)
     return free, tuple(d for d in out_factors if d > 1), tuple(d for d in in_factors if d > 1)
 

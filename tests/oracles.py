@@ -1,7 +1,7 @@
 """Independent oracles that the tests compare the library against.
 
 None of these is part of `ybk`: each recomputes a library result by a
-plainer route.  Most share none of the library's shortcuts.  Three compose
+plainer route.  Most share none of the library's shortcuts.  Four compose
 library paths that are themselves checked against a plain oracle, so the
 chain of checks is transitive:
 
@@ -11,7 +11,9 @@ chain of checks is transitive:
 - `extension_check_per_pair` also reads `graded_elements`, whose classes
   `test_semigroup` checks against breadth-first classes;
 - `chain_holds` composes `homology._boundary_columns`, which is checked
-  against `oracle_boundary` in `test_homology`.
+  against `oracle_boundary` in `test_homology`;
+- `normalized_columns_by_picking` reads `homology._face_tables`, the
+  tables that `_boundary_columns` reads too.
 
 This module is not a test file and is not collected; test modules import
 it as `oracles`.
@@ -471,3 +473,26 @@ def chain_holds(R, nmax):
             if any(image.values()):
                 return False
     return True
+
+
+def normalized_columns_by_picking(tables, n, codes, faces):
+    """The degree-n boundary on the basis `codes`, picked from the faces of every word code.
+
+    For each position i both faces of all N**n codes are built from the
+    face tables of `homology._face_tables`, and a basis code c takes the
+    entries faces[right[c]] and faces[left[c]]; a face that `faces` maps
+    to -1 lies outside the basis one degree down and is dropped.  Must
+    equal `homology._columns(tables, n, codes, faces)`.
+    """
+    size, suffixes, prefixes = tables
+    columns = [{} for _ in codes]
+    for i in range(1, n + 1):
+        sign = -1 if i % 2 else 1
+        tail = size ** (n - i)
+        right = [block + v for block in range(0, size ** (i - 1) * tail, tail) for v in suffixes[n - i]]
+        left = [p * tail + s for p in prefixes[i - 1] for s in range(tail)]
+        for column, c in zip(columns, codes):
+            r, q = faces[right[c]], faces[left[c]]
+            column[r] = column.get(r, 0) + sign
+            column[q] = column.get(q, 0) - sign
+    return [{r: v for r, v in column.items() if v and r != -1} for column in columns]

@@ -291,18 +291,28 @@ class TestHomology:
 
     @pytest.mark.parametrize(
         "extra, built",
-        [((), {2: 1, 3: 1}), (("--verify-complex",), {2: 1, 3: 1})],
+        [
+            ((), {("tables", 3): 1, (2, True): 1, (3, True): 1}),
+            (("--verify-complex",), {("tables", 3): 1, (2, True): 1, (3, True): 1}),
+        ],
     )
     def test_each_boundary_built_once(self, capsys, monkeypatch, extra, built):
+        # the full complex builds d_2 and d_3 from one set of face tables
         calls = []
         homology_module = importlib.import_module("ybk.homology")
-        boundary_columns = homology_module._boundary_columns
+        columns = homology_module._columns
+        face_tables = homology_module._face_tables
 
-        def counting(R, n):
-            calls.append(n)
-            return boundary_columns(R, n)
+        def counting(tables, n, codes=None, faces=None):
+            calls.append((n, codes is None))
+            return columns(tables, n, codes, faces)
 
-        monkeypatch.setattr(homology_module, "_boundary_columns", counting)
+        def counting_tables(R, top):
+            calls.append(("tables", top))
+            return face_tables(R, top)
+
+        monkeypatch.setattr(homology_module, "_columns", counting)
+        monkeypatch.setattr(homology_module, "_face_tables", counting_tables)
         code, out, _ = run(capsys, "homology", "catalog:shift-3", "--degree", "2", *extra)
         assert code == 0
         assert Counter(calls) == built
@@ -394,13 +404,15 @@ class TestHomology:
     @pytest.mark.parametrize("coeff", ["q", "z/1"])
     @pytest.mark.parametrize("extra", [(), ("--verify-complex",)])
     def test_bad_coefficients_build_no_boundary(self, capsys, monkeypatch, coeff, extra):
-        # the degree is deep enough that building its boundaries takes minutes
-        def no_boundaries(R, n):
+        # the degree is deep enough that building its boundaries takes minutes;
+        # dihedral-3 takes the normalized path, shift-3 the full complex
+        def no_boundaries(R, top):
             raise AssertionError("a boundary was built before --coeff was read")
 
-        monkeypatch.setattr(importlib.import_module("ybk.homology"), "_boundary_columns", no_boundaries)
-        result = run(capsys, "homology", "catalog:dihedral-3", "--degree", "9", "--coeff", coeff, *extra)
-        assert_usage_error(*result)
+        monkeypatch.setattr(importlib.import_module("ybk.homology"), "_face_tables", no_boundaries)
+        for name in ("catalog:dihedral-3", "catalog:shift-3"):
+            result = run(capsys, "homology", name, "--degree", "9", "--coeff", coeff, *extra)
+            assert_usage_error(*result)
 
     def test_bad_coefficients_are_reported_before_a_bad_degree(self, capsys):
         for extra in ((), ("--verify-complex",)):

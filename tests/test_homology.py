@@ -39,6 +39,7 @@ from oracles import (
     identity,
     legs_level_map,
     mul,
+    normalized_columns_by_picking,
     smith_normal_form,
     sparse_columns,
     zero,
@@ -453,14 +454,14 @@ class TestComplex:
     @pytest.mark.parametrize("nmax, count", [(13, "1594323"), (9001, "3\\^9001")])
     def test_over_limit_top_degree_builds_nothing(self, monkeypatch, standard, nmax, count):
         module = importlib.import_module("ybk.homology")
-        original = module._boundary_columns
+        original = module._face_tables
         calls = []
 
-        def counting(R, n):
-            calls.append(n)
-            return original(R, n)
+        def counting(R, top):
+            calls.append(top)
+            return original(R, top)
 
-        monkeypatch.setattr(module, "_boundary_columns", counting)
+        monkeypatch.setattr(module, "_face_tables", counting)
         with pytest.raises(Overflow, match=f"^degree-{nmax} chain basis needs {count} entries"):
             verify_complex(standard["dih3"], nmax)
         assert calls == []
@@ -565,6 +566,25 @@ class TestNormalized:
                         expected = AbelianGroup.from_cyclic_orders(orders)
                     got = module._groups(R, n, modulus)
                     assert got == (AbelianGroup(free, above), expected), (R, n, modulus)
+
+    def test_basis_faces_match_picking(self, census2, census3):
+        # faces computed from each basis code equal those picked from the faces of every code
+        module = importlib.import_module("ybk.homology")
+        quandles = [R for R in enumerate_solutions(1) + census2 + census3 if module._quandle_type(R)]
+        cases = [(R, 6) for R in quandles + [catalog_solution(name) for name in ("dihedral-3", "flip-2", "flip-3")]]
+        cases += [(catalog_solution(name), 5) for name in ("dihedral-4", "dihedral-5", "flip-4")]
+        for R, top in cases:
+            size = R.size
+            tables = module._face_tables(R, top)
+            # the degree-0 basis is the empty word
+            codes = [0]
+            for p in range(1, top + 1):
+                faces = [-1] * size ** (p - 1)
+                for c in codes:
+                    faces[c] = c
+                codes = [c * size + x for c in codes for x in range(size) if p == 1 or x != c % size]
+                expected = normalized_columns_by_picking(tables, p, codes, faces)
+                assert module._columns(tables, p, codes, faces) == expected, (R, p)
 
     def test_raw_tables_get_the_error_of_make_solution(self):
         # Solutions built without make_solution: a 2-element table with 3
