@@ -41,7 +41,8 @@ There are two paths, chosen by the table alone:
   unit-pivot rows of the one below; the quotient is a complex, so the
   clearing holds there too.
 - Any other R is read from the full complex: the boundaries out of and
-  into degree n, the second without the unit-pivot rows of the first.
+  into degree n, built from one set of face tables, the second factored
+  without the unit-pivot rows of the first.
 
 Everything is exact integer arithmetic; no floating point anywhere.
 """
