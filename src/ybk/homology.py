@@ -8,20 +8,20 @@ from invariant factors: with A the boundary out of degree n and B the
 boundary into it, H_n is free of rank dim - rank(A) - rank(B) plus one
 cyclic summand per invariant factor of B exceeding 1.
 
-Boundaries are sparse columns on word codes.  Both slides are level maps,
-read from the integer push tables and walk of `constructions`: the right
-slides of every suffix length are the successive states of the walk from
-R's code table, the left slides the push tables grown one prefix length at
-a time.  A position or word whose two slides are equal cancels and is
-skipped.  `homology`, `cohomology`, `verify_complex` and `h1_orbit_check`
-check R's table as `make_solution` does before they read it, and the
-braid relation once.  The factors come from sparse unit-pivot elimination
-followed by a diagonal-only Smith reduction of the block no unit pivot
-reaches.  A boundary is factored without the rows of the words that are
-unit-pivot columns of the boundary out of its target degree, which leaves
-its factors unchanged because the chain condition holds.  It holds for
-every braid-relation solution, so `verify_complex` answers from the
-theorem and builds nothing.
+Boundaries are sparse columns on word codes.  In the full complex both
+slides are level maps, read from the integer push tables and walk of
+`constructions`: the right slides of every suffix length are the states
+of the walk from R's code table, the left slides the push tables grown
+one prefix length at a time.  A position or word whose two slides are
+equal is skipped.  `homology`, `cohomology`, `verify_complex` and
+`h1_orbit_check` check R's table as `make_solution` does before they read
+it, and the braid relation once.  The factors come from sparse unit-pivot
+elimination followed by a diagonal-only Smith reduction of the block no
+unit pivot reaches.  A boundary is factored without the rows of the words
+that are unit-pivot columns of the boundary out of its target degree,
+which leaves its factors unchanged because the chain condition holds.  It
+holds for every braid-relation solution, so `verify_complex` answers from
+the theorem and builds nothing.
 
 There are two paths, chosen by the table alone:
 
@@ -36,10 +36,10 @@ There are two paths, chosen by the table alone:
 
       H_n = H^N_n + sum_(p+q=n-1, p>=1) H^N_p (x) H_q + sum_(p+q=n-2, p>=1) Tor(H^N_p, H_q)
 
-  Its boundaries d_2 .. d_(n+1) (d_1 is zero) are built from one set of
-  face tables and factored in increasing degree, each without the
-  unit-pivot rows of the one below; the quotient is a complex, so the
-  clearing holds there too.
+  Its boundaries d_2 .. d_(n+1) (d_1 is zero) are built one degree from
+  the last by the quandle formula, which reads no push table, and
+  factored in increasing degree, each without the unit-pivot rows of the
+  one below; the quotient is a complex, so the clearing holds there too.
 - Any other R is read from the full complex: the boundaries out of and
   into degree n, built from one set of face tables, the second factored
   without the unit-pivot rows of the first.
@@ -49,6 +49,7 @@ Everything is exact integer arithmetic; no floating point anywhere.
 
 from __future__ import annotations
 
+from itertools import cycle, islice
 from math import gcd
 
 from ._record import record
@@ -61,7 +62,7 @@ from .errors import (
     check_int,
 )
 from .limits import check_count
-from .solution import Solution, alpha_beta, is_ybe, make_solution
+from .solution import Solution, _passive_first, alpha_beta, is_ybe, make_solution
 
 
 @record(slots=True)
@@ -286,10 +287,6 @@ def _diagonal_factors(a: list[list[int]]) -> tuple[int, ...]:
     return tuple(diagonal)
 
 
-# the face code of a word outside the basis
-_DROPPED = -1
-
-
 def _face_tables(R: Solution, top: int) -> tuple[int, list[list[int]], list[list[int]]]:
     """N and the suffix and prefix tables that the faces of every degree up to `top` read.
 
@@ -309,48 +306,34 @@ def _face_tables(R: Solution, top: int) -> tuple[int, list[list[int]], list[list
     return size, suffixes, prefixes
 
 
-def _columns(tables, n: int, codes=None, faces=None) -> list[dict[int, int]]:
-    """The degree-n boundary as sparse columns, on every word code or on the basis `codes`.
+def _columns(tables, n: int) -> list[dict[int, int]]:
+    """The degree-n boundary as sparse columns, column c the word with code c.
 
     The column of a word accumulates sum_i (-1)^i (right face minus left
     face).  With the code pre * N**(n-i+1) + x * N**(n-i) + suf, the right
     face pushes letter x past the suffix block and drops it, the left face
     pushes the prefix block past x and drops it: both are level maps, read
-    from the `_face_tables`.  For each i the right and the left faces of
-    the columns are built as two lists, in column order.  A position whose
-    two lists are equal adds nothing and is skipped, as is a word whose two
-    faces are equal.
-
-    Without a basis, column c is the word with code c, and the faces of all
-    N**n codes come block by block from the tables.  On a basis, column k
-    is the word codes[k], and each face is computed from that code alone,
-    so no word outside the basis is visited; a face f is read as faces[f]:
-    f itself, or `_DROPPED` for a face outside the basis one degree down,
-    whose entries are dropped.
+    from the `_face_tables` block by block.  For each i the right and the
+    left faces of all N**n codes are built as two lists, in column order.  A
+    position whose two lists are equal adds nothing and is skipped, as is a
+    word whose two faces are equal.
     """
     size, suffixes, prefixes = tables
-    columns: list[dict[int, int]] = [{} for _ in (range(size ** n) if codes is None else codes)]
+    columns: list[dict[int, int]] = [{} for _ in range(size ** n)]
     for i in range(1, n + 1):
         sign = -1 if i % 2 else 1
-        tail, span = size ** (n - i), size ** (n - i + 1)
+        tail = size ** (n - i)
         suf, pre = suffixes[n - i], prefixes[i - 1]
-        # code = u * span + rest with u the prefix block: the right face is u * tail + suf[rest];
+        # code = u * size * tail + rest with u the prefix block: the right face is u * tail + suf[rest];
         # code = p * tail + s with p = u * size + x: the left face is pre[p] * tail + s
-        if codes is None:
-            right = [block + v for block in range(0, size ** (i - 1) * tail, tail) for v in suf]
-            suffix = range(tail)
-            left = [p * tail + s for p in pre for s in suffix]
-        else:
-            right = [faces[c // span * tail + suf[c % span]] for c in codes]
-            left = [faces[pre[c // tail] * tail + c % tail] for c in codes]
+        right = [block + v for block in range(0, size ** (i - 1) * tail, tail) for v in suf]
+        suffix = range(tail)
+        left = [p * tail + s for p in pre for s in suffix]
         if right != left:
             for column, r, q in zip(columns, right, left):
                 if r != q:
                     column[r] = column.get(r, 0) + sign
                     column[q] = column.get(q, 0) - sign
-    if codes is not None:
-        for column in columns:
-            column.pop(_DROPPED, None)
     # entries of different positions can still cancel
     return [
         column if all(column.values()) else {r: v for r, v in column.items() if v}
@@ -425,27 +408,51 @@ def _free_and_torsion(R: Solution, n: int) -> tuple[int, tuple[int, ...], tuple[
     return free, tuple(d for d in out_factors if d > 1), tuple(d for d in in_factors if d > 1)
 
 
+def _normalized_boundaries(R: Solution):
+    """Yield (codes, columns) of the normalized complex of a quandle-type R in degrees 1, 2, 3, ...
+
+    The basis codes are the words with no two equal adjacent letters, in
+    code order; column k is the boundary of codes[k].  With R(y, x) =
+    (x, y*x), a letter crossing w to the right leaves w as it is, and x
+    crossing w to the left turns w into w*x, each letter y into y*x.  So in
+    degree p, d(w.x) is d(w).x without its degenerate faces, those ending
+    in x, plus (-1)^p (w - w*x); w and w*x are basis words that end in
+    other letters than x.  Each word carries its images under every
+    letter, by (w.y)*z = (w*z).(y*z).
+    """
+    size = R.size
+    # act[y][x] = y*x
+    act = [[pair[1] - 1 for pair in R.table[y * size : (y + 1) * size]] for y in range(size)]
+    codes, columns, images = range(size), [{} for _ in range(size)], act
+    for sign in cycle((1, -1)):
+        yield codes, columns
+        words, faces, moved = [], [], []
+        for c, column, image in zip(codes, columns, images):
+            for x in range(size):
+                if x != c % size:
+                    face = {f * size + x: v for f, v in column.items() if f % size != x}
+                    if image[x] != c:
+                        face[c] = sign
+                        face[image[x]] = -sign
+                    words.append(c * size + x)
+                    faces.append(face)
+                    moved.append([image[z] * size + act[x][z] for z in range(size)])
+        codes, columns, images = words, faces, moved
+
+
 def _normalized_free_and_torsion(R: Solution, n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """`_free_and_torsion` of a quandle-type R, read from its normalized complex.
 
-    The basis in degree p is the words with no two equal adjacent letters,
-    in code order.  The boundaries d_2 .. d_(n+1) share one set of face
-    tables and are factored in increasing degree, each without the rows of
+    The boundaries d_2 .. d_(n+1) of `_normalized_boundaries`, and none
+    past them, are factored in increasing degree, each without the rows of
     the unit pivots of the one below, so H^N_p comes out for p <= n.  The
     groups H_0 .. H_n follow from the formula in the module docstring.
     The caller checks the complex (`_check_complex`).
     """
-    size = R.size
-    tables = _face_tables(R, n + 1)
-    # d_1 is zero: both faces of a letter are the empty word
-    codes, faces, pivots = range(size), [0], frozenset()
-    dims, ranks, torsions = [1, size], [0, 0], [(), ()]
-    for p in range(2, n + 2):
-        faces = [_DROPPED] * size ** (p - 1)
-        for c in codes:
-            faces[c] = c
-        codes = [c * size + x for c in codes for x in range(size) if x != c % size]
-        factors, found = _factors_and_pivots(_columns(tables, p, codes, faces), pivots)
+    dims, ranks, torsions, pivots = [1, R.size], [0, 0], [(), ()], set()
+    # d_1 is zero
+    for codes, columns in islice(_normalized_boundaries(R), 1, n + 1):
+        factors, found = _factors_and_pivots(columns, pivots)
         pivots = {codes[k] for k in found}
         dims.append(len(codes))
         ranks.append(len(factors))
@@ -543,12 +550,6 @@ def h1_orbit_check(R: Solution) -> bool:
 def _require_solution(R: Solution) -> None:
     if not is_ybe(R):
         raise NotAYbeSolution("the chain complex is defined for braid-relation solutions")
-
-
-def _passive_first(R: Solution) -> bool:
-    """Whether R(x, y) = (y, .) for every x and y, read from the table."""
-    n = R.size
-    return [pair[0] for pair in R.table] == list(range(1, n + 1)) * n
 
 
 def _quandle_type(R: Solution) -> bool:

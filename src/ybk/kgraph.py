@@ -31,7 +31,7 @@ from .errors import (
     check_int,
 )
 from .limits import check_count
-from .solution import Solution, _check_pairs, _inverse_pairs, _triple_failure, is_ybe
+from .solution import Solution, _check_pairs, _inverse_pairs, _triple_failure, is_ybe, make_solution
 
 
 @record
@@ -479,6 +479,7 @@ def periodicity(R: Solution, bound: int = 6) -> Periodicity:
 
     Non-degenerate solutions never find one; the identity finds n = 1.
     """
+    make_solution(R.size, R.table)
     if not is_ybe(R):
         raise NotAYbeSolution("periodicity is defined for braid-relation solutions")
     check_int(bound, "bound", 1)

@@ -346,7 +346,7 @@ def properties(R: Solution) -> PropertyReport:
         square_free=found["square_free"] is None,
         non_degenerate=non_degenerate,
         symmetric=involutive and non_degenerate and ybe,
-        derived_type=_all_identity(ab.alpha) or _all_identity(ab.beta),
+        derived_type=_passive_first(R) or _passive_first(_flip_conjugate(R)),
         witnesses={key: point for key, point in found.items() if point is not None},
     )
 
@@ -372,10 +372,10 @@ def _first_collision(row: tuple[int, ...]):
     return None
 
 
-def _all_identity(rows) -> bool:
-    """Whether every one of the N rows is the identity map of [N]."""
-    identity_row = tuple(range(1, len(rows) + 1))
-    return all(row == identity_row for row in rows)
+def _passive_first(R: Solution) -> bool:
+    """Whether R(x, y) = (y, .) for every x and y, read from the table: every alpha_x is the identity."""
+    n = R.size
+    return [pair[0] for pair in R.table] == list(range(1, n + 1)) * n
 
 
 def check_structure_equations(R: Solution) -> StructureReport:
@@ -438,10 +438,10 @@ def mirror_derived(R: Solution) -> Solution:
     The two shapes satisfy the braid relation together or not at all, which
     the test suite uses as an invariant.
     """
-    ab = alpha_beta(R)
-    if not (_all_identity(ab.beta) or _all_identity(ab.alpha)):
+    mirrored = _flip_conjugate(R)
+    if not (_passive_first(R) or _passive_first(mirrored)):
         raise NotDerivedType("neither coordinate family is the identity")
-    return _flip_conjugate(R)
+    return mirrored
 
 
 def _flip_conjugate(R: Solution) -> Solution:

@@ -13,7 +13,9 @@ chain of checks is transitive:
 - `chain_holds` composes `homology._boundary_columns`, which is checked
   against `oracle_boundary` in `test_homology`;
 - `normalized_columns_by_picking` reads `homology._face_tables`, the
-  tables that `_boundary_columns` reads too.
+  tables that `_boundary_columns` reads too.  The builder it checks,
+  `homology._normalized_boundaries`, reads no push table: it applies the
+  quandle formula one degree from the last.
 
 This module is not a test file and is not collected; test modules import
 it as `oracles`.
@@ -482,7 +484,7 @@ def normalized_columns_by_picking(tables, n, codes, faces):
     face tables of `homology._face_tables`, and a basis code c takes the
     entries faces[right[c]] and faces[left[c]]; a face that `faces` maps
     to -1 lies outside the basis one degree down and is dropped.  Must
-    equal `homology._columns(tables, n, codes, faces)`.
+    equal the degree-n columns of `homology._normalized_boundaries(R)`.
     """
     size, suffixes, prefixes = tables
     columns = [{} for _ in codes]

@@ -292,8 +292,8 @@ class TestHomology:
     @pytest.mark.parametrize(
         "extra, built",
         [
-            ((), {("tables", 3): 1, (2, True): 1, (3, True): 1}),
-            (("--verify-complex",), {("tables", 3): 1, (2, True): 1, (3, True): 1}),
+            ((), {("tables", 3): 1, 2: 1, 3: 1}),
+            (("--verify-complex",), {("tables", 3): 1, 2: 1, 3: 1}),
         ],
     )
     def test_each_boundary_built_once(self, capsys, monkeypatch, extra, built):
@@ -303,9 +303,9 @@ class TestHomology:
         columns = homology_module._columns
         face_tables = homology_module._face_tables
 
-        def counting(tables, n, codes=None, faces=None):
-            calls.append((n, codes is None))
-            return columns(tables, n, codes, faces)
+        def counting(tables, n):
+            calls.append(n)
+            return columns(tables, n)
 
         def counting_tables(R, top):
             calls.append(("tables", top))
@@ -335,25 +335,27 @@ class TestHomology:
 
     @pytest.mark.parametrize("extra", [(), ("--verify-complex",)])
     def test_each_normalized_boundary_built_once(self, capsys, monkeypatch, extra):
-        # the normalized path builds d_2 .. d_(n+1) from one set of face tables; d_1 is zero
-        calls = []
+        # the normalized path walks one generator through d_1 .. d_(n+1), d_1 being
+        # zero, and reads neither the face tables nor the full complex's builder
+        degrees = []
         homology_module = importlib.import_module("ybk.homology")
-        columns = homology_module._columns
-        face_tables = homology_module._face_tables
+        boundaries = homology_module._normalized_boundaries
 
-        def counting(tables, n, codes=None, faces=None):
-            calls.append((n, codes is None))
-            return columns(tables, n, codes, faces)
+        def counting(R):
+            degrees.append([])
+            for p, built in enumerate(boundaries(R), start=1):
+                degrees[-1].append(p)
+                yield built
 
-        def counting_tables(R, top):
-            calls.append(("tables", top))
-            return face_tables(R, top)
+        def full_complex(*args):
+            raise AssertionError("the normalized path read the full complex's builder")
 
-        monkeypatch.setattr(homology_module, "_columns", counting)
-        monkeypatch.setattr(homology_module, "_face_tables", counting_tables)
+        monkeypatch.setattr(homology_module, "_normalized_boundaries", counting)
+        monkeypatch.setattr(homology_module, "_columns", full_complex)
+        monkeypatch.setattr(homology_module, "_face_tables", full_complex)
         code, out, _ = run(capsys, "homology", "catalog:dihedral-3", "--degree", "2", *extra)
         assert code == 0
-        assert Counter(calls) == {("tables", 3): 1, (2, False): 1, (3, False): 1}
+        assert degrees == [[1, 2, 3]]
 
     @staticmethod
     def _break_boundary(monkeypatch, degree, row):
@@ -406,10 +408,12 @@ class TestHomology:
     def test_bad_coefficients_build_no_boundary(self, capsys, monkeypatch, coeff, extra):
         # the degree is deep enough that building its boundaries takes minutes;
         # dihedral-3 takes the normalized path, shift-3 the full complex
-        def no_boundaries(R, top):
+        def no_boundaries(*args):
             raise AssertionError("a boundary was built before --coeff was read")
 
-        monkeypatch.setattr(importlib.import_module("ybk.homology"), "_face_tables", no_boundaries)
+        homology_module = importlib.import_module("ybk.homology")
+        monkeypatch.setattr(homology_module, "_face_tables", no_boundaries)
+        monkeypatch.setattr(homology_module, "_normalized_boundaries", no_boundaries)
         for name in ("catalog:dihedral-3", "catalog:shift-3"):
             result = run(capsys, "homology", name, "--degree", "9", "--coeff", coeff, *extra)
             assert_usage_error(*result)

@@ -30,7 +30,7 @@ from ybk.errors import (
     YbkError,
 )
 import ybk.constructions as constructions
-from ybk.kgraph import make_theta_family, validate_kgraph
+from ybk.kgraph import make_theta_family, periodicity, validate_kgraph
 from ybk.solution import Solution, builtin, is_ybe, make_solution, mirror_derived, properties, _mod1
 
 from conftest import random_solutions
@@ -427,8 +427,8 @@ class TestLevelSolution:
     @pytest.mark.parametrize("seed", [38, 39])
     @pytest.mark.parametrize(
         "call",
-        [call for name, call in LEVEL_CALLS.items() if name != "level_solution"],
-        ids=[name for name in LEVEL_CALLS if name != "level_solution"],
+        [call for name, call in LEVEL_CALLS.items() if name != "level_solution"] + [periodicity],
+        ids=[name for name in LEVEL_CALLS if name != "level_solution"] + ["periodicity"],
     )
     def test_raw_tables_get_the_error_of_make_solution_in_other_readers(self, call, seed):
         _check_raw_tables_get_the_error_of_make_solution(call, seed)
