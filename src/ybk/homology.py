@@ -341,15 +341,6 @@ def _columns(tables, n: int) -> list[dict[int, int]]:
     ]
 
 
-def _boundary_columns(R: Solution, n: int) -> list[dict[int, int]]:
-    """The degree-n boundary as sparse columns, one per 0-based word code.
-
-    The caller checks that R is a braid-relation solution, that n is at
-    least 1 and the degree-n basis against the limit.
-    """
-    return _columns(_face_tables(R, n), n)
-
-
 def verify_complex(R: Solution, nmax: int) -> bool:
     """Whether each boundary up to degree nmax composes to zero with the next.
 

@@ -414,23 +414,37 @@ def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool, fibres) -> 
     the opposite two sides.  A pullback starts at the top-left corner with
     mu on top and nu on the left; a pushout starts at the bottom-right corner
     with mu at the bottom and nu on the right.  Every new letter keeps the
-    colour of its row or column, so both new sides are already normal forms.
+    colour of its row or column, so both new sides are already normal forms
+    and the grid splits into one rectangle per pair of non-empty colour
+    blocks.  Rectangles and their cells are visited from the starting corner,
+    so each cell comes after the two it reads.  A rectangle reads one flat
+    table of its colour pair's squares, solved on first use: entry
+    (across - 1) * N_edge + edge - 1 holds the new edge and across letters.
     """
-    across = list(mu.letters())
-    down = list(nu.letters())
-    _gate_three_colours(family, across + down)
-    # a family has few distinct letter pairs, so most cells repeat an earlier solve
-    solved: dict = {}
-    columns = range(len(across)) if pullback else range(len(across) - 1, -1, -1)
-    for r in range(len(down)) if pullback else range(len(down) - 1, -1, -1):
-        edge = down[r]
-        for c in columns:
-            key = (across[c], edge)
-            if key not in solved:
-                solved[key] = _square(family, fibres, pullback, *key)
-            edge, across[c] = solved[key]
-        down[r] = edge
-    return _kword(family, across), _kword(family, down)
+    across = [list(block) for block in mu.blocks]
+    down = [list(block) for block in nu.blocks]
+    step = 1 if pullback else -1
+    rows = [b for b, block in enumerate(down) if block][::step]
+    columns = [a for a, block in enumerate(across) if block][::step]
+    for b in rows:
+        edges, n_edge = down[b], family.sizes[b]
+        for a in columns:
+            line = across[a]
+            solved = [None] * (family.sizes[a] * n_edge)
+            cells = range(len(line))[::step]
+            for r in range(len(edges))[::step]:
+                edge = edges[r]
+                for c in cells:
+                    index = (line[c] - 1) * n_edge + edge - 1
+                    square = solved[index]
+                    if square is None:
+                        (_, new_edge), (_, new_across) = _square(
+                            family, fibres, pullback, (a + 1, line[c]), (b + 1, edge)
+                        )
+                        square = solved[index] = (new_edge, new_across)
+                    edge, line[c] = square
+                edges[r] = edge
+    return KWord(family, tuple(map(tuple, across))), KWord(family, tuple(map(tuple, down)))
 
 
 def complete_diamond(
@@ -441,12 +455,13 @@ def complete_diamond(
     pullback: the unique (mu~, nu~) with mu * nu~ = nu * mu~;
     pushout: the unique (mu~, nu~) with mu~ * nu = nu~ * mu.
     Degrees are preserved sidewise.  Needs degree-disjoint words and the
-    matching uniqueness property of the family.
+    matching uniqueness property of the family; three or more colours also
+    need a valid family, checked after the property.  `_fill` fills the
+    grid one rectangle per pair of colour blocks.
     """
     if mu.family != family or nu.family != family:
         raise FamilyMismatch("words do not belong to the given family")
-    _check_word(family, mu)
-    _check_word(family, nu)
+    letters = _check_word(family, mu) + _check_word(family, nu)
     if any(a and b for a, b in zip(mu.degree, nu.degree)):
         raise DegreesOverlap(
             f"degrees {mu.degree} and {nu.degree} share a colour"
@@ -457,6 +472,7 @@ def complete_diamond(
     witness, fibres = _fibres(family, pullback)
     if witness:
         raise PropertyMissing(f"family lacks the unique {direction} property at {witness}")
+    _gate_three_colours(family, letters)
     return _fill(family, mu, nu, pullback, fibres)
 
 

@@ -1,7 +1,7 @@
 """Independent oracles that the tests compare the library against.
 
 None of these is part of `ybk`: each recomputes a library result by a
-plainer route.  Most share none of the library's shortcuts.  Four compose
+plainer route.  Most share none of the library's shortcuts.  Five compose
 library paths that are themselves checked against a plain oracle, so the
 chain of checks is transitive:
 
@@ -10,10 +10,11 @@ chain of checks is transitive:
   `legs_level_map` through `level_map`;
 - `extension_check_per_pair` also reads `graded_elements`, whose classes
   `test_semigroup` checks against breadth-first classes;
-- `chain_holds` composes `homology._boundary_columns`, which is checked
-  against `oracle_boundary` in `test_homology`;
+- `boundary_columns` builds the generic boundary from
+  `homology._face_tables` with `homology._columns`, and is checked against
+  `oracle_boundary` in `test_homology`; `chain_holds` composes it;
 - `normalized_columns_by_picking` reads `homology._face_tables`, the
-  tables that `_boundary_columns` reads too.  The builder it checks,
+  tables that `boundary_columns` reads too.  The builder it checks,
   `homology._normalized_boundaries`, reads no push table: it applies the
   quandle formula one degree from the last.
 
@@ -21,12 +22,12 @@ This module is not a test file and is not collected; test modules import
 it as `oracles`.
 """
 
-from importlib import import_module
 from itertools import combinations, product
 from typing import NamedTuple
 
 from ybk.constructions import decode_word, encode_word, level_codes
 from ybk.errors import InvalidParams, NotAYbeSolution, PreconditionFailed, check_int
+from ybk.homology import _columns, _face_tables
 from ybk.limits import check_count
 from ybk.semigroup import graded_elements
 from ybk.solution import alpha_beta, apply_leg, is_ybe
@@ -434,7 +435,7 @@ def derived_boundary(R, n):
 
     d(x_1..x_n) = sum_{i>=2} (-1)^i [drop position i
                                      minus star the prefix by x_i and drop it];
-    must equal the generic boundary, `homology._boundary_columns(R, n)`.
+    must equal the generic boundary, `boundary_columns(R, n)`.
     """
     ab = alpha_beta(R)
     assert all(row == tuple(range(1, R.size + 1)) for row in ab.alpha), "the first coordinate must be passive"
@@ -457,14 +458,21 @@ def derived_boundary(R, n):
     return columns
 
 
+def boundary_columns(R, n):
+    """The generic degree-n boundary as sparse columns, one per 0-based word code.
+
+    The library's column builder over its face tables; the caller checks R,
+    n >= 1 and the degree-n basis, as `homology` does.
+    """
+    return _columns(_face_tables(R, n), n)
+
+
 def chain_holds(R, nmax):
     """Whether each boundary of degrees 1..nmax composes to zero with the next, by sparse products.
 
-    The boundaries are read through the module, so that a fault planted in
-    `homology._boundary_columns` reaches this check.
+    `boundary_columns` is looked up when called, so that a fault planted in
+    it reaches this check.
     """
-    # the package's `homology` attribute is the function, not the module
-    boundary_columns = import_module("ybk.homology")._boundary_columns
     boundaries = [boundary_columns(R, n) for n in range(1, nmax + 1)]
     for outer, inner in zip(boundaries, boundaries[1:]):
         for column in inner:

@@ -19,7 +19,6 @@ from ybk.errors import (
 )
 from ybk.homology import (
     AbelianGroup,
-    _boundary_columns,
     _factors_and_pivots,
     beta_orbits,
     cohomology,
@@ -27,10 +26,11 @@ from ybk.homology import (
     homology,
     verify_complex,
 )
-from ybk.solution import Solution, builtin, is_ybe, make_solution, properties, _mod1
+from ybk.solution import Solution, builtin, is_ybe, make_solution, properties, _mod1, _passive_first
 
 from conftest import random_solutions
 from oracles import (
+    boundary_columns,
     chain_holds,
     dense,
     derived_boundary,
@@ -264,7 +264,7 @@ class TestSmithNormalForm:
             assert _factors_and_pivots(sparse_columns(m))[0] == tuple(x for x in diag if x)
 
     def test_sparse_factors_leave_columns_unchanged(self, standard):
-        columns = _boundary_columns(standard["dih3"], 3)
+        columns = boundary_columns(standard["dih3"], 3)
         before = [dict(col) for col in columns]
         _, d, _ = smith_normal_form(dense(columns, 9))
         assert _factors_and_pivots(columns)[0] == tuple(x for x in diagonal(d) if x)
@@ -275,19 +275,19 @@ class TestSmithNormalForm:
         for R in non_kgraph_catalog():
             cases.extend((R, n) for n in range(1, 9) if R.size ** n <= 256)
         for R, n in cases:
-            columns = _boundary_columns(R, n)
+            columns = boundary_columns(R, n)
             _, d, _ = smith_normal_form(dense(columns, R.size ** (n - 1)))
             assert _factors_and_pivots(columns)[0] == tuple(x for x in diagonal(d) if x), (R, n)
 
 
 class TestBoundary:
     def test_degree_one_vanishes(self, standard):
-        assert _boundary_columns(standard["dih3"], 1) == [{}, {}, {}]
+        assert boundary_columns(standard["dih3"], 1) == [{}, {}, {}]
 
     def test_degree_two_derived_formula(self, standard):
         # for a passive first coordinate the boundary is x1 - x1*x2
         R = standard["dih3"]
-        m = dense(_boundary_columns(R, 2), 3)
+        m = dense(boundary_columns(R, 2), 3)
         for x1 in (1, 2, 3):
             for x2 in (1, 2, 3):
                 col = (x1 - 1) * 3 + (x2 - 1)
@@ -300,7 +300,7 @@ class TestBoundary:
     def test_degree_three_displayed_terms(self, standard):
         # (x1,x3) - (x1*x2,x3) - (x1,x2) + (x1*x3,x2*x3)
         R = standard["dih3"]
-        m = dense(_boundary_columns(R, 3), 9)
+        m = dense(boundary_columns(R, 3), 9)
         star = lambda a, b: _mod1(2 * b - a, 3)
         for x1, x2, x3 in product((1, 2, 3), repeat=3):
             col = (x1 - 1) * 9 + (x2 - 1) * 3 + (x3 - 1)
@@ -318,9 +318,9 @@ class TestBoundary:
 
     def test_derived_matches_generic(self, standard):
         for n in (1, 2, 3):
-            assert derived_boundary(standard["dih3"], n) == _boundary_columns(standard["dih3"], n)
+            assert derived_boundary(standard["dih3"], n) == boundary_columns(standard["dih3"], n)
         for n in (1, 2, 3, 4):
-            assert derived_boundary(standard["flip2"], n) == _boundary_columns(standard["flip2"], n)
+            assert derived_boundary(standard["flip2"], n) == boundary_columns(standard["flip2"], n)
 
     def test_negative_degrees_rejected(self, standard):
         R = standard["dih3"]
@@ -378,7 +378,7 @@ class TestBoundary:
             (builtin("dihedral", k), n) for k in (3, 4, 5, 6) for n in range(1, 7) if k ** n <= 729
         ]
         for R, n in cases:
-            assert _boundary_columns(R, n) == level_code_faces(R, n), (R, n)
+            assert boundary_columns(R, n) == level_code_faces(R, n), (R, n)
 
     def test_matches_word_level_oracle(self, census2, census3):
         cases = [
@@ -387,7 +387,7 @@ class TestBoundary:
         for R in non_kgraph_catalog():
             cases.extend((R, n) for n in range(1, 7) if R.size ** n <= 729)
         for R, n in cases:
-            assert dense(_boundary_columns(R, n), R.size ** (n - 1)).entries == oracle_boundary(R, n), (R, n)
+            assert dense(boundary_columns(R, n), R.size ** (n - 1)).entries == oracle_boundary(R, n), (R, n)
 
     def test_a_planted_push_entry_reaches_every_reader(self, monkeypatch, standard):
         # every push table grows from R's code table, so two entries swapped
@@ -408,7 +408,7 @@ class TestBoundary:
             return [
                 level_solution(R, 2),
                 level_codes(R, 2, 1),
-                dense(_boundary_columns(R, 3), 9).entries,
+                dense(boundary_columns(R, 3), 9).entries,
                 level_is_identity(R, 2),
             ]
 
@@ -473,8 +473,8 @@ class TestComplex:
             verify_complex(standard["dih3"], nmax)
 
     def test_changed_entry_breaks_chain_condition(self, monkeypatch, standard):
-        module = importlib.import_module("ybk.homology")
-        original = module._boundary_columns
+        module = importlib.import_module("oracles")
+        original = module.boundary_columns
 
         def changed(R, n):
             columns = original(R, n)
@@ -487,7 +487,7 @@ class TestComplex:
 
         R = standard["dih3"]
         assert chain_holds(R, 3)
-        monkeypatch.setattr(module, "_boundary_columns", changed)
+        monkeypatch.setattr(module, "boundary_columns", changed)
         # the oracle sees the planted fault; the theorem's answer reads no boundary
         assert chain_holds(R, 3) is False
         assert verify_complex(R, 3) is True
@@ -498,8 +498,8 @@ class TestCompression:
 
     @staticmethod
     def uncompressed(R, n):
-        out_factors = _factors_and_pivots(_boundary_columns(R, n))[0] if n else ()
-        in_factors = _factors_and_pivots(_boundary_columns(R, n + 1))[0]
+        out_factors = _factors_and_pivots(boundary_columns(R, n))[0] if n else ()
+        in_factors = _factors_and_pivots(boundary_columns(R, n + 1))[0]
         free = R.size ** n - len(out_factors) - len(in_factors)
         return free, tuple(d for d in out_factors if d > 1), tuple(d for d in in_factors if d > 1)
 
@@ -520,7 +520,7 @@ class TestCompression:
         R = standard["dih3"]
         out_rank = 0
         for n in range(7):
-            columns = module._boundary_columns(R, n + 1)
+            columns = boundary_columns(R, n + 1)
             free, _, torsion = module._free_and_torsion(R, n)
             rank_q = rank_mod(columns, 1_000_003)
             assert rank_q - rank_mod(columns, 3) == sum(1 for d in torsion if d % 3 == 0), n
@@ -644,10 +644,32 @@ class TestHomology:
                 assert homology(D, n).free_rank == orbits ** n, (R, n)
         assert checked == 71
 
+    def test_orbit_law_for_racks(self, census2, census3):
+        # Etingof-Grana (J. Pure Appl. Algebra 2003, as recalled): the free
+        # rank of H_n of a finite rack is the number of orbits to the n.
+        # Only passive-first inputs: the law fails on other census solutions
+        names = [name for name in catalog_names() if "valid_kgraph" not in catalog_profile(name)]
+        tables = enumerate_solutions(1) + census2 + census3 + [catalog_solution(name) for name in names]
+        inputs = [R for R in tables if R.size <= 5 and _passive_first(R)]
+        checks = 0
+        for R in inputs:
+            orbits = len(beta_orbits(R).blocks)
+            for n in range(5 if R.size <= 3 else 4):
+                assert homology(R, n).free_rank == orbits ** n, (R, n)
+                checks += 1
+        assert (len(inputs), checks) == (23, 111)
+
+    def test_latin_quandle_torsion_divides_the_order(self, standard):
+        # Przytycki-Yang (J. Pure Appl. Algebra 2015, as recalled): the
+        # torsion of a finite Latin quandle is annihilated by its order
+        for R, top in ((standard["dih3"], 7), (standard["dih5"], 4)):
+            for n in range(top + 1):
+                assert all(R.size % d == 0 for d in homology(R, n).torsion), (R, n)
+
     def test_rank_nullity(self, census2):
         for R in census2:
             for n in (1, 2, 3):
-                columns = _boundary_columns(R, n)
+                columns = boundary_columns(R, n)
                 m = dense(columns, 2 ** (n - 1))
                 rank = len(_factors_and_pivots(columns)[0])
                 assert rank <= min(m.rows, m.cols)
@@ -672,7 +694,7 @@ class TestCohomology:
         # star-moves: f(x1) = f(x1*x2)
         for R in (standard["dih3"], standard["flip2"]):
             n = R.size
-            d2 = dense(_boundary_columns(R, 2), n)
+            d2 = dense(boundary_columns(R, 2), n)
             kernel = {
                 f
                 for f in product((0, 1), repeat=n)
@@ -698,7 +720,7 @@ class TestCohomology:
         for R in (standard["dih3"], standard["flip2"]):
             n = R.size
             dim = n * n
-            d3 = dense(_boundary_columns(R, 3), dim)
+            d3 = dense(boundary_columns(R, 3), dim)
             kernel = {
                 f
                 for f in product((0, 1), repeat=dim)

@@ -828,7 +828,6 @@ class TestFibreOracle:
     @pytest.mark.parametrize("k", [2, 3])
     def test_random_bijective_families(self, k):
         rng = random.Random(60 + k)
-        seen = {"completed": 0, "missing": 0}
 
         def outcome(complete, family, mu, nu, direction):
             try:
@@ -836,26 +835,30 @@ class TestFibreOracle:
             except PropertyMissing as exc:
                 return str(exc)
 
-        def side(family, colours):
-            count = rng.randint(0, 5)
+        def side(family, colours, cap):
+            count = rng.randint(0, cap)
             letters = [(c, rng.randint(1, family.sizes[c - 1])) for c in rng.choices(colours, k=count)]
             return normalize(family, letters)
 
-        for _ in range(150):
-            family = random_family(k, rng)
-            assert unique_pullback(family) == oracle_unique_pullback(family)
-            assert unique_pushout(family) == oracle_unique_pushout(family)
-            colours = rng.sample(range(1, k + 1), k)
-            if not validate_kgraph(family)[0]:
-                # three colours need a valid family, which the gate tests cover
-                colours = colours[:2]
-            cut = rng.randint(1, len(colours) - 1)
-            mu, nu = side(family, colours[:cut]), side(family, colours[cut:])
-            for direction in ("pullback", "pushout"):
-                got = outcome(complete_diamond, family, mu, nu, direction)
-                assert got == outcome(oracle_complete_diamond, family, mu, nu, direction)
-                seen["missing" if isinstance(got, str) else "completed"] += 1
-        assert min(seen.values()) >= 30, seen  # both outcomes are exercised
+        # sides of up to 30 letters read every solve-table entry of a colour
+        # pair many times, in every rectangle of the grid
+        for cap, families in ((5, 150), (30, 60)):
+            seen = {"completed": 0, "missing": 0}
+            for _ in range(families):
+                family = random_family(k, rng)
+                assert unique_pullback(family) == oracle_unique_pullback(family)
+                assert unique_pushout(family) == oracle_unique_pushout(family)
+                colours = rng.sample(range(1, k + 1), k)
+                if not validate_kgraph(family)[0]:
+                    # three colours need a valid family, which the gate tests cover
+                    colours = colours[:2]
+                cut = rng.randint(1, len(colours) - 1)
+                mu, nu = side(family, colours[:cut], cap), side(family, colours[cut:], cap)
+                for direction in ("pullback", "pushout"):
+                    got = outcome(complete_diamond, family, mu, nu, direction)
+                    assert got == outcome(oracle_complete_diamond, family, mu, nu, direction)
+                    seen["missing" if isinstance(got, str) else "completed"] += 1
+            assert min(seen.values()) >= 30, (cap, seen)  # both outcomes are exercised
 
 
 class TestDiamond:
