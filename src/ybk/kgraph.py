@@ -342,31 +342,43 @@ def factorize(a: KWord, m) -> tuple[KWord, KWord]:
 
 
 def _fibres(family: ThetaFamily, pullback: bool):
-    """Walk every row (pullback) or column (pushout) of each theta_ij once.
+    """Solve every commuting square of each theta_ij by one walk of its rows
+    (pullback) or columns (pushout), checking each line as it is read.
 
     Returns (the least failing (i, j, s, t) or (i, j, s', t'), None), else
-    (None, fibres): `fibres[p]` lists, line by line for the p-th colour pair,
-    the 1-based position in the line that hits each value.
+    (None, solves): `solves[p]` is the p-th colour pair's flat table, whose
+    entry (lo - 1) * N_j + hi - 1 holds (new_lo, new_hi) for the square that
+    starts from the colour-i letter lo and the colour-j letter hi.  Pairs
+    that share one table object and its sizes share one walk and one solve
+    table; a failing table fails at the first pair that holds it.
     """
-    fibres = []
+    solves, walked = [], {}
     for p, (i, j) in enumerate(combinations(range(1, family.k + 1), 2)):
         table = family.maps[p]
         ni, nj = family.sizes[i - 1], family.sizes[j - 1]
-        if pullback:
-            lines, size, coord = [table[s * nj:(s + 1) * nj] for s in range(ni)], nj, 0
-        else:
-            lines, size, coord = [table[t::nj] for t in range(nj)], ni, 1
-        positions = [0] * (ni * nj)
-        for line, entries in enumerate(lines):
-            values = [entry[coord] for entry in entries]
-            if len(set(values)) < size:
-                value = next(v for v in range(1, size + 1) if values.count(v) != 1)
-                return ((i, j, line + 1, value) if pullback else (i, j, value, line + 1)), None
-            base = line * size - 1
-            for position, value in enumerate(values, start=1):
-                positions[base + value] = position
-        fibres.append(positions)
-    return None, fibres
+        key = (id(table), ni, nj)
+        if key not in walked:
+            if pullback:
+                lines, size, coord = [table[s * nj:(s + 1) * nj] for s in range(ni)], nj, 0
+            else:
+                lines, size, coord = [table[t::nj] for t in range(nj)], ni, 1
+            solved = [None] * (ni * nj)
+            for line, entries in enumerate(lines):
+                values = [entry[coord] for entry in entries]
+                if len(set(values)) < size:
+                    value = next(v for v in range(1, size + 1) if values.count(v) != 1)
+                    return ((i, j, line + 1, value) if pullback else (i, j, value, line + 1)), None
+                if pullback:
+                    # row lo = line + 1: theta_ij(lo, new_hi) = (hi, new_lo)
+                    for new_hi, (hi, new_lo) in enumerate(entries, start=1):
+                        solved[line * nj + hi - 1] = (new_lo, new_hi)
+                else:
+                    # column hi = line + 1: theta_ij(new_lo, hi) = (new_hi, lo)
+                    for new_lo, (new_hi, lo) in enumerate(entries, start=1):
+                        solved[(lo - 1) * nj + line] = (new_lo, new_hi)
+            walked[key] = solved
+        solves.append(walked[key])
+    return None, solves
 
 
 def unique_pullback(family: ThetaFamily):
@@ -385,29 +397,8 @@ def unique_pushout(family: ThetaFamily):
     return witness is None, witness
 
 
-def _square(family: ThetaFamily, fibres, pullback: bool, across, edge):
-    """Solve one commuting square by one fibre lookup.
-
-    Returns the new letters of `edge`'s colour and of `across`'s colour.
-    """
-    (i, lo), (j, hi) = sorted((across, edge))
-    p = family.pair_index(i, j)
-    ni, nj = family.sizes[i - 1], family.sizes[j - 1]
-    if pullback:
-        # theta_ij(lo, new_hi) = (hi, new_lo)
-        new_hi = fibres[p][(lo - 1) * nj + hi - 1]
-        new_lo = family.maps[p][(lo - 1) * nj + new_hi - 1][1]
-    else:
-        # theta_ij(new_lo, hi) = (new_hi, lo)
-        new_lo = fibres[p][(hi - 1) * ni + lo - 1]
-        new_hi = family.maps[p][(new_lo - 1) * nj + hi - 1][0]
-    if across[0] < edge[0]:
-        return (j, new_hi), (i, new_lo)
-    return (i, new_lo), (j, new_hi)
-
-
-def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool, fibres) -> tuple[KWord, KWord]:
-    """Fill the |nu| x |mu| grid of commuting squares one edge solve at a time.
+def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool, solves) -> tuple[KWord, KWord]:
+    """Fill the |nu| x |mu| grid of commuting squares one table read at a time.
 
     Row r has nu's r-th letter on one vertical side and mu's letters (or the
     row before's outputs) along one horizontal side; each square's solve gives
@@ -417,9 +408,10 @@ def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool, fibres) -> 
     colour of its row or column, so both new sides are already normal forms
     and the grid splits into one rectangle per pair of non-empty colour
     blocks.  Rectangles and their cells are visited from the starting corner,
-    so each cell comes after the two it reads.  A rectangle reads one flat
-    table of its colour pair's squares, solved on first use: entry
-    (across - 1) * N_edge + edge - 1 holds the new edge and across letters.
+    so each cell comes after the two it reads.  A rectangle reads its colour
+    pair's table of `_fibres`, whose entry (across - 1) * N_edge + edge - 1
+    holds the new across and edge letters when the across colour is the lower
+    one; otherwise it reads a transposed copy with each entry reversed.
     """
     across = [list(block) for block in mu.blocks]
     down = [list(block) for block in nu.blocks]
@@ -430,19 +422,16 @@ def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool, fibres) -> 
         edges, n_edge = down[b], family.sizes[b]
         for a in columns:
             line = across[a]
-            solved = [None] * (family.sizes[a] * n_edge)
+            if a < b:
+                solved = solves[family.pair_index(a + 1, b + 1)]
+            else:
+                pair, n_across = solves[family.pair_index(b + 1, a + 1)], family.sizes[a]
+                solved = [(new_hi, new_lo) for hi in range(n_across) for new_lo, new_hi in pair[hi::n_across]]
             cells = range(len(line))[::step]
             for r in range(len(edges))[::step]:
                 edge = edges[r]
                 for c in cells:
-                    index = (line[c] - 1) * n_edge + edge - 1
-                    square = solved[index]
-                    if square is None:
-                        (_, new_edge), (_, new_across) = _square(
-                            family, fibres, pullback, (a + 1, line[c]), (b + 1, edge)
-                        )
-                        square = solved[index] = (new_edge, new_across)
-                    edge, line[c] = square
+                    line[c], edge = solved[(line[c] - 1) * n_edge + edge - 1]
                 edges[r] = edge
     return KWord(family, tuple(map(tuple, across))), KWord(family, tuple(map(tuple, down)))
 
@@ -469,11 +458,11 @@ def complete_diamond(
     if direction not in ("pullback", "pushout"):
         raise InvalidParams(f"direction must be 'pullback' or 'pushout', got {direction!r}")
     pullback = direction == "pullback"
-    witness, fibres = _fibres(family, pullback)
+    witness, solves = _fibres(family, pullback)
     if witness:
         raise PropertyMissing(f"family lacks the unique {direction} property at {witness}")
     _gate_three_colours(family, letters)
-    return _fill(family, mu, nu, pullback, fibres)
+    return _fill(family, mu, nu, pullback, solves)
 
 
 @record(slots=True)

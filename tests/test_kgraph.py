@@ -33,6 +33,7 @@ from ybk.kgraph import (
     unique_pullback,
     unique_pushout,
     validate_kgraph,
+    _fibres,
 )
 from ybk.serialize import canonical_json, parse_theta_document
 from ybk.solution import Solution, builtin, is_ybe, make_solution, properties, _mod1
@@ -859,6 +860,59 @@ class TestFibreOracle:
                     assert got == outcome(oracle_complete_diamond, family, mu, nu, direction)
                     seen["missing" if isinstance(got, str) else "completed"] += 1
             assert min(seen.values()) >= 30, (cap, seen)  # both outcomes are exercised
+
+    def test_constant_families(self):
+        # every colour split of three colours puts mu's blocks above, below
+        # and around nu's, so the rectangles that read a transposed solve
+        # table and the order they are visited in both show in the grid
+        rng = random.Random(115)
+        names = [
+            name
+            for name in catalog_names()
+            if "valid_kgraph" not in catalog_profile(name) and catalog_solution(name).size <= 4
+        ]
+        assert "identity-2" in names
+
+        def outcome(complete, family, mu, nu, direction):
+            try:
+                return complete(family, mu, nu, direction)
+            except PropertyMissing as exc:
+                return str(exc)
+
+        def side(family, colours):
+            letters = [(c, rng.randint(1, family.sizes[c - 1])) for c in colours for _ in range(rng.randint(1, 3))]
+            return normalize(family, letters)
+
+        seen = {"completed": 0, "missing": 0}
+        for name in names:
+            family = constant_family(catalog_solution(name), 3)
+            for cut in (1, 2):
+                for mu_colours in combinations((1, 2, 3), cut):
+                    nu_colours = [c for c in (1, 2, 3) if c not in mu_colours]
+                    mu, nu = side(family, mu_colours), side(family, nu_colours)
+                    for direction in ("pullback", "pushout"):
+                        got = outcome(complete_diamond, family, mu, nu, direction)
+                        assert got == outcome(oracle_complete_diamond, family, mu, nu, direction), (name, mu, nu)
+                        seen["missing" if isinstance(got, str) else "completed"] += 1
+        assert min(seen.values()) >= 40, seen
+
+    def test_shared_table_is_walked_once(self):
+        # a constant family shares one table across its 780 colour pairs, so
+        # one walk answers every pair and a failure is met at pair (1, 2)
+        for name in catalog_names():
+            if "valid_kgraph" in catalog_profile(name) or catalog_solution(name).size > 3:
+                continue
+            family = constant_family(catalog_solution(name), 40)
+            for pullback, unique, oracle in (
+                (True, unique_pullback, oracle_unique_pullback),
+                (False, unique_pushout, oracle_unique_pushout),
+            ):
+                witness, solves = _fibres(family, pullback)
+                assert unique(family) == oracle(family) == (witness is None, witness), name
+                if witness is None:
+                    assert len(solves) == 780 and all(table is solves[0] for table in solves), name
+                else:
+                    assert witness[:2] == (1, 2) and solves is None, name
 
 
 class TestDiamond:
