@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations, groupby, product
 
 from . import limits
 from ._record import record
@@ -341,44 +341,25 @@ def factorize(a: KWord, m) -> tuple[KWord, KWord]:
     return _kword(family, reshaped[:len(head)]), _kword(family, reshaped[len(head):])
 
 
-def _fibres(family: ThetaFamily, pullback: bool):
-    """Solve every commuting square of each theta_ij by one walk of its rows
-    (pullback) or columns (pushout), checking each line as it is read.
+def _fibre_failure(family: ThetaFamily, pullback: bool):
+    """The least failing (i, j, s, t) (pullback) or (i, j, s', t') (pushout), or None.
 
-    Returns (the least failing (i, j, s, t) or (i, j, s', t'), None), else
-    (None, solves): `solves[p]` is the p-th colour pair's flat table, whose
-    entry (lo - 1) * N_j + hi - 1 holds (new_lo, new_hi) for the square that
-    starts from the colour-i letter lo and the colour-j letter hi.  Pairs
-    that share one table object and its sizes share one walk and one solve
-    table; a failing table fails at the first pair that holds it.
+    Walks every row (pullback) or column (pushout) of each theta_ij once and
+    checks that its first (second) letters are a permutation.
     """
-    solves, walked = [], {}
     for p, (i, j) in enumerate(combinations(range(1, family.k + 1), 2)):
         table = family.maps[p]
         ni, nj = family.sizes[i - 1], family.sizes[j - 1]
-        key = (id(table), ni, nj)
-        if key not in walked:
-            if pullback:
-                lines, size, coord = [table[s * nj:(s + 1) * nj] for s in range(ni)], nj, 0
-            else:
-                lines, size, coord = [table[t::nj] for t in range(nj)], ni, 1
-            solved = [None] * (ni * nj)
-            for line, entries in enumerate(lines):
-                values = [entry[coord] for entry in entries]
-                if len(set(values)) < size:
-                    value = next(v for v in range(1, size + 1) if values.count(v) != 1)
-                    return ((i, j, line + 1, value) if pullback else (i, j, value, line + 1)), None
-                if pullback:
-                    # row lo = line + 1: theta_ij(lo, new_hi) = (hi, new_lo)
-                    for new_hi, (hi, new_lo) in enumerate(entries, start=1):
-                        solved[line * nj + hi - 1] = (new_lo, new_hi)
-                else:
-                    # column hi = line + 1: theta_ij(new_lo, hi) = (new_hi, lo)
-                    for new_lo, (new_hi, lo) in enumerate(entries, start=1):
-                        solved[(lo - 1) * nj + line] = (new_lo, new_hi)
-            walked[key] = solved
-        solves.append(walked[key])
-    return None, solves
+        if pullback:
+            lines, size, coord = [table[s * nj:(s + 1) * nj] for s in range(ni)], nj, 0
+        else:
+            lines, size, coord = [table[t::nj] for t in range(nj)], ni, 1
+        for line, entries in enumerate(lines):
+            values = [entry[coord] for entry in entries]
+            if len(set(values)) < size:
+                value = next(v for v in range(1, size + 1) if values.count(v) != 1)
+                return (i, j, line + 1, value) if pullback else (i, j, value, line + 1)
+    return None
 
 
 def unique_pullback(family: ThetaFamily):
@@ -387,17 +368,38 @@ def unique_pullback(family: ThetaFamily):
     Covers both colour orders: the inverted-order instances reduce to the same
     fibers of the stored sorted-pair tables.
     """
-    witness, _ = _fibres(family, pullback=True)
+    witness = _fibre_failure(family, pullback=True)
     return witness is None, witness
 
 
 def unique_pushout(family: ThetaFamily):
     """Dual fiber condition: exactly one s with theta_ij(s, t') = (_, s')."""
-    witness, _ = _fibres(family, pullback=False)
+    witness = _fibre_failure(family, pullback=False)
     return witness is None, witness
 
 
-def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool, solves) -> tuple[KWord, KWord]:
+def _squares(family: ThetaFamily, pullback: bool, a: int, b: int) -> list:
+    """Solve every commuting square of the colours a != b into one flat table.
+
+    Entry (x - 1) * N_b + y - 1 holds the new letters (x', y') of the square
+    that starts from the colour-a letter x and the colour-b letter y.  With
+    i < j the two colours, each entry theta_ij(x, y) = (y2, x2) is one
+    square: a pullback from (x, y2) to (x2, y), a pushout back.  The fibre
+    check has passed, so every entry is filled.
+    """
+    i, j = sorted((a, b))
+    ni, nj, n_b = family.sizes[i - 1], family.sizes[j - 1], family.sizes[b - 1]
+    solved = [None] * (ni * nj)
+    cells = product(range(1, ni + 1), range(1, nj + 1))
+    for (x, y), (y2, x2) in zip(cells, family.maps[family.pair_index(i, j)]):
+        start, new = ((x, y2), (x2, y)) if pullback else ((x2, y), (x, y2))
+        if a > b:
+            start, new = start[::-1], new[::-1]
+        solved[(start[0] - 1) * n_b + start[1] - 1] = new
+    return solved
+
+
+def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool) -> tuple[KWord, KWord]:
     """Fill the |nu| x |mu| grid of commuting squares one table read at a time.
 
     Row r has nu's r-th letter on one vertical side and mu's letters (or the
@@ -408,10 +410,9 @@ def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool, solves) -> 
     colour of its row or column, so both new sides are already normal forms
     and the grid splits into one rectangle per pair of non-empty colour
     blocks.  Rectangles and their cells are visited from the starting corner,
-    so each cell comes after the two it reads.  A rectangle reads its colour
-    pair's table of `_fibres`, whose entry (across - 1) * N_edge + edge - 1
-    holds the new across and edge letters when the across colour is the lower
-    one; otherwise it reads a transposed copy with each entry reversed.
+    so each cell comes after the two it reads.  A rectangle solves its colour
+    pair's squares once, by `_squares` with the across colour first, and each
+    cell is one read of that table.
     """
     across = [list(block) for block in mu.blocks]
     down = [list(block) for block in nu.blocks]
@@ -421,12 +422,7 @@ def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool, solves) -> 
     for b in rows:
         edges, n_edge = down[b], family.sizes[b]
         for a in columns:
-            line = across[a]
-            if a < b:
-                solved = solves[family.pair_index(a + 1, b + 1)]
-            else:
-                pair, n_across = solves[family.pair_index(b + 1, a + 1)], family.sizes[a]
-                solved = [(new_hi, new_lo) for hi in range(n_across) for new_lo, new_hi in pair[hi::n_across]]
+            line, solved = across[a], _squares(family, pullback, a + 1, b + 1)
             cells = range(len(line))[::step]
             for r in range(len(edges))[::step]:
                 edge = edges[r]
@@ -458,11 +454,11 @@ def complete_diamond(
     if direction not in ("pullback", "pushout"):
         raise InvalidParams(f"direction must be 'pullback' or 'pushout', got {direction!r}")
     pullback = direction == "pullback"
-    witness, solves = _fibres(family, pullback)
+    witness = _fibre_failure(family, pullback)
     if witness:
         raise PropertyMissing(f"family lacks the unique {direction} property at {witness}")
     _gate_three_colours(family, letters)
-    return _fill(family, mu, nu, pullback, solves)
+    return _fill(family, mu, nu, pullback)
 
 
 @record(slots=True)

@@ -252,11 +252,9 @@ def _as_permutation(seq, n: int, label: str) -> tuple[int, ...]:
 def _braid_failure(n: int, table):
     """The least triple (x, y, z) where the braid relation fails on a raw table, or None.
 
-    Serves `is_ybe`, `ybe_witness`, `properties` and the seeded sampler
-    `classify.sample_ybe_solutions`; the census has its own incremental
-    check.  The braid relation is the triple identity of `_triple_failure`
-    with R's table in all three places: a solution is the single-vertex
-    k-graph whose commutation maps are all R.
+    Hot path for censuses.  The braid relation is the triple identity of
+    `_triple_failure` with R's table in all three places: a solution is the
+    single-vertex k-graph whose commutation maps are all R.
     """
     if n >= 1:
         # triple (1, 1, 1) alone rejects most random tables, before any loop

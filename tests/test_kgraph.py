@@ -33,7 +33,6 @@ from ybk.kgraph import (
     unique_pullback,
     unique_pushout,
     validate_kgraph,
-    _fibres,
 )
 from ybk.serialize import canonical_json, parse_theta_document
 from ybk.solution import Solution, builtin, is_ybe, make_solution, properties, _mod1
@@ -863,8 +862,8 @@ class TestFibreOracle:
 
     def test_constant_families(self):
         # every colour split of three colours puts mu's blocks above, below
-        # and around nu's, so the rectangles that read a transposed solve
-        # table and the order they are visited in both show in the grid
+        # and around nu's, so rectangles whose across colour is above their
+        # edge colour, and the order rectangles are visited in, show in the grid
         rng = random.Random(115)
         names = [
             name
@@ -895,24 +894,6 @@ class TestFibreOracle:
                         assert got == outcome(oracle_complete_diamond, family, mu, nu, direction), (name, mu, nu)
                         seen["missing" if isinstance(got, str) else "completed"] += 1
         assert min(seen.values()) >= 40, seen
-
-    def test_shared_table_is_walked_once(self):
-        # a constant family shares one table across its 780 colour pairs, so
-        # one walk answers every pair and a failure is met at pair (1, 2)
-        for name in catalog_names():
-            if "valid_kgraph" in catalog_profile(name) or catalog_solution(name).size > 3:
-                continue
-            family = constant_family(catalog_solution(name), 40)
-            for pullback, unique, oracle in (
-                (True, unique_pullback, oracle_unique_pullback),
-                (False, unique_pushout, oracle_unique_pushout),
-            ):
-                witness, solves = _fibres(family, pullback)
-                assert unique(family) == oracle(family) == (witness is None, witness), name
-                if witness is None:
-                    assert len(solves) == 780 and all(table is solves[0] for table in solves), name
-                else:
-                    assert witness[:2] == (1, 2) and solves is None, name
 
 
 class TestDiamond:
