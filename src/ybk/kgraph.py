@@ -478,19 +478,26 @@ class Periodicity:
 def periodicity(R: Solution, bound: int = 6) -> Periodicity:
     """Least n <= bound with the level-n solution equal to the identity, if any.
 
-    Non-degenerate solutions never find one; the identity finds n = 1.
+    Non-degenerate solutions never find one; the identity finds n = 1.  A
+    left non-degenerate R on N >= 2 points is answered from its table, with
+    each level's counts still checked against the limit: every alpha_x is a
+    bijection, so each level's alpha_u is a bijection of [N]^n, never the
+    identity's constant u.
     """
     make_solution(R.size, R.table)
     if not is_ybe(R):
         raise NotAYbeSolution("periodicity is defined for braid-relation solutions")
     check_int(bound, "bound", 1)
+    n, table = R.size, R.table
+    # row x of the table lists alpha_x's values as first coordinates
+    left_non_degenerate = n > 1 and all(len({u for u, _ in table[x * n : x * n + n]}) == n for x in range(n))
     # one walk builds each level's push table from the one before; both
     # counts of a level are checked before it is built
-    levels = _push_levels(R)
+    levels = None if left_non_degenerate else _push_levels(R)
     limit = None
     for level in range(1, bound + 1):
-        limit = _check_level(R.size, level, limit)
-        if _fixes_every_pair(next(levels), R.size, level):
+        limit = _check_level(n, level, limit)
+        if levels is not None and _fixes_every_pair(next(levels), n, level):
             return Periodicity(True, level, bound)
     return Periodicity(False, None, bound)
 

@@ -328,6 +328,7 @@ def alpha_beta(R: Solution) -> AlphaBeta:
 
 def properties(R: Solution) -> PropertyReport:
     """All structural flags, each by direct exhaustive test."""
+    make_solution(R.size, R.table)
     span = range(1, R.size + 1)
     ab = alpha_beta(R)
     found = {
@@ -438,6 +439,7 @@ def mirror_derived(R: Solution) -> Solution:
     The two shapes satisfy the braid relation together or not at all, which
     the test suite uses as an invariant.
     """
+    make_solution(R.size, R.table)
     mirrored = _flip_conjugate(R)
     if not (_passive_first(R) or _passive_first(mirrored)):
         raise NotDerivedType("neither coordinate family is the identity")

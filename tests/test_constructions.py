@@ -427,8 +427,9 @@ class TestLevelSolution:
     @pytest.mark.parametrize("seed", [38, 39])
     @pytest.mark.parametrize(
         "call",
-        [call for name, call in LEVEL_CALLS.items() if name != "level_solution"] + [periodicity],
-        ids=[name for name in LEVEL_CALLS if name != "level_solution"] + ["periodicity"],
+        [call for name, call in LEVEL_CALLS.items() if name != "level_solution"]
+        + [periodicity, lambda R, n: properties(R), lambda R, n: mirror_derived(R)],
+        ids=[name for name in LEVEL_CALLS if name != "level_solution"] + ["periodicity", "properties", "mirror_derived"],
     )
     def test_raw_tables_get_the_error_of_make_solution_in_other_readers(self, call, seed):
         _check_raw_tables_get_the_error_of_make_solution(call, seed)

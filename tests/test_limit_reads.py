@@ -2,24 +2,37 @@
 
 A call with several enumeration checks reads the limit at its first check
 and hands the value to the rest, so a change to the environment between two
-calls takes effect on the second one.  `periodicity` walks one push table
-per level instead of calling `level_is_identity` level by level, and
+calls takes effect on the second one.  `periodicity` answers a left
+non-degenerate solution from its table and walks one push table per level
+for the rest, instead of calling `level_is_identity` level by level, and
 `semigroup_extension_check`, `action_formula_check` and `verify_complex`
 answer from the braid relation after their size checks, with no word loop;
 the per-level loop, the per-pair check and the action-formula loop stay
 their oracles, and `oracles.chain_holds` composes the boundaries.
 """
 
+import json
+
 import pytest
 
 import ybk.limits as limits
-from ybk.catalog import catalog_names, catalog_solution
+from ybk.catalog import catalog_document, catalog_names, catalog_profile, catalog_solution
 from ybk.classify import enumerate_solutions
-from ybk.constructions import _level_tables, level_codes, level_is_identity, level_solution
+from ybk.constructions import (
+    _level_tables,
+    cartesian_product,
+    derived_solution,
+    disjoint_union_solution,
+    level_codes,
+    level_is_identity,
+    level_solution,
+    trivial_extension,
+)
 from ybk.errors import InvalidParams, NotAYbeSolution, Overflow, PreconditionFailed, YbkError
 from ybk.homology import cohomology, homology, verify_complex
 from ybk.kgraph import Periodicity, constant_family, periodicity, restrict
 from ybk.semigroup import action_formula_check, check_cancellative, graded_elements, growth, semigroup_extension_check
+from ybk.serialize import parse_theta_document
 from ybk.solution import builtin, make_solution
 
 from oracles import action_formula_oracle, extension_check_per_pair
@@ -119,15 +132,41 @@ def solutions():
     return census + catalog
 
 
+@pytest.fixture(scope="module")
+def constructed():
+    """Solutions built from the census and the catalog, mostly on 4 to 9 points.
+
+    Degenerate ones (identities, products with a degenerate factor, the
+    disjoint unions of the theta families) and left non-degenerate ones (the
+    rest of the products and extensions, derived solutions) alike; the
+    one-point solution's level solution and square keep 1 point.
+    """
+    small = [R for n in (1, 2) for R in enumerate_solutions(n)]
+    threes = enumerate_solutions(3)
+    levels = [level_solution(R, 2) for R in small]
+    built = levels + [cartesian_product(R, S) for R in small for S in small]
+    built += [cartesian_product(R, S) for R in small[1:] for S in threes[::12]]
+    built += [cartesian_product(R, S) for R in threes[::12] for S in threes[5::24]]
+    built += [trivial_extension(R, S) for R in threes[::12] + levels for S in levels[1:]]
+    for name in catalog_names():
+        profile = catalog_profile(name)
+        if "valid_kgraph" in profile:
+            built.append(disjoint_union_solution(parse_theta_document(json.dumps(catalog_document(name))).family))
+        elif profile["non_degenerate"] and catalog_solution(name).size >= 4:
+            built.append(derived_solution(catalog_solution(name)))
+    assert {R.size for R in built} == {1, 2} | set(range(4, 10))
+    return built
+
+
 # at the limit 2 the ground set of level 1 overflows before its table
 @pytest.mark.parametrize("limit", [None, "2", "30", "500", "abc"])
-def test_periodicity_agrees_with_the_per_level_loop(monkeypatch, solutions, limit):
+def test_periodicity_agrees_with_the_per_level_loop(monkeypatch, solutions, constructed, limit):
     if limit is None:
         monkeypatch.delenv("YBK_LIMIT", raising=False)
     else:
         monkeypatch.setenv("YBK_LIMIT", limit)
     outcomes = set()
-    for R in solutions:
+    for R in solutions + constructed:
         for bound in (1, 2, 3, 4):
             got = _outcome(lambda: periodicity(R, bound))
             assert got == _outcome(lambda: _per_level(R, bound)), (R, bound)
