@@ -10,6 +10,7 @@ exits with its class's `exit_code`.
 from __future__ import annotations
 
 import argparse
+import errno
 import sys
 from functools import cache
 from pathlib import Path
@@ -45,29 +46,47 @@ from .solution import (
     properties,
     ybe_witness,
 )
-from .errors import InvalidParams, ParseError, YbkError, check_int
+from .errors import InvalidParams, ParseError, UnknownName, YbkError, check_int
 
 
 def _read_text(source: str) -> str:
+    """The text of a catalog entry, of stdin for `-`, or of a file opened once.
+
+    `Path` reads `""` as `.` and drops a trailing slash.  A name that
+    `Path.exists()` reads as missing (ENOENT, ENOTDIR, ELOOP, a NUL) is
+    "no such file".
+    """
     if source.startswith("catalog:"):
         name = source.split(":", 1)[1]
         return _serialize.canonical_json(_catalog.catalog_document(name))
     try:
         if source == "-":
             return sys.stdin.read()
-        path = Path(source)
-        if not path.exists():
-            raise ParseError(f"no such file: {source}")
-        if path.is_dir():
-            raise ParseError(f"{source} is a directory, not a document")
-        return path.read_text(encoding="utf-8")
+        with open(Path(source), encoding="utf-8") as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{source} is not UTF-8 text (byte {exc.start})") from exc
+    except IsADirectoryError as exc:
+        raise ParseError(f"{source} is a directory, not a document") from exc
     except OSError as exc:
+        if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
+            raise ParseError(f"no such file: {source}") from exc
         raise ParseError(f"cannot read {source}: {exc.strerror}") from exc
+    except ValueError as exc:
+        # a NUL or an unencodable character in the name
+        if source == "-":
+            raise
+        raise ParseError(f"no such file: {source}") from exc
 
 
 def _load_solution(source: str) -> Solution:
+    # the catalog holds its solutions checked and frozen; a theta entry or an
+    # unknown name takes the text path, which reports it
+    if source.startswith("catalog:"):
+        try:
+            return _catalog.catalog_solution(source[len("catalog:"):])
+        except UnknownName:
+            pass
     return _serialize.parse_solution_document(_read_text(source)).solution
 
 
@@ -475,9 +494,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """`_build_parser().parse_args(argv)`, run by the parser of the command
+    argv[0] names, as the subparsers action would; the top-level parser takes
+    any other argv and reports the leftovers."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    commands = next(
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
+def main(argv=None) -> int:
+    """Run one command on `argv` (default `sys.argv[1:]`); return its exit code.
+
+    A usage error exits through argparse with code 2; a `YbkError` prints one
+    `error:` line and returns its class's `exit_code`.
+    """
+    args = _parse(argv)
     try:
         return args.handler(args)
     except YbkError as exc:

@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -503,6 +504,72 @@ class TestBadInputsExitTwo:
         assert "^" in err
 
 
+VERIFY_YES = canonical_json({"command": "verify", "witness": None, "ybe": True})
+
+# id: (source, exit code, stderr), read in a directory holding doc.json
+# (dihedral-3), folder/, binary.json, dangling -> missing.json and loop -> loop;
+# exit 0 prints the verify report.  A file the process may not open is left
+# out: run as root, the tests would open it anyway.
+DOCUMENT_SOURCES = {
+    "missing-file": ("missing.json", 2, "error: no such file: missing.json\n"),
+    "directory": ("folder", 2, "error: folder is a directory, not a document\n"),
+    "empty-name": ("", 2, "error:  is a directory, not a document\n"),
+    "trailing-slash": ("doc.json/", 0, ""),
+    "name-under-a-file": ("doc.json/x", 2, "error: no such file: doc.json/x\n"),
+    "dangling-symlink": ("dangling", 2, "error: no such file: dangling\n"),
+    "symlink-loop": ("loop", 2, "error: no such file: loop\n"),
+    "non-utf8": ("binary.json", 2, "error: binary.json is not UTF-8 text (byte 0)\n"),
+    "nul-in-name": ("a\x00b", 2, "error: no such file: a\x00b\n"),
+    "stdin": ("-", 0, ""),
+}
+
+
+class TestDocumentSources:
+    @pytest.mark.parametrize("case", sorted(DOCUMENT_SOURCES))
+    def test_verify_reports_the_source(self, capsys, monkeypatch, tmp_path, case):
+        source, code, err = DOCUMENT_SOURCES[case]
+        document = canonical_json(catalog_document("dihedral-3"))
+        (tmp_path / "doc.json").write_text(document)
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "binary.json").write_bytes(b"\xff{")
+        (tmp_path / "dangling").symlink_to(tmp_path / "missing.json")
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(document))
+        out = VERIFY_YES if code == 0 else ""
+        assert run(capsys, "verify", source, "--json") == (code, out, err)
+
+
+SOLUTION_NAMES = [name for name in catalog_names() if "table" in catalog_document(name)]
+THETA_NAMES = [name for name in catalog_names() if "maps" in catalog_document(name)]
+
+
+class TestCatalogSolutions:
+    """`catalog:` solutions come from the catalog itself, not from its document."""
+
+    def test_every_entry_is_one_kind(self):
+        assert sorted(SOLUTION_NAMES + THETA_NAMES) == catalog_names()
+
+    @pytest.mark.parametrize("name", SOLUTION_NAMES)
+    def test_equals_the_document_round_trip(self, name):
+        parsed = parse_solution_document(canonical_json(catalog_document(name))).solution
+        assert cli._load_solution(f"catalog:{name}") == parsed
+
+    @pytest.mark.parametrize(
+        "source, err",
+        [(f"catalog:{name}", "error: unknown keys: ['k', 'maps', 'sizes']\n") for name in THETA_NAMES]
+        + [
+            ("catalog:", "error: no catalog entry named ''; see `ybk catalog`\n"),
+            (
+                "catalog:no-such-entry",
+                "error: no catalog entry named 'no-such-entry'; see `ybk catalog`\n",
+            ),
+        ],
+    )
+    def test_other_names_keep_the_document_errors(self, capsys, source, err):
+        assert run(capsys, "verify", source, "--json") == (2, "", err)
+
+
 PROPERTY_ERRORS = {
     "NotAYbeSolution",
     "Degenerate",
@@ -626,6 +693,93 @@ class TestParserIsStateless:
         assert json.loads(out)["relation"] == "yb-iso"
 
 
+X = "catalog:dihedral-3"
+T = "catalog:theta-mixed-3"
+COMMANDS = (
+    "verify props equations level derive product extend-trivial extend-glued union "
+    "kgraph periodic semigroup enumerate classify homology catalog"
+).split()
+KGRAPH_COMMANDS = ("verify", "normalize", "diamond")
+
+PARSE_CORPUS = [
+    # every command with valid arguments
+    ("verify", X),
+    ("props", X, "--json"),
+    ("equations", X),
+    ("level", X, "--n", "2"),
+    ("derive", X, "--left"),
+    ("product", X, X),
+    ("extend-trivial", X, X, "--json"),
+    ("extend-glued", T),
+    ("union", T),
+    ("kgraph", "verify", T),
+    ("kgraph", "normalize", T, "--word", "1:1,2:1", "--json"),
+    ("kgraph", "diamond", T, "--mu", "1:1", "--nu", "2:1", "--direction", "pushout"),
+    ("periodic", X, "--bound", "3"),
+    ("semigroup", X, "--max-len", "3", "--cancel", "--presentation", "--extension-check"),
+    ("enumerate", "--size", "2"),
+    ("classify", "--size", "2", "--relation", "conjugacy", "--sample", "3", "--seed", "1"),
+    ("homology", X, "--degree", "1", "--coeff", "z/2", "--verify-complex"),
+    ("catalog",),
+    ("catalog", "flip-2", "--json"),
+    # help
+    *[(name, "-h") for name in COMMANDS],
+    *[("kgraph", name, "-h") for name in KGRAPH_COMMANDS],
+    (),
+    ("-h",),
+    ("--help",),
+    ("--he",),
+    # names and options the top-level parser alone reads
+    ("verif", X),
+    ("no-such-command",),
+    ("--json", "verify", X),
+    ("--", "verify", X),
+    # leftovers
+    ("verify", X, "extra"),
+    ("verify", X, "--nope"),
+    ("verify", "--", X),
+    ("verify", X, "--"),
+    ("kgraph", "verify", T, "extra"),
+    ("kgraph",),
+    ("kgraph", "nope"),
+    ("catalog", "flip-2", "dihedral-3"),
+    # option spellings
+    ("level", X, "--n=2"),
+    ("verify", X, "--js"),
+    ("level", X, "--n", "2", "--n", "3"),
+    ("verify", X, "--json", "--json"),
+    # bad values
+    ("level", X),
+    ("level", X, "--n", "two"),
+    ("kgraph", "diamond", T, "--mu", "1:1", "--nu", "2:1", "--direction", "sideways"),
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    """The namespace's vars, or the SystemExit code, with what was printed."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestDirectParse:
+    """`_parse` runs a command's own parser; the top-level parser is its oracle."""
+
+    def test_corpus_names_every_command(self, capsys):
+        _, usage, _ = parse_outcome(capsys, cli._parse, ["-h"])
+        listed = usage.split("{", 1)[1].split("}", 1)[0].split(",")
+        assert sorted(listed) == sorted(COMMANDS)
+        assert {argv[0] for argv in PARSE_CORPUS if argv} >= set(COMMANDS)
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_matches_the_top_level_parser(self, capsys, argv):
+        expected = parse_outcome(capsys, cli._build_parser().parse_args, argv)
+        assert parse_outcome(capsys, cli._parse, argv) == expected
+
+
 SRC = Path(cli.__file__).resolve().parents[1]
 
 
@@ -646,6 +800,13 @@ class TestFreshProcess:
             capsys, "verify", "catalog:dihedral-3", "--json"
         )
         assert done.returncode == 0
+
+    def test_extra_argument_from_sys_argv(self):
+        # argv comes from sys.argv; the leftover is the top-level parser's error
+        done = run_python("-m", "ybk.cli", "verify", "catalog:dihedral-3", "extra")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("usage: ybk [-h]")
+        assert done.stderr.endswith("\nybk: error: unrecognized arguments: extra\n")
 
     def test_non_solution_exits_one(self, tmp_path):
         path = tmp_path / "bad.json"
