@@ -9,12 +9,13 @@ lexicographic order.
 
 from __future__ import annotations
 
-from itertools import chain, islice, product
+from array import array
+from itertools import islice, product
 
 from ._record import record
 from .errors import Degenerate, InvalidParams, NotAYbeSolution, check_int
 from .limits import check_count
-from .solution import Solution, _codes, _degenerate_row, _flip_conjugate, alpha_beta, is_ybe, make_solution
+from .solution import Solution, _codes, _degenerate_row, _from_codes, _flip_conjugate, alpha_beta, is_ybe, make_solution
 
 
 def encode_word(word, n: int) -> int:
@@ -324,12 +325,14 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     Split the right block as v = v1 v2, with v1 of length a = n // 2 and v2
     of length b = n - a.  v1 crosses u first, by the level table T_a of
     n-blocks, into (v1', u1); then v2 crosses u1 by T_b.  So the level map is
-    (id x T_b) o (T_a x id), and its table is two block gathers: the pairs
-    under each v1' by T_b, then those blocks by T_a.  T_a and T_b are
+    (id x T_b) o (T_a x id), and its code table is two block gathers: the
+    codes under each v1' by T_b, then those blocks by T_a.  T_a and T_b are
     composites of R crossings, so they are permutations of their ranges
-    once R is a bijection.  A Solution built without `make_solution` is
-    checked first as `make_solution` checks a table, so any fault in it,
-    a repeated output included, raises `make_solution`'s error for R itself.
+    once R is a bijection, and the result holds only its codes (see
+    `Solution`): `table` is built from them on first read.  A Solution
+    built without `make_solution` is checked first as `make_solution`
+    checks a table, so any fault in it, a repeated output included, raises
+    `make_solution`'s error for R itself.
     """
     check_int(n_level, "block length", 1)
     make_solution(R.size, R.table)
@@ -341,14 +344,16 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     tables = _level_tables(R, [(n_level, a), (n_level, b)])
     left, right = tables[n_level, a], tables[n_level, b]
     span = n ** b
-    letters = range(1, size + 1)
-    # block c * N**n + u1 lists the pairs of the codes c * N**(b + n) + T_b[u1 * N**b + v2],
-    # v2 in order: the pairs with v1' = c, gathered by T_b and cut by zip into its rows
+    # block c * N**n + u1 lists the codes c * N**(b + n) + T_b[u1 * N**b + v2],
+    # v2 in order: the rows of T_b shifted by v1' = c, kept as flat machine
+    # integers, so the table holds no Python object per entry
+    width = span * size
     blocks = []
     for c in range(n ** a):
-        pairs = list(product(range(c * span + 1, c * span + span + 1), letters))
-        blocks += zip(*[map(pairs.__getitem__, right)] * span)
-    return Solution(size, tuple(chain.from_iterable(map(blocks.__getitem__, left))))
+        shift = c * width
+        shifted = array("q", [shift + e for e in right])
+        blocks += [shifted[i : i + span] for i in range(0, len(shifted), span)]
+    return _from_codes(size, memoryview(b"".join(map(blocks.__getitem__, left))).cast("q"))
 
 
 def disjoint_union_solution(family) -> Solution:

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import gc
+import pickle
 import random
 from itertools import islice, product
 
@@ -27,11 +31,12 @@ from ybk.errors import (
     NotAYbeSolution,
     NotDerivedType,
     Overflow,
+    UnknownName,
     YbkError,
 )
 import ybk.constructions as constructions
 from ybk.kgraph import make_theta_family, periodicity, validate_kgraph
-from ybk.solution import Solution, builtin, is_ybe, make_solution, mirror_derived, properties, _mod1
+from ybk.solution import Solution, builtin, is_ybe, make_solution, mirror_derived, properties, _codes, _mod1
 
 from conftest import random_solutions
 from oracles import left_derived_formula, legs_level_map, mirror_derived_formula
@@ -462,6 +467,102 @@ class TestLevelSolution:
         except IndexError:
             got = None  # a letter past [N] indexes past the block gathers
         assert got != expected
+
+
+    def test_a_level_five_table_runs_few_collections(self, standard):
+        # a work count, not a time: the codes are machine integers in one
+        # buffer, so the build allocates few objects the collector tracks
+        # (a table of 3**10 pair tuples ran 80 gen-0 and 7 gen-1 collections)
+        counts = [0, 0, 0]
+
+        def count(phase, info):
+            if phase == "start":
+                counts[info["generation"]] += 1
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            level_solution(standard["dih3"], 5)
+        finally:
+            gc.callbacks.remove(count)
+        assert max(counts) < 10, counts
+
+
+def _catalog_levels():
+    """(name, n) for every catalog solution and level n whose table has at most 3**8 entries."""
+    cases = []
+    for name in catalog_names():
+        try:
+            size = catalog_solution(name).size
+        except UnknownName:
+            continue  # a commutation family
+        cases += [(name, n) for n in range(1, 9) if size ** (2 * n) <= 3**8]
+    return cases
+
+
+CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "replace": dataclasses.replace}
+CLONES |= {
+    f"pickle{p}": lambda obj, p=p: pickle.loads(pickle.dumps(obj, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)
+}
+
+
+class TestCodeForm:
+    """A level solution or a census solution holds its code table; its pairs are built on first read."""
+
+    @pytest.mark.parametrize("name, n", _catalog_levels(), ids=lambda value: str(value))
+    def test_level_solutions_are_records_of_their_pairs(self, name, n):
+        R = catalog_solution(name)
+        oracle = _legs_level_solution(R, n)
+        twin = Solution(oracle.size, oracle.table)
+        codes = [(u - 1) * twin.size + v - 1 for u, v in twin.table]
+        # each reading starts from a fresh result, whose table is not built yet
+        assert level_solution(R, n) == twin and twin == level_solution(R, n)
+        assert not level_solution(R, n) != twin
+        assert hash(level_solution(R, n)) == hash(twin)
+        assert repr(level_solution(R, n)) == repr(twin)
+        for clone in CLONES.values():
+            got = clone(level_solution(R, n))
+            assert type(got) is Solution and got == twin and repr(got) == repr(twin)
+            assert got.size == twin.size and got.table == twin.table
+            assert list(_codes(got)) == codes
+        assert list(_codes(level_solution(R, n))) == codes
+        read = level_solution(R, n)
+        table = read.table
+        assert list(_codes(read)) == codes
+        # the table is built once and kept
+        assert read.table is table
+
+    def test_the_fields_are_size_and_table(self):
+        assert [f.name for f in dataclasses.fields(Solution)] == ["size", "table"]
+        assert [f.name for f in dataclasses.fields(level_solution(builtin("dihedral", 3), 2))] == ["size", "table"]
+
+    def test_a_pair_built_solution_keeps_the_pairs_it_was_given(self):
+        table = ((1, 1), (2, 1), (1, 2), (2, 2))
+        R = Solution(2, table)
+        assert R.table is table
+        assert _codes(R) == (0, 2, 1, 3)
+        # the codes are derived once and kept, and the pairs stay as given
+        assert _codes(R) is _codes(R)
+        assert R.table is table
+
+    def test_stored_codes_are_immutable(self, census3, standard):
+        for R in (level_solution(standard["dih3"], 3), census3[5], standard["dih3"]):
+            codes = _codes(R)
+            with pytest.raises(TypeError):
+                codes[0] = codes[1]
+
+    def test_census_solutions_hold_their_codes(self, census2, census3):
+        for R in census2 + census3:
+            assert list(_codes(R)) == [(u - 1) * R.size + v - 1 for u, v in R.table]
+            assert R == Solution(R.size, R.table) and hash(R) == hash(Solution(R.size, R.table))
+
+    def test_an_object_with_no_slot_set_raises_attribute_error(self):
+        # as one being unpickled is: reading a field must not recurse
+        blank = object.__new__(Solution)
+        for name in ("size", "table", "_flat", "bogus"):
+            with pytest.raises(AttributeError):
+                getattr(blank, name)
 
 
 def _check_raw_tables_get_the_error_of_make_solution(call, seed):

@@ -416,7 +416,8 @@ class TestBoundary:
         real = constructions._codes
 
         def planted(R):
-            codes = real(R)
+            # the stored codes are immutable, so the plant swaps in a copy
+            codes = list(real(R))
             codes[0], codes[1] = codes[1], codes[0]
             return codes
 
