@@ -468,7 +468,6 @@ class TestLevelSolution:
             got = None  # a letter past [N] indexes past the block gathers
         assert got != expected
 
-
     def test_a_level_five_table_runs_few_collections(self, standard):
         # a work count, not a time: the codes are machine integers in one
         # buffer, so the build allocates few objects the collector tracks
