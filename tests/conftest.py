@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -48,3 +51,12 @@ def random_solutions(size, count, seed, require_ybe=True):
             continue
         out.append(Solution(size, table))
     return out
+
+
+# every way to copy a record: each must give an equal record of the same class
+CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "replace": dataclasses.replace}
+CLONES |= {
+    f"pickle{p}": lambda obj, p=p: pickle.loads(pickle.dumps(obj, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)
+}
+if hasattr(copy, "replace"):  # Python 3.13+: it calls the __replace__ that dataclass adds
+    CLONES["copy.replace"] = copy.replace

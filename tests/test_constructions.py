@@ -1,7 +1,5 @@
-import copy
 import dataclasses
 import gc
-import pickle
 import random
 from itertools import islice, product
 
@@ -38,7 +36,7 @@ import ybk.constructions as constructions
 from ybk.kgraph import make_theta_family, periodicity, validate_kgraph
 from ybk.solution import Solution, builtin, is_ybe, make_solution, mirror_derived, properties, _codes, _mod1
 
-from conftest import random_solutions
+from conftest import CLONES, random_solutions
 from oracles import left_derived_formula, legs_level_map, mirror_derived_formula
 
 
@@ -498,12 +496,6 @@ def _catalog_levels():
             continue  # a commutation family
         cases += [(name, n) for n in range(1, 9) if size ** (2 * n) <= 3**8]
     return cases
-
-
-CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "replace": dataclasses.replace}
-CLONES |= {
-    f"pickle{p}": lambda obj, p=p: pickle.loads(pickle.dumps(obj, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)
-}
 
 
 class TestCodeForm:

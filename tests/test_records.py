@@ -6,11 +6,9 @@ fails `test_every_record_has_a_sample` until it gets a sample below and,
 with it, every check in this file.
 """
 
-import copy
 import dataclasses
 import importlib
 import inspect
-import pickle
 import pkgutil
 import re
 
@@ -22,6 +20,8 @@ from ybk.homology import AbelianGroup
 from ybk.kgraph import ThetaFamily
 from ybk.semigroup import GradedClassSet
 from ybk.solution import PropertyReport, Solution, StructureReport
+
+from conftest import CLONES
 
 
 def _records():
@@ -65,14 +65,6 @@ SAMPLES = {
     "ThetaDocument": [(_THETA, "theta", {"note": "x"}), (_THETA, None, None)],
     "ThetaFamily": [(2, (1, 2), (((1, 1), (2, 1)),), (((1, 1), (1, 2)),)), (2, (1, 1), (((1, 1),),), (((1, 1),),))],
 }
-
-
-CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "replace": dataclasses.replace}
-CLONES |= {
-    f"pickle{p}": lambda obj, p=p: pickle.loads(pickle.dumps(obj, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)
-}
-if hasattr(copy, "replace"):  # Python 3.13+: it calls the __replace__ that dataclass adds
-    CLONES["copy.replace"] = copy.replace
 
 
 def _sample(cls, which=0):
