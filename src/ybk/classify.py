@@ -24,7 +24,7 @@ from math import factorial
 
 from ._record import record
 from .errors import InvalidParams, SizeMismatch, SizeTooLarge, check_int
-from .solution import Solution, _as_permutation, _braid_failure, _codes, _from_codes
+from .solution import Solution, _as_permutation, _braid_failure, _codes
 
 CENSUS_MAX_SIZE = 3
 
@@ -142,8 +142,8 @@ def enumerate_solutions(n: int) -> list[Solution]:
             for c, code in enumerate(codes):
                 relabeled[move[c]] = move[code]
             closed.add(tuple(relabeled))
-    # the code tuples are the solutions' code tables, so each stores its own
-    return [_from_codes(n, codes) for codes in sorted(closed)]
+    pair = [(u + 1, v + 1) for u, v in uv]
+    return [Solution(n, tuple(pair[code] for code in codes)) for codes in sorted(closed)]
 
 
 def sample_ybe_solutions(n: int, attempts: int, seed: int) -> list[Solution]:

@@ -9,13 +9,14 @@ lexicographic order.
 
 from __future__ import annotations
 
-from array import array
-from itertools import islice, product
+from functools import lru_cache
+from itertools import chain, islice, product
+from operator import itemgetter
 
 from ._record import record
 from .errors import Degenerate, InvalidParams, NotAYbeSolution, check_int
 from .limits import check_count
-from .solution import Solution, _codes, _degenerate_row, _from_codes, _flip_conjugate, alpha_beta, is_ybe, make_solution
+from .solution import Solution, _codes, _degenerate_row, _flip_conjugate, alpha_beta, is_ybe, make_solution
 
 
 def encode_word(word, n: int) -> int:
@@ -325,14 +326,15 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     Split the right block as v = v1 v2, with v1 of length a = n // 2 and v2
     of length b = n - a.  v1 crosses u first, by the level table T_a of
     n-blocks, into (v1', u1); then v2 crosses u1 by T_b.  So the level map is
-    (id x T_b) o (T_a x id), and its code table is two block gathers: the
-    codes under each v1' by T_b, then those blocks by T_a.  T_a and T_b are
+    (id x T_b) o (T_a x id), and its table is two block gathers: the pairs
+    under each v1' by T_b, then those blocks by T_a.  T_a and T_b are
     composites of R crossings, so they are permutations of their ranges
-    once R is a bijection, and the result holds only its codes (see
-    `Solution`): `table` is built from them on first read.  A Solution
-    built without `make_solution` is checked first as `make_solution`
-    checks a table, so any fault in it, a repeated output included, raises
-    `make_solution`'s error for R itself.
+    once R is a bijection.  The pairs come from one tuple of all of
+    [N**n]^2, kept for the next call at the same size when N**n <= 256, so
+    a repeated build allocates no pair tuple.  A Solution built without
+    `make_solution` is checked first as `make_solution` checks a table, so
+    any fault in it, a repeated output included, raises `make_solution`'s
+    error for R itself.
     """
     check_int(n_level, "block length", 1)
     make_solution(R.size, R.table)
@@ -344,16 +346,37 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     tables = _level_tables(R, [(n_level, a), (n_level, b)])
     left, right = tables[n_level, a], tables[n_level, b]
     span = n ** b
-    # block c * N**n + u1 lists the codes c * N**(b + n) + T_b[u1 * N**b + v2],
-    # v2 in order: the rows of T_b shifted by v1' = c, kept as flat machine
-    # integers, so the table holds no Python object per entry
     width = span * size
+    pairs = _pairs(size)
+    # block c * N**n + u1 lists the pairs of the codes c * N**(b + n) + T_b[u1 * N**b + v2],
+    # v2 in order: the pairs with v1' = c, gathered by T_b and cut into its rows; the
+    # extra index 0 keeps itemgetter's result a tuple when T_b has one entry
+    take = itemgetter(*right, 0)
     blocks = []
-    for c in range(n ** a):
-        shift = c * width
-        shifted = array("q", [shift + e for e in right])
-        blocks += [shifted[i : i + span] for i in range(0, len(shifted), span)]
-    return _from_codes(size, memoryview(b"".join(map(blocks.__getitem__, left))).cast("q"))
+    for start in range(0, n ** a * width, width):
+        gathered = take(pairs[start : start + width])
+        blocks += [gathered[i : i + span] for i in range(0, width, span)]
+    return Solution(size, tuple(chain.from_iterable(map(blocks.__getitem__, left))))
+
+
+# level tables on at most this many points share their pair tuples: the
+# coordinates are CPython's cached small ints, so the N**2 shared pairs cost
+# 56 bytes each (3.7 MB at N = 256) and a table built from them allocates none
+_SHARED_PAIRS_MAX = 256
+
+
+def _pairs(size: int):
+    """Every pair of [size]^2 in code order: entry (x-1)*size + (y-1) is (x, y)."""
+    if size <= _SHARED_PAIRS_MAX:
+        return _shared_pairs(size)
+    return list(product(range(1, size + 1), repeat=2))
+
+
+@lru_cache(maxsize=4)
+def _shared_pairs(size: int) -> tuple:
+    # built as a list first: a tuple grown from an iterator is rescanned by
+    # each young collection while it grows
+    return tuple(list(product(range(1, size + 1), repeat=2)))
 
 
 def disjoint_union_solution(family) -> Solution:

@@ -33,26 +33,13 @@ from .errors import (
 BUILTIN_NAMES = ("identity", "flip", "double_shift", "shift", "dihedral", "permutation")
 
 
-class _Flat:
-    __slots__ = ("_flat",)  # Solution's code table: a slot that is not a field
-
-
 @record(slots=True)
-class Solution(_Flat):
+class Solution:
     """A bijection of [N]^2, stored row-major with x outer.
 
     `table[(x-1)*N + (y-1)]` is the output pair R(x, y); all coordinates are
     1-based.  Instances are immutable; build them through `make_solution` so
     the bijection invariant is enforced.
-
-    A solution holds R's code table too, in the private slot `_flat`: entry
-    (x-1)*N + (y-1) is (u-1)*N + (v-1) for R(x, y) = (u, v).  Each form is
-    derived from the other on its first read and kept, so `_codes` reads
-    the codes of a pair-built solution once.  Builders whose tables are
-    bijections by construction (`level_solution`, the census) call
-    `_from_codes`, which stores the codes alone, and `table` is built on
-    first read.  Equality, hash, repr, copies, pickles and `replace` read
-    `table`, so they do not tell the two apart.
     """
 
     size: int
@@ -65,37 +52,9 @@ class Solution(_Flat):
             raise OutOfRange(f"({x!r}, {y!r}) outside [1..{n}] x [1..{n}]")
         return self.table[(x - 1) * n + (y - 1)]
 
-    def __getattr__(self, name):
-        # only an unset slot gets here; the name is checked before any read,
-        # since an object being unpickled has no slot set yet
-        if name == "table":
-            pairs = list(product(range(1, self.size + 1), repeat=2))
-            value = tuple(map(pairs.__getitem__, _FLAT(self)))
-        elif name == "_flat":
-            n = self.size
-            value = tuple([(u - 1) * n + v - 1 for u, v in _TABLE(self)])
-        else:
-            raise AttributeError(f"'Solution' object has no attribute {name!r}", name=name, obj=self)
-        _setattr(self, name, value)
-        return value
-
     def inverse(self) -> "Solution":
         """The inverse bijection (R is invertible by construction)."""
         return Solution(self.size, _inverse_pairs(self.table, self.size, self.size))
-
-
-# the slots read without the fallback to `__getattr__`
-_FLAT = _Flat._flat.__get__
-_TABLE = Solution.table.__get__
-_setattr = object.__setattr__
-
-
-def _from_codes(size: int, flat) -> Solution:
-    """The solution on [size] with the code table `flat`, immutable and a bijection by construction; unchecked."""
-    R = object.__new__(Solution)
-    _setattr(R, "size", size)
-    _setattr(R, "_flat", flat)
-    return R
 
 
 @record(slots=True)
@@ -225,9 +184,10 @@ def _inverse_pairs(pairs, rows: int, cols: int) -> tuple:
     return tuple(inverse)
 
 
-def _codes(R: Solution):
-    """R's code table, immutable: entry (x-1)*N + (y-1) is (u-1)*N + (v-1) for R(x, y) = (u, v)."""
-    return R._flat
+def _codes(R: Solution) -> list[int]:
+    """R's code table: entry (x-1)*N + (y-1) is (u-1)*N + (v-1) for R(x, y) = (u, v)."""
+    n = R.size
+    return [(u - 1) * n + v - 1 for u, v in R.table]
 
 
 def _mod1(value: int, n: int) -> int:
@@ -357,30 +317,23 @@ def _least(fails, *ranges):
 def alpha_beta(R: Solution) -> AlphaBeta:
     """Split R(x, y) = (alpha_x(y), beta_y(x)) into its two coordinate families."""
     n = R.size
-    table = R.table
-    # R(x, y) is table[(x-1)*N + (y-1)]; the per-point loops here and below
-    # read it directly, not through the argument checks of R(x, y)
-    rows = range(0, n * n, n)
-    alpha = tuple(tuple(table[row + y][0] for y in range(n)) for row in rows)
-    beta = tuple(tuple(table[row + y][1] for row in rows) for y in range(n))
+    alpha = tuple(
+        tuple(R(x, y)[0] for y in range(1, n + 1)) for x in range(1, n + 1)
+    )
+    beta = tuple(
+        tuple(R(x, y)[1] for x in range(1, n + 1)) for y in range(1, n + 1)
+    )
     return AlphaBeta(alpha, beta)
 
 
 def properties(R: Solution) -> PropertyReport:
     """All structural flags, each by direct exhaustive test."""
     make_solution(R.size, R.table)
-    n = R.size
-    table = R.table
-    span = range(1, n + 1)
+    span = range(1, R.size + 1)
     ab = alpha_beta(R)
-
-    def involutive_fails(x, y):
-        u, v = table[(x - 1) * n + y - 1]
-        return table[(u - 1) * n + v - 1] != (x, y)
-
     found = {
-        "involutive": _least(involutive_fails, span, span),
-        "square_free": _least(lambda x: table[(x - 1) * (n + 1)] != (x, x), span),
+        "involutive": _least(lambda x, y: R(*R(x, y)) != (x, y), span, span),
+        "square_free": _least(lambda x: R(x, x) != (x, x), span),
         "non_degenerate": _degenerate_row(ab),
         "is_ybe": _braid_failure(R.size, R.table),
     }
@@ -435,15 +388,13 @@ def check_structure_equations(R: Solution) -> StructureReport:
     """
     ab = alpha_beta(R)
     alpha, beta = ab.alpha, ab.beta
-    n = R.size
-    table = R.table
 
     def alpha_fails(x, y, z):
-        u, v = table[(x - 1) * n + y - 1]
+        u, v = R(x, y)
         return alpha[x - 1][alpha[y - 1][z - 1] - 1] != alpha[u - 1][alpha[v - 1][z - 1] - 1]
 
     def beta_fails(x, y, z):
-        u, v = table[(x - 1) * n + y - 1]
+        u, v = R(x, y)
         return beta[y - 1][beta[x - 1][z - 1] - 1] != beta[v - 1][beta[u - 1][z - 1] - 1]
 
     def compatible_fails(x, y, z):
@@ -451,7 +402,7 @@ def check_structure_equations(R: Solution) -> StructureReport:
         right = alpha[beta[alpha[y - 1][z - 1] - 1][x - 1] - 1][beta[z - 1][y - 1] - 1]
         return left != right
 
-    span = range(1, n + 1)
+    span = range(1, R.size + 1)
     found = {
         "alpha_homomorphic": _least(alpha_fails, span, span, span),
         "beta_antihomomorphic": _least(beta_fails, span, span, span),

@@ -1,5 +1,5 @@
-import dataclasses
 import gc
+import operator
 import random
 from itertools import islice, product
 
@@ -466,10 +466,12 @@ class TestLevelSolution:
             got = None  # a letter past [N] indexes past the block gathers
         assert got != expected
 
-    def test_a_level_five_table_runs_few_collections(self, standard):
-        # a work count, not a time: the codes are machine integers in one
-        # buffer, so the build allocates few objects the collector tracks
-        # (a table of 3**10 pair tuples ran 80 gen-0 and 7 gen-1 collections)
+    def test_a_repeated_level_five_build_runs_few_collections(self, standard):
+        # a work count, not a time: a build keeps the pairs of its size, so a
+        # second build takes its 3**10 pairs from the first and allocates few
+        # objects the collector tracks (new pair tuples ran 80 gen-0 and 7
+        # gen-1 collections on each build)
+        first = level_solution(standard["dih3"], 5)
         counts = [0, 0, 0]
 
         def count(phase, info):
@@ -480,10 +482,17 @@ class TestLevelSolution:
         gc.collect()
         gc.callbacks.append(count)
         try:
-            level_solution(standard["dih3"], 5)
+            second = level_solution(standard["dih3"], 5)
         finally:
             gc.callbacks.remove(count)
         assert max(counts) < 10, counts
+        assert second == first and all(map(operator.is_, second.table, first.table))
+
+    def test_pairs_are_kept_up_to_256_points(self):
+        assert constructions._pairs(256) is constructions._pairs(256)
+        assert constructions._pairs(257) is not constructions._pairs(257)
+        for size in (1, 3, 256, 257):
+            assert list(constructions._pairs(size)) == list(product(range(1, size + 1), repeat=2))
 
 
 def _catalog_levels():
@@ -498,62 +507,21 @@ def _catalog_levels():
     return cases
 
 
-class TestCodeForm:
-    """A level solution or a census solution holds its code table; its pairs are built on first read."""
-
-    @pytest.mark.parametrize("name, n", _catalog_levels(), ids=lambda value: str(value))
-    def test_level_solutions_are_records_of_their_pairs(self, name, n):
-        R = catalog_solution(name)
-        oracle = _legs_level_solution(R, n)
-        twin = Solution(oracle.size, oracle.table)
-        codes = [(u - 1) * twin.size + v - 1 for u, v in twin.table]
-        # each reading starts from a fresh result, whose table is not built yet
-        assert level_solution(R, n) == twin and twin == level_solution(R, n)
-        assert not level_solution(R, n) != twin
-        assert hash(level_solution(R, n)) == hash(twin)
-        assert repr(level_solution(R, n)) == repr(twin)
-        for clone in CLONES.values():
-            got = clone(level_solution(R, n))
-            assert type(got) is Solution and got == twin and repr(got) == repr(twin)
-            assert got.size == twin.size and got.table == twin.table
-            assert list(_codes(got)) == codes
-        assert list(_codes(level_solution(R, n))) == codes
-        read = level_solution(R, n)
-        table = read.table
-        assert list(_codes(read)) == codes
-        # the table is built once and kept
-        assert read.table is table
-
-    def test_the_fields_are_size_and_table(self):
-        assert [f.name for f in dataclasses.fields(Solution)] == ["size", "table"]
-        assert [f.name for f in dataclasses.fields(level_solution(builtin("dihedral", 3), 2))] == ["size", "table"]
-
-    def test_a_pair_built_solution_keeps_the_pairs_it_was_given(self):
-        table = ((1, 1), (2, 1), (1, 2), (2, 2))
-        R = Solution(2, table)
-        assert R.table is table
-        assert _codes(R) == (0, 2, 1, 3)
-        # the codes are derived once and kept, and the pairs stay as given
-        assert _codes(R) is _codes(R)
-        assert R.table is table
-
-    def test_stored_codes_are_immutable(self, census3, standard):
-        for R in (level_solution(standard["dih3"], 3), census3[5], standard["dih3"]):
-            codes = _codes(R)
-            with pytest.raises(TypeError):
-                codes[0] = codes[1]
-
-    def test_census_solutions_hold_their_codes(self, census2, census3):
-        for R in census2 + census3:
-            assert list(_codes(R)) == [(u - 1) * R.size + v - 1 for u, v in R.table]
-            assert R == Solution(R.size, R.table) and hash(R) == hash(Solution(R.size, R.table))
-
-    def test_an_object_with_no_slot_set_raises_attribute_error(self):
-        # as one being unpickled is: reading a field must not recurse
-        blank = object.__new__(Solution)
-        for name in ("size", "table", "_flat", "bogus"):
-            with pytest.raises(AttributeError):
-                getattr(blank, name)
+@pytest.mark.parametrize("name, n", _catalog_levels(), ids=lambda value: str(value))
+def test_level_solutions_are_records_of_their_pairs(name, n):
+    # a level table shares its pair tuples with other builds of its size; the
+    # result must still compare, hash, print, copy and pickle as a Solution
+    # built from the legs oracle's pairs
+    R = catalog_solution(name)
+    oracle = _legs_level_solution(R, n)
+    twin = Solution(oracle.size, oracle.table)
+    got = level_solution(R, n)
+    assert got == twin and twin == got and not got != twin
+    assert hash(got) == hash(twin) and repr(got) == repr(twin)
+    for clone in CLONES.values():
+        copied = clone(got)
+        assert type(copied) is Solution and copied == twin and repr(copied) == repr(twin)
+    assert _codes(got) == [(u - 1) * twin.size + v - 1 for u, v in twin.table]
 
 
 def _check_raw_tables_get_the_error_of_make_solution(call, seed):

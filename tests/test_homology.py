@@ -416,8 +416,7 @@ class TestBoundary:
         real = constructions._codes
 
         def planted(R):
-            # the stored codes are immutable, so the plant swaps in a copy
-            codes = list(real(R))
+            codes = real(R)
             codes[0], codes[1] = codes[1], codes[0]
             return codes
 
