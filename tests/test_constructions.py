@@ -493,6 +493,8 @@ class TestLevelSolution:
         assert constructions._pairs(257) is not constructions._pairs(257)
         for size in (1, 3, 256, 257):
             assert list(constructions._pairs(size)) == list(product(range(1, size + 1), repeat=2))
+        # the level flip swaps whole blocks: a table on 17**2 points builds its own pairs
+        assert level_solution(builtin("flip", 17), 2) == builtin("flip", 17**2)
 
 
 def _catalog_levels():
