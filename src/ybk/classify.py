@@ -4,16 +4,34 @@ Two equivalences: product conjugacy (a pair of permutations conjugates the
 maps) and YB-isomorphism (one permutation relabels the ground set).  Both
 least witnesses come from one depth-first search that assigns a
 permutation's images in order, smallest first, and drops a prefix as soon
-as a table cell whose images are all assigned fails.  The census fills the
-table one cell at a time under a bijection mask; each braid triple waits on
-the first unset cell its check reads and is re-checked only when that cell
-is set.  Relabelings that fix 1 keep cell (1, 1) in place, so that cell
-only takes the least pair of each orbit under Sym{2..N}, and the tables
-found are closed under those relabelings afterwards.  Classification
-compares each solution with one representative per class, and only with
-classes of its cycle type as a permutation of [N]^2, which both relations
-preserve.  The exhaustive census is feasible through N = 3; larger sizes
-get a seeded, clearly non-exhaustive sampling mode.
+as a table cell whose images are all assigned fails.  Both relations
+conjugate R by a bijection of [N]^2, so the public searches answer None at
+once for two bijections of different cycle types.
+
+The census fills the table one cell at a time under a bijection mask.  A
+braid triple reads R(x, y) = (u1, v1), R(y, z) = (p, q), R(v1, z) = (a, b),
+R(x, p) = (e, f), R(u1, a) = (c, d) and R(f, q) = (g, h) in turn, holds
+when c = e, d = g and b = h, waits on the first unset cell it reads, and is
+re-checked only when that cell is set.  A triple that waits late also
+narrows the codes its cell may hold:
+
+1. waiting only on R(f, q), it forces R(f, q) = (d, b);
+2. waiting on R(u1, a) with R(f, q) set, it fails unless h = b, and
+   otherwise forces R(u1, a) = (e, g);
+3. waiting on R(u1, a) with R(f, q) unset, it fixes the first coordinate
+   of R(u1, a) to e;
+4. waiting on R(x, p) with R(u1, a) set, it fixes the first coordinate of
+   R(x, p) to c.
+
+Two narrowings that leave a cell no code prune at once, and the search
+fills next the unset cell with the fewest unused codes left: a forced cell,
+then one whose first coordinate is fixed.  Relabelings that fix 1 keep cell
+(1, 1) in place, so that cell only takes the least pair of each orbit under
+Sym{2..N}, and the tables found are closed under those relabelings
+afterwards.  Classification compares each solution with one representative
+per class, and only with classes of its cycle type as a permutation of
+[N]^2, which both relations preserve.  The exhaustive census is guarded at
+N <= 4; larger sizes get a seeded, clearly non-exhaustive sampling mode.
 """
 
 from __future__ import annotations
@@ -26,7 +44,7 @@ from ._record import record
 from .errors import InvalidParams, SizeMismatch, SizeTooLarge, check_int
 from .solution import Solution, _as_permutation, _braid_failure, _codes
 
-CENSUS_MAX_SIZE = 3
+CENSUS_MAX_SIZE = 4
 
 
 @record
@@ -66,9 +84,13 @@ def enumerate_solutions(n: int) -> list[Solution]:
     # moves, each such phi as a map on codes
     fixing_first = [(0,) + phi for phi in permutations(range(1, n))]
     moves = [[phi[u] * n + phi[v] for u in range(n) for v in range(n)] for phi in fixing_first]
-    root_values = [code for code in range(cells) if all(move[code] >= code for move in moves)]
     # table[x*n + y] is the 0-based code u*n + v of R(x+1, y+1), or -1 while unset
     table = [-1] * cells
+    # allowed[c]: the bitmask of codes the braid triples still let unset cell c hold
+    allowed = [(1 << cells) - 1] * cells
+    allowed[0] = sum(1 << code for code in range(cells) if all(move[code] >= code for move in moves))
+    # rows[e]: the codes of the pairs whose first coordinate is e
+    rows = [((1 << n) - 1) << e * n for e in range(n)]
     # waiting[c]: the braid triples whose check stops at unset cell c
     waiting = [[(x, y, z) for z in range(n)] for x in range(n) for y in range(n)]
     # uv[code] is the 0-based pair (u, v) with code u*n + v
@@ -79,23 +101,31 @@ def enumerate_solutions(n: int) -> list[Solution]:
         if not unset:
             found.append(tuple(table))
             return
-        # the first unset cell with the most waiting triples
-        cell, most = -1, -1
+        # the unset cell with the fewest unused allowed codes, then the most
+        # waiting triples, then the first
+        cell, fewest, most = -1, cells + 1, -1
         for c in range(cells):
-            if table[c] < 0 and len(waiting[c]) > most:
-                cell, most = c, len(waiting[c])
+            if table[c] < 0:
+                count = (allowed[c] & ~used).bit_count()
+                if count < fewest or count == fewest and len(waiting[c]) > most:
+                    cell, fewest, most = c, count, len(waiting[c])
         # nothing waits on a set cell, so this list stays as it is below
         triples = waiting[cell]
-        for value in root_values if cell == 0 else range(cells):
-            if used >> value & 1:
-                continue
-            table[cell] = value
+        free = allowed[cell] & ~used
+        while free:
+            bit = free & -free
+            free ^= bit
+            table[cell] = bit.bit_length() - 1
             moved = []
+            narrowed = []
             # each triple reads R(x, y), R(y, z), R(v1, z), R(x, p), R(u1, a),
             # R(f, q) in turn, and waits on the first of them that is unset;
-            # a failing comparison breaks, a holding triple continues
+            # it holds when c = e, d = g and b = h, so a failing comparison
+            # breaks, a holding triple continues, and a triple that waits late
+            # can name what its gap may hold
             for triple in triples:
                 x, y, z = triple
+                need = 0
                 gap = x * n + y
                 xy = table[gap]
                 if xy >= 0:
@@ -114,21 +144,44 @@ def enumerate_solutions(n: int) -> list[Solution]:
                                 e, f = uv[xp]
                                 gap = u1 * n + a
                                 ua = table[gap]
+                                fq = table[f * n + q]
                                 if ua >= 0:
                                     c, d = uv[ua]
                                     if c != e:
                                         break
-                                    gap = f * n + q
-                                    fq = table[gap]
                                     if fq >= 0:
                                         g, h = uv[fq]
                                         if d != g or b != h:
                                             break
                                         continue
+                                    # only R(f, q) is unset: it must be (d, b)
+                                    gap = f * n + q
+                                    need = 1 << d * n + b
+                                elif fq >= 0:
+                                    # R(u1, a) must be (e, g), and h must be b
+                                    g, h = uv[fq]
+                                    if h != b:
+                                        break
+                                    need = 1 << e * n + g
+                                else:
+                                    # R(u1, a), which may be R(f, q), starts with e
+                                    need = rows[e]
+                            else:
+                                # R(x, p) starts with c, if R(u1, a) is set
+                                ua = table[u1 * n + a]
+                                if ua >= 0:
+                                    need = rows[ua // n]
                 waiting[gap].append(triple)
                 moved.append(gap)
+                if need:
+                    narrowed.append((gap, allowed[gap]))
+                    allowed[gap] &= need
+                    if not allowed[gap]:
+                        break
             else:
-                search(unset - 1, used | 1 << value)
+                search(unset - 1, used | bit)
+            for gap, mask in reversed(narrowed):
+                allowed[gap] = mask
             for gap in reversed(moved):
                 waiting[gap].pop()
         table[cell] = -1
@@ -183,6 +236,10 @@ def product_conjugate(a: Solution, b: Solution):
     """Least (tau, rho) with a o (tau x rho) = (tau x rho) o b, or None."""
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
+    return None if _types_differ(a, b) else _product_conjugate(a, b)
+
+
+def _product_conjugate(a: Solution, b: Solution):
     n = a.size
     # tau fills positions 0..n-1 and rho positions n..2n-1, so the least
     # labelling is the least (tau, rho); every cell check reads rho
@@ -216,6 +273,10 @@ def yb_isomorphic(a: Solution, b: Solution):
     """Least phi with (phi x phi) o a = b o (phi x phi), or None."""
     if a.size != b.size:
         raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
+    return None if _types_differ(a, b) else _yb_isomorphic(a, b)
+
+
+def _yb_isomorphic(a: Solution, b: Solution):
     return _least_labelling(a.size, 1, _codes(b), _cells(a))
 
 
@@ -302,6 +363,12 @@ def _fingerprint(solution: Solution):
     return tuple(sorted(lengths))
 
 
+def _types_differ(a: Solution, b: Solution) -> bool:
+    """True when a and b are bijections of [N]^2 of different cycle types, so neither relation joins them."""
+    ta, tb = _fingerprint(a), _fingerprint(b)
+    return ta != tb and ta is not None and tb is not None
+
+
 def _check_relation(relation) -> None:
     if relation not in ("yb_iso", "conjugacy"):
         raise InvalidParams(f"relation must be 'yb_iso' or 'conjugacy', got {relation!r}")
@@ -330,7 +397,7 @@ def classify(solutions, relation: str, total_bijections: int | None = None) -> S
         candidates = by_print.setdefault(_fingerprint(s), [])
         for members in candidates:
             rep = ordered[members[0]]
-            witness = yb_isomorphic(rep, s) if relation == "yb_iso" else product_conjugate(rep, s)
+            witness = _yb_isomorphic(rep, s) if relation == "yb_iso" else _product_conjugate(rep, s)
             if witness is not None:
                 members.append(i)
                 break

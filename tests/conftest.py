@@ -22,6 +22,11 @@ def census3():
 
 
 @pytest.fixture(scope="session")
+def census4():
+    return enumerate_solutions(4)
+
+
+@pytest.fixture(scope="session")
 def standard():
     return {
         "id1": builtin("identity", 1),

@@ -18,11 +18,15 @@ chain of checks is transitive:
   `homology._normalized_boundaries`, reads no push table: it applies the
   quandle formula one degree from the last.
 
+`waiting_census` is the census search before it narrowed cells: it keeps
+the library's root-cell reduction and waiting triples, and `test_classify`
+checks both searches against the brute-force census at N <= 3.
+
 This module is not a test file and is not collected; test modules import
 it as `oracles`.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from ybk.constructions import decode_word, encode_word, level_codes
@@ -59,6 +63,94 @@ def least_braid_failure(R):
         if lhs != rhs:
             return triple
     return None
+
+
+def waiting_census(n, root=None):
+    """The tables of `enumerate_solutions(n)`, from the census search that
+    narrows no cell: each braid triple waits on the first unset cell it
+    reads, and the cell with the most waiting triples is filled next.
+
+    Cell (1, 1) takes the least pair of each orbit under Sym{2..n}, or of
+    the orbit of the 1-based pair `root` alone, and the tables found are
+    closed under those relabelings; so with `root` the list is the slice
+    of solutions whose R(1, 1) lies in that orbit.  No size guard.
+    """
+    cells = n * n
+    fixing_first = [(0,) + phi for phi in permutations(range(1, n))]
+    moves = [[phi[u] * n + phi[v] for u in range(n) for v in range(n)] for phi in fixing_first]
+    root_values = [code for code in range(cells) if all(move[code] >= code for move in moves)]
+    if root is not None:
+        code = (root[0] - 1) * n + root[1] - 1
+        root_values = [min(move[code] for move in moves)]
+    # table[x*n + y] is the 0-based code u*n + v of R(x+1, y+1), or -1 while unset
+    table = [-1] * cells
+    waiting = [[(x, y, z) for z in range(n)] for x in range(n) for y in range(n)]
+    uv = [divmod(code, n) for code in range(cells)]
+    found = []
+
+    def search(unset, used):
+        if not unset:
+            found.append(tuple(table))
+            return
+        cell, most = -1, -1
+        for c in range(cells):
+            if table[c] < 0 and len(waiting[c]) > most:
+                cell, most = c, len(waiting[c])
+        triples = waiting[cell]
+        for value in root_values if cell == 0 else range(cells):
+            if used >> value & 1:
+                continue
+            table[cell] = value
+            moved = []
+            for triple in triples:
+                x, y, z = triple
+                gap = x * n + y
+                xy = table[gap]
+                if xy >= 0:
+                    gap = y * n + z
+                    yz = table[gap]
+                    if yz >= 0:
+                        u1, v1 = uv[xy]
+                        p, q = uv[yz]
+                        gap = v1 * n + z
+                        vz = table[gap]
+                        if vz >= 0:
+                            a, b = uv[vz]
+                            gap = x * n + p
+                            xp = table[gap]
+                            if xp >= 0:
+                                e, f = uv[xp]
+                                gap = u1 * n + a
+                                ua = table[gap]
+                                if ua >= 0:
+                                    c, d = uv[ua]
+                                    if c != e:
+                                        break
+                                    gap = f * n + q
+                                    fq = table[gap]
+                                    if fq >= 0:
+                                        g, h = uv[fq]
+                                        if d != g or b != h:
+                                            break
+                                        continue
+                waiting[gap].append(triple)
+                moved.append(gap)
+            else:
+                search(unset - 1, used | 1 << value)
+            for gap in reversed(moved):
+                waiting[gap].pop()
+        table[cell] = -1
+
+    search(cells, 0)
+    closed = set()
+    for move in moves:
+        for codes in found:
+            relabeled = [0] * cells
+            for c, code in enumerate(codes):
+                relabeled[move[c]] = move[code]
+            closed.add(tuple(relabeled))
+    pair = [(u + 1, v + 1) for u, v in uv]
+    return [tuple(pair[code] for code in codes) for codes in sorted(closed)]
 
 
 def triple_sides(family, i, j, l, s, t, u):

@@ -1,5 +1,6 @@
 import importlib
 import random
+import sys
 from itertools import combinations, islice, permutations
 from math import comb, factorial
 
@@ -20,7 +21,7 @@ from ybk.errors import InvalidParams, SizeMismatch, SizeTooLarge
 from ybk.semigroup import check_cancellative, growth
 from ybk.solution import Solution, _braid_failure, builtin, properties
 
-from oracles import random_bijection_table
+from oracles import random_bijection_table, waiting_census
 
 # the module itself: `ybk.classify` is the function re-exported by the package
 CLASSIFY = importlib.import_module("ybk.classify")
@@ -58,6 +59,24 @@ def shuffled_sample(n, attempts, seed):
         if _braid_failure(n, table) is None:
             found[table] = Solution(n, table)
     return [found[key] for key in sorted(found)]
+
+
+def search_steps(n):
+    """Calls of the census's recursive search in one `enumerate_solutions(n)`."""
+    search = next(c for c in enumerate_solutions.__code__.co_consts if getattr(c, "co_name", None) == "search")
+    steps = 0
+
+    def count(frame, event, arg):
+        nonlocal steps
+        if event == "call" and frame.f_code is search:
+            steps += 1
+
+    sys.setprofile(count)
+    try:
+        enumerate_solutions(n)
+    finally:
+        sys.setprofile(None)
+    return steps
 
 
 def nth_permutation(n, rank):
@@ -187,6 +206,26 @@ class TestEnumerate:
         ]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_waiting_census(self, n):
+        assert [R.table for R in enumerate_solutions(n)] == waiting_census(n)
+
+    def test_four_element_census_size(self, census4):
+        assert len(census4) == 2425
+
+    @pytest.mark.parametrize("root, orbit", [((1, 2), {(1, 2), (1, 3), (1, 4)}), ((2, 1), {(2, 1), (3, 1), (4, 1)})])
+    def test_four_element_slices_match_waiting_census(self, census4, root, orbit):
+        # the tables whose R(1, 1) lies in one orbit under Sym{2..4}, in order
+        expected = waiting_census(4, root)
+        assert len(expected) == 360
+        assert [R.table for R in census4 if R.table[0] in orbit] == expected
+
+    @pytest.mark.parametrize("n, bound", [(3, 1000), (4, 40000)])
+    def test_search_steps_are_bounded(self, n, bound):
+        # a count, not a time: the cells the braid triples narrow take
+        # 796 and 29,448 steps, against 1,404 and 588,381 without narrowing
+        assert search_steps(n) < bound
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_closed_under_relabeling(self, n):
         # the search only tries orbit representatives in cell (1, 1), so the
         # list is whole only if the closure under relabeling is
@@ -196,7 +235,7 @@ class TestEnumerate:
 
     def test_guard(self):
         with pytest.raises(SizeTooLarge):
-            enumerate_solutions(4)
+            enumerate_solutions(5)
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_sampling_needs_a_positive_size(self, size):
@@ -424,7 +463,7 @@ class TestClassify:
         for cls, rep in zip(iso.classes, iso.representatives):
             assert rep.table == min(iso.solutions[i].table for i in cls)
 
-    @pytest.mark.parametrize("relation, search", [("yb_iso", "yb_isomorphic"), ("conjugacy", "product_conjugate")])
+    @pytest.mark.parametrize("relation, search", [("yb_iso", "_yb_isomorphic"), ("conjugacy", "_product_conjugate")])
     def test_searches_start_from_representatives(self, census3, relation, search, monkeypatch):
         # both relations are group actions, so one member stands for its class
         calls = []
@@ -476,7 +515,7 @@ class TestFingerprint:
         assert CLASSIFY._fingerprint(flip) == CLASSIFY._fingerprint(other) == (1, 1, 1, 2, 2, 2)
         assert yb_isomorphic(flip, other) is None
         assert product_conjugate(flip, other) is None
-        for relation, search in (("yb_iso", "yb_isomorphic"), ("conjugacy", "product_conjugate")):
+        for relation, search in (("yb_iso", "_yb_isomorphic"), ("conjugacy", "_product_conjugate")):
             calls = []
             original = getattr(CLASSIFY, search)
 
@@ -488,6 +527,39 @@ class TestFingerprint:
             result = classify([other, flip], relation)
             assert result.classes == ((0,), (1,))
             assert calls == [(flip.table, other.table)]
+
+    @pytest.mark.parametrize("seed", [23, 24])
+    def test_different_cycle_types_are_answered_without_a_search(self, seed, census2, census3, monkeypatch):
+        rng = random.Random(seed)
+        pairs = [
+            (a, b)
+            for pool in (census2, census3)
+            for a in pool
+            for b in pool
+            if CLASSIFY._fingerprint(a) != CLASSIFY._fingerprint(b)
+        ]
+        for n in (4, 5):
+            first, second = RELABEL_BASES[n][:2]
+            for _ in range(3):
+                pairs.append((relabel(first, random_perm(rng, n)), relabel(second, random_perm(rng, n))))
+                pairs.append((relabel(second, random_perm(rng, n)), relabel(first, random_perm(rng, n))))
+        assert len(pairs) > 12
+
+        def no_search(a, b):
+            raise AssertionError("a search ran on two different cycle types")
+
+        monkeypatch.setattr(CLASSIFY, "_yb_isomorphic", no_search)
+        monkeypatch.setattr(CLASSIFY, "_product_conjugate", no_search)
+        for a, b in pairs:
+            assert CLASSIFY._fingerprint(a) != CLASSIFY._fingerprint(b)
+            assert yb_isomorphic(a, b) is None
+            assert product_conjugate(a, b) is None
+        # a map that is not a bijection has no cycle type, so it still reaches the search
+        lumped = Solution(2, ((1, 1), (1, 1), (2, 1), (2, 2)))
+        with pytest.raises(AssertionError, match="a search ran"):
+            yb_isomorphic(lumped, builtin("flip", 2))
+        with pytest.raises(AssertionError, match="a search ran"):
+            product_conjugate(builtin("flip", 2), lumped)
 
     def test_non_bijection_has_none(self):
         # a map that is not a bijection gets no fingerprint, so only the
@@ -552,6 +624,18 @@ class TestCensusAnchors:
         assert sum(nd for nd, _ in flags) == 26
         assert sum(nd and inv for nd, inv in flags) == 5
         assert sum(nd and not inv for nd, inv in flags) == 21
+
+    def test_four_element_classes(self, census4):
+        # Etingof-Schedler-Soloviev: 23 involutive non-degenerate classes on 4 points
+        iso = classify(census4, "yb_iso")
+        assert len(iso.classes) == 330
+        assert len(classify(census4, "conjugacy").classes) == 101
+        involutive = [R for R in iso.representatives if properties(R).involutive and properties(R).non_degenerate]
+        assert len(involutive) == 23
+        # Gateva-Ivanova-Van den Bergh, as for N <= 3 below
+        for R in involutive:
+            assert growth(R, 5) == tuple(comb(n + 3, 3) for n in range(6))
+            assert check_cancellative(R, 4) == (True, None)
 
     def test_two_element_classes(self):
         flags = self.class_flags(2)

@@ -213,7 +213,7 @@ class TestEnumerate:
         assert "3 classes under conjugacy" in out
 
     def test_size_guard_exits_two(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--size", "4")
+        code, _, err = run(capsys, "enumerate", "--size", "5")
         assert code == 2
 
     def test_sample_mode_seeded(self, capsys):
