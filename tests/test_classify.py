@@ -71,11 +71,12 @@ def search_steps(n):
         if event == "call" and frame.f_code is search:
             steps += 1
 
+    previous = sys.getprofile()
     sys.setprofile(count)
     try:
         enumerate_solutions(n)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     return steps
 
 
@@ -463,9 +464,11 @@ class TestClassify:
         for cls, rep in zip(iso.classes, iso.representatives):
             assert rep.table == min(iso.solutions[i].table for i in cls)
 
-    @pytest.mark.parametrize("relation, search", [("yb_iso", "_yb_isomorphic"), ("conjugacy", "_product_conjugate")])
+    @pytest.mark.parametrize("relation, search", [("yb_iso", "yb_isomorphic"), ("conjugacy", "product_conjugate")])
     def test_searches_start_from_representatives(self, census3, relation, search, monkeypatch):
-        # both relations are group actions, so one member stands for its class
+        # both relations are group actions, so one member stands for its class;
+        # classify calls the search behind each public name
+        search = "_" + search
         calls = []
         original = getattr(CLASSIFY, search)
 
@@ -630,7 +633,8 @@ class TestCensusAnchors:
         iso = classify(census4, "yb_iso")
         assert len(iso.classes) == 330
         assert len(classify(census4, "conjugacy").classes) == 101
-        involutive = [R for R in iso.representatives if properties(R).involutive and properties(R).non_degenerate]
+        reports = [(R, properties(R)) for R in iso.representatives]
+        involutive = [R for R, report in reports if report.involutive and report.non_degenerate]
         assert len(involutive) == 23
         # Gateva-Ivanova-Van den Bergh, as for N <= 3 below
         for R in involutive:
