@@ -247,25 +247,40 @@ def _sort(family: ThetaFamily, letters, segments, colours):
     sort by segment.  The letters of one colour must come in the order of
     their segments, so no letter meets its own colour.  Returns one letter
     list per segment.
+
+    A colour pair's table is looked up when a letter first crosses that pair,
+    and copied once per call behind N_c + 1 empty slots, so a swap is read
+    with no -1s.  The copies are kept per table object and stride: the pairs
+    of a constant family share one table and one inverse, so a call copies
+    at most two tables whatever k is.
     """
-    # cross[c][j] moves a colour-c letter x left past a colour-j letter y: its
-    # entry (y - 1) * N_c + x - 1 holds the new colour-c and colour-j letters.
-    # Only the word's own colours meet, so only their pairs are looked up
-    present = sorted({c for c, _ in letters})
-    cross = {c: {} for c in present}
-    for i, j in combinations(present, 2):
-        p = family.pair_index(i, j)
-        cross[i][j] = family.inv_maps[p]
-        cross[j][i] = family.maps[p]
+    # cross[c][j] moves a colour-c letter x left past a colour-j letter y:
+    # theta_cj's inverse for c < j and theta_jc for c > j, whose entry
+    # (y - 1) * N_c + x - 1 holds the new colour-c and colour-j letters, is
+    # read from its padded copy at y * N_c + x.  padded[N_c][id(table)] is
+    # that copy: integer keys, so a new pair costs no tuple hash.  The miss
+    # path is kept short: on CPython 3.11 a block loop body of more than 255
+    # code units costs an EXTENDED_ARG on every block passed, empty or not
+    maps, inv_maps, sizes = family.maps, family.inv_maps, family.sizes
+    cross = {c: {} for c, _ in letters}
+    padded = {sizes[c - 1]: {} for c in cross}
     blocks = [[] for _ in colours]
     for (c, x), r in zip(letters, segments):
-        n_c = family.sizes[c - 1]
+        n_c, crossing = sizes[c - 1], cross[c]
         for q in range(len(blocks) - 1, r, -1):
             blk = blocks[q]
             if blk:
-                table = cross[c][colours[q]]
+                j = colours[q]
+                table = crossing.get(j)
+                if table is None:
+                    table = inv_maps[family.pair_index(c, j)] if c < j else maps[family.pair_index(j, c)]
+                    copies, key = padded[n_c], id(table)
+                    copy = copies.get(key)
+                    if copy is None:
+                        copy = copies[key] = (None,) * (n_c + 1) + table
+                    table = crossing[j] = copy
                 for t in range(len(blk) - 1, -1, -1):
-                    x, blk[t] = table[(blk[t] - 1) * n_c + x - 1]
+                    x, blk[t] = table[blk[t] * n_c + x]
         blocks[r].append(x)
     return blocks
 
@@ -345,11 +360,18 @@ def _fibre_failure(family: ThetaFamily, pullback: bool):
     """The least failing (i, j, s, t) (pullback) or (i, j, s', t') (pushout), or None.
 
     Walks every row (pullback) or column (pushout) of each theta_ij once and
-    checks that its first (second) letters are a permutation.
+    checks that its first (second) letters are a permutation.  A table object
+    that has passed at the same sizes is not walked again, as the pairs of a
+    constant family share one: a table that fails does so at its first pair,
+    so the least witness is the same.
     """
+    passed = set()
     for p, (i, j) in enumerate(combinations(range(1, family.k + 1), 2)):
         table = family.maps[p]
         ni, nj = family.sizes[i - 1], family.sizes[j - 1]
+        key = (id(table), ni, nj)
+        if key in passed:
+            continue
         if pullback:
             lines, size, coord = [table[s * nj:(s + 1) * nj] for s in range(ni)], nj, 0
         else:
@@ -359,6 +381,7 @@ def _fibre_failure(family: ThetaFamily, pullback: bool):
             if len(set(values)) < size:
                 value = next(v for v in range(1, size + 1) if values.count(v) != 1)
                 return (i, j, line + 1, value) if pullback else (i, j, value, line + 1)
+        passed.add(key)
     return None
 
 
@@ -381,21 +404,23 @@ def unique_pushout(family: ThetaFamily):
 def _squares(family: ThetaFamily, pullback: bool, a: int, b: int) -> list:
     """Solve every commuting square of the colours a != b into one flat table.
 
-    Entry (x - 1) * N_b + y - 1 holds the new letters (x', y') of the square
-    that starts from the colour-a letter x and the colour-b letter y.  With
-    i < j the two colours, each entry theta_ij(x, y) = (y2, x2) is one
-    square: a pullback from (x, y2) to (x2, y), a pushout back.  The fibre
-    check has passed, so every entry is filled.
+    Entry x * N_b + y holds the new letters (x', y') of the square that
+    starts from the colour-a letter x and the colour-b letter y: the table
+    is row-major by (x, y) behind N_b + 1 empty slots, so `_fill` reads a
+    cell with no -1s.  With i < j the two colours, each entry
+    theta_ij(x, y) = (y2, x2) is one square: a pullback from (x, y2) to
+    (x2, y), a pushout back.  The fibre check has passed, so every entry
+    behind the empty slots is filled.
     """
     i, j = sorted((a, b))
     ni, nj, n_b = family.sizes[i - 1], family.sizes[j - 1], family.sizes[b - 1]
-    solved = [None] * (ni * nj)
+    solved = [None] * (n_b + 1 + ni * nj)
     cells = product(range(1, ni + 1), range(1, nj + 1))
     for (x, y), (y2, x2) in zip(cells, family.maps[family.pair_index(i, j)]):
         start, new = ((x, y2), (x2, y)) if pullback else ((x2, y), (x, y2))
         if a > b:
             start, new = start[::-1], new[::-1]
-        solved[(start[0] - 1) * n_b + start[1] - 1] = new
+        solved[start[0] * n_b + start[1]] = new
     return solved
 
 
@@ -412,7 +437,8 @@ def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool) -> tuple[KW
     blocks.  Rectangles and their cells are visited from the starting corner,
     so each cell comes after the two it reads.  A rectangle solves its colour
     pair's squares once, by `_squares` with the across colour first, and each
-    cell is one read of that table.
+    cell is one read of that table at x * N_b + y, for the across letter x
+    and the colour-b letter y.
     """
     across = [list(block) for block in mu.blocks]
     down = [list(block) for block in nu.blocks]
@@ -427,7 +453,7 @@ def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool) -> tuple[KW
             for r in range(len(edges))[::step]:
                 edge = edges[r]
                 for c in cells:
-                    line[c], edge = solved[(line[c] - 1) * n_edge + edge - 1]
+                    line[c], edge = solved[line[c] * n_edge + edge]
                 edges[r] = edge
     return KWord(family, tuple(map(tuple, across))), KWord(family, tuple(map(tuple, down)))
 
@@ -505,7 +531,9 @@ def periodicity(R: Solution, bound: int = 6) -> Periodicity:
 def _is_constant(family: ThetaFamily) -> bool:
     if len(set(family.sizes)) != 1:
         return False
-    return len(set(family.maps)) == 1
+    maps = family.maps
+    # equality with the identity shortcut: a shared table costs no hash
+    return len(maps) > 0 and maps.count(maps[0]) == len(maps)
 
 
 def restrict(family: ThetaFamily, l: int, m: int, n: int) -> ThetaFamily:

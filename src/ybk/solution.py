@@ -280,22 +280,30 @@ def _triple_failure(ij, ik, jk, ni: int, nj: int, nk: int):
     where each crossing of two letters reads the table of their colours.
     Points are visited in lexicographic order, so the first failure is the
     least.
+
+    The -1s of the 1-based letters are folded into row offsets, computed
+    once per x and once per y, and z runs 0-based: four of the five reads
+    per point are a row offset plus a letter, and the fifth, whose row
+    letter changes with z, subtracts the constant `skip`.
     """
+    skip = nj + 1
     for x in range(1, ni + 1):
-        row_ij = (x - 1) * nj
-        row_ik = (x - 1) * nk
+        row_ij = (x - 1) * nj - 1
+        row_ik = (x - 1) * nk - 1
         for y in range(1, nj + 1):
-            u1, v1 = ij[row_ij + y - 1]
-            row_u1 = (u1 - 1) * nk
-            # R12 R23 R12 (x, y, z) = (c, d, b) and R23 R12 R23 (x, y, z) = (e, g, h)
-            for z in range(1, nk + 1):
-                a, b = ik[(v1 - 1) * nk + z - 1]
-                c, d = jk[row_u1 + a - 1]
-                p, q = jk[(y - 1) * nk + z - 1]
-                e, fo = ik[row_ik + p - 1]
-                g, h = ij[(fo - 1) * nj + q - 1]
+            u1, v1 = ij[row_ij + y]
+            row_u1 = (u1 - 1) * nk - 1
+            row_v1 = (v1 - 1) * nk
+            row_y = (y - 1) * nk
+            # R12 R23 R12 (x, y, z + 1) = (c, d, b) and R23 R12 R23 (x, y, z + 1) = (e, g, h)
+            for z in range(nk):
+                a, b = ik[row_v1 + z]
+                c, d = jk[row_u1 + a]
+                p, q = jk[row_y + z]
+                e, fo = ik[row_ik + p]
+                g, h = ij[fo * nj + q - skip]
                 if c != e or d != g or b != h:
-                    return (x, y, z)
+                    return (x, y, z + 1)
     return None
 
 

@@ -352,6 +352,37 @@ class TestConstantFamily:
         assert (c1, ck) == (1, k) and family.apply(1, k, a, b) == (2, 3)
         assert head.letters() == ((k, 2),) and tail.letters() == ((1, 3),)
 
+    def test_sorting_looks_up_only_the_pairs_a_word_inverts(self, standard, monkeypatch):
+        # a colour pair's table is looked up when a letter first crosses that
+        # pair: the pairs c < j with some colour-j letter before some colour-c
+        # letter, each once, and not every pair of the word's colours
+        import ybk.kgraph as kgraph
+        from ybk.kgraph import ThetaFamily
+
+        family = constant_family(standard["dih3"], 100)
+        # dihedral-3 satisfies the braid relation, so its constant family is
+        # valid (test_constant_family_matches_ybe): the gate's walk of 161,700
+        # colour triples is left out
+        monkeypatch.setattr(kgraph, "_gate_three_colours", lambda family, letters: None)
+        rng = random.Random(47)
+        words = [random_word(family, rng, 150) for _ in range(3)]
+        expected = [oracle_normalize(family, word) for word in words]
+        calls = []
+        pair_index = ThetaFamily.pair_index
+
+        def counted(self, i, j):
+            calls.append((i, j))
+            return pair_index(self, i, j)
+
+        monkeypatch.setattr(ThetaFamily, "pair_index", counted)
+        for word, normal in zip(words, expected):
+            inverted = {(c, j) for p, (j, _) in enumerate(word) for c, _ in word[p + 1:] if c < j}
+            present = len({c for c, _ in word})
+            assert len(inverted) < present * (present - 1) // 2
+            calls.clear()
+            assert normalize(family, word) == normal
+            assert len(calls) == len(inverted) and set(calls) == inverted
+
     def test_non_bijection_built_directly_names_theta_12(self):
         R = Solution(2, ((1, 1), (1, 1), (2, 1), (2, 2)))
         with pytest.raises(NotABijection) as caught:
@@ -981,6 +1012,26 @@ class TestDiamond:
             mu_t, nu_t = complete_diamond(fam, mu, nu, direction)
             assert (mu_t.degree, nu_t.degree) == ((600, 0), (0, 600))
 
+    def test_shared_tables_are_checked_once(self, standard):
+        # the fibre check walks each table object once: the 19,900 pairs of a
+        # constant family share one table, so a 1x1 diamond at k = 200 no
+        # longer walks 19,900 tables (about 42 ms a call)
+        import time
+
+        k = 200
+        family = constant_family(standard["dih3"], k)
+        mu = KWord(family, ((1,),) + ((),) * (k - 1))
+        nu = KWord(family, ((), (2,)) + ((),) * (k - 2))
+        small = constant_family(standard["dih3"], 2)
+        start = time.perf_counter()
+        for _ in range(25):
+            for direction in ("pullback", "pushout"):
+                mu_t, nu_t = complete_diamond(family, mu, nu, direction)
+        assert time.perf_counter() - start < 1
+        assert (mu_t.blocks[:2], nu_t.blocks[:2]) == tuple(
+            word.blocks for word in complete_diamond(small, KWord(small, ((1,), ())), KWord(small, ((), (2,))), "pushout")
+        )
+
     def test_three_colour_diamond_needs_valid_family(self):
         # R(x, y) = (sigma(y), rho(x)) with non-commuting sigma, rho: both
         # fiber properties hold, the braid relation does not
@@ -1126,6 +1177,25 @@ class TestRestrict:
     def test_needs_constant_family(self):
         with pytest.raises(InvalidParams):
             restrict(mixed_family(), 1, 1, 1)
+
+    def test_tables_built_apart_count_as_constant(self, standard):
+        R = standard["dih3"]
+        family = make_theta_family(3, (3, 3, 3), {pair: list(R.table) for pair in combinations((1, 2, 3), 2)})
+        assert family.maps[0] is not family.maps[1]
+        assert restrict(family, 2, 1, 2) == restrict(constant_family(R, 3), 2, 1, 2)
+
+    def test_many_colours_are_not_hashed(self, standard):
+        # a constant family is told by comparing its tables, with the identity
+        # shortcut for the shared one: hashing all 1,047,628 pair tables at
+        # k = 1,448 took about 0.13 s a call
+        import time
+
+        family = constant_family(standard["dih3"], 1448)
+        start = time.perf_counter()
+        for _ in range(20):
+            restricted = restrict(family, 1, 1, 1)
+        assert time.perf_counter() - start < 1
+        assert restricted == constant_family(standard["dih3"], 3)
 
     @pytest.mark.parametrize("exponents", [(True, 1, 1), (1, 1.5, 1), (1, 1, "2"), (None, 1, 1), (1, 0, 1)])
     def test_exponents_must_be_positive_integers(self, standard, monkeypatch, exponents):
