@@ -256,11 +256,11 @@ def _sort(family: ThetaFamily, letters, segments, colours):
     """
     # cross[c][j] moves a colour-c letter x left past a colour-j letter y:
     # theta_cj's inverse for c < j and theta_jc for c > j, whose entry
-    # (y - 1) * N_c + x - 1 holds the new colour-c and colour-j letters, is
-    # read from its padded copy at y * N_c + x.  padded[N_c][id(table)] is
-    # that copy: integer keys, so a new pair costs no tuple hash.  The miss
-    # path is kept short: on CPython 3.11 a block loop body of more than 255
-    # code units costs an EXTENDED_ARG on every block passed, empty or not
+    # (y - 1) * N_c + x - 1 holds the new colour-c and colour-j letters, read
+    # from its copy padded[N_c][id(table)] at y * N_c + x.  Integer keys, so
+    # a new pair costs no tuple hash; and the miss path stays inline and
+    # short: on CPython 3.11 a block loop body of more than 255 code units
+    # costs an EXTENDED_ARG on every block passed, empty or not
     maps, inv_maps, sizes = family.maps, family.inv_maps, family.sizes
     cross = {c: {} for c, _ in letters}
     padded = {sizes[c - 1]: {} for c in cross}
