@@ -5,6 +5,14 @@ prints a plain-text report or, with --json, a canonical JSON report that is
 byte-identical across runs.  Exit codes: 0 success or property holds, 1
 property fails or a witness was found, 2 usage or parse error; an error
 exits with its class's `exit_code`.
+
+The grammar is declared once, by the `add_argument` calls of `_build_parser`.
+A well-formed argv (command names, exact option strings, a value after
+each option that does not start with `-`, values that pass their type and
+choices, and one token per positional) is matched directly against those
+declared actions, into the namespace `parse_args` would return.  Every
+other argv, and every command with an optional positional (`catalog`), is
+parsed by argparse, which prints all help and usage errors.
 """
 
 from __future__ import annotations
@@ -494,23 +502,113 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _grammar_of(parser: argparse.ArgumentParser, head: dict):
+    """What `_match` reads of `parser`: a dict of its sub-commands, its
+    (defaults, options, positionals, required options) if it is a leaf, or
+    None if it declares anything `_match` leaves to argparse.
+
+    `head` holds the sub-command dests walked so far, in the order
+    `parse_args` adds them to the namespace.
+    """
+    actions = [action for action in parser._actions if type(action) is not argparse._HelpAction]
+    if len(actions) == 1 and type(actions[0]) is argparse._SubParsersAction and not parser._defaults:
+        dest = actions[0].dest
+        return {
+            name: _grammar_of(sub, {**head, dest: name})
+            for name, sub in actions[0].choices.items()
+        }
+    defaults, options, positionals, required = {}, {}, [], set()
+    for action in actions:
+        if (
+            type(action) not in (argparse._StoreAction, argparse._StoreTrueAction)
+            or action.nargs not in (None, 0)
+            or (isinstance(action.default, str) and action.type is not None)
+        ):
+            return None
+        if action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+        if not action.option_strings:
+            positionals.append(action)
+        elif action.required:
+            required.add(action)
+        options.update(dict.fromkeys(action.option_strings, action))
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return {**head, **defaults}, options, positionals, required
+
+
+@cache
+def _grammar():
+    """`_grammar_of` the parser, built on the first `main` call."""
+    return _grammar_of(_build_parser(), {})
+
+
+_REJECTED = object()
+
+
+def _value(action, token: str):
+    """`token` as `action` stores it, or `_REJECTED` where argparse would exit."""
+    if action.type is not None:
+        try:
+            token = action.type(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return _REJECTED
+    if action.choices is not None and token not in action.choices:
+        return _REJECTED
+    return token
+
+
+def _match(argv: list):
+    """The namespace `parse_args(argv)` returns, read off the declared actions,
+    or None when argparse alone must judge argv: help, an unknown name, an
+    option spelling other than an exact option string, a missing or
+    dash-led option value, a bad value or count, or a parser with other
+    kinds of argument."""
+    grammar, index = _grammar(), 0
+    while type(grammar) is dict:
+        if index == len(argv) or type(argv[index]) is not str:
+            return None
+        grammar = grammar.get(argv[index])
+        index += 1
+    if grammar is None:
+        return None
+    defaults, options, positionals, required = grammar
+    values, free, stored, seen = dict(defaults), [], [], set()
+    tokens = iter(argv[index:])
+    for token in tokens:
+        if type(token) is not str:
+            return None
+        if token[:1] != "-" or token == "-":
+            free.append(token)
+            continue
+        action = options.get(token)
+        if action is None:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        token = next(tokens, None)
+        if type(token) is not str or token[:1] == "-":
+            return None
+        stored.append((action, token))
+    if len(free) != len(positionals) or not required <= seen:
+        return None
+    stored.extend(zip(positionals, free))
+    for action, token in stored:
+        value = _value(action, token)
+        if value is _REJECTED:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def _parse(argv) -> argparse.Namespace:
-    """`_build_parser().parse_args(argv)`, run by the parser of the command
-    argv[0] names, as the subparsers action would; the top-level parser takes
-    any other argv and reports the leftovers."""
-    parser = _build_parser()
+    """`_build_parser().parse_args(argv)`: `_match` takes a well-formed argv,
+    and argparse parses, prints and exits on every other."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    commands = next(
-        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
-    ).choices
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    args = _match(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
