@@ -1,7 +1,9 @@
+import argparse
 import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -644,9 +646,10 @@ def run_exiting(capsys, *argv):
 
 
 def run_fresh(capsys, *argv):
-    """`run_exiting` on a parser built for this call alone."""
+    """`run_exiting` on a parser and a grammar built for this call alone."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        patch.setattr(cli, "_grammar", cli._grammar.__wrapped__)
         return run_exiting(capsys, *argv)
 
 
@@ -666,6 +669,12 @@ STATELESS_PAIRS = {
     "shared-handler": (
         ("enumerate", "--size", "2", "--json"),
         ("classify", "--size", "2", "--relation", "conjugacy", "--sample", "4", "--json"),
+    ),
+    # argparse parses the abbreviation, the declared actions match the other; each
+    # handler writes max_len into its own namespace: 3, then 5
+    "argparse-and-matched": (
+        ("semigroup", "catalog:flip-2", "--max", "3"),
+        ("semigroup", "catalog:dihedral-3", "--json"),
     ),
 }
 
@@ -691,6 +700,9 @@ class TestParserIsStateless:
             assert code == 0 and json.loads(out)["max_len"] == max_len
         code, out, _ = run(capsys, "enumerate", "--size", "2", "--json")
         assert json.loads(out)["relation"] == "yb-iso"
+        declined, matched = STATELESS_PAIRS["argparse-and-matched"]
+        assert cli._match(list(declined)) is None
+        assert cli._match(list(matched)) is not None
 
 
 X = "catalog:dihedral-3"
@@ -752,7 +764,37 @@ PARSE_CORPUS = [
     ("level", X),
     ("level", X, "--n", "two"),
     ("kgraph", "diamond", T, "--mu", "1:1", "--nu", "2:1", "--direction", "sideways"),
+    # the matcher's edges, taken directly
+    ("verify", "-"),
+    ("verify", ""),
+    ("level", X, "--n", " 2"),
+    ("level", X, "--n", "1_0"),
+    ("kgraph", "normalize", T, "--word", "1:1", "--word", "2:1"),
+    # the matcher's edges, left to argparse
+    ("homology", X, "--degree", "-1"),
+    ("classify", "--size", "2", "--sample", "-3"),
+    ("catalog", "--json", "flip-2"),
+    ("kgraph", "normalize", T, "--word=1:1"),
+    ("homology", X, "--deg", "1"),
 ]
+
+# valid argv that the matcher leaves to argparse: an optional positional, a value
+# starting with "-", an abbreviation, an "=" spelling or "--"
+ARGPARSE_ONLY = {
+    ("catalog",),
+    ("catalog", "flip-2", "--json"),
+    ("catalog", "--json", "flip-2"),
+    ("homology", X, "--degree", "-1"),
+    ("classify", "--size", "2", "--sample", "-3"),
+    ("kgraph", "normalize", T, "--word=1:1"),
+    ("homology", X, "--deg", "1"),
+    ("level", X, "--n=2"),
+    ("verify", X, "--js"),
+    ("verify", "--", X),
+    ("verify", X, "--"),
+}
+# tokens a mutation may insert beside the corpus's own
+EDGE_TOKENS = ("-", "--", "-1", "", " 2", "1_0", "--n=2", "--deg", "--max", "x", "-h")
 
 
 def parse_outcome(capsys, parse, argv):
@@ -765,8 +807,29 @@ def parse_outcome(capsys, parse, argv):
     return result, captured.out, captured.err
 
 
+def mutations(seed, count):
+    """`count` corpus argv, each with one token inserted, dropped or replaced."""
+    rng = random.Random(seed)
+    pool = sorted({token for argv in PARSE_CORPUS for token in argv}.union(EDGE_TOKENS))
+    # help texts cost the most to print, and the corpus checks each one; "-h" is
+    # still in the pool
+    bases = [argv for argv in PARSE_CORPUS if not {"-h", "--help", "--he"} & set(argv)]
+    for _ in range(count):
+        argv = list(rng.choice(bases))
+        # most new tokens come from the same argv, so that many mutants stay well-formed
+        token = rng.choice(argv if argv and rng.random() < 0.8 else pool)
+        edit = rng.choice(("insert", "drop", "replace", "replace")) if argv else "insert"
+        if edit == "insert":
+            argv.insert(rng.randint(0, len(argv)), token)
+        elif edit == "drop":
+            del argv[rng.randrange(len(argv))]
+        else:
+            argv[rng.randrange(len(argv))] = token
+        yield argv
+
+
 class TestDirectParse:
-    """`_parse` runs a command's own parser; the top-level parser is its oracle."""
+    """`_parse` matches a well-formed argv itself; the top-level parser is its oracle."""
 
     def test_corpus_names_every_command(self, capsys):
         _, usage, _ = parse_outcome(capsys, cli._parse, ["-h"])
@@ -778,6 +841,35 @@ class TestDirectParse:
     def test_matches_the_top_level_parser(self, capsys, argv):
         expected = parse_outcome(capsys, cli._build_parser().parse_args, argv)
         assert parse_outcome(capsys, cli._parse, argv) == expected
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_argparse_parses_only_what_the_matcher_declines(self, capsys, monkeypatch, argv):
+        # a count, not a timing: a matcher that always fell back would fail here
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        result, _, _ = parse_outcome(capsys, cli._parse, argv)
+        if isinstance(result, dict) and argv not in ARGPARSE_ONLY:
+            assert calls == []
+        else:
+            assert calls
+
+    def test_argparse_only_entries_are_in_the_corpus(self):
+        assert ARGPARSE_ONLY <= set(PARSE_CORPUS)
+
+    def test_seeded_mutations_match_the_top_level_parser(self, capsys):
+        matched = 0
+        for argv in mutations(48, 5000):
+            expected = parse_outcome(capsys, cli._build_parser().parse_args, argv)
+            assert parse_outcome(capsys, cli._parse, argv) == expected, argv
+            matched += cli._match(list(argv)) is not None
+        # both paths are exercised
+        assert 250 < matched < 4750
 
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -820,6 +912,14 @@ class TestFreshProcess:
         assert_usage_error(done.returncode, done.stdout, done.stderr)
 
     def test_import_builds_no_parser(self):
-        # the parser is built on the first call; at import it would add to start-up
-        done = run_python("-c", "import ybk.cli; print(ybk.cli._build_parser.cache_info().currsize)")
-        assert done.stdout == "0\n"
+        # the parser and the grammar read off it are built on the first call; at
+        # import they would add to start-up
+        done = run_python(
+            "-c",
+            "import ybk.cli as cli\n"
+            "built = lambda: (cli._build_parser.cache_info().currsize, cli._grammar.cache_info().currsize)\n"
+            "print(*built())\n"
+            "cli._parse(['verify', 'catalog:flip-2'])\n"
+            "print(*built())",
+        )
+        assert done.stdout == "0 0\n1 1\n"
