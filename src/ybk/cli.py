@@ -505,7 +505,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _grammar_of(parser: argparse.ArgumentParser, head: dict):
     """What `_match` reads of `parser`: a dict of its sub-commands, its
     (defaults, options, positionals, required options) if it is a leaf, or
-    None if it declares anything `_match` leaves to argparse.
+    None if it declares anything `_match` leaves to argparse.  Of the
+    positionals only the last may be optional (nargs "?", no choices).
 
     `head` holds the sub-command dests walked so far, in the order
     `parse_args` adds them to the namespace.
@@ -521,7 +522,8 @@ def _grammar_of(parser: argparse.ArgumentParser, head: dict):
     for action in actions:
         if (
             type(action) not in (argparse._StoreAction, argparse._StoreTrueAction)
-            or action.nargs not in (None, 0)
+            or action.nargs not in (None, 0, "?")
+            or (action.nargs == "?" and (action.option_strings or action.choices is not None))
             or (isinstance(action.default, str) and action.type is not None)
         ):
             return None
@@ -532,6 +534,8 @@ def _grammar_of(parser: argparse.ArgumentParser, head: dict):
         elif action.required:
             required.add(action)
         options.update(dict.fromkeys(action.option_strings, action))
+    if any(action.nargs == "?" for action in positionals[:-1]):
+        return None
     for dest, value in parser._defaults.items():
         defaults.setdefault(dest, value)
     return {**head, **defaults}, options, positionals, required
@@ -563,7 +567,9 @@ def _match(argv: list):
     or None when argparse alone must judge argv: help, an unknown name, an
     option spelling other than an exact option string, a missing or
     dash-led option value, a bad value or count, or a parser with other
-    kinds of argument."""
+    kinds of argument.  A trailing optional positional takes its token only
+    before any option, and its default when it has none: how argparse reads
+    a token after an option there differs between Python versions."""
     grammar, index = _grammar(), 0
     while type(grammar) is dict:
         if index == len(argv) or type(argv[index]) is not str:
@@ -573,12 +579,15 @@ def _match(argv: list):
     if grammar is None:
         return None
     defaults, options, positionals, required = grammar
+    optional = bool(positionals) and positionals[-1].nargs == "?"
     values, free, stored, seen = dict(defaults), [], [], set()
     tokens = iter(argv[index:])
     for token in tokens:
         if type(token) is not str:
             return None
         if token[:1] != "-" or token == "-":
+            if optional and seen:
+                return None
             free.append(token)
             continue
         action = options.get(token)
@@ -592,7 +601,7 @@ def _match(argv: list):
         if type(token) is not str or token[:1] == "-":
             return None
         stored.append((action, token))
-    if len(free) != len(positionals) or not required <= seen:
+    if not len(positionals) - optional <= len(free) <= len(positionals) or not required <= seen:
         return None
     stored.extend(zip(positionals, free))
     for action, token in stored:

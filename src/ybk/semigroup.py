@@ -6,14 +6,19 @@ the last on nodes, not on words: node (C, y) holds the words of a class C
 of the last length followed by the letter y.  A node is already closed
 under every rewrite but the one at the last position, so a union-find on
 the nodes joins only those, once per class of the length before and per
-pair that R moves.  The cost of a length follows the class counts, not the
-N^n words.  Per-word class lists are expanded from the nodes only where a
-caller reads words one by one.  On top of that sit growth counts,
-cancellativity checks, the presentation text of the structure semigroup and
-group, and the two graded compatibility checks: the braided extension of R
-to graded pieces and the closed action formulas for square level maps.
-Both checks answer from the braid relation, by a theorem, and build no
-class and no table; the word-by-word loops are the tests' oracles.
+link: R's moved pairs walked cycle by cycle, less the edge that closes each
+cycle, which its other edges imply.  The cost of a length follows the
+class counts, not the N^n words.  Per-word class lists are expanded from
+the nodes only where a caller reads words one by one.  On top of that sit
+growth counts, cancellativity checks, the presentation text of the
+structure semigroup and group, and the two graded compatibility checks.
+Cancellation is decided by single letters, since a failure at lengths
+(la, lb) peels down to a letter that fails at total length at most maxlen;
+only a failing input scans every product table for its least witness.  The
+two graded checks are the braided extension of R to graded pieces and the
+closed action formulas for square level maps.  Both answer from the braid
+relation, by a theorem, and build no class and no table; the word-by-word
+loops are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -71,6 +76,33 @@ class GradedClassSet:
         raise InvalidParams(f"{word!r} is not a word of length {self.length} over [{size}]")
 
 
+def _links(R: Solution) -> list[tuple[int, int, int, int]]:
+    """The pairs (x, y) -> (x', y') that `_roots_by_length` joins, 0-based.
+
+    R is walked one cycle on pairs at a time, from its least pair, joining
+    each pair to its image.  The edge that closes a cycle back to its start
+    is left out: the others already join all of the cycle.  A cycle of
+    length L costs L - 1 links, not L, so an involutive R costs half.  An
+    edge into a pair walked before, or into a code outside the table, as a
+    table built without `make_solution` can hold, ends the walk and is kept.
+    """
+    size = R.size
+    codes = _codes(R)
+    links, walked = [], [False] * len(codes)
+    for start in range(len(codes)):
+        q = start
+        while not walked[q]:
+            walked[q] = True
+            c = codes[q]
+            if c == q or c == start:
+                break
+            links.append((q // size, q % size, c // size, c % size))
+            if not 0 <= c < len(codes):
+                break
+            q = c
+    return links
+
+
 def _roots_by_length(R: Solution, limit: int | None = None):
     """Yield (heads, node) for every length from 1 up, each from the one before.
 
@@ -85,16 +117,18 @@ def _roots_by_length(R: Solution, limit: int | None = None):
     rewrite there sends u x y to u x' y' where R(x, y) = (x', y'); with u in
     class D of length n-2, it joins node (ext(D, x), y) with (ext(D, x'), y'),
     where ext(D, x), the class of D's words followed by x, is read from the
-    node map of length n-1.  So length n takes one union per class D and per
-    pair that R moves; R is a bijection, so one direction per pair covers
-    both.  The empty word is the one class of length 0.
+    node map of length n-1.  A cycle of R on pairs joins all of its pairs
+    along its other edges, so its closing edge is implied and `_links` leaves
+    it out: length n takes one union per class D and per link, the moved
+    pairs less one per cycle.  R is a bijection, so one direction per pair
+    covers both.  The empty word is the one class of length 0.
 
     Each length's word count is checked against the limit before the length
     is built, though no list of that many entries is made.  The limit is
     `limit` when given, otherwise read at the first check.
     """
     size = R.size
-    moves = [(q // size, q % size, c // size, c % size) for q, c in enumerate(_codes(R)) if c != q]
+    links = _links(R)
     length = 1
     limit = check_count(size, f"length-1 words over [{size}]", 1, limit)
     heads, node = list(range(size)), list(range(size))
@@ -106,7 +140,7 @@ def _roots_by_length(R: Solution, limit: int | None = None):
         ext = node
         parent = list(range(len(heads) * size))
         for base in range(0, len(ext), size):
-            for x, y, x2, y2 in moves:
+            for x, y, x2, y2 in links:
                 a = ext[base + x] * size + y
                 b = ext[base + x2] * size + y2
                 while parent[a] != a:
@@ -200,10 +234,37 @@ def check_cancellative(R: Solution, maxlen: int):
     well defined because the congruence is stable under concatenation.
     Returns (True, None) or (False, witness) with the least witness
     (side, rep_a, rep_b, rep_c).
+
+    Single letters decide the answer.  If [a][b] = [a][b'] with a = x a',
+    then [x][a'b] = [x][a'b'] at total length la + lb, so a failure at
+    (la, lb) peels, one letter at a time, down to a letter x that does not
+    cancel on the left at total length <= maxlen; the right side peels the
+    same way.  So when every letter cancels on both sides up to maxlen the
+    answer is (True, None), and no other product table is built.  Only an
+    input with a letter that fails runs the ordered scan of
+    `_least_witness`, for the least witness.
     """
     check_int(maxlen, "maximum length", 0)
     size = R.size
     levels = _lengths_up_to(R, maxlen)
+    # row x holds the classes of x least(b), b over the classes of one length
+    rows = [[x] for x in range(size)]
+    for (heads, _), (_, node) in zip(levels, levels[1:]):
+        count = len(heads)
+        # y cancels on the right: the nodes (C, y) go to distinct classes
+        if any(len(set(node[y::size])) < count for y in range(size)):
+            return _least_witness(size, levels, maxlen)
+        splits = [divmod(h, size) for h in heads]
+        rows = [[node[row[p] * size + y] for p, y in splits] for row in rows]
+        if any(len(set(row)) < count for row in rows):
+            return _least_witness(size, levels, maxlen)
+    return True, None
+
+
+def _least_witness(size: int, levels, maxlen: int):
+    """The ordered scan of every (la, lb) class-product table, from the
+    (heads, node) pairs of lengths 1..maxlen: (False, least witness), or
+    (True, None) if every product cancels."""
     # class b's head node (p, y): least(b) is least(p) followed by y
     splits = [[divmod(h, size) for h in heads] for heads, _ in levels[: maxlen - 1]]
     for la in range(1, maxlen):

@@ -258,6 +258,75 @@ def index_of_by_dict(elements, word):
     return c
 
 
+def all_positions_roots(R, n):
+    """Oracle for the class roots: one union-find over every rewrite position.
+
+    Entry w is the least word code in the class of the word with 0-based
+    code w.  Rewriting positions (p, p+1) of a word adds (P[q] - q) * N**(n-p-2)
+    to its code, where the pair table P sends the pair code q to the code of
+    its image under R.
+    """
+    size = R.size
+    total = size ** n
+    moves = []
+    for q, (u, v) in enumerate(R.table):
+        image = (u - 1) * size + v - 1
+        if image != q:
+            moves.append((q, image - q))
+    parent = list(range(total))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for p in range(n - 1):
+        low = size ** (n - p - 2)
+        block = low * size * size
+        for q, delta in moves:
+            for start in range(q * low, total, block):
+                for a in range(start, start + low):
+                    a, b = find(a), find(a + delta * low)
+                    parent[max(a, b)] = min(a, b)
+    return [find(code) for code in range(total)]
+
+
+def cancellation_by_scan(R, maxlen):
+    """`check_cancellative(R, maxlen)` by scanning every (la, lb) product table.
+
+    Classes come from `all_positions_roots`, one union-find per length over
+    all words.  For la = 1..maxlen-1 and lb = 1..maxlen-la in turn, each row
+    (a fixed class a of length la, b over the classes of length lb in order
+    of their least words) and then each column is searched for its first
+    repeated product class; the first hit is the least witness.
+    """
+    size = R.size
+    roots = {n: all_positions_roots(R, n) for n in range(1, maxlen + 1)}
+    reps = {n: sorted(set(roots[n])) for n in roots}
+
+    def word(code, n):
+        return decode_word(code + 1, size, n)
+
+    for la in range(1, maxlen):
+        for lb in range(1, maxlen - la + 1):
+            whole, shift = roots[la + lb], size**lb
+            for a in reps[la]:
+                seen = {}
+                for b in reps[lb]:
+                    key = whole[a * shift + b]
+                    if key in seen:
+                        return False, ("left", word(a, la), word(seen[key], lb), word(b, lb))
+                    seen[key] = b
+            for b in reps[lb]:
+                seen = {}
+                for a in reps[la]:
+                    key = whole[a * shift + b]
+                    if key in seen:
+                        return False, ("right", word(b, lb), word(seen[key], la), word(a, la))
+                    seen[key] = a
+    return True, None
+
+
 def extension_check_per_pair(R, maxlen, codes=level_codes):
     """`semigroup_extension_check(R, maxlen)` with one block table per pair of block lengths.
 

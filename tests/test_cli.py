@@ -778,11 +778,9 @@ PARSE_CORPUS = [
     ("homology", X, "--deg", "1"),
 ]
 
-# valid argv that the matcher leaves to argparse: an optional positional, a value
-# starting with "-", an abbreviation, an "=" spelling or "--"
+# valid argv that the matcher leaves to argparse: an optional positional's token
+# after an option, a value starting with "-", an abbreviation, an "=" spelling or "--"
 ARGPARSE_ONLY = {
-    ("catalog",),
-    ("catalog", "flip-2", "--json"),
     ("catalog", "--json", "flip-2"),
     ("homology", X, "--degree", "-1"),
     ("classify", "--size", "2", "--sample", "-3"),

@@ -1,5 +1,6 @@
+import random
 from collections.abc import Mapping
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -18,10 +19,17 @@ from ybk.semigroup import (
     presentations,
     semigroup_extension_check,
 )
-from ybk.solution import builtin, is_ybe, make_solution, _mod1
+from ybk.solution import Solution, builtin, is_ybe, make_solution, _mod1
 
 from conftest import random_solutions
-from oracles import extension_check_per_pair, index_of_by_dict, word_index
+from oracles import (
+    all_positions_roots,
+    cancellation_by_scan,
+    extension_check_per_pair,
+    index_of_by_dict,
+    random_bijection_table,
+    word_index,
+)
 
 
 def bfs_classes(R, n):
@@ -50,68 +58,12 @@ def bfs_classes(R, n):
     return set(classes)
 
 
-def all_positions_roots(R, n):
-    """Oracle for the class roots: one union-find over every rewrite position.
-
-    Entry w is the least word code in the class of the word with 0-based
-    code w.  Rewriting positions (p, p+1) of a word adds (P[q] - q) * N**(n-p-2)
-    to its code, where the pair table P sends the pair code q to the code of
-    its image under R.
-    """
-    size = R.size
-    total = size ** n
-    moves = []
-    for q, (u, v) in enumerate(R.table):
-        image = (u - 1) * size + v - 1
-        if image != q:
-            moves.append((q, image - q))
-    parent = list(range(total))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
-    for p in range(n - 1):
-        low = size ** (n - p - 2)
-        block = low * size * size
-        for q, delta in moves:
-            for start in range(q * low, total, block):
-                for a in range(start, start + low):
-                    a, b = find(a), find(a + delta * low)
-                    parent[max(a, b)] = min(a, b)
-    return [find(code) for code in range(total)]
-
-
 def catalog_solutions(max_size):
     for name in catalog_names():
         if "valid_kgraph" not in catalog_profile(name):
             R = catalog_solution(name)
             if R.size <= max_size:
                 yield R
-
-
-def cancellative_oracle(R, maxlen):
-    """Least cancellation witness over the breadth-first classes."""
-    classes = {n: bfs_classes(R, n) for n in range(1, maxlen + 1)}
-    label = {n: {w: min(c) for c in classes[n] for w in c} for n in classes}
-    reps = {n: sorted(min(c) for c in classes[n]) for n in classes}
-    for la in range(1, maxlen):
-        for lb in range(1, maxlen - la + 1):
-            whole = label[la + lb]
-            for a in reps[la]:
-                seen = {}
-                for b in reps[lb]:
-                    if whole[a + b] in seen:
-                        return False, ("left", a, seen[whole[a + b]], b)
-                    seen[whole[a + b]] = b
-            for b in reps[lb]:
-                seen = {}
-                for a in reps[la]:
-                    if whole[a + b] in seen:
-                        return False, ("right", b, seen[whole[a + b]], a)
-                    seen[whole[a + b]] = a
-    return True, None
 
 
 class TestGradedElements:
@@ -277,6 +229,25 @@ class TestClassRoots:
                 expected = tuple(tuple(members) for members in groups.values())
                 assert graded_elements(R, n).classes == expected
 
+    def test_one_link_per_moved_pair_less_one_per_cycle(self, census2, census3, standard):
+        # a count, not a timing: each cycle of R on pairs costs its length less one
+        for R in [builtin("identity", 1)] + census2 + census3:
+            size = R.size
+            image = [(u - 1) * size + v - 1 for u, v in R.table]
+            moved = {q for q in range(size * size) if image[q] != q}
+            cycles = 0
+            while moved:
+                q = start = min(moved)
+                cycles += 1
+                while True:
+                    moved.discard(q)
+                    q = image[q]
+                    if q == start:
+                        break
+            links = semigroup._links(R)
+            assert len(links) == sum(image[q] != q for q in range(size * size)) - cycles
+        assert len(semigroup._links(standard["dih3"])) == 4
+
     @pytest.mark.parametrize(
         "check", [growth, check_cancellative, semigroup_extension_check]
     )
@@ -376,9 +347,50 @@ class TestCancellative:
         sides = set()
         for R in census2 + census3 + random_solutions(2, 40, seed=7, require_ybe=False):
             ok, witness = check_cancellative(R, 4)
-            assert (ok, witness) == cancellative_oracle(R, 4)
+            assert (ok, witness) == cancellation_by_scan(R, 4)
             sides.add(witness and witness[0])
         assert sides == {None, "left", "right"}
+
+    def test_every_length_matches_the_scan_oracle(self, census3):
+        rng = random.Random(49)
+        inputs = [
+            (Solution(size, pairs), 5)
+            for size in (1, 2)
+            for pairs in permutations(product(range(1, size + 1), repeat=2))
+        ]
+        inputs += [(R, 5) for R in census3]
+        inputs += [(Solution(3, random_bijection_table(3, rng)), 5) for _ in range(100)]
+        inputs += [(Solution(4, random_bijection_table(4, rng)), 4) for _ in range(100)]
+        assert len(inputs) == 1 + 24 + 73 + 200
+        verdicts = []
+        for R, top in inputs:
+            for maxlen in range(top + 1):
+                ok, witness = check_cancellative(R, maxlen)
+                assert (ok, witness) == cancellation_by_scan(R, maxlen), (R, maxlen)
+                verdicts.append(witness and witness[0])
+        assert set(verdicts) == {None, "left", "right"}
+
+    def test_letters_decide_before_the_ordered_scan(self, census3, standard, monkeypatch):
+        # a count, not a timing: a cancellative input builds no product table
+        # past one letter, and only a failing one runs the scan for its witness
+        entries = []
+        scan = semigroup._least_witness
+
+        def counted(*args):
+            entries.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(semigroup, "_least_witness", counted)
+        cancellative, failing = [], []
+        for R in census3:
+            entries.clear()
+            ok, _ = check_cancellative(R, 4)
+            (cancellative if ok else failing).append(len(entries))
+        assert cancellative == [0] * 19
+        assert len(failing) == 54 and min(failing) >= 1
+        entries.clear()
+        assert check_cancellative(standard["flip3"], 7) == (True, None)
+        assert entries == []
 
     def test_shift_collapses(self, standard):
         ok, witness = check_cancellative(standard["shift2"], 3)
