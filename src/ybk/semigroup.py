@@ -82,9 +82,12 @@ def _links(R: Solution) -> list[tuple[int, int, int, int]]:
     R is walked one cycle on pairs at a time, from its least pair, joining
     each pair to its image.  The edge that closes a cycle back to its start
     is left out: the others already join all of the cycle.  A cycle of
-    length L costs L - 1 links, not L, so an involutive R costs half.  An
-    edge into a pair walked before, or into a code outside the table, as a
-    table built without `make_solution` can hold, ends the walk and is kept.
+    length L costs L - 1 links, not L, so an involutive R costs half.
+
+    A table built without `make_solution` can send a pair to one walked
+    before, or to a code that is no pair at all: such an edge ends the walk
+    and is kept, and links come in the order of their pairs, so such a
+    table gets the classes, or the error, that one link per moved pair gives.
     """
     size = R.size
     codes = _codes(R)
@@ -94,12 +97,13 @@ def _links(R: Solution) -> list[tuple[int, int, int, int]]:
         while not walked[q]:
             walked[q] = True
             c = codes[q]
-            if c == q or c == start:
+            if c == q or c == start and type(c) is int:
                 break
             links.append((q // size, q % size, c // size, c % size))
-            if not 0 <= c < len(codes):
+            if type(c) is not int or not 0 <= c < len(codes):
                 break
             q = c
+    links.sort()
     return links
 
 
