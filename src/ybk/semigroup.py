@@ -97,7 +97,7 @@ def _links(R: Solution) -> list[tuple[int, int, int, int]]:
         while not walked[q]:
             walked[q] = True
             c = codes[q]
-            if c == q or c == start and type(c) is int:
+            if c == q or (c == start and type(c) is int):
                 break
             links.append((q // size, q % size, c // size, c % size))
             if type(c) is not int or not 0 <= c < len(codes):

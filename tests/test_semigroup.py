@@ -342,16 +342,8 @@ class TestCancellative:
         assert graded3.index_of((1, 2, 2)) == graded3.index_of((1, 3, 3))
         assert graded2.index_of((2, 2)) != graded2.index_of((3, 3))
 
-    def test_census_matches_oracle(self, census2, census3):
-        # the random bijections, not all solutions, include a right-side witness
-        sides = set()
-        for R in census2 + census3 + random_solutions(2, 40, seed=7, require_ybe=False):
-            ok, witness = check_cancellative(R, 4)
-            assert (ok, witness) == cancellation_by_scan(R, 4)
-            sides.add(witness and witness[0])
-        assert sides == {None, "left", "right"}
-
-    def test_every_length_matches_the_scan_oracle(self, census3):
+    def test_census_matches_oracle(self, census3):
+        # every N <= 2 bijection, so also the census and right-side witnesses
         rng = random.Random(49)
         inputs = [
             (Solution(size, pairs), 5)
