@@ -114,19 +114,17 @@ def glued_identity_extension(size_x: int, size_y: int, theta) -> Solution:
 
 def derived_solution(R: Solution) -> Solution:
     """The derived solution: (x, y) -> (beta_x(alpha_{beta_y^{-1}(x)}(y)), x)."""
-    _require_nondegenerate_ybe(R)
-    return _derived(R)
+    ab = _nondegenerate_maps(R)
+    return _derived(R.size, ab.alpha, ab.beta)
 
 
-def _derived(R: Solution) -> Solution:
-    n = R.size
-    ab = alpha_beta(R)
-    beta_inv = tuple(_invert_row(row) for row in ab.beta)
+def _derived(n: int, alpha, beta) -> Solution:
+    beta_inv = tuple(_invert_row(row) for row in beta)
     table = []
     for x in range(1, n + 1):
         for y in range(1, n + 1):
             w = beta_inv[y - 1][x - 1]
-            table.append((ab.beta[x - 1][ab.alpha[w - 1][y - 1] - 1], x))
+            table.append((beta[x - 1][alpha[w - 1][y - 1] - 1], x))
     return make_solution(n, table)
 
 
@@ -134,18 +132,21 @@ def left_derived_solution(R: Solution) -> Solution:
     """The mirror-shape variant: (x, y) -> (y, alpha_y(beta_{alpha_x^{-1}(y)}(x))).
 
     It is the flip-conjugate of the derived solution of R's flip-conjugate,
-    which swaps the roles of alpha and beta.
+    whose coordinate maps are R's with alpha and beta trading places.
     """
-    _require_nondegenerate_ybe(R)
-    return _flip_conjugate(_derived(_flip_conjugate(R)))
+    ab = _nondegenerate_maps(R)
+    return _flip_conjugate(_derived(R.size, ab.beta, ab.alpha))
 
 
-def _require_nondegenerate_ybe(R: Solution) -> None:
+def _nondegenerate_maps(R: Solution):
+    """`alpha_beta(R)`, once R is checked to satisfy the braid relation and be non-degenerate."""
     if not is_ybe(R):
         raise NotAYbeSolution("the input does not satisfy the braid relation")
-    row = _degenerate_row(alpha_beta(R))
+    ab = alpha_beta(R)
+    row = _degenerate_row(ab)
     if row is not None:
         raise Degenerate(f"{row[0]}_{row[1]} is not invertible")
+    return ab
 
 
 def _invert_row(row: tuple[int, ...]) -> tuple[int, ...]:

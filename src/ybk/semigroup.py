@@ -12,13 +12,15 @@ class counts, not the N^n words.  Per-word class lists are expanded from
 the nodes only where a caller reads words one by one.  On top of that sit
 growth counts, cancellativity checks, the presentation text of the
 structure semigroup and group, and the two graded compatibility checks.
-Cancellation is decided by single letters, since a failure at lengths
-(la, lb) peels down to a letter that fails at total length at most maxlen;
-only a failing input scans every product table for its least witness.  The
-two graded checks are the braided extension of R to graded pieces and the
-closed action formulas for square level maps.  Both answer from the braid
-relation, by a theorem, and build no class and no table; the word-by-word
-loops are the tests' oracles.
+Cancellation is one ordered scan of the product tables for the least
+witness, cut short by peeling: a column repeat peels to two nodes (C, y),
+(C', y) of one class and a row repeat to a row of one letter, so columns
+are read only when some slice `node[y::N]` is not injective, and otherwise
+the scan stops after the one-letter rows.  The two graded checks are the
+braided extension of R to graded pieces and the closed action formulas
+for square level maps.  Both answer from the braid relation, by a theorem,
+and build no class and no table; the word-by-word loops are the tests'
+oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import product
 from ._record import record
 from .errors import InvalidParams, NotAYbeSolution, PreconditionFailed, check_int
 from .limits import check_count
-from .solution import Solution, _codes, is_ybe
+from .solution import Solution, _codes, _first_repeat, is_ybe
 
 
 @record
@@ -237,41 +239,27 @@ def check_cancellative(R: Solution, maxlen: int):
     The class product [a][b] is the class of concatenated representatives,
     well defined because the congruence is stable under concatenation.
     Returns (True, None) or (False, witness) with the least witness
-    (side, rep_a, rep_b, rep_c).
+    (side, rep_a, rep_b, rep_c), from one scan of the (la, lb) product
+    tables in order, each table's rows before its columns.
 
-    Single letters decide the answer.  If [a][b] = [a][b'] with a = x a',
-    then [x][a'b] = [x][a'b'] at total length la + lb, so a failure at
-    (la, lb) peels, one letter at a time, down to a letter x that does not
-    cancel on the left at total length <= maxlen; the right side peels the
-    same way.  So when every letter cancels on both sides up to maxlen the
-    answer is (True, None), and no other product table is built.  Only an
-    input with a letter that fails runs the ordered scan of
-    `_least_witness`, for the least witness.
+    Peeling in the node maps cuts the scan short.  A column repeat
+    [a][b] = [a'][b] with b = b'y is one at (la, lb - 1) or two nodes
+    ([ab'], y), ([a'b'], y) of one class, so it peels to a slice
+    `node[y::N]` that is not injective: without one, no column is read.  A
+    row repeat [x a'][b] = [x a'][b'] gives [x][a'b] = [x][a'b'] at the same
+    total length, so it peels to la = 1: without a column to read, the scan
+    stops after la = 1.
     """
     check_int(maxlen, "maximum length", 0)
     size = R.size
     levels = _lengths_up_to(R, maxlen)
-    # row x holds the classes of x least(b), b over the classes of one length
-    rows = [[x] for x in range(size)]
-    for (heads, _), (_, node) in zip(levels, levels[1:]):
-        count = len(heads)
-        # y cancels on the right: the nodes (C, y) go to distinct classes
-        if any(len(set(node[y::size])) < count for y in range(size)):
-            return _least_witness(size, levels, maxlen)
-        splits = [divmod(h, size) for h in heads]
-        rows = [[node[row[p] * size + y] for p, y in splits] for row in rows]
-        if any(len(set(row)) < count for row in rows):
-            return _least_witness(size, levels, maxlen)
-    return True, None
-
-
-def _least_witness(size: int, levels, maxlen: int):
-    """The ordered scan of every (la, lb) class-product table, from the
-    (heads, node) pairs of lengths 1..maxlen: (False, least witness), or
-    (True, None) if every product cancels."""
+    # some letter y fails on the right: the nodes (C, y) of a length share a class
+    right = any(
+        len(set(node[y::size])) < len(node) // size for _, node in levels for y in range(size)
+    )
     # class b's head node (p, y): least(b) is least(p) followed by y
     splits = [[divmod(h, size) for h in heads] for heads, _ in levels[: maxlen - 1]]
-    for la in range(1, maxlen):
+    for la in range(1, maxlen if right else min(maxlen, 2)):
         # row a holds the classes of least(a) least(b), b over the classes of length lb
         products = [[a] for a in range(len(levels[la - 1][0]))]
         for lb in range(1, maxlen - la + 1):
@@ -282,24 +270,12 @@ def _least_witness(size: int, levels, maxlen: int):
                 if repeat:
                     words = [_least_word(size, levels, lb, b) for b in repeat]
                     return False, ("left", _least_word(size, levels, la, a), *words)
-            for b, column in enumerate(zip(*products)):
+            for b, column in enumerate(zip(*products) if right else ()):
                 repeat = _first_repeat(column)
                 if repeat:
                     words = [_least_word(size, levels, la, a) for a in repeat]
                     return False, ("right", _least_word(size, levels, lb, b), *words)
     return True, None
-
-
-def _first_repeat(keys):
-    """(i, j) for the first entry j equal to an earlier entry i, or None."""
-    # the set settles most rows at C speed; only a row with a repeat is scanned
-    if len(set(keys)) < len(keys):
-        seen: dict[int, int] = {}
-        for j, key in enumerate(keys):
-            if key in seen:
-                return seen[key], j
-            seen[key] = j
-    return None
 
 
 @record

@@ -361,23 +361,25 @@ def properties(R: Solution) -> PropertyReport:
 
 
 def _degenerate_row(ab: AlphaBeta):
-    """("alpha", x) + the `_first_collision` of the first non-injective alpha_x, else
-    the same for beta, or None when every row is injective."""
+    """("alpha", x) + the 1-based `_first_repeat` of the first non-injective alpha_x,
+    else the same for beta, or None when every row is injective."""
     for side, rows in (("alpha", ab.alpha), ("beta", ab.beta)):
         for x, row in enumerate(rows, start=1):
-            collision = _first_collision(row)
-            if collision is not None:
-                return (side, x) + collision
+            repeat = _first_repeat(row)
+            if repeat is not None:
+                return (side, x) + tuple(i + 1 for i in repeat)
     return None
 
 
-def _first_collision(row: tuple[int, ...]):
-    """The (a, b), a < b, with row[a-1] == row[b-1] and the least b, or None if injective."""
-    seen: dict[int, int] = {}
-    for pos, value in enumerate(row, start=1):
-        if value in seen:
-            return (seen[value], pos)
-        seen[value] = pos
+def _first_repeat(keys):
+    """(i, j) for the first entry j equal to an earlier entry i, or None."""
+    # the set settles most rows at C speed; only a row with a repeat is scanned
+    if len(set(keys)) < len(keys):
+        seen: dict[int, int] = {}
+        for j, key in enumerate(keys):
+            if key in seen:
+                return seen[key], j
+            seen[key] = j
     return None
 
 

@@ -353,36 +353,44 @@ class TestCancellative:
         inputs += [(R, 5) for R in census3]
         inputs += [(Solution(3, random_bijection_table(3, rng)), 5) for _ in range(100)]
         inputs += [(Solution(4, random_bijection_table(4, rng)), 4) for _ in range(100)]
-        assert len(inputs) == 1 + 24 + 73 + 200
-        verdicts = []
+        # no braid solution: its least witness, right at maxlen 3, has la = 2
+        late = ((3, 3), (1, 2), (2, 1), (1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (1, 1))
+        inputs.append((Solution(3, late), 5))
+        assert len(inputs) == 1 + 24 + 73 + 200 + 1
+        verdicts, la = [], set()
         for R, top in inputs:
             for maxlen in range(top + 1):
                 ok, witness = check_cancellative(R, maxlen)
                 assert (ok, witness) == cancellation_by_scan(R, maxlen), (R, maxlen)
                 verdicts.append(witness and witness[0])
+                if witness:
+                    la.add(len(witness[1 if witness[0] == "left" else 2]))
         assert set(verdicts) == {None, "left", "right"}
+        # a scan that stopped after la = 1 would miss these
+        assert max(la) >= 2
 
     def test_letters_decide_before_the_ordered_scan(self, census3, standard, monkeypatch):
-        # a count, not a timing: a cancellative input builds no product table
-        # past one letter, and only a failing one runs the scan for its witness
-        entries = []
-        scan = semigroup._least_witness
+        # a count, not a timing: a cancellative input reads the one-letter
+        # rows only, and a failing one scans until its witness
+        calls = []
+        first_repeat = semigroup._first_repeat
 
-        def counted(*args):
-            entries.append(args)
-            return scan(*args)
+        def counted(keys):
+            calls.append(keys)
+            return first_repeat(keys)
 
-        monkeypatch.setattr(semigroup, "_least_witness", counted)
+        monkeypatch.setattr(semigroup, "_first_repeat", counted)
         cancellative, failing = [], []
         for R in census3:
-            entries.clear()
+            calls.clear()
             ok, _ = check_cancellative(R, 4)
-            (cancellative if ok else failing).append(len(entries))
-        assert cancellative == [0] * 19
+            (cancellative if ok else failing).append(len(calls))
+        # three one-letter rows at each of lb = 1..3, and no column
+        assert cancellative == [9] * 19
         assert len(failing) == 54 and min(failing) >= 1
-        entries.clear()
+        calls.clear()
         assert check_cancellative(standard["flip3"], 7) == (True, None)
-        assert entries == []
+        assert len(calls) == 18
 
     def test_shift_collapses(self, standard):
         ok, witness = check_cancellative(standard["shift2"], 3)
