@@ -78,7 +78,7 @@ def catalog_names() -> list[str]:
 
 def catalog_document(name: str) -> dict:
     """The canonical document dict of a catalog entry."""
-    if name not in _entries():
+    if not isinstance(name, str) or name not in _entries():
         raise UnknownName(f"no catalog entry named {name!r}; see `ybk catalog`")
     obj, profile = _entries()[name]
     metadata = {"profile": dict(profile)}
@@ -88,7 +88,7 @@ def catalog_document(name: str) -> dict:
 
 
 def catalog_solution(name: str) -> Solution:
-    obj = _entries().get(name, (None,))[0]
+    obj = _entries().get(name, (None,))[0] if isinstance(name, str) else None
     if not isinstance(obj, Solution):
         raise UnknownName(f"no solution catalog entry named {name!r}")
     return obj
@@ -96,6 +96,6 @@ def catalog_solution(name: str) -> Solution:
 
 def catalog_profile(name: str) -> dict:
     """A copy of the entry's expected property profile."""
-    if name not in _entries():
+    if not isinstance(name, str) or name not in _entries():
         raise UnknownName(f"no catalog entry named {name!r}")
     return dict(_entries()[name][1])

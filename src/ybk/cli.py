@@ -6,22 +6,23 @@ byte-identical across runs.  Exit codes: 0 success or property holds, 1
 property fails or a witness was found, 2 usage or parse error; an error
 exits with its class's `exit_code`.
 
-The grammar is declared once, by the `add_argument` calls of `_build_parser`.
-A well-formed argv (command names, exact option strings, a value after
-each option that does not start with `-`, values that pass their type and
-choices, and one token per positional) is matched directly against those
-declared actions, into the namespace `parse_args` would return.  Every
-other argv, and every command with an optional positional (`catalog`), is
-parsed by argparse, which prints all help and usage errors.
+The grammar is declared once, in the table `_COMMANDS`.  A well-formed
+argv (command names, exact option strings, a value after each option that
+does not start with `-`, values that pass their type and choices, one token
+per positional) is matched directly against the table, into the namespace
+`parse_args` would return, and imports no argparse.  Every other argv (help,
+usage errors, `--n=2`, abbreviations such as `--deg`, `--`, negative
+numbers, a `catalog` name after an option) builds the argparse parser from
+the same table, which parses it and prints all help and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import sys
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import catalog as _catalog
 from . import serialize as _serialize
@@ -401,175 +402,139 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+# Every command once, as name: (handler, help, arguments), each argument a
+# (name or option string, `add_argument` keywords) pair that follows --json;
+# `kgraph`'s handler is its own table of commands.
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable canonical JSON"})
+_INPUT = ("input", {})
+_THETA = ("theta", {})
+_LEFT_RIGHT = (("left", {}), ("right", {}))
+_CENSUS = (_cmd_enumerate, "census and classification of small solutions", (
+    ("--size", {"type": int, "required": True}),
+    ("--relation", {"choices": ("yb-iso", "conjugacy"), "default": "yb-iso"}),
+    ("--sample", {"type": int, "default": None, "help": "non-exhaustive seeded sampling"}),
+    ("--seed", {"type": int, "default": 0}),
+))
+_KGRAPH = {
+    "verify": (_cmd_kgraph_verify, "validate the triple identity", (_THETA,)),
+    "normalize": (_cmd_kgraph_normalize, "normal form of a word", (
+        _THETA, ("--word", {"required": True, "help": "comma-separated colour:letter pairs"}),
+    )),
+    "diamond": (_cmd_kgraph_diamond, "complete a factorization diamond", (
+        _THETA,
+        ("--mu", {"required": True}),
+        ("--nu", {"required": True}),
+        ("--direction", {"choices": ("pullback", "pushout"), "required": True}),
+    )),
+}
+_COMMANDS = {
+    "verify": (_cmd_verify, "decide the braid relation", (_INPUT,)),
+    "props": (_cmd_props, "structural property report", (_INPUT,)),
+    "equations": (_cmd_equations, "the three coordinate-map equations", (_INPUT,)),
+    "level": (_cmd_level, "emit the level-n solution document", (_INPUT, ("--n", {"type": int, "required": True}))),
+    "derive": (_cmd_derive, "emit the derived solution document", (
+        _INPUT, ("--left", {"action": "store_true", "help": "the mirror-shape variant"}),
+    )),
+    "product": (_cmd_product, "cartesian product of two solutions", _LEFT_RIGHT),
+    "extend-trivial": (_cmd_extend_trivial, "trivial extension of two solutions", _LEFT_RIGHT),
+    "extend-glued": (_cmd_extend_glued, "glued identity extension from a 2-colour theta document", (_THETA,)),
+    "union": (_cmd_union, "disjoint-union solution of a theta document", (_THETA,)),
+    "kgraph": (_KGRAPH, "k-graph operations", ()),
+    "periodic": (_cmd_periodic, "search for a level with identity solution", (
+        _INPUT, ("--bound", {"type": int, "default": 6}),
+    )),
+    "semigroup": (_cmd_semigroup, "structure semigroup reports", (
+        _INPUT,
+        ("--max-len", {"type": int, "default": None, "help": "default 6 for two elements, 5 for three, 4 beyond"}),
+        ("--cancel", {"action": "store_true"}),
+        ("--presentation", {"action": "store_true"}),
+        ("--extension-check", {"action": "store_true"}),
+    )),
+    "enumerate": _CENSUS,
+    "classify": _CENSUS,
+    "homology": (_cmd_homology, "integral homology and cohomology", (
+        _INPUT,
+        ("--degree", {"type": int, "required": True}),
+        ("--coeff", {"default": "z", "help": "z or z/M"}),
+        ("--verify-complex", {"action": "store_true"}),
+    )),
+    "catalog": (_cmd_catalog, "list or emit bundled inputs", (("name", {"nargs": "?", "default": None}),)),
+}
+
+
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first `main` call and shared by later ones.
+def _build_parser():
+    """The argparse parser of `_COMMANDS`, built on the first argv that
+    `_match` declines and shared by later ones.
 
     `parse_args` leaves it unchanged, so repeated calls in one process see
     the same parser a fresh process would build.
     """
+    import argparse
+
+    def add_commands(parser, dest, table):
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name, (handler, summary, arguments) in table.items():
+            p = sub.add_parser(name, help=summary)
+            if type(handler) is dict:
+                add_commands(p, f"{name}_command", handler)
+                continue
+            p.set_defaults(handler=handler)
+            for flag, keywords in (_JSON, *arguments):
+                p.add_argument(flag, **keywords)
+
     parser = argparse.ArgumentParser(
         prog="ybk",
         description="Set-theoretic Yang-Baxter solutions and single-vertex k-graphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(subparsers, name, handler, **kwargs):
-        p = subparsers.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        p.add_argument("--json", action="store_true", help="machine-readable canonical JSON")
-        return p
-
-    p = add(sub, "verify", _cmd_verify, help="decide the braid relation")
-    p.add_argument("input")
-
-    p = add(sub, "props", _cmd_props, help="structural property report")
-    p.add_argument("input")
-
-    p = add(sub, "equations", _cmd_equations, help="the three coordinate-map equations")
-    p.add_argument("input")
-
-    p = add(sub, "level", _cmd_level, help="emit the level-n solution document")
-    p.add_argument("input")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add(sub, "derive", _cmd_derive, help="emit the derived solution document")
-    p.add_argument("input")
-    p.add_argument("--left", action="store_true", help="the mirror-shape variant")
-
-    p = add(sub, "product", _cmd_product, help="cartesian product of two solutions")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add(sub, "extend-trivial", _cmd_extend_trivial, help="trivial extension of two solutions")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add(sub, "extend-glued", _cmd_extend_glued, help="glued identity extension from a 2-colour theta document")
-    p.add_argument("theta")
-
-    p = add(sub, "union", _cmd_union, help="disjoint-union solution of a theta document")
-    p.add_argument("theta")
-
-    kgraph = sub.add_parser("kgraph", help="k-graph operations")
-    ksub = kgraph.add_subparsers(dest="kgraph_command", required=True)
-
-    p = add(ksub, "verify", _cmd_kgraph_verify, help="validate the triple identity")
-    p.add_argument("theta")
-
-    p = add(ksub, "normalize", _cmd_kgraph_normalize, help="normal form of a word")
-    p.add_argument("theta")
-    p.add_argument("--word", required=True, help="comma-separated colour:letter pairs")
-
-    p = add(ksub, "diamond", _cmd_kgraph_diamond, help="complete a factorization diamond")
-    p.add_argument("theta")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.add_argument("--direction", choices=("pullback", "pushout"), required=True)
-
-    p = add(sub, "periodic", _cmd_periodic, help="search for a level with identity solution")
-    p.add_argument("input")
-    p.add_argument("--bound", type=int, default=6)
-
-    p = add(sub, "semigroup", _cmd_semigroup, help="structure semigroup reports")
-    p.add_argument("input")
-    p.add_argument(
-        "--max-len",
-        type=int,
-        default=None,
-        help="default 6 for two elements, 5 for three, 4 beyond",
-    )
-    p.add_argument("--cancel", action="store_true")
-    p.add_argument("--presentation", action="store_true")
-    p.add_argument("--extension-check", action="store_true")
-
-    for name in ("enumerate", "classify"):
-        p = add(sub, name, _cmd_enumerate, help="census and classification of small solutions")
-        p.add_argument("--size", type=int, required=True)
-        p.add_argument("--relation", choices=("yb-iso", "conjugacy"), default="yb-iso")
-        p.add_argument("--sample", type=int, default=None, help="non-exhaustive seeded sampling")
-        p.add_argument("--seed", type=int, default=0)
-
-    p = add(sub, "homology", _cmd_homology, help="integral homology and cohomology")
-    p.add_argument("input")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--coeff", default="z", help="z or z/M")
-    p.add_argument("--verify-complex", action="store_true")
-
-    p = add(sub, "catalog", _cmd_catalog, help="list or emit bundled inputs")
-    p.add_argument("name", nargs="?", default=None)
-
+    add_commands(parser, "command", _COMMANDS)
     return parser
 
 
-def _grammar_of(parser: argparse.ArgumentParser, head: dict):
-    """What `_match` reads of `parser`: a dict of its sub-commands, its
-    (defaults, options, positionals, required options) if it is a leaf, or
-    None if it declares anything `_match` leaves to argparse.  Of the
-    positionals only the last may be optional (nargs "?", no choices).
+def _forms(table: dict, dest: str, head: dict) -> dict:
+    """`table` as `_match` reads it: a dict of its commands, each a sub-table's
+    dict or a leaf's (defaults, options, positionals, required options).
 
-    `head` holds the sub-command dests walked so far, in the order
-    `parse_args` adds them to the namespace.
+    The defaults are those of `parse_args`, in its order: the command dests
+    walked (`head`, then `dest`), each argument's (a declared default, else
+    False for store_true and None for the rest), then the handler.  An
+    option's dest is its string without the leading dashes, `-` read as `_`;
+    options and positionals map to (dest, keywords).
     """
-    actions = [action for action in parser._actions if type(action) is not argparse._HelpAction]
-    if len(actions) == 1 and type(actions[0]) is argparse._SubParsersAction and not parser._defaults:
-        dest = actions[0].dest
-        return {
-            name: _grammar_of(sub, {**head, dest: name})
-            for name, sub in actions[0].choices.items()
-        }
-    defaults, options, positionals, required = {}, {}, [], set()
-    for action in actions:
-        if (
-            type(action) not in (argparse._StoreAction, argparse._StoreTrueAction)
-            or action.nargs not in (None, 0, "?")
-            or (action.nargs == "?" and (action.option_strings or action.choices is not None))
-            or (isinstance(action.default, str) and action.type is not None)
-        ):
-            return None
-        if action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-        if not action.option_strings:
-            positionals.append(action)
-        elif action.required:
-            required.add(action)
-        options.update(dict.fromkeys(action.option_strings, action))
-    if any(action.nargs == "?" for action in positionals[:-1]):
-        return None
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
-    return {**head, **defaults}, options, positionals, required
+    grammar = {}
+    for name, (handler, _, arguments) in table.items():
+        defaults = {**head, dest: name}
+        if type(handler) is dict:
+            grammar[name] = _forms(handler, f"{name}_command", defaults)
+            continue
+        options, positionals, required = {}, [], set()
+        for flag, keywords in (_JSON, *arguments):
+            key = flag.lstrip("-").replace("-", "_") if flag[0] == "-" else flag
+            defaults[key] = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+            if flag[0] != "-":
+                positionals.append((key, keywords))
+                continue
+            options[flag] = key, keywords
+            if keywords.get("required"):
+                required.add(flag)
+        grammar[name] = {**defaults, "handler": handler}, options, positionals, required
+    return grammar
 
 
 @cache
 def _grammar():
-    """`_grammar_of` the parser, built on the first `main` call."""
-    return _grammar_of(_build_parser(), {})
-
-
-_REJECTED = object()
-
-
-def _value(action, token: str):
-    """`token` as `action` stores it, or `_REJECTED` where argparse would exit."""
-    if action.type is not None:
-        try:
-            token = action.type(token)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            return _REJECTED
-    if action.choices is not None and token not in action.choices:
-        return _REJECTED
-    return token
+    """`_forms` of `_COMMANDS`, built on the first `main` call."""
+    return _forms(_COMMANDS, "command", {})
 
 
 def _match(argv: list):
-    """The namespace `parse_args(argv)` returns, read off the declared actions,
-    or None when argparse alone must judge argv: help, an unknown name, an
-    option spelling other than an exact option string, a missing or
-    dash-led option value, a bad value or count, or a parser with other
-    kinds of argument.  A trailing optional positional takes its token only
-    before any option, and its default when it has none: how argparse reads
-    a token after an option there differs between Python versions."""
+    """The namespace `parse_args(argv)` returns, read off `_COMMANDS`, or None
+    when argparse alone must judge argv: help, an unknown name, an option
+    spelling other than an exact option string, a missing or dash-led option
+    value, a bad value or count.  A trailing optional positional takes its
+    token only before any option, and its default when it has none: how
+    argparse reads a token after an option there differs between Python
+    versions."""
     grammar, index = _grammar(), 0
     while type(grammar) is dict:
         if index == len(argv) or type(argv[index]) is not str:
@@ -579,7 +544,7 @@ def _match(argv: list):
     if grammar is None:
         return None
     defaults, options, positionals, required = grammar
-    optional = bool(positionals) and positionals[-1].nargs == "?"
+    optional = bool(positionals) and positionals[-1][1].get("nargs") == "?"
     values, free, stored, seen = dict(defaults), [], [], set()
     tokens = iter(argv[index:])
     for token in tokens:
@@ -590,29 +555,34 @@ def _match(argv: list):
                 return None
             free.append(token)
             continue
-        action = options.get(token)
-        if action is None:
+        option = options.get(token)
+        if option is None:
             return None
-        seen.add(action)
-        if action.nargs == 0:
-            values[action.dest] = action.const
+        seen.add(token)
+        key, keywords = option
+        if keywords.get("action") == "store_true":
+            values[key] = True
             continue
         token = next(tokens, None)
         if type(token) is not str or token[:1] == "-":
             return None
-        stored.append((action, token))
+        stored.append((option, token))
     if not len(positionals) - optional <= len(free) <= len(positionals) or not required <= seen:
         return None
     stored.extend(zip(positionals, free))
-    for action, token in stored:
-        value = _value(action, token)
-        if value is _REJECTED:
+    # a value its type or choices reject is argparse's to report
+    for (key, keywords), token in stored:
+        try:
+            value = keywords.get("type", str)(token)
+        except (TypeError, ValueError):
             return None
-        values[action.dest] = value
-    return argparse.Namespace(**values)
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[key] = value
+    return SimpleNamespace(**values)
 
 
-def _parse(argv) -> argparse.Namespace:
+def _parse(argv):
     """`_build_parser().parse_args(argv)`: `_match` takes a well-formed argv,
     and argparse parses, prints and exits on every other."""
     argv = sys.argv[1:] if argv is None else list(argv)

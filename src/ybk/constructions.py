@@ -25,8 +25,12 @@ def encode_word(word, n: int) -> int:
     A letter outside 1..n, or a bool, raises InvalidParams.
     """
     check_int(n, "alphabet size", 1)
+    try:
+        letters = iter(word)
+    except TypeError:
+        raise InvalidParams(f"word must be an iterable of letters, got {word!r}") from None
     code = 0
-    for letter in word:
+    for letter in letters:
         # `type` rather than isinstance: bool is a subclass of int
         if not (type(letter) is int and 1 <= letter <= n):
             raise InvalidParams(f"letter {letter!r} outside 1..{n}")

@@ -201,8 +201,12 @@ def validate_kgraph(family: ThetaFamily):
 
 
 def _check_letters(family: ThetaFamily, word):
+    try:
+        items = iter(word)
+    except TypeError:
+        raise InvalidParams(f"word must be an iterable of (colour, letter) pairs, got {word!r}") from None
     letters = []
-    for item in word:
+    for item in items:
         try:
             colour, letter = item
         except (TypeError, ValueError):
@@ -340,7 +344,10 @@ def factorize(a: KWord, m) -> tuple[KWord, KWord]:
     """The unique split a = head * tail with degree(head) = m."""
     family = a.family
     letters = _check_word(family, a)
-    m = tuple(m)
+    try:
+        m = tuple(m)
+    except TypeError:
+        raise InvalidParams(f"degree vector must be an iterable of {family.k} parts, got {m!r}") from None
     for part in m:
         check_int(part, "degree vector part")
     d = a.degree

@@ -857,6 +857,26 @@ class TestDirectParse:
         else:
             assert calls
 
+    def test_table_declares_only_what_the_matcher_reads(self):
+        # each argument is a store, a store_true or a trailing optional positional
+        # without choices; a type is int, whose failures `_match` catches, and never
+        # comes with a string default, which argparse would convert
+        tables = [cli._COMMANDS]
+        for table in tables:
+            for handler, _, arguments in table.values():
+                if type(handler) is dict:
+                    tables.append(handler)
+                    continue
+                for flag, keywords in (cli._JSON, *arguments):
+                    assert set(keywords) <= {"action", "type", "choices", "default", "required", "help", "nargs"}
+                    assert keywords.get("action", "store") in ("store", "store_true")
+                    assert keywords.get("type", int) is int
+                    assert not (isinstance(keywords.get("default"), str) and "type" in keywords)
+                    if "nargs" in keywords:
+                        assert keywords["nargs"] == "?" and "choices" not in keywords
+                        assert flag[0] != "-" and (flag, keywords) == arguments[-1]
+        assert len(tables) == 2
+
     def test_argparse_only_entries_are_in_the_corpus(self):
         assert ARGPARSE_ONLY <= set(PARSE_CORPUS)
 
@@ -910,14 +930,16 @@ class TestFreshProcess:
         assert_usage_error(done.returncode, done.stdout, done.stderr)
 
     def test_import_builds_no_parser(self):
-        # the parser and the grammar read off it are built on the first call; at
-        # import they would add to start-up
+        # a matched argv runs without argparse; the first declined one imports it and
+        # builds the parser, once
         done = run_python(
             "-c",
-            "import ybk.cli as cli\n"
-            "built = lambda: (cli._build_parser.cache_info().currsize, cli._grammar.cache_info().currsize)\n"
-            "print(*built())\n"
+            "import sys, ybk.cli as cli\n"
+            "state = lambda: ('argparse' in sys.modules, cli._build_parser.cache_info().misses)\n"
             "cli._parse(['verify', 'catalog:flip-2'])\n"
-            "print(*built())",
+            "print(*state())\n"
+            "cli._parse(['verify', 'catalog:flip-2', '--js'])\n"
+            "cli._parse(['verify', 'catalog:flip-2', '--js'])\n"
+            "print(*state())",
         )
-        assert done.stdout == "0 0\n1 1\n"
+        assert (done.stdout, done.stderr) == ("False 0\nTrue 1\n", "")

@@ -167,7 +167,10 @@ def test_canonical_json_round_trips(value):
 
 
 @FUZZ
-@given(name=st.sampled_from(catalog_names()) | st.text(max_size=8) | st.none() | st.integers(-1, 3))
+@given(
+    name=st.sampled_from(catalog_names()) | st.text(max_size=8) | st.none() | st.integers(-1, 3)
+    | st.lists(st.integers(), max_size=2)
+)
 def test_catalog_lookups_raise_only_library_errors(name):
     document = _contract(catalog_document, name)
     profile = _contract(catalog_profile, name)

@@ -80,12 +80,12 @@ def test_kgraph_functions_raise_only_library_errors(data):
     word = words(data.draw, family, range(1, family.k + 1))
     # often a degree vector that fits the word, so factorize reaches its swaps
     fitting = st.tuples(*(st.integers(0, len(block)) for block in word.blocks))
-    degree = data.draw(fitting | st.lists(VALUE, max_size=4))
+    degree = data.draw(fitting | st.lists(VALUE, max_size=4) | VALUE)
     colours = data.draw(st.permutations(range(1, family.k + 1)))
     cut = data.draw(st.integers(1, family.k - 1))
     mu = words(data.draw, family, colours[:cut])
     nu = words(data.draw, family, colours[cut:])
-    _contract(normalize, family, data.draw(st.lists(st.tuples(VALUE, VALUE), max_size=4)))
+    _contract(normalize, family, data.draw(st.lists(st.tuples(VALUE, VALUE), max_size=4) | VALUE))
     _contract(multiply, word, mu)
     _contract(factorize, word, degree)
     for direction in ("pullback", "pushout", "sideways"):

@@ -73,7 +73,7 @@ def _contract(function, *args):
 
 @FUZZ
 @given(
-    word=st.lists(LETTER, max_size=4),
+    word=st.lists(LETTER, max_size=4) | LETTER,
     n=LENGTH,
     code=st.integers(-2, 90) | st.booleans() | st.just(1.0),
     length=LENGTH,
