@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, islice, product
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from ._record import record
 from .errors import Degenerate, InvalidParams, NotAYbeSolution, check_int
@@ -332,14 +332,15 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     of length b = n - a.  v1 crosses u first, by the level table T_a of
     n-blocks, into (v1', u1); then v2 crosses u1 by T_b.  So the level map is
     (id x T_b) o (T_a x id), and its table is two block gathers: the pairs
-    under each v1' by T_b, then those blocks by T_a.  T_a and T_b are
-    composites of R crossings, so they are permutations of their ranges
-    once R is a bijection.  The pairs come from one tuple of all of
-    [N**n]^2, kept for the next call at the same size when N**n <= 256, so
-    a repeated build allocates no pair tuple.  A Solution built without
-    `make_solution` is checked first as `make_solution` checks a table, so
-    any fault in it, a repeated output included, raises `make_solution`'s
-    error for R itself.
+    under each v1' by T_b into one row, then the blocks of those rows by T_a,
+    each cut only as the table reads it, so no list of all N**a * N**n blocks
+    is alive.  T_a and T_b are composites of R crossings, so they are
+    permutations of their ranges once R is a bijection.  The pairs come from
+    one tuple of all of [N**n]^2, kept for the next call at the same size
+    when N**n <= 256, so a repeated build allocates no pair tuple.  A
+    Solution built without `make_solution` is checked first as
+    `make_solution` checks a table, so any fault in it, a repeated output
+    included, raises `make_solution`'s error for R itself.
     """
     check_int(n_level, "block length", 1)
     make_solution(R.size, R.table)
@@ -354,14 +355,14 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     width = span * size
     pairs = _pairs(size)
     # block c * N**n + u1 lists the pairs of the codes c * N**(b + n) + T_b[u1 * N**b + v2],
-    # v2 in order: the pairs with v1' = c, gathered by T_b and cut into its rows; the
-    # extra index 0 keeps itemgetter's result a tuple when T_b has one entry
+    # v2 in order: cut u1 of row c, the pairs with v1' = c gathered by T_b, cut only as the
+    # table reads it; the extra index 0 keeps itemgetter's result a tuple when T_b has one entry
     take = itemgetter(*right, 0)
-    blocks = []
-    for start in range(0, n ** a * width, width):
-        gathered = take(pairs[start : start + width])
-        blocks += [gathered[i : i + span] for i in range(0, width, span)]
-    return Solution(size, tuple(chain.from_iterable(map(blocks.__getitem__, left))))
+    gathered = [take(pairs[start : start + width]) for start in range(0, n ** a * width, width)]
+    rows = [row for row in gathered for _ in range(size)]
+    cuts = [slice(i, i + span) for i in range(0, width, span)] * n ** a
+    blocks = map(getitem, map(rows.__getitem__, left), map(cuts.__getitem__, left))
+    return Solution(size, tuple(chain.from_iterable(blocks)))
 
 
 # level tables on at most this many points share their pair tuples: the

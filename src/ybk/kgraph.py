@@ -222,10 +222,10 @@ def _check_letters(family: ThetaFamily, word):
     return letters
 
 
-def _gate_three_colours(family: ThetaFamily, letters) -> None:
+def _gate_three_colours(family: ThetaFamily, colours) -> None:
     # with two colours every swap is forced, so normal forms exist for any
     # bijections; three or more colours need the validated triple identity
-    if len({c for c, _ in letters}) >= 3:
+    if len(set(colours)) >= 3:
         ok, witness = family._verdict
         if not ok:
             raise PreconditionFailed(
@@ -234,11 +234,18 @@ def _gate_three_colours(family: ThetaFamily, letters) -> None:
             )
 
 
-def _check_word(family: ThetaFamily, word: KWord):
-    """The checked (colour, letter) pairs of a KWord built by a caller."""
+def _check_blocks(family: ThetaFamily, word: KWord) -> None:
+    """Check a caller's KWord in place: block count, then letters in order, with `_check_letters`' errors."""
     if len(word.blocks) != family.k:
         raise InvalidLetter(f"word has {len(word.blocks)} colour blocks, not {family.k}")
-    return _check_letters(family, word.letters())
+    # a block that is not iterable raises before any letter is read, as in `letters()`
+    for block in word.blocks:
+        iter(block)
+    for colour, (block, size) in enumerate(zip(word.blocks, family.sizes), start=1):
+        for letter in block:
+            # `type` rather than isinstance: bool is a subclass of int
+            if not (type(letter) is int and 1 <= letter <= size):
+                raise InvalidLetter(f"letter {letter!r} outside 1..{size} for colour {colour}")
 
 
 def _sort(family: ThetaFamily, letters, segments, colours):
@@ -298,7 +305,7 @@ def normalize(family: ThetaFamily, word) -> KWord:
     are preserved; the number of swaps is the number of colour inversions.
     """
     letters = _check_letters(family, word)
-    _gate_three_colours(family, letters)
+    _gate_three_colours(family, (colour for colour, _ in letters))
     blocks = _sort(family, letters, [colour - 1 for colour, _ in letters], range(1, family.k + 1))
     return KWord(family, tuple(tuple(block) for block in blocks))
 
@@ -319,6 +326,8 @@ def multiply(a: KWord, b: KWord) -> KWord:
     """Concatenate and renormalize."""
     if a.family != b.family:
         raise FamilyMismatch("words come from different families")
+    _check_blocks(a.family, a)
+    _check_blocks(a.family, b)
     return normalize(a.family, a.letters() + b.letters())
 
 
@@ -343,7 +352,7 @@ def _reshape(family: ThetaFamily, letters, target_colours):
 def factorize(a: KWord, m) -> tuple[KWord, KWord]:
     """The unique split a = head * tail with degree(head) = m."""
     family = a.family
-    letters = _check_word(family, a)
+    _check_blocks(family, a)
     try:
         m = tuple(m)
     except TypeError:
@@ -355,11 +364,11 @@ def factorize(a: KWord, m) -> tuple[KWord, KWord]:
         raise DegreeOutOfRange(f"degree vector {m} must have {family.k} non-negative parts")
     if any(part > have for part, have in zip(m, d)):
         raise DegreeOutOfRange(f"degree vector {m} exceeds the word degree {d}")
-    _gate_three_colours(family, letters)
+    _gate_three_colours(family, (colour for colour, part in enumerate(d, start=1) if part))
     head = [colour for colour, part in enumerate(m, start=1) for _ in range(part)]
     tail = [colour for colour, part in enumerate(d, start=1) for _ in range(part - m[colour - 1])]
     # both halves of the target are colour-sorted, so both halves are normal forms
-    reshaped = _reshape(family, letters, head + tail)
+    reshaped = _reshape(family, a.letters(), head + tail)
     return _kword(family, reshaped[:len(head)]), _kword(family, reshaped[len(head):])
 
 
@@ -479,18 +488,17 @@ def complete_diamond(
     """
     if mu.family != family or nu.family != family:
         raise FamilyMismatch("words do not belong to the given family")
-    letters = _check_word(family, mu) + _check_word(family, nu)
+    _check_blocks(family, mu)
+    _check_blocks(family, nu)
     if any(a and b for a, b in zip(mu.degree, nu.degree)):
-        raise DegreesOverlap(
-            f"degrees {mu.degree} and {nu.degree} share a colour"
-        )
+        raise DegreesOverlap(f"degrees {mu.degree} and {nu.degree} share a colour")
     if direction not in ("pullback", "pushout"):
         raise InvalidParams(f"direction must be 'pullback' or 'pushout', got {direction!r}")
     pullback = direction == "pullback"
     witness = _fibre_failure(family, pullback)
     if witness:
         raise PropertyMissing(f"family lacks the unique {direction} property at {witness}")
-    _gate_three_colours(family, letters)
+    _gate_three_colours(family, (c for word in (mu, nu) for c, block in enumerate(word.blocks, 1) if block))
     return _fill(family, mu, nu, pullback)
 
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 
@@ -65,3 +66,22 @@ CLONES |= {
 }
 if hasattr(copy, "replace"):  # Python 3.13+: it calls the __replace__ that dataclass adds
     CLONES["copy.replace"] = copy.replace
+
+
+def collections_during(call):
+    """The collections per generation that `call()` starts, counted by
+    `gc.callbacks` after a full `gc.collect()`: a work count, not a time."""
+    counts = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            counts[info["generation"]] += 1
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(count)
+    return counts

@@ -1,4 +1,3 @@
-import gc
 import operator
 import random
 from itertools import islice, product
@@ -36,7 +35,7 @@ import ybk.constructions as constructions
 from ybk.kgraph import make_theta_family, periodicity, validate_kgraph
 from ybk.solution import Solution, builtin, is_ybe, make_solution, mirror_derived, properties, _codes, _mod1
 
-from conftest import CLONES, random_solutions
+from conftest import CLONES, collections_during, random_solutions
 from oracles import left_derived_formula, legs_level_map, mirror_derived_formula
 
 
@@ -467,25 +466,15 @@ class TestLevelSolution:
         assert got != expected
 
     def test_a_repeated_level_five_build_runs_few_collections(self, standard):
-        # a work count, not a time: a build keeps the pairs of its size, so a
-        # second build takes its 3**10 pairs from the first and allocates few
-        # objects the collector tracks (new pair tuples ran 80 gen-0 and 7
-        # gen-1 collections on each build)
+        # a build keeps the pairs of its size, so a second build takes its
+        # 3**10 pairs from the first (new pair tuples ran 80 gen-0 and 7 gen-1
+        # collections on each build), and it cuts each of its 2,187 blocks
+        # only as the table reads it (a list of them ran 3 gen-0 collections)
         first = level_solution(standard["dih3"], 5)
-        counts = [0, 0, 0]
-
-        def count(phase, info):
-            if phase == "start":
-                counts[info["generation"]] += 1
-
-        assert gc.isenabled()
-        gc.collect()
-        gc.callbacks.append(count)
-        try:
-            second = level_solution(standard["dih3"], 5)
-        finally:
-            gc.callbacks.remove(count)
-        assert max(counts) < 10, counts
+        built = []
+        counts = collections_during(lambda: built.append(level_solution(standard["dih3"], 5)))
+        assert counts == [0, 0, 0]
+        second = built[0]
         assert second == first and all(map(operator.is_, second.table, first.table))
 
     def test_pairs_are_kept_up_to_256_points(self):

@@ -21,6 +21,7 @@ from ybk.errors import (
 from ybk.kgraph import (
     KWord,
     Periodicity,
+    _check_letters,
     complete_diamond,
     constant_family,
     empty_word,
@@ -37,7 +38,7 @@ from ybk.kgraph import (
 from ybk.serialize import canonical_json, parse_theta_document
 from ybk.solution import Solution, builtin, is_ybe, make_solution, properties, _mod1
 
-from conftest import random_solutions
+from conftest import collections_during, random_solutions
 from oracles import least_kgraph_failure, legs_level_map, random_bijection_table
 
 
@@ -781,6 +782,41 @@ class TestFactorize:
         fam = constant_family(builtin("dihedral", 3), k)
         with pytest.raises(InvalidLetter):
             factorize(KWord(fam, blocks), m)
+        # multiply checks both words as factorize does, block count included
+        for a, b in ((KWord(fam, blocks), empty_word(fam)), (empty_word(fam), KWord(fam, blocks))):
+            with pytest.raises(InvalidLetter):
+                multiply(a, b)
+
+    def test_malformed_words_get_the_letter_list_errors(self):
+        # the words are checked in place, with the class and message of the
+        # block-count check and then `_check_letters` over `letters()`
+        rng = random.Random(52)
+        pool = (1, 2, 3, 0, 4, -1, True, 1.0, "1", None)
+        for _ in range(300):
+            k = rng.randint(2, 3)
+            fam = constant_family(builtin("dihedral", 3), k)
+            blocks = tuple(tuple(rng.choices(pool, k=rng.randint(0, 3))) for _ in range(k + rng.choice((-1, 0, 0, 1))))
+            word = KWord(fam, blocks)
+            if len(blocks) != k:
+                expected = f"word has {len(blocks)} colour blocks, not {k}"
+            else:
+                try:
+                    _check_letters(fam, word.letters())
+                    continue
+                except InvalidLetter as error:
+                    expected = str(error)
+            unit = empty_word(fam)
+            calls = [
+                lambda: factorize(word, (0,) * k),
+                lambda: multiply(word, unit),
+                lambda: multiply(unit, word),
+                lambda: complete_diamond(fam, word, unit, "pullback"),
+                lambda: complete_diamond(fam, unit, word, "pushout"),
+            ]
+            for call in calls:
+                with pytest.raises(InvalidLetter) as caught:
+                    call()
+                assert str(caught.value) == expected
 
     def test_unique_by_exhaustion(self):
         # every split is the only degree-matched pair multiplying back
@@ -928,6 +964,18 @@ class TestFibreOracle:
 
 
 class TestDiamond:
+    def test_a_repeated_deep_pullback_runs_no_collection(self, standard):
+        # the words are checked in place and the three-colour gate reads the
+        # colours of their blocks, so a warm 1 x 2,000 pullback builds no
+        # (colour, letter) pairs (two lists of 2,001 ran 5 gen-0 collections)
+        fam = constant_family(standard["dih3"], 2)
+        mu = KWord(fam, ((1,), ()))
+        nu = KWord(fam, ((), tuple(1 + i % 3 for i in range(2000))))
+        first = complete_diamond(fam, mu, nu, "pullback")
+        done = []
+        assert collections_during(lambda: done.append(complete_diamond(fam, mu, nu, "pullback"))) == [0, 0, 0]
+        assert done == [first]
+
     def test_empty_side(self, standard):
         fam = constant_family(standard["flip2"], 2)
         mu = normalize(fam, [(1, 1)])
