@@ -355,8 +355,8 @@ def level_solution(R: Solution, n_level: int) -> Solution:
     width = span * size
     pairs = _pairs(size)
     # block c * N**n + u1 lists the pairs of the codes c * N**(b + n) + T_b[u1 * N**b + v2],
-    # v2 in order: cut u1 of row c, the pairs with v1' = c gathered by T_b, cut only as the
-    # table reads it; the extra index 0 keeps itemgetter's result a tuple when T_b has one entry
+    # v2 in order: slice u1 of row c, the pairs with v1' = c gathered by T_b, taken only as
+    # the table reads it; the extra index 0 keeps itemgetter's result a tuple when T_b has one entry
     take = itemgetter(*right, 0)
     gathered = [take(pairs[start : start + width]) for start in range(0, n ** a * width, width)]
     rows = [row for row in gathered for _ in range(size)]
