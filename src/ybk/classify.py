@@ -2,11 +2,13 @@
 
 Two equivalences: product conjugacy (a pair of permutations conjugates the
 maps) and YB-isomorphism (one permutation relabels the ground set).  Both
-least witnesses come from one depth-first search that assigns a
-permutation's images in order, smallest first, and drops a prefix as soon
-as a table cell whose images are all assigned fails.  Both relations
-conjugate R by a bijection of [N]^2, so the public searches answer None at
-once for two bijections of different cycle types.
+come from one depth-first search that assigns permutation images to
+positions in order, smallest first, and drops a prefix as soon as a table
+cell whose images are all assigned fails; its set-up lists each cell at
+the last of its positions, and the order of the positions is data.  The
+public searches put tau before rho, so the first labelling found is the
+least witness.  Both relations conjugate R by a bijection of [N]^2, so
+they answer None at once for two bijections of different cycle types.
 
 The census fills the table one cell at a time under a bijection mask.  A
 braid triple reads R(x, y) = (u1, v1), R(y, z) = (p, q), R(v1, z) = (a, b),
@@ -27,17 +29,26 @@ Two narrowings that leave a cell no code prune at once, and the search
 fills next the unset cell with the fewest unused codes left: a forced cell,
 then one whose first coordinate is fixed.  Relabelings that fix 1 keep cell
 (1, 1) in place, so that cell only takes the least pair of each orbit under
-Sym{2..N}, and the tables found are closed under those relabelings
-afterwards.  Classification compares each solution with one representative
-per class, and only with classes of its cycle type as a permutation of
-[N]^2, which both relations preserve.  The exhaustive census is guarded at
-N <= 4; larger sizes get a seeded, clearly non-exhaustive sampling mode.
+Sym{2..N}, and the orbits of the tables found under those relabelings make
+up the census.
+
+Classification compares each solution with one representative per class,
+and only with classes of its cycle type as a permutation of [N]^2, which
+both relations preserve.  A class sets its search up once, when it opens,
+and each solution's code table is read once, for its cycle type and as the
+search target.  Classification asks only whether a witness exists, so its
+conjugacy search interleaves tau(x) at position 2x with rho(y) at 2y + 1,
+which checks a cell as soon as its two rows are labelled.  Each orbit of
+relabelings that fix 1 lies in one class, so the census classifies the
+least table of each orbit and gives each class its orbits' tables.  The
+exhaustive census is guarded at N <= 4; larger sizes get a seeded, clearly
+non-exhaustive sampling mode.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 
 from ._record import record
@@ -70,6 +81,12 @@ class SolutionCensus:
 
 def enumerate_solutions(n: int) -> list[Solution]:
     """All braid-relation bijections on [n]^2, in lexicographic table order."""
+    return _census(n)[0]
+
+
+def _census(n: int):
+    """The census of size n, sorted by table, and its orbits under the
+    relabelings that fix 1, as sorted index tuples in order of least member."""
     check_int(n, "size")
     if n > CENSUS_MAX_SIZE:
         raise SizeTooLarge(
@@ -187,16 +204,26 @@ def enumerate_solutions(n: int) -> list[Solution]:
         table[cell] = -1
 
     search(cells, 0)
+    # orbit_of numbers the orbits of the tables found, which may share one;
     # the relabeled table sends move[c] to move[R(c)]
-    closed = set()
-    for move in moves:
-        for codes in found:
+    orbit_of = {}
+    orbits = 0
+    for codes in found:
+        if codes in orbit_of:
+            continue
+        for move in moves:
             relabeled = [0] * cells
             for c, code in enumerate(codes):
                 relabeled[move[c]] = move[code]
-            closed.add(tuple(relabeled))
+            orbit_of[tuple(relabeled)] = orbits
+        orbits += 1
+    ordered = sorted(orbit_of)
+    members = [[] for _ in range(orbits)]
+    for i, codes in enumerate(ordered):
+        members[orbit_of[codes]].append(i)
     pair = [(u + 1, v + 1) for u, v in uv]
-    return [Solution(n, tuple(pair[code] for code in codes)) for codes in sorted(closed)]
+    solutions = [Solution(n, tuple(pair[code] for code in codes)) for codes in ordered]
+    return solutions, sorted(map(tuple, members))
 
 
 def sample_ybe_solutions(n: int, attempts: int, seed: int) -> list[Solution]:
@@ -234,8 +261,7 @@ def sample_ybe_solutions(n: int, attempts: int, seed: int) -> list[Solution]:
 
 def product_conjugate(a: Solution, b: Solution):
     """Least (tau, rho) with a o (tau x rho) = (tau x rho) o b, or None."""
-    if a.size != b.size:
-        raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
+    _check_pair(a, b)
     return None if _types_differ(a, b) else _product_conjugate(a, b)
 
 
@@ -244,7 +270,7 @@ def _product_conjugate(a: Solution, b: Solution):
     # tau fills positions 0..n-1 and rho positions n..2n-1, so the least
     # labelling is the least (tau, rho); every cell check reads rho
     cells = [(x, n + y, u, n + v) for x, y, u, v in _cells(b)]
-    labels = _least_labelling(n, 2, _codes(a), cells)
+    labels = _search(n, [0] * n + [1] * n, _due(cells, 2 * n), _codes(a))
     if labels is None:
         return None
     return labels[:n], labels[n:]
@@ -262,8 +288,7 @@ def _is_conjugacy_pair(a: Solution, b: Solution, tau, rho) -> bool:
 
 def is_conjugacy_witness(a: Solution, b: Solution, tau, rho) -> bool:
     """Replay a claimed product-conjugacy witness; tau and rho must be permutations."""
-    if a.size != b.size:
-        raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
+    _check_pair(a, b)
     tau = _as_permutation(tau, a.size, "tau")
     rho = _as_permutation(rho, a.size, "rho")
     return _is_conjugacy_pair(a, b, tau, rho)
@@ -271,22 +296,28 @@ def is_conjugacy_witness(a: Solution, b: Solution, tau, rho) -> bool:
 
 def yb_isomorphic(a: Solution, b: Solution):
     """Least phi with (phi x phi) o a = b o (phi x phi), or None."""
-    if a.size != b.size:
-        raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
+    _check_pair(a, b)
     return None if _types_differ(a, b) else _yb_isomorphic(a, b)
 
 
 def _yb_isomorphic(a: Solution, b: Solution):
-    return _least_labelling(a.size, 1, _codes(b), _cells(a))
+    return _search(a.size, [0] * a.size, _due(_cells(a), a.size), _codes(b))
 
 
 def is_yb_iso_witness(a: Solution, b: Solution, phi) -> bool:
     """Replay a claimed YB-isomorphism witness; phi must be a permutation."""
-    if a.size != b.size:
-        raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
+    _check_pair(a, b)
     phi = _as_permutation(phi, a.size, "phi")
     # a relabeling is the product conjugacy (phi, phi), with a and b swapped
     return _is_conjugacy_pair(b, a, phi, phi)
+
+
+def _check_pair(a, b) -> None:
+    for label, value in (("a", a), ("b", b)):
+        if not isinstance(value, Solution):
+            raise InvalidParams(f"{label} must be a Solution, got {value!r}")
+    if a.size != b.size:
+        raise SizeMismatch(f"sizes differ: {a.size} vs {b.size}")
 
 
 def _cells(solution: Solution):
@@ -297,23 +328,30 @@ def _cells(solution: Solution):
         yield x, y, u - 1, v - 1
 
 
-def _least_labelling(n: int, blocks: int, target: list[int], cells):
-    """Least labels L, each block of n positions a permutation of [n], with
-    target[L[i]*n + L[j]] == L[k]*n + L[l] for every (i, j, k, l) in cells.
-
-    Positions are assigned in order, values smallest first, and a cell is
-    checked as soon as its four positions are assigned, so the first full
-    assignment found is the least.  Returns 1-based labels, or None.
-    """
-    size = blocks * n
+def _due(cells, size: int) -> list[list]:
+    """The search's set-up: the cells over positions 0..size-1, each listed
+    at the last of its four positions, where the search checks it."""
     due = [[] for _ in range(size)]
     for cell in cells:
         due[max(cell)].append(cell)
+    return due
+
+
+def _search(n: int, blocks: list[int], due: list[list], target: list[int]):
+    """Least labels L, the n positions p of each block b (blocks[p] == b)
+    labelled by a permutation of [n], with target[L[i]*n + L[j]] ==
+    L[k]*n + L[l] for every cell (i, j, k, l) in due.
+
+    Positions are assigned in order, values smallest first, and each cell is
+    checked when its last position is assigned, so the first full assignment
+    found is the least.  Returns 1-based labels, or None.
+    """
+    size = len(blocks)
     labels = [0] * size
-    used = [0] * blocks
+    used = [0, 0]
     depth, start = 0, 0
     while depth < size:
-        block = depth // n
+        block = blocks[depth]
         mask = used[block]
         for value in range(start, n):
             if mask >> value & 1:
@@ -332,20 +370,39 @@ def _least_labelling(n: int, blocks: int, target: list[int], cells):
             if depth < 0:
                 return None
             value = labels[depth]
-            used[depth // n] &= ~(1 << value)
+            used[blocks[depth]] &= ~(1 << value)
             start = value + 1
     return tuple(value + 1 for value in labels)
 
 
+def _class_search(rep: Solution, relation: str):
+    """The set-up of one class: a test of whether a solution, given by its
+    code table, is related to the class's representative rep."""
+    n = rep.size
+    if relation == "yb_iso":
+        blocks, cells = [0] * n, _cells(rep)
+    else:
+        # only existence is asked, so tau(x) at position 2x and rho(y) at
+        # 2y + 1 let a cell be checked as soon as both its rows are labelled
+        blocks = [0, 1] * n
+        cells = [(2 * x, 2 * y + 1, 2 * u, 2 * v + 1) for x, y, u, v in _cells(rep)]
+    due = _due(cells, len(blocks))
+    return lambda target: _search(n, blocks, due, target) is not None
+
+
 def _fingerprint(solution: Solution):
-    """The cycle type of R as a permutation of [N]^2, or None if R is not one.
+    """The cycle type of R as a permutation of [N]^2, or None if R is not one."""
+    return _cycle_type(_codes(solution))
+
+
+def _cycle_type(codes: list[int]):
+    """The cycle type of a code table as a permutation, or None if it is not one.
 
     Both relations conjugate R by a bijection of [N]^2 (phi x phi for
     YB-isomorphism, tau x rho for product conjugacy), so equivalent
     solutions share it.  A map that is not a bijection is never equivalent
     to one, and None leaves such maps to the witness search.
     """
-    codes = _codes(solution)
     seen = [False] * len(codes)
     lengths = []
     for start in range(len(codes)):
@@ -374,41 +431,70 @@ def _check_relation(relation) -> None:
         raise InvalidParams(f"relation must be 'yb_iso' or 'conjugacy', got {relation!r}")
 
 
+def _partition(ordered: list[Solution], relation: str) -> list[list[int]]:
+    """The classes of solutions sorted by table, as index lists in order of
+    their least member.
+
+    Both relations are group actions, so each solution is compared with one
+    representative per class: the least member of each earlier class of its
+    cycle type as a permutation of [N]^2, which both relations preserve.  It
+    joins the first class with a witness, or opens a new one, whose search
+    is set up there.
+    """
+    classes: list[list[int]] = []
+    # the (members, search) of the classes of each cycle type, in order of their least member
+    by_type: dict = {}
+    for i, s in enumerate(ordered):
+        codes = _codes(s)
+        candidates = by_type.setdefault(_cycle_type(codes), [])
+        for members, related in candidates:
+            if related(codes):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+            candidates.append((classes[-1], _class_search(s, relation)))
+    return classes
+
+
 def classify(solutions, relation: str, total_bijections: int | None = None) -> SolutionCensus:
     """Partition solutions of one size by the chosen relation.
 
-    relation is 'yb_iso' or 'conjugacy'.  Both are group actions, so each
-    solution, in table order, is compared with one representative per
-    class: the least member of each earlier class of its cycle type as a
-    permutation of [N]^2, which both relations preserve.  It joins the
-    first class with a witness, or opens a new one.
+    relation is 'yb_iso' or 'conjugacy'.  Each solution, in table order,
+    joins the first earlier class whose representative it is related to,
+    or opens a new one.
     """
     _check_relation(relation)
-    ordered = sorted(solutions, key=lambda s: s.table)
+    if total_bijections is not None:
+        check_int(total_bijections, "the number of bijections", 0)
+    try:
+        items = iter(solutions)
+    except TypeError:
+        raise InvalidParams(f"solutions must be an iterable of Solution, got {solutions!r}") from None
+    ordered = list(items)
+    for s in ordered:
+        if not isinstance(s, Solution):
+            raise InvalidParams(f"solutions must hold only Solution objects, got {s!r}")
+    ordered.sort(key=lambda s: s.table)
     if not ordered:
         return SolutionCensus(0, relation, total_bijections, (), ())
     size = ordered[0].size
     if any(s.size != size for s in ordered):
         raise SizeMismatch("all solutions must share one size")
-    classes: list[list[int]] = []
-    # the classes of each cycle type, in order of their least member
-    by_print: dict = {}
-    for i, s in enumerate(ordered):
-        candidates = by_print.setdefault(_fingerprint(s), [])
-        for members in candidates:
-            rep = ordered[members[0]]
-            witness = _yb_isomorphic(rep, s) if relation == "yb_iso" else _product_conjugate(rep, s)
-            if witness is not None:
-                members.append(i)
-                break
-        else:
-            candidates.append([i])
-            classes.append(candidates[-1])
+    classes = _partition(ordered, relation)
     return SolutionCensus(size, relation, total_bijections, tuple(ordered), tuple(map(tuple, classes)))
 
 
 def census(n: int, relation: str) -> SolutionCensus:
-    """Exhaustive census of size n classified by the chosen relation."""
+    """Exhaustive census of size n classified by the chosen relation.
+
+    A relabeling phi that fixes 1 is a YB-isomorphism and the product
+    conjugacy (phi, phi), so each orbit of such relabelings lies in one
+    class: the census classifies the least table of each orbit and gives
+    each class the tables of its orbits.
+    """
     _check_relation(relation)
-    solutions = enumerate_solutions(n)
-    return classify(solutions, relation, total_bijections=factorial(n * n))
+    solutions, orbits = _census(n)
+    classes = _partition([solutions[orbit[0]] for orbit in orbits], relation)
+    expanded = (tuple(sorted(chain.from_iterable(orbits[k] for k in members))) for members in classes)
+    return SolutionCensus(n, relation, factorial(n * n), tuple(solutions), tuple(expanded))

@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import json
 import random
 import sys
 from itertools import combinations, islice, permutations
@@ -63,7 +65,7 @@ def shuffled_sample(n, attempts, seed):
 
 def search_steps(n):
     """Calls of the census's recursive search in one `enumerate_solutions(n)`."""
-    search = next(c for c in enumerate_solutions.__code__.co_consts if getattr(c, "co_name", None) == "search")
+    search = next(c for c in CLASSIFY._census.__code__.co_consts if getattr(c, "co_name", None) == "search")
     steps = 0
 
     def count(frame, event, arg):
@@ -78,6 +80,28 @@ def search_steps(n):
     finally:
         sys.setprofile(previous)
     return steps
+
+
+def recorded_searches(monkeypatch):
+    """Patch classify's per-class set-up so that each search it runs is
+    recorded as (representative's table, tested table); returns the list of
+    searches and the list of the representatives set up."""
+    searches, setups = [], []
+    original = CLASSIFY._class_search
+
+    def recording(rep, relation):
+        setups.append(rep.table)
+        related = original(rep, relation)
+        n = rep.size
+
+        def search(codes):
+            searches.append((rep.table, tuple((code // n + 1, code % n + 1) for code in codes)))
+            return related(codes)
+
+        return search
+
+    monkeypatch.setattr(CLASSIFY, "_class_search", recording)
+    return searches, setups
 
 
 def nth_permutation(n, rank):
@@ -213,6 +237,18 @@ class TestEnumerate:
     def test_four_element_census_size(self, census4):
         assert len(census4) == 2425
 
+    @pytest.mark.parametrize(
+        "fixture, digest",
+        [
+            ("census3", "61a3049a09260260a57ae1bcd0620262c5db376ce1e1f6d74ac3f23192fbb758"),
+            ("census4", "7eddf923ded9af47a60cafe610c36e87002dce50c8311a84cd37749f6de622f2"),
+        ],
+    )
+    def test_lists_are_pinned_by_hash(self, fixture, digest, request):
+        # the sha256 of the compact JSON of the tables as lists of [u, v] lists
+        tables = [[list(pair) for pair in R.table] for R in request.getfixturevalue(fixture)]
+        assert hashlib.sha256(json.dumps(tables, separators=(",", ":")).encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("root, orbit", [((1, 2), {(1, 2), (1, 3), (1, 4)}), ((2, 1), {(2, 1), (3, 1), (4, 1)})])
     def test_four_element_slices_match_waiting_census(self, census4, root, orbit):
         # the tables whose R(1, 1) lies in one orbit under Sym{2..4}, in order
@@ -334,6 +370,45 @@ class TestProductConjugate:
     def test_size_mismatch(self, standard):
         with pytest.raises(SizeMismatch):
             product_conjugate(standard["flip2"], standard["flip3"])
+
+
+class TestSolutionArguments:
+    """Arguments that are not solutions raise InvalidParams before any search."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda R: classify([1, 2], "yb_iso"),
+            lambda R: classify([R, "x"], "conjugacy"),
+            lambda R: classify(None, "yb_iso"),
+            lambda R: classify(5, "conjugacy"),
+            lambda R: classify([R], "yb_iso", total_bijections="x"),
+            lambda R: classify([R], "yb_iso", total_bijections=-1),
+            lambda R: yb_isomorphic(R, 3),
+            lambda R: product_conjugate(None, R),
+            lambda R: is_yb_iso_witness(R, 3, (1, 2, 3)),
+            lambda R: is_conjugacy_witness("x", R, (1, 2, 3), (1, 2, 3)),
+        ],
+        ids=[
+            "classify-ints",
+            "classify-str-item",
+            "classify-none",
+            "classify-int",
+            "classify-str-total",
+            "classify-negative-total",
+            "iso-int",
+            "conjugate-none",
+            "iso-witness-int",
+            "conjugacy-witness-str",
+        ],
+    )
+    def test_raise_invalid_params(self, call, standard, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a search ran before the arguments were checked")
+
+        monkeypatch.setattr(CLASSIFY, "_search", no_search)
+        with pytest.raises(InvalidParams):
+            call(standard["dih3"])
 
 
 class TestRelationName:
@@ -464,19 +539,11 @@ class TestClassify:
         for cls, rep in zip(iso.classes, iso.representatives):
             assert rep.table == min(iso.solutions[i].table for i in cls)
 
-    @pytest.mark.parametrize("relation, search", [("yb_iso", "yb_isomorphic"), ("conjugacy", "product_conjugate")])
-    def test_searches_start_from_representatives(self, census3, relation, search, monkeypatch):
+    @pytest.mark.parametrize("relation", ["yb_iso", "conjugacy"])
+    def test_searches_start_from_representatives(self, census3, relation, monkeypatch):
         # both relations are group actions, so one member stands for its class;
-        # classify calls the search behind each public name
-        search = "_" + search
-        calls = []
-        original = getattr(CLASSIFY, search)
-
-        def recording(a, b):
-            calls.append((a.table, b.table))
-            return original(a, b)
-
-        monkeypatch.setattr(CLASSIFY, search, recording)
+        # classify sets each class's search up from its representative
+        calls, _ = recorded_searches(monkeypatch)
         result = classify(census3, relation)
         least = {rep.table for rep in result.representatives}
         assert calls
@@ -518,16 +585,10 @@ class TestFingerprint:
         assert CLASSIFY._fingerprint(flip) == CLASSIFY._fingerprint(other) == (1, 1, 1, 2, 2, 2)
         assert yb_isomorphic(flip, other) is None
         assert product_conjugate(flip, other) is None
-        for relation, search in (("yb_iso", "_yb_isomorphic"), ("conjugacy", "_product_conjugate")):
-            calls = []
-            original = getattr(CLASSIFY, search)
-
-            def recording(a, b, original=original):
-                calls.append((a.table, b.table))
-                return original(a, b)
-
-            monkeypatch.setattr(CLASSIFY, search, recording)
-            result = classify([other, flip], relation)
+        for relation in ("yb_iso", "conjugacy"):
+            with monkeypatch.context() as patch:
+                calls, _ = recorded_searches(patch)
+                result = classify([other, flip], relation)
             assert result.classes == ((0,), (1,))
             assert calls == [(flip.table, other.table)]
 
@@ -587,6 +648,38 @@ class TestFingerprint:
         result = classify(pool, relation)
         assert [s.table for s in result.solutions] == sorted(s.table for s in pool)
         assert result.classes == brute_force_classes(pool, relation)
+
+
+class TestCensusOrbits:
+    """`census` classifies one table per orbit of the relabelings that fix 1."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_orbits_are_the_relabelings_that_fix_one(self, n, census4):
+        solutions, orbits = CLASSIFY._census(n)
+        assert solutions == (census4 if n == 4 else enumerate_solutions(n))
+        index = {R.table: i for i, R in enumerate(solutions)}
+        fixing = [(1,) + tuple(p) for p in permutations(range(2, n + 1))]
+        expected = {tuple(sorted({index[relabel(R, phi).table] for phi in fixing})) for R in solutions}
+        assert orbits == sorted(expected)
+
+    @pytest.mark.parametrize("relation", ["yb_iso", "conjugacy"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_orbit_path_matches_list_path(self, n, relation, census4):
+        solutions = census4 if n == 4 else enumerate_solutions(n)
+        by_orbits = census(n, relation)
+        by_list = classify(solutions, relation, factorial(n * n))
+        for field in ("size", "relation", "total_bijections", "solutions", "classes"):
+            assert getattr(by_orbits, field) == getattr(by_list, field), field
+
+    @pytest.mark.parametrize("relation, searches, list_searches", [("yb_iso", 8096, 29939), ("conjugacy", 2609, 9776)])
+    def test_four_element_census_searches(self, relation, searches, list_searches, monkeypatch):
+        # counts, not times: one set-up per class, and searches from orbit
+        # representatives only; list_searches is what classifying every
+        # table of the list ran before the census classified orbits
+        calls, setups = recorded_searches(monkeypatch)
+        result = census(4, relation)
+        assert len(setups) <= len(result.classes)
+        assert len(calls) == searches < list_searches
 
 
 class TestWitnessOracles:

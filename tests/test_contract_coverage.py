@@ -28,6 +28,7 @@ from ybk import (
     builtin,
     census,
     check_cancellative,
+    classify,
     cohomology,
     constant_family,
     enumerate_solutions,
@@ -115,6 +116,7 @@ def _theta_document(k) -> str:
 INTEGER_ARGUMENTS = {
     "enumerate_solutions-n": (lambda v: enumerate_solutions(v), "size", None),
     "census-n": (lambda v: census(v, "yb_iso"), "size", None),
+    "classify-total_bijections": (lambda v: classify([], "yb_iso", v), "the number of bijections", 0),
     "sample_ybe_solutions-n": (lambda v: sample_ybe_solutions(v, 3, 0), "size", None),
     "sample_ybe_solutions-attempts": (lambda v: sample_ybe_solutions(3, v, 0), "the number of sampled bijections", 0),
     "encode_word-n": (lambda v: encode_word((1,), v), "alphabet size", 1),

@@ -58,11 +58,15 @@ def test_census_and_sampling_raise_only_library_errors(n, attempts, seed, relati
     _contract(sample_ybe_solutions, n, attempts, seed)
 
 
+# what is not a Solution: a bare table, a number, a string, None
+NOT_A_SOLUTION = st.sampled_from([((1, 1),), 3, "x", None])
+
+
 @FUZZ
 @given(
-    solutions=st.lists(bijections(), max_size=4),
+    solutions=st.lists(bijections() | NOT_A_SOLUTION, max_size=4) | st.sampled_from([None, 5, 2.0]),
     relation=RELATION,
-    total=st.none() | st.integers(0, 10),
+    total=st.none() | st.integers(-1, 10) | st.sampled_from(["x", True, 2.0]),
 )
 def test_classify_raises_only_library_errors(solutions, relation, total):
     _contract(classify, solutions, relation, total)
@@ -71,10 +75,11 @@ def test_classify_raises_only_library_errors(solutions, relation, total):
 @FUZZ
 @given(data=st.data())
 def test_witness_searches_and_replays_raise_only_library_errors(data):
-    a = data.draw(bijections())
-    # mostly one size, so the searches run; now and then two
-    b = data.draw(bijections(st.just(a.size)) | bijections())
-    witness = st.lists(ENTRY, max_size=4) | st.permutations(range(1, a.size + 1))
+    a = data.draw(bijections() | NOT_A_SOLUTION)
+    size = a.size if hasattr(a, "size") else 2
+    # mostly one size, so the searches run; now and then two, or no solution
+    b = data.draw(bijections(st.just(size)) | bijections() | NOT_A_SOLUTION)
+    witness = st.lists(ENTRY, max_size=4) | st.permutations(range(1, size + 1))
     _contract(yb_isomorphic, a, b)
     _contract(product_conjugate, a, b)
     _contract(is_yb_iso_witness, a, b, data.draw(witness))
