@@ -142,21 +142,9 @@ def _cmd_verify(args) -> int:
 def _cmd_props(args) -> int:
     R = _load_solution(args.input)
     report = properties(R).as_dict()
+    lines = [f"{key}: {'yes' if flag else 'no'}" for key, flag in report.items() if key != "witnesses"]
+    lines += [f"witness[{key}]: {tuple(value)}" for key, value in report["witnesses"].items()]
     report["command"] = "props"
-    lines = [
-        f"{key}: {'yes' if report[key] else 'no'}"
-        for key in (
-            "is_bijection",
-            "is_ybe",
-            "involutive",
-            "square_free",
-            "non_degenerate",
-            "symmetric",
-            "derived_type",
-        )
-    ]
-    for key, value in report["witnesses"].items():
-        lines.append(f"witness[{key}]: {tuple(value)}")
     _emit(args, report, lines)
     return 0
 

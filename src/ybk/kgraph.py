@@ -87,11 +87,25 @@ class KWord:
     """An element of the family's semigroup in colour-sorted normal form.
 
     `blocks[i-1]` is the tuple of colour-i letters; the degree is the tuple
-    of block lengths.
+    of block lengths.  Building one, `dataclasses.replace` included, checks
+    the word with `_check_letters`' errors: the block count, then that every
+    block is iterable, then every letter in order.
     """
 
     family: ThetaFamily
     blocks: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        # the words the library builds are valid by construction and skip this through `_built`
+        family, blocks = self.family, self.blocks
+        if len(blocks) != family.k:
+            raise InvalidLetter(f"word has {len(blocks)} colour blocks, not {family.k}")
+        # a block that is not iterable raises before any letter is read, as in `letters()`
+        for block in blocks:
+            iter(block)
+        for colour, (block, size) in enumerate(zip(blocks, family.sizes), start=1):
+            for letter in block:
+                _check_letter(colour, letter, size)
 
     @property
     def degree(self) -> tuple[int, ...]:
@@ -110,6 +124,13 @@ class KWord:
     def __str__(self) -> str:
         tokens = [f"e{c}_{s}" for c, s in self.letters()]
         return " ".join(tokens) if tokens else "1"
+
+
+def _built(family: ThetaFamily, blocks) -> KWord:
+    """A KWord of blocks valid by construction, set as a pickle loads it: no `__post_init__`."""
+    word = object.__new__(KWord)
+    word.__setstate__((family, blocks))
+    return word
 
 
 def _pair_key_mismatch(keys, k: int, key=lambda i, j: (i, j)) -> str | None:
@@ -234,20 +255,6 @@ def _gate_three_colours(family: ThetaFamily, colours) -> None:
             )
 
 
-def _check_blocks(family: ThetaFamily, word: KWord) -> None:
-    """Check a caller's KWord in place: block count, then letters in order, with `_check_letters`' errors."""
-    if len(word.blocks) != family.k:
-        raise InvalidLetter(f"word has {len(word.blocks)} colour blocks, not {family.k}")
-    # a block that is not iterable raises before any letter is read, as in `letters()`
-    for block in word.blocks:
-        iter(block)
-    for colour, (block, size) in enumerate(zip(word.blocks, family.sizes), start=1):
-        for letter in block:
-            # `type` rather than isinstance: bool is a subclass of int
-            if not (type(letter) is int and 1 <= letter <= size):
-                raise InvalidLetter(f"letter {letter!r} outside 1..{size} for colour {colour}")
-
-
 def _sort(family: ThetaFamily, letters, segments, colours):
     """Sort `letters` into target segments by pushing each letter through blocks.
 
@@ -304,10 +311,14 @@ def normalize(family: ThetaFamily, word) -> KWord:
     rewriting the leftmost colour-inverted pair.  Length and colour multiset
     are preserved; the number of swaps is the number of colour inversions.
     """
-    letters = _check_letters(family, word)
+    return _normal_form(family, _check_letters(family, word))
+
+
+def _normal_form(family: ThetaFamily, letters) -> KWord:
+    """The normal form of a sequence of valid (colour, letter) pairs."""
     _gate_three_colours(family, (colour for colour, _ in letters))
     blocks = _sort(family, letters, [colour - 1 for colour, _ in letters], range(1, family.k + 1))
-    return KWord(family, tuple(tuple(block) for block in blocks))
+    return _built(family, tuple(tuple(block) for block in blocks))
 
 
 def _kword(family: ThetaFamily, letters) -> KWord:
@@ -315,20 +326,18 @@ def _kword(family: ThetaFamily, letters) -> KWord:
     blocks = [[] for _ in range(family.k)]
     for colour, letter in letters:
         blocks[colour - 1].append(letter)
-    return KWord(family, tuple(tuple(block) for block in blocks))
+    return _built(family, tuple(tuple(block) for block in blocks))
 
 
 def empty_word(family: ThetaFamily) -> KWord:
-    return KWord(family, ((),) * family.k)
+    return _built(family, ((),) * family.k)
 
 
 def multiply(a: KWord, b: KWord) -> KWord:
     """Concatenate and renormalize."""
     if a.family != b.family:
         raise FamilyMismatch("words come from different families")
-    _check_blocks(a.family, a)
-    _check_blocks(a.family, b)
-    return normalize(a.family, a.letters() + b.letters())
+    return _normal_form(a.family, a.letters() + b.letters())
 
 
 def _reshape(family: ThetaFamily, letters, target_colours):
@@ -352,7 +361,6 @@ def _reshape(family: ThetaFamily, letters, target_colours):
 def factorize(a: KWord, m) -> tuple[KWord, KWord]:
     """The unique split a = head * tail with degree(head) = m."""
     family = a.family
-    _check_blocks(family, a)
     try:
         m = tuple(m)
     except TypeError:
@@ -471,7 +479,7 @@ def _fill(family: ThetaFamily, mu: KWord, nu: KWord, pullback: bool) -> tuple[KW
                 for c in cells:
                     line[c], edge = solved[line[c] * n_edge + edge]
                 edges[r] = edge
-    return KWord(family, tuple(map(tuple, across))), KWord(family, tuple(map(tuple, down)))
+    return _built(family, tuple(map(tuple, across))), _built(family, tuple(map(tuple, down)))
 
 
 def complete_diamond(
@@ -488,8 +496,6 @@ def complete_diamond(
     """
     if mu.family != family or nu.family != family:
         raise FamilyMismatch("words do not belong to the given family")
-    _check_blocks(family, mu)
-    _check_blocks(family, nu)
     if any(a and b for a, b in zip(mu.degree, nu.degree)):
         raise DegreesOverlap(f"degrees {mu.degree} and {nu.degree} share a colour")
     if direction not in ("pullback", "pushout"):

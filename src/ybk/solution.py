@@ -79,16 +79,7 @@ class PropertyReport:
     witnesses: dict
 
     def as_dict(self) -> dict:
-        return {
-            "is_bijection": self.is_bijection,
-            "is_ybe": self.is_ybe,
-            "involutive": self.involutive,
-            "square_free": self.square_free,
-            "non_degenerate": self.non_degenerate,
-            "symmetric": self.symmetric,
-            "derived_type": self.derived_type,
-            "witnesses": {k: list(v) for k, v in sorted(self.witnesses.items())},
-        }
+        return _report_dict(self)
 
 
 @record
@@ -105,13 +96,13 @@ class StructureReport:
         return self.alpha_homomorphic and self.beta_antihomomorphic and self.compatible
 
     def as_dict(self) -> dict:
-        return {
-            "alpha_homomorphic": self.alpha_homomorphic,
-            "beta_antihomomorphic": self.beta_antihomomorphic,
-            "compatible": self.compatible,
-            "all_hold": self.all_hold,
-            "witnesses": {k: list(v) for k, v in sorted(self.witnesses.items())},
-        }
+        return _report_dict(self, all_hold=self.all_hold)
+
+
+def _report_dict(report, **extra) -> dict:
+    """A report's flags in field order, then `extra`, then its witnesses as sorted lists."""
+    flags = {name: getattr(report, name) for name in report.__match_args__ if name != "witnesses"}
+    return flags | extra | {"witnesses": {k: list(v) for k, v in sorted(report.witnesses.items())}}
 
 
 def _check_pairs(table, rows: int, cols: int, label: str = "") -> tuple:

@@ -626,7 +626,7 @@ class TestHomology:
 
     def test_dihedral_three_torsion_grows(self, standard):
         R = standard["dih3"]
-        for n, threes in ((3, 1), (4, 2), (5, 4), (6, 7), (7, 13), (8, 23)):
+        for n, threes in ((3, 1), (4, 2), (5, 4), (6, 7), (7, 13), (8, 23), (9, 41)):
             assert homology(R, n) == AbelianGroup(1, (3,) * threes), n
 
     def test_orbit_law_for_derived_solutions(self, census2, census3):

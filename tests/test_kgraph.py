@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -769,54 +770,57 @@ class TestFactorize:
             factorize(a, m)
 
     @pytest.mark.parametrize(
-        "k, blocks, m",
+        "k, blocks",
         [
-            (2, ((0,), (2,)), (0, 1)),
-            (2, ((True,), (2,)), (0, 1)),
-            (2, ((4,), (2,)), (0, 1)),
-            (2, ((1,), (2,), ()), (0, 1)),
-            (3, ((1,), (1,)), (0, 0, 0)),
+            (2, ((0,), (2,))),
+            (2, ((True,), (2,))),
+            (2, ((4,), (2,))),
+            (2, ((1,), (2,), ())),
+            (3, ((1,), (1,))),
         ],
     )
-    def test_word_letters_are_checked(self, k, blocks, m):
+    def test_word_letters_are_checked(self, k, blocks):
+        # a word is checked when it is built, block count included, so no
+        # malformed word reaches factorize or multiply
         fam = constant_family(builtin("dihedral", 3), k)
         with pytest.raises(InvalidLetter):
-            factorize(KWord(fam, blocks), m)
-        # multiply checks both words as factorize does, block count included
-        for a, b in ((KWord(fam, blocks), empty_word(fam)), (empty_word(fam), KWord(fam, blocks))):
-            with pytest.raises(InvalidLetter):
-                multiply(a, b)
+            KWord(fam, blocks)
+        with pytest.raises(InvalidLetter):
+            replace(empty_word(fam), blocks=blocks)
 
     def test_malformed_words_get_the_letter_list_errors(self):
-        # the words are checked in place, with the class and message of the
-        # block-count check and then `_check_letters` over `letters()`
+        # building a word, or replacing its blocks, raises the class and
+        # message of the block-count check and then of `_check_letters`
+        # over the letters in order; every other word builds
         rng = random.Random(52)
         pool = (1, 2, 3, 0, 4, -1, True, 1.0, "1", None)
+        built = 0
         for _ in range(300):
             k = rng.randint(2, 3)
             fam = constant_family(builtin("dihedral", 3), k)
             blocks = tuple(tuple(rng.choices(pool, k=rng.randint(0, 3))) for _ in range(k + rng.choice((-1, 0, 0, 1))))
-            word = KWord(fam, blocks)
             if len(blocks) != k:
                 expected = f"word has {len(blocks)} colour blocks, not {k}"
             else:
                 try:
-                    _check_letters(fam, word.letters())
-                    continue
+                    _check_letters(fam, [(c, x) for c, block in enumerate(blocks, start=1) for x in block])
                 except InvalidLetter as error:
                     expected = str(error)
-            unit = empty_word(fam)
-            calls = [
-                lambda: factorize(word, (0,) * k),
-                lambda: multiply(word, unit),
-                lambda: multiply(unit, word),
-                lambda: complete_diamond(fam, word, unit, "pullback"),
-                lambda: complete_diamond(fam, unit, word, "pushout"),
-            ]
-            for call in calls:
+                else:
+                    assert KWord(fam, blocks).blocks == blocks
+                    built += 1
+                    continue
+            for build in (lambda: KWord(fam, blocks), lambda: replace(empty_word(fam), blocks=blocks)):
                 with pytest.raises(InvalidLetter) as caught:
-                    call()
+                    build()
                 assert str(caught.value) == expected
+        assert built == 16
+
+    def test_a_block_that_is_not_iterable_raises_before_any_letter(self):
+        fam = constant_family(builtin("dihedral", 3), 2)
+        for blocks in (((1,), 5), ((0,), 5), ((4,), None)):
+            with pytest.raises(TypeError, match="not iterable"):
+                KWord(fam, blocks)
 
     def test_unique_by_exhaustion(self):
         # every split is the only degree-matched pair multiplying back
@@ -965,8 +969,8 @@ class TestFibreOracle:
 
 class TestDiamond:
     def test_a_repeated_deep_pullback_runs_no_collection(self, standard):
-        # the words are checked in place and the three-colour gate reads the
-        # colours of their blocks, so a warm 1 x 2,000 pullback builds no
+        # the words were checked when built and the three-colour gate reads
+        # the colours of their blocks, so a warm 1 x 2,000 pullback builds no
         # (colour, letter) pairs (two lists of 2,001 ran 5 gen-0 collections)
         fam = constant_family(standard["dih3"], 2)
         mu = KWord(fam, ((1,), ()))
@@ -1101,20 +1105,20 @@ class TestDiamond:
             complete_diamond(fam, mu, nu, "pullback")
 
     @pytest.mark.parametrize("bad", [((0,), ()), ((4,), ()), ((True,), ()), ((1, -1), ()), ((1,), (), ())])
-    @pytest.mark.parametrize("direction", ["pullback", "pushout"])
-    def test_word_letters_are_checked(self, bad, direction):
+    def test_word_letters_are_checked(self, bad):
+        # a diamond side is checked when it is built, so no malformed side
+        # reaches complete_diamond
         fam = constant_family(builtin("dihedral", 3), 2)
-        good = KWord(fam, ((), (1,)))
         with pytest.raises(InvalidLetter):
-            complete_diamond(fam, KWord(fam, bad), good, direction)
-        with pytest.raises(InvalidLetter):
-            complete_diamond(fam, good, KWord(fam, bad), direction)
+            KWord(fam, bad)
 
     def test_family_mismatch_before_letters(self, standard):
+        # words of another family are not read, even where their letters
+        # would be out of range for this one
         fam = constant_family(builtin("dihedral", 3), 2)
         other = constant_family(standard["flip2"], 2)
         with pytest.raises(FamilyMismatch):
-            complete_diamond(other, KWord(fam, ((0,), ())), KWord(fam, ((), (1,))), "pullback")
+            complete_diamond(other, KWord(fam, ((3,), ())), KWord(fam, ((), (1,))), "pullback")
 
     def test_degrees_overlap(self, standard):
         fam = constant_family(standard["flip2"], 2)
@@ -1122,6 +1126,76 @@ class TestDiamond:
         nu = normalize(fam, [(1, 2)])
         with pytest.raises(DegreesOverlap):
             complete_diamond(fam, mu, nu, "pullback")
+
+
+# the sizes-(1, 2, 3) theta document that CI normalizes and completes diamonds on
+THETA_123 = (
+    '{"format_version":"1","k":3,"sizes":[1,2,3],"maps":{"1,2":[[2,1],[1,1]],'
+    '"1,3":[[2,1],[3,1],[1,1]],"2,3":[[2,2],[3,2],[1,2],[2,1],[3,1],[1,1]]}}'
+)
+
+
+class TestBuiltWords:
+    @pytest.mark.parametrize(
+        "make_family",
+        [
+            lambda: constant_family(builtin("dihedral", 3), 3),
+            mixed_family,
+            lambda: parse_theta_document(THETA_123).family,
+        ],
+        ids=["dihedral-3", "mixed", "theta-123"],
+    )
+    def test_every_built_word_equals_its_checked_rebuild(self, make_family):
+        # the library builds its words without the check `KWord` runs, so
+        # each must be a word that the check accepts
+        family = make_family()
+        rng = random.Random(55)
+        built = [empty_word(family)]
+        diamonds = 0
+        for _ in range(40):
+            a, b = (normalize(family, random_word(family, rng, rng.randint(0, 8))) for _ in range(2))
+            built += [a, b, multiply(a, b)]
+            built += factorize(a, tuple(rng.randint(0, part) for part in a.degree))
+            cut = rng.randint(1, family.k - 1)
+            colours = rng.sample(range(1, family.k + 1), family.k)
+            mu, nu = (
+                normalize(family, [letter for letter in random_word(family, rng, 8) if letter[0] in side])
+                for side in (colours[:cut], colours[cut:])
+            )
+            for direction in ("pullback", "pushout"):
+                try:
+                    built += complete_diamond(family, mu, nu, direction)
+                    diamonds += 1
+                except PropertyMissing:
+                    pass
+        for word in built:
+            assert KWord(word.family, word.blocks) == word
+        assert len(built) > 200
+        # the mixed family's identity blocks lack both fibre properties
+        assert diamonds == (0 if make_family is mixed_family else 80)
+
+    def test_library_words_are_not_checked_again(self, monkeypatch):
+        # `KWord` checks each letter through `_check_letter`; the words the
+        # library builds, and a word loaded from a pickle, read none of them
+        import pickle
+
+        import ybk.kgraph as kgraph
+
+        reads = []
+        check = kgraph._check_letter
+        monkeypatch.setattr(kgraph, "_check_letter", lambda *args: reads.append(args) or check(*args))
+        fam = constant_family(builtin("dihedral", 3), 3)
+        rng = random.Random(7)
+        word = normalize(fam, random_word(fam, rng, 150))
+        head, tail = factorize(word, tuple(part // 2 for part in word.degree))
+        multiply(tail, head)
+        side = normalize(constant_family(builtin("dihedral", 3), 2), [(2, 1 + i % 3) for i in range(2000)])
+        for direction in ("pullback", "pushout"):
+            complete_diamond(side.family, normalize(side.family, [(1, 1)]), side, direction)
+        assert pickle.loads(pickle.dumps(word)) == word and empty_word(fam).is_empty()
+        assert reads == []
+        assert KWord(fam, word.blocks) == word
+        assert len(reads) == 150
 
 
 class TestPeriodicity:
