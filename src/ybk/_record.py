@@ -13,6 +13,10 @@ behave like the generated ones without compiling anything:
   positions, keywords, defaults and the `TypeError` for a call that does not
   fit are those of the generated `__init__`, at its speed.
 - The other methods are closures over the field names.
+
+A record keeps its fields in its instance dict.  Pickle, `copy` and
+`deepcopy` restore that dict without `__setattr__` or `__post_init__`, and
+a `functools.cached_property` keeps its value there beside the fields.
 """
 
 from __future__ import annotations
@@ -115,16 +119,13 @@ def _getter(names):
     return attrgetter(*names)
 
 
-def record(cls=None, /, *, slots=False):
+def record(cls):
     """Make `cls` a frozen dataclass whose methods are shared, not compiled."""
-    if cls is None:
-        return lambda cls: record(cls, slots=slots)
-    cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+    cls = dataclass(cls, init=False, repr=False, eq=False)
     flds = fields(cls)
     for f in flds:
         if f.default_factory is not MISSING or not f.init or f.kw_only or f.hash is not None:
             raise TypeError(f"record field {f.name!r} takes no default_factory, init, kw_only or hash")
-    names = tuple(f.name for f in flds)
     shown = [f.name for f in flds if f.repr]
     text = "{}(" + ", ".join(f"{name}={{!r}}" for name in shown) + ")"
     shown_values = _getter(shown)
@@ -148,21 +149,7 @@ def record(cls=None, /, *, slots=False):
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    methods = [__repr__, __eq__, __hash__, __setattr__, __delattr__]
-    if slots:
-        # copy and pickle would set a slotted record's fields through the
-        # frozen __setattr__; these read and write them as dataclass's do
-        values = _getter(names)
-
-        def __getstate__(self):
-            return list(values(self))
-
-        def __setstate__(self, state):
-            for name, value in zip(names, state):
-                _setattr(self, name, value)
-
-        methods += [__getstate__, __setstate__]
-    for method in methods:
+    for method in (__repr__, __eq__, __hash__, __setattr__, __delattr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
     cls.__init__ = _make_init(cls, flds)

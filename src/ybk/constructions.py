@@ -160,7 +160,7 @@ def _invert_row(row: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@record(slots=True)
+@record
 class LevelMap:
     """The bijection [N]^l x [N]^m -> [N]^m x [N]^l induced by pushing blocks.
 

@@ -65,7 +65,7 @@ from .limits import check_count
 from .solution import Solution, _passive_first, alpha_beta, is_ybe, make_solution
 
 
-@record(slots=True)
+@record
 class AbelianGroup:
     """Finitely generated abelian group in invariant-factor form.
 
@@ -161,7 +161,7 @@ def _coprime_base(numbers) -> list[int]:
     return base
 
 
-@record(slots=True)
+@record
 class OrbitPartition:
     """Blocks of [N] under the group generated by all right-action maps."""
 

@@ -82,14 +82,16 @@ def _check_letter(colour: int, letter, size: int) -> None:
         raise InvalidLetter(f"letter {letter!r} outside 1..{size} for colour {colour}")
 
 
-@record(slots=True)
+@record
 class KWord:
     """An element of the family's semigroup in colour-sorted normal form.
 
     `blocks[i-1]` is the tuple of colour-i letters; the degree is the tuple
     of block lengths.  Building one, `dataclasses.replace` included, checks
-    the word with `_check_letters`' errors: the block count, then that every
-    block is iterable, then every letter in order.
+    the word: a family that is not a `ThetaFamily` or blocks that are not
+    iterable raise InvalidParams, then come `_check_letters`' errors: the
+    block count, then that every block is iterable, then every letter in
+    order.  The blocks are kept as tuples, whatever iterables they came as.
     """
 
     family: ThetaFamily
@@ -97,15 +99,21 @@ class KWord:
 
     def __post_init__(self) -> None:
         # the words the library builds are valid by construction and skip this through `_built`
-        family, blocks = self.family, self.blocks
+        family = self.family
+        if not isinstance(family, ThetaFamily):
+            raise InvalidParams(f"a word's family must be a ThetaFamily, got {type(family).__name__}")
+        try:
+            blocks = tuple(self.blocks)
+        except TypeError:
+            raise InvalidParams(f"a word's blocks must be an iterable, got {type(self.blocks).__name__}") from None
         if len(blocks) != family.k:
             raise InvalidLetter(f"word has {len(blocks)} colour blocks, not {family.k}")
-        # a block that is not iterable raises before any letter is read, as in `letters()`
-        for block in blocks:
-            iter(block)
+        # freezing raises for a block that is not iterable before any letter is read, as in `letters()`
+        blocks = tuple(map(tuple, blocks))
         for colour, (block, size) in enumerate(zip(blocks, family.sizes), start=1):
             for letter in block:
                 _check_letter(colour, letter, size)
+        vars(self)["blocks"] = blocks  # past the frozen __setattr__, as `_built` sets its words
 
     @property
     def degree(self) -> tuple[int, ...]:
@@ -129,7 +137,7 @@ class KWord:
 def _built(family: ThetaFamily, blocks) -> KWord:
     """A KWord of blocks valid by construction, set as a pickle loads it: no `__post_init__`."""
     word = object.__new__(KWord)
-    word.__setstate__((family, blocks))
+    vars(word).update(family=family, blocks=blocks)
     return word
 
 
@@ -195,7 +203,7 @@ def constant_family(R: Solution, k: int) -> ThetaFamily:
     """
     check_int(k, "k", 2)
     count = k * (k - 1) // 2
-    limits.check_count(R.size ** 2 + count, "constant family table and pair slots")
+    limits.check_count(R.size ** 2 + count, "constant family table and colour pairs")
     pairs, inverse = _checked_table(R.table, R.size, R.size, "theta_12 ")
     return ThetaFamily(k, (R.size,) * k, (pairs,) * count, (inverse,) * count)
 
@@ -267,7 +275,7 @@ def _sort(family: ThetaFamily, letters, segments, colours):
     list per segment.
 
     A colour pair's table is looked up when a letter first crosses that pair,
-    and copied once per call behind N_c + 1 empty slots, so a swap is read
+    and copied once per call behind N_c + 1 empty entries, so a swap is read
     with no -1s.  The copies are kept per table object and stride: the pairs
     of a constant family share one table and one inverse, so a call copies
     at most two tables whatever k is.
@@ -430,11 +438,11 @@ def _squares(family: ThetaFamily, pullback: bool, a: int, b: int) -> list:
 
     Entry x * N_b + y holds the new letters (x', y') of the square that
     starts from the colour-a letter x and the colour-b letter y: the table
-    is row-major by (x, y) behind N_b + 1 empty slots, so `_fill` reads a
+    is row-major by (x, y) behind N_b + 1 empty entries, so `_fill` reads a
     cell with no -1s.  With i < j the two colours, each entry
     theta_ij(x, y) = (y2, x2) is one square: a pullback from (x, y2) to
     (x2, y), a pushout back.  The fibre check has passed, so every entry
-    behind the empty slots is filled.
+    behind the empty entries is filled.
     """
     i, j = sorted((a, b))
     ni, nj, n_b = family.sizes[i - 1], family.sizes[j - 1], family.sizes[b - 1]
@@ -508,7 +516,7 @@ def complete_diamond(
     return _fill(family, mu, nu, pullback)
 
 
-@record(slots=True)
+@record
 class Periodicity:
     """Either Periodic(order) or AperiodicUpTo(bound)."""
 

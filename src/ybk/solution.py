@@ -33,7 +33,7 @@ from .errors import (
 BUILTIN_NAMES = ("identity", "flip", "double_shift", "shift", "dihedral", "permutation")
 
 
-@record(slots=True)
+@record
 class Solution:
     """A bijection of [N]^2, stored row-major with x outer.
 
@@ -57,7 +57,7 @@ class Solution:
         return Solution(self.size, _inverse_pairs(self.table, self.size, self.size))
 
 
-@record(slots=True)
+@record
 class AlphaBeta:
     """Coordinate maps of a solution: alpha[x-1][y-1] = alpha_x(y), beta[y-1][x-1] = beta_y(x)."""
 

@@ -69,16 +69,19 @@ def search_steps(n):
     steps = 0
 
     def count(frame, event, arg):
+        # the global trace function sees only "call" events; returning None
+        # traces no lines.  A trace function, not a profile function, so an
+        # outer profiler such as cProfile keeps running beside it
         nonlocal steps
-        if event == "call" and frame.f_code is search:
+        if frame.f_code is search:
             steps += 1
 
-    previous = sys.getprofile()
-    sys.setprofile(count)
+    previous = sys.gettrace()
+    sys.settrace(count)
     try:
         enumerate_solutions(n)
     finally:
-        sys.setprofile(previous)
+        sys.settrace(previous)
     return steps
 
 

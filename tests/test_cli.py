@@ -180,6 +180,106 @@ class TestKgraph:
         assert code == 1
 
 
+# CI's documents: a bijection whose braid relation fails late, the constant
+# 3-colour family of it, and a valid family whose colours have sizes 1, 2, 3
+LATE_TABLE = '{"format_version":"1","size":2,"table":[[1,1],[2,1],[2,2],[1,2]]}'
+LATE_THETA = (
+    '{"format_version":"1","k":3,"sizes":[2,2,2],"maps":{"1,2":[[1,1],[2,1],[2,2],[1,2]],'
+    '"1,3":[[1,1],[2,1],[2,2],[1,2]],"2,3":[[1,1],[2,1],[2,2],[1,2]]}}'
+)
+THETA_123 = (
+    '{"format_version":"1","k":3,"sizes":[1,2,3],"maps":{"1,2":[[2,1],[1,1]],'
+    '"1,3":[[2,1],[3,1],[1,1]],"2,3":[[2,2],[3,2],[1,2],[2,1],[3,1],[1,1]]}}'
+)
+
+
+class TestPinnedOutputs:
+    """Each handler branch's stdout, stderr and exit code, byte for byte."""
+
+    @pytest.fixture()
+    def docs(self, tmp_path):
+        paths = {}
+        for name, text in (("late", LATE_TABLE), ("late-theta", LATE_THETA), ("theta-123", THETA_123)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            paths[name] = str(path)
+        return paths
+
+    def test_equations_hold(self, capsys):
+        assert run(capsys, "equations", "catalog:dihedral-3") == (
+            0,
+            "alpha homomorphism equation: holds\n"
+            "beta anti-homomorphism equation: holds\n"
+            "compatibility equation: holds\n"
+            "all hold (equivalent to YBE): yes\n",
+            "",
+        )
+        assert run(capsys, "equations", "catalog:dihedral-3", "--json") == (
+            0,
+            '{"all_hold":true,"alpha_homomorphic":true,"beta_antihomomorphic":true,'
+            '"command":"equations","compatible":true,"witnesses":{}}\n',
+            "",
+        )
+
+    def test_equations_fail_with_a_witness(self, capsys, docs):
+        assert run(capsys, "equations", docs["late"]) == (
+            1,
+            "alpha homomorphism equation: fails\n"
+            "beta anti-homomorphism equation: holds\n"
+            "compatibility equation: holds\n"
+            "all hold (equivalent to YBE): no\n",
+            "",
+        )
+        assert run(capsys, "equations", docs["late"], "--json") == (
+            1,
+            '{"all_hold":false,"alpha_homomorphic":false,"beta_antihomomorphic":true,'
+            '"command":"equations","compatible":true,"witnesses":{"alpha_homomorphic":[2,1,1]}}\n',
+            "",
+        )
+
+    def test_diamond_text(self, capsys, docs):
+        argv = ("kgraph", "diamond", docs["theta-123"], "--mu", "1:1,3:2,3:3", "--nu", "2:2,2:1", "--direction")
+        assert run(capsys, *argv, "pullback") == (0, "mu~: e1_1 e3_3 e3_1\nnu~: e2_1 e2_2\n", "")
+        assert run(capsys, *argv, "pushout") == (0, "mu~: e1_1 e3_1 e3_2\nnu~: e2_1 e2_2\n", "")
+
+    def test_failing_kgraph_verify_names_its_witness(self, capsys, docs):
+        assert run(capsys, "kgraph", "verify", docs["late-theta"]) == (
+            1,
+            "valid k-graph: no\nfailing triple (1, 2, 3) at point (2, 1, 1)\n",
+            "",
+        )
+
+    def test_empty_word_is_the_unit(self, capsys, docs):
+        assert run(capsys, "kgraph", "normalize", docs["theta-123"], "--word", "") == (
+            0,
+            "normal form: 1\ndegree: (0, 0, 0)\n",
+            "",
+        )
+
+    @pytest.mark.parametrize("token", ["3-1", "3:", "a:1"])
+    def test_malformed_word_token_exits_two(self, capsys, docs, token):
+        assert run(capsys, "kgraph", "normalize", docs["theta-123"], "--word", f"1:1,{token}") == (
+            2,
+            "",
+            f"error: word token {token!r} must look like colour:letter\n",
+        )
+
+    def test_extend_glued_needs_two_colours(self, capsys, docs):
+        assert run(capsys, "extend-glued", docs["theta-123"]) == (
+            2,
+            "",
+            "error: extend-glued needs a 2-colour theta document\n",
+        )
+
+    def test_default_max_len_beyond_three_points(self, capsys):
+        assert run(capsys, "semigroup", "catalog:dihedral-4") == (0, "growth: 1 4 8 12 16\n", "")
+        assert run(capsys, "semigroup", "catalog:dihedral-5", "--json") == (
+            0,
+            '{"command":"semigroup","growth":[1,5,9,10,10],"max_len":4}\n',
+            "",
+        )
+
+
 class TestSemigroup:
     def test_growth_and_presentation(self, capsys, dihedral_path):
         code, out, _ = run(

@@ -822,6 +822,39 @@ class TestFactorize:
             with pytest.raises(TypeError, match="not iterable"):
                 KWord(fam, blocks)
 
+    @pytest.mark.parametrize(
+        "family, blocks, message",
+        [
+            (None, (), "^a word's family must be a ThetaFamily, got NoneType$"),
+            (builtin("dihedral", 3), ((), ()), "^a word's family must be a ThetaFamily, got Solution$"),
+            ("fam", 5, "^a word's blocks must be an iterable, got int$"),
+            ("fam", None, "^a word's blocks must be an iterable, got NoneType$"),
+        ],
+        ids=["none-family", "solution-family", "int-blocks", "none-blocks"],
+    )
+    def test_a_word_that_is_not_a_family_and_blocks_raises_invalid_params(self, family, blocks, message):
+        # the family's type and the blocks' shape are checked before the block count
+        fam = constant_family(builtin("dihedral", 3), 2)
+        family = fam if family == "fam" else family
+        for build in (lambda: KWord(family, blocks), lambda: replace(empty_word(fam), family=family, blocks=blocks)):
+            with pytest.raises(InvalidParams, match=message):
+                build()
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [([1], [], []), [(1,), (), ()], (iter([1]), (), ()), ((x for x in [1]), (), ())],
+        ids=["list-blocks", "list-of-blocks", "iterator-block", "generator-block"],
+    )
+    def test_blocks_are_frozen_to_tuples(self, blocks):
+        # a word built from any iterables keeps tuples, so it hashes and
+        # equals the normal form of its letters
+        fam = constant_family(builtin("dihedral", 3), 3)
+        word = KWord(fam, blocks)
+        assert word.blocks == ((1,), (), ()) and type(word.blocks) is tuple
+        assert all(type(block) is tuple for block in word.blocks)
+        assert word == normalize(fam, [(1, 1)]) and hash(word) == hash(normalize(fam, [(1, 1)]))
+        assert word.degree == (1, 0, 0) and str(word) == "e1_1"
+
     def test_unique_by_exhaustion(self):
         # every split is the only degree-matched pair multiplying back
         fam = mixed_family()
