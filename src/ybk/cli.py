@@ -159,6 +159,7 @@ def _cmd_equations(args) -> int:
         f"compatibility equation: {'holds' if report['compatible'] else 'fails'}",
         f"all hold (equivalent to YBE): {'yes' if report['all_hold'] else 'no'}",
     ]
+    lines += [f"witness[{key}]: {tuple(value)}" for key, value in report["witnesses"].items()]
     _emit(args, report, lines)
     return 0 if report["all_hold"] else 1
 

@@ -12,6 +12,10 @@ class counts, not the N^n words.  Per-word class lists are expanded from
 the nodes only where a caller reads words one by one.  On top of that sit
 growth counts, cancellativity checks, the presentation text of the
 structure semigroup and group, and the two graded compatibility checks.
+Growth and cancellation of an involutive, non-degenerate solution come
+from the I-type theorem, not from classes: the walk that lists R's links
+also tells whether R is an involution, and only an involution is checked
+further.  Every other table runs the engine, which stays the tests' oracle.
 Cancellation is one ordered scan of the product tables for the least
 witness, cut short by peeling: a column repeat peels to two nodes (C, y),
 (C', y) of one class and a row repeat to a row of one letter, so columns
@@ -27,11 +31,12 @@ from __future__ import annotations
 
 from dataclasses import field
 from itertools import product
+from math import comb
 
 from ._record import record
 from .errors import InvalidParams, NotAYbeSolution, PreconditionFailed, check_int
 from .limits import check_count
-from .solution import Solution, _codes, _first_repeat, is_ybe
+from .solution import Solution, _braid_failure, _codes, _first_repeat, is_ybe
 
 
 @record
@@ -78,38 +83,83 @@ class GradedClassSet:
         raise InvalidParams(f"{word!r} is not a word of length {self.length} over [{size}]")
 
 
-def _links(R: Solution) -> list[tuple[int, int, int, int]]:
-    """The pairs (x, y) -> (x', y') that `_roots_by_length` joins, 0-based.
+def _links(R: Solution) -> tuple[list[tuple[int, int, int, int]], list[int] | None]:
+    """The pairs (x, y) -> (x', y') that `_roots_by_length` joins, 0-based,
+    and R's code table when R is an involution, else None.
 
     R is walked one cycle on pairs at a time, from its least pair, joining
     each pair to its image.  The edge that closes a cycle back to its start
     is left out: the others already join all of the cycle.  A cycle of
-    length L costs L - 1 links, not L, so an involutive R costs half.
+    length L costs L - 1 links, not L, so an involutive R costs half.  R is
+    an involution when no cycle is longer than 2, that is when no walk links
+    a pair past its start, so the walk decides it with no pass of its own.
 
     A table built without `make_solution` can send a pair to one walked
     before, or to a code that is no pair at all: such an edge ends the walk
     and is kept, and links come in the order of their pairs, so such a
     table gets the classes, or the error, that one link per moved pair gives.
+    It is no involution when a walk meets such a code, or a pair sent to
+    itself past its start; the walk has then checked every code as an int
+    of [0, N^2), and the codes must still be N^2 and distinct.
     """
     size = R.size
     codes = _codes(R)
-    links, walked = [], [False] * len(codes)
-    for start in range(len(codes)):
+    cells = len(codes)
+    links, walked = [], [False] * cells
+    involutive = True
+    for start in range(cells):
         q = start
         while not walked[q]:
             walked[q] = True
             c = codes[q]
-            if c == q or (c == start and type(c) is int):
+            if c == start and type(c) is int:
                 break
+            if c == q:
+                # a pair sent to itself past its start, or a code that is no int
+                involutive = False
+                break
+            if q != start:
+                involutive = False
             links.append((q // size, q % size, c // size, c % size))
-            if type(c) is not int or not 0 <= c < len(codes):
+            if type(c) is not int or not 0 <= c < cells:
+                involutive = False
                 break
             q = c
     links.sort()
-    return links
+    # `type` rather than isinstance: bool is a subclass of int
+    if involutive and not (
+        type(size) is int and size > 0 and cells == size * size and len(set(codes)) == cells
+    ):
+        involutive = False
+    return links, codes if involutive else None
 
 
-def _roots_by_length(R: Solution, limit: int | None = None):
+def _i_type(size: int, involution: list[int]) -> bool:
+    """Whether the involution of [N]^2 with code table `involution` is
+    non-degenerate and satisfies the braid relation, so that R is of I-type.
+
+    Every alpha_x must be a bijection of [N], and the braid relation must
+    hold on the pairs the codes name.  The beta_y are then bijections too:
+    a finite involutive solution that is non-degenerate on the left is so
+    on the right (Rump, Adv. Math. 2005).
+    """
+    for i in range(0, len(involution), size):
+        if len({c // size for c in involution[i : i + size]}) < size:
+            return False
+    return _braid_failure(size, [(c // size + 1, c % size + 1) for c in involution]) is None
+
+
+def _check_word_counts(size: int, maxlen: int) -> None:
+    """The engine's word-count checks of lengths 1..maxlen, with no word built.
+
+    The limit is read once, at length 1; maxlen 0 reads none.
+    """
+    limit = None
+    for n in range(1, maxlen + 1):
+        limit = check_count(size, f"length-{n} words over [{size}]", n, limit)
+
+
+def _roots_by_length(R: Solution, limit: int | None = None, links=None):
     """Yield (heads, node) for every length from 1 up, each from the one before.
 
     Classes of a length are numbered in the order of their least words.
@@ -131,10 +181,12 @@ def _roots_by_length(R: Solution, limit: int | None = None):
 
     Each length's word count is checked against the limit before the length
     is built, though no list of that many entries is made.  The limit is
-    `limit` when given, otherwise read at the first check.
+    `limit` when given, otherwise read at the first check.  `links` are
+    R's, from `_links`, when the caller has them.
     """
     size = R.size
-    links = _links(R)
+    if links is None:
+        links, _ = _links(R)
     length = 1
     limit = check_count(size, f"length-1 words over [{size}]", 1, limit)
     heads, node = list(range(size)), list(range(size))
@@ -167,10 +219,29 @@ def _roots_by_length(R: Solution, limit: int | None = None):
                 node.append(node[up])
 
 
-def _lengths_up_to(R: Solution, maxlen: int, limit: int | None = None) -> list:
+def _lengths_up_to(R: Solution, maxlen: int, limit: int | None = None, links=None) -> list:
     """The (heads, node) pairs of lengths 1..maxlen, from one pass of `_roots_by_length`."""
     # zip draws from the range first, so no length past maxlen is checked or built
-    return [level for _, level in zip(range(maxlen), _roots_by_length(R, limit))]
+    return [level for _, level in zip(range(maxlen), _roots_by_length(R, limit, links))]
+
+
+def _engine_levels(R: Solution, maxlen: int):
+    """The (heads, node) pairs of lengths 1..maxlen, or None when R is of I-type.
+
+    The monoid of an involutive, non-degenerate solution is of I-type: its
+    length-n part has C(n+N-1, N-1) elements and it is cancellative
+    (Gateva-Ivanova and Van den Bergh, J. Algebra 1998; Etingof, Schedler
+    and Soloviev, Duke Math. J. 1999).  For such an R the word counts are
+    checked as the engine checks them, and no class is built.  The links of
+    the one walk go to the engine otherwise.  maxlen 0 reads no table.
+    """
+    if maxlen == 0:
+        return []
+    links, involution = _links(R)
+    if involution is not None and _i_type(R.size, involution):
+        _check_word_counts(R.size, maxlen)
+        return None
+    return _lengths_up_to(R, maxlen, links=links)
 
 
 def _least_word(size: int, levels, n: int, c: int) -> tuple[int, ...]:
@@ -228,9 +299,15 @@ def graded_elements(R: Solution, n: int) -> GradedClassSet:
 
 
 def growth(R: Solution, maxlen: int) -> tuple[int, ...]:
-    """Class counts by length, starting with the empty word: growth[0] = 1."""
+    """Class counts by length, starting with the empty word: growth[0] = 1.
+
+    An R of I-type has C(n+N-1, N-1) classes of length n, as multisets do.
+    """
     check_int(maxlen, "maximum length", 0)
-    return (1,) + tuple(len(heads) for heads, _ in _lengths_up_to(R, maxlen))
+    levels = _engine_levels(R, maxlen)
+    if levels is None:
+        return tuple(comb(n + R.size - 1, R.size - 1) for n in range(maxlen + 1))
+    return (1,) + tuple(len(heads) for heads, _ in levels)
 
 
 def check_cancellative(R: Solution, maxlen: int):
@@ -239,8 +316,21 @@ def check_cancellative(R: Solution, maxlen: int):
     The class product [a][b] is the class of concatenated representatives,
     well defined because the congruence is stable under concatenation.
     Returns (True, None) or (False, witness) with the least witness
-    (side, rep_a, rep_b, rep_c), from one scan of the (la, lb) product
-    tables in order, each table's rows before its columns.
+    (side, rep_a, rep_b, rep_c), from `_cancellation_scan`.  An R of
+    I-type is cancellative and scans nothing.
+    """
+    check_int(maxlen, "maximum length", 0)
+    levels = _engine_levels(R, maxlen)
+    if levels is None:
+        return True, None
+    return _cancellation_scan(R.size, levels)
+
+
+def _cancellation_scan(size: int, levels):
+    """The least cancellation witness up to total length len(levels), or (True, None).
+
+    One scan of the (la, lb) product tables in order, each table's rows
+    before its columns, on the (heads, node) pairs of lengths 1..maxlen.
 
     Peeling in the node maps cuts the scan short.  A column repeat
     [a][b] = [a'][b] with b = b'y is one at (la, lb - 1) or two nodes
@@ -250,9 +340,7 @@ def check_cancellative(R: Solution, maxlen: int):
     total length, so it peels to la = 1: without a column to read, the scan
     stops after la = 1.
     """
-    check_int(maxlen, "maximum length", 0)
-    size = R.size
-    levels = _lengths_up_to(R, maxlen)
+    maxlen = len(levels)
     # some letter y fails on the right: the nodes (C, y) of a length share a class
     right = any(
         len(set(node[y::size])) < len(node) // size for _, node in levels for y in range(size)
@@ -338,11 +426,7 @@ def semigroup_extension_check(R: Solution, maxlen: int):
     check_int(maxlen, "maximum length", 0)
     if not is_ybe(R):
         raise NotAYbeSolution("the extension is defined for braid-relation solutions")
-    size = R.size
-    # the limit is read once, at length 1; maxlen 0 reads none
-    limit = None
-    for n in range(1, maxlen + 1):
-        limit = check_count(size, f"length-{n} words over [{size}]", n, limit)
+    _check_word_counts(R.size, maxlen)
     return True, None
 
 

@@ -227,7 +227,8 @@ class TestPinnedOutputs:
             "alpha homomorphism equation: fails\n"
             "beta anti-homomorphism equation: holds\n"
             "compatibility equation: holds\n"
-            "all hold (equivalent to YBE): no\n",
+            "all hold (equivalent to YBE): no\n"
+            "witness[alpha_homomorphic]: (2, 1, 1)\n",
             "",
         )
         assert run(capsys, "equations", docs["late"], "--json") == (

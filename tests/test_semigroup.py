@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from collections.abc import Mapping
 from itertools import permutations, product
 from math import comb
@@ -19,7 +20,7 @@ from ybk.semigroup import (
     presentations,
     semigroup_extension_check,
 )
-from ybk.solution import Solution, builtin, is_ybe, make_solution, _mod1
+from ybk.solution import Solution, builtin, is_ybe, make_solution, properties, _mod1
 
 from conftest import random_solutions
 from oracles import (
@@ -244,9 +245,12 @@ class TestClassRoots:
                     q = image[q]
                     if q == start:
                         break
-            links = semigroup._links(R)
+            links, involution = semigroup._links(R)
             assert len(links) == sum(image[q] != q for q in range(size * size)) - cycles
-        assert len(semigroup._links(standard["dih3"])) == 4
+            # the same walk tells an involution: every cycle has length at most 2
+            assert (involution is not None) == properties(R).involutive
+            assert involution in (None, image)
+        assert len(semigroup._links(standard["dih3"])[0]) == 4
 
     @pytest.mark.parametrize(
         "check", [growth, check_cancellative, semigroup_extension_check]
@@ -264,7 +268,9 @@ class TestClassRoots:
 
 class TestGrowth:
     def test_identity_free(self, standard):
+        # the identity is involutive and braided but degenerate: no I-type answer
         assert growth(standard["id2"], 4) == (1, 2, 4, 8, 16)
+        assert growth(standard["id3"], 6) == tuple(3**n for n in range(7))
 
     def test_flip_simplex_counts(self, standard):
         assert growth(standard["flip3"], 5) == tuple(comb(n + 2, 2) for n in range(6))
@@ -311,6 +317,9 @@ class TestMaxLength:
         assert growth(R, 0) == (1,)
         assert check_cancellative(R, 0) == (True, None)
         assert semigroup_extension_check(R, 0) == (True, None)
+        # maxlen 0 reads no table, not even one that is no table at all
+        assert growth(Solution(2, 5), 0) == (1,)
+        assert check_cancellative(Solution(2, 5), 0) == (True, None)
 
 
 class TestCancellative:
@@ -380,21 +389,133 @@ class TestCancellative:
             return first_repeat(keys)
 
         monkeypatch.setattr(semigroup, "_first_repeat", counted)
-        cancellative, failing = [], []
+        cancellative, i_type, failing = [], [], []
         for R in census3:
             calls.clear()
             ok, _ = check_cancellative(R, 4)
-            (cancellative if ok else failing).append(len(calls))
-        # three one-letter rows at each of lb = 1..3, and no column
-        assert cancellative == [9] * 19
+            (i_type if properties(R).symmetric else cancellative if ok else failing).append(len(calls))
+        # three one-letter rows at each of lb = 1..3, and no column; an
+        # involutive, non-degenerate input is answered by the theorem
+        assert cancellative == [9] * 7
+        assert i_type == [0] * 12
         assert len(failing) == 54 and min(failing) >= 1
         calls.clear()
         assert check_cancellative(standard["flip3"], 7) == (True, None)
+        assert calls == []
+        levels = semigroup._lengths_up_to(standard["flip3"], 7)
+        assert semigroup._cancellation_scan(3, levels) == (True, None)
         assert len(calls) == 18
 
     def test_shift_collapses(self, standard):
         ok, witness = check_cancellative(standard["shift2"], 3)
         assert not ok
+
+
+def engine_growth(R, maxlen):
+    return (1,) + tuple(len(heads) for heads, _ in semigroup._lengths_up_to(R, maxlen))
+
+
+def engine_cancellation(R, maxlen):
+    return semigroup._cancellation_scan(R.size, semigroup._lengths_up_to(R, maxlen))
+
+
+def _result_or_error(call, *args):
+    try:
+        return "value", call(*args)
+    except Exception as exc:  # the class and message are compared, whatever they are
+        return type(exc), str(exc)
+
+
+class TestIType:
+    """Involutive, non-degenerate solutions: the I-type laws on the engine,
+    which `growth` and `check_cancellative` answer from the theorem."""
+
+    # the engine's growth is compared with the binomials up to these lengths
+    LENGTHS = {1: 8, 2: 8, 3: 6, 4: 5, 5: 5, 6: 5}
+
+    @pytest.fixture(scope="class")
+    def census(self, census2, census3, census4):
+        return [builtin("identity", 1), *census2, *census3, *census4]
+
+    def test_engine_keeps_the_laws_and_the_theorem_answers_match(self, census):
+        symmetric = [R for R in census if properties(R).symmetric]
+        assert Counter(R.size for R in symmetric) == {1: 1, 2: 2, 3: 12, 4: 168}
+        flips = [catalog_solution(f"flip-{n}") for n in range(2, 7)]
+        for R in symmetric + flips:
+            size, maxlen = R.size, self.LENGTHS[R.size]
+            binomials = tuple(comb(n + size - 1, size - 1) for n in range(maxlen + 1))
+            levels = semigroup._lengths_up_to(R, maxlen)
+            assert (1,) + tuple(len(heads) for heads, _ in levels) == binomials
+            assert growth(R, maxlen) == binomials
+            for top in range(6):
+                assert semigroup._cancellation_scan(size, levels[:top]) == (True, None)
+                assert check_cancellative(R, top) == (True, None)
+
+    def test_detection_agrees_with_properties(self, census):
+        assert len(census) == 2504
+        for R in census:
+            _, involution = semigroup._links(R)
+            found = involution is not None and semigroup._i_type(R.size, involution)
+            assert found == properties(R).symmetric
+
+    def test_a_braidless_involution_runs_the_engine(self):
+        # involutive, non-degenerate and a bijection, but (1, 1, 1) breaks the braid relation
+        table = ((3, 3), (2, 3), (1, 3), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (1, 1))
+        R = make_solution(3, table)
+        report = properties(R)
+        assert report.involutive and report.non_degenerate and not report.is_ybe
+        assert growth(R, 5) == engine_growth(R, 5) == (1, 3, 6, 9, 11, 11)
+        witness = (False, ("left", (1,), (1, 3, 2), (2, 1, 3)))
+        assert check_cancellative(R, 4) == engine_cancellation(R, 4) == witness
+
+    @pytest.mark.parametrize(
+        "table, counts, witness",
+        [
+            # not a bijection: pairs (1, 1) and (1, 2) both go to (1, 1)
+            (((1, 1), (1, 1), (2, 1), (2, 2)), (1, 2, 3, 4), ("left", (1,), (1,), (2,))),
+            # (1, 2) goes to (1, 3), whose code is that of (2, 1)
+            (((1, 1), (1, 3), (2, 1), (2, 2)), (1, 2, 3, 4), None),
+            # each walk links once, but (2, 1) goes to (1, 2), which goes to (1, 1)
+            (((1, 2), (1, 1), (1, 2), (2, 2)), (1, 2, 2, 2), ("left", (1,), (1,), (2,))),
+            # the codes of flip-2 from out-of-range pairs, a float and a bool
+            (((1, 1), (1, 3), (1, 2), (2, 2)), (1, 2, 3, 4), None),
+            (((1.0, 1), (2, 1), (1, 2), (2, 2)), (1, 2, 3, 4), None),
+            (((True, 1), (2, 1), (1, 2), (2, 2)), (1, 2, 3, 4), None),
+            # a short table
+            (((1, 1), (1, 2), (2, 1)), (1, 2, 4, 8), None),
+        ],
+        ids=["two-to-one", "onto-a-fixed-pair", "into-a-walked-pair", "out-of-range", "float", "bool", "short"],
+    )
+    def test_raw_tables_run_the_engine(self, table, counts, witness):
+        R = Solution(2, table)
+        assert growth(R, 3) == engine_growth(R, 3) == counts
+        expected = (True, None) if witness is None else (False, witness)
+        assert check_cancellative(R, 3) == engine_cancellation(R, 3) == expected
+
+    @pytest.mark.parametrize(
+        "R, error",
+        [
+            # one point and no entry: the walk sees no pair at all
+            (Solution(1, ()), None),
+            # (1, 2) goes to (3, 3), a code past the table, before (2, 1)'s float
+            (Solution(2, ((3, 2), (3, 3), (1.0, 1), (2, 2))), IndexError),
+            (Solution(0, ()), ValueError),
+        ],
+        ids=["one-point-empty", "past-the-table", "no-points"],
+    )
+    def test_raw_tables_keep_the_engine_errors(self, R, error):
+        for call, engine in ((growth, engine_growth), (check_cancellative, engine_cancellation)):
+            for maxlen in (1, 3):
+                assert _result_or_error(call, R, maxlen) == _result_or_error(engine, R, maxlen)
+            assert _result_or_error(call, R, 3)[0] == ("value" if error is None else error)
+
+    @pytest.mark.parametrize("limit", ["20", "30", "500", "abc"])
+    def test_word_counts_are_checked_as_the_engine_checks_them(self, standard, monkeypatch, limit):
+        monkeypatch.setenv("YBK_LIMIT", limit)
+        for R in (standard["flip3"], catalog_solution("flip-6"), standard["id3"]):
+            for maxlen in range(13):
+                for call, engine in ((growth, engine_growth), (check_cancellative, engine_cancellation)):
+                    assert _result_or_error(call, R, maxlen) == _result_or_error(engine, R, maxlen)
 
 
 class TestPresentations:
