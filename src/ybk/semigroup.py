@@ -29,7 +29,6 @@ oracles.
 
 from __future__ import annotations
 
-from dataclasses import field
 from itertools import product
 from math import comb
 
@@ -47,14 +46,15 @@ class GradedClassSet:
     lexicographically sorted, classes sorted by their least member; `reps`
     repeats those least members.  `_nodes` holds the node maps of lengths
     1..n from `_roots_by_length`, classes(m-1) * N entries for length m:
-    all `index_of` reads, with no entry per word.
+    all `index_of` reads, with no entry per word.  Its underscore keeps it
+    out of the repr, equality and hash.
     """
 
     size: int
     length: int
     classes: tuple[tuple[tuple[int, ...], ...], ...]
     reps: tuple[tuple[int, ...], ...]
-    _nodes: tuple = field(compare=False, repr=False)
+    _nodes: tuple
 
     def index_of(self, word) -> int:
         """The index in `classes` of the class holding `word`.

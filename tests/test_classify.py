@@ -209,6 +209,21 @@ RELABEL_BASES = {
 }
 
 
+@pytest.mark.parametrize("name", ["classify", "homology"])
+def test_the_package_exports_the_function_and_the_module_stays_reachable(name):
+    # the public API keeps `ybk.classify` and `ybk.homology` the functions
+    # (README, "Library overview"); the modules are reached by name
+    import ybk
+
+    module = importlib.import_module(f"ybk.{name}")
+    assert module is sys.modules[f"ybk.{name}"] and type(module) is type(ybk)
+    assert getattr(ybk, name) is getattr(module, name) and callable(getattr(ybk, name))
+    scope = {}
+    exec(f"import ybk.{name} as bound\nfrom ybk.{name} import __dict__ as namespace", scope)
+    assert scope["bound"] is getattr(module, name)  # `import ... as` binds the package attribute
+    assert scope["namespace"] is vars(module)  # `from ybk.<name> import ...` reads the module
+
+
 class TestEnumerate:
     def test_singleton(self):
         assert len(enumerate_solutions(1)) == 1
